@@ -1,8 +1,8 @@
 //! An LRU-evicted cache of sector ranges in physical (PBA) space.
 
 use serde::{Deserialize, Serialize};
+use smrseek_extent::{Pos, SortedIndex};
 use smrseek_trace::{Pba, SECTOR_SIZE};
-use std::collections::BTreeMap;
 
 const NIL: usize = usize::MAX;
 
@@ -48,7 +48,9 @@ impl RangeCacheStats {
 /// being referenced and ages out.
 ///
 /// Ranges are stored at insert granularity (entries are not merged), so LRU
-/// eviction keeps the granularity of the original insertions.
+/// eviction keeps the granularity of the original insertions. A
+/// [`SortedIndex`] maps each range's start to its slab node, so `covers`
+/// and `insert` each do one search and no allocation.
 ///
 /// # Example
 ///
@@ -64,7 +66,7 @@ impl RangeCacheStats {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RangeCache {
-    by_start: BTreeMap<u64, usize>,
+    by_start: SortedIndex<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize,
@@ -78,7 +80,7 @@ impl RangeCache {
     /// Creates a cache with a budget of `capacity_sectors` sectors.
     pub fn with_capacity_sectors(capacity_sectors: u64) -> Self {
         RangeCache {
-            by_start: BTreeMap::new(),
+            by_start: SortedIndex::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -130,11 +132,13 @@ impl RangeCache {
     ///
     /// Zero-length queries are vacuously covered and counted as hits.
     pub fn covers(&mut self, pba: Pba, sectors: u64) -> bool {
-        match self.covering_nodes(pba.sector(), sectors) {
-            Some(involved) => {
-                for idx in involved {
+        match self.covering_run(pba.sector(), sectors) {
+            Some((mut pos, count)) => {
+                for _ in 0..count {
+                    let (_, idx) = self.by_start.get(pos).expect("run entry");
                     self.unlink(idx);
                     self.push_front(idx);
+                    pos = self.by_start.next(pos);
                 }
                 self.stats.hits += 1;
                 true
@@ -149,7 +153,7 @@ impl RangeCache {
     /// Like [`covers`](Self::covers) but without touching recency or
     /// counting toward statistics.
     pub fn peek_covers(&self, pba: Pba, sectors: u64) -> bool {
-        self.covering_nodes(pba.sector(), sectors).is_some()
+        self.covering_run(pba.sector(), sectors).is_some()
     }
 
     /// Inserts `[pba, pba + sectors)`, creating entries only for the
@@ -175,38 +179,48 @@ impl RangeCache {
         }
         let start = pba.sector();
         let end = start + sectors;
-        let mut gaps: Vec<(u64, u64)> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        let mut cursor = start;
+        let first = self.by_start.lower_bound(start);
 
-        if let Some((&_es, &idx)) = self.by_start.range(..start).next_back() {
-            let n = &self.nodes[idx];
-            if n.start + n.sectors > start {
-                touched.push(idx);
-                cursor = (n.start + n.sectors).min(end);
+        // Touch the overlapping entries in PBA order first, then add the
+        // gaps in PBA order, so the gaps end up most recently used.
+        let mut cursor = start;
+        if let Some(p) = self.by_start.prev(first) {
+            let (_, idx) = self.by_start.get(p).expect("prev is an entry");
+            let n_end = self.nodes[idx].start + self.nodes[idx].sectors;
+            if n_end > start {
+                self.unlink(idx);
+                self.push_front(idx);
+                cursor = n_end.min(end);
             }
         }
-        let in_range: Vec<usize> = self.by_start.range(start..end).map(|(_, &i)| i).collect();
-        for idx in in_range {
-            let (es, elen) = (self.nodes[idx].start, self.nodes[idx].sectors);
-            if es > cursor {
-                gaps.push((cursor, es - cursor));
-            }
-            touched.push(idx);
-            cursor = (es + elen).min(end).max(cursor);
-        }
-        if cursor < end {
-            gaps.push((cursor, end - cursor));
-        }
-        for idx in touched {
+        let mut pos = first;
+        while let Some((es, idx)) = self.by_start.get(pos).filter(|&(es, _)| es < end) {
+            debug_assert_eq!(es, self.nodes[idx].start);
             self.unlink(idx);
             self.push_front(idx);
+            pos = self.by_start.next(pos);
         }
-        for (gs, glen) in gaps {
-            let idx = self.alloc_node(gs, glen);
-            self.by_start.insert(gs, idx);
-            self.sectors_used += glen;
-            self.push_front(idx);
+
+        let mut pos = first;
+        while cursor < end {
+            let (gap_end, covered) = match self.by_start.get(pos) {
+                Some((es, idx)) if es < end => (es, Some(idx)),
+                _ => (end, None),
+            };
+            if gap_end > cursor {
+                let idx = self.alloc_node(cursor, gap_end - cursor);
+                pos = self.by_start.insert_at(pos, cursor, idx);
+                pos = self.by_start.next(pos);
+                self.sectors_used += gap_end - cursor;
+                self.push_front(idx);
+            }
+            cursor = match covered {
+                Some(idx) => {
+                    pos = self.by_start.next(pos);
+                    (self.nodes[idx].start + self.nodes[idx].sectors).min(end)
+                }
+                None => end,
+            };
         }
         self.evict_to_budget(on_evict)
     }
@@ -225,37 +239,42 @@ impl RangeCache {
     pub fn ranges(&self) -> Vec<(Pba, u64)> {
         self.by_start
             .iter()
-            .map(|(_, &i)| (Pba::new(self.nodes[i].start), self.nodes[i].sectors))
+            .map(|(_, i)| (Pba::new(self.nodes[i].start), self.nodes[i].sectors))
             .collect()
     }
 
-    /// Returns the node indices covering `[start, start + sectors)` in
-    /// full, or `None` if any sector is uncovered. Never mutates.
-    fn covering_nodes(&self, start: u64, sectors: u64) -> Option<Vec<usize>> {
+    /// The run of consecutive entries covering `[start, start + sectors)`
+    /// in full, as the position of its first entry and its length, or
+    /// `None` if any sector is uncovered. A zero-length query is covered;
+    /// its run is the entry holding `start`, if any. Never mutates.
+    fn covering_run(&self, start: u64, sectors: u64) -> Option<(Pos, usize)> {
         let end = start + sectors;
-        let mut cursor = start;
-        let mut involved: Vec<usize> = Vec::new();
-        if let Some((_, &idx)) = self.by_start.range(..=start).next_back() {
-            let n = &self.nodes[idx];
-            if n.start + n.sectors > start {
-                involved.push(idx);
-                cursor = (n.start + n.sectors).min(end);
+        let vacuous = (sectors == 0).then_some((self.by_start.end(), 0));
+        let pos = self.by_start.lower_bound(start);
+        let first = match self.by_start.get(pos) {
+            Some((s, _)) if s == start => pos,
+            _ => match self.by_start.prev(pos) {
+                Some(p) => p,
+                None => return vacuous,
+            },
+        };
+        let (_, idx) = self.by_start.get(first)?;
+        let mut cursor = self.nodes[idx].start + self.nodes[idx].sectors;
+        if cursor <= start {
+            return vacuous;
+        }
+        let (mut pos, mut count) = (first, 1);
+        while cursor < end {
+            pos = self.by_start.next(pos);
+            match self.by_start.get(pos) {
+                Some((s, idx)) if s == cursor => {
+                    cursor += self.nodes[idx].sectors;
+                    count += 1;
+                }
+                _ => return None, // gap
             }
         }
-        if cursor < end {
-            for (_, &idx) in self.by_start.range(start + 1..end) {
-                let n = &self.nodes[idx];
-                if n.start > cursor {
-                    return None; // gap
-                }
-                involved.push(idx);
-                cursor = (n.start + n.sectors).min(end).max(cursor);
-                if cursor >= end {
-                    break;
-                }
-            }
-        }
-        (cursor >= end).then_some(involved)
+        Some((first, count))
     }
 
     fn alloc_node(&mut self, start: u64, sectors: u64) -> usize {
@@ -283,7 +302,9 @@ impl RangeCache {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             let (start, len) = (self.nodes[victim].start, self.nodes[victim].sectors);
-            self.by_start.remove(&start);
+            let pos = self.by_start.lower_bound(start);
+            debug_assert_eq!(self.by_start.get(pos), Some((start, victim)));
+            self.by_start.remove_at(pos);
             self.unlink(victim);
             self.sectors_used -= len;
             self.free.push(victim);

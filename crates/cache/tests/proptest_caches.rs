@@ -1,5 +1,6 @@
 //! Property tests: `ByteLru` against a naive recency-list model, and
-//! `RangeCache` against a per-sector timestamp model.
+//! `RangeCache` against a per-sector model and, at a scale that spans many
+//! index chunks, a most-recent-first list model.
 
 use proptest::prelude::*;
 use smrseek_cache::{ByteLru, RangeCache};
@@ -184,5 +185,130 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------- RangeCache vs most-recent-first list model, at scale ----------
+
+/// The cache's semantics over a plain list of `(start, sectors)` ranges,
+/// most recently used first.
+struct RangeModel {
+    entries: Vec<(u64, u64)>,
+    capacity: u64,
+}
+
+impl RangeModel {
+    fn used(&self) -> u64 {
+        self.entries.iter().map(|&(_, l)| l).sum()
+    }
+
+    /// Moves `touched` (in order) to the front, one at a time.
+    fn touch(&mut self, touched: &[(u64, u64)]) {
+        for t in touched {
+            let at = self
+                .entries
+                .iter()
+                .position(|e| e == t)
+                .expect("live entry");
+            let e = self.entries.remove(at);
+            self.entries.insert(0, e);
+        }
+    }
+
+    /// Entries overlapping `[s, e)`, in PBA order.
+    fn overlapping(&self, s: u64, e: u64) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = self
+            .entries
+            .iter()
+            .copied()
+            .filter(|&(es, el)| es < e && es + el > s)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn covers(&mut self, s: u64, l: u64) -> bool {
+        let involved = self.overlapping(s, s + l);
+        let covered = (s..s + l).all(|x| involved.iter().any(|&(es, el)| es <= x && x < es + el));
+        if covered {
+            self.touch(&involved);
+        }
+        covered
+    }
+
+    /// Returns the victims, least recently used first.
+    fn insert(&mut self, s: u64, l: u64) -> Vec<(u64, u64)> {
+        let e = s + l;
+        let involved = self.overlapping(s, e);
+        self.touch(&involved);
+        let mut cursor = s;
+        for &(es, el) in involved.iter().chain([(e, 0)].iter()) {
+            if es > cursor {
+                self.entries.insert(0, (cursor, es.min(e) - cursor));
+            }
+            cursor = cursor.max(es + el);
+        }
+        let mut victims = Vec::new();
+        while self.used() > self.capacity && self.entries.len() > 1 {
+            victims.push(self.entries.pop().expect("non-empty"));
+        }
+        victims
+    }
+
+    fn ranges(&self) -> Vec<(Pba, u64)> {
+        let mut out: Vec<(Pba, u64)> = self
+            .entries
+            .iter()
+            .map(|&(s, l)| (Pba::new(s), l))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+}
+
+fn scale_ops() -> impl Strategy<Value = Vec<RangeOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            3 => (0u64..12_000, 1u64..16).prop_map(|(s, l)| RangeOp::Insert(s, l)),
+            2 => (0u64..12_000, 1u64..24).prop_map(|(s, l)| RangeOp::Covers(s, l)),
+        ],
+        900..1100,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Under a tight budget with hundreds of live entries, the victim
+    /// sequence of every insert, every `covers` answer and the cached
+    /// ranges match the list model exactly.
+    #[test]
+    fn range_cache_matches_recency_list_model(ops in scale_ops(), budget in 1800u64..2600) {
+        let mut cache = RangeCache::with_capacity_sectors(budget);
+        let mut model = RangeModel { entries: Vec::new(), capacity: budget };
+        let mut peak = 0;
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                RangeOp::Insert(s, l) => {
+                    let mut victims = Vec::new();
+                    let evicted = cache.insert_evicting(Pba::new(s), l, &mut |p, len| {
+                        victims.push((p.sector(), len));
+                    });
+                    let want = model.insert(s, l);
+                    prop_assert_eq!(&victims, &want, "step {}: victims of {:?}", i, op);
+                    prop_assert_eq!(evicted, want.iter().map(|&(_, l)| l).sum::<u64>());
+                }
+                RangeOp::Covers(s, l) => {
+                    let want = model.covers(s, l);
+                    prop_assert_eq!(cache.peek_covers(Pba::new(s), l), want, "step {}", i);
+                    prop_assert_eq!(cache.covers(Pba::new(s), l), want, "step {}: {:?}", i, op);
+                }
+            }
+            peak = peak.max(cache.len());
+            prop_assert_eq!(cache.ranges(), model.ranges(), "step {}", i);
+            prop_assert_eq!(cache.sectors_used(), model.used());
+        }
+        prop_assert!(peak > 2 * smrseek_extent::CHUNK_CAP, "cache stayed small: peak {} entries", peak);
+        prop_assert!(cache.stats().evictions > 100, "budget never bit: {:?}", cache.stats());
     }
 }

@@ -9,6 +9,8 @@
 //! * [`ExtentMap`] — a coalescing interval map from logical sector ranges
 //!   to physical sector ranges, with split-on-overwrite semantics,
 //! * [`Extent`] and [`Segment`] — the mapping records returned by lookups,
+//! * [`SortedIndex`] — the two-level sorted array beneath the map, shared
+//!   with `smrseek-cache`'s range caches,
 //! * fragmentation measurement: [`ExtentMap::static_fragmentation`] (the
 //!   paper's *static fragmentation*: seeks needed to sequentially read the
 //!   entire LBA space) and [`ExtentMap::fragments_in`] (*dynamic
@@ -28,8 +30,10 @@
 //! ```
 
 #![warn(missing_docs)]
+pub mod index;
 pub mod map;
 pub mod segment;
 
+pub use index::{Pos, SortedIndex, CHUNK_CAP};
 pub use map::{ExtentMap, ExtentMapCheckpoint};
 pub use segment::{Extent, Segment};

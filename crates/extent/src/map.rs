@@ -1,9 +1,9 @@
 //! The coalescing LBA→PBA interval map.
 
+use crate::index::{Pos, SortedIndex};
 use crate::segment::{Extent, Segment};
 use serde::{Deserialize, Serialize};
 use smrseek_trace::{Lba, Pba};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A map from logical sector ranges to physical sector ranges with
@@ -15,6 +15,9 @@ use std::fmt;
 /// 2. adjacent stored extents are never coalescible (maximal extents),
 /// 3. a lookup over any range tiles the range exactly, in order, with no
 ///    gaps or overlaps between returned segments.
+///
+/// The extents live in a [`SortedIndex`]: an insert does one search and
+/// then trims, splits, drops and coalesces the neighbours in place.
 ///
 /// # Example
 ///
@@ -32,7 +35,7 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExtentMap {
     /// start LBA sector -> (length in sectors, start PBA sector)
-    extents: BTreeMap<u64, (u64, u64)>,
+    extents: SortedIndex<(u64, u64)>,
     mapped_sectors: u64,
 }
 
@@ -69,10 +72,35 @@ impl ExtentMap {
         }
         let start = lba.sector();
         let end = start + sectors;
-        self.unmap_range(start, end);
-        self.extents.insert(start, (sectors, pba.sector()));
+        let pba = pba.sector();
+        let pos = self.unmap_range(start, end);
         self.mapped_sectors += sectors;
-        self.coalesce_around(start);
+        // After the unmap, `pos` holds the first extent at or past `end` and
+        // its predecessor ends at or before `start`: join either that abuts
+        // both logically and physically.
+        let next_len = self
+            .extents
+            .get(pos)
+            .filter(|&(ns, (_, npba))| ns == end && npba == pba + sectors)
+            .map(|(_, (nlen, _))| nlen);
+        let prev = self
+            .extents
+            .prev(pos)
+            .and_then(|p| Some((p, self.extents.get(p)?)))
+            .filter(|&(_, (ps, (plen, ppba)))| ps + plen == start && ppba + plen == pba);
+        match (prev, next_len) {
+            (Some((p, (ps, (plen, ppba)))), next_len) => {
+                let len = plen + sectors + next_len.unwrap_or(0);
+                self.extents.set(p, ps, (len, ppba));
+                if next_len.is_some() {
+                    self.extents.remove_at(pos);
+                }
+            }
+            (None, Some(nlen)) => self.extents.set(pos, start, (sectors + nlen, pba)),
+            (None, None) => {
+                self.extents.insert_at(pos, start, (sectors, pba));
+            }
+        }
     }
 
     /// Removes any mapping of the logical range `[lba, lba + sectors)`.
@@ -99,12 +127,12 @@ impl ExtentMap {
     /// ```
     pub fn translate(&self, lba: Lba) -> Option<Pba> {
         let sector = lba.sector();
-        let (&start, &(len, pba)) = self.extents.range(..=sector).next_back()?;
-        if sector < start + len {
-            Some(Pba::new(pba + (sector - start)))
-        } else {
-            None
-        }
+        let pos = self.extents.lower_bound(sector);
+        let (start, (len, pba)) = match self.extents.get(pos) {
+            Some(entry) if entry.0 == sector => entry,
+            _ => self.extents.get(self.extents.prev(pos)?)?,
+        };
+        (sector < start + len).then(|| Pba::new(pba + (sector - start)))
     }
 
     /// Tiles the logical range `[lba, lba + sectors)` with mapped and hole
@@ -127,9 +155,10 @@ impl ExtentMap {
         let start = lba.sector();
         let end = start + sectors;
         let mut cursor = start;
+        let pos = self.extents.lower_bound(start);
 
         // An extent beginning before `start` may cover the front.
-        if let Some((&es, &(elen, epba))) = self.extents.range(..start).next_back() {
+        if let Some((es, (elen, epba))) = self.extents.prev(pos).and_then(|p| self.extents.get(p)) {
             if es + elen > start {
                 let avail = es + elen - start;
                 let take = avail.min(sectors);
@@ -141,7 +170,10 @@ impl ExtentMap {
                 cursor = start + take;
             }
         }
-        for (&es, &(elen, epba)) in self.extents.range(start..end) {
+        for (es, (elen, epba)) in self.extents.iter_from(pos) {
+            if es >= end {
+                break;
+            }
             if es > cursor {
                 f(Segment::Hole {
                     lba: Lba::new(cursor),
@@ -194,11 +226,14 @@ impl ExtentMap {
     /// the seeks incurred by one sequential read of the whole LBA space
     /// (holes again reading from their identity location).
     pub fn static_fragmentation(&self) -> usize {
-        let Some((&first, _)) = self.extents.iter().next() else {
+        let Some((first, _)) = self.extents.iter().next() else {
             return 0;
         };
-        let (&last_start, &(last_len, _)) =
-            self.extents.iter().next_back().expect("map is non-empty");
+        let (last_start, (last_len, _)) = self
+            .extents
+            .prev(self.extents.end())
+            .and_then(|p| self.extents.get(p))
+            .expect("map is non-empty");
         self.fragments_in(Lba::new(first), last_start + last_len - first)
     }
 
@@ -206,65 +241,46 @@ impl ExtentMap {
     pub fn iter(&self) -> impl Iterator<Item = Extent> + '_ {
         self.extents
             .iter()
-            .map(|(&s, &(len, pba))| Extent::new(Lba::new(s), len, Pba::new(pba)))
+            .map(|(s, (len, pba))| Extent::new(Lba::new(s), len, Pba::new(pba)))
     }
 
     /// Removes mappings in `[start, end)` (raw sector numbers), splitting
-    /// boundary extents.
-    fn unmap_range(&mut self, start: u64, end: u64) {
-        // Predecessor overlapping the front?
-        if let Some((&es, &(elen, epba))) = self.extents.range(..start).next_back() {
+    /// boundary extents. Returns the position of the first extent at or
+    /// past `end`: where an extent starting at `start` now belongs.
+    fn unmap_range(&mut self, start: u64, end: u64) -> Pos {
+        let mut pos = self.extents.lower_bound(start);
+        // A predecessor overlapping the front keeps [es, start), plus its
+        // tail past `end` when it spans the whole range.
+        if let Some(p) = self.extents.prev(pos) {
+            let (es, (elen, epba)) = self.extents.get(p).expect("prev is an entry");
             let ee = es + elen;
             if ee > start {
-                // Trim to [es, start).
-                self.extents.insert(es, (start - es, epba));
-                self.mapped_sectors -= elen - (start - es);
+                self.extents.set(p, es, (start - es, epba));
+                self.mapped_sectors -= ee - start;
                 if ee > end {
-                    // The old extent also extends past `end`: keep the tail.
-                    let tail_len = ee - end;
-                    self.extents.insert(end, (tail_len, epba + (end - es)));
-                    self.mapped_sectors += tail_len;
+                    self.mapped_sectors += ee - end;
+                    return self
+                        .extents
+                        .insert_at(pos, end, (ee - end, epba + (end - es)));
                 }
             }
         }
-        // Extents starting inside [start, end).
-        let starts: Vec<u64> = self.extents.range(start..end).map(|(&s, _)| s).collect();
-        for es in starts {
-            let (elen, epba) = self.extents.remove(&es).expect("key just observed");
-            self.mapped_sectors -= elen;
+        // Extents starting inside [start, end): dropped, except the tail of
+        // one that runs past `end`.
+        while let Some((es, (elen, epba))) = self.extents.get(pos) {
+            if es >= end {
+                break;
+            }
             let ee = es + elen;
             if ee > end {
-                let tail_len = ee - end;
-                self.extents.insert(end, (tail_len, epba + (end - es)));
-                self.mapped_sectors += tail_len;
+                self.mapped_sectors -= end - es;
+                self.extents.set(pos, end, (ee - end, epba + (end - es)));
+                break;
             }
+            self.mapped_sectors -= elen;
+            pos = self.extents.remove_at(pos);
         }
-    }
-
-    /// Coalesces the extent starting at `start` with its logical
-    /// predecessor and successor when they abut physically too.
-    fn coalesce_around(&mut self, start: u64) {
-        let (mut s, (mut len, mut pba)) = {
-            let &(len, pba) = self.extents.get(&start).expect("just inserted");
-            (start, (len, pba))
-        };
-        if let Some((&ps, &(plen, ppba))) = self.extents.range(..s).next_back() {
-            if ps + plen == s && ppba + plen == pba {
-                self.extents.remove(&s);
-                s = ps;
-                pba = ppba;
-                len += plen;
-                self.extents.insert(s, (len, pba));
-            }
-        }
-        let next = self.extents.range(s + 1..).next().map(|(&ns, &v)| (ns, v));
-        if let Some((ns, (nlen, npba))) = next {
-            if s + len == ns && pba + len == npba {
-                self.extents.remove(&ns);
-                len += nlen;
-                self.extents.insert(s, (len, pba));
-            }
-        }
+        pos
     }
 }
 
@@ -287,7 +303,7 @@ impl ExtentMap {
                 state = state.wrapping_mul(FNV_PRIME);
             }
         };
-        for (&start, &(len, pba)) in &self.extents {
+        for (start, (len, pba)) in self.extents.iter() {
             mix(start);
             mix(len);
             mix(pba);

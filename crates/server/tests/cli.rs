@@ -383,6 +383,20 @@ fn misdetected_format_fails_cleanly_not_panics() {
 }
 
 #[test]
+fn record_ending_past_the_sector_limit_is_a_parse_error() {
+    // Line 2 ends past u64::MAX; replaying it used to panic on overflow.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/end_overflow.blktrace"
+    );
+    let out = smrseek(&["simulate", path]);
+    assert_eq!(out.status.code(), Some(65), "parse errors exit with 65");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 2"), "names the record, got: {err}");
+    assert!(!err.contains("panicked"), "must not panic: {err}");
+}
+
+#[test]
 fn sniff_empty_file_fails_cleanly() {
     let path = tmp("sniff.empty");
     std::fs::write(&path, "# only a comment\n\n").expect("write temp");

@@ -91,6 +91,8 @@ fn encode_record(rec: &TraceRecord, buf: &mut [u8; RECORD_LEN]) {
     buf[17..21].copy_from_slice(&rec.sectors.to_le_bytes());
 }
 
+/// Decodes record `index` (0-based), rejecting a bad op byte and a record
+/// that ends past [`MAX_END_SECTOR`](crate::MAX_END_SECTOR).
 fn decode_record(buf: &[u8], index: u64) -> Result<TraceRecord> {
     if buf[8] > 1 {
         return Err(Error::Format(format!(
@@ -98,13 +100,15 @@ fn decode_record(buf: &[u8], index: u64) -> Result<TraceRecord> {
             buf[8]
         )));
     }
-    Ok(decode_record_trusted(buf))
+    let rec = decode_record_trusted(buf);
+    Error::check_end(index + 1, rec.lba.sector(), rec.sectors)?;
+    Ok(rec)
 }
 
-/// Decodes one record from bytes whose op byte is already known valid
-/// (checked by [`MmapTrace::validate`] at open, or by the caller). The
-/// infallible form is what lets the batched block path decode with no
-/// per-record branch on a `Result`.
+/// Decodes one record from bytes already checked by [`decode_record`] (at
+/// open by [`MmapTrace::validate`], or by the caller). The infallible form
+/// is what lets the batched block path decode with no per-record branch on
+/// a `Result`.
 fn decode_record_trusted(buf: &[u8]) -> TraceRecord {
     let timestamp_us = u64::from_le_bytes(buf[0..8].try_into().expect("fixed slice"));
     let op = if buf[8] == 0 {
@@ -265,7 +269,9 @@ impl<R: Read> Iterator for BinaryRecordIter<R> {
 /// # Errors
 ///
 /// Returns [`Error::Format`] on a bad magic number, a bad op byte, or a
-/// truncated payload; propagates I/O errors otherwise.
+/// truncated payload, and [`Error::Parse`] on a record ending past
+/// [`MAX_END_SECTOR`](crate::MAX_END_SECTOR); propagates I/O errors
+/// otherwise.
 pub fn read_binary<R: Read>(reader: R) -> Result<Vec<TraceRecord>> {
     let iter = BinaryRecordIter::new(reader)?;
     let cap = usize::try_from(iter.header().count)
@@ -377,7 +383,9 @@ impl MmapTrace {
     ///
     /// Returns [`Error::Io`] if the file cannot be opened or mapped, and
     /// [`Error::Format`] on a bad magic number, a payload shorter than the
-    /// header's record count, or a bad op byte anywhere in the payload.
+    /// header's record count, or a bad op byte anywhere in the payload, and
+    /// [`Error::Parse`] on a record ending past
+    /// [`MAX_END_SECTOR`](crate::MAX_END_SECTOR).
     pub fn open(path: &Path) -> Result<Self> {
         let file = std::fs::File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
@@ -448,13 +456,8 @@ impl MmapTrace {
             )));
         }
         let data = &bytes[header.data_offset()..need];
-        for (i, rec) in data.chunks_exact(RECORD_LEN).enumerate() {
-            if rec[8] > 1 {
-                return Err(Error::Format(format!(
-                    "bad op byte {} at record {i}",
-                    rec[8]
-                )));
-            }
+        for (i, rec) in (0u64..).zip(data.chunks_exact(RECORD_LEN)) {
+            decode_record(rec, i)?;
         }
         Ok(MmapTrace { backing, header })
     }
@@ -628,11 +631,12 @@ impl ExactSizeIterator for MmapRecords<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_END_SECTOR;
 
     fn sample() -> Vec<TraceRecord> {
         vec![
             TraceRecord::read(0, Lba::new(0), 1),
-            TraceRecord::write(10, Lba::new(u64::MAX - 8), 8),
+            TraceRecord::write(10, Lba::new(MAX_END_SECTOR - 8), 8),
             TraceRecord::read(u64::MAX, Lba::new(12345), 8),
         ]
     }
@@ -662,7 +666,7 @@ mod tests {
         assert_eq!(read_binary(&buf[..]).unwrap(), recs);
         let iter = BinaryRecordIter::new(&buf[..]).unwrap();
         assert_eq!(iter.header().version, 2);
-        assert_eq!(iter.header().top_sector, Some(u64::MAX));
+        assert_eq!(iter.header().top_sector, Some(MAX_END_SECTOR));
     }
 
     #[test]
@@ -678,7 +682,7 @@ mod tests {
     #[test]
     fn top_sector_matches_max_end() {
         assert_eq!(top_sector(&[]), 0);
-        assert_eq!(top_sector(&sample()), u64::MAX);
+        assert_eq!(top_sector(&sample()), MAX_END_SECTOR);
         let recs = vec![TraceRecord::write(0, Lba::new(100), 8)];
         assert_eq!(top_sector(&recs), 108);
     }
@@ -722,6 +726,26 @@ mod tests {
     }
 
     #[test]
+    fn rejects_records_ending_past_the_limit() {
+        let recs = vec![
+            TraceRecord::read(0, Lba::new(0), 1),
+            TraceRecord::write(1, Lba::new(MAX_END_SECTOR - 7), 8),
+        ];
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &recs).unwrap();
+        let err = read_binary(&buf[..]).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 2, .. }), "{err}");
+        let mut iter = BinaryRecordIter::new(&buf[..]).unwrap();
+        assert!(iter.next().unwrap().is_ok());
+        assert!(matches!(
+            iter.next(),
+            Some(Err(Error::Parse { line: 2, .. }))
+        ));
+        let err = MmapTrace::from_bytes(buf).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 2, .. }), "{err}");
+    }
+
+    #[test]
     fn iter_streams_and_fuses_on_error() {
         let recs = sample();
         let mut buf = Vec::new();
@@ -750,7 +774,7 @@ mod tests {
             assert_eq!(map.len(), 3);
             assert_eq!(map.iter().collect::<Vec<_>>(), recs);
             assert_eq!(map.get(1), recs[1]);
-            assert_eq!(map.top_sector(), u64::MAX);
+            assert_eq!(map.top_sector(), MAX_END_SECTOR);
             std::fs::remove_file(&path).ok();
         }
     }

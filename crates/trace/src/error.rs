@@ -1,5 +1,6 @@
 //! Error type for trace parsing and serialization.
 
+use crate::types::MAX_END_SECTOR;
 use std::error::Error as StdError;
 use std::fmt;
 use std::io;
@@ -12,9 +13,10 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// An underlying I/O failure.
     Io(io::Error),
-    /// A line of a text trace did not parse.
+    /// A line of a text trace, or a record of a binary one, did not parse.
     Parse {
-        /// 1-based line number within the input.
+        /// 1-based line number within the input (record number for a
+        /// binary trace).
         line: u64,
         /// What was wrong with the line.
         reason: String,
@@ -29,6 +31,18 @@ impl Error {
             line,
             reason: reason.into(),
         }
+    }
+
+    /// Rejects a request of `sectors` sectors at `sector` that ends past
+    /// [`MAX_END_SECTOR`].
+    pub(crate) fn check_end(line: u64, sector: u64, sectors: u32) -> Result<()> {
+        if sector > MAX_END_SECTOR - u64::from(sectors) {
+            return Err(Error::parse(
+                line,
+                format!("request {sector} + {sectors} ends past sector {MAX_END_SECTOR}"),
+            ));
+        }
+        Ok(())
     }
 }
 

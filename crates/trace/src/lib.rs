@@ -46,4 +46,6 @@ pub use digest::{TraceDigest, TraceDigester};
 pub use error::{Error, Result};
 pub use record::{OpKind, TraceRecord};
 pub use stats::{characterize, TraceStats};
-pub use types::{bytes_to_sectors_ceil, sectors_to_bytes, Lba, Pba, GIB, KIB, MIB, SECTOR_SIZE};
+pub use types::{
+    bytes_to_sectors_ceil, sectors_to_bytes, Lba, Pba, GIB, KIB, MAX_END_SECTOR, MIB, SECTOR_SIZE,
+};

@@ -101,6 +101,7 @@ impl LineParser for BlktraceParser {
         if count == 0 {
             return Ok(None);
         }
+        Error::check_end(line_no, sector, count)?;
 
         // Timestamp is seconds.nanoseconds.
         let timestamp_us =
@@ -200,6 +201,24 @@ mod tests {
         assert!(p.parse_line("8,0 1 1 0.0 1 Q R 10 8 [x]", 4).is_err());
         assert!(p.parse_line("8,0 1 1 bad.ts 1 Q R 10 + 8 [x]", 5).is_err());
         assert!(p.parse_line("8,0 1 1", 6).is_err());
+    }
+
+    #[test]
+    fn end_past_the_sector_limit_errors() {
+        let mut p = BlktraceParser::new();
+        let line = "8,0 0 1 0.000001000 100 Q W 18446744073709551610 + 8 [x]";
+        assert!(matches!(
+            p.parse_line(line, 7),
+            Err(Error::Parse { line: 7, .. })
+        ));
+        let limit = crate::MAX_END_SECTOR;
+        let last = format!("8,0 0 1 0.0 1 Q W {} + 8 [x]", limit - 8);
+        assert!(
+            p.parse_line(&last, 1).unwrap().is_some(),
+            "ends at the limit"
+        );
+        let past = format!("8,0 0 1 0.0 1 Q W {} + 8 [x]", limit - 7);
+        assert!(p.parse_line(&past, 1).is_err());
     }
 
     #[test]

@@ -17,6 +17,16 @@ use std::ops::{Add, AddAssign, Sub};
 /// Size of one sector in bytes. All addresses count sectors of this size.
 pub const SECTOR_SIZE: u64 = 512;
 
+/// Highest end sector (one past the last sector) a parsed trace record may
+/// reach: 2^62 sectors, 2 ZiB.
+///
+/// A log-structured replay starts its write frontier above the trace's
+/// highest sector and advances it by every sector written, so sector
+/// arithmetic needs headroom above the trace itself. Parsers reject a
+/// record ending past this bound with a typed error; left in, it would
+/// overflow `u64` during replay.
+pub const MAX_END_SECTOR: u64 = 1 << 62;
+
 /// One kibibyte in bytes.
 pub const KIB: u64 = 1024;
 /// One mebibyte in bytes.
