@@ -153,39 +153,6 @@ fn simulator_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Intra-trace sharding: serial vs sharded replay of one trace for the
-/// direct-seeded NoLS path and the checkpoint-seeded log-structured path
-/// (whose shards pay a serial transition prepass first). Speedups are
-/// bounded by the host's CPU count; on a single-CPU host these measure
-/// sharding overhead.
-fn sharded_replay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharded_replay");
-    let trace = bench_trace("w91");
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    for (name, config) in [
-        ("nols", SimConfig::no_ls()),
-        ("ls", SimConfig::log_structured()),
-    ] {
-        for shards in [1usize, 2, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("w91_{name}"), shards),
-                &shards,
-                |b, &shards| {
-                    b.iter(|| {
-                        black_box(
-                            Simulation::new(&config)
-                                .shards(shards)
-                                .run_trace(&trace)
-                                .seeks,
-                        )
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Trace ingestion: records/sec of CSV parsing vs mmapped binary replay —
 /// the speedup the `.smrt` cache buys a repeat experiment run.
 fn trace_ingest(c: &mut Criterion) {
@@ -307,7 +274,7 @@ fn misorder_scan(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
-    targets = extent_map, caches, generators, simulator_throughput, sharded_replay, trace_ingest,
-        obs_overhead, misorder_scan,
+    targets = extent_map, caches, generators, simulator_throughput, trace_ingest, obs_overhead,
+        misorder_scan,
 }
 criterion_main!(micro);

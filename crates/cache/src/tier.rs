@@ -40,10 +40,9 @@ impl TierLookup {
 
 /// Pure event counts of one [`TieredCache`]'s activity.
 ///
-/// Every field is an additive event count, so stats from disjoint record
-/// ranges (each replayed from the correct cache contents) merge by
-/// fieldwise addition — the same contract `LsStats::merge` gives sharded
-/// replays.
+/// Every field is an additive event count, so stats of separate runs
+/// merge by fieldwise addition (the daemon totals a sweep's cells this
+/// way).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierStats {
     /// Lookups served by the RAM tier.
@@ -162,14 +161,6 @@ impl TieredCache {
     /// Tier-level event counters.
     pub fn stats(&self) -> TierStats {
         self.stats
-    }
-
-    /// Zeroes the tier counters, keeping contents intact. Sharded replays
-    /// use this to normalize boundary seeds: contents must carry across
-    /// the boundary while accounting restarts at zero and merges back
-    /// fieldwise.
-    pub fn reset_stats(&mut self) {
-        self.stats = TierStats::default();
     }
 
     /// Looks `[pba, pba + sectors)` up RAM-first, then flash. A flash hit
@@ -299,17 +290,6 @@ mod tests {
         assert_eq!(a.ram_hits, 2);
         assert_eq!(a.flash_evicted_sectors, 12);
         assert!((a.hit_rate() - 6.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = TieredCache::with_flash_sectors(20, 100);
-        c.admit(pba(0), 10);
-        c.admit(pba(100), 10);
-        c.admit(pba(200), 10);
-        c.reset_stats();
-        assert_eq!(c.stats(), TierStats::default());
-        assert_eq!(c.lookup(pba(0), 10), TierLookup::Flash, "contents intact");
     }
 
     #[test]

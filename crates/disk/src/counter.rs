@@ -41,18 +41,6 @@ impl SeekStats {
             self.total() as f64 / self.ops as f64
         }
     }
-
-    /// Folds another run's counts into this one. Seek counting is a pure
-    /// sum over observed physical operations, so merging the stats of two
-    /// disjoint record ranges (each counted with the correct starting head
-    /// position) equals counting the concatenated range.
-    pub fn merge(&mut self, other: &SeekStats) {
-        self.read_seeks += other.read_seeks;
-        self.write_seeks += other.write_seeks;
-        self.long_read_seeks += other.long_read_seeks;
-        self.long_write_seeks += other.long_write_seeks;
-        self.ops += other.ops;
-    }
 }
 
 impl fmt::Display for SeekStats {
@@ -284,36 +272,6 @@ mod tests {
 
             assert_eq!(resumed.stats(), whole.stats(), "split at {split}");
             assert_eq!(resumed.distances(), whole.distances());
-        }
-    }
-
-    #[test]
-    fn merge_equals_counting_the_whole_range() {
-        let trace = [
-            PhysIo::write(Pba::new(0), 4),
-            PhysIo::read(Pba::new(1000), 4),
-            PhysIo::read(Pba::new(1_000_000), 1),
-            PhysIo::write(Pba::new(7), 2),
-            PhysIo::read(Pba::new(0), 1),
-        ];
-        for split in 0..=trace.len() {
-            let mut whole = SeekCounter::new();
-            whole.observe_all(&trace);
-
-            let mut first = SeekCounter::new();
-            first.observe_all(&trace[..split]);
-            // The second half counts with the correct starting head
-            // position (as a shard seeded from the overlap record would).
-            let mut second = SeekCounter::from_state(SeekCounterState {
-                stats: SeekStats::default(),
-                distances: Vec::new(),
-                ..first.to_state()
-            });
-            second.observe_all(&trace[split..]);
-
-            let mut merged = first.stats();
-            merged.merge(&second.stats());
-            assert_eq!(merged, whole.stats(), "split at {split}");
         }
     }
 

@@ -75,30 +75,6 @@ impl LongSeekSeries {
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum()
     }
-
-    /// Folds another series into this one, bucket by bucket. Because
-    /// [`record`](Self::record) buckets by *absolute* logical operation
-    /// index, a series built over records `[s, e)` of a trace already has
-    /// its counts in the right buckets (with leading zeros); merging the
-    /// per-shard series of a partitioned trace therefore reproduces the
-    /// serial series exactly. The shorter side is zero-padded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ — such series index different
-    /// time axes and no elementwise sum is meaningful.
-    pub fn merge(&mut self, other: &LongSeekSeries) {
-        assert_eq!(
-            self.ops_per_bucket, other.ops_per_bucket,
-            "cannot merge long-seek series with different bucket widths"
-        );
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
 }
 
 /// Computes the per-bucket signed difference `ls - nols` (the series Fig 3
@@ -170,34 +146,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_bucket_width_panics() {
         LongSeekSeries::new(0);
-    }
-
-    #[test]
-    fn merge_sums_buckets_with_zero_padding() {
-        let mut a = LongSeekSeries::new(100);
-        a.record(0, &long(0));
-        a.record(150, &long(1));
-        // b covers a later record range: absolute indexing leaves leading
-        // zeros, exactly what a trailing shard produces.
-        let mut b = LongSeekSeries::new(100);
-        b.record(150, &long(2));
-        b.record(450, &long(3));
-        a.merge(&b);
-        assert_eq!(a.buckets(), &[1, 2, 0, 0, 1]);
-        assert_eq!(a.total(), 4);
-
-        // Merging the shorter into the longer pads the same way.
-        let mut c = LongSeekSeries::new(100);
-        c.record(450, &long(4));
-        let mut d = LongSeekSeries::new(100);
-        d.record(0, &long(5));
-        c.merge(&d);
-        assert_eq!(c.buckets(), &[1, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket widths")]
-    fn merge_rejects_mismatched_bucket_widths() {
-        LongSeekSeries::new(10).merge(&LongSeekSeries::new(20));
     }
 }

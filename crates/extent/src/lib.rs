@@ -35,5 +35,5 @@ pub mod map;
 pub mod segment;
 
 pub use index::{Pos, SortedIndex, CHUNK_CAP};
-pub use map::{ExtentMap, ExtentMapCheckpoint};
+pub use map::ExtentMap;
 pub use segment::{Extent, Segment};

@@ -312,56 +312,6 @@ impl ExtentMap {
     }
 }
 
-/// A compact fingerprint of an [`ExtentMap`]'s state at one replay
-/// boundary: the content digest plus the cheap structural counters.
-///
-/// Sharded replay captures one of these per shard boundary during its
-/// map-state prepass and compares it against the map each shard actually
-/// reaches, detecting any divergence between the prepass and the full
-/// replay without storing (or diffing) whole map clones.
-///
-/// # Example
-///
-/// ```
-/// use smrseek_extent::{ExtentMap, ExtentMapCheckpoint};
-/// use smrseek_trace::{Lba, Pba};
-///
-/// let mut map = ExtentMap::new();
-/// map.insert(Lba::new(0), 4, Pba::new(1000));
-/// let ck = ExtentMapCheckpoint::capture(&map);
-/// assert!(ck.matches(&map));
-/// map.insert(Lba::new(2), 1, Pba::new(2000));
-/// assert!(!ck.matches(&map));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtentMapCheckpoint {
-    /// Content digest ([`ExtentMap::digest`]).
-    pub digest: u128,
-    /// Stored extent count at capture time.
-    pub segments: usize,
-    /// Total mapped sectors at capture time.
-    pub mapped_sectors: u64,
-}
-
-impl ExtentMapCheckpoint {
-    /// Fingerprints `map` as it stands.
-    pub fn capture(map: &ExtentMap) -> Self {
-        ExtentMapCheckpoint {
-            digest: map.digest(),
-            segments: map.len(),
-            mapped_sectors: map.mapped_sectors(),
-        }
-    }
-
-    /// Returns `true` when `map`'s current state matches the captured
-    /// fingerprint.
-    pub fn matches(&self, map: &ExtentMap) -> bool {
-        self.segments == map.len()
-            && self.mapped_sectors == map.mapped_sectors()
-            && self.digest == map.digest()
-    }
-}
-
 impl fmt::Display for ExtentMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -647,23 +597,6 @@ mod tests {
         b.insert(lba(2), 1, pba(9000));
         assert_ne!(a.digest(), b.digest());
         assert_ne!(ExtentMap::new().digest(), a.digest());
-    }
-
-    #[test]
-    fn checkpoint_matches_only_the_captured_state() {
-        let mut map = ExtentMap::new();
-        map.insert(lba(0), 6, pba(1000));
-        let ck = ExtentMapCheckpoint::capture(&map);
-        assert!(ck.matches(&map));
-        assert!(!ck.matches(&ExtentMap::new()));
-        map.insert(lba(2), 1, pba(2000));
-        assert!(!ck.matches(&map));
-        // Same segment count and sector total, different placement.
-        let mut other = ExtentMap::new();
-        other.insert(lba(0), 6, pba(5000));
-        assert_eq!(other.len(), 1);
-        assert_eq!(other.mapped_sectors(), 6);
-        assert!(!ck.matches(&other));
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! Everything is `std`-only integer arithmetic: classification is
 //! deterministic, byte-stable across platforms, and cheap enough to sit on
 //! the per-record hot path. The whole engine state is serde-serializable
-//! (HashMaps serialize key-sorted), so snapshots resume byte-identically
-//! and sharded replays can carry classifier state across boundary seeds.
+//! (HashMaps serialize key-sorted), so snapshots resume byte-identically.
 
 #![warn(missing_docs)]
 
@@ -150,10 +149,9 @@ pub struct RegionState {
 
 /// Pure event counts of one policy run.
 ///
-/// Every field is an additive event count, so merging the stats of two
-/// disjoint record ranges (each replayed from the correct classifier
-/// state) equals counting the concatenated range — the same contract
-/// `LsStats::merge` gives sharded replays.
+/// Every field is an additive event count, so stats of separate runs
+/// merge by fieldwise addition (the daemon totals a sweep's cells this
+/// way).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyStats {
     /// Records the policy engine observed (= gate decisions emitted).
@@ -272,14 +270,6 @@ impl PolicyEngine {
     /// Decision and flip counters accumulated so far.
     pub fn stats(&self) -> PolicyStats {
         self.stats
-    }
-
-    /// Zeroes the accumulated counters, keeping classifier state intact.
-    /// Sharded replays use this to normalize boundary seeds: gating
-    /// *behavior* must carry across the boundary while *accounting*
-    /// restarts at zero and merges back fieldwise.
-    pub fn reset_stats(&mut self) {
-        self.stats = PolicyStats::default();
     }
 
     /// Number of regions with classifier state.
@@ -584,36 +574,6 @@ mod tests {
         assert_eq!(a.defrag_enabled, 4);
         assert_eq!(a.cache_gate_flips, 22);
         assert_eq!(a.total_flips(), 18 + 20 + 22);
-    }
-
-    #[test]
-    fn split_replay_with_reset_stats_merges_to_straight_through() {
-        // The sharding contract: carry state, zero counters, merge.
-        let events: Vec<(u64, bool, bool)> = (0..200)
-            .map(|i| (i % 7 * 9000, i % 3 != 0, i % 5 == 0))
-            .collect();
-        let run = |e: &mut PolicyEngine, evs: &[(u64, bool, bool)]| {
-            for &(sector, is_read, frag) in evs {
-                e.observe(sector, is_read);
-                if is_read && frag {
-                    e.record_fragmented(sector);
-                }
-            }
-        };
-        let mut whole = engine();
-        run(&mut whole, &events);
-
-        let mut split = engine();
-        run(&mut split, &events[..90]);
-        let mut total = split.stats();
-        split.reset_stats();
-        run(&mut split, &events[90..]);
-        total.merge(&split.stats());
-        assert_eq!(total, whole.stats());
-        split.reset_stats();
-        let mut normalized = whole.clone();
-        normalized.reset_stats();
-        assert_eq!(split, normalized, "classifier state carries exactly");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   all                    run every experiment in order
 //!   characterize <file>    Table-I style stats for an external trace
 //!   simulate <file>        NoLS/LS/mechanism SAF for an external trace
-//!   bench                  ingest + replay throughput, serial vs sharded
+//!   bench                  ingest + serial replay throughput per config
 //!   convert <in> <out>     convert any trace to the v2 binary format
 //!   gen <profile>          emit a synthetic trace as CloudPhysics CSV
 //!   list                   list the 21 workload profiles
@@ -58,7 +58,7 @@ use smrseek_sim::experiments::{
     ablation, adaptive, analyze, classify, cleaning, fig10, fig11, fig2, fig3, fig4, fig5, fig7,
     fig8, fragmentation, host_cache, reorder, table1, time_amp, zones, ExpOptions,
 };
-use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix, ShardPolicy};
+use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix};
 use smrseek_sim::{
     saf, tracecache, CheckpointStore, SimConfig, Simulation, TextTable, TraceSource,
 };
@@ -124,7 +124,6 @@ struct Args {
     out: Option<String>,
     format: TraceFormat,
     threads: NonZeroUsize,
-    shards: ShardPolicy,
     cache: bool,
     addr: String,
     workers: usize,
@@ -154,7 +153,7 @@ fn usage() -> String {
     "usage: smrseek <table1|fig2|...|fig11|ablate|adaptive|timeamp|hostcache|clean|all|list> \
      [--ops N] [--seed S] [--threads N] [--cache] [--json FILE]\n       \
      smrseek <characterize|simulate> <trace> [--format msr|cp|blktrace|binary] [--cache] \
-     [--shards auto|serial|N] [--json FILE]\n       \
+     [--json FILE]\n       \
      smrseek bench [--ops N] [--seed S] [--json FILE]\n       \
      smrseek convert <trace> <out.smrt> [--format msr|cp|blktrace|binary]\n       \
      smrseek gen <profile> [--ops N] [--seed S] [--out FILE]\n       \
@@ -169,13 +168,9 @@ fn usage() -> String {
      smrseek --version\n\
      global flags: -v/--verbose (or SMRSEEK_LOG=debug) for progress chatter, \
      --log-json for JSON-lines stderr\n\
-     threads: --threads N workers run matrix cells; SMRSEEK_THREADS overrides the default \
-     (host parallelism). Within a cell, --shards splits one trace's records across \
-     ceil(threads/cells) workers (auto), a fixed count, or none (serial); sharded replay \
-     is exact for every sweep configuration (log-structured runs shard via extent-map \
-     boundary checkpoints), so reports never change; the rare serial fallbacks \
-     (checkpoint-emitting or sub-2-record runs) warn on stderr and are noted in the \
-     matrix summary."
+     threads: --threads N workers run matrix cells in parallel, each cell replaying its \
+     trace serially; SMRSEEK_THREADS overrides the default (host parallelism). Reports \
+     never depend on the thread count."
         .to_owned()
 }
 
@@ -191,7 +186,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         out: None,
         format: TraceFormat::Auto,
         threads: runner::default_threads(),
-        shards: ShardPolicy::Auto,
         cache: false,
         addr: "127.0.0.1:7070".to_owned(),
         workers: 2,
@@ -230,18 +224,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .ok_or_else(|| CliError::usage("--threads needs a value"))?
                     .parse()
                     .map_err(|_| CliError::usage("--threads must be a positive integer"))?;
-            }
-            "--shards" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--shards needs auto|serial|N"))?;
-                args.shards = match value.as_str() {
-                    "auto" => ShardPolicy::Auto,
-                    "serial" | "1" => ShardPolicy::Serial,
-                    n => ShardPolicy::Fixed(n.parse().map_err(|_| {
-                        CliError::usage("--shards must be auto, serial, or a positive integer")
-                    })?),
-                };
             }
             "--json" => {
                 args.json = Some(
@@ -593,17 +575,13 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Runs the daemon until a termination signal, then drains gracefully.
-
 /// `smrseek bench` replays `--ops` records (default 10 million — large
 /// enough that per-record overheads dominate any constant cost) of a
 /// deterministic mixed read/write workload through the NoLS baseline and
-/// a log-structured layer, and reports ingest bandwidth off the binary
-/// format plus replay throughput serial vs sharded for each. Sharding
-/// splits one trace across threads ([`Simulation::shards`]; the LS config
-/// pays a serial transition prepass first), so speedups are bounded by
-/// the host's CPU count — reported alongside (and warned about when it is
-/// 1) so numbers from different machines compare honestly.
+/// three log-structured configs, and reports ingest bandwidth off the
+/// binary format plus serial replay throughput for each. The host's CPU
+/// count is reported alongside so numbers from different machines compare
+/// honestly.
 fn run_bench(args: &Args) -> Result<String, CliError> {
     #[derive(serde::Serialize)]
     struct BenchPhase {
@@ -611,17 +589,9 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
         records_per_s: f64,
     }
     #[derive(serde::Serialize)]
-    struct BenchShard {
-        shards: usize,
-        seconds: f64,
-        records_per_s: f64,
-        speedup_vs_serial: f64,
-    }
-    #[derive(serde::Serialize)]
     struct BenchConfigRun {
         config: &'static str,
         serial: BenchPhase,
-        sharded: Vec<BenchShard>,
     }
     #[derive(serde::Serialize)]
     struct BenchReport {
@@ -680,17 +650,10 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     }
 
     let host_cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    if host_cpus == 1 {
-        smrseek_obs::warn!(
-            "bench: only 1 host CPU available — sharded replay cannot run in parallel here, \
-             so speedups measure sharding overhead, not gain"
-        );
-    }
 
-    // One history-free config (direct head seeding), one log-structured
-    // config (checkpoint-seeded sharding with its serial prepass), and the
-    // full mechanism stack with and without the adaptive policy engine —
-    // the last pair reads off the engine's end-to-end overhead.
+    // The NoLS baseline, plain log-structured translation, and the full
+    // mechanism stack with and without the adaptive policy engine — the
+    // last pair reads off the engine's end-to-end overhead.
     let fixed_stack = {
         let mut c = SimConfig::ls_adaptive();
         c.policy = None;
@@ -705,39 +668,23 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     ];
     let mut configs = Vec::with_capacity(bench_configs.len());
     for (name, config) in bench_configs {
-        let replay = |shards: usize| {
+        let replay = || {
             let start = Instant::now();
-            let report = Simulation::new(&config).shards(shards).run_trace(&map);
+            let report = Simulation::new(&config).run_trace(&map);
             (start.elapsed().as_secs_f64(), report.logical_ops)
         };
         // Warm the page cache and branch predictors off the books.
-        replay(1);
-        let (serial_s, serial_ops) = replay(1);
+        replay();
+        let (serial_s, serial_ops) = replay();
         if serial_ops != n as u64 {
             return Err(CliError::Parse(format!(
                 "bench replayed {serial_ops} of {n} records"
             )));
         }
-        let sharded = [1usize, 2, 4, 8]
-            .into_iter()
-            .map(|shards| {
-                let (seconds, _) = replay(shards);
-                smrseek_obs::info!(
-                    "bench: {name} {shards} shard(s): {:.0} records/s",
-                    n as f64 / seconds
-                );
-                BenchShard {
-                    shards,
-                    seconds,
-                    records_per_s: n as f64 / seconds,
-                    speedup_vs_serial: serial_s / seconds,
-                }
-            })
-            .collect::<Vec<_>>();
+        smrseek_obs::info!("bench: {name} serial: {:.0} records/s", n as f64 / serial_s);
         configs.push(BenchConfigRun {
             config: name,
             serial: phase(serial_s),
-            sharded,
         });
     }
 
@@ -752,28 +699,18 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     };
     maybe_write_json(&args.json, &report)?;
 
-    let mut table = TextTable::new(vec!["stage", "seconds", "records/s", "speedup"]);
+    let mut table = TextTable::new(vec!["stage", "seconds", "records/s"]);
     table.row(vec![
         "ingest".into(),
         format!("{:.3}", report.ingest.seconds),
         format!("{:.0}", report.ingest.records_per_s),
-        String::new(),
     ]);
     for run in &report.configs {
         table.row(vec![
             format!("{} serial", run.config),
             format!("{:.3}", run.serial.seconds),
             format!("{:.0}", run.serial.records_per_s),
-            "1.00".into(),
         ]);
-        for s in &run.sharded {
-            table.row(vec![
-                format!("{} {} shard(s)", run.config, s.shards),
-                format!("{:.3}", s.seconds),
-                format!("{:.0}", s.records_per_s),
-                format!("{:.2}", s.speedup_vs_serial),
-            ]);
-        }
     }
     Ok(format!(
         "bench: {n} records ({:.1} MiB binary), {host_cpus} host CPU(s)\n{table}",
@@ -781,6 +718,7 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// Runs the daemon until a termination signal, then drains gracefully.
 fn run_serve(args: &Args) -> Result<String, CliError> {
     let config = smrseek_server::ServerConfig {
         addr: args.addr.clone(),
@@ -1345,7 +1283,7 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::usage("simulate needs a trace file"))?;
             let source = simulate_source(path, args.format, args.cache)?;
             let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
-            let outcomes = matrix.execute_with(args.threads, args.shards);
+            let outcomes = matrix.execute(args.threads);
             smrseek_obs::info!(
                 "{}",
                 MatrixStats::from_outcomes(&outcomes).summary("simulate")

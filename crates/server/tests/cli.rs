@@ -757,63 +757,36 @@ fn profile_without_trace_is_a_usage_error() {
 }
 
 #[test]
-fn simulate_output_is_invariant_under_shard_policy() {
-    let csv = tmp("shards.csv");
-    let out = smrseek(&[
-        "gen",
-        "mds_0",
-        "--ops",
-        "4000",
-        "--out",
-        csv.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
-    let runs: Vec<(String, Vec<u8>)> = ["serial", "auto", "4"]
-        .iter()
-        .map(|policy| {
-            let json = tmp(&format!("shards_{policy}.json"));
-            let out = smrseek(&[
-                "simulate",
-                csv.to_str().unwrap(),
-                "--shards",
-                policy,
-                "--threads",
-                "4",
-                "--json",
-                json.to_str().unwrap(),
-            ]);
-            assert!(out.status.success(), "--shards {policy} failed");
-            let bytes = std::fs::read(&json).expect("json written");
-            std::fs::remove_file(&json).ok();
-            (stdout(&out), bytes)
-        })
-        .collect();
-    for (text, bytes) in &runs[1..] {
-        assert_eq!(text, &runs[0].0, "stdout must not depend on --shards");
-        assert_eq!(bytes, &runs[0].1, "JSON must not depend on --shards");
-    }
-    std::fs::remove_file(&csv).ok();
-}
-
-#[test]
-fn bad_shards_value_rejected() {
-    let out = smrseek(&["simulate", "whatever", "--shards", "zero"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
-}
-
-#[test]
 fn bench_emits_throughput_json() {
     let json = tmp("bench.json");
     let out = smrseek(&["bench", "--ops", "50000", "--json", json.to_str().unwrap()]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("ingest") && text.contains("serial") && text.contains("shard"));
+    assert!(text.contains("ingest") && text.contains("serial"));
+    assert!(
+        !text.contains("shard"),
+        "bench reports serial replay only: {text}"
+    );
     let parsed: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json).expect("json written"))
             .expect("bench JSON parses");
     let text = serde_json::to_string(&parsed).expect("re-serializes");
     assert!(text.contains("\"records\":50000"));
-    assert!(text.contains("speedup_vs_serial"));
+    let configs = parsed
+        .get("configs")
+        .and_then(serde_json::Value::as_array)
+        .expect("configs array");
+    assert_eq!(configs.len(), 4, "NoLS, LS, LS+fixed, LS+adaptive");
+    for config in configs {
+        let rate = config
+            .get("serial")
+            .and_then(|s| s.get("records_per_s"))
+            .and_then(serde_json::Value::as_f64);
+        assert!(rate.is_some_and(|r| r > 0.0), "{config:?}");
+        assert!(
+            config.get("sharded").is_none(),
+            "no sharded rows: {config:?}"
+        );
+    }
     std::fs::remove_file(&json).ok();
 }

@@ -5,7 +5,9 @@
 //! cut and resuming over the remaining records yields a report
 //! byte-identical (as serialized JSON) to the uninterrupted run. A second
 //! property pushes the snapshot through the on-disk container so the
-//! encode/decode framing is under the same randomized scrutiny.
+//! encode/decode framing is under the same randomized scrutiny. A third
+//! pins the report wire shape: only policy-driven runs grow the adaptive
+//! fields.
 
 use proptest::prelude::*;
 use smrseek_policy::PolicyConfig;
@@ -126,4 +128,46 @@ proptest! {
             serde_json::to_string(&straight).expect("serializes")
         );
     }
+
+    /// Policy-off reports keep the pre-policy wire shape: no sweep
+    /// configuration (none of which carries a policy or a flash tier)
+    /// may grow a `"policy"` or `"cache_tiers"` key, so downstream
+    /// consumers of archived reports never see the new fields unless the
+    /// run opted in.
+    #[test]
+    fn policy_off_reports_keep_pre_policy_shape(
+        records in prop::collection::vec(record_strategy(), 1..120),
+        config in config_strategy(),
+    ) {
+        let has_policy = config.policy.is_some();
+        let json = serde_json::to_string(&Simulation::new(&config).run_trace(&records))
+            .expect("report serializes");
+        prop_assert_eq!(
+            json.contains("\"policy\""), has_policy,
+            "policy key presence must match the config: {}", json
+        );
+        prop_assert_eq!(
+            json.contains("\"cache_tiers\""), has_policy,
+            "cache_tiers key presence must match the config: {}", json
+        );
+    }
+}
+
+/// The adaptive stack is the only configuration that opts into the new
+/// report fields, and it always carries both.
+#[test]
+fn adaptive_report_carries_policy_and_tier_stats() {
+    let records: Vec<TraceRecord> = (0..64)
+        .map(|i| TraceRecord::write(i, Lba::new(i * 8), 8))
+        .chain((0..64).map(|i| TraceRecord::read(64 + i, Lba::new(i * 8), 8)))
+        .collect();
+    let report = Simulation::new(&SimConfig::ls_adaptive()).run_trace(&records);
+    assert!(
+        report.policy.is_some(),
+        "adaptive run must report PolicyStats"
+    );
+    assert!(
+        report.cache_tiers.is_some(),
+        "adaptive run must report per-tier cache stats"
+    );
 }

@@ -2,22 +2,15 @@
 //!
 //! The single entry point is the [`Simulation`] builder: configure with a
 //! [`SimConfig`] (validated construction via [`SimConfig::builder`]), then
-//! [`run`](Simulation::run) a record stream serially or
-//! [`run_trace`](Simulation::run_trace) a random-access trace — the latter
-//! can split the record stream across worker threads
-//! ([`Simulation::shards`]) and merge the per-shard statistics into a
-//! report byte-identical to the serial run.
+//! [`run`](Simulation::run) a record stream or
+//! [`run_trace`](Simulation::run_trace) a trace decoded in blocks. Both
+//! replay serially through the same per-record step.
 
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-use crate::checkpoint::CheckpointStore;
 
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
 use smrseek_disk::{Cdf, LongSeekSeries, SeekCounter, SeekCounterState, SeekStats};
-use smrseek_extent::ExtentMapCheckpoint;
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
@@ -514,9 +507,8 @@ impl SimConfigBuilder {
                 prefetch,
                 cache,
             } => {
-                // Without a mechanism every gate decision is a no-op; worse,
-                // a gated prepass could not mirror the full run's classifier
-                // evidence exactly. Rejected rather than silently inert.
+                // Without a mechanism every gate decision is a no-op:
+                // rejected rather than silently inert.
                 if config.policy.is_some()
                     && defrag.is_none()
                     && prefetch.is_none()
@@ -530,59 +522,6 @@ impl SimConfigBuilder {
             }
         }
         Ok(config)
-    }
-}
-
-/// How a run was actually executed with respect to intra-trace sharding.
-///
-/// `--shards N` is a request, not a guarantee: a handful of shapes (a
-/// one-record trace, an active checkpoint sink) still force serial
-/// execution. When that happens the engine warns once per process and
-/// records the reason here, so no sweep cell can degrade silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardOutcome {
-    /// Serial execution; sharding was never requested.
-    Serial,
-    /// The record stream was split across shard workers.
-    Sharded {
-        /// Worker count actually used (the request clamped to the record
-        /// count).
-        shards: usize,
-    },
-    /// Sharding was requested but the run fell back to serial.
-    SerialFallback {
-        /// Why the run could not shard.
-        reason: &'static str,
-    },
-}
-
-impl ShardOutcome {
-    /// The degradation reason, when sharding was requested but refused.
-    pub fn fallback_reason(&self) -> Option<&'static str> {
-        match self {
-            ShardOutcome::SerialFallback { reason } => Some(reason),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ShardOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardOutcome::Serial => f.write_str("serial"),
-            ShardOutcome::Sharded { shards } => write!(f, "sharded({shards})"),
-            ShardOutcome::SerialFallback { reason } => write!(f, "serial ({reason})"),
-        }
-    }
-}
-
-/// One-shot (per process) stderr warning for a requested-but-refused
-/// shard split; every affected report still records its own reason.
-static FALLBACK_WARNED: AtomicBool = AtomicBool::new(false);
-
-fn warn_serial_fallback(reason: &'static str) {
-    if !FALLBACK_WARNED.swap(true, Ordering::Relaxed) {
-        smrseek_obs::warn!("sharding requested but running serial: {reason} (warned once)");
     }
 }
 
@@ -623,17 +562,12 @@ pub struct RunReport {
     /// serialized reports must stay byte-deterministic across machines,
     /// thread counts, and resume points.
     pub phases: PhaseTotals,
-    /// How the run actually executed ([`ShardOutcome`]). Execution shape,
-    /// not simulation result: excluded from the hand-written [`Serialize`]
-    /// impl below for the same reason as `phases` — serialized reports are
-    /// byte-identical across shard counts by contract.
-    pub sharding: ShardOutcome,
 }
 
 /// Hand-written (the vendored `serde_derive` has no `#[serde(skip)]`):
 /// reproduces exactly what the derive emitted for every field except
-/// `phases` and `sharding`, which are execution-shape noise and must not
-/// reach serialized reports. The adaptive fields (`policy`, `cache_tiers`)
+/// `phases`, which is wall-clock noise and must not reach serialized
+/// reports. The adaptive fields (`policy`, `cache_tiers`)
 /// are appended only when present, so reports from policy-free runs stay
 /// byte-identical to those from before the fields existed.
 impl Serialize for RunReport {
@@ -997,44 +931,26 @@ impl EngineState {
             policy: self.policy.map(|p| p.stats()),
             cache_tiers,
             phases: self.phases,
-            sharding: ShardOutcome::Serial,
         }
     }
 }
 
-/// A trace the engine can replay with random access: sharded execution
-/// needs the total record count (to split), any single record (to seed a
-/// shard's head position from its overlap record), and batched sequential
-/// access to an arbitrary record range. Implemented for in-memory slices
-/// (zero-copy blocks) and for [`MmapTrace`] (block decode off the shared
-/// mapping).
-pub trait ShardableTrace: Sync {
-    /// Number of records available to replay.
-    fn num_records(&self) -> usize;
-
-    /// Record `index` (random access; panics out of bounds).
-    fn record(&self, index: usize) -> TraceRecord;
-
+/// A trace the engine replays in decoded blocks rather than one record at
+/// a time: in-memory slices hand out zero-copy chunks, and [`MmapTrace`]
+/// decodes block by block off the shared mapping.
+pub trait BlockTrace {
     /// The frontier bound derived from this trace — what an LS run uses
     /// when [`SimConfig::frontier_hint`] is unset. Each implementation
     /// preserves the derivation its pre-`Simulation` replay path used, so
     /// reports stay byte-identical across the API change.
     fn frontier_top(&self) -> u64;
 
-    /// Streams records `[start, end)` to `f` as consecutive non-empty
-    /// blocks whose concatenation is exactly that range.
-    fn for_each_block(&self, start: usize, end: usize, f: &mut dyn FnMut(&[TraceRecord]));
+    /// Streams every record to `f` as consecutive non-empty blocks whose
+    /// concatenation is exactly the trace.
+    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord]));
 }
 
-impl ShardableTrace for [TraceRecord] {
-    fn num_records(&self) -> usize {
-        self.len()
-    }
-
-    fn record(&self, index: usize) -> TraceRecord {
-        self[index]
-    }
-
+impl BlockTrace for [TraceRecord] {
     /// Highest *starting* LBA plus one — the derivation the historical
     /// slice-based `simulate` used (via `stream::max_lba`), kept so
     /// derived frontiers land on the same sector.
@@ -1042,40 +958,24 @@ impl ShardableTrace for [TraceRecord] {
         stream::max_lba(self).map_or(0, |l| l.sector() + 1)
     }
 
-    fn for_each_block(&self, start: usize, end: usize, f: &mut dyn FnMut(&[TraceRecord])) {
-        for block in self[start..end].chunks(DEFAULT_BLOCK_RECORDS) {
+    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
+        for block in self.chunks(DEFAULT_BLOCK_RECORDS) {
             f(block);
         }
     }
 }
 
-impl ShardableTrace for Vec<TraceRecord> {
-    fn num_records(&self) -> usize {
-        self.len()
-    }
-
-    fn record(&self, index: usize) -> TraceRecord {
-        self[index]
-    }
-
+impl BlockTrace for Vec<TraceRecord> {
     fn frontier_top(&self) -> u64 {
         self.as_slice().frontier_top()
     }
 
-    fn for_each_block(&self, start: usize, end: usize, f: &mut dyn FnMut(&[TraceRecord])) {
-        self.as_slice().for_each_block(start, end, f);
+    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
+        self.as_slice().for_each_block(f);
     }
 }
 
-impl ShardableTrace for MmapTrace {
-    fn num_records(&self) -> usize {
-        self.len()
-    }
-
-    fn record(&self, index: usize) -> TraceRecord {
-        self.get(index)
-    }
-
+impl BlockTrace for MmapTrace {
     /// One past the highest sector any record touches — from the v2
     /// header when present, exactly the hint mmap-backed replay always
     /// passed explicitly.
@@ -1083,8 +983,8 @@ impl ShardableTrace for MmapTrace {
         self.top_sector()
     }
 
-    fn for_each_block(&self, start: usize, end: usize, f: &mut dyn FnMut(&[TraceRecord])) {
-        let mut blocks = self.blocks_range(start, end, DEFAULT_BLOCK_RECORDS);
+    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
+        let mut blocks = self.blocks();
         while let Some(block) = blocks.next_block() {
             f(block);
         }
@@ -1096,13 +996,15 @@ impl ShardableTrace for MmapTrace {
 /// `simulate_stream_checkpointed` family.
 ///
 /// Build one with [`Simulation::new`], optionally chain
-/// [`resume_from`](Self::resume_from) (replay continues from a snapshot),
-/// [`checkpoint_every`](Self::checkpoint_every) (emit snapshots on a
-/// cadence), and [`shards`](Self::shards) (split the record stream across
-/// worker threads), then consume records with [`run`](Self::run) (any
-/// iterator, strictly serial) or [`run_trace`](Self::run_trace)
-/// (random-access traces, shardable). Whatever the combination, the
-/// serialized [`RunReport`] is byte-identical to the plain serial run.
+/// [`resume_from`](Self::resume_from) (replay continues from a snapshot)
+/// and [`checkpoint_every`](Self::checkpoint_every) (emit snapshots on a
+/// cadence), then consume records with [`run`](Self::run) (any iterator)
+/// or [`run_trace`](Self::run_trace) (block-decoded traces). Replay is
+/// serial: each read's translation depends on every earlier write, so
+/// parallelism lives across runs (the cells of a
+/// [`RunMatrix`](crate::runner::RunMatrix)), never inside one. Whatever
+/// the combination, the serialized [`RunReport`] is byte-identical to the
+/// plain run over the whole trace.
 ///
 /// # Example
 ///
@@ -1111,7 +1013,7 @@ impl ShardableTrace for MmapTrace {
 /// use smrseek_workloads::profiles;
 ///
 /// let trace = profiles::by_name("mds_0").unwrap().generate_scaled(1, 4000);
-/// let nols = Simulation::new(&SimConfig::no_ls()).shards(4).run_trace(&trace);
+/// let nols = Simulation::new(&SimConfig::no_ls()).run_trace(&trace);
 /// let ls = Simulation::new(&SimConfig::log_structured()).run_trace(&trace);
 /// // mds_0 is write-intensive: log-structuring removes most seeks.
 /// assert!(ls.seeks.total() < nols.seeks.total());
@@ -1120,8 +1022,6 @@ pub struct Simulation<'a> {
     config: SimConfig,
     resume_from: Option<&'a EngineSnapshot>,
     sink: Option<SnapshotSink<'a>>,
-    shards: usize,
-    prepass_store: Option<(&'a CheckpointStore, u128)>,
 }
 
 /// Boxed checkpoint consumer installed by [`Simulation::checkpoint_sink`].
@@ -1135,8 +1035,6 @@ impl<'a> Simulation<'a> {
             config: *config,
             resume_from: None,
             sink: None,
-            shards: 1,
-            prepass_store: None,
         }
     }
 
@@ -1154,9 +1052,7 @@ impl<'a> Simulation<'a> {
     /// Emits an [`EngineSnapshot`] to `sink` after every `n_records`-th
     /// consumed record, at absolute record indices counted over the whole
     /// trace (a resumed run keeps the original cadence). Overrides any
-    /// cadence already on the config. An active sink forces serial
-    /// execution: snapshots capture total engine state at a record
-    /// boundary, which a half-merged sharded run does not have.
+    /// cadence already on the config.
     pub fn checkpoint_every(
         mut self,
         n_records: u64,
@@ -1175,59 +1071,10 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Requests the record stream be split across `k` worker threads in
-    /// [`run_trace`](Self::run_trace) (clamped to at least 1; ignored by
-    /// the strictly-serial [`run`](Self::run)). Every sweep configuration
-    /// shards exactly: history-free NoLS replay is seeded directly from
-    /// its one-record overlap, and everything else (log-structured layers,
-    /// host caches) replays from boundary state checkpoints captured by a
-    /// transition-only prepass. The few shapes that still force serial
-    /// execution (a one-record trace, an active checkpoint sink) warn once
-    /// and record the reason in [`RunReport::sharding`] — a shard request
-    /// is always safe, never silent.
-    pub fn shards(mut self, k: usize) -> Self {
-        self.shards = k.max(1);
-        self
-    }
-
-    /// Persists (and reuses) the sharding prepass's boundary checkpoints
-    /// in `store`, keyed by (`trace_digest` × canonical config key ×
-    /// shard-split geometry). A later sharded run of the same work loads
-    /// its seeds instead of serially replaying the prefix; a file that is
-    /// missing, damaged, or from different work degrades to a fresh
-    /// prepass — never to wrong state (the boundary cross-check still runs
-    /// against every loaded seed). Ignored by resumed runs, whose seeds
-    /// also depend on the resume snapshot.
-    pub fn prepass_store(mut self, store: &'a CheckpointStore, trace_digest: u128) -> Self {
-        self.prepass_store = Some((store, trace_digest));
-        self
-    }
-
-    /// Whether this run would actually execute sharded on `trace`.
-    pub fn is_sharded(&self, trace: &(impl ShardableTrace + ?Sized)) -> bool {
-        self.shards > 1 && self.shard_refusal(trace.num_records()).is_none()
-    }
-
-    /// Why a requested shard split cannot run, or `None` when it can.
-    /// Only two shapes refuse: a trace too short to split, and an active
-    /// checkpoint sink (snapshots capture total engine state at a record
-    /// boundary, which a half-merged sharded run does not have).
-    fn shard_refusal(&self, records: usize) -> Option<&'static str> {
-        if records < 2 {
-            return Some("trace has fewer than two records");
-        }
-        if self.sink.is_some() && self.config.checkpoint_every.is_some_and(|n| n > 0) {
-            return Some("an active checkpoint sink requires serial replay");
-        }
-        None
-    }
-
     /// Replays a stream of records through the configured layer, feeding
     /// every physical operation to the seek model. Consumes the records
     /// one at a time and never materializes the trace, so memory stays
     /// bounded by the layer's own state regardless of trace length.
-    /// Strictly serial — a bare iterator offers no random access to split
-    /// on; use [`run_trace`](Self::run_trace) for sharded replay.
     ///
     /// # Panics
     ///
@@ -1241,18 +1088,7 @@ impl<'a> Simulation<'a> {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
-        let outcome = if self.shards > 1 {
-            let reason = "record streams have no random access to split across shards";
-            warn_serial_fallback(reason);
-            ShardOutcome::SerialFallback { reason }
-        } else {
-            ShardOutcome::Serial
-        };
-        let mut state = match self.resume_from {
-            Some(snap) => EngineState::resume(&self.config, snap),
-            None => EngineState::new(&self.config),
-        };
-        let every = self.config.checkpoint_every.filter(|&n| n > 0);
+        let mut state = self.start();
         let timing = state.timing;
         let mut records = records.into_iter();
         loop {
@@ -1264,342 +1100,72 @@ impl<'a> Simulation<'a> {
                 state.phases.record(Phase::Ingest, t.elapsed());
             }
             state.step(&rec);
-            if let Some(n) = every {
-                if state.logical_ops % n == 0 {
-                    let mark = timing.then(Instant::now);
-                    let snap = state.snapshot();
-                    if let Some(sink) = &mut self.sink {
-                        sink(&snap);
-                    }
-                    if let Some(t) = mark {
-                        state.phases.record(Phase::Checkpoint, t.elapsed());
-                    }
-                }
-            }
+            self.checkpoint_if_due(&mut state);
         }
-        let mut report = state.finish();
-        report.sharding = outcome;
-        report
+        state.finish()
     }
 
-    /// Replays a random-access trace: derives the LS frontier hint from
-    /// the trace when the config leaves it unset, ingests in decoded
-    /// blocks rather than record-at-a-time, and — when
-    /// [`shards`](Self::shards) requested it and the configuration is
-    /// exactly shardable (see [`is_sharded`](Self::is_sharded)) — splits
-    /// the record range across worker threads and merges the per-shard
-    /// statistics. Serialized reports are byte-identical to
-    /// [`run`](Self::run) over the same records in every case.
+    /// Replays a block-decoded trace: derives the LS frontier hint from
+    /// the trace when the config leaves it unset, and ingests in decoded
+    /// blocks rather than record-at-a-time — block decode time is
+    /// accounted to the ingest phase once per block, which is the point
+    /// of batching. Serialized reports are byte-identical to
+    /// [`run`](Self::run) over the same records.
     pub fn run_trace<T>(mut self, trace: &T) -> RunReport
     where
-        T: ShardableTrace + ?Sized,
+        T: BlockTrace + ?Sized,
     {
         if matches!(self.config.layer, LayerChoice::Ls { .. })
             && self.config.frontier_hint.is_none()
         {
             self.config.frontier_hint = Some(trace.frontier_top());
         }
-        let outcome = if self.shards > 1 {
-            match self.shard_refusal(trace.num_records()) {
-                None => return self.run_sharded(trace),
-                Some(reason) => {
-                    warn_serial_fallback(reason);
-                    ShardOutcome::SerialFallback { reason }
-                }
+        let mut state = self.start();
+        let mut last = state.timing.then(Instant::now);
+        trace.for_each_block(&mut |block| {
+            if let Some(t) = &last {
+                state.phases.record(Phase::Ingest, t.elapsed());
             }
-        } else {
-            ShardOutcome::Serial
-        };
-        let mut state = match self.resume_from {
+            for rec in block {
+                state.step(rec);
+                self.checkpoint_if_due(&mut state);
+            }
+            if let Some(t) = &mut last {
+                *t = Instant::now();
+            }
+        });
+        state.finish()
+    }
+
+    /// The engine state this run starts from: fresh, or restored from the
+    /// [`resume_from`](Self::resume_from) snapshot.
+    fn start(&self) -> EngineState {
+        match self.resume_from {
             Some(snap) => EngineState::resume(&self.config, snap),
             None => EngineState::new(&self.config),
+        }
+    }
+
+    /// Emits a checkpoint when the absolute record count lands on the
+    /// configured cadence; called after every record.
+    fn checkpoint_if_due(&mut self, state: &mut EngineState) {
+        let Some(n) = self.config.checkpoint_every else {
+            return;
         };
-        let every = self.config.checkpoint_every.filter(|&n| n > 0);
-        let mut sink = self.sink;
-        let n = trace.num_records();
-        run_range(&mut state, trace, 0, n, &mut |state| {
-            if let Some(n) = every {
-                if state.logical_ops % n == 0 {
-                    let mark = state.timing.then(Instant::now);
-                    let snap = state.snapshot();
-                    if let Some(sink) = &mut sink {
-                        sink(&snap);
-                    }
-                    if let Some(t) = mark {
-                        state.phases.record(Phase::Checkpoint, t.elapsed());
-                    }
-                }
+        // A zero cadence never fires: `logical_ops` is at least 1 here.
+        if state.logical_ops.is_multiple_of(n) {
+            let mark = state.timing.then(Instant::now);
+            let snap = state.snapshot();
+            if let Some(sink) = &mut self.sink {
+                sink(&snap);
             }
-        });
-        let mut report = state.finish();
-        report.sharding = outcome;
-        report
-    }
-
-    /// The sharded executor. Preconditions (`is_sharded`): at least 2
-    /// records, no active checkpoint sink.
-    ///
-    /// Each shard replays a contiguous record range `[s, e)` from exact
-    /// boundary state:
-    ///
-    /// * **Direct seeding** — NoLS without a host cache translates 1:1 and
-    ///   statelessly, so the only cross-record state is the head position,
-    ///   which after record `s-1` is exactly that record's end sector.
-    ///   Shard workers start their seek counter there with zeroed
-    ///   statistics; no prepass is needed.
-    /// * **Boundary checkpoints** (LFS-style checkpoint regions) — every
-    ///   other configuration carries history (extent map, caches, defrag
-    ///   queues). A serial transition-only prepass replays just the
-    ///   behaviour-relevant state ([`LogStructured::apply_transition`]: no
-    ///   seek accounting, no I/O materialization, fragment tracking off)
-    ///   and captures a normalized [`EngineSnapshot`] plus an
-    ///   [`ExtentMapCheckpoint`] fingerprint at each interior boundary;
-    ///   shard `k` then resumes from boundary `k`'s snapshot.
-    ///
-    /// Per-shard reports merge associatively back into the serial result:
-    /// counts add, distances and fragment records concatenate in shard
-    /// order, and the long-seek series — bucketed by *absolute* logical
-    /// index — sums bucket-wise. As a cross-check, each shard's end state
-    /// must agree with the next boundary's prepass checkpoint (head
-    /// position, map fingerprint, host-cache contents; full behavioural
-    /// state in debug builds, where divergence asserts). A mismatch is
-    /// expected never; if one is ever detected in release builds the run
-    /// falls back to a full serial replay rather than returning a wrong
-    /// report.
-    fn run_sharded<T>(self, trace: &T) -> RunReport
-    where
-        T: ShardableTrace + ?Sized,
-    {
-        let n = trace.num_records();
-        let shards = self.shards.min(n);
-        // A resumed run replays the remaining records only; seed indices
-        // stay absolute so series buckets and op indices line up.
-        let base_logical = self.resume_from.map_or(0, |s| s.logical_ops);
-        let base_head_ops = self.resume_from.map_or(0, |s| s.counter.head_ops_seen);
-        let bounds: Vec<usize> = (0..=shards).map(|i| i * n / shards).collect();
-        let config = self.config;
-        let resume_from = self.resume_from;
-        // NoLS without a host cache is history-free: seed directly.
-        let direct = matches!(config.layer, LayerChoice::NoLs) && config.host_cache_bytes.is_none();
-        let prepass_store = self.prepass_store.filter(|_| resume_from.is_none());
-        let seeds: Vec<BoundarySeed> = if direct {
-            Vec::new()
-        } else if let Some(seeds) = prepass_store
-            .and_then(|(store, digest)| load_prepass_seeds(store, digest, &config, &bounds))
-        {
-            seeds
-        } else {
-            let seeds = prepass_seeds(&config, resume_from, trace, &bounds);
-            if let Some((store, digest)) = prepass_store {
-                for (seed, &bound) in seeds.iter().zip(&bounds[1..]) {
-                    // Save failures are non-fatal: a stored seed is an
-                    // optimization, the fresh prepass's result stands.
-                    store
-                        .save(digest, &prepass_key(&config, shards, bound), &seed.snapshot)
-                        .ok();
-                }
-            }
-            seeds
-        };
-        let ranges: Vec<(usize, usize, usize)> = bounds
-            .windows(2)
-            .enumerate()
-            .map(|(k, w)| (k, w[0], w[1]))
-            .collect();
-        let workers = NonZeroUsize::new(shards).expect("is_sharded implies shards >= 2");
-        let results = crate::runner::parallel_map(&ranges, workers, |&(k, start, end)| {
-            let mut state = if start == 0 {
-                match resume_from {
-                    Some(snap) => EngineState::resume(&config, snap),
-                    None => EngineState::new(&config),
-                }
-            } else if direct {
-                let mut state = EngineState::new(&config);
-                let overlap = trace.record(start - 1);
-                state.counter = SeekCounter::from_state(SeekCounterState {
-                    head_position: overlap.end().sector(),
-                    head_ops_seen: base_head_ops + start as u64,
-                    stats: SeekStats::default(),
-                    record_distances: config.record_distances,
-                    distances: Vec::new(),
-                });
-                state.logical_ops = base_logical + start as u64;
-                state
-            } else {
-                EngineState::resume(&config, &seeds[k - 1].snapshot)
-            };
-            run_range(&mut state, trace, start, end, &mut |_| {});
-            let end_state = (!direct && end < n).then(|| ShardEnd::capture(&state));
-            (state.finish(), end_state)
-        });
-        // Cross-check every interior boundary before trusting the merge:
-        // shard k must have ended in exactly the state the prepass seeded
-        // shard k+1 from.
-        for (k, seed) in seeds.iter().enumerate() {
-            let end = results[k]
-                .1
-                .as_ref()
-                .expect("checkpoint-path shards capture their end state");
-            if !end.matches_seed(seed, &config) {
-                let reason = "shard boundary state diverged from the prepass";
-                debug_assert!(false, "{reason}");
-                warn_serial_fallback(reason);
-                let mut state = match resume_from {
-                    Some(snap) => EngineState::resume(&config, snap),
-                    None => EngineState::new(&config),
-                };
-                run_range(&mut state, trace, 0, n, &mut |_| {});
-                let mut report = state.finish();
-                report.sharding = ShardOutcome::SerialFallback { reason };
-                return report;
+            if let Some(t) = mark {
+                state.phases.record(Phase::Checkpoint, t.elapsed());
             }
         }
-        let mut reports = results.into_iter().map(|(report, _)| report);
-        let mut merged = reports.next().expect("at least one shard ran");
-        for shard in reports {
-            merged.seeks.merge(&shard.seeks);
-            if let (Some(all), Some(part)) = (&mut merged.distances, &shard.distances) {
-                all.extend_from_slice(part);
-            }
-            if let (Some(all), Some(part)) = (&mut merged.longseek_series, &shard.longseek_series) {
-                all.merge(part);
-            }
-            if let (Some(all), Some(part)) = (&mut merged.ls_stats, &shard.ls_stats) {
-                all.merge(part);
-            }
-            if let (Some(all), Some(part)) = (&mut merged.fragments, &shard.fragments) {
-                all.merge(part);
-            }
-            if let (Some(all), Some(part)) = (&mut merged.policy, &shard.policy) {
-                all.merge(part);
-            }
-            if let (Some(all), Some(part)) = (&mut merged.cache_tiers, &shard.cache_tiers) {
-                all.merge(part);
-            }
-            merged.phys_sectors += shard.phys_sectors;
-            merged.host_cache_hits += shard.host_cache_hits;
-            merged.logical_ops = merged.logical_ops.max(shard.logical_ops);
-            merged.peak_extent_segments =
-                merged.peak_extent_segments.max(shard.peak_extent_segments);
-            merged.phases.merge(&shard.phases);
-        }
-        merged.sharding = ShardOutcome::Sharded { shards };
-        merged
     }
 }
 
-/// One interior shard boundary produced by the transition prepass: the
-/// normalized engine state the next shard resumes from, plus the
-/// extent-map fingerprint used to cross-check the previous shard's end
-/// state.
-///
-/// Normalization is what makes checkpoint-seeded shards mergeable: the
-/// *behavioural* state (map, frontier, caches, defrag bookkeeping, head
-/// position, host-cache contents) is exact, while every *accounting*
-/// accumulator (seek stats, distances, series, layer counters, fragment
-/// records, hit/sector/peak totals) restarts from zero so the per-shard
-/// partial sums concatenate back into the serial totals.
-struct BoundarySeed {
-    snapshot: EngineSnapshot,
-    map_check: Option<ExtentMapCheckpoint>,
-}
-
-/// A shard worker's state at its final record boundary, captured for the
-/// prepass cross-check.
-struct ShardEnd {
-    head_position: u64,
-    layer: LayerSnapshot,
-    host_cache: Option<RangeCache>,
-    map_check: Option<ExtentMapCheckpoint>,
-    /// Policy engine with stats normalized away (stats are per-shard
-    /// accounting; the classifier state is what must agree).
-    policy: Option<PolicyEngine>,
-}
-
-impl ShardEnd {
-    fn capture(state: &EngineState) -> Self {
-        let (layer, map_check) = match &state.layer {
-            LayerImpl::NoLs(_) => (LayerSnapshot::NoLs, None),
-            LayerImpl::Ls(ls) => (
-                LayerSnapshot::Ls(Box::new(ls.to_snapshot())),
-                Some(ExtentMapCheckpoint::capture(ls.map())),
-            ),
-        };
-        let policy = state.policy.clone().map(|mut p| {
-            p.reset_stats();
-            p
-        });
-        ShardEnd {
-            head_position: state.counter.to_state().head_position,
-            layer,
-            host_cache: state.host_cache.clone(),
-            map_check,
-            policy,
-        }
-    }
-
-    /// Whether this shard's end state agrees with the seed the prepass
-    /// captured for the next shard. Release builds compare the head
-    /// position, the extent-map fingerprint, and the host-cache contents;
-    /// debug builds additionally assert full behavioural-state equality.
-    fn matches_seed(&self, seed: &BoundarySeed, config: &SimConfig) -> bool {
-        debug_assert_eq!(
-            normalize_layer(self.layer.clone(), config.track_fragments),
-            seed.snapshot.layer,
-            "prepass layer state diverged from full replay"
-        );
-        self.head_position == seed.snapshot.counter.head_position
-            && self.map_check == seed.map_check
-            && self.host_cache == seed.snapshot.host_cache
-            // Classifier state steers future gating but need not show in
-            // the map fingerprint (e.g. a denied cache fill), so it is
-            // compared outright even in release builds.
-            && self.policy == seed.snapshot.policy
-    }
-}
-
-/// Strips the accounting fields a [`BoundarySeed`] normalizes away, so a
-/// replayed layer state can be compared against a prepass-captured one.
-fn normalize_layer(mut snap: LayerSnapshot, track_fragments: bool) -> LayerSnapshot {
-    if let LayerSnapshot::Ls(ls) = &mut snap {
-        ls.stats = LsStats::default();
-        ls.tracker = track_fragments.then(FragmentAccessTracker::new);
-        if let Some(cache) = &mut ls.cache {
-            cache.reset_stats();
-        }
-    }
-    snap
-}
-
-/// Trace records serially consumed by sharding prepasses, process-wide.
-static PREPASS_RECORDS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread share of [`PREPASS_RECORDS`]. A prepass always runs on
-    /// the thread that invoked `run_trace`, so this isolates one caller's
-    /// prepass work from concurrent runs on other threads.
-    static PREPASS_RECORDS_THREAD: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total trace records serially replayed by sharding prepasses since
-/// process start. Persisted boundary checkpoints
-/// ([`Simulation::prepass_store`]) exist to keep this flat on repeat runs
-/// of the same work.
-pub fn prepass_records_total() -> u64 {
-    PREPASS_RECORDS.load(Ordering::Relaxed)
-}
-
-/// Like [`prepass_records_total`], but counting only prepasses run by the
-/// calling thread — hermetic under concurrent simulations, which is what
-/// tests assert on.
-pub fn prepass_records_on_thread() -> u64 {
-    PREPASS_RECORDS_THREAD.with(|c| c.get())
-}
-
-/// Store key for the prepass boundary checkpoint at record `bound` of a
-/// `shards`-way split: the canonical config key (the frontier hint was
-/// already resolved by `run_trace`) extended with the split geometry so
-/// different shard counts never collide.
 /// Constructs a policy engine for a fresh (non-resumed) run, informing it
 /// whether the layer carries a selective cache — with one downstream, the
 /// policy reserves defrag rewrites entirely (cache fills mitigate the same
@@ -1609,254 +1175,6 @@ fn fresh_policy(config: PolicyConfig, sim: &SimConfig) -> PolicyEngine {
     let mut engine = PolicyEngine::new(config);
     engine.set_cache_present(matches!(sim.layer, LayerChoice::Ls { cache: Some(_), .. }));
     engine
-}
-
-fn prepass_key(config: &SimConfig, shards: usize, bound: usize) -> String {
-    format!("{}|prepass:{shards}:{bound}", config.cache_key(None))
-}
-
-/// Loads every interior boundary seed of a `bounds` split from `store`, or
-/// `None` when any is missing or unusable — a damaged or foreign cache
-/// degrades to a fresh prepass, never to wrong state. The extent-map
-/// fingerprint is recomputed from the loaded layer state, so the
-/// shard-end cross-check holds exactly as for a fresh prepass.
-fn load_prepass_seeds(
-    store: &CheckpointStore,
-    trace_digest: u128,
-    config: &SimConfig,
-    bounds: &[usize],
-) -> Option<Vec<BoundarySeed>> {
-    let shards = bounds.len() - 1;
-    let interior = &bounds[1..bounds.len() - 1];
-    let mut seeds = Vec::with_capacity(interior.len());
-    for &bound in interior {
-        let snap = store
-            .load(trace_digest, &prepass_key(config, shards, bound))
-            .ok()
-            .flatten()?;
-        if snap.logical_ops != bound as u64 {
-            return None;
-        }
-        let map_check = match &snap.layer {
-            LayerSnapshot::NoLs => None,
-            LayerSnapshot::Ls(ls) => Some(ExtentMapCheckpoint::capture(&ls.map)),
-        };
-        seeds.push(BoundarySeed {
-            snapshot: snap,
-            map_check,
-        });
-    }
-    Some(seeds)
-}
-
-/// The serial transition-only prepass behind checkpoint-seeded sharding:
-/// replays records `[0, bounds[shards-1])` through the behaviour-relevant
-/// state only — extent-map transitions via
-/// [`LogStructured::apply_transition`], the host-cache covers/insert
-/// mirror of [`EngineState::step`], and the head position — and captures a
-/// [`BoundarySeed`] at each interior boundary `bounds[1..shards]`.
-///
-/// Fragment tracking is disabled on the prepass layer (its records would
-/// grow without bound and are normalized away at every boundary anyway);
-/// captured snapshots reinstate the run's `track_fragments` flag with a
-/// fresh tracker so shard layers restore correctly.
-fn prepass_seeds<T>(
-    config: &SimConfig,
-    resume_from: Option<&EngineSnapshot>,
-    trace: &T,
-    bounds: &[usize],
-) -> Vec<BoundarySeed>
-where
-    T: ShardableTrace + ?Sized,
-{
-    let base_logical = resume_from.map_or(0, |s| s.logical_ops);
-    let mut layer: Option<Box<LogStructured>> = match resume_from {
-        Some(snap) => match &snap.layer {
-            LayerSnapshot::NoLs => None,
-            LayerSnapshot::Ls(ls) => {
-                let mut s = (**ls).clone();
-                s.tracker = None;
-                s.config.track_fragments = false;
-                Some(Box::new(LogStructured::from_snapshot(s)))
-            }
-        },
-        None => ls_config_for(config).map(|mut ls_config| {
-            ls_config.track_fragments = false;
-            Box::new(LogStructured::new(ls_config))
-        }),
-    };
-    let mut host_cache = match resume_from {
-        Some(snap) => snap.host_cache.clone(),
-        None => config.host_cache_bytes.map(RangeCache::with_capacity_bytes),
-    };
-    // The gates steer layer behaviour, so the prepass must run the same
-    // classifier over the same evidence. Policy configs always carry a
-    // mechanism (builder-validated), which keeps `apply_transition` on its
-    // full `apply_into` path — `fragmented_reads` advances exactly as in
-    // the real run, so the classifier sees identical evidence.
-    let mut policy: Option<PolicyEngine> = match resume_from {
-        Some(snap) => snap.policy.clone(),
-        None => match config.layer {
-            LayerChoice::Ls { .. } => config.policy.map(|p| fresh_policy(p, config)),
-            LayerChoice::NoLs => None,
-        },
-    };
-    let mut head = match resume_from {
-        Some(snap) => snap.counter.head_position,
-        None => SeekCounter::new().to_state().head_position,
-    };
-    let interior = &bounds[1..bounds.len() - 1];
-    let mut seeds = Vec::with_capacity(interior.len());
-    let mut prev = bounds[0];
-    for &bound in interior {
-        trace.for_each_block(prev, bound, &mut |block| {
-            for rec in block {
-                if let Some(cache) = &mut host_cache {
-                    let key = smrseek_trace::Pba::new(rec.lba.sector());
-                    let hit = rec.op.is_read() && cache.covers(key, u64::from(rec.sectors));
-                    if !hit {
-                        cache.insert(key, u64::from(rec.sectors));
-                    }
-                    if hit {
-                        // Served from host RAM: nothing reaches the layer
-                        // or the disk head.
-                        continue;
-                    }
-                }
-                match &mut layer {
-                    // NoLS emits exactly one identity I/O per record.
-                    None => head = rec.lba.sector() + u64::from(rec.sectors),
-                    Some(ls) => {
-                        let frag_before = policy.as_ref().map(|_| {
-                            let s = ls.stats();
-                            (s.fragmented_reads, s.phys_reads)
-                        });
-                        if let Some(policy) = &mut policy {
-                            ls.set_gates(policy.observe(rec.lba.sector(), rec.op.is_read()));
-                        }
-                        if let Some(end) = ls.apply_transition(rec) {
-                            head = end;
-                        }
-                        if let (Some(policy), Some((frag, phys))) = (&mut policy, frag_before) {
-                            // Mirrors `step`'s feedback exactly: disk-paying
-                            // fragmented reads are hot evidence, absorbed
-                            // ones count against defrag.
-                            let s = ls.stats();
-                            if s.fragmented_reads > frag {
-                                if s.phys_reads > phys {
-                                    policy.record_fragmented(rec.lba.sector());
-                                } else {
-                                    policy.record_cache_absorbed(rec.lba.sector());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        prev = bound;
-        seeds.push(capture_seed(
-            config,
-            layer.as_deref(),
-            &host_cache,
-            policy.as_ref(),
-            head,
-            base_logical + bound as u64,
-        ));
-    }
-    let consumed = (prev - bounds[0]) as u64;
-    PREPASS_RECORDS.fetch_add(consumed, Ordering::Relaxed);
-    PREPASS_RECORDS_THREAD.with(|c| c.set(c.get() + consumed));
-    seeds
-}
-
-/// Freezes the prepass state at one boundary into a [`BoundarySeed`] (see
-/// there for the normalization contract).
-fn capture_seed(
-    config: &SimConfig,
-    layer: Option<&LogStructured>,
-    host_cache: &Option<RangeCache>,
-    policy: Option<&PolicyEngine>,
-    head: u64,
-    logical_ops: u64,
-) -> BoundarySeed {
-    let (layer_snap, map_check) = match layer {
-        None => (LayerSnapshot::NoLs, None),
-        Some(ls) => {
-            let mut snap = ls.to_snapshot();
-            snap.stats = LsStats::default();
-            snap.config.track_fragments = config.track_fragments;
-            snap.tracker = config.track_fragments.then(FragmentAccessTracker::new);
-            if let Some(cache) = &mut snap.cache {
-                // Tier counters are per-shard accounting, like `LsStats`:
-                // contents carry across the boundary, counts restart.
-                cache.reset_stats();
-            }
-            (
-                LayerSnapshot::Ls(Box::new(snap)),
-                Some(ExtentMapCheckpoint::capture(ls.map())),
-            )
-        }
-    };
-    BoundarySeed {
-        snapshot: EngineSnapshot {
-            layer: layer_snap,
-            counter: SeekCounterState {
-                head_position: head,
-                // `Seek::op_index` never reaches a RunReport, so shard
-                // counters restart their op numbering — the absolute
-                // numbering lives in `logical_ops`.
-                head_ops_seen: 0,
-                stats: SeekStats::default(),
-                record_distances: config.record_distances,
-                distances: Vec::new(),
-            },
-            longseek_series: (config.longseek_bucket_ops > 0)
-                .then(|| LongSeekSeries::new(config.longseek_bucket_ops)),
-            host_cache: host_cache.clone(),
-            host_cache_hits: 0,
-            phys_sectors: 0,
-            logical_ops,
-            peak_extent_segments: 0,
-            // Same normalization as the tier counters: classifier state is
-            // behavioural and carries over, decision counts restart.
-            policy: policy.cloned().map(|mut p| {
-                p.reset_stats();
-                p
-            }),
-        },
-        map_check,
-    }
-}
-
-/// Replays records `[start, end)` of `trace` through `state` block by
-/// block, calling `after_step` after every record (checkpoint cadence
-/// hook; a no-op closure for shard workers). Block decode time is
-/// accounted to the ingest phase — once per block, which is the point of
-/// batching.
-fn run_range<T>(
-    state: &mut EngineState,
-    trace: &T,
-    start: usize,
-    end: usize,
-    after_step: &mut dyn FnMut(&mut EngineState),
-) where
-    T: ShardableTrace + ?Sized,
-{
-    let timing = state.timing;
-    let mut last = timing.then(Instant::now);
-    trace.for_each_block(start, end, &mut |block| {
-        if let Some(t) = &mut last {
-            state.phases.record(Phase::Ingest, t.elapsed());
-        }
-        for rec in block {
-            state.step(rec);
-            after_step(state);
-        }
-        if let Some(t) = &mut last {
-            *t = Instant::now();
-        }
-    });
 }
 
 #[cfg(test)]
@@ -2102,10 +1420,7 @@ mod tests {
                 .build(),
             Err(ConfigError::ZeroZoneSectors)
         );
-        let empty_cache = CacheConfig {
-            capacity_bytes: 0,
-            ..CacheConfig::default()
-        };
+        let empty_cache = CacheConfig { capacity_bytes: 0 };
         assert_eq!(
             SimConfig::builder(SimConfig::ls_with(None, None, Some(empty_cache)).layer).build(),
             Err(ConfigError::ZeroSelectiveCache)
@@ -2311,13 +1626,12 @@ mod tests {
 
     #[test]
     fn run_trace_honors_checkpoint_cadence() {
-        // The random-access path checkpoints on the same cadence as the
-        // streaming path, and an active sink forces serial execution.
+        // The block-decoded path checkpoints on the same cadence as the
+        // streaming path.
         let trace = busy_trace(35);
         let mut emitted = Vec::new();
         let report = Simulation::new(&SimConfig::no_ls())
             .checkpoint_every(10, |snap: &EngineSnapshot| emitted.push(snap.logical_ops))
-            .shards(4)
             .run_trace(&trace);
         assert_eq!(report.logical_ops, 35);
         assert_eq!(emitted, vec![10, 20, 30]);
@@ -2358,263 +1672,5 @@ mod tests {
         let b = SimConfig::ls_cache();
         assert_eq!(a.canonical(Some(42)), b.canonical(Some(42)));
         assert_eq!(a.cache_key(Some(42)), b.cache_key(Some(42)));
-    }
-
-    #[test]
-    fn sharding_predicate_accepts_every_sweep_config() {
-        let trace = busy_trace(100);
-        let sharded = |config: &SimConfig| Simulation::new(config).shards(4).is_sharded(&trace);
-        for config in SimConfig::standard_sweep() {
-            assert!(sharded(&config), "{config:?} must shard");
-        }
-        // History-dependent state now shards via boundary checkpoints.
-        assert!(sharded(&SimConfig::log_structured()));
-        assert!(sharded(&SimConfig::no_ls().with_host_cache(1 << 20)));
-        assert!(sharded(
-            &SimConfig::ls_defrag()
-                .with_fragment_tracking()
-                .with_zones(1 << 16)
-        ));
-        // An active checkpoint sink still forces serial replay...
-        let sim = Simulation::new(&SimConfig::no_ls())
-            .checkpoint_every(10, |_: &EngineSnapshot| {})
-            .shards(4);
-        assert!(!sim.is_sharded(&trace));
-        // ...but a cadence with no sink shards fine (nobody observes it).
-        let sim = Simulation::new(&SimConfig::no_ls().with_checkpoint_every(10)).shards(4);
-        assert!(sim.is_sharded(&trace));
-        // Degenerate shapes stay serial.
-        assert!(!Simulation::new(&SimConfig::no_ls()).is_sharded(&trace));
-        let single = busy_trace(1);
-        assert!(!Simulation::new(&SimConfig::no_ls())
-            .shards(4)
-            .is_sharded(&single));
-    }
-
-    #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
-        let trace = busy_trace(500);
-        let configs = [
-            SimConfig::no_ls(),
-            SimConfig::no_ls().with_distances().with_longseek_series(64),
-            SimConfig::log_structured().with_distances(),
-            SimConfig::no_ls().with_host_cache(8 * 512),
-            // The checkpoint-seeded paths, covering every layer mechanism.
-            SimConfig::log_structured()
-                .with_longseek_series(64)
-                .with_host_cache(8 * 512),
-            SimConfig::ls_defrag().with_fragment_tracking(),
-            SimConfig::ls_prefetch().with_distances(),
-            SimConfig::ls_cache()
-                .with_fragment_tracking()
-                .with_zones(1 << 12),
-            adaptive_config(),
-            adaptive_config()
-                .with_fragment_tracking()
-                .with_zones(1 << 12),
-        ];
-        for config in configs {
-            let serial = serde_json::to_string(&Simulation::new(&config).run_trace(&trace))
-                .expect("report serializes");
-            for shards in [1usize, 2, 3, 7, 16, 500] {
-                let sharded = serde_json::to_string(
-                    &Simulation::new(&config).shards(shards).run_trace(&trace),
-                )
-                .expect("report serializes");
-                assert_eq!(sharded, serial, "shards={shards} diverged for {config:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn persisted_prepass_seeds_skip_repeat_prepasses() {
-        let trace = busy_trace(400);
-        let dir =
-            std::env::temp_dir().join(format!("smrseek_prepass_store_test_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = CheckpointStore::new(&dir);
-        let digest = 0x5eed_u128;
-        for config in [
-            SimConfig::ls_defrag().with_host_cache(8 * 512),
-            adaptive_config(),
-        ] {
-            let serial = serde_json::to_string(&Simulation::new(&config).run_trace(&trace))
-                .expect("report serializes");
-            let run = || {
-                let before = prepass_records_on_thread();
-                let report = Simulation::new(&config)
-                    .shards(4)
-                    .prepass_store(&store, digest)
-                    .run_trace(&trace);
-                (
-                    serde_json::to_string(&report).expect("report serializes"),
-                    prepass_records_on_thread() - before,
-                )
-            };
-            let (cold, cold_records) = run();
-            assert_eq!(cold_records, 300, "cold run replays up to the last bound");
-            assert_eq!(cold, serial, "cold sharded run diverged for {config:?}");
-            // Second run: every boundary seed loads, zero prepass records.
-            let (warm, warm_records) = run();
-            assert_eq!(warm_records, 0, "warm run must load every seed");
-            assert_eq!(warm, serial, "warm sharded run diverged for {config:?}");
-            // A different trace digest is different work: full prepass.
-            let before = prepass_records_on_thread();
-            Simulation::new(&config)
-                .shards(4)
-                .prepass_store(&store, digest + 1)
-                .run_trace(&trace);
-            assert_eq!(prepass_records_on_thread() - before, 300);
-            // A different shard count keys differently: full prepass.
-            let before = prepass_records_on_thread();
-            Simulation::new(&config)
-                .shards(5)
-                .prepass_store(&store, digest)
-                .run_trace(&trace);
-            assert_eq!(prepass_records_on_thread() - before, 320);
-        }
-        // Damage degrades to a fresh prepass, never to wrong state.
-        let config = SimConfig::ls_defrag().with_host_cache(8 * 512);
-        for entry in std::fs::read_dir(&dir).expect("store dir exists") {
-            let path = entry.expect("dir entry").path();
-            let mut bytes = std::fs::read(&path).expect("read seed");
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            std::fs::write(&path, &bytes).expect("write seed");
-        }
-        let before = prepass_records_on_thread();
-        let report = Simulation::new(&config)
-            .shards(4)
-            .prepass_store(&store, digest)
-            .run_trace(&trace);
-        assert_eq!(prepass_records_on_thread() - before, 300);
-        assert_eq!(
-            serde_json::to_string(&report).expect("report serializes"),
-            serde_json::to_string(&Simulation::new(&config).run_trace(&trace))
-                .expect("report serializes"),
-        );
-        assert!(prepass_records_total() >= prepass_records_on_thread());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_resume_is_byte_identical_to_serial_resume() {
-        let trace = busy_trace(300);
-        let configs = [
-            SimConfig::no_ls().with_distances().with_longseek_series(32),
-            SimConfig::ls_defrag()
-                .with_longseek_series(32)
-                .with_fragment_tracking(),
-            adaptive_config().with_longseek_series(32),
-        ];
-        for config in configs {
-            let whole = serde_json::to_string(&Simulation::new(&config).run_trace(&trace))
-                .expect("report serializes");
-            for split in [1usize, 77, 299] {
-                let mut state =
-                    EngineState::new(&config.clone().with_frontier_hint(trace.frontier_top()));
-                for rec in &trace[..split] {
-                    state.step(rec);
-                }
-                let snap = state.snapshot();
-                let resumed = Simulation::new(&config)
-                    .resume_from(&snap)
-                    .shards(5)
-                    .run_trace(&trace[split..]);
-                assert_eq!(
-                    serde_json::to_string(&resumed).expect("report serializes"),
-                    whole,
-                    "sharded resume at {split} diverged for {config:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prepass_checkpoints_match_serial_map_state() {
-        // The transition-only prepass must land on exactly the map (and
-        // head, and host-cache) state a full serial replay reaches at each
-        // shard boundary.
-        let trace = busy_trace(240);
-        let configs = [
-            SimConfig::log_structured(),
-            SimConfig::ls_defrag().with_host_cache(8 * 512),
-            SimConfig::ls_prefetch(),
-            SimConfig::ls_cache().with_fragment_tracking(),
-            adaptive_config(),
-        ];
-        for config in configs {
-            let config = config.with_frontier_hint(trace.frontier_top());
-            let bounds: Vec<usize> = (0..=4).map(|i| i * trace.len() / 4).collect();
-            let seeds = prepass_seeds(&config, None, trace.as_slice(), &bounds);
-            assert_eq!(seeds.len(), 3);
-            let mut state = EngineState::new(&config);
-            let mut prev = 0;
-            for (seed, &bound) in seeds.iter().zip(&bounds[1..]) {
-                for rec in &trace[prev..bound] {
-                    state.step(rec);
-                }
-                prev = bound;
-                let check = seed.map_check.expect("LS configs carry a fingerprint");
-                match &state.layer {
-                    LayerImpl::Ls(ls) => {
-                        assert!(check.matches(ls.map()), "digest diverged at {bound}")
-                    }
-                    LayerImpl::NoLs(_) => unreachable!("LS configs only"),
-                }
-                assert_eq!(
-                    seed.snapshot.counter.head_position,
-                    state.counter.to_state().head_position,
-                    "head diverged at {bound} for {config:?}"
-                );
-                assert_eq!(
-                    seed.snapshot.host_cache, state.host_cache,
-                    "host cache diverged at {bound}"
-                );
-                assert_eq!(seed.snapshot.logical_ops, bound as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn run_report_records_the_execution_shape() {
-        let trace = busy_trace(100);
-        let config = SimConfig::log_structured();
-        let serial = Simulation::new(&config).run_trace(&trace);
-        assert_eq!(serial.sharding, ShardOutcome::Serial);
-        let sharded = Simulation::new(&config).shards(4).run_trace(&trace);
-        assert_eq!(sharded.sharding, ShardOutcome::Sharded { shards: 4 });
-        assert_eq!(sharded.sharding.to_string(), "sharded(4)");
-        // A refused request records why it fell back.
-        let single = busy_trace(1);
-        let refused = Simulation::new(&config).shards(4).run_trace(&single);
-        assert_eq!(
-            refused.sharding.fallback_reason(),
-            Some("trace has fewer than two records")
-        );
-        let mut sink_hits = 0usize;
-        let report = Simulation::new(&SimConfig::no_ls().with_checkpoint_every(10))
-            .checkpoint_every(10, |_: &EngineSnapshot| sink_hits += 1)
-            .shards(4)
-            .run_trace(&trace);
-        assert_eq!(
-            report.sharding.fallback_reason(),
-            Some("an active checkpoint sink requires serial replay")
-        );
-        assert_eq!(sink_hits, 10);
-        // Streaming runs cannot shard and say so.
-        let report = Simulation::new(&config.with_frontier_hint(trace.frontier_top()))
-            .shards(4)
-            .run(trace.iter().copied());
-        assert_eq!(
-            report.sharding.fallback_reason(),
-            Some("record streams have no random access to split across shards")
-        );
-        // The outcome is an execution detail: serialized reports stay
-        // identical across shapes.
-        assert_eq!(
-            serde_json::to_string(&serial).expect("report serializes"),
-            serde_json::to_string(&sharded).expect("report serializes"),
-        );
     }
 }

@@ -32,8 +32,8 @@ pub mod tracecache;
 
 pub use checkpoint::CheckpointStore;
 pub use engine::{
-    prepass_records_total, ConfigError, EngineSnapshot, LayerChoice, LayerSnapshot, RunReport,
-    ShardOutcome, ShardableTrace, SimConfig, SimConfigBuilder, Simulation,
+    BlockTrace, ConfigError, EngineSnapshot, LayerChoice, LayerSnapshot, RunReport, SimConfig,
+    SimConfigBuilder, Simulation,
 };
 pub use report::TextTable;
 pub use runner::{CheckpointUsage, RunMatrix, RunMetrics, RunOutcome, ShardPolicy, TraceSource};

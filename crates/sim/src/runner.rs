@@ -18,9 +18,7 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::checkpoint::{checkpoint_config_key, CheckpointStore};
-use crate::engine::{
-    EngineSnapshot, LayerChoice, RunReport, ShardOutcome, ShardableTrace, SimConfig, Simulation,
-};
+use crate::engine::{BlockTrace, EngineSnapshot, LayerChoice, RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
 use smrseek_obs::{span_with, PhaseTotals};
 use smrseek_trace::binary::{MmapTrace, DEFAULT_BLOCK_RECORDS};
@@ -148,17 +146,13 @@ impl TraceSource {
     /// Replays this source through `config`, decoding in blocks straight
     /// off the mapping for mmap-backed sources (the frontier hint filled
     /// from the cached `top_sector`) and materializing for
-    /// generator-backed ones. `shards` asks [`Simulation`] to split the
-    /// record stream across that many worker threads — exact for every
-    /// sweep configuration (history-carrying layers shard via boundary
-    /// checkpoints); the rare refusals warn once and record their reason
-    /// in the report's [`ShardOutcome`].
-    fn replay(&self, config: &SimConfig, shards: usize) -> (RunReport, Duration) {
+    /// generator-backed ones.
+    fn replay(&self, config: &SimConfig) -> (RunReport, Duration) {
         match &self.supply {
             Supply::Generate(f) => {
                 let records = f();
                 let start = Instant::now();
-                let report = Simulation::new(config).shards(shards).run_trace(&**records);
+                let report = Simulation::new(config).run_trace(&**records);
                 (report, start.elapsed())
             }
             Supply::Mapped { map, top } => {
@@ -169,7 +163,7 @@ impl TraceSource {
                     _ => *config,
                 };
                 let start = Instant::now();
-                let report = Simulation::new(&config).shards(shards).run_trace(&**map);
+                let report = Simulation::new(&config).run_trace(&**map);
                 (report, start.elapsed())
             }
         }
@@ -180,36 +174,23 @@ impl TraceSource {
     /// skipped and the engine restored from the snapshot, and checkpoints
     /// are emitted through `emit` on the config's
     /// [`SimConfig::with_checkpoint_every`] cadence. The returned report
-    /// is byte-identical to a cold `replay` of the same cell. `shards`
-    /// splits the remaining records across worker threads; sharding is
-    /// exact for every sweep configuration, but a config that actively
-    /// emits checkpoints always replays serially (recorded and warned, not
-    /// silent).
+    /// is byte-identical to a cold `replay` of the same cell.
     ///
     /// Mmap-backed sources skip by seeking the mapping (no prefix decode);
     /// generator-backed sources regenerate and slice.
-    /// `prepass` additionally persists (and reuses) the sharding
-    /// prepass's boundary checkpoints in the given store under the given
-    /// full-trace digest, so repeat sharded runs of the same cell skip the
-    /// serial prefix replay entirely (see [`Simulation::prepass_store`]).
     pub fn replay_checkpointed(
         &self,
         config: &SimConfig,
         resume_from: Option<&EngineSnapshot>,
         emit: impl FnMut(&EngineSnapshot),
-        shards: usize,
-        prepass: Option<(&CheckpointStore, u128)>,
     ) -> (RunReport, Duration) {
         let skip = resume_from.map_or(0, |s| s.logical_ops) as usize;
         let simulation = |config: &SimConfig| {
-            let mut sim = Simulation::new(config).shards(shards).checkpoint_sink(emit);
-            if let Some(snap) = resume_from {
-                sim = sim.resume_from(snap);
+            let sim = Simulation::new(config).checkpoint_sink(emit);
+            match resume_from {
+                Some(snap) => sim.resume_from(snap),
+                None => sim,
             }
-            if let Some((store, digest)) = prepass {
-                sim = sim.prepass_store(store, digest);
-            }
-            sim
         };
         match &self.supply {
             Supply::Generate(f) => {
@@ -244,32 +225,23 @@ impl TraceSource {
     }
 }
 
-/// The records of a mapping from `skip` onward, as a [`ShardableTrace`]:
-/// what a resumed mmap-backed replay hands the engine — record `i` of the
-/// suffix is record `skip + i` of the file, read without decoding the
-/// consumed prefix.
+/// The records of a mapping from `skip` onward, as a [`BlockTrace`]:
+/// what a resumed mmap-backed replay hands the engine — the suffix is
+/// read without decoding the consumed prefix.
 struct MappedSuffix<'a> {
     map: &'a MmapTrace,
     skip: usize,
 }
 
-impl ShardableTrace for MappedSuffix<'_> {
-    fn num_records(&self) -> usize {
-        self.map.len() - self.skip
-    }
-
-    fn record(&self, index: usize) -> TraceRecord {
-        self.map.get(self.skip + index)
-    }
-
+impl BlockTrace for MappedSuffix<'_> {
     fn frontier_top(&self) -> u64 {
         self.map.top_sector()
     }
 
-    fn for_each_block(&self, start: usize, end: usize, f: &mut dyn FnMut(&[TraceRecord])) {
-        let mut blocks =
-            self.map
-                .blocks_range(self.skip + start, self.skip + end, DEFAULT_BLOCK_RECORDS);
+    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
+        let mut blocks = self
+            .map
+            .blocks_range(self.skip, self.map.len(), DEFAULT_BLOCK_RECORDS);
         while let Some(block) = blocks.next_block() {
             f(block);
         }
@@ -321,10 +293,6 @@ pub struct RunMetrics {
     /// Engine phase accounting for the cell (all zeros unless
     /// [`smrseek_obs::set_phase_accounting`] was on).
     pub phases: PhaseTotals,
-    /// How the replay executed: serial, sharded, or — when sharding was
-    /// requested but refused — serial with the recorded reason. Surfaced
-    /// in the stderr matrix summary so no cell degrades silently.
-    pub sharding: ShardOutcome,
 }
 
 impl RunMetrics {
@@ -344,6 +312,23 @@ pub struct RunOutcome {
     pub report: RunReport,
     /// Execution timing/footprint (non-deterministic side channel).
     pub metrics: RunMetrics,
+}
+
+impl RunOutcome {
+    /// Pairs `cell`'s report with the metrics of a replay that took `wall`.
+    fn new(cell: &RunCell, report: RunReport, wall: Duration) -> Self {
+        let metrics = RunMetrics {
+            wall,
+            records: report.logical_ops,
+            peak_extent_segments: report.peak_extent_segments,
+            phases: report.phases,
+        };
+        RunOutcome {
+            label: cell.label.clone(),
+            report,
+            metrics,
+        }
+    }
 }
 
 /// An ordered collection of (trace source × configuration) cells.
@@ -392,34 +377,19 @@ impl RunMatrix {
 
     /// Executes every cell on up to `threads` scoped workers and returns
     /// the outcomes *in cell order* — the thread count changes wall time,
-    /// never results. Threads left idle by cell-parallelism are spent on
-    /// intra-trace shards ([`ShardPolicy::Auto`]); use
-    /// [`execute_with`](Self::execute_with) to control the split.
+    /// never results. Each cell replays serially on one worker.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
-        self.execute_with(threads, ShardPolicy::Auto)
-    }
-
-    /// [`execute`](Self::execute) with an explicit split of `threads`
-    /// between matrix cells and intra-trace shards. Reports are
-    /// byte-identical under every policy; only wall time changes.
-    pub fn execute_with(&self, threads: NonZeroUsize, policy: ShardPolicy) -> Vec<RunOutcome> {
-        let shards = policy.shards_per_cell(threads, self.cells.len());
         parallel_map(&self.cells, threads, |cell| {
             let _span = span_with(|| format!("cell:{}", cell.label));
-            let (report, wall) = cell.source.replay(&cell.config, shards);
-            let metrics = RunMetrics {
-                wall,
-                records: report.logical_ops,
-                peak_extent_segments: report.peak_extent_segments,
-                phases: report.phases,
-                sharding: report.sharding,
-            };
-            RunOutcome {
-                label: cell.label.clone(),
-                report,
-                metrics,
-            }
+            let (report, wall) = cell.source.replay(&cell.config);
+            RunOutcome::new(cell, report, wall)
         })
+    }
+
+    /// [`execute`](Self::execute); the policy is ignored (see
+    /// [`ShardPolicy`]).
+    pub fn execute_with(&self, threads: NonZeroUsize, _policy: ShardPolicy) -> Vec<RunOutcome> {
+        self.execute(threads)
     }
 
     /// Like [`execute`](Self::execute), but checkpoint-aware: each cell
@@ -443,7 +413,6 @@ impl RunMatrix {
         let hits = AtomicU64::new(0);
         let misses = AtomicU64::new(0);
         let skipped = AtomicU64::new(0);
-        let shards = ShardPolicy::Auto.shards_per_cell(threads, self.cells.len());
         let outcomes = parallel_map(&self.cells, threads, |cell| {
             let _span = span_with(|| format!("cell:{}", cell.label));
             let key = checkpoint_config_key(&cell.config, cell.source.top_sector());
@@ -458,29 +427,14 @@ impl RunMatrix {
                     None
                 }
             };
-            let (report, wall) = cell.source.replay_checkpointed(
-                &cell.config,
-                snap.as_ref(),
-                |snapshot| {
-                    // Save failures are non-fatal: a checkpoint is an
-                    // optimization, the replay's own result stands.
-                    store.save(trace_digest, &key, snapshot).ok();
-                },
-                shards,
-                Some((store, trace_digest)),
-            );
-            let metrics = RunMetrics {
-                wall,
-                records: report.logical_ops,
-                peak_extent_segments: report.peak_extent_segments,
-                phases: report.phases,
-                sharding: report.sharding,
-            };
-            RunOutcome {
-                label: cell.label.clone(),
-                report,
-                metrics,
-            }
+            let (report, wall) =
+                cell.source
+                    .replay_checkpointed(&cell.config, snap.as_ref(), |snapshot| {
+                        // Save failures are non-fatal: a checkpoint is an
+                        // optimization, the replay's own result stands.
+                        store.save(trace_digest, &key, snapshot).ok();
+                    });
+            RunOutcome::new(cell, report, wall)
         });
         (
             outcomes,
@@ -542,33 +496,15 @@ where
         .collect()
 }
 
-/// How [`RunMatrix::execute_with`] splits its thread budget between matrix
-/// cells and intra-trace shards.
+/// The argument of [`RunMatrix::execute_with`], which ignores it: every
+/// cell replays serially and parallelism lives across cells, so there is
+/// no thread split left to choose. This one-variant enum exists only
+/// because the benchmark harness under `perfbench/` still calls
+/// `execute_with(threads, ShardPolicy::Auto)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// One thread per cell, no intra-trace splitting (the historical
-    /// behavior).
-    Serial,
-    /// Spend threads on cells first, then split each cell's trace across
-    /// the threads that cell-parallelism would leave idle:
-    /// `ceil(threads / cells)` shards per cell. A single-cell run on an
-    /// 8-thread budget replays its one trace 8-way sharded; an 8-cell
-    /// matrix on the same budget runs serial cells 8-wide.
+    /// The only policy: cells in parallel, each replayed serially.
     Auto,
-    /// Exactly this many shards per cell, regardless of cell count.
-    Fixed(NonZeroUsize),
-}
-
-impl ShardPolicy {
-    /// Intra-trace shards each cell's replay should use under this policy
-    /// with `threads` total workers over `cells` cells.
-    pub fn shards_per_cell(self, threads: NonZeroUsize, cells: usize) -> usize {
-        match self {
-            ShardPolicy::Serial => 1,
-            ShardPolicy::Auto => threads.get().div_ceil(cells.max(1)),
-            ShardPolicy::Fixed(k) => k.get(),
-        }
-    }
 }
 
 /// The thread budget: the `SMRSEEK_THREADS` environment variable when set
@@ -652,12 +588,9 @@ impl MatrixStats {
         self.total_records() as f64 / self.total_wall().as_secs_f64().max(1e-9)
     }
 
-    /// One-line summary for the CLI's stderr timing report. When any cell
-    /// fell back to serial replay after sharding was requested, the
-    /// summary names how many and why — a degraded run must never look
-    /// like a sharded one.
+    /// One-line summary for the CLI's stderr timing report.
     pub fn summary(&self, command: &str) -> String {
-        let mut line = format!(
+        format!(
             "{command}: {} runs, {} records in {:.2}s sim time \
              ({:.0} records/s of sim time, peak extent map {} segments)",
             self.cells.len(),
@@ -665,25 +598,7 @@ impl MatrixStats {
             self.total_wall().as_secs_f64(),
             self.records_per_sim_sec(),
             self.peak_extent_segments(),
-        );
-        let mut reasons: Vec<&str> = Vec::new();
-        let mut fallbacks = 0usize;
-        for (_, m) in &self.cells {
-            if let Some(reason) = m.sharding.fallback_reason() {
-                fallbacks += 1;
-                if !reasons.contains(&reason) {
-                    reasons.push(reason);
-                }
-            }
-        }
-        if fallbacks > 0 {
-            line.push_str(&format!(
-                "; {fallbacks} of {} cells fell back to serial replay: {}",
-                self.cells.len(),
-                reasons.join("; "),
-            ));
-        }
-        line
+        )
     }
 }
 
@@ -767,7 +682,6 @@ mod tests {
                         records: 600,
                         peak_extent_segments: 3,
                         phases: PhaseTotals::default(),
-                        sharding: ShardOutcome::Serial,
                     },
                 ),
                 (
@@ -777,7 +691,6 @@ mod tests {
                         records: 300,
                         peak_extent_segments: 7,
                         phases: PhaseTotals::default(),
-                        sharding: ShardOutcome::Sharded { shards: 2 },
                     },
                 ),
             ],
@@ -964,83 +877,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_names_serial_fallbacks() {
-        let metric = |sharding| RunMetrics {
-            wall: Duration::from_secs(1),
-            records: 100,
-            peak_extent_segments: 0,
-            phases: PhaseTotals::default(),
-            sharding,
-        };
-        let clean = MatrixStats {
-            cells: vec![
-                ("a".into(), metric(ShardOutcome::Serial)),
-                ("b".into(), metric(ShardOutcome::Sharded { shards: 4 })),
-            ],
-        };
-        assert!(
-            !clean.summary("x").contains("fell back"),
-            "no fallback, no note"
-        );
-        let degraded = MatrixStats {
-            cells: vec![
-                ("a".into(), metric(ShardOutcome::Sharded { shards: 4 })),
-                (
-                    "b".into(),
-                    metric(ShardOutcome::SerialFallback {
-                        reason: "trace has fewer than two records",
-                    }),
-                ),
-                (
-                    "c".into(),
-                    metric(ShardOutcome::SerialFallback {
-                        reason: "trace has fewer than two records",
-                    }),
-                ),
-            ],
-        };
-        let line = degraded.summary("x");
-        assert!(
-            line.contains(
-                "2 of 3 cells fell back to serial replay: trace has fewer than two records"
-            ),
-            "{line}"
-        );
-    }
-
-    #[test]
-    fn executed_metrics_record_the_execution_shape() {
-        let source = TraceSource::from_records("burst", burst(600));
-        let matrix = RunMatrix::cross(&[source], &[SimConfig::log_structured()]);
-        let serial = matrix.execute_with(two(), ShardPolicy::Serial);
-        assert_eq!(serial[0].metrics.sharding, ShardOutcome::Serial);
-        let fixed = matrix.execute_with(
-            NonZeroUsize::MIN,
-            ShardPolicy::Fixed(NonZeroUsize::new(4).expect("nonzero")),
-        );
-        assert_eq!(
-            fixed[0].metrics.sharding,
-            ShardOutcome::Sharded { shards: 4 }
-        );
-    }
-
-    #[test]
     fn cells_can_be_labeled() {
         let source = TraceSource::from_records("t", burst(10));
         let cell = RunCell::new(source, SimConfig::no_ls()).with_label("t/NoLS");
         assert_eq!(cell.label, "t/NoLS");
-    }
-
-    #[test]
-    fn shard_policy_splits_thread_budget() {
-        let t = |n: usize| NonZeroUsize::new(n).expect("nonzero");
-        assert_eq!(ShardPolicy::Serial.shards_per_cell(t(8), 1), 1);
-        assert_eq!(ShardPolicy::Auto.shards_per_cell(t(8), 1), 8);
-        assert_eq!(ShardPolicy::Auto.shards_per_cell(t(8), 3), 3);
-        assert_eq!(ShardPolicy::Auto.shards_per_cell(t(8), 8), 1);
-        assert_eq!(ShardPolicy::Auto.shards_per_cell(t(8), 20), 1);
-        assert_eq!(ShardPolicy::Auto.shards_per_cell(t(2), 0), 2);
-        assert_eq!(ShardPolicy::Fixed(t(4)).shards_per_cell(t(1), 9), 4);
     }
 
     #[test]
@@ -1062,43 +902,5 @@ mod tests {
         assert_eq!(default_threads(), fallback);
         std::env::remove_var("SMRSEEK_THREADS");
         assert_eq!(default_threads(), fallback);
-    }
-
-    #[test]
-    fn sharded_policies_are_report_invariant() {
-        use smrseek_trace::binary::{write_binary_v2, MmapTrace};
-
-        let records = burst(5000);
-        let mut buf = Vec::new();
-        write_binary_v2(&mut buf, &records).expect("vec write");
-        let map = Arc::new(MmapTrace::from_bytes(buf).expect("own output maps"));
-        let configs = [
-            SimConfig::no_ls()
-                .with_distances()
-                .with_longseek_series(256),
-            SimConfig::log_structured(),
-        ];
-        for source in [
-            TraceSource::from_mmap("burst", map),
-            TraceSource::from_records("burst", records),
-        ] {
-            let matrix = RunMatrix::cross(&[source], &configs);
-            let serial = matrix.execute_with(two(), ShardPolicy::Serial);
-            let auto = matrix.execute_with(two(), ShardPolicy::Auto);
-            let fixed = matrix.execute_with(
-                NonZeroUsize::MIN,
-                ShardPolicy::Fixed(NonZeroUsize::new(7).expect("nonzero")),
-            );
-            for outcomes in [&auto, &fixed] {
-                for (a, b) in serial.iter().zip(outcomes.iter()) {
-                    assert_eq!(
-                        serde_json::to_string(&a.report).expect("report serializes"),
-                        serde_json::to_string(&b.report).expect("report serializes"),
-                        "policy changed the report for {}",
-                        a.label
-                    );
-                }
-            }
-        }
     }
 }

@@ -65,22 +65,6 @@ impl FragmentAccessTracker {
         }
     }
 
-    /// Appends another tracker's observations, as if `other`'s reads had
-    /// been recorded immediately after this tracker's. Per-read fragment
-    /// counts concatenate in that order; per-fragment access counts add
-    /// (fragment identity is the physical start sector, which the
-    /// infinite-disk log never reuses, so the same key in both trackers is
-    /// the same data revision).
-    pub fn merge(&mut self, other: &FragmentAccessTracker) {
-        self.per_read_fragments
-            .extend_from_slice(&other.per_read_fragments);
-        for (&pba, &(count, sectors)) in &other.fragments {
-            let entry = self.fragments.entry(pba).or_insert((0, sectors));
-            entry.0 += count;
-            entry.1 = entry.1.max(sectors);
-        }
-    }
-
     /// Number of fragmented reads recorded.
     pub fn fragmented_read_count(&self) -> usize {
         self.per_read_fragments.len()
@@ -192,31 +176,6 @@ mod tests {
         assert_eq!(t.per_read_fragment_counts(), &[2, 3]);
         assert_eq!(t.fragmented_read_count(), 2);
         assert_eq!(t.distinct_fragments(), 3);
-    }
-
-    #[test]
-    fn merge_equals_recording_the_whole_sequence() {
-        let reads: Vec<Vec<(Pba, u64)>> = vec![
-            vec![(pba(0), 2), (pba(10), 4)],
-            vec![(pba(0), 2), (pba(20), 8)],
-            vec![(pba(10), 4), (pba(20), 8), (pba(99), 1)],
-        ];
-        for split in 0..=reads.len() {
-            let mut whole = FragmentAccessTracker::new();
-            for r in &reads {
-                whole.record_read(r);
-            }
-            let mut first = FragmentAccessTracker::new();
-            for r in &reads[..split] {
-                first.record_read(r);
-            }
-            let mut second = FragmentAccessTracker::new();
-            for r in &reads[split..] {
-                second.record_read(r);
-            }
-            first.merge(&second);
-            assert_eq!(first, whole, "split at {split}");
-        }
     }
 
     #[test]

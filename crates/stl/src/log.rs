@@ -162,15 +162,6 @@ impl LogStructured {
             .map(|c| c.stats())
     }
 
-    /// Zeroes the tiered cache's event counters, keeping contents intact
-    /// (sharded-replay boundary normalization; see
-    /// `TieredCache::reset_stats`).
-    pub fn reset_tier_stats(&mut self) {
-        if let Some(cache) = &mut self.cache {
-            cache.reset_stats();
-        }
-    }
-
     /// Sets the per-region mechanism gates the *next* record is served
     /// under. An adaptive policy engine calls this before every
     /// [`apply`](TranslationLayer::apply); without a policy the gates stay
@@ -432,42 +423,6 @@ impl LogStructured {
                 self.handle_read_into(rec, sink);
             }
         }
-    }
-
-    /// Applies one record to the layer's *behavioural* state only, returning
-    /// the physical sector one past the end of the last I/O a full
-    /// [`apply`](TranslationLayer::apply) would have emitted (`None` when
-    /// the record emits no I/O, in which case the disk head does not move).
-    ///
-    /// This is the sharded-replay prepass primitive: it advances everything
-    /// that influences future translations and emitted I/O — extent map,
-    /// frontier, cache and prefetch contents, defragmentation bookkeeping,
-    /// the idle-gap timestamp — while skipping I/O materialization.
-    /// Instrumentation counters are NOT kept exact (boundary snapshots
-    /// taken from a prepass layer normalize them away), so a layer driven
-    /// by this method must never surface its stats or fragment tracker.
-    pub fn apply_transition(&mut self, rec: &TraceRecord) -> Option<u64> {
-        // Fast path: a mechanism-free read mutates nothing but the
-        // timestamp, and the head lands one past the translation of the
-        // final logical sector — no need to walk the physical runs.
-        if rec.op == OpKind::Read
-            && rec.sectors != 0
-            && self.config.defrag.is_none()
-            && self.cache.is_none()
-            && self.prefetch_buffer.is_none()
-            && self.tracker.is_none()
-        {
-            self.last_timestamp_us = rec.timestamp_us;
-            let last = rec.lba.sector() + u64::from(rec.sectors) - 1;
-            let phys = self
-                .map
-                .translate(Lba::new(last))
-                .map_or(last, |p| p.sector());
-            return Some(phys + 1);
-        }
-        let mut last_end = None;
-        self.apply_into(rec, &mut |io| last_end = Some(io.end().sector()));
-        last_end
     }
 }
 
@@ -1039,47 +994,6 @@ mod tests {
                 assert_eq!(resumed.map(), whole.map());
                 assert_eq!(resumed.frontier(), whole.frontier());
                 assert_eq!(resumed.fragment_tracker(), whole.fragment_tracker());
-            }
-        }
-    }
-
-    #[test]
-    fn apply_transition_tracks_apply_behavioural_state_and_head() {
-        use crate::config::{CacheConfig, DefragConfig, PrefetchConfig};
-        let configs = [
-            LsConfig::new(lba(100_000)),
-            LsConfig::new(lba(100_000)).with_defrag(DefragConfig::default()),
-            LsConfig::new(lba(100_000)).with_defrag(DefragConfig::idle(5_000)),
-            LsConfig::new(lba(100_000)).with_prefetch(PrefetchConfig::default()),
-            LsConfig::new(lba(100_000)).with_cache(CacheConfig {
-                capacity_bytes: 4 * 512,
-            }),
-            LsConfig::new(lba(100_000))
-                .with_fragment_tracking()
-                .with_zones(64),
-        ];
-        let trace: Vec<TraceRecord> = (0..120u64)
-            .map(|i| {
-                let l = lba((i * 37) % 512);
-                if i % 3 == 0 {
-                    TraceRecord::write(i * 2_000, l, 8)
-                } else {
-                    TraceRecord::read(i * 2_000, l, 16)
-                }
-            })
-            .collect();
-        for config in configs {
-            let mut full = LogStructured::new(config);
-            let mut transition = LogStructured::new(config);
-            for (i, rec) in trace.iter().enumerate() {
-                let ios = full.apply(rec);
-                let head = transition.apply_transition(rec);
-                assert_eq!(head, ios.last().map(|io| io.end().sector()), "rec {i}");
-                assert_eq!(transition.map(), full.map(), "rec {i}");
-                assert_eq!(transition.frontier(), full.frontier());
-                assert_eq!(transition.cache(), full.cache());
-                assert_eq!(transition.prefetch_buffer(), full.prefetch_buffer());
-                assert_eq!(transition.pending_defrag(), full.pending_defrag());
             }
         }
     }

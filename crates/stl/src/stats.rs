@@ -41,9 +41,8 @@ impl LsStats {
     }
 
     /// Folds another run's counters into this one. Every field is a pure
-    /// event count, so merging the stats of two disjoint record ranges
-    /// (each replayed from the correct starting layer state) equals
-    /// counting the concatenated range.
+    /// event count, so stats of separate runs merge by fieldwise
+    /// addition.
     pub fn merge(&mut self, other: &LsStats) {
         self.logical_reads += other.logical_reads;
         self.logical_writes += other.logical_writes;

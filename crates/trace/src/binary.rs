@@ -531,9 +531,9 @@ impl MmapTrace {
         self.blocks_range(0, self.len(), DEFAULT_BLOCK_RECORDS)
     }
 
-    /// A block reader over records `[start, end)` — the shard-aligned
-    /// slicing primitive: each intra-trace shard reads exactly its record
-    /// range through one of these, block by block, off the shared mapping.
+    /// A block reader over records `[start, end)`, block by block off the
+    /// shared mapping — how a resumed replay skips the records a
+    /// checkpoint already consumed without decoding them.
     ///
     /// # Panics
     ///

@@ -73,8 +73,12 @@ impl LineParser for CpParser {
             return Ok(None);
         }
         let lba = Lba::from_bytes(offset);
-        let sectors = u32::try_from(bytes_to_sectors_ceil(offset % SECTOR_SIZE + length).max(1))
-            .map_err(|_| Error::parse(line_no, "length too large"))?;
+        let too_large = || Error::parse(line_no, "length too large");
+        let end_bytes = (offset % SECTOR_SIZE)
+            .checked_add(length)
+            .ok_or_else(too_large)?;
+        let sectors =
+            u32::try_from(bytes_to_sectors_ceil(end_bytes).max(1)).map_err(|_| too_large())?;
         Ok(Some(TraceRecord::new(ts, op, lba, sectors)))
     }
 }
@@ -129,5 +133,14 @@ mod tests {
         assert!(err.to_string().contains("line 12"));
         assert!(p.parse_line("9,R,zzz,512", 1).is_err());
         assert!(p.parse_line("9,R,0", 1).is_err());
+    }
+
+    #[test]
+    fn length_overflowing_the_end_offset_is_a_parse_error() {
+        // Offset 100 within its sector plus a u64::MAX length overflows u64.
+        let mut p = CpParser::new();
+        let err = p.parse_line("0,R,100,18446744073709551615", 3).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 3, .. }), "{err}");
+        assert!(err.to_string().contains("length too large"), "{err}");
     }
 }

@@ -107,9 +107,12 @@ impl LineParser for MsrParser {
 
         let lba = Lba::from_bytes(offset);
         // Round the end up so partial-sector tails are covered.
-        let end_sector = bytes_to_sectors_ceil(offset % SECTOR_SIZE + size);
-        let sectors = u32::try_from(end_sector.max(1))
-            .map_err(|_| Error::parse(line_no, "Size too large"))?;
+        let too_large = || Error::parse(line_no, "Size too large");
+        let end_bytes = (offset % SECTOR_SIZE)
+            .checked_add(size)
+            .ok_or_else(too_large)?;
+        let sectors =
+            u32::try_from(bytes_to_sectors_ceil(end_bytes).max(1)).map_err(|_| too_large())?;
 
         Ok(Some(TraceRecord::new(timestamp_us, op, lba, sectors)))
     }
@@ -197,5 +200,16 @@ mod tests {
         assert!(p.parse_line("", 1).unwrap().is_none());
         assert!(p.parse_line("# header", 2).unwrap().is_none());
         assert!(p.parse_line("0,h,0,Read,0,0,0", 3).unwrap().is_none());
+    }
+
+    #[test]
+    fn size_overflowing_the_end_offset_is_a_parse_error() {
+        // Offset 100 within its sector plus a u64::MAX size overflows u64.
+        let mut p = MsrParser::new();
+        let err = p
+            .parse_line("0,h,0,Read,100,18446744073709551615,0", 4)
+            .unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 4, .. }), "{err}");
+        assert!(err.to_string().contains("Size too large"), "{err}");
     }
 }

@@ -6,15 +6,15 @@ Usage:
                                   [--threshold 0.15]
 
 Compares the throughput numbers that matter for trend tracking — ingest
-records/s and each config's serial + best-sharded replay records/s —
-against the newest committed ``BENCH_<n>.json`` (or an explicit
+records/s and each config's serial replay records/s — against the
+newest committed ``BENCH_<n>.json`` (or an explicit
 ``--baseline``). Any metric more than ``--threshold`` (default 15%) below
 its baseline fails the gate with exit 1 so a perf regression cannot land
 silently.
 
-Mirrors the bench harness's own caveat: on a 1-CPU host (either side of
-the comparison) wall-clock numbers are too noisy for a hard gate, so the
-script prints the same warning the harness does and skips with exit 0.
+On a 1-CPU host (either side of the comparison) wall-clock numbers are
+too noisy for a hard gate, so the script prints a warning and skips with
+exit 0.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ def throughputs(doc: dict) -> dict[str, float]:
     for cfg in doc["configs"]:
         name = cfg["config"]
         out[f"{name}/serial"] = cfg["serial"]["records_per_s"]
-        sharded = cfg.get("sharded") or []
-        if sharded:
-            out[f"{name}/best-sharded"] = max(s["records_per_s"] for s in sharded)
     return out
 
 
@@ -64,8 +61,8 @@ def main() -> int:
 
     cpus = min(fresh.get("host_cpus", 0), baseline.get("host_cpus", 0))
     if cpus <= 1:
-        # Same caveat the bench harness prints: single-CPU wall clock is
-        # noise-dominated, so the 15% gate would flap. Trend numbers are
+        # Single-CPU wall clock is noise-dominated, so the 15% gate
+        # would flap. Trend numbers are
         # still recorded; the gate just does not fail on them.
         print(
             "bench_gate: warning: host has 1 CPU; timings are too noisy "
