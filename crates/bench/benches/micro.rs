@@ -192,37 +192,17 @@ fn trace_ingest(c: &mut Criterion) {
     std::fs::remove_file(&bin_path).ok();
 }
 
-/// Observability overhead: the cost of a disabled span (what every
-/// instrumented call site pays when nothing records), a live span, and a
-/// full engine replay with coarse phase accounting on — the price the
-/// daemon pays for `/metrics` phase breakdowns. The `simulator` group
-/// above is the accounting-off baseline for the same replay.
+/// Observability overhead: registry handle updates and a full engine
+/// replay with coarse phase accounting on — the price the daemon pays
+/// for `/metrics` phase breakdowns. The `simulator` group above is the
+/// accounting-off baseline for the same replay.
 fn obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs");
     group.throughput(Throughput::Elements(100_000));
-    group.bench_function("span_disabled_100k", |b| {
-        b.iter(|| {
-            for _ in 0..100_000 {
-                let span = smrseek_obs::span("bench:noop");
-                black_box(&span);
-            }
-        })
-    });
-    group.bench_function("span_recording_100k", |b| {
-        smrseek_obs::span::start_recording(1 << 20);
-        b.iter(|| {
-            for _ in 0..100_000 {
-                let span = smrseek_obs::span("bench:live");
-                black_box(&span);
-            }
-        });
-        smrseek_obs::span::stop_recording();
-        black_box(smrseek_obs::span::take_events().1);
-    });
     // Registry handle hot paths: what the daemon pays per request to
     // bump a counter or feed a latency histogram. Both are single
     // relaxed atomic RMWs (the histogram adds a leading_zeros bucket
-    // pick), so they should sit within a few ns of the disabled span.
+    // pick), so they should sit within a few ns per update.
     let registry = smrseek_obs::Registry::new();
     let counter = registry.counter("bench_requests_total", "Bench counter.");
     group.bench_function("registry_counter_100k", |b| {

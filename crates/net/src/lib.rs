@@ -2,12 +2,12 @@
 //!
 //! The crate supplies the daemon's event-driven connection layer: an
 //! `epoll(7)`-based readiness loop ([`serve`]) owning every connection on
-//! one reactor thread, incremental HTTP/1.1 request framing
-//! ([`RequestFramer`]) with head/body size limits and idle/slow-loris
-//! reaping, a pluggable [`Dispatcher`] that answers each framed request
-//! with an [`Action`] (respond inline, stream an [`EventStream`], or
-//! defer blocking work to an auxiliary pool), and a self-pipe [`Waker`]
-//! so producers on any thread can nudge the loop.
+//! one reactor thread, incremental HTTP/1.1 request framing and parsing
+//! ([`RequestFramer`] → [`Request`]) with head/body size limits and
+//! idle/slow-loris reaping, a pluggable [`Dispatcher`] that answers each
+//! parsed request with an [`Action`] (respond inline, stream an
+//! [`EventStream`], or defer blocking work to an auxiliary pool), and a
+//! self-pipe [`Waker`] so producers on any thread can nudge the loop.
 //!
 //! Like the `mmap(2)` wrapper in `smrseek-trace`, the raw syscalls are
 //! declared in [`sys`] instead of pulling in `libc`/`mio`: the workspace
@@ -21,7 +21,7 @@ mod reactor;
 mod stream;
 mod wake;
 
-pub use conn::{FrameStatus, FramingLimits, RequestFramer};
+pub use conn::{FrameStatus, FramingLimits, Request, RequestFramer};
 pub use poller::{Event, Interest, Poller};
 pub use reactor::{serve, Action, Dispatcher, LoopStats, NetConfig, NetHandle};
 pub use stream::EventStream;

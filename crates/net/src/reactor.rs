@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::conn::{FrameStatus, FramingLimits, RequestFramer};
+use crate::conn::{FrameStatus, FramingLimits, Request, RequestFramer};
 use crate::poller::{Event, Interest, Poller};
 use crate::stream::EventStream;
 use crate::wake::Waker;
@@ -72,21 +72,22 @@ pub enum Action {
 
 /// Decides how each complete request is answered.
 ///
-/// Implemented for any `Fn(Vec<u8>) -> Action`. The argument is the raw
-/// request bytes exactly as framed (head + body); the dispatcher is
-/// expected to parse them with its own HTTP parser. Runs on the reactor
-/// thread, so inline work must be quick — use [`Action::Defer`] otherwise.
+/// Implemented for any `Fn(Request) -> Action`. The argument is the
+/// request as parsed by the [`RequestFramer`]; heads the framer rejects
+/// are answered by the reactor and never reach the dispatcher. Runs on
+/// the reactor thread, so inline work must be quick — use
+/// [`Action::Defer`] otherwise.
 pub trait Dispatcher: Send + Sync + 'static {
     /// Handles one framed request.
-    fn dispatch(&self, raw: Vec<u8>) -> Action;
+    fn dispatch(&self, request: Request) -> Action;
 }
 
 impl<F> Dispatcher for F
 where
-    F: Fn(Vec<u8>) -> Action + Send + Sync + 'static,
+    F: Fn(Request) -> Action + Send + Sync + 'static,
 {
-    fn dispatch(&self, raw: Vec<u8>) -> Action {
-        self(raw)
+    fn dispatch(&self, request: Request) -> Action {
+        self(request)
     }
 }
 
@@ -423,8 +424,8 @@ impl Reactor {
                     };
                     match status {
                         FrameStatus::Partial => continue,
-                        FrameStatus::Complete(raw) => {
-                            self.dispatch(slot, raw);
+                        FrameStatus::Complete(request) => {
+                            self.dispatch(slot, request);
                             return;
                         }
                         FrameStatus::Oversized(msg) => {
@@ -462,9 +463,9 @@ impl Reactor {
         self.set_interest(slot, Interest::NONE);
     }
 
-    fn dispatch(&mut self, slot: usize, raw: Vec<u8>) {
+    fn dispatch(&mut self, slot: usize, request: Request) {
         self.settle_dispatch(slot);
-        let action = self.dispatcher.dispatch(raw);
+        let action = self.dispatcher.dispatch(request);
         self.apply_action(slot, action);
     }
 
@@ -659,7 +660,7 @@ impl Reactor {
 }
 
 /// Minimal JSON error response for framing-level failures, written without
-/// consulting the dispatcher (the request never became parseable).
+/// consulting the dispatcher (the request head was rejected).
 fn framing_response(status: u16, message: &str) -> Vec<u8> {
     let reason = match status {
         400 => "Bad Request",

@@ -2,11 +2,11 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smrseek_net::{serve, Action, EventStream, FramingLimits, NetConfig, NetHandle};
+use smrseek_net::{serve, Action, EventStream, FramingLimits, NetConfig, NetHandle, Request};
 
 fn response_bytes(body: &str) -> Vec<u8> {
     format!(
@@ -25,12 +25,23 @@ fn quick_config() -> NetConfig {
     }
 }
 
-/// Starts a reactor whose dispatcher echoes the raw request length.
+/// `method target body=<len>`: what the echo dispatchers answer with.
+fn describe(request: &Request) -> String {
+    format!(
+        "{} {} body={}",
+        request.method,
+        request.target,
+        request.body.len()
+    )
+}
+
+/// Starts a reactor whose dispatcher echoes the parsed request line and
+/// body length.
 fn echo_server(config: NetConfig) -> NetHandle {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     serve(
         listener,
-        Arc::new(|raw: Vec<u8>| Action::Respond(response_bytes(&format!("len={}", raw.len())))),
+        Arc::new(|request: Request| Action::Respond(response_bytes(&describe(&request)))),
         config,
     )
     .expect("serve")
@@ -47,10 +58,9 @@ fn roundtrip(handle: &NetHandle, request: &[u8]) -> String {
 #[test]
 fn inline_respond_roundtrip() {
     let handle = echo_server(quick_config());
-    let req = b"GET / HTTP/1.1\r\n\r\n";
-    let resp = roundtrip(&handle, req);
+    let resp = roundtrip(&handle, b"GET / HTTP/1.1\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "got: {resp}");
-    assert!(resp.ends_with(&format!("len={}", req.len())), "got: {resp}");
+    assert!(resp.ends_with("GET / body=0"), "got: {resp}");
     assert_eq!(handle.stats().accepted.load(Ordering::Relaxed), 1);
     handle.shutdown();
 }
@@ -60,18 +70,18 @@ fn deferred_respond_roundtrip() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|raw: Vec<u8>| {
+        Arc::new(|request: Request| {
             Action::Defer(Box::new(move || {
                 // Simulates blocking work off the reactor thread.
                 std::thread::sleep(Duration::from_millis(20));
-                Action::Respond(response_bytes(&format!("deferred len={}", raw.len())))
+                Action::Respond(response_bytes(&format!("deferred {}", describe(&request))))
             }))
         }),
         quick_config(),
     )
     .expect("serve");
     let resp = roundtrip(&handle, b"POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc");
-    assert!(resp.contains("deferred len="), "got: {resp}");
+    assert!(resp.ends_with("deferred POST /x body=3"), "got: {resp}");
     assert_eq!(handle.stats().deferred.load(Ordering::Relaxed), 1);
     handle.shutdown();
 }
@@ -146,7 +156,7 @@ fn oversized_head_gets_431() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|_raw: Vec<u8>| Action::Respond(response_bytes("unreachable"))),
+        Arc::new(|_request: Request| Action::Respond(response_bytes("unreachable"))),
         NetConfig {
             limits: FramingLimits {
                 max_head: 256,
@@ -169,7 +179,7 @@ fn oversized_body_gets_413() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|_raw: Vec<u8>| Action::Respond(response_bytes("unreachable"))),
+        Arc::new(|_request: Request| Action::Respond(response_bytes("unreachable"))),
         NetConfig {
             limits: FramingLimits {
                 max_head: 1024,
@@ -194,7 +204,7 @@ fn streaming_replays_history_and_follows_appends() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(move |_raw: Vec<u8>| Action::Stream {
+        Arc::new(move |_request: Request| Action::Stream {
             head:
                 b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\nconnection: close\r\n\r\n"
                     .to_vec(),
@@ -230,7 +240,7 @@ fn idle_stream_receives_ping_comments() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(move |_raw: Vec<u8>| Action::Stream {
+        Arc::new(move |_request: Request| Action::Stream {
             head:
                 b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\nconnection: close\r\n\r\n"
                     .to_vec(),
@@ -250,6 +260,29 @@ fn idle_stream_receives_ping_comments() {
     let mut out = String::new();
     conn.read_to_string(&mut out).expect("read");
     assert!(out.contains(": ping"), "expected keep-alive comment: {out}");
+    handle.shutdown();
+}
+
+#[test]
+fn bad_request_line_and_version_get_400_without_dispatch() {
+    let dispatched = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&dispatched);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = serve(
+        listener,
+        Arc::new(move |_request: Request| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            Action::Respond(response_bytes("unreachable"))
+        }),
+        quick_config(),
+    )
+    .expect("serve");
+    for request in [&b"NOT-HTTP\r\n\r\n"[..], b"GET /x HTTP/2.0\r\n\r\n"] {
+        let resp = roundtrip(&handle, request);
+        assert!(resp.starts_with("HTTP/1.1 400 "), "got: {resp}");
+        assert!(resp.contains("{\"error\":"), "got: {resp}");
+    }
+    assert_eq!(dispatched.load(Ordering::Relaxed), 0);
     handle.shutdown();
 }
 

@@ -1,47 +1,16 @@
-//! Chrome trace-event JSON export for collected spans.
+//! Chrome trace-event JSON export for [`DistSpan`]s.
 //!
-//! Serializes [`SpanEvent`]s as complete events (`"ph":"X"`) in the
-//! Trace Event Format understood by `chrome://tracing` and Perfetto.
-//! Timestamps and durations are microseconds with three decimals, so
-//! nanosecond precision survives the conversion. Nesting needs no
-//! explicit parent links: the viewers infer it from time containment on
-//! the same `(pid, tid)` track, which [`SpanEvent`] guarantees for spans
-//! that were nested at record time.
+//! Serializes spans as complete events (`"ph":"X"`) in the Trace Event
+//! Format understood by `chrome://tracing` and Perfetto. Timestamps and
+//! durations are microseconds with three decimals, so nanosecond
+//! precision survives the conversion. Each event carries its span id and
+//! parent link in `args`; viewers nest same-track children by time
+//! containment, and links that cross a track get flow arrows.
 
 use std::io::{self, Write};
 
-use crate::dtrace::DistSpan;
+use crate::dtrace::{DistSpan, TraceContext};
 use crate::phase::{Phase, PhaseTotals};
-use crate::span::SpanEvent;
-
-fn write_event(out: &mut impl Write, ev: &SpanEvent, pid: u32) -> io::Result<()> {
-    let mut name = String::with_capacity(ev.name.len());
-    crate::log::json_escape_into(&mut name, &ev.name);
-    // ns → µs with 3 decimals keeps full precision in a decimal field.
-    write!(
-        out,
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":{pid},\"tid\":{}}}",
-        ev.start_ns / 1_000,
-        ev.start_ns % 1_000,
-        ev.dur_ns / 1_000,
-        ev.dur_ns % 1_000,
-        ev.tid,
-    )
-}
-
-/// Writes `events` as a complete Chrome trace (`{"traceEvents":[...]}`).
-pub fn write_trace(out: &mut impl Write, events: &[SpanEvent]) -> io::Result<()> {
-    let pid = std::process::id();
-    out.write_all(b"{\"traceEvents\":[")?;
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        write_event(out, ev, pid)?;
-    }
-    out.write_all(b"]}")?;
-    Ok(())
-}
 
 fn escaped(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -55,13 +24,14 @@ fn us_field(key: &str, ns: u64) -> String {
     format!("\"{key}\":{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Writes distributed spans — typically the merged fragments of one
-/// fleet trace — as a complete Chrome trace.
+/// Writes spans — the merged fragments of one fleet trace, or the cells
+/// and phases of a profile run — as a complete Chrome trace.
 ///
-/// Unlike [`write_trace`], the events span multiple processes: each
-/// distinct pid gets a `process_name` metadata event (the label from
-/// `processes`, or `pid <n>` when unlisted) and each `(pid, tid)` pair a
-/// `thread_name` event, so Perfetto titles the per-daemon tracks.
+/// Each pid listed in `processes` gets a `process_name` metadata event
+/// with its label, and each of its `(pid, tid)` pairs a `thread_name`
+/// event, so Perfetto titles the per-daemon tracks. Unlisted pids get no
+/// metadata; pass `&[]` for a trace of `"ph":"X"` events only.
+///
 /// Parent/child links that cross a track boundary additionally emit a
 /// flow arrow (`"ph":"s"` on the parent, `"ph":"f"` on the child) — the
 /// cross-daemon hop renders as one connected timeline. Timestamps are
@@ -78,16 +48,15 @@ pub fn write_dist_trace(
     let mut named_pids: Vec<u32> = Vec::new();
     let mut named_tids: Vec<(u32, u64)> = Vec::new();
     for span in spans {
+        let Some((_, label)) = processes.iter().find(|(pid, _)| *pid == span.pid) else {
+            continue;
+        };
         if !named_pids.contains(&span.pid) {
             named_pids.push(span.pid);
-            let label = processes
-                .iter()
-                .find(|(pid, _)| *pid == span.pid)
-                .map_or_else(|| format!("pid {}", span.pid), |(_, name)| name.clone());
             events.push(format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
                 span.pid,
-                escaped(&label)
+                escaped(label)
             ));
         }
         if !named_tids.contains(&(span.pid, span.tid)) {
@@ -150,31 +119,39 @@ pub fn write_dist_trace(
 }
 
 /// Expands a cell span into child spans, one per non-empty engine phase,
-/// named `phase:<label>`.
+/// named `phase:<label>` and linked to `parent` by span id.
 ///
 /// Phase totals are accumulated sums, not intervals, so the children are
 /// laid out sequentially from the parent's start — a within-cell time
 /// breakdown rather than a literal timeline. Children are clamped to the
 /// parent's extent so viewers always render them nested under it.
-pub fn phase_children(parent: &SpanEvent, phases: &PhaseTotals) -> Vec<SpanEvent> {
-    let parent_end = parent.start_ns.saturating_add(parent.dur_ns);
-    let mut cursor = parent.start_ns;
+pub fn phase_children(parent: &DistSpan, phases: &PhaseTotals) -> Vec<DistSpan> {
+    let ctx = TraceContext {
+        trace_id: parent.trace_id,
+        span_id: parent.span_id,
+    };
+    let parent_end = parent.start_unix_ns.saturating_add(parent.dur_ns);
+    let mut cursor = parent.start_unix_ns;
     let mut out = Vec::new();
     for phase in Phase::ALL {
         let nanos = phases.nanos(phase);
         if nanos == 0 {
             continue;
         }
-        let start_ns = cursor.min(parent_end);
-        let dur_ns = nanos.min(parent_end.saturating_sub(start_ns));
-        out.push(SpanEvent {
+        let start_unix_ns = cursor.min(parent_end);
+        let dur_ns = nanos.min(parent_end.saturating_sub(start_unix_ns));
+        out.push(DistSpan {
+            trace_id: parent.trace_id,
+            span_id: ctx.child().span_id,
+            parent_span_id: Some(parent.span_id),
             name: format!("phase:{}", phase.label()),
-            start_ns,
+            request_id: parent.request_id.clone(),
+            start_unix_ns,
             dur_ns,
+            pid: parent.pid,
             tid: parent.tid,
-            depth: parent.depth + 1,
         });
-        cursor = start_ns.saturating_add(dur_ns);
+        cursor = start_unix_ns.saturating_add(dur_ns);
     }
     out
 }
@@ -183,52 +160,6 @@ pub fn phase_children(parent: &SpanEvent, phases: &PhaseTotals) -> Vec<SpanEvent
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    fn ev(name: &str, start_ns: u64, dur_ns: u64, tid: u64, depth: u32) -> SpanEvent {
-        SpanEvent {
-            name: name.to_string(),
-            start_ns,
-            dur_ns,
-            tid,
-            depth,
-        }
-    }
-
-    #[test]
-    fn trace_json_parses_and_preserves_precision() {
-        let events = vec![
-            ev("cell:LS", 1_234_567, 9_876_543, 0, 0),
-            ev("phase:\"odd\"", 2_000_000, 1_000, 0, 1),
-        ];
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &events).expect("write");
-        let text = String::from_utf8(buf).expect("utf-8");
-        let doc: serde_json::Value =
-            serde_json::from_str(&text).expect("chrome trace output is valid JSON");
-        let list = doc
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .expect("traceEvents array");
-        assert_eq!(list.len(), 2);
-        assert_eq!(
-            list[0].get("name").and_then(|v| v.as_str()),
-            Some("cell:LS")
-        );
-        assert_eq!(list[0].get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert_eq!(list[0].get("ts").and_then(|v| v.as_f64()), Some(1234.567));
-        assert_eq!(list[0].get("dur").and_then(|v| v.as_f64()), Some(9876.543));
-        assert_eq!(
-            list[1].get("name").and_then(|v| v.as_str()),
-            Some("phase:\"odd\"")
-        );
-    }
-
-    #[test]
-    fn empty_trace_is_valid() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &[]).expect("write");
-        assert_eq!(buf, b"{\"traceEvents\":[]}");
-    }
 
     fn dist(
         pid: u32,
@@ -252,78 +183,84 @@ mod tests {
         }
     }
 
+    fn events(spans: &[DistSpan], processes: &[(u32, String)]) -> Vec<serde_json::Value> {
+        let mut buf = Vec::new();
+        write_dist_trace(&mut buf, spans, processes).expect("write");
+        let text = String::from_utf8(buf).expect("utf-8");
+        let doc: serde_json::Value =
+            serde_json::from_str(&text).expect("chrome trace output is valid JSON");
+        doc.get("traceEvents")
+            .and_then(|v| v.as_array())
+            .expect("traceEvents array")
+            .clone()
+    }
+
+    fn str_field<'a>(e: &'a serde_json::Value, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(|v| v.as_str())
+    }
+
+    fn arg<'a>(e: &'a serde_json::Value, key: &str) -> Option<&'a str> {
+        e.get("args")
+            .and_then(|a| a.get(key))
+            .and_then(|v| v.as_str())
+    }
+
+    #[test]
+    fn trace_json_parses_and_preserves_precision() {
+        let spans = vec![
+            dist(1, 0, 0x1, None, "cell:LS", 5_000_000, 9_876_543),
+            dist(1, 0, 0x2, Some(0x1), "phase:\"odd\"", 6_234_567, 1_000),
+        ];
+        let list = events(&spans, &[]);
+        assert_eq!(list.len(), 2);
+        assert_eq!(str_field(&list[0], "name"), Some("cell:LS"));
+        assert_eq!(str_field(&list[0], "ph"), Some("X"));
+        assert_eq!(list[0].get("ts").and_then(|v| v.as_f64()), Some(0.0));
+        assert_eq!(list[0].get("dur").and_then(|v| v.as_f64()), Some(9876.543));
+        assert_eq!(str_field(&list[1], "name"), Some("phase:\"odd\""));
+        assert_eq!(list[1].get("ts").and_then(|v| v.as_f64()), Some(1234.567));
+        assert_eq!(arg(&list[1], "parent_span_id"), Some("0000000000000001"));
+    }
+
+    #[test]
+    fn empty_trace_is_valid() {
+        let mut buf = Vec::new();
+        write_dist_trace(&mut buf, &[], &[]).expect("write");
+        assert_eq!(buf, b"{\"traceEvents\":[]}");
+    }
+
     #[test]
     fn dist_trace_names_processes_and_draws_cross_process_flows() {
         // Daemon A (pid 100) dispatches and forwards; daemon B (pid 200)
         // dispatches as a child of the forward span.
         let spans = vec![
-            dist(100, 1, 0x10, None, "dispatch", 1_000_000_000, 5_000_000),
-            dist(
-                100,
-                1,
-                0x11,
-                Some(0x10),
-                "forward",
-                1_001_000_000,
-                3_000_000,
-            ),
-            dist(
-                200,
-                2,
-                0x20,
-                Some(0x11),
-                "dispatch",
-                1_002_000_000,
-                1_000_000,
-            ),
+            dist(100, 1, 0x10, None, "dispatch", 1_000_000, 5_000),
+            dist(100, 1, 0x11, Some(0x10), "forward", 1_001_000, 3_000),
+            dist(200, 2, 0x20, Some(0x11), "dispatch", 1_002_000, 1_000),
         ];
-        let mut buf = Vec::new();
-        write_dist_trace(
-            &mut buf,
-            &spans,
-            &[(100, "smrseekd 127.0.0.1:9001".to_owned())],
-        )
-        .expect("write");
-        let text = String::from_utf8(buf).expect("utf-8");
-        let doc: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-        let list = doc
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .expect("traceEvents array");
+        let a = (100, "smrseekd 127.0.0.1:9001".to_owned());
+        let b = (200, "smrseekd 127.0.0.1:9002".to_owned());
+        let list = events(&spans, &[a.clone(), b]);
         // 2 process_name + 2 thread_name + 3 slices + 1 flow pair.
-        assert_eq!(list.len(), 2 + 2 + 3 + 2, "{text}");
-        let by_ph = |ph: &str| -> Vec<&serde_json::Value> {
+        assert_eq!(list.len(), 2 + 2 + 3 + 2, "{list:?}");
+        let by_ph = |list: &[serde_json::Value], ph: &str| -> Vec<serde_json::Value> {
             list.iter()
-                .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some(ph))
+                .filter(|e| str_field(e, "ph") == Some(ph))
+                .cloned()
                 .collect()
         };
-        let meta = by_ph("M");
-        assert!(meta.iter().any(|e| {
-            e.get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(|v| v.as_str())
-                == Some("smrseekd 127.0.0.1:9001")
-        }));
-        assert!(meta.iter().any(|e| {
-            e.get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(|v| v.as_str())
-                == Some("pid 200")
-        }));
+        let meta = by_ph(&list, "M");
+        for label in ["smrseekd 127.0.0.1:9001", "smrseekd 127.0.0.1:9002"] {
+            assert!(meta.iter().any(|e| arg(e, "name") == Some(label)));
+        }
         // Timestamps are normalized to the earliest span.
-        let slices = by_ph("X");
+        let slices = by_ph(&list, "X");
         assert_eq!(slices[0].get("ts").and_then(|v| v.as_f64()), Some(0.0));
-        assert_eq!(
-            slices[0]
-                .get("args")
-                .and_then(|a| a.get("span_id"))
-                .and_then(|v| v.as_str()),
-            Some("0000000000000010")
-        );
+        assert_eq!(arg(&slices[0], "span_id"), Some("0000000000000010"));
         // Only the cross-process link (forward -> B's dispatch) flows.
-        let starts = by_ph("s");
-        let finishes = by_ph("f");
-        assert_eq!(starts.len(), 1, "{text}");
+        let starts = by_ph(&list, "s");
+        let finishes = by_ph(&list, "f");
+        assert_eq!(starts.len(), 1, "{list:?}");
         assert_eq!(finishes.len(), 1);
         assert_eq!(starts[0].get("pid").and_then(|v| v.as_u64()), Some(100));
         assert_eq!(finishes[0].get("pid").and_then(|v| v.as_u64()), Some(200));
@@ -331,11 +268,19 @@ mod tests {
             starts[0].get("id").and_then(|v| v.as_u64()),
             finishes[0].get("id").and_then(|v| v.as_u64()),
         );
+        // An unlisted pid gets no metadata event; its slices still render.
+        let list = events(&spans, &[a]);
+        let meta = by_ph(&list, "M");
+        assert_eq!(meta.len(), 2, "{list:?}");
+        assert!(meta
+            .iter()
+            .all(|e| e.get("pid").and_then(|v| v.as_u64()) == Some(100)));
+        assert_eq!(by_ph(&list, "X").len(), 3);
     }
 
     #[test]
     fn phase_children_nest_inside_parent() {
-        let parent = ev("cell:LS", 1_000, 10_000, 3, 0);
+        let parent = dist(9, 3, 0x40, None, "cell:LS", 1_000, 10_000);
         let mut totals = PhaseTotals::default();
         totals.record(Phase::Lookup, Duration::from_nanos(4_000));
         totals.record(Phase::Seek, Duration::from_nanos(2_000));
@@ -343,14 +288,17 @@ mod tests {
         assert_eq!(children.len(), 2);
         assert_eq!(children[0].name, "phase:lookup");
         assert_eq!(children[1].name, "phase:seek");
-        let parent_end = parent.start_ns + parent.dur_ns;
-        let mut prev_end = parent.start_ns;
+        assert_ne!(children[0].span_id, children[1].span_id);
+        let parent_end = parent.start_unix_ns + parent.dur_ns;
+        let mut prev_end = parent.start_unix_ns;
         for child in &children {
-            assert_eq!(child.tid, parent.tid);
-            assert_eq!(child.depth, parent.depth + 1);
-            assert!(child.start_ns >= prev_end);
-            assert!(child.start_ns + child.dur_ns <= parent_end);
-            prev_end = child.start_ns + child.dur_ns;
+            assert_eq!(child.parent_span_id, Some(parent.span_id));
+            assert_ne!(child.span_id, parent.span_id);
+            assert_eq!(child.trace_id, parent.trace_id);
+            assert_eq!((child.pid, child.tid), (parent.pid, parent.tid));
+            assert!(child.start_unix_ns >= prev_end);
+            assert!(child.start_unix_ns + child.dur_ns <= parent_end);
+            prev_end = child.start_unix_ns + child.dur_ns;
         }
     }
 
@@ -358,7 +306,7 @@ mod tests {
     fn phase_children_clamp_to_parent_extent() {
         // Totals longer than the parent (accumulated across many records)
         // must still render inside it.
-        let parent = ev("cell:NoLS", 0, 1_000, 0, 0);
+        let parent = dist(9, 0, 0x50, None, "cell:NoLS", 0, 1_000);
         let mut totals = PhaseTotals::default();
         totals.record(Phase::Ingest, Duration::from_nanos(900));
         totals.record(Phase::Lookup, Duration::from_nanos(5_000));
@@ -366,7 +314,8 @@ mod tests {
         let children = phase_children(&parent, &totals);
         assert_eq!(children.len(), 3);
         for child in &children {
-            assert!(child.start_ns + child.dur_ns <= 1_000);
+            assert_eq!(child.parent_span_id, Some(0x50));
+            assert!(child.start_unix_ns + child.dur_ns <= 1_000);
         }
         assert_eq!(children[0].dur_ns, 900);
         assert_eq!(children[1].dur_ns, 100);

@@ -1,10 +1,7 @@
 //! Distributed trace context and the cross-process span store.
 //!
-//! The [`span`](crate::span) module's ring collector is built for
-//! profiling one process: timestamps are relative to a process-local
-//! epoch and spans carry no identity beyond a name. Stitching a fleet
-//! hop — request arrives at daemon A, is forwarded to daemon B, queues,
-//! replays — needs three things that module cannot provide:
+//! Stitching a fleet hop — request arrives at daemon A, is forwarded to
+//! daemon B, queues, replays — needs three things:
 //!
 //! 1. a **trace context** ([`TraceContext`]: 128-bit trace id + 64-bit
 //!    span id, W3C-traceparent-style) minted per inbound request and
@@ -13,6 +10,9 @@
 //!    different processes land on one timeline, and
 //! 3. explicit **parent/child links** ([`DistSpan::parent_span_id`])
 //!    instead of same-thread time containment.
+//!
+//! [`DistSpan`] is the crate's one span record: `smrseek profile` builds
+//! its per-cell and per-phase spans from the same type.
 //!
 //! Each process keeps its own bounded [`SpanStore`] keyed by trace id;
 //! a collector (the CLI, or curl against `/v1/trace/<id>`) fetches the

@@ -1,6 +1,11 @@
 //! Observability for the smrseek stack: spans, phase accounting,
 //! structured logging, and Chrome trace-event export.
 //!
+//! There is one span record, [`DistSpan`]: a named wall-clock interval
+//! with an explicit parent link. The daemon's fleet traces and the
+//! `smrseek profile` sweep both build them and both export through
+//! [`chrome::write_dist_trace`].
+//!
 //! Everything here is `std`-only (the build environment is offline; see
 //! `vendor/README.md`) and cheap enough to stay compiled into release
 //! binaries:
@@ -8,18 +13,14 @@
 //! * [`log`] — a leveled logger (`SMRSEEK_LOG` env, text or JSON-lines
 //!   output) behind the [`error!`]/[`warn!`]/[`info!`]/[`debug!`] macros.
 //!   Off-level messages cost one relaxed atomic load.
-//! * [`span`] — RAII [`span::Span`] guards with thread-local span stacks,
-//!   flushed in batches into a global ring-buffer collector. When
-//!   recording is off (the default) a span is one relaxed atomic load;
-//!   there is no allocation and nothing is stored.
 //! * [`phase`] — the engine's per-record phase accounting
 //!   ([`phase::Phase`]: ingest, extent lookup, seek accounting, host
 //!   cache, checkpoint I/O) accumulated into mergeable
 //!   [`phase::PhaseTotals`]. Gated by a process-wide flag so the hot loop
 //!   pays a single branch when profiling is off.
-//! * [`chrome`] — serializes collected span events as Chrome trace-event
-//!   JSON, loadable in `chrome://tracing` or Perfetto; multi-process
-//!   traces get `process_name` metadata and cross-process flow arrows.
+//! * [`chrome`] — serializes [`DistSpan`]s as Chrome trace-event JSON,
+//!   loadable in `chrome://tracing` or Perfetto; named processes get
+//!   track metadata and cross-track parent links get flow arrows.
 //! * [`dtrace`] — distributed tracing for the fleet: a W3C-style
 //!   [`dtrace::TraceContext`] propagated across daemon hops, wall-clock
 //!   [`dtrace::DistSpan`]s with explicit parent links, and a bounded
@@ -35,10 +36,8 @@ pub mod dtrace;
 pub mod log;
 pub mod metrics;
 pub mod phase;
-pub mod span;
 
 pub use dtrace::{current_tid, unix_nanos, DistSpan, SpanStore, TraceContext};
 pub use log::Level;
 pub use metrics::{Counter, Gauge, Histogram, Registry, ValueFormat};
 pub use phase::{phase_accounting, set_phase_accounting, Phase, PhaseTotals};
-pub use span::{span, span_with, Span, SpanEvent};

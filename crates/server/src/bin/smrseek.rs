@@ -33,7 +33,7 @@
 //!                          submissions; p50/p99/p999 latency + drops
 //!   snapshot <trace> <dir> checkpoint the sweep --at N records into <dir>
 //!   resume <trace> <dir>   run the sweep, resuming from <dir>'s checkpoints
-//!   profile <trace>        replay the sweep under span recording and write
+//!   profile <trace>        replay the sweep with phase accounting and write
 //!                          a Chrome trace-event JSON (`--out`, default
 //!                          trace.json) viewable in Perfetto
 //!   trace <trace-id>       fetch a distributed trace from a daemon
@@ -66,7 +66,6 @@ use smrseek_trace::binary::{self, MmapTrace};
 use smrseek_trace::parse::{parse_reader, BlktraceParser, CpParser, MsrParser};
 use smrseek_trace::writer::write_cp_csv;
 use smrseek_trace::{characterize, TraceRecord};
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read as _, Write};
@@ -499,12 +498,12 @@ fn install_signal_handlers() {
     }
 }
 
-/// `smrseek profile <trace>`: replays the standard sweep with span
-/// recording and phase accounting on, checkpointing a few times per cell
-/// so checkpoint I/O shows up too, and writes the spans as Chrome
-/// trace-event JSON (open in Perfetto or `chrome://tracing`). Each
-/// per-cell span gets synthetic `phase:*` children laying out where the
-/// cell's replay time went.
+/// `smrseek profile <trace>`: replays the standard sweep with phase
+/// accounting on, checkpointing a few times per cell so checkpoint I/O
+/// shows up too, and writes one `cell:*` span per cell as Chrome
+/// trace-event JSON (open in Perfetto or `chrome://tracing`). Each cell
+/// span gets synthetic `phase:*` children, linked to it by span id,
+/// laying out where the cell's replay time went.
 fn run_profile(args: &Args) -> Result<String, CliError> {
     let path = args
         .file
@@ -530,28 +529,33 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
         );
     }
     smrseek_obs::set_phase_accounting(true);
-    smrseek_obs::span::start_recording(1 << 18);
     let (outcomes, _usage) = matrix.execute_checkpointed(args.threads, &store, digest);
-    smrseek_obs::span::stop_recording();
-    let (mut events, dropped) = smrseek_obs::span::take_events();
     smrseek_obs::set_phase_accounting(false);
     std::fs::remove_dir_all(&dir).ok();
-    // Lay each cell's phase totals out as children of its span.
-    let by_span: HashMap<String, &smrseek_obs::PhaseTotals> = outcomes
-        .iter()
-        .map(|o| (format!("cell:{}", o.label), &o.metrics.phases))
-        .collect();
-    let mut children = Vec::new();
-    for event in &events {
-        if let Some(phases) = by_span.get(&event.name) {
-            children.extend(smrseek_obs::chrome::phase_children(event, phases));
-        }
+    // One span per cell, each followed by its phase totals laid out as
+    // children.
+    let trace = smrseek_obs::TraceContext::mint();
+    let mut spans = Vec::new();
+    for outcome in &outcomes {
+        let cell = smrseek_obs::DistSpan {
+            trace_id: trace.trace_id,
+            span_id: trace.child().span_id,
+            parent_span_id: None,
+            name: format!("cell:{}", outcome.label),
+            request_id: "profile".to_owned(),
+            start_unix_ns: outcome.metrics.start_unix_ns,
+            dur_ns: u64::try_from(outcome.metrics.wall.as_nanos()).unwrap_or(u64::MAX),
+            pid: std::process::id(),
+            tid: outcome.metrics.tid,
+        };
+        let children = smrseek_obs::chrome::phase_children(&cell, &outcome.metrics.phases);
+        spans.push(cell);
+        spans.extend(children);
     }
-    events.extend(children);
     let file = File::create(&out_path)
         .map_err(|e| CliError::Io(format!("cannot create {out_path}: {e}")))?;
     let mut writer = BufWriter::new(file);
-    smrseek_obs::chrome::write_trace(&mut writer, &events)
+    smrseek_obs::chrome::write_dist_trace(&mut writer, &spans, &[])
         .and_then(|()| writer.flush())
         .map_err(|e| CliError::Io(format!("cannot write {out_path}: {e}")))?;
     let mut merged = smrseek_obs::PhaseTotals::default();
@@ -566,12 +570,9 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
             format!("{:.6}", merged.seconds(phase)),
         ]);
     }
-    if dropped > 0 {
-        smrseek_obs::warn!("profile: span buffer overflowed, {dropped} span(s) dropped");
-    }
     Ok(format!(
         "{path}: {records} ops, {} span(s) -> {out_path}\n{table}",
-        events.len()
+        spans.len()
     ))
 }
 

@@ -1,153 +1,17 @@
-//! A deliberately small HTTP/1.1 implementation over [`std::net`].
+//! A deliberately small HTTP/1.1 response side over [`std::net`].
 //!
 //! The daemon needs exactly one request per connection, no TLS, no
 //! chunked encoding, and bounded header/body sizes — a few hundred lines
 //! of `std` beat an external dependency here (the build environment is
-//! offline; see `vendor/README.md`). Every response carries
-//! `Connection: close`, so clients never have to reason about keep-alive
-//! against a daemon that may be draining for shutdown.
+//! offline; see `vendor/README.md`). Requests are framed and parsed by
+//! `smrseek-net`'s [`RequestFramer`](smrseek_net::RequestFramer); this
+//! module re-exports its [`Request`] and writes the responses. Every
+//! response carries `Connection: close`, so clients never have to reason
+//! about keep-alive against a daemon that may be draining for shutdown.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
-/// Largest accepted request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Largest accepted request body.
-const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
-
-/// One parsed HTTP request.
-#[derive(Debug, Clone)]
-pub struct Request {
-    /// Request method (`GET`, `POST`, ...), uppercase as received.
-    pub method: String,
-    /// Request target path (query strings are not used by the API and are
-    /// kept attached verbatim).
-    pub target: String,
-    /// Headers as `(name, value)` pairs in arrival order, names as
-    /// received (matching is case-insensitive via [`Request::header`]).
-    pub headers: Vec<(String, String)>,
-    /// Request body (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
-}
-
-impl Request {
-    /// The first header named `name` (case-insensitive), trimmed.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Why a request could not be parsed. Distinguishes "peer went away"
-/// (not an error worth answering) from "peer sent garbage" (400).
-#[derive(Debug)]
-pub enum RequestError {
-    /// The connection closed before a full request arrived.
-    Closed,
-    /// Transport-level failure (timeout, reset).
-    Io(io::Error),
-    /// The bytes did not form an acceptable HTTP/1.1 request.
-    Malformed(String),
-}
-
-impl From<io::Error> for RequestError {
-    fn from(e: io::Error) -> Self {
-        RequestError::Io(e)
-    }
-}
-
-/// Reads one HTTP/1.1 request from `stream`.
-///
-/// # Errors
-///
-/// [`RequestError::Closed`] when the peer closes before sending anything,
-/// [`RequestError::Malformed`] for oversized or syntactically invalid
-/// requests, [`RequestError::Io`] for transport failures.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, RequestError> {
-    // Read in chunks and scan for the blank line; a chunk can overshoot
-    // the head, so the surplus bytes roll into the body read below. The
-    // head is capped so a hostile peer cannot balloon memory.
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut scanned = 0usize;
-    let head_len = loop {
-        // The terminator can straddle a chunk boundary, so rescan the
-        // last three bytes of the previous pass.
-        let from = scanned.saturating_sub(3);
-        if let Some(pos) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-            break from + pos + 4;
-        }
-        scanned = buf.len();
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(RequestError::Malformed("request head too large".into()));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(RequestError::Closed);
-            }
-            return Err(RequestError::Malformed("truncated request head".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    if head_len > MAX_HEAD_BYTES {
-        return Err(RequestError::Malformed("request head too large".into()));
-    }
-    let surplus = buf.split_off(head_len);
-    let head = String::from_utf8(buf)
-        .map_err(|_| RequestError::Malformed("request head is not UTF-8".into()))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if !m.is_empty() && t.starts_with('/') => (m, t, v),
-        _ => {
-            return Err(RequestError::Malformed(format!(
-                "bad request line {request_line:?}"
-            )))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(RequestError::Malformed(format!(
-            "unsupported version {version:?}"
-        )));
-    }
-
-    let mut content_length = 0usize;
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| RequestError::Malformed("bad Content-Length".into()))?;
-            }
-            headers.push((name.to_owned(), value.trim().to_owned()));
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(RequestError::Malformed("request body too large".into()));
-    }
-    // Body bytes that arrived with the head chunk come first; only the
-    // remainder is read off the stream.
-    let mut body = vec![0u8; content_length];
-    let carried = surplus.len().min(content_length);
-    body[..carried].copy_from_slice(&surplus[..carried]);
-    stream
-        .read_exact(&mut body[carried..])
-        .map_err(|_| RequestError::Malformed("connection closed mid-body".into()))?;
-    Ok(Request {
-        method: method.to_owned(),
-        target: target.to_owned(),
-        headers,
-        body,
-    })
-}
+pub use smrseek_net::Request;
 
 /// One HTTP response, always sent with `Connection: close`.
 #[derive(Debug, Clone)]
@@ -272,14 +136,31 @@ pub fn write_response(stream: &mut impl Write, response: &Response) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smrseek_net::{FrameStatus, FramingLimits, RequestFramer};
 
-    fn parse(bytes: &[u8]) -> Result<Request, RequestError> {
-        read_request(&mut &bytes[..])
+    /// Frames `bytes` the way the daemon does: one framer with the
+    /// default limits, fed `step` bytes per push.
+    fn frame_in_steps(bytes: &[u8], step: usize) -> FrameStatus {
+        let mut framer = RequestFramer::new(FramingLimits::default());
+        for chunk in bytes.chunks(step) {
+            match framer.push(chunk) {
+                FrameStatus::Partial => {}
+                done => return done,
+            }
+        }
+        FrameStatus::Partial
+    }
+
+    fn parse(bytes: &[u8]) -> Request {
+        match frame_in_steps(bytes, bytes.len().max(1)) {
+            FrameStatus::Complete(req) => req,
+            other => panic!("expected a complete request, got {other:?}"),
+        }
     }
 
     #[test]
     fn parses_get_without_body() {
-        let req = parse(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n").expect("parses");
+        let req = parse(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.target, "/healthz");
         assert!(req.body.is_empty());
@@ -287,53 +168,22 @@ mod tests {
 
     #[test]
     fn parses_post_with_content_length() {
-        let req =
-            parse(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"").expect("parses");
+        let req = parse(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"");
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"{\"a\"");
-    }
-
-    #[test]
-    fn classifies_clean_close_and_garbage() {
-        assert!(matches!(parse(b""), Err(RequestError::Closed)));
-        assert!(matches!(
-            parse(b"NOT-HTTP\r\n\r\n"),
-            Err(RequestError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse(b"GET /x HTTP/2.0\r\n\r\n"),
-            Err(RequestError::Malformed(_))
-        ));
-        // Truncated body: Content-Length promises more than arrives.
-        assert!(matches!(
-            parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nxy"),
-            Err(RequestError::Malformed(_))
-        ));
-    }
-
-    /// Yields at most `step` bytes per `read` call, forcing the head
-    /// terminator (and the head/body boundary) to straddle reads.
-    struct Trickle<'a> {
-        data: &'a [u8],
-        step: usize,
-    }
-
-    impl Read for Trickle<'_> {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            let n = self.data.len().min(self.step).min(out.len());
-            out[..n].copy_from_slice(&self.data[..n]);
-            self.data = &self.data[n..];
-            Ok(n)
-        }
     }
 
     #[test]
     fn parses_across_any_read_fragmentation() {
         let wire = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 12\r\n\r\n{\"body\":true}";
         for step in [1usize, 2, 3, 5, 7, 64, 4096] {
-            let req = read_request(&mut Trickle { data: wire, step }).expect("parses");
-            assert_eq!(req.method, "POST", "step {step}");
-            assert_eq!(req.body, b"{\"body\":true", "step {step}");
+            match frame_in_steps(wire, step) {
+                FrameStatus::Complete(req) => {
+                    assert_eq!(req.method, "POST", "step {step}");
+                    assert_eq!(req.body, b"{\"body\":true", "step {step}");
+                }
+                other => panic!("step {step}: expected a complete request, got {other:?}"),
+            }
         }
     }
 
@@ -341,21 +191,12 @@ mod tests {
     fn oversized_head_is_rejected() {
         let mut wire = b"GET /x HTTP/1.1\r\n".to_vec();
         wire.extend_from_slice(b"x-pad: ");
-        wire.resize(MAX_HEAD_BYTES + 10, b'a');
+        wire.resize(FramingLimits::default().max_head + 10, b'a');
         wire.extend_from_slice(b"\r\n\r\n");
-        match parse(&wire) {
-            Err(RequestError::Malformed(msg)) => assert_eq!(msg, "request head too large"),
-            other => panic!("expected malformed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn headers_are_kept_and_matched_case_insensitively() {
-        let req = parse(b"POST /v1/jobs HTTP/1.1\r\nX-Smrseek-Forwarded: 1\r\nHost: a\r\n\r\n")
-            .expect("parses");
-        assert_eq!(req.header("x-smrseek-forwarded"), Some("1"));
-        assert_eq!(req.header("HOST"), Some("a"));
-        assert_eq!(req.header("absent"), None);
+        assert_eq!(
+            frame_in_steps(&wire, wire.len()),
+            FrameStatus::Oversized("request head exceeds limit")
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod worker;
 
 use crate::api::{JobRequest, TraceRef};
 use crate::fleet::Fleet;
-use crate::http::{read_request, Request, RequestError, Response};
+use crate::http::{Request, Response};
 use crate::jobs::{JobId, JobState, JobTable, JobTrace, Submit};
 use crate::metrics::{Endpoint, Metrics};
 use crate::worker::{CheckpointPolicy, JobKind, JobWork};
@@ -355,32 +355,9 @@ impl DaemonDispatcher {
 }
 
 impl smrseek_net::Dispatcher for DaemonDispatcher {
-    fn dispatch(&self, raw: Vec<u8>) -> Action {
+    fn dispatch(&self, request: Request) -> Action {
         let started = Instant::now();
         let request_id = next_request_id();
-        let request = match read_request(&mut &raw[..]) {
-            Ok(request) => request,
-            Err(RequestError::Malformed(msg)) => {
-                return self.respond(
-                    Endpoint::Other,
-                    "(malformed)",
-                    &request_id,
-                    Response::json(400, error_body(&msg)),
-                    started,
-                );
-            }
-            // The framer only hands over complete requests, so a short
-            // read here means the head itself was malformed.
-            Err(RequestError::Closed | RequestError::Io(_)) => {
-                return self.respond(
-                    Endpoint::Other,
-                    "(malformed)",
-                    &request_id,
-                    Response::json(400, error_body("truncated request")),
-                    started,
-                );
-            }
-        };
         // Honor a well-formed client-supplied id (a forwarding peer always
         // sends the origin's), otherwise keep the minted one.
         let request_id = client_request_id(&request).unwrap_or(request_id);

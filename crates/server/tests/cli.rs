@@ -745,6 +745,28 @@ fn profile_writes_valid_chrome_trace_with_nested_phases() {
             "{e:?}"
         );
     }
+    // Every phase names its cell explicitly: its parent_span_id is the
+    // span_id of a cell event on the same tid.
+    let arg = |e: &serde_json::Value, key: &str| -> Option<String> {
+        e.get("args")
+            .and_then(|a| a.get(key))
+            .and_then(serde_json::Value::as_str)
+            .map(str::to_owned)
+    };
+    let name_of = |e: &serde_json::Value| span(e).0;
+    let cell_ids: Vec<_> = events
+        .iter()
+        .filter(|e| name_of(e).starts_with("cell:"))
+        .map(|e| (arg(e, "span_id"), span(e).3))
+        .collect();
+    for e in events.iter().filter(|e| name_of(e).starts_with("phase:")) {
+        let parent = arg(e, "parent_span_id");
+        assert!(parent.is_some(), "{e:?} has a parent link");
+        assert!(
+            cell_ids.contains(&(parent, span(e).3)),
+            "{e:?} links to a cell on its tid"
+        );
+    }
     std::fs::remove_file(&csv).ok();
     std::fs::remove_file(&json).ok();
 }

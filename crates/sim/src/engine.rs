@@ -805,8 +805,6 @@ impl EngineState {
     /// Replays one record. Behaviorally identical with phase accounting on
     /// or off: timing wraps the same statements, it never reorders them.
     fn step(&mut self, rec: &TraceRecord) {
-        #[cfg(feature = "fine-spans")]
-        let _span = smrseek_obs::span("engine:step");
         let i = self.logical_ops;
         self.logical_ops += 1;
         let mut mark = self.timing.then(Instant::now);

@@ -20,7 +20,7 @@
 use crate::checkpoint::{checkpoint_config_key, CheckpointStore};
 use crate::engine::{BlockTrace, EngineSnapshot, LayerChoice, RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
-use smrseek_obs::{span_with, PhaseTotals};
+use smrseek_obs::PhaseTotals;
 use smrseek_trace::binary::{MmapTrace, DEFAULT_BLOCK_RECORDS};
 use smrseek_trace::TraceRecord;
 use smrseek_workloads::profiles::Profile;
@@ -286,6 +286,11 @@ impl RunCell {
 pub struct RunMetrics {
     /// Wall time of the replay (excluding trace generation).
     pub wall: Duration,
+    /// When the replay started, nanoseconds since the Unix epoch
+    /// ([`smrseek_obs::unix_nanos`]).
+    pub start_unix_ns: u64,
+    /// The worker thread that ran the cell ([`smrseek_obs::current_tid`]).
+    pub tid: u64,
     /// Logical records replayed.
     pub records: u64,
     /// Largest extent-map segment count the run reached (0 for NoLS).
@@ -315,10 +320,13 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Pairs `cell`'s report with the metrics of a replay that took `wall`.
-    fn new(cell: &RunCell, report: RunReport, wall: Duration) -> Self {
+    /// Pairs `cell`'s report with the metrics of a replay that started at
+    /// `start_unix_ns` on this thread and took `wall`.
+    fn new(cell: &RunCell, report: RunReport, wall: Duration, start_unix_ns: u64) -> Self {
         let metrics = RunMetrics {
             wall,
+            start_unix_ns,
+            tid: smrseek_obs::current_tid(),
             records: report.logical_ops,
             peak_extent_segments: report.peak_extent_segments,
             phases: report.phases,
@@ -380,9 +388,9 @@ impl RunMatrix {
     /// never results. Each cell replays serially on one worker.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
         parallel_map(&self.cells, threads, |cell| {
-            let _span = span_with(|| format!("cell:{}", cell.label));
+            let start = smrseek_obs::unix_nanos();
             let (report, wall) = cell.source.replay(&cell.config);
-            RunOutcome::new(cell, report, wall)
+            RunOutcome::new(cell, report, wall, start)
         })
     }
 
@@ -414,7 +422,6 @@ impl RunMatrix {
         let misses = AtomicU64::new(0);
         let skipped = AtomicU64::new(0);
         let outcomes = parallel_map(&self.cells, threads, |cell| {
-            let _span = span_with(|| format!("cell:{}", cell.label));
             let key = checkpoint_config_key(&cell.config, cell.source.top_sector());
             let snap = match store.load(trace_digest, &key) {
                 Ok(Some(snap)) => {
@@ -427,6 +434,7 @@ impl RunMatrix {
                     None
                 }
             };
+            let start = smrseek_obs::unix_nanos();
             let (report, wall) =
                 cell.source
                     .replay_checkpointed(&cell.config, snap.as_ref(), |snapshot| {
@@ -434,7 +442,7 @@ impl RunMatrix {
                         // optimization, the replay's own result stands.
                         store.save(trace_digest, &key, snapshot).ok();
                     });
-            RunOutcome::new(cell, report, wall)
+            RunOutcome::new(cell, report, wall, start)
         });
         (
             outcomes,
@@ -679,6 +687,8 @@ mod tests {
                     "a".into(),
                     RunMetrics {
                         wall: Duration::from_secs(2),
+                        start_unix_ns: 0,
+                        tid: 1,
                         records: 600,
                         peak_extent_segments: 3,
                         phases: PhaseTotals::default(),
@@ -688,6 +698,8 @@ mod tests {
                     "b".into(),
                     RunMetrics {
                         wall: Duration::from_secs(1),
+                        start_unix_ns: 0,
+                        tid: 2,
                         records: 300,
                         peak_extent_segments: 7,
                         phases: PhaseTotals::default(),
