@@ -1,12 +1,11 @@
 //! An LRU-evicted cache of sector ranges in physical (PBA) space.
 
-use serde::{Deserialize, Serialize};
 use smrseek_extent::{Pos, SortedIndex};
 use smrseek_trace::{Pba, SECTOR_SIZE};
 
 const NIL: usize = usize::MAX;
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Node {
     start: u64,
     sectors: u64,
@@ -15,7 +14,7 @@ struct Node {
 }
 
 /// Aggregate hit/miss statistics of a [`RangeCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RangeCacheStats {
     /// `covers` queries answered `true`.
     pub hits: u64,
@@ -64,7 +63,7 @@ impl RangeCacheStats {
 /// assert!(c.covers(Pba::new(100), 32));
 /// assert!(!c.covers(Pba::new(96), 8)); // partially outside
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeCache {
     by_start: SortedIndex<usize>,
     nodes: Vec<Node>,

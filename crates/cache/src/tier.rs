@@ -99,7 +99,7 @@ impl TierStats {
 /// assert_eq!(c.lookup(Pba::new(0), 16), TierLookup::Flash); // promoted back
 /// assert_eq!(c.lookup(Pba::new(0), 16), TierLookup::Ram);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TieredCache {
     ram: RangeCache,
     flash: Option<RangeCache>,
@@ -290,19 +290,5 @@ mod tests {
         assert_eq!(a.ram_hits, 2);
         assert_eq!(a.flash_evicted_sectors, 12);
         assert!((a.hit_rate() - 6.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_lru_order() {
-        let mut c = TieredCache::with_flash_sectors(20, 100);
-        c.admit(pba(0), 10);
-        c.admit(pba(100), 10);
-        c.lookup(pba(0), 10); // refresh: [100,110) is now RAM LRU
-        let json = serde_json::to_string(&c).expect("serializes");
-        let mut back: TieredCache = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, c);
-        back.admit(pba(200), 10);
-        c.admit(pba(200), 10);
-        assert_eq!(back, c, "same demotion victim after round trip");
     }
 }

@@ -53,24 +53,6 @@ impl fmt::Display for SeekStats {
     }
 }
 
-/// The complete serializable state of a [`SeekCounter`] — everything a
-/// checkpoint needs to resume counting mid-trace with byte-identical
-/// results: head position *and* operation index (so `Seek::op_index`
-/// continues unbroken), accumulated stats, and any recorded distances.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeekCounterState {
-    /// Head position: one past the end of the previous operation.
-    pub head_position: u64,
-    /// Operations the head tracker has observed (`Seek::op_index` source).
-    pub head_ops_seen: u64,
-    /// Accumulated seek statistics.
-    pub stats: SeekStats,
-    /// Whether the counter records every seek distance.
-    pub record_distances: bool,
-    /// Recorded distances so far (empty unless `record_distances`).
-    pub distances: Vec<i64>,
-}
-
 /// Feeds physical operations through a [`HeadTracker`], accumulating
 /// [`SeekStats`] and (optionally) every seek's signed distance.
 ///
@@ -165,31 +147,6 @@ impl SeekCounter {
     pub fn head_mut(&mut self) -> &mut HeadTracker {
         &mut self.head
     }
-
-    /// Captures the counter's complete state for a checkpoint.
-    pub fn to_state(&self) -> SeekCounterState {
-        SeekCounterState {
-            head_position: self.head.position().sector(),
-            head_ops_seen: self.head.ops_seen(),
-            stats: self.stats,
-            record_distances: self.record_distances,
-            distances: self.distances.clone(),
-        }
-    }
-
-    /// Reconstructs a counter from captured state; observing the remaining
-    /// operations yields exactly the stats an uninterrupted run would.
-    pub fn from_state(state: SeekCounterState) -> Self {
-        SeekCounter {
-            head: HeadTracker::restore(
-                smrseek_trace::Pba::new(state.head_position),
-                state.head_ops_seen,
-            ),
-            stats: state.stats,
-            record_distances: state.record_distances,
-            distances: state.distances,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -250,29 +207,6 @@ mod tests {
         c.observe_all(&ios);
         assert_eq!(c.stats().write_seeks, 1);
         assert_eq!(c.stats().ops, 3);
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_exactly() {
-        let trace = [
-            PhysIo::write(Pba::new(0), 4),
-            PhysIo::read(Pba::new(1000), 4),
-            PhysIo::read(Pba::new(1004), 4),
-            PhysIo::write(Pba::new(7), 2),
-            PhysIo::read(Pba::new(0), 1),
-        ];
-        for split in 0..=trace.len() {
-            let mut whole = SeekCounter::with_distances();
-            whole.observe_all(&trace);
-
-            let mut first = SeekCounter::with_distances();
-            first.observe_all(&trace[..split]);
-            let mut resumed = SeekCounter::from_state(first.to_state());
-            resumed.observe_all(&trace[split..]);
-
-            assert_eq!(resumed.stats(), whole.stats(), "split at {split}");
-            assert_eq!(resumed.distances(), whole.distances());
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod series;
 pub mod zone;
 
 pub use cost::{DiskProfile, FlashProfile};
-pub use counter::{SeekCounter, SeekCounterState, SeekStats};
+pub use counter::{SeekCounter, SeekStats};
 pub use geometry::{DiskGeometry, Location, RecordingZone};
 pub use histogram::Cdf;
 pub use physio::PhysIo;

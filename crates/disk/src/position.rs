@@ -70,17 +70,6 @@ impl HeadTracker {
     pub fn warp_to(&mut self, pba: Pba) {
         self.next_expected = pba;
     }
-
-    /// Reconstructs a tracker from a previously captured position and
-    /// operation count — the checkpoint/restore path. Unlike
-    /// [`warp_to`](Self::warp_to), this also restores `ops_seen`, so seek
-    /// `op_index` values continue exactly where the captured run stopped.
-    pub fn restore(next_expected: Pba, ops_seen: u64) -> Self {
-        HeadTracker {
-            next_expected,
-            ops_seen,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -12,12 +12,9 @@
 //! [`remove_at`](SortedIndex::remove_at)), so an interval update does one
 //! search and then touches its neighbours directly.
 //!
-//! Equality, `Debug` and the serialized form depend only on the entries,
-//! never on how they happen to be chunked. The serialized form is the
-//! object from key to value that a `BTreeMap<u64, V>` produces, so data
-//! written before this index existed still loads.
+//! Equality and `Debug` depend only on the entries, never on how they
+//! happen to be chunked.
 
-use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
 
 /// Most entries one chunk holds. A full chunk splits in half on insert;
@@ -74,17 +71,6 @@ impl<V: Copy> SortedIndex<V> {
     /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds an index from entries sorted by strictly increasing key.
-    fn from_sorted(entries: &[(u64, V)]) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let chunks: Vec<Vec<(u64, V)>> = entries.chunks(CHUNK_CAP).map(<[_]>::to_vec).collect();
-        SortedIndex {
-            heads: chunks.iter().map(|c| c[0].0).collect(),
-            chunks,
-            len: entries.len(),
-        }
     }
 
     /// Number of entries.
@@ -303,45 +289,6 @@ impl<V: Copy + fmt::Debug> fmt::Debug for SortedIndex<V> {
     }
 }
 
-impl<V: Copy> FromIterator<(u64, V)> for SortedIndex<V> {
-    /// Collects entries in any order; a repeated key keeps its last value,
-    /// as collecting into a `BTreeMap` would.
-    fn from_iter<I: IntoIterator<Item = (u64, V)>>(iter: I) -> Self {
-        let mut entries: Vec<(u64, V)> = iter.into_iter().collect();
-        // Reverse, stable-sort, then keep the first of each key: the last
-        // occurrence in the input.
-        entries.reverse();
-        entries.sort_by_key(|&(k, _)| k);
-        entries.dedup_by_key(|&mut (k, _)| k);
-        Self::from_sorted(&entries)
-    }
-}
-
-impl<V: Copy + Serialize> Serialize for SortedIndex<V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Copy + Deserialize> Deserialize for SortedIndex<V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_object()
-            .ok_or_else(|| Error::custom(format!("expected object, got {v:?}")))?
-            .iter()
-            .map(|(k, val)| {
-                let key = k
-                    .parse::<u64>()
-                    .map_err(|_| Error::custom(format!("invalid u64 map key {k:?}")))?;
-                Ok((key, V::from_value(val)?))
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn equality_and_wire_form_ignore_chunking() {
+    fn equality_ignores_chunking() {
         let keys: Vec<u64> = (0..700u64).map(|k| k * 3).collect();
         let mut ascending = SortedIndex::new();
         for &k in &keys {
@@ -515,30 +462,7 @@ mod tests {
         assert_ne!(ascending.chunks.len(), descending.chunks.len());
         assert_eq!(ascending, descending);
         assert_eq!(format!("{ascending:?}"), format!("{descending:?}"));
-        let value = ascending.to_value();
-        assert_eq!(value, descending.to_value());
-        let back = SortedIndex::<u32>::from_value(&value).expect("parses");
-        assert_eq!(back, ascending);
-        check(&back);
-    }
-
-    #[test]
-    fn deserialize_accepts_btreemap_objects() {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert(5u64, 50u32);
-        map.insert(1u64, 10u32);
-        let index = SortedIndex::<u32>::from_value(&map.to_value()).expect("parses");
-        assert_eq!(index.iter().collect::<Vec<_>>(), vec![(1, 10), (5, 50)]);
-        // Unordered keys sort; a repeated key keeps its last value.
-        let v = Value::Object(vec![
-            ("9".into(), 1u32.to_value()),
-            ("2".into(), 2u32.to_value()),
-            ("9".into(), 3u32.to_value()),
-        ]);
-        let index = SortedIndex::<u32>::from_value(&v).expect("parses");
-        assert_eq!(index.iter().collect::<Vec<_>>(), vec![(2, 2), (9, 3)]);
-        assert!(SortedIndex::<u32>::from_value(&Value::Null).is_err());
-        let bad = Value::Object(vec![("x".into(), 1u32.to_value())]);
-        assert!(SortedIndex::<u32>::from_value(&bad).is_err());
+        check(&ascending);
+        check(&descending);
     }
 }

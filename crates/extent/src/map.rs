@@ -2,7 +2,6 @@
 
 use crate::index::{Pos, SortedIndex};
 use crate::segment::{Extent, Segment};
-use serde::{Deserialize, Serialize};
 use smrseek_trace::{Lba, Pba};
 use std::fmt;
 
@@ -32,7 +31,7 @@ use std::fmt;
 /// assert_eq!(segs.len(), 3);
 /// assert_eq!(segs[1].as_mapped().unwrap().pba, Pba::new(900));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtentMap {
     /// start LBA sector -> (length in sectors, start PBA sector)
     extents: SortedIndex<(u64, u64)>,
@@ -281,34 +280,6 @@ impl ExtentMap {
             pos = self.extents.remove_at(pos);
         }
         pos
-    }
-}
-
-// FNV-1a 128-bit, the same hash `smrseek_trace::digest` uses for trace
-// identity (constants duplicated so this crate stays dependency-free).
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-impl ExtentMap {
-    /// FNV-1a 128-bit digest over the stored `(start, len, pba)` triples in
-    /// logical order. Two maps digest equal iff they hold the same extents
-    /// (the map's invariants make the maximal-extent representation
-    /// canonical), so a digest comparison stands in for full map equality
-    /// without cloning either map.
-    pub fn digest(&self) -> u128 {
-        let mut state = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                state ^= u128::from(b);
-                state = state.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for (start, (len, pba)) in self.extents.iter() {
-            mix(start);
-            mix(len);
-            mix(pba);
-        }
-        state
     }
 }
 
@@ -583,20 +554,6 @@ mod tests {
         let mut map2 = ExtentMap::new();
         map2.extend(map.iter());
         assert_eq!(map2, map);
-    }
-
-    #[test]
-    fn digest_tracks_content_not_history() {
-        let mut a = ExtentMap::new();
-        a.insert(lba(0), 4, pba(1000));
-        a.insert(lba(4), 4, pba(1004)); // coalesces with the first
-        let mut b = ExtentMap::new();
-        b.insert(lba(0), 8, pba(1000)); // same content, one insert
-        assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
-        b.insert(lba(2), 1, pba(9000));
-        assert_ne!(a.digest(), b.digest());
-        assert_ne!(ExtentMap::new().digest(), a.digest());
     }
 
     #[test]

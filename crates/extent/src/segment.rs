@@ -1,12 +1,11 @@
 //! Mapping records returned by extent-map lookups.
 
-use serde::{Deserialize, Serialize};
 use smrseek_trace::{Lba, Pba};
 use std::fmt;
 
 /// One mapped extent: `sectors` logical sectors starting at `lba` stored
 /// contiguously at `pba`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// First logical sector.
     pub lba: Lba,
@@ -68,7 +67,7 @@ impl fmt::Display for Extent {
 /// Holes matter to the simulator: the paper's disk model stores never-written
 /// data "at a physical location corresponding to its LBA" (§III), so holes
 /// translate to the identity location at a higher layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Segment {
     /// A contiguous mapped piece.
     Mapped(Extent),

@@ -15,7 +15,7 @@
 //!   Off-level messages cost one relaxed atomic load.
 //! * [`phase`] — the engine's per-record phase accounting
 //!   ([`phase::Phase`]: ingest, extent lookup, seek accounting, host
-//!   cache, checkpoint I/O) accumulated into mergeable
+//!   cache, policy classification) accumulated into mergeable
 //!   [`phase::PhaseTotals`]. Gated by a process-wide flag so the hot loop
 //!   pays a single branch when profiling is off.
 //! * [`chrome`] — serializes [`DistSpan`]s as Chrome trace-event JSON,

@@ -2,7 +2,7 @@
 //!
 //! The engine attributes each record's processing to a small fixed set of
 //! [`Phase`]s (trace ingest, extent lookup, seek accounting, host cache,
-//! checkpoint I/O) and accumulates durations plus call counts into a
+//! policy classification) and accumulates durations plus call counts into a
 //! [`PhaseTotals`]. Totals are plain mergeable values — the runner sums
 //! them across matrix cells, the daemon folds them into `/metrics` — and
 //! never enter serialized reports, which must stay byte-deterministic.
@@ -26,8 +26,6 @@ pub enum Phase {
     Seek,
     /// Host-side RAM cache probe and insertion.
     HostCache,
-    /// Snapshot construction and checkpoint emission.
-    Checkpoint,
     /// Adaptive-policy work: per-region heat classification and gate
     /// derivation.
     Classify,
@@ -35,12 +33,11 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in the order used for indexing and display.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Ingest,
         Phase::Lookup,
         Phase::Seek,
         Phase::HostCache,
-        Phase::Checkpoint,
         Phase::Classify,
     ];
 
@@ -52,7 +49,6 @@ impl Phase {
             Phase::Lookup => "lookup",
             Phase::Seek => "seek",
             Phase::HostCache => "host_cache",
-            Phase::Checkpoint => "checkpoint",
             Phase::Classify => "classify",
         }
     }
@@ -63,8 +59,7 @@ impl Phase {
             Phase::Lookup => 1,
             Phase::Seek => 2,
             Phase::HostCache => 3,
-            Phase::Checkpoint => 4,
-            Phase::Classify => 5,
+            Phase::Classify => 4,
         }
     }
 }
@@ -75,8 +70,8 @@ impl Phase {
 /// threads sum into matrix totals in any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
-    nanos: [u64; 6],
-    calls: [u64; 6],
+    nanos: [u64; 5],
+    calls: [u64; 5],
 }
 
 impl PhaseTotals {
@@ -89,7 +84,7 @@ impl PhaseTotals {
 
     /// Folds another set of totals into this one.
     pub fn merge(&mut self, other: &PhaseTotals) {
-        for i in 0..6 {
+        for i in 0..Phase::ALL.len() {
             self.nanos[i] = self.nanos[i].saturating_add(other.nanos[i]);
             self.calls[i] = self.calls[i].saturating_add(other.calls[i]);
         }
@@ -158,12 +153,12 @@ mod tests {
         a.record(Phase::Seek, Duration::from_nanos(7));
         let mut b = PhaseTotals::default();
         b.record(Phase::Lookup, Duration::from_nanos(1));
-        b.record(Phase::Checkpoint, Duration::from_nanos(9));
+        b.record(Phase::Classify, Duration::from_nanos(9));
         a.merge(&b);
         assert_eq!(a.nanos(Phase::Lookup), 151);
         assert_eq!(a.calls(Phase::Lookup), 3);
         assert_eq!(a.nanos(Phase::Seek), 7);
-        assert_eq!(a.nanos(Phase::Checkpoint), 9);
+        assert_eq!(a.nanos(Phase::Classify), 9);
         assert_eq!(a.nanos(Phase::Ingest), 0);
         assert_eq!(a.total_nanos(), 167);
         assert!(!a.is_zero());
@@ -187,14 +182,7 @@ mod tests {
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(
             labels,
-            [
-                "ingest",
-                "lookup",
-                "seek",
-                "host_cache",
-                "checkpoint",
-                "classify"
-            ]
+            ["ingest", "lookup", "seek", "host_cache", "classify"]
         );
     }
 

@@ -20,8 +20,7 @@
 //!
 //! Everything is `std`-only integer arithmetic: classification is
 //! deterministic, byte-stable across platforms, and cheap enough to sit on
-//! the per-record hot path. The whole engine state is serde-serializable
-//! (HashMaps serialize key-sorted), so snapshots resume byte-identically.
+//! the per-record hot path.
 
 #![warn(missing_docs)]
 
@@ -74,7 +73,7 @@ impl Default for PolicyConfig {
 }
 
 /// Prefetch window width the policy asks the translation layer to use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PrefetchWindow {
     /// Half the configured look-ahead/behind window.
     Narrow,
@@ -100,7 +99,7 @@ impl PrefetchWindow {
 ///
 /// The default is fully permissive — exactly the fixed-mechanism behavior —
 /// which is what a layer without a policy engine runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateSet {
     /// Perform opportunistic defrag rewrites for reads in this region.
     pub defrag: bool,
@@ -121,7 +120,7 @@ impl Default for GateSet {
 }
 
 /// Hot/cold state of one region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Heat {
     /// No sustained fragmented-read evidence.
     #[default]
@@ -131,7 +130,7 @@ pub enum Heat {
 }
 
 /// Classifier state of one LBA region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionState {
     /// EWMA of the read fraction of this region's traffic (0..=[`SCALE`]).
     pub read_rate: u32,
@@ -218,10 +217,8 @@ const FRAG_QUIET: u32 = SCALE / 16;
 /// [`observe`](Self::observe) (which returns the gates the layer should
 /// apply to that record), and report post-translation fragmentation
 /// evidence via [`record_fragmented`](Self::record_fragmented) /
-/// [`record_cache_absorbed`](Self::record_cache_absorbed). The struct
-/// is pure state — cloning or serializing it and resuming produces
-/// byte-identical gating decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`record_cache_absorbed`](Self::record_cache_absorbed).
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyEngine {
     config: PolicyConfig,
     regions: HashMap<u64, RegionState>,
@@ -309,9 +306,8 @@ impl PolicyEngine {
     /// Observes one record and returns the gates to apply to it.
     ///
     /// The returned decision is computed from state *prior* to this
-    /// record's own fragmentation evidence (which arrives afterwards via
-    /// [`record_fragmented`](Self::record_fragmented)), so replaying a
-    /// prefix and resuming reproduces the same decisions.
+    /// record's own fragmentation evidence, which arrives afterwards via
+    /// [`record_fragmented`](Self::record_fragmented).
     pub fn observe(&mut self, lba_sector: u64, is_read: bool) -> GateSet {
         let shift = self.config.ewma_shift;
         let write_weight = self.config.write_weight;
@@ -574,27 +570,6 @@ mod tests {
         assert_eq!(a.defrag_enabled, 4);
         assert_eq!(a.cache_gate_flips, 22);
         assert_eq!(a.total_flips(), 18 + 20 + 22);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_behavior() {
-        let mut e = engine();
-        for i in 0..50 {
-            e.observe(i * 5000, i % 2 == 0);
-            if i % 4 == 0 {
-                e.record_fragmented(i * 5000);
-            }
-        }
-        let json = serde_json::to_string(&e).expect("serializes");
-        let mut back: PolicyEngine = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, e);
-        // Same future decisions from the restored state.
-        assert_eq!(back.observe(12345, true), e.observe(12345, true));
-        assert_eq!(
-            serde_json::to_string(&back).expect("serializes"),
-            serde_json::to_string(&e).expect("serializes"),
-            "serialization is canonical (sorted regions)"
-        );
     }
 
     #[test]

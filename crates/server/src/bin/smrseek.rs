@@ -31,8 +31,6 @@
 //!   serve                  run the smrseekd HTTP daemon (see crate docs)
 //!   bench-daemon           drive a running daemon with concurrent
 //!                          submissions; p50/p99/p999 latency + drops
-//!   snapshot <trace> <dir> checkpoint the sweep --at N records into <dir>
-//!   resume <trace> <dir>   run the sweep, resuming from <dir>'s checkpoints
 //!   profile <trace>        replay the sweep with phase accounting and write
 //!                          a Chrome trace-event JSON (`--out`, default
 //!                          trace.json) viewable in Perfetto
@@ -53,15 +51,12 @@
 //! `--cache` stages traces through mmapped `.smrt` sidecars so repeat
 //! runs replay with zero parse cost.
 
-use smrseek_sim::checkpoint::checkpoint_config_key;
 use smrseek_sim::experiments::{
     ablation, adaptive, analyze, classify, cleaning, fig10, fig11, fig2, fig3, fig4, fig5, fig7,
     fig8, fragmentation, host_cache, reorder, table1, time_amp, zones, ExpOptions,
 };
 use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix};
-use smrseek_sim::{
-    saf, tracecache, CheckpointStore, SimConfig, Simulation, TextTable, TraceSource,
-};
+use smrseek_sim::{saf, tracecache, SimConfig, Simulation, TextTable, TraceSource};
 use smrseek_trace::binary::{self, MmapTrace};
 use smrseek_trace::parse::{parse_reader, BlktraceParser, CpParser, MsrParser};
 use smrseek_trace::writer::write_cp_csv;
@@ -131,10 +126,7 @@ struct Args {
     requests: usize,
     concurrency: usize,
     distinct: usize,
-    at: Option<u64>,
     ops_explicit: bool,
-    checkpoint_dir: Option<String>,
-    checkpoint_every: u64,
     verbose: bool,
     log_json: bool,
 }
@@ -157,11 +149,9 @@ fn usage() -> String {
      smrseek convert <trace> <out.smrt> [--format msr|cp|blktrace|binary]\n       \
      smrseek gen <profile> [--ops N] [--seed S] [--out FILE]\n       \
      smrseek serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--threads N] \
-     [--checkpoint-dir DIR] [--checkpoint-every N] [--peers ADDR,ADDR,...]\n       \
+     [--peers ADDR,ADDR,...]\n       \
      smrseek bench-daemon [--addr HOST:PORT] [--requests N] [--concurrency N] \
      [--distinct N] [--ops N] [--json FILE]\n       \
-     smrseek snapshot <trace> <dir> --at N [--format ...] [--cache]\n       \
-     smrseek resume <trace> <dir> [--format ...] [--cache] [--json FILE]\n       \
      smrseek profile <trace> [--out trace.json] [--format ...] [--cache] [--threads N]\n       \
      smrseek trace <trace-id> [--addr HOST:PORT] [--peers ADDR,ADDR,...] [--out trace.json]\n       \
      smrseek --version\n\
@@ -193,10 +183,7 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         requests: 2000,
         concurrency: 256,
         distinct: 16,
-        at: None,
         ops_explicit: false,
-        checkpoint_dir: None,
-        checkpoint_every: 100_000,
         verbose: false,
         log_json: false,
     };
@@ -309,28 +296,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .ok_or_else(|| CliError::usage("--distinct needs a value"))?
                     .parse()
                     .map_err(|_| CliError::usage("--distinct must be a positive integer"))?;
-            }
-            "--at" => {
-                args.at = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::usage("--at needs a record count"))?
-                        .parse()
-                        .map_err(|_| CliError::usage("--at must be an integer"))?,
-                );
-            }
-            "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::usage("--checkpoint-dir needs a path"))?
-                        .clone(),
-                );
-            }
-            "--checkpoint-every" => {
-                args.checkpoint_every = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--checkpoint-every needs a value"))?
-                    .parse()
-                    .map_err(|_| CliError::usage("--checkpoint-every must be an integer"))?;
             }
             other if args.file.is_none() && !other.starts_with("--") => {
                 args.file = Some(other.to_owned());
@@ -499,8 +464,7 @@ fn install_signal_handlers() {
 }
 
 /// `smrseek profile <trace>`: replays the standard sweep with phase
-/// accounting on, checkpointing a few times per cell so checkpoint I/O
-/// shows up too, and writes one `cell:*` span per cell as Chrome
+/// accounting on and writes one `cell:*` span per cell as Chrome
 /// trace-event JSON (open in Perfetto or `chrome://tracing`). Each cell
 /// span gets synthetic `phase:*` children, linked to it by span id,
 /// laying out where the cell's replay time went.
@@ -515,23 +479,14 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
     if records == 0 {
         return Err(CliError::Parse(format!("{path}: empty trace")));
     }
-    let digest = source.digest().as_u128();
-    // Checkpoints land in a throwaway store: the point is to exercise
-    // (and time) checkpoint I/O, not to persist anything.
-    let dir = std::env::temp_dir().join(format!("smrseek-profile-{}", std::process::id()));
-    let store = CheckpointStore::new(&dir);
     let labels = ["NoLS", "LS", "LS+defrag", "LS+prefetch", "LS+cache"];
-    let every = (records / 3).max(1);
     let mut matrix = RunMatrix::new();
     for (config, label) in SimConfig::standard_sweep().iter().zip(labels) {
-        matrix.push(
-            RunCell::new(source.clone(), config.with_checkpoint_every(every)).with_label(label),
-        );
+        matrix.push(RunCell::new(source.clone(), *config).with_label(label));
     }
     smrseek_obs::set_phase_accounting(true);
-    let (outcomes, _usage) = matrix.execute_checkpointed(args.threads, &store, digest);
+    let outcomes = matrix.execute(args.threads);
     smrseek_obs::set_phase_accounting(false);
-    std::fs::remove_dir_all(&dir).ok();
     // One span per cell, each followed by its phase totals laid out as
     // children.
     let trace = smrseek_obs::TraceContext::mint();
@@ -726,8 +681,6 @@ fn run_serve(args: &Args) -> Result<String, CliError> {
         queue_depth: args.queue_depth,
         workers: args.workers,
         job_threads: args.threads,
-        checkpoint_dir: args.checkpoint_dir.as_ref().map(PathBuf::from),
-        checkpoint_every: args.checkpoint_every,
         peers: args.peers.clone(),
         ..smrseek_server::ServerConfig::default()
     };
@@ -1308,96 +1261,6 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
         "bench-daemon" => run_bench_daemon(args)?,
         "profile" => run_profile(args)?,
         "trace" => run_trace_fetch(args)?,
-        "snapshot" => {
-            let path = args
-                .file
-                .as_ref()
-                .ok_or_else(|| CliError::usage("snapshot needs a trace file"))?;
-            let dir = args
-                .file2
-                .as_ref()
-                .ok_or_else(|| CliError::usage("snapshot needs a checkpoint directory"))?;
-            let at = args
-                .at
-                .ok_or_else(|| CliError::usage("snapshot needs --at N (records into the trace)"))?;
-            if at == 0 {
-                return Err(CliError::usage("--at must be positive"));
-            }
-            let source = simulate_source(path, args.format, args.cache)?;
-            let records = source.records();
-            if at as usize > records.len() {
-                return Err(CliError::usage(format!(
-                    "--at {at} exceeds the trace's {} records",
-                    records.len()
-                )));
-            }
-            let digest = source.digest().as_u128();
-            let top = source.top_sector();
-            let store = CheckpointStore::new(dir);
-            let configs = SimConfig::standard_sweep();
-            // Replay only the prefix under each sweep config, with the
-            // cadence set to fire exactly once — at record `at`.
-            let saved: Vec<(String, Result<PathBuf, String>)> =
-                parallel_map(&configs, args.threads, |config| {
-                    let run = config.with_frontier_hint(top).with_checkpoint_every(at);
-                    let mut written = Err("no checkpoint emitted".to_owned());
-                    let report = Simulation::new(&run)
-                        .checkpoint_sink(|snap: &smrseek_sim::EngineSnapshot| {
-                            if snap.logical_ops == at {
-                                written = store
-                                    .save(digest, &checkpoint_config_key(config, top), snap)
-                                    .map_err(|e| e.to_string());
-                            }
-                        })
-                        .run(records[..at as usize].iter().copied());
-                    (report.layer_name, written)
-                });
-            let mut out = format!(
-                "{path}: checkpointed {at} of {} records (digest {digest:032x})\n",
-                records.len()
-            );
-            for (layer, written) in saved {
-                let file = written.map_err(CliError::Io)?;
-                out.push_str(&format!("  {layer}: {}\n", file.display()));
-            }
-            out
-        }
-        "resume" => {
-            let path = args
-                .file
-                .as_ref()
-                .ok_or_else(|| CliError::usage("resume needs a trace file"))?;
-            let dir = args
-                .file2
-                .as_ref()
-                .ok_or_else(|| CliError::usage("resume needs a checkpoint directory"))?;
-            let source = simulate_source(path, args.format, args.cache)?;
-            let digest = source.digest().as_u128();
-            let store = CheckpointStore::new(dir);
-            let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
-            let (outcomes, usage) = matrix.execute_checkpointed(args.threads, &store, digest);
-            smrseek_obs::info!(
-                "resume: {} checkpoint hit(s), {} miss(es), {} record(s) skipped",
-                usage.hits,
-                usage.misses,
-                usage.records_skipped
-            );
-            // Everything below matches `simulate` exactly: resuming from a
-            // checkpoint must never change output bytes.
-            let ops = outcomes[0].report.logical_ops;
-            let safs = saf::sweep_safs(&outcomes);
-            let mut table = TextTable::new(vec!["layer", "read seeks", "write seeks", "SAF"]);
-            for (outcome, (layer, saf)) in outcomes.iter().zip(&safs) {
-                table.row(vec![
-                    layer.clone(),
-                    outcome.report.seeks.read_seeks.to_string(),
-                    outcome.report.seeks.write_seeks.to_string(),
-                    format!("{:.2}", saf.total),
-                ]);
-            }
-            maybe_write_json(&args.json, &safs)?;
-            format!("{path}: {ops} ops\n{table}")
-        }
         "convert" => {
             let input = args
                 .file

@@ -32,12 +32,6 @@
 //! consistent hashing on the job key so each unique sweep is computed
 //! exactly once fleet-wide (see [`fleet`]).
 //!
-//! With `--checkpoint-dir`, workers also persist periodic engine
-//! snapshots keyed like the result cache; a resubmitted job (same trace ×
-//! config) resumes from the stored prefix instead of replaying from
-//! record zero — including across daemon restarts. See
-//! [`worker::CheckpointPolicy`].
-//!
 //! Everything is `std`: `std::net` sockets, `std::thread` workers, the
 //! vendored `serde_json` for JSON. See [`http`] for the wire format,
 //! [`jobs`] for queueing/caching semantics, [`worker`] for execution,
@@ -57,20 +51,19 @@ use crate::fleet::Fleet;
 use crate::http::{Request, Response};
 use crate::jobs::{JobId, JobState, JobTable, JobTrace, Submit};
 use crate::metrics::{Endpoint, Metrics};
-use crate::worker::{CheckpointPolicy, JobKind, JobWork};
+use crate::worker::{JobKind, JobWork};
 use serde::{Number, Value};
 use smrseek_net::{Action, NetConfig, NetHandle};
 use smrseek_obs::dtrace::{self, TRACE_HEADER};
 use smrseek_obs::{DistSpan, SpanStore, TraceContext};
 use smrseek_sim::experiments::ExpOptions;
 use smrseek_sim::tracecache::TraceRegistry;
-use smrseek_sim::{CheckpointStore, TraceSource};
+use smrseek_sim::TraceSource;
 use smrseek_workloads::profiles;
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -119,11 +112,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Threads each job's run matrix may use.
     pub job_threads: NonZeroUsize,
-    /// Directory of simulation checkpoints shared across jobs (and, being
-    /// plain files, across daemon restarts). `None` disables prefix reuse.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint emission cadence (records) when `checkpoint_dir` is set.
-    pub checkpoint_every: u64,
     /// The full fleet peer list (every daemon's advertised address,
     /// including this one's bound address) for sharding the result cache.
     /// Empty means a standalone daemon.
@@ -143,8 +131,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             workers: 2,
             job_threads: NonZeroUsize::MIN,
-            checkpoint_dir: None,
-            checkpoint_every: 100_000,
             peers: Vec::new(),
             idle_timeout: Duration::from_secs(10),
             aux_threads: 2,
@@ -237,19 +223,12 @@ pub fn start(config: ServerConfig) -> io::Result<Handle> {
         state.metrics.register_peers(&fleet.remote_labels());
         Some(Arc::new(fleet))
     };
-    let policy = config.checkpoint_dir.as_ref().map(|dir| {
-        Arc::new(CheckpointPolicy {
-            store: CheckpointStore::new(dir),
-            every: config.checkpoint_every,
-        })
-    });
     let workers = worker::spawn_workers(
         config.workers,
         Arc::clone(&state.jobs),
         Arc::clone(&state.metrics),
         Arc::clone(&state.spans),
         config.job_threads,
-        policy,
     );
     let dispatcher = Arc::new(DaemonDispatcher {
         state: Arc::clone(&state),
@@ -538,7 +517,7 @@ fn error_body(msg: &str) -> String {
 
 /// Resolves a parsed request into runnable work plus its cache key.
 fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork), String> {
-    let (source, trace_key, top, digest) = match &request.trace {
+    let (source, trace_key, top) = match &request.trace {
         TraceRef::Path(path) => {
             let entry = state
                 .registry
@@ -548,7 +527,6 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
                 entry.source.clone(),
                 api::trace_key(&request.trace, Some(entry.digest)),
                 Some(entry.top_sector),
-                Some(entry.digest),
             )
         }
         TraceRef::Profile { name, seed, ops } => {
@@ -565,9 +543,6 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
                 // the records; the engine derives it per-replay exactly like
                 // the CLI does, so the canonical key simply omits it.
                 None,
-                // Same for the content digest: checkpointed workers compute
-                // it on demand from the materialized records.
-                None,
             )
         }
     };
@@ -581,7 +556,7 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
         JobWork {
             source,
             kind,
-            digest,
+            digest: None,
         },
     ))
 }
@@ -817,7 +792,6 @@ mod tests {
             Arc::clone(&state.metrics),
             Arc::clone(&state.spans),
             NonZeroUsize::MIN,
-            None,
         );
         (state, handles)
     }

@@ -111,12 +111,9 @@ pub struct Metrics {
     cache_hits: Counter,
     cache_misses: Counter,
     jobs_rejected: Counter,
-    checkpoint_hits: Counter,
-    checkpoint_misses: Counter,
-    checkpoint_records_skipped: Counter,
     /// Engine phase time from finished jobs, in nanoseconds, indexed in
     /// [`Phase::ALL`] order (rendered as seconds with 9 decimals).
-    engine_phase_nanos: [Counter; 6],
+    engine_phase_nanos: [Counter; 5],
     /// Adaptive-policy gate flips from finished jobs, indexed
     /// defrag / prefetch / cache (the `mechanism` label order).
     policy_gate_flips: [Counter; 3],
@@ -188,18 +185,6 @@ impl Metrics {
         let jobs_rejected = registry.counter(
             "smrseekd_jobs_rejected_total",
             "Submissions refused with 503 (queue full).",
-        );
-        let checkpoint_hits = registry.counter(
-            "smrseekd_checkpoint_hits_total",
-            "Run cells resumed from a stored checkpoint.",
-        );
-        let checkpoint_misses = registry.counter(
-            "smrseekd_checkpoint_misses_total",
-            "Run cells replayed from record zero.",
-        );
-        let checkpoint_records_skipped = registry.counter(
-            "smrseekd_checkpoint_records_skipped_total",
-            "Records not replayed thanks to checkpoint resume.",
         );
         let engine_phase_nanos = Phase::ALL.map(|phase| {
             registry.labeled_counter_fmt(
@@ -317,9 +302,6 @@ impl Metrics {
             cache_hits,
             cache_misses,
             jobs_rejected,
-            checkpoint_hits,
-            checkpoint_misses,
-            checkpoint_records_skipped,
             engine_phase_nanos,
             policy_gate_flips,
             cache_tier_hits,
@@ -439,22 +421,6 @@ impl Metrics {
     /// Current cache hit/miss counters (used by tests and the CLI).
     pub fn cache_counts(&self) -> (u64, u64) {
         (self.cache_hits.get(), self.cache_misses.get())
-    }
-
-    /// Folds in one job's checkpoint prefix-reuse accounting.
-    pub fn checkpoint_usage(&self, usage: &smrseek_sim::CheckpointUsage) {
-        self.checkpoint_hits.add(usage.hits);
-        self.checkpoint_misses.add(usage.misses);
-        self.checkpoint_records_skipped.add(usage.records_skipped);
-    }
-
-    /// Current checkpoint counters `(hits, misses, records_skipped)`.
-    pub fn checkpoint_counts(&self) -> (u64, u64, u64) {
-        (
-            self.checkpoint_hits.get(),
-            self.checkpoint_misses.get(),
-            self.checkpoint_records_skipped.get(),
-        )
     }
 
     /// Folds one finished job's engine phase totals into the daemon-wide
@@ -867,22 +833,12 @@ mod tests {
              # HELP smrseekd_jobs_rejected_total Submissions refused with 503 (queue full).\n\
              # TYPE smrseekd_jobs_rejected_total counter\n\
              smrseekd_jobs_rejected_total 0\n\
-             # HELP smrseekd_checkpoint_hits_total Run cells resumed from a stored checkpoint.\n\
-             # TYPE smrseekd_checkpoint_hits_total counter\n\
-             smrseekd_checkpoint_hits_total 0\n\
-             # HELP smrseekd_checkpoint_misses_total Run cells replayed from record zero.\n\
-             # TYPE smrseekd_checkpoint_misses_total counter\n\
-             smrseekd_checkpoint_misses_total 0\n\
-             # HELP smrseekd_checkpoint_records_skipped_total Records not replayed thanks to checkpoint resume.\n\
-             # TYPE smrseekd_checkpoint_records_skipped_total counter\n\
-             smrseekd_checkpoint_records_skipped_total 0\n\
              # HELP smrseekd_engine_phase_seconds_total Simulation engine time by phase, summed over finished jobs.\n\
              # TYPE smrseekd_engine_phase_seconds_total counter\n\
              smrseekd_engine_phase_seconds_total{{phase=\"ingest\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"lookup\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"seek\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"host_cache\"}} 0.000000000\n\
-             smrseekd_engine_phase_seconds_total{{phase=\"checkpoint\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"classify\"}} 0.000000000\n\
              # HELP smrseekd_policy_gate_flips_total Adaptive-policy gate transitions, by gated mechanism, summed over finished jobs.\n\
              # TYPE smrseekd_policy_gate_flips_total counter\n\

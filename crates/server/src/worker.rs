@@ -14,7 +14,7 @@ use smrseek_cache::TierStats;
 use smrseek_obs::{DistSpan, PhaseTotals, SpanStore};
 use smrseek_policy::PolicyStats;
 use smrseek_sim::runner::RunMatrix;
-use smrseek_sim::{saf, CheckpointStore, CheckpointUsage, SimConfig, TraceSource};
+use smrseek_sim::{saf, SimConfig, TraceSource};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,36 +39,28 @@ pub struct JobWork {
     pub source: TraceSource,
     /// What to compute over them.
     pub kind: JobKind,
-    /// Full-trace content digest when already known (file traces get it
-    /// from the registry). Checkpointed runs of generator traces compute
-    /// it on demand; `None` plus no checkpoint store means it is never
-    /// needed.
+    /// Unread. A compatibility shim like `smrseek_sim::ShardPolicy`: the
+    /// benchmark harness under `perfbench/` still builds
+    /// `JobWork { source, kind, digest: None }`, so the field stays until
+    /// the next change to the benchmark drops it.
     pub digest: Option<smrseek_trace::TraceDigest>,
 }
 
-/// The worker pool's prefix-reuse policy: where checkpoints live and how
-/// often replays emit them. When configured, every job probes the store
-/// for a checkpoint of its (trace digest × canonical config) identity and
-/// resumes from the longest stored prefix instead of replaying from record
-/// zero — across daemon restarts, since the store is plain files.
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// The on-disk checkpoint store shared by all workers.
-    pub store: CheckpointStore,
-    /// Emit a checkpoint every this many records.
-    pub every: u64,
-}
+/// Uninhabited compatibility shim for [`run_job`]'s third parameter, like
+/// `smrseek_sim::ShardPolicy`: the benchmark harness under `perfbench/`
+/// still calls `run_job(&work, threads, None)`. The type has no values,
+/// so `None` is the only argument; the next change to the benchmark
+/// removes the parameter and this type.
+#[derive(Debug, Clone, Copy)]
+pub enum CheckpointPolicy {}
 
 /// A finished job's payload: the result document plus replay accounting.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// Result document (pretty JSON, byte-stable for a trace + config).
     pub doc: String,
-    /// Logical records the job accounts for (full trace length per cell,
-    /// whether or not a prefix was skipped via checkpoint).
+    /// Logical records the job accounts for (full trace length per cell).
     pub records: u64,
-    /// Checkpoint reuse accounting (all zero without a policy).
-    pub checkpoints: CheckpointUsage,
     /// Engine phase timing merged across the job's cells (all zero unless
     /// phase accounting is enabled — the daemon enables it at startup).
     pub phases: PhaseTotals,
@@ -80,9 +72,8 @@ pub struct JobOutcome {
     pub tiers: TierStats,
 }
 
-/// Replays one job, resuming from / refreshing checkpoints when `policy`
-/// is set. The result document is byte-identical with or without a
-/// policy — checkpoints change wall time, never results.
+/// Replays one job on up to `threads` workers. The third parameter is
+/// the uninhabited [`CheckpointPolicy`] shim; pass `None`.
 ///
 /// # Errors
 ///
@@ -91,29 +82,13 @@ pub struct JobOutcome {
 pub fn run_job(
     work: &JobWork,
     threads: NonZeroUsize,
-    policy: Option<&CheckpointPolicy>,
+    _: Option<&CheckpointPolicy>,
 ) -> Result<JobOutcome, String> {
-    let mut configs: Vec<SimConfig> = match &work.kind {
+    let configs: Vec<SimConfig> = match &work.kind {
         JobKind::Sweep => SimConfig::standard_sweep().to_vec(),
         JobKind::Single(config) => vec![**config],
     };
-    let (outcomes, checkpoints) = match policy {
-        None => {
-            let matrix = RunMatrix::cross(std::slice::from_ref(&work.source), &configs);
-            (matrix.execute(threads), CheckpointUsage::default())
-        }
-        Some(policy) => {
-            let digest = work
-                .digest
-                .unwrap_or_else(|| work.source.digest())
-                .as_u128();
-            for config in &mut configs {
-                *config = config.with_checkpoint_every(policy.every);
-            }
-            let matrix = RunMatrix::cross(std::slice::from_ref(&work.source), &configs);
-            matrix.execute_checkpointed(threads, &policy.store, digest)
-        }
-    };
+    let outcomes = RunMatrix::cross(std::slice::from_ref(&work.source), &configs).execute(threads);
     let records = outcomes.iter().map(|o| o.metrics.records).sum();
     let mut phases = PhaseTotals::default();
     let mut policy_stats = PolicyStats::default();
@@ -134,7 +109,6 @@ pub fn run_job(
     doc.map(|doc| JobOutcome {
         doc,
         records,
-        checkpoints,
         phases,
         policy: policy_stats,
         tiers,
@@ -186,20 +160,18 @@ pub fn spawn_workers(
     metrics: Arc<Metrics>,
     spans: Arc<SpanStore>,
     threads: NonZeroUsize,
-    policy: Option<Arc<CheckpointPolicy>>,
 ) -> Vec<JoinHandle<()>> {
     (0..count)
         .map(|i| {
             let jobs = Arc::clone(&jobs);
             let metrics = Arc::clone(&metrics);
             let spans = Arc::clone(&spans);
-            let policy = policy.clone();
             std::thread::Builder::new()
                 .name(format!("smrseekd-worker-{i}"))
                 .spawn(move || {
                     while let Some((id, work)) = jobs.next_job() {
                         let replay_span = record_job_spans(&spans, &jobs, id);
-                        let outcome = run_job(&work, threads, policy.as_deref());
+                        let outcome = run_job(&work, threads, None);
                         if let Some(mut span) = replay_span {
                             span.dur_ns =
                                 smrseek_obs::unix_nanos().saturating_sub(span.start_unix_ns);
@@ -207,7 +179,6 @@ pub fn spawn_workers(
                         }
                         if let Ok(out) = &outcome {
                             metrics.replayed(out.records);
-                            metrics.checkpoint_usage(&out.checkpoints);
                             metrics.engine_phases(&out.phases);
                             metrics.policy_stats(&out.policy);
                             metrics.tier_stats(&out.tiers);
@@ -248,7 +219,6 @@ mod tests {
         };
         let out = run_job(&work, NonZeroUsize::MIN, None).expect("job runs");
         assert_eq!(out.records, 300 * 5, "five layers each replay the trace");
-        assert_eq!(out.checkpoints, smrseek_sim::CheckpointUsage::default());
         // The offline path: exactly what the CLI writes for --json.
         let matrix = RunMatrix::cross(
             std::slice::from_ref(&work.source),
@@ -262,34 +232,6 @@ mod tests {
             out.doc, offline,
             "daemon and offline sweeps are byte-identical"
         );
-    }
-
-    #[test]
-    fn checkpointed_rerun_reuses_prefix_and_matches_cold_bytes() {
-        let dir =
-            std::env::temp_dir().join(format!("smrseekd_worker_ckpt_test_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let policy = CheckpointPolicy {
-            store: CheckpointStore::new(&dir),
-            every: 100,
-        };
-        let work = JobWork {
-            source: source(),
-            kind: JobKind::Sweep,
-            digest: None,
-        };
-        let cold = run_job(&work, NonZeroUsize::MIN, None).expect("cold run");
-        let first = run_job(&work, NonZeroUsize::MIN, Some(&policy)).expect("first run");
-        assert_eq!(first.checkpoints.hits, 0);
-        assert_eq!(first.checkpoints.misses, 5);
-        let second = run_job(&work, NonZeroUsize::MIN, Some(&policy)).expect("second run");
-        assert_eq!(second.checkpoints.hits, 5);
-        assert_eq!(second.checkpoints.misses, 0);
-        assert_eq!(second.checkpoints.records_skipped, 5 * 300);
-        assert_eq!(second.records, 5 * 300, "accounting stays the full count");
-        assert_eq!(first.doc, cold.doc, "policy never changes result bytes");
-        assert_eq!(second.doc, cold.doc, "resumed run matches cold bytes");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -340,7 +282,6 @@ mod tests {
             Arc::clone(&metrics),
             Arc::new(SpanStore::new(8)),
             NonZeroUsize::MIN,
-            None,
         );
         // Poll until all three finish (workers run them concurrently).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);

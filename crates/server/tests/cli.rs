@@ -474,120 +474,6 @@ fn all_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn snapshot_then_resume_matches_simulate_bytes() {
-    let csv = tmp("resume.csv");
-    let ckpt = tmp("resume_ckpts");
-    std::fs::remove_dir_all(&ckpt).ok();
-    let out = smrseek(&[
-        "gen",
-        "usr_1",
-        "--ops",
-        "900",
-        "--out",
-        csv.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let j = |n: &str| tmp(n).to_str().unwrap().to_owned();
-    let (js, jr, jc) = (j("resume_s.json"), j("resume_r.json"), j("resume_c.json"));
-
-    // The straight-through truth: stdout and JSON of plain `simulate`.
-    let sim = smrseek(&["simulate", csv.to_str().unwrap(), "--json", &js]);
-    assert!(sim.status.success());
-
-    // Checkpoint the sweep partway in, then resume from the stored state.
-    let snap = smrseek(&[
-        "snapshot",
-        csv.to_str().unwrap(),
-        ckpt.to_str().unwrap(),
-        "--at",
-        "250",
-    ]);
-    assert!(
-        snap.status.success(),
-        "{}",
-        String::from_utf8_lossy(&snap.stderr)
-    );
-    let snap_text = stdout(&snap);
-    assert!(
-        snap_text.contains("checkpointed 250 of"),
-        "snapshot names its cut point: {snap_text}"
-    );
-    assert_eq!(
-        snap_text.matches(".smrs").count(),
-        5,
-        "one checkpoint file per sweep config: {snap_text}"
-    );
-
-    let resumed = smrseek(&[
-        "resume",
-        csv.to_str().unwrap(),
-        ckpt.to_str().unwrap(),
-        "--json",
-        &jr,
-        "-v",
-    ]);
-    assert!(
-        resumed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&resumed.stderr).contains("5 checkpoint hit(s), 0 miss(es)"),
-        "all five cells resumed: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(
-        stdout(&sim),
-        stdout(&resumed),
-        "resume stdout is byte-identical to simulate"
-    );
-    let read = |p: &str| std::fs::read(p).expect("json written");
-    assert_eq!(read(&js), read(&jr), "resume JSON is byte-identical");
-
-    // Resuming against an empty store degrades to a cold run, same bytes.
-    let empty = tmp("resume_empty_ckpts");
-    std::fs::remove_dir_all(&empty).ok();
-    let cold = smrseek(&[
-        "resume",
-        csv.to_str().unwrap(),
-        empty.to_str().unwrap(),
-        "--json",
-        &jc,
-        "-v",
-    ]);
-    assert!(cold.status.success());
-    assert!(
-        String::from_utf8_lossy(&cold.stderr).contains("0 checkpoint hit(s), 5 miss(es)"),
-        "{}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
-    assert_eq!(stdout(&sim), stdout(&cold));
-    assert_eq!(read(&js), read(&jc));
-
-    // Misuse is a usage error, not a crash.
-    let no_at = smrseek(&["snapshot", csv.to_str().unwrap(), ckpt.to_str().unwrap()]);
-    assert_eq!(no_at.status.code(), Some(2), "snapshot without --at");
-    let too_deep = smrseek(&[
-        "snapshot",
-        csv.to_str().unwrap(),
-        ckpt.to_str().unwrap(),
-        "--at",
-        "99999999",
-    ]);
-    assert_eq!(too_deep.status.code(), Some(2), "--at beyond the trace");
-
-    for p in [js, jr, jc] {
-        std::fs::remove_file(p).ok();
-    }
-    std::fs::remove_file(&csv).ok();
-    std::fs::remove_dir_all(&ckpt).ok();
-}
-
-#[test]
 fn threads_flag_rejects_zero() {
     let out = smrseek(&["fig2", "--threads", "0"]);
     assert!(!out.status.success());
@@ -679,7 +565,7 @@ fn profile_writes_valid_chrome_trace_with_nested_phases() {
     );
     let text = stdout(&out);
     assert!(text.contains("span(s)"), "{text}");
-    for phase in ["ingest", "lookup", "seek", "checkpoint"] {
+    for phase in ["ingest", "lookup", "seek"] {
         assert!(text.contains(phase), "phase table lists {phase}: {text}");
     }
     let data = std::fs::read_to_string(&json).expect("trace written");
@@ -722,7 +608,7 @@ fn profile_writes_valid_chrome_trace_with_nested_phases() {
             .any(|(name, _, dur, _)| name == "phase:lookup" && *dur > 0.0),
         "non-zero lookup phase: {data}"
     );
-    for phase in ["phase:ingest", "phase:seek", "phase:checkpoint"] {
+    for phase in ["phase:ingest", "phase:seek"] {
         assert!(
             phases.iter().any(|(name, ..)| name == phase),
             "{phase} present: {data}"

@@ -297,83 +297,6 @@ fn concurrent_clients_share_one_job_and_match_offline_bytes() {
 }
 
 #[test]
-fn checkpoint_dir_survives_daemon_restart_and_skips_the_prefix() {
-    let dir = temp_dir("ckpt");
-    let trace = write_trace(&dir, "t.csv");
-    let ckpt = dir.join("checkpoints");
-    let ckpt_arg = ckpt.to_str().expect("utf8 path");
-    let submit_body = format!(
-        "{{\"trace\": {{\"path\": {:?}}}}}",
-        trace.to_str().expect("utf8 path")
-    );
-    let records = std::fs::read_to_string(&trace)
-        .expect("read trace csv")
-        .lines()
-        .skip(1) // header
-        .filter(|l| !l.trim().is_empty())
-        .count() as u64;
-    assert!(
-        records >= 100,
-        "trace long enough for at least one checkpoint: {records}"
-    );
-
-    let run_once = |expect_hits: u64, expect_misses: u64| -> (Vec<u8>, u64) {
-        let (child, addr) = spawn_daemon(&[
-            "--workers",
-            "1",
-            "--checkpoint-dir",
-            ckpt_arg,
-            "--checkpoint-every",
-            "100",
-        ]);
-        let submit = request(&addr, "POST", "/v1/jobs", Some(&submit_body));
-        assert_eq!(submit.status, 202, "{}", submit.body_str());
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let body = loop {
-            let poll = request(&addr, "GET", "/v1/jobs/1/result", None);
-            match poll.status {
-                200 => break poll.body,
-                202 => {
-                    assert!(Instant::now() < deadline, "job finished in time");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                other => panic!("poll got {other}: {}", poll.body_str()),
-            }
-        };
-        let text = request(&addr, "GET", "/metrics", None).body_str();
-        assert_eq!(
-            metric(&text, "smrseekd_checkpoint_hits_total"),
-            Some(expect_hits),
-            "{text}"
-        );
-        assert_eq!(
-            metric(&text, "smrseekd_checkpoint_misses_total"),
-            Some(expect_misses),
-            "{text}"
-        );
-        let skipped =
-            metric(&text, "smrseekd_checkpoint_records_skipped_total").expect("skipped metric");
-        terminate(child);
-        (body, skipped)
-    };
-
-    // Cold daemon: no checkpoints yet, all five sweep cells miss.
-    let (cold, cold_skipped) = run_once(0, 5);
-    assert_eq!(cold_skipped, 0);
-    // A fresh daemon process sharing the directory resumes every cell
-    // from the deepest stored checkpoint.
-    let (warm, warm_skipped) = run_once(5, 0);
-    assert_eq!(
-        warm_skipped,
-        (records - records % 100) * 5,
-        "each cell skipped up to its last checkpoint"
-    );
-    assert_eq!(warm, cold, "prefix reuse never changes result bytes");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn status_envelope_inlines_the_result() {
     let (child, addr) = spawn_daemon(&["--workers", "1"]);
     let submit = request(

@@ -182,7 +182,7 @@ fn lint(text: &str) -> Vec<String> {
 fn real_exposition_is_lint_clean() {
     let m = Metrics::new();
     // Populate every family: request latencies across endpoints (the
-    // histogram), cache/checkpoint counters, engine phases.
+    // histogram), cache counters, engine phases.
     for (i, endpoint) in Endpoint::ALL.iter().enumerate() {
         for us in [3, 900, 40_000] {
             m.observe(*endpoint, Duration::from_micros(us + i as u64));

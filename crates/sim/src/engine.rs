@@ -10,12 +10,12 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
-use smrseek_disk::{Cdf, LongSeekSeries, SeekCounter, SeekCounterState, SeekStats};
+use smrseek_disk::{Cdf, LongSeekSeries, SeekCounter, SeekStats};
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
-    CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsSnapshot, LsStats,
-    NoLs, PrefetchConfig, TranslationLayer,
+    CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
+    PrefetchConfig, TranslationLayer,
 };
 use smrseek_trace::binary::{MmapTrace, DEFAULT_BLOCK_RECORDS};
 use smrseek_trace::{stream, TraceRecord};
@@ -77,13 +77,6 @@ pub struct SimConfig {
     /// for its maximum LBA up front; [`Simulation::run_trace`] derives it
     /// from the trace when unset. Ignored for the NoLS baseline.
     pub frontier_hint: Option<u64>,
-    /// Emit an engine checkpoint every this many records (fed to the
-    /// sink set by [`Simulation::checkpoint_sink`]; `None` disables
-    /// emission). Purely
-    /// operational — it cannot change any report — so
-    /// [`canonical`](Self::canonical) clears it and it never affects cache
-    /// keys.
-    pub checkpoint_every: Option<u64>,
 }
 
 impl SimConfig {
@@ -99,7 +92,6 @@ impl SimConfig {
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
-            checkpoint_every: None,
         }
     }
 
@@ -119,7 +111,6 @@ impl SimConfig {
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
-            checkpoint_every: None,
         }
     }
 
@@ -158,7 +149,6 @@ impl SimConfig {
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
-            checkpoint_every: None,
         }
     }
 
@@ -225,14 +215,6 @@ impl SimConfig {
         self
     }
 
-    /// Emits an engine checkpoint every `n_records` records when the run
-    /// has a [`Simulation::checkpoint_sink`]. Operational only:
-    /// the emitted snapshots change no report and no cache key.
-    pub fn with_checkpoint_every(mut self, n_records: u64) -> Self {
-        self.checkpoint_every = Some(n_records);
-        self
-    }
-
     /// The standard five-layer sweep replayed by `smrseek simulate` and by
     /// daemon sweep jobs: the NoLS baseline first (so downstream SAF
     /// computation can divide by it), then plain LS and the three
@@ -277,9 +259,6 @@ impl SimConfig {
                 }
             }
         }
-        // Checkpoint cadence never changes a report: two runs differing only
-        // in `checkpoint_every` are interchangeable, so they share a key.
-        self.checkpoint_every = None;
         self
     }
 
@@ -292,8 +271,8 @@ impl SimConfig {
     }
 
     /// A validating builder over `layer`: the same knobs as the `with_*`
-    /// methods, but degenerate values (zero-byte caches, a zero checkpoint
-    /// cadence, zero-sector zones) surface as a typed [`ConfigError`] at
+    /// methods, but degenerate values (zero-byte caches, zero-sector zones,
+    /// zero-width long-seek buckets) surface as a typed [`ConfigError`] at
     /// [`build`](SimConfigBuilder::build) time instead of panicking or
     /// being silently clamped mid-run.
     pub fn builder(layer: LayerChoice) -> SimConfigBuilder {
@@ -318,10 +297,6 @@ pub enum ConfigError {
     ZeroSelectiveCache,
     /// Zones of zero sectors cannot hold any write.
     ZeroZoneSectors,
-    /// A checkpoint cadence of zero records would either checkpoint after
-    /// every record or never, depending on interpretation; the engine used
-    /// to silently disable it — now it is rejected up front.
-    ZeroCheckpointCadence,
     /// A long-seek series with zero operations per bucket has no time
     /// axis ([`LongSeekSeries::new`] panics on it mid-run otherwise).
     ZeroLongseekBucket,
@@ -349,7 +324,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
             ConfigError::ZeroZoneSectors => "zones must span at least one sector",
-            ConfigError::ZeroCheckpointCadence => "checkpoint cadence must be at least one record",
             ConfigError::ZeroLongseekBucket => {
                 "long-seek series buckets must span at least one operation"
             }
@@ -436,12 +410,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Emits an engine checkpoint every `n_records` records.
-    pub fn checkpoint_every(mut self, n_records: u64) -> Self {
-        self.config.checkpoint_every = Some(n_records);
-        self
-    }
-
     /// Drives the layer's mechanisms through the adaptive policy engine.
     pub fn policy(mut self, policy: PolicyConfig) -> Self {
         self.config.policy = Some(policy);
@@ -467,9 +435,6 @@ impl SimConfigBuilder {
         }
         if config.zone_sectors == Some(0) {
             return Err(ConfigError::ZeroZoneSectors);
-        }
-        if config.checkpoint_every == Some(0) {
-            return Err(ConfigError::ZeroCheckpointCadence);
         }
         if let Some(bucket_ops) = self.longseek_bucket_ops {
             if bucket_ops == 0 {
@@ -559,8 +524,8 @@ pub struct RunReport {
     /// zeros unless [`smrseek_obs::set_phase_accounting`] was on when the
     /// run started. A timing side channel like `RunMetrics`: deliberately
     /// excluded from the hand-written [`Serialize`] impl below, because
-    /// serialized reports must stay byte-deterministic across machines,
-    /// thread counts, and resume points.
+    /// serialized reports must stay byte-deterministic across machines and
+    /// thread counts.
     pub phases: PhaseTotals,
 }
 
@@ -636,50 +601,8 @@ impl LayerImpl {
     }
 }
 
-/// Serializable state of the translation layer inside an
-/// [`EngineSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LayerSnapshot {
-    /// The NoLS baseline carries no state.
-    NoLs,
-    /// Full log-structured layer state (boxed: it dwarfs the other
-    /// variant).
-    Ls(Box<LsSnapshot>),
-}
-
-/// Complete engine state after consuming some prefix of a trace: restoring
-/// it and replaying the remaining records yields a [`RunReport`] identical
-/// to the uninterrupted run. Produced by a [`Simulation::checkpoint_sink`],
-/// consumed by [`Simulation::resume_from`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EngineSnapshot {
-    /// Translation-layer state (extent map, frontier, caches, counters).
-    pub layer: LayerSnapshot,
-    /// Seek-model state (head position, statistics, recorded distances).
-    pub counter: SeekCounterState,
-    /// Long-seek series accumulated so far (when enabled).
-    pub longseek_series: Option<LongSeekSeries>,
-    /// Host buffer-cache contents (when modeled).
-    pub host_cache: Option<RangeCache>,
-    /// Logical reads absorbed by the host cache so far.
-    pub host_cache_hits: u64,
-    /// Physical sectors moved so far.
-    pub phys_sectors: u64,
-    /// Records consumed so far — the resume index: replay continues with
-    /// record `logical_ops` of the original trace.
-    pub logical_ops: u64,
-    /// Largest extent-map segment count observed so far.
-    pub peak_extent_segments: u64,
-    /// Adaptive policy engine state (region classifier + counters), when
-    /// the run is policy-driven.
-    pub policy: Option<PolicyEngine>,
-}
-
-/// Live engine state: the deconstructed body of the historical
-/// `simulate_stream` loop, split so a run can be started fresh, started
-/// from a snapshot, stepped, checkpointed mid-flight, and finished into a
-/// [`RunReport`] — all through the same code path, which is what makes
-/// resumed runs byte-identical to uninterrupted ones.
+/// Live engine state: started fresh, stepped once per record, and
+/// finished into a [`RunReport`].
 struct EngineState {
     config: SimConfig,
     layer: LayerImpl,
@@ -772,36 +695,6 @@ impl EngineState {
         }
     }
 
-    fn resume(config: &SimConfig, snap: &EngineSnapshot) -> Self {
-        let layer = match (&snap.layer, config.layer) {
-            (LayerSnapshot::NoLs, LayerChoice::NoLs) => LayerImpl::NoLs(NoLs::new()),
-            (LayerSnapshot::Ls(ls), LayerChoice::Ls { .. }) => {
-                LayerImpl::Ls(Box::new(LogStructured::from_snapshot((**ls).clone())))
-            }
-            _ => panic!(
-                "snapshot layer does not match the config's layer — validate the snapshot's \
-                 config key against SimConfig::cache_key before resuming"
-            ),
-        };
-        EngineState {
-            config: *config,
-            layer,
-            counter: SeekCounter::from_state(snap.counter.clone()),
-            series: snap.longseek_series.clone(),
-            host_cache: snap.host_cache.clone(),
-            host_cache_hits: snap.host_cache_hits,
-            phys_sectors: snap.phys_sectors,
-            logical_ops: snap.logical_ops,
-            peak_extent_segments: snap.peak_extent_segments,
-            policy: snap.policy.clone(),
-            timing: phase_accounting(),
-            // Snapshots carry no timing (it is wall-clock noise, not
-            // simulation state): a resumed run accounts only for the
-            // records it replays itself.
-            phases: PhaseTotals::default(),
-        }
-    }
-
     /// Replays one record. Behaviorally identical with phase accounting on
     /// or off: timing wraps the same statements, it never reorders them.
     fn step(&mut self, rec: &TraceRecord) {
@@ -876,23 +769,6 @@ impl EngineState {
         }
         if let Some(t) = &mark {
             self.phases.record(Phase::Seek, t.elapsed());
-        }
-    }
-
-    fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            layer: match &self.layer {
-                LayerImpl::NoLs(_) => LayerSnapshot::NoLs,
-                LayerImpl::Ls(ls) => LayerSnapshot::Ls(Box::new(ls.to_snapshot())),
-            },
-            counter: self.counter.to_state(),
-            longseek_series: self.series.clone(),
-            host_cache: self.host_cache.clone(),
-            host_cache_hits: self.host_cache_hits,
-            phys_sectors: self.phys_sectors,
-            logical_ops: self.logical_ops,
-            peak_extent_segments: self.peak_extent_segments,
-            policy: self.policy.clone(),
         }
     }
 
@@ -989,20 +865,15 @@ impl BlockTrace for MmapTrace {
     }
 }
 
-/// One configured simulation run: the single entry point that replaces the
-/// historical `simulate` / `simulate_stream` / `simulate_stream_from` /
-/// `simulate_stream_checkpointed` family.
+/// One configured simulation run: the single entry point of the engine.
 ///
-/// Build one with [`Simulation::new`], optionally chain
-/// [`resume_from`](Self::resume_from) (replay continues from a snapshot)
-/// and [`checkpoint_every`](Self::checkpoint_every) (emit snapshots on a
-/// cadence), then consume records with [`run`](Self::run) (any iterator)
-/// or [`run_trace`](Self::run_trace) (block-decoded traces). Replay is
-/// serial: each read's translation depends on every earlier write, so
-/// parallelism lives across runs (the cells of a
-/// [`RunMatrix`](crate::runner::RunMatrix)), never inside one. Whatever
-/// the combination, the serialized [`RunReport`] is byte-identical to the
-/// plain run over the whole trace.
+/// Build one with [`Simulation::new`], then consume records with
+/// [`run`](Self::run) (any iterator) or [`run_trace`](Self::run_trace)
+/// (block-decoded traces). Replay is serial: each read's translation
+/// depends on every earlier write, so parallelism lives across runs (the
+/// cells of a [`RunMatrix`](crate::runner::RunMatrix)), never inside one.
+/// Both entry points produce byte-identical serialized [`RunReport`]s
+/// over the same records.
 ///
 /// # Example
 ///
@@ -1016,57 +887,14 @@ impl BlockTrace for MmapTrace {
 /// // mds_0 is write-intensive: log-structuring removes most seeks.
 /// assert!(ls.seeks.total() < nols.seeks.total());
 /// ```
-pub struct Simulation<'a> {
+pub struct Simulation {
     config: SimConfig,
-    resume_from: Option<&'a EngineSnapshot>,
-    sink: Option<SnapshotSink<'a>>,
 }
 
-/// Boxed checkpoint consumer installed by [`Simulation::checkpoint_sink`].
-type SnapshotSink<'a> = Box<dyn FnMut(&EngineSnapshot) + 'a>;
-
-impl<'a> Simulation<'a> {
-    /// A simulation of `config` (copied; later chained knobs act on the
-    /// copy).
-    pub fn new(config: &SimConfig) -> Simulation<'a> {
-        Simulation {
-            config: *config,
-            resume_from: None,
-            sink: None,
-        }
-    }
-
-    /// Resumes from `snapshot`: the subsequent [`run`](Self::run) /
-    /// [`run_trace`](Self::run_trace) must be given the *remaining*
-    /// records — those from index [`EngineSnapshot::logical_ops`] onward
-    /// of the original trace — and produces a [`RunReport`]
-    /// byte-identical (as JSON) to the uninterrupted run over the whole
-    /// trace.
-    pub fn resume_from(mut self, snapshot: &'a EngineSnapshot) -> Self {
-        self.resume_from = Some(snapshot);
-        self
-    }
-
-    /// Emits an [`EngineSnapshot`] to `sink` after every `n_records`-th
-    /// consumed record, at absolute record indices counted over the whole
-    /// trace (a resumed run keeps the original cadence). Overrides any
-    /// cadence already on the config.
-    pub fn checkpoint_every(
-        mut self,
-        n_records: u64,
-        sink: impl FnMut(&EngineSnapshot) + 'a,
-    ) -> Self {
-        self.config.checkpoint_every = Some(n_records);
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Like [`checkpoint_every`](Self::checkpoint_every), but keeps the
-    /// cadence already configured via [`SimConfig::with_checkpoint_every`]
-    /// (no emission when the config sets none).
-    pub fn checkpoint_sink(mut self, sink: impl FnMut(&EngineSnapshot) + 'a) -> Self {
-        self.sink = Some(Box::new(sink));
-        self
+impl Simulation {
+    /// A simulation of `config` (copied).
+    pub fn new(config: &SimConfig) -> Simulation {
+        Simulation { config: *config }
     }
 
     /// Replays a stream of records through the configured layer, feeding
@@ -1080,13 +908,11 @@ impl<'a> Simulation<'a> {
     /// trace's highest LBA (§III), which a stream cannot reveal up front:
     /// running an LS layer requires [`SimConfig::with_frontier_hint`] and
     /// panics without it ([`run_trace`](Self::run_trace) derives it).
-    /// Also panics when resuming from a snapshot whose layer kind does
-    /// not match the config's.
-    pub fn run<I>(mut self, records: I) -> RunReport
+    pub fn run<I>(self, records: I) -> RunReport
     where
         I: IntoIterator<Item = TraceRecord>,
     {
-        let mut state = self.start();
+        let mut state = EngineState::new(&self.config);
         let timing = state.timing;
         let mut records = records.into_iter();
         loop {
@@ -1098,7 +924,6 @@ impl<'a> Simulation<'a> {
                 state.phases.record(Phase::Ingest, t.elapsed());
             }
             state.step(&rec);
-            self.checkpoint_if_due(&mut state);
         }
         state.finish()
     }
@@ -1118,7 +943,7 @@ impl<'a> Simulation<'a> {
         {
             self.config.frontier_hint = Some(trace.frontier_top());
         }
-        let mut state = self.start();
+        let mut state = EngineState::new(&self.config);
         let mut last = state.timing.then(Instant::now);
         trace.for_each_block(&mut |block| {
             if let Some(t) = &last {
@@ -1126,7 +951,6 @@ impl<'a> Simulation<'a> {
             }
             for rec in block {
                 state.step(rec);
-                self.checkpoint_if_due(&mut state);
             }
             if let Some(t) = &mut last {
                 *t = Instant::now();
@@ -1134,37 +958,9 @@ impl<'a> Simulation<'a> {
         });
         state.finish()
     }
-
-    /// The engine state this run starts from: fresh, or restored from the
-    /// [`resume_from`](Self::resume_from) snapshot.
-    fn start(&self) -> EngineState {
-        match self.resume_from {
-            Some(snap) => EngineState::resume(&self.config, snap),
-            None => EngineState::new(&self.config),
-        }
-    }
-
-    /// Emits a checkpoint when the absolute record count lands on the
-    /// configured cadence; called after every record.
-    fn checkpoint_if_due(&mut self, state: &mut EngineState) {
-        let Some(n) = self.config.checkpoint_every else {
-            return;
-        };
-        // A zero cadence never fires: `logical_ops` is at least 1 here.
-        if state.logical_ops.is_multiple_of(n) {
-            let mark = state.timing.then(Instant::now);
-            let snap = state.snapshot();
-            if let Some(sink) = &mut self.sink {
-                sink(&snap);
-            }
-            if let Some(t) = mark {
-                state.phases.record(Phase::Checkpoint, t.elapsed());
-            }
-        }
-    }
 }
 
-/// Constructs a policy engine for a fresh (non-resumed) run, informing it
+/// Constructs a policy engine for a run, informing it
 /// whether the layer carries a selective cache — with one downstream, the
 /// policy reserves defrag rewrites entirely (cache fills mitigate the same
 /// fragmented reads at zero media cost; see
@@ -1373,14 +1169,12 @@ mod tests {
             .distances()
             .longseek_series(64)
             .host_cache(1 << 20)
-            .checkpoint_every(50)
             .build()
             .expect("valid config");
         let chained = SimConfig::no_ls()
             .with_distances()
             .with_longseek_series(64)
-            .with_host_cache(1 << 20)
-            .with_checkpoint_every(50);
+            .with_host_cache(1 << 20);
         assert_eq!(built, chained);
 
         let built = SimConfig::builder(SimConfig::ls_cache().layer)
@@ -1402,10 +1196,6 @@ mod tests {
         assert_eq!(
             nols().host_cache(0).build(),
             Err(ConfigError::ZeroHostCache)
-        );
-        assert_eq!(
-            nols().checkpoint_every(0).build(),
-            Err(ConfigError::ZeroCheckpointCadence)
         );
         assert_eq!(
             nols().longseek_series(0).build(),
@@ -1520,7 +1310,7 @@ mod tests {
     }
 
     /// A mixed read/write workload long enough to exercise defrag,
-    /// prefetch, caching, zones, and the host cache.
+    /// prefetch, and caching.
     fn busy_trace(n: u64) -> Vec<TraceRecord> {
         (0..n)
             .map(|i| {
@@ -1541,134 +1331,5 @@ mod tests {
             region_sectors: 512,
             ..PolicyConfig::default()
         })
-    }
-
-    fn resume_configs() -> Vec<SimConfig> {
-        let mut configs = SimConfig::standard_sweep().to_vec();
-        configs.push(
-            SimConfig::ls_defrag()
-                .with_distances()
-                .with_longseek_series(16)
-                .with_fragment_tracking()
-                .with_zones(512),
-        );
-        configs.push(SimConfig::log_structured().with_host_cache(64 * 512));
-        configs.push(SimConfig::no_ls().with_distances().with_host_cache(8 * 512));
-        configs.push(adaptive_config().with_fragment_tracking());
-        configs
-    }
-
-    #[test]
-    fn resume_is_byte_identical_to_uninterrupted_run() {
-        let trace = busy_trace(240);
-        let top = smrseek_trace::stream::max_lba(&trace).map_or(0, |l| l.sector() + 1);
-        for config in resume_configs() {
-            let config = config.with_frontier_hint(top);
-            let whole = serde_json::to_string(&Simulation::new(&config).run(trace.iter().copied()))
-                .expect("report serializes");
-            for split in [0usize, 1, 100, 239, 240] {
-                let mut state = EngineState::new(&config);
-                for rec in &trace[..split] {
-                    state.step(rec);
-                }
-                let snap = state.snapshot();
-                assert_eq!(snap.logical_ops as usize, split);
-                let resumed = Simulation::new(&config)
-                    .resume_from(&snap)
-                    .run(trace[split..].iter().copied());
-                assert_eq!(
-                    serde_json::to_string(&resumed).expect("report serializes"),
-                    whole,
-                    "resume at {split} diverged for {config:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_survives_serde_round_trip() {
-        let trace = busy_trace(150);
-        let top = smrseek_trace::stream::max_lba(&trace).map_or(0, |l| l.sector() + 1);
-        for config in resume_configs() {
-            let config = config.with_frontier_hint(top);
-            let whole = serde_json::to_string(&Simulation::new(&config).run(trace.iter().copied()))
-                .expect("report serializes");
-            let mut state = EngineState::new(&config);
-            for rec in &trace[..75] {
-                state.step(rec);
-            }
-            let json = serde_json::to_string(&state.snapshot()).expect("snapshot serializes");
-            let snap: EngineSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
-            let resumed = Simulation::new(&config)
-                .resume_from(&snap)
-                .run(trace[75..].iter().copied());
-            assert_eq!(
-                serde_json::to_string(&resumed).expect("report serializes"),
-                whole,
-                "serde round-trip broke resume for {config:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoints_emitted_on_cadence() {
-        let trace = busy_trace(35);
-        let config = SimConfig::no_ls();
-        let mut emitted = Vec::new();
-        let report = Simulation::new(&config)
-            .checkpoint_every(10, |snap: &EngineSnapshot| emitted.push(snap.logical_ops))
-            .run(trace.iter().copied());
-        assert_eq!(report.logical_ops, 35);
-        assert_eq!(emitted, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn run_trace_honors_checkpoint_cadence() {
-        // The block-decoded path checkpoints on the same cadence as the
-        // streaming path.
-        let trace = busy_trace(35);
-        let mut emitted = Vec::new();
-        let report = Simulation::new(&SimConfig::no_ls())
-            .checkpoint_every(10, |snap: &EngineSnapshot| emitted.push(snap.logical_ops))
-            .run_trace(&trace);
-        assert_eq!(report.logical_ops, 35);
-        assert_eq!(emitted, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn resumed_run_keeps_checkpoint_cadence() {
-        // Resuming at 15 with every(10) must fire at absolute records
-        // 20 and 30, not 25 and 35.
-        let trace = busy_trace(35);
-        let config = SimConfig::no_ls().with_checkpoint_every(10);
-        let mut state = EngineState::new(&config);
-        for rec in &trace[..15] {
-            state.step(rec);
-        }
-        let snap = state.snapshot();
-        let mut emitted = Vec::new();
-        Simulation::new(&config)
-            .resume_from(&snap)
-            .checkpoint_sink(|s: &EngineSnapshot| emitted.push(s.logical_ops))
-            .run(trace[15..].iter().copied());
-        assert_eq!(emitted, vec![20, 30]);
-    }
-
-    #[test]
-    #[should_panic(expected = "config key")]
-    fn resume_with_mismatched_layer_panics() {
-        let config = SimConfig::no_ls();
-        let snap = EngineState::new(&config).snapshot();
-        Simulation::new(&SimConfig::log_structured())
-            .resume_from(&snap)
-            .run(toy_trace());
-    }
-
-    #[test]
-    fn canonical_clears_checkpoint_cadence() {
-        let a = SimConfig::ls_cache().with_checkpoint_every(1000);
-        let b = SimConfig::ls_cache();
-        assert_eq!(a.canonical(Some(42)), b.canonical(Some(42)));
-        assert_eq!(a.cache_key(Some(42)), b.cache_key(Some(42)));
     }
 }

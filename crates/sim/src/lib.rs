@@ -20,7 +20,6 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod checkpoint;
 pub mod engine;
 pub mod experiments;
 pub mod plotdata;
@@ -30,11 +29,9 @@ pub mod saf;
 pub mod scheduler;
 pub mod tracecache;
 
-pub use checkpoint::CheckpointStore;
 pub use engine::{
-    BlockTrace, ConfigError, EngineSnapshot, LayerChoice, LayerSnapshot, RunReport, SimConfig,
-    SimConfigBuilder, Simulation,
+    BlockTrace, ConfigError, LayerChoice, RunReport, SimConfig, SimConfigBuilder, Simulation,
 };
 pub use report::TextTable;
-pub use runner::{CheckpointUsage, RunMatrix, RunMetrics, RunOutcome, ShardPolicy, TraceSource};
+pub use runner::{RunMatrix, RunMetrics, RunOutcome, ShardPolicy, TraceSource};
 pub use saf::Saf;

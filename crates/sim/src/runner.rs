@@ -17,15 +17,14 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::checkpoint::{checkpoint_config_key, CheckpointStore};
-use crate::engine::{BlockTrace, EngineSnapshot, LayerChoice, RunReport, SimConfig, Simulation};
+use crate::engine::{LayerChoice, RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
 use smrseek_obs::PhaseTotals;
-use smrseek_trace::binary::{MmapTrace, DEFAULT_BLOCK_RECORDS};
+use smrseek_trace::binary::MmapTrace;
 use smrseek_trace::TraceRecord;
 use smrseek_workloads::profiles::Profile;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -166,84 +165,6 @@ impl TraceSource {
                 let report = Simulation::new(&config).run_trace(&**map);
                 (report, start.elapsed())
             }
-        }
-    }
-
-    /// Like `replay`, but resumable: when `resume_from` is set the
-    /// already-consumed prefix (`resume_from.logical_ops` records) is
-    /// skipped and the engine restored from the snapshot, and checkpoints
-    /// are emitted through `emit` on the config's
-    /// [`SimConfig::with_checkpoint_every`] cadence. The returned report
-    /// is byte-identical to a cold `replay` of the same cell.
-    ///
-    /// Mmap-backed sources skip by seeking the mapping (no prefix decode);
-    /// generator-backed sources regenerate and slice.
-    pub fn replay_checkpointed(
-        &self,
-        config: &SimConfig,
-        resume_from: Option<&EngineSnapshot>,
-        emit: impl FnMut(&EngineSnapshot),
-    ) -> (RunReport, Duration) {
-        let skip = resume_from.map_or(0, |s| s.logical_ops) as usize;
-        let simulation = |config: &SimConfig| {
-            let sim = Simulation::new(config).checkpoint_sink(emit);
-            match resume_from {
-                Some(snap) => sim.resume_from(snap),
-                None => sim,
-            }
-        };
-        match &self.supply {
-            Supply::Generate(f) => {
-                let records = f();
-                let config = match config.layer {
-                    LayerChoice::Ls { .. } if config.frontier_hint.is_none() => {
-                        config.with_frontier_hint(smrseek_trace::binary::top_sector(&records))
-                    }
-                    _ => *config,
-                };
-                let remaining = &records[skip.min(records.len())..];
-                let start = Instant::now();
-                let report = simulation(&config).run_trace(remaining);
-                (report, start.elapsed())
-            }
-            Supply::Mapped { map, top } => {
-                let config = match config.layer {
-                    LayerChoice::Ls { .. } if config.frontier_hint.is_none() => {
-                        config.with_frontier_hint(*top)
-                    }
-                    _ => *config,
-                };
-                let suffix = MappedSuffix {
-                    map,
-                    skip: skip.min(map.len()),
-                };
-                let start = Instant::now();
-                let report = simulation(&config).run_trace(&suffix);
-                (report, start.elapsed())
-            }
-        }
-    }
-}
-
-/// The records of a mapping from `skip` onward, as a [`BlockTrace`]:
-/// what a resumed mmap-backed replay hands the engine — the suffix is
-/// read without decoding the consumed prefix.
-struct MappedSuffix<'a> {
-    map: &'a MmapTrace,
-    skip: usize,
-}
-
-impl BlockTrace for MappedSuffix<'_> {
-    fn frontier_top(&self) -> u64 {
-        self.map.top_sector()
-    }
-
-    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
-        let mut blocks = self
-            .map
-            .blocks_range(self.skip, self.map.len(), DEFAULT_BLOCK_RECORDS);
-        while let Some(block) = blocks.next_block() {
-            f(block);
         }
     }
 }
@@ -399,72 +320,6 @@ impl RunMatrix {
     pub fn execute_with(&self, threads: NonZeroUsize, _policy: ShardPolicy) -> Vec<RunOutcome> {
         self.execute(threads)
     }
-
-    /// Like [`execute`](Self::execute), but checkpoint-aware: each cell
-    /// first probes `store` for a checkpoint of (`trace_digest` × its
-    /// canonical config key) and resumes from it on a hit, and — when its
-    /// config sets [`SimConfig::with_checkpoint_every`] — saves fresh
-    /// checkpoints back as the replay advances. Reports stay byte-identical
-    /// to [`execute`](Self::execute); only wall time changes. A store file
-    /// that fails to load (corrupt, foreign, torn) is treated as a miss —
-    /// cache damage degrades performance, never results.
-    ///
-    /// `trace_digest` must be the full-trace digest of every cell's source
-    /// (callers run matrices over a single source; pass
-    /// `source.digest().as_u128()`).
-    pub fn execute_checkpointed(
-        &self,
-        threads: NonZeroUsize,
-        store: &CheckpointStore,
-        trace_digest: u128,
-    ) -> (Vec<RunOutcome>, CheckpointUsage) {
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let skipped = AtomicU64::new(0);
-        let outcomes = parallel_map(&self.cells, threads, |cell| {
-            let key = checkpoint_config_key(&cell.config, cell.source.top_sector());
-            let snap = match store.load(trace_digest, &key) {
-                Ok(Some(snap)) => {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    skipped.fetch_add(snap.logical_ops, Ordering::Relaxed);
-                    Some(snap)
-                }
-                Ok(None) | Err(_) => {
-                    misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            };
-            let start = smrseek_obs::unix_nanos();
-            let (report, wall) =
-                cell.source
-                    .replay_checkpointed(&cell.config, snap.as_ref(), |snapshot| {
-                        // Save failures are non-fatal: a checkpoint is an
-                        // optimization, the replay's own result stands.
-                        store.save(trace_digest, &key, snapshot).ok();
-                    });
-            RunOutcome::new(cell, report, wall, start)
-        });
-        (
-            outcomes,
-            CheckpointUsage {
-                hits: hits.into_inner(),
-                misses: misses.into_inner(),
-                records_skipped: skipped.into_inner(),
-            },
-        )
-    }
-}
-
-/// How much work the checkpoint store saved during one
-/// [`RunMatrix::execute_checkpointed`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointUsage {
-    /// Cells that resumed from a stored checkpoint.
-    pub hits: u64,
-    /// Cells that replayed from record zero.
-    pub misses: u64,
-    /// Records skipped by resuming (summed over hit cells).
-    pub records_skipped: u64,
 }
 
 /// Applies `f` to every item on up to `threads` scoped workers, returning
@@ -762,56 +617,6 @@ mod tests {
 
         let other = TraceSource::from_records("other", burst(301));
         assert_ne!(other.digest(), generated.digest());
-    }
-
-    #[test]
-    fn checkpointed_execution_is_result_invariant() {
-        use smrseek_trace::binary::{write_binary_v2, MmapTrace};
-
-        let records = burst(1200);
-        let mut buf = Vec::new();
-        write_binary_v2(&mut buf, &records).expect("vec write");
-        let map = Arc::new(MmapTrace::from_bytes(buf).expect("own output maps"));
-        let digest = smrseek_trace::digest::digest_records(&records).as_u128();
-
-        let dir =
-            std::env::temp_dir().join(format!("smrseek_runner_ckpt_test_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = CheckpointStore::new(&dir);
-
-        for source in [
-            TraceSource::from_mmap("burst", Arc::clone(&map)),
-            TraceSource::from_records("burst", records.clone()),
-        ] {
-            std::fs::remove_dir_all(&dir).ok();
-            let configs: Vec<SimConfig> = SimConfig::standard_sweep()
-                .iter()
-                .map(|c| c.with_checkpoint_every(500))
-                .collect();
-            let matrix = RunMatrix::cross(&[source], &configs);
-            let cold_plain = matrix.execute(NonZeroUsize::MIN);
-            let (cold, usage) = matrix.execute_checkpointed(two(), &store, digest);
-            assert_eq!(usage.hits, 0);
-            assert_eq!(usage.misses, 5);
-            assert_eq!(usage.records_skipped, 0);
-            // Warm pass: every cell resumes from the final checkpoint
-            // (record 1000, the last multiple of 500 within 1200 records).
-            let (warm, usage) = matrix.execute_checkpointed(two(), &store, digest);
-            assert_eq!(usage.hits, 5);
-            assert_eq!(usage.misses, 0);
-            assert_eq!(usage.records_skipped, 5 * 1000);
-            for ((a, b), c) in cold.iter().zip(&warm).zip(&cold_plain) {
-                for report in [&b.report, &c.report] {
-                    assert_eq!(a.report.layer_name, report.layer_name);
-                    assert_eq!(a.report.seeks, report.seeks);
-                    assert_eq!(a.report.phys_sectors, report.phys_sectors);
-                    assert_eq!(a.report.logical_ops, report.logical_ops);
-                    assert_eq!(a.report.peak_extent_segments, report.peak_extent_segments);
-                }
-                assert_eq!(a.metrics.records, 1200, "records stays the full count");
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

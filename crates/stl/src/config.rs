@@ -118,7 +118,7 @@ impl Default for CacheConfig {
 /// assert!(config.frontier_start.sector() > 10_000);
 /// assert!(config.cache.is_some());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LsConfig {
     /// First sector of the log: the write frontier's initial position.
     /// Must lie above every LBA in the trace so identity-placed pre-trace

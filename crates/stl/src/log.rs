@@ -5,46 +5,12 @@ use crate::config::{DefragTiming, LsConfig};
 use crate::fragstats::FragmentAccessTracker;
 use crate::layer::TranslationLayer;
 use crate::stats::LsStats;
-use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierLookup, TierStats, TieredCache};
 use smrseek_disk::PhysIo;
 use smrseek_extent::{ExtentMap, Segment};
 use smrseek_policy::GateSet;
 use smrseek_trace::{Lba, OpKind, Pba, TraceRecord};
 use std::collections::HashMap;
-
-/// The complete serializable state of a [`LogStructured`] layer.
-///
-/// Captures every field that influences future behaviour — extent map,
-/// frontier, counters, cache/prefetch contents (including LRU order),
-/// defragmentation bookkeeping — so that a layer restored via
-/// [`LogStructured::from_snapshot`] replays the remainder of a trace
-/// exactly as the original would have.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LsSnapshot {
-    /// The configuration the layer was built from.
-    pub config: LsConfig,
-    /// The LBA→PBA extent map.
-    pub map: ExtentMap,
-    /// Current write-frontier position.
-    pub frontier: Pba,
-    /// Instrumentation counters.
-    pub stats: LsStats,
-    /// Fragment statistics, when tracking was enabled.
-    pub tracker: Option<FragmentAccessTracker>,
-    /// Selective-cache contents (RAM tier plus optional flash tier),
-    /// when enabled.
-    pub cache: Option<TieredCache>,
-    /// Prefetch-buffer contents, when enabled.
-    pub prefetch_buffer: Option<RangeCache>,
-    /// Defragmentation access gate: `(lba, sectors, count)` triples, sorted
-    /// by range for a canonical encoding (the in-memory form is a hash map).
-    pub range_accesses: Vec<(u64, u32, u64)>,
-    /// Ranges queued for idle-time defragmentation, in queue order.
-    pub pending_defrag: Vec<(Lba, u64)>,
-    /// Timestamp of the last applied operation.
-    pub last_timestamp_us: u64,
-}
 
 /// Full-extent-map log-structured translation on an infinite disk
 /// (Section II's disk model).
@@ -80,9 +46,9 @@ pub struct LogStructured {
     prefetch_buffer: Option<RangeCache>,
     /// Per-region mechanism gates for the *next* record, set by an
     /// adaptive policy engine via [`set_gates`](Self::set_gates). Purely
-    /// transient (the engine re-derives them every record), so they are
-    /// neither snapshotted nor compared; the default is fully permissive —
-    /// exactly the fixed-mechanism behaviour of a policy-free run.
+    /// transient (the engine re-derives them every record); the default is
+    /// fully permissive — exactly the fixed-mechanism behaviour of a
+    /// policy-free run.
     gates: GateSet,
     /// Fragmented-read access counts per exact logical range, for the
     /// defragmentation `min_accesses` gate.
@@ -179,50 +145,6 @@ impl LogStructured {
     /// Ranges currently queued for idle-time defragmentation.
     pub fn pending_defrag(&self) -> &[(Lba, u64)] {
         &self.pending_defrag
-    }
-
-    /// Captures the layer's complete state for a checkpoint.
-    pub fn to_snapshot(&self) -> LsSnapshot {
-        let mut range_accesses: Vec<(u64, u32, u64)> = self
-            .range_accesses
-            .iter()
-            .map(|(&(lba, sectors), &count)| (lba, sectors, count))
-            .collect();
-        range_accesses.sort_unstable();
-        LsSnapshot {
-            config: self.config,
-            map: self.map.clone(),
-            frontier: self.frontier,
-            stats: self.stats,
-            tracker: self.tracker.clone(),
-            cache: self.cache.clone(),
-            prefetch_buffer: self.prefetch_buffer.clone(),
-            range_accesses,
-            pending_defrag: self.pending_defrag.clone(),
-            last_timestamp_us: self.last_timestamp_us,
-        }
-    }
-
-    /// Reconstructs a layer from captured state; applying the remaining
-    /// records yields exactly what the uninterrupted layer would have.
-    pub fn from_snapshot(snap: LsSnapshot) -> Self {
-        LogStructured {
-            map: snap.map,
-            frontier: snap.frontier,
-            stats: snap.stats,
-            tracker: snap.tracker,
-            cache: snap.cache,
-            prefetch_buffer: snap.prefetch_buffer,
-            gates: GateSet::default(),
-            range_accesses: snap
-                .range_accesses
-                .into_iter()
-                .map(|(lba, sectors, count)| ((lba, sectors), count))
-                .collect(),
-            pending_defrag: snap.pending_defrag,
-            last_timestamp_us: snap.last_timestamp_us,
-            config: snap.config,
-        }
     }
 
     /// Rewrites every queued range as one batch at the frontier (a single
@@ -942,60 +864,6 @@ mod tests {
         let zoned = mk(Some(256));
         assert!(zoned >= flat, "zoned {zoned} < flat {flat}");
         assert!(zoned > flat, "expected some guard-band splits");
-    }
-
-    #[test]
-    fn snapshot_resume_matches_uninterrupted_run() {
-        use crate::config::{CacheConfig, DefragConfig, PrefetchConfig};
-        // Exercise every mechanism whose state must survive a snapshot:
-        // idle defrag (pending queue + access gates + last timestamp),
-        // selective cache, prefetch buffer, fragment tracking.
-        let configs = [
-            LsConfig::new(lba(100_000)),
-            LsConfig::new(lba(100_000)).with_defrag(DefragConfig::idle(5_000)),
-            LsConfig::new(lba(100_000)).with_prefetch(PrefetchConfig::default()),
-            LsConfig::new(lba(100_000)).with_cache(CacheConfig {
-                capacity_bytes: 4 * 512,
-            }),
-            LsConfig::new(lba(100_000))
-                .with_cache(CacheConfig {
-                    capacity_bytes: 4 * 512,
-                })
-                .with_flash_cache(16 * 512),
-            LsConfig::new(lba(100_000))
-                .with_fragment_tracking()
-                .with_zones(64),
-        ];
-        let trace: Vec<TraceRecord> = (0..120u64)
-            .map(|i| {
-                let l = lba((i * 37) % 512);
-                if i % 3 == 0 {
-                    TraceRecord::write(i * 2_000, l, 8)
-                } else {
-                    TraceRecord::read(i * 2_000, l, 16)
-                }
-            })
-            .collect();
-        for config in configs {
-            for split in [0, 1, 40, 119, 120] {
-                let mut whole = LogStructured::new(config);
-                let whole_ios: Vec<PhysIo> = trace.iter().flat_map(|r| whole.apply(r)).collect();
-
-                let mut first = LogStructured::new(config);
-                let mut resumed_ios: Vec<PhysIo> =
-                    trace[..split].iter().flat_map(|r| first.apply(r)).collect();
-                let snap = first.to_snapshot();
-                let mut resumed = LogStructured::from_snapshot(snap.clone());
-                assert_eq!(resumed.to_snapshot(), snap, "snapshot is stable");
-                resumed_ios.extend(trace[split..].iter().flat_map(|r| resumed.apply(r)));
-
-                assert_eq!(resumed_ios, whole_ios, "split {split}");
-                assert_eq!(resumed.stats(), whole.stats());
-                assert_eq!(resumed.map(), whole.map());
-                assert_eq!(resumed.frontier(), whole.frontier());
-                assert_eq!(resumed.fragment_tracker(), whole.fragment_tracker());
-            }
-        }
     }
 
     #[test]

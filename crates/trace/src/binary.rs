@@ -184,7 +184,17 @@ fn read_header<R: Read>(reader: &mut R) -> Result<BinaryHeader> {
         reader
             .read_exact(&mut word)
             .map_err(|_| Error::Format("missing top_sector".into()))?;
-        Some(u64::from_le_bytes(word))
+        // Replay places the log frontier above this bound, so a value no
+        // valid record can reach is refused here rather than overflowing
+        // the frontier arithmetic later.
+        let top = u64::from_le_bytes(word);
+        if top > crate::MAX_END_SECTOR {
+            return Err(Error::Format(format!(
+                "top_sector {top} is past sector {}",
+                crate::MAX_END_SECTOR
+            )));
+        }
+        Some(top)
     } else {
         None
     };
@@ -276,7 +286,9 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Vec<TraceRecord>> {
     let iter = BinaryRecordIter::new(reader)?;
     let cap = usize::try_from(iter.header().count)
         .map_err(|_| Error::Format("count too large".into()))?;
-    let mut out = Vec::with_capacity(cap.min(1 << 24));
+    // The count is untrusted until the records arrive: reserve a bounded
+    // prefix and let the vector grow with what the reader really holds.
+    let mut out = Vec::with_capacity(cap.min(1 << 16));
     for rec in iter {
         out.push(rec?);
     }
@@ -532,14 +544,13 @@ impl MmapTrace {
     }
 
     /// A block reader over records `[start, end)`, block by block off the
-    /// shared mapping — how a resumed replay skips the records a
-    /// checkpoint already consumed without decoding them.
+    /// shared mapping.
     ///
     /// # Panics
     ///
     /// Panics if the range is inverted or out of bounds, or if
     /// `block_records` is zero.
-    pub fn blocks_range(&self, start: usize, end: usize, block_records: usize) -> MmapBlocks<'_> {
+    fn blocks_range(&self, start: usize, end: usize, block_records: usize) -> MmapBlocks<'_> {
         assert!(start <= end, "inverted range {start}..{end}");
         assert!(end <= self.len(), "range {start}..{end} out of bounds");
         assert!(block_records > 0, "block size must be positive");
@@ -714,6 +725,17 @@ mod tests {
         buf.truncate(buf.len() - 1);
         let err = read_binary(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn rejects_top_sector_past_the_limit() {
+        let mut buf = Vec::new();
+        write_binary_v2(&mut buf, &sample()).unwrap();
+        buf[V1_HEADER_LEN..V2_HEADER_LEN].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_binary(&buf[..]).unwrap_err();
+        assert!(err.to_string().contains("top_sector"), "{err}");
+        assert!(BinaryRecordIter::new(&buf[..]).is_err());
+        assert!(MmapTrace::from_bytes(buf).is_err());
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn parse_seconds_to_us(ts: &str) -> Option<u64> {
         nanos.push('0');
     }
     let nanos: u64 = nanos.parse().ok()?;
-    Some(secs * 1_000_000 + nanos / 1_000)
+    secs.checked_mul(1_000_000)?.checked_add(nanos / 1_000)
 }
 
 #[cfg(test)]
@@ -219,6 +219,22 @@ mod tests {
         );
         let past = format!("8,0 0 1 0.0 1 Q W {} + 8 [x]", limit - 7);
         assert!(p.parse_line(&past, 1).is_err());
+    }
+
+    #[test]
+    fn huge_timestamp_is_a_typed_error() {
+        // Seconds whose microsecond count overflows u64.
+        let mut p = BlktraceParser::new();
+        let line = "8,0 1 1 99999999999999.000000000 1234 Q W 2048 + 16 [w]";
+        match p.parse_line(line, 9) {
+            Err(Error::Parse { line: 9, reason }) => {
+                assert!(reason.contains("timestamp"), "{reason}")
+            }
+            other => panic!("expected a timestamp parse error, got {other:?}"),
+        }
+        assert_eq!(parse_seconds_to_us("18446744073709.551615"), Some(u64::MAX));
+        assert_eq!(parse_seconds_to_us("18446744073709.551616"), None);
+        assert_eq!(parse_seconds_to_us("18446744073710"), None);
     }
 
     #[test]

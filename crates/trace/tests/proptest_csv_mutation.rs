@@ -1,12 +1,12 @@
-//! Byte-mutation property tests for the CSV parsers: no input, however
-//! mangled, may panic [`MsrParser`] or [`CpParser`]. Lines start from the
-//! formats' own field layouts, with numeric fields drawn near `u32::MAX`
-//! and `u64::MAX` (and past it), then get truncated, spliced with stray
-//! bytes, or lose bytes. Every line must end in a record or a typed
-//! [`Error`].
+//! Byte-mutation property tests for the text trace parsers: no input,
+//! however mangled, may panic [`MsrParser`], [`CpParser`] or
+//! [`BlktraceParser`]. Lines start from the formats' own field layouts,
+//! with numeric fields drawn near `u32::MAX` and `u64::MAX` (and past it),
+//! then get truncated, spliced with stray bytes, or lose bytes. Every line
+//! must end in a record or a typed [`Error`].
 
 use proptest::prelude::*;
-use smrseek_trace::parse::{parse_iter, CpParser, LineParser, MsrParser};
+use smrseek_trace::parse::{parse_iter, BlktraceParser, CpParser, LineParser, MsrParser};
 use smrseek_trace::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -49,6 +49,33 @@ fn msr_line() -> impl Strategy<Value = String> {
 fn cp_line() -> impl Strategy<Value = String> {
     (number(), op(), number(), number())
         .prop_map(|(ts, op, offset, length)| format!("{ts},{op},{offset},{length}"))
+}
+
+/// A blkparse timestamp `seconds.fraction`: seconds from [`number`] (so
+/// microsecond conversion can overflow), fractions up to twelve digits
+/// (more than nine is malformed), or no fraction at all.
+fn blktrace_timestamp() -> impl Strategy<Value = String> {
+    (number(), 0usize..14, 0u64..u64::MAX).prop_map(|(secs, len, digits)| match len {
+        13 => secs,
+        _ => format!("{secs}.{}", &format!("{digits:020}")[..len]),
+    })
+}
+
+/// `dev cpu seq timestamp pid action rwbs sector + count [process]`.
+fn blktrace_line() -> impl Strategy<Value = String> {
+    let action = prop_oneof![Just("Q"), Just("C"), Just("D"), Just("QQ")];
+    let rwbs = prop_oneof![Just("R"), Just("W"), Just("RA"), Just("WS"), Just("N")];
+    (
+        blktrace_timestamp(),
+        number(),
+        action,
+        rwbs,
+        number(),
+        number(),
+    )
+        .prop_map(|(ts, pid, action, rwbs, sector, count)| {
+            format!("8,0 1 1 {ts} {pid} {action} {rwbs} {sector} + {count} [p]")
+        })
 }
 
 /// Bytes spliced into lines: digits, separators, whitespace, line breaks,
@@ -139,6 +166,15 @@ proptest! {
         } else {
             check_parses(&bytes, MsrParser::new())?;
         }
+    }
+
+    #[test]
+    fn mutated_blktrace_lines_never_panic(
+        lines in prop::collection::vec(blktrace_line(), 1..4),
+        mutations in prop::collection::vec(mutation(), 0..4),
+    ) {
+        let bytes = mangle(&lines, &mutations);
+        check_parses(&bytes, BlktraceParser::new())?;
     }
 
     #[test]
