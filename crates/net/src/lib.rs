@@ -9,9 +9,9 @@
 //! [`EventStream`], or defer blocking work to an auxiliary pool), and a
 //! self-pipe [`Waker`] so producers on any thread can nudge the loop.
 //!
-//! Like the `mmap(2)` wrapper in `smrseek-trace`, the raw syscalls are
-//! declared in [`sys`] instead of pulling in `libc`/`mio`: the workspace
-//! builds offline with vendored stand-ins only.
+//! The raw syscalls are declared in [`sys`] instead of pulling in
+//! `libc`/`mio`: the workspace builds offline with vendored stand-ins
+//! only.
 
 pub mod sys;
 

@@ -1,8 +1,7 @@
 //! Minimal raw syscall declarations for the readiness loop.
 //!
-//! The workspace builds with vendored stand-ins only, so — like the
-//! `mmap(2)` wrapper in `smrseek-trace` — the epoll and pipe syscalls are
-//! declared here instead of pulling in `libc`/`mio`. The declarations are
+//! The workspace builds with vendored stand-ins only, so the epoll and
+//! pipe syscalls are declared here instead of pulling in `libc`/`mio`. The declarations are
 //! Linux-shaped; the crate is only built on the Linux hosts the daemon
 //! targets.
 

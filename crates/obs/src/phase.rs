@@ -18,7 +18,7 @@ use std::time::Duration;
 /// A stage of per-record simulation work that the engine accounts for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Pulling the next record out of the trace source (parse or mmap read).
+    /// Pulling the next record out of the trace source (parse or decode).
     Ingest,
     /// Translation-layer work: extent-map lookup and remapping.
     Lookup,

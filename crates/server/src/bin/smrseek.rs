@@ -47,9 +47,9 @@
 //!
 //! Trace files may be MSR CSV, CloudPhysics CSV, blkparse text, or the
 //! compact binary format (`--format msr|cp|blktrace|binary`, auto-sniffed
-//! by default — binary files are recognized by their `SMRT` magic).
-//! `--cache` stages traces through mmapped `.smrt` sidecars so repeat
-//! runs replay with zero parse cost.
+//! by default — binary files are recognized by their `SMRT` magic). Every
+//! format loads into one in-memory record vector; `convert` rewrites a
+//! text trace as `.smrt` once so later runs skip text parsing.
 
 use smrseek_sim::experiments::{
     ablation, adaptive, analyze, classify, cleaning, fig10, fig11, fig2, fig3, fig4, fig5, fig7,
@@ -57,17 +57,16 @@ use smrseek_sim::experiments::{
 };
 use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix};
 use smrseek_sim::{saf, tracecache, SimConfig, Simulation, TextTable, TraceSource};
-use smrseek_trace::binary::{self, MmapTrace};
-use smrseek_trace::parse::{parse_reader, BlktraceParser, CpParser, MsrParser};
+use smrseek_trace::binary;
+use smrseek_trace::parse::{parse_path, sniff_path, DetectedFormat};
 use smrseek_trace::writer::write_cp_csv;
 use smrseek_trace::{characterize, TraceRecord};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read as _, Write};
+use std::io::{BufWriter, Read as _, Write};
 use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A CLI failure, classified so the exit code can tell misuse (2), bad
@@ -116,9 +115,9 @@ struct Args {
     opts: ExpOptions,
     json: Option<String>,
     out: Option<String>,
-    format: TraceFormat,
+    /// `None` sniffs the format from the file.
+    format: Option<DetectedFormat>,
     threads: NonZeroUsize,
-    cache: bool,
     addr: String,
     workers: usize,
     queue_depth: usize,
@@ -131,19 +130,10 @@ struct Args {
     log_json: bool,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum TraceFormat {
-    Auto,
-    Msr,
-    Cp,
-    Blktrace,
-    Binary,
-}
-
 fn usage() -> String {
     "usage: smrseek <table1|fig2|...|fig11|ablate|adaptive|timeamp|hostcache|clean|all|list> \
-     [--ops N] [--seed S] [--threads N] [--cache] [--json FILE]\n       \
-     smrseek <characterize|simulate> <trace> [--format msr|cp|blktrace|binary] [--cache] \
+     [--ops N] [--seed S] [--threads N] [--json FILE]\n       \
+     smrseek <characterize|simulate> <trace> [--format msr|cp|blktrace|binary] \
      [--json FILE]\n       \
      smrseek bench [--ops N] [--seed S] [--json FILE]\n       \
      smrseek convert <trace> <out.smrt> [--format msr|cp|blktrace|binary]\n       \
@@ -152,7 +142,7 @@ fn usage() -> String {
      [--peers ADDR,ADDR,...]\n       \
      smrseek bench-daemon [--addr HOST:PORT] [--requests N] [--concurrency N] \
      [--distinct N] [--ops N] [--json FILE]\n       \
-     smrseek profile <trace> [--out trace.json] [--format ...] [--cache] [--threads N]\n       \
+     smrseek profile <trace> [--out trace.json] [--format ...] [--threads N]\n       \
      smrseek trace <trace-id> [--addr HOST:PORT] [--peers ADDR,ADDR,...] [--out trace.json]\n       \
      smrseek --version\n\
      global flags: -v/--verbose (or SMRSEEK_LOG=debug) for progress chatter, \
@@ -173,9 +163,8 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         opts: ExpOptions::default(),
         json: None,
         out: None,
-        format: TraceFormat::Auto,
+        format: None,
         threads: runner::default_threads(),
-        cache: false,
         addr: "127.0.0.1:7070".to_owned(),
         workers: 2,
         queue_depth: 64,
@@ -226,20 +215,16 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 );
             }
             "--format" => {
-                args.format = match it
+                let name = it
                     .next()
-                    .ok_or_else(|| CliError::usage("--format needs msr|cp|blktrace|binary"))?
-                    .as_str()
-                {
-                    "msr" => TraceFormat::Msr,
-                    "cp" => TraceFormat::Cp,
-                    "blktrace" => TraceFormat::Blktrace,
-                    "binary" | "smrt" => TraceFormat::Binary,
+                    .ok_or_else(|| CliError::usage("--format needs msr|cp|blktrace|binary"))?;
+                args.format = Some(match name.as_str() {
+                    "msr" => DetectedFormat::Msr,
+                    "cp" => DetectedFormat::Cloudphysics,
+                    "blktrace" => DetectedFormat::Blktrace,
+                    "binary" | "smrt" => DetectedFormat::Binary,
                     other => return Err(CliError::usage(format!("unknown format {other:?}"))),
-                };
-            }
-            "--cache" => {
-                args.cache = true;
+                });
             }
             "-v" | "--verbose" => {
                 args.verbose = true;
@@ -314,117 +299,17 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     Ok(args)
 }
 
-fn load_trace(path: &str, format: TraceFormat) -> Result<Vec<TraceRecord>, CliError> {
-    let format = match format {
-        TraceFormat::Auto => sniff_format(path)?,
-        other => other,
-    };
-    if format == TraceFormat::Binary {
-        return Ok(open_mmap(path)?.iter().collect());
-    }
-    let file = File::open(path).map_err(|e| CliError::Io(format!("cannot open {path}: {e}")))?;
-    let reader = BufReader::new(file);
-    let parsed = match format {
-        TraceFormat::Msr => parse_reader(reader, MsrParser::new()),
-        TraceFormat::Cp => parse_reader(reader, CpParser::new()),
-        TraceFormat::Blktrace => parse_reader(reader, BlktraceParser::new()),
-        TraceFormat::Auto | TraceFormat::Binary => unreachable!("resolved above"),
-    };
-    parsed.map_err(|e| match e {
-        smrseek_trace::Error::Io(e) => CliError::Io(format!("{path}: {e}")),
-        other => CliError::Parse(format!("{path}: {other}")),
-    })
-}
-
-/// Maps a binary `.smrt` trace read-only, classifying failures for the
-/// exit code.
-fn open_mmap(path: &str) -> Result<MmapTrace, CliError> {
-    MmapTrace::open(Path::new(path)).map_err(|e| match e {
-        smrseek_trace::Error::Io(e) => CliError::Io(format!("{path}: {e}")),
-        other => CliError::Parse(format!("{path}: {other}")),
-    })
-}
-
-/// Binary traces carry the `SMRT` magic in their first bytes; MSR lines
-/// have 7 comma-separated fields; CloudPhysics lines have 4; blkparse
-/// lines are whitespace-separated with a `+` before the count. The magic
-/// is checked first so a binary file is never mistaken for CSV.
-fn sniff_format(path: &str) -> Result<TraceFormat, CliError> {
-    let mut file =
-        File::open(path).map_err(|e| CliError::Io(format!("cannot open {path}: {e}")))?;
-    let mut prefix = [0u8; 6];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match file.read(&mut prefix[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) => return Err(CliError::Io(format!("{path}: {e}"))),
-        }
-    }
-    if binary::sniff_magic(&prefix[..filled]).is_some() {
-        return Ok(TraceFormat::Binary);
-    }
-    let file = File::open(path).map_err(|e| CliError::Io(format!("cannot open {path}: {e}")))?;
-    for line in BufReader::new(file).lines() {
-        let line = line.map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with("timestamp_us") {
-            continue;
-        }
-        if t.split_whitespace().any(|f| f == "+") {
-            return Ok(TraceFormat::Blktrace);
-        }
-        return Ok(if t.split(',').count() >= 7 {
-            TraceFormat::Msr
-        } else {
-            TraceFormat::Cp
-        });
-    }
-    Err(CliError::Parse(format!(
-        "{path}: no data lines to sniff the format from"
-    )))
-}
-
-/// The trace supply for `simulate`: binary inputs are mmapped directly;
-/// with `--cache` a `.smrt` sidecar next to the trace is mmapped when
-/// present and populated (then mmapped) after the first parse; otherwise
-/// the trace is parsed into memory. Cache failures degrade to the parsed
-/// path with a stderr note, never failing the run.
-fn simulate_source(path: &str, format: TraceFormat, cache: bool) -> Result<TraceSource, CliError> {
-    let format = match format {
-        TraceFormat::Auto => sniff_format(path)?,
-        other => other,
-    };
-    if format == TraceFormat::Binary {
-        return Ok(TraceSource::from_mmap(path, Arc::new(open_mmap(path)?)));
-    }
-    if !cache {
-        return Ok(TraceSource::from_records(path, load_trace(path, format)?));
-    }
-    let sidecar = tracecache::sidecar_path(Path::new(path));
-    if sidecar.exists() {
-        match MmapTrace::open(&sidecar) {
-            Ok(map) => {
-                smrseek_obs::info!("cache: replaying {}", sidecar.display());
-                return Ok(TraceSource::from_mmap(path, Arc::new(map)));
-            }
-            Err(e) => {
-                smrseek_obs::warn!("cache: ignoring {}: {e}; reparsing", sidecar.display());
-            }
-        }
-    }
-    let records = load_trace(path, format)?;
-    match tracecache::write_sidecar(&sidecar, &records) {
-        Ok(()) => smrseek_obs::info!("cache: wrote {}", sidecar.display()),
-        Err(e) => smrseek_obs::warn!("cache: {e}"),
-    }
-    Ok(TraceSource::from_records(path, records))
-}
-
-/// The synthetic-profile cache directory implied by `--cache`.
-fn cache_dir(args: &Args) -> Option<PathBuf> {
-    args.cache
-        .then(|| PathBuf::from(tracecache::DEFAULT_CACHE_DIR))
+/// Loads the trace at `path` into memory in `format` (sniffed when
+/// `None`), classifying failures for the exit code.
+fn read_trace(path: &str, format: Option<DetectedFormat>) -> Result<Vec<TraceRecord>, CliError> {
+    let file = Path::new(path);
+    format
+        .map_or_else(|| sniff_path(file), Ok)
+        .and_then(|format| parse_path(file, format))
+        .map_err(|e| match e {
+            smrseek_trace::Error::Io(e) => CliError::Io(format!("{path}: {e}")),
+            other => CliError::Parse(format!("{path}: {other}")),
+        })
 }
 
 fn maybe_write_json<T: serde::Serialize>(json: &Option<String>, value: &T) -> Result<(), CliError> {
@@ -448,9 +333,9 @@ extern "C" fn request_shutdown(_signum: i32) {
 }
 
 /// Installs `request_shutdown` for `SIGINT` (2) and `SIGTERM` (15) via
-/// `signal(2)`, declared raw like `mmap(2)` in the trace crate — the
-/// build environment has no libc crate. Setting a flag is all the
-/// handler does, which is async-signal-safe.
+/// `signal(2)`, declared raw because the build environment has no libc
+/// crate. Setting a flag is all the handler does, which is
+/// async-signal-safe.
 fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
@@ -474,11 +359,12 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
         .as_ref()
         .ok_or_else(|| CliError::usage("profile needs a trace file"))?;
     let out_path = args.out.clone().unwrap_or_else(|| "trace.json".to_owned());
-    let source = simulate_source(path, args.format, args.cache)?;
-    let records = source.records().len() as u64;
+    let trace = read_trace(path, args.format)?;
+    let records = trace.len() as u64;
     if records == 0 {
         return Err(CliError::Parse(format!("{path}: empty trace")));
     }
+    let source = TraceSource::from_records(path, trace);
     let labels = ["NoLS", "LS", "LS+defrag", "LS+prefetch", "LS+cache"];
     let mut matrix = RunMatrix::new();
     for (config, label) in SimConfig::standard_sweep().iter().zip(labels) {
@@ -534,10 +420,10 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
 /// `smrseek bench` replays `--ops` records (default 10 million — large
 /// enough that per-record overheads dominate any constant cost) of a
 /// deterministic mixed read/write workload through the NoLS baseline and
-/// three log-structured configs, and reports ingest bandwidth off the
-/// binary format plus serial replay throughput for each. The host's CPU
-/// count is reported alongside so numbers from different machines compare
-/// honestly.
+/// three log-structured configs, and reports ingest bandwidth (decoding
+/// the binary image with [`binary::read_binary`]) plus serial replay
+/// throughput for each. The host's CPU count is reported alongside so
+/// numbers from different machines compare honestly.
 fn run_bench(args: &Args) -> Result<String, CliError> {
     #[derive(serde::Serialize)]
     struct BenchPhase {
@@ -585,23 +471,20 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     binary::write_binary_v2(&mut buf, &records).map_err(|e| CliError::Io(e.to_string()))?;
     let trace_bytes = buf.len();
     drop(records);
-    let map = MmapTrace::from_bytes(buf).map_err(|e| CliError::Parse(e.to_string()))?;
 
     let phase = |seconds: f64| BenchPhase {
         seconds,
         records_per_s: n as f64 / seconds,
     };
-    // Ingest: one block-decode pass over the mapped bytes, no simulation.
+    // Ingest: one decode of the binary image into memory, no simulation.
     let start = Instant::now();
-    let mut blocks = map.blocks();
-    let mut decoded = 0usize;
-    while let Some(block) = blocks.next_block() {
-        decoded += block.len();
-    }
+    let records = binary::read_binary(&buf[..]).map_err(|e| CliError::Parse(e.to_string()))?;
     let ingest_s = start.elapsed().as_secs_f64();
-    if decoded != n {
+    drop(buf);
+    if records.len() != n {
         return Err(CliError::Parse(format!(
-            "bench decoded {decoded} of {n} records"
+            "bench decoded {} of {n} records",
+            records.len()
         )));
     }
 
@@ -626,7 +509,7 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     for (name, config) in bench_configs {
         let replay = || {
             let start = Instant::now();
-            let report = Simulation::new(&config).run_trace(&map);
+            let report = Simulation::new(&config).run_trace(&records);
             (start.elapsed().as_secs_f64(), report.logical_ops)
         };
         // Warm the page cache and branch predictors off the books.
@@ -887,14 +770,12 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
     let opts = &args.opts;
     Ok(match args.command.as_str() {
         "table1" => {
-            let cache = cache_dir(args);
-            let rows = table1::run_cached(opts, args.threads, cache.as_deref());
+            let rows = table1::run_with_threads(opts, args.threads);
             maybe_write_json(&args.json, &rows)?;
             table1::render(&rows)
         }
         "fig2" => {
-            let cache = cache_dir(args);
-            let (rows, stats) = fig2::run_cached(opts, args.threads, cache.as_deref());
+            let (rows, stats) = fig2::run_with_threads(opts, args.threads);
             smrseek_obs::info!("{}", stats.summary("fig2"));
             maybe_write_json(&args.json, &rows)?;
             fig2::render(&rows)
@@ -941,8 +822,7 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
             ablation::render(&sweeps)
         }
         "adaptive" => {
-            let cache = cache_dir(args);
-            let (report, stats) = adaptive::run_cached(opts, args.threads, cache.as_deref());
+            let (report, stats) = adaptive::run_with_threads(opts, args.threads);
             smrseek_obs::info!("{}", stats.summary("adaptive"));
             maybe_write_json(&args.json, &report)?;
             adaptive::render(&report)
@@ -1000,20 +880,18 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
             use std::time::Duration;
             type Section = (&'static str, Box<dyn Fn() -> (String, Value) + Sync>);
             let o = *opts;
-            let table1_cache = cache_dir(args);
-            let fig2_cache = cache_dir(args);
             let sections: Vec<Section> = vec![
                 (
                     "table1",
                     Box::new(move || {
-                        let r = table1::run_cached(&o, NonZeroUsize::MIN, table1_cache.as_deref());
+                        let r = table1::run(&o);
                         (format!("{}\n", table1::render(&r)), r.to_value())
                     }),
                 ),
                 (
                     "fig2",
                     Box::new(move || {
-                        let r = fig2::run_cached(&o, NonZeroUsize::MIN, fig2_cache.as_deref()).0;
+                        let r = fig2::run(&o);
                         (fig2::render(&r), r.to_value())
                     }),
                 ),
@@ -1213,7 +1091,7 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
                 .file
                 .as_ref()
                 .ok_or_else(|| CliError::usage("characterize needs a trace file"))?;
-            let trace = load_trace(path, args.format)?;
+            let trace = read_trace(path, args.format)?;
             let stats = characterize(&trace);
             let analysis = smrseek_trace::summarize(&trace);
             maybe_write_json(&args.json, &(&stats, &analysis))?;
@@ -1235,7 +1113,7 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
                 .file
                 .as_ref()
                 .ok_or_else(|| CliError::usage("simulate needs a trace file"))?;
-            let source = simulate_source(path, args.format, args.cache)?;
+            let source = TraceSource::from_records(path, read_trace(path, args.format)?);
             let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
             let outcomes = matrix.execute(args.threads);
             smrseek_obs::info!(
@@ -1270,8 +1148,8 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
                 .file2
                 .as_ref()
                 .ok_or_else(|| CliError::usage("convert needs an output path"))?;
-            let records = load_trace(input, args.format)?;
-            tracecache::write_sidecar(Path::new(out), &records).map_err(CliError::Io)?;
+            let records = read_trace(input, args.format)?;
+            tracecache::write_smrt(Path::new(out), &records).map_err(CliError::Io)?;
             format!(
                 "wrote {} records to {out} (binary v2, top sector {})\n",
                 records.len(),

@@ -1,7 +1,7 @@
 //! `smrseekd`: the simulation-as-a-service daemon behind `smrseek serve`.
 //!
 //! The engine can replay traces in bounded memory, fan out across
-//! threads, and share one mmapped copy of a trace — but a fresh CLI
+//! threads, and share one loaded copy of a trace — but a fresh CLI
 //! process re-does all of that setup per experiment and throws the
 //! results away. This crate turns the engine into a *persistent* service
 //! in the spirit of host-side translation daemons (SALSA, SMORE): traces
@@ -26,7 +26,7 @@
 //! event-loop core in `smrseek-net`: one reactor thread multiplexes
 //! every connection through epoll, slow or stalled clients are reaped on
 //! a deadline instead of pinning a thread, quick GETs answer inline on
-//! the reactor, and submissions (which may mmap a trace or forward to a
+//! the reactor, and submissions (which may load a trace or forward to a
 //! peer) run on a small auxiliary pool — worker threads only ever replay
 //! simulations. With `--peers`, N daemons shard the result cache by
 //! consistent hashing on the job key so each unique sweep is computed
@@ -254,7 +254,7 @@ pub fn start(config: ServerConfig) -> io::Result<Handle> {
 
 /// Bridges the reactor to daemon routing. Quick GETs answer inline on
 /// the reactor thread; `POST /v1/jobs` defers to the auxiliary pool
-/// (resolving a trace can mmap + digest a file, and fleet forwarding
+/// (resolving a trace can load + digest a file, and fleet forwarding
 /// blocks on a peer); `GET /v1/jobs/<id>/events` returns the job's live
 /// event stream.
 struct DaemonDispatcher {

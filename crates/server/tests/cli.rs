@@ -205,55 +205,6 @@ fn convert_then_simulate_matches_csv_run() {
 }
 
 #[test]
-fn simulate_cache_is_byte_identical_and_replays_sidecar() {
-    let csv = tmp("cached.csv");
-    let sidecar = tmp("cached.csv.smrt");
-    std::fs::remove_file(&sidecar).ok();
-    let out = smrseek(&[
-        "gen",
-        "hm_1",
-        "--ops",
-        "600",
-        "--out",
-        csv.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
-    let j = |n: &str| tmp(n).to_str().unwrap().to_owned();
-    let (ju, j1, j2) = (j("cached_u.json"), j("cached_1.json"), j("cached_2.json"));
-    let uncached = smrseek(&["simulate", csv.to_str().unwrap(), "--json", &ju]);
-    let first = smrseek(&["simulate", csv.to_str().unwrap(), "--cache", "--json", &j1]);
-    assert!(sidecar.exists(), "first cached run writes the sidecar");
-    // `-v` so the cache chatter (info level) reaches stderr.
-    let second = smrseek(&[
-        "simulate",
-        csv.to_str().unwrap(),
-        "--cache",
-        "--json",
-        &j2,
-        "-v",
-    ]);
-    assert!(uncached.status.success() && first.status.success() && second.status.success());
-    assert_eq!(
-        stdout(&uncached),
-        stdout(&first),
-        "--cache must not change stdout"
-    );
-    assert_eq!(stdout(&uncached), stdout(&second));
-    let read = |p: &str| std::fs::read(p).expect("json written");
-    assert_eq!(read(&ju), read(&j1), "--cache must not change JSON");
-    assert_eq!(read(&ju), read(&j2));
-    assert!(
-        String::from_utf8_lossy(&second.stderr).contains("cache: replaying"),
-        "second run replays the mmapped sidecar"
-    );
-    for p in [ju, j1, j2] {
-        std::fs::remove_file(p).ok();
-    }
-    std::fs::remove_file(&csv).ok();
-    std::fs::remove_file(&sidecar).ok();
-}
-
-#[test]
 fn simulate_json_handles_zero_baseline_trace() {
     // A fully sequential trace incurs zero NoLS seeks, making SAF
     // components infinite. JSON output must still succeed (components
@@ -414,6 +365,10 @@ fn exit_codes_distinguish_usage_from_io() {
     assert_eq!(out.status.code(), Some(2));
     let out = smrseek(&["fig2", "--ops", "abc"]);
     assert_eq!(out.status.code(), Some(2));
+    // There is no trace-cache flag: `convert` once, then replay the `.smrt`.
+    let out = smrseek(&["simulate", "t.csv", "--cache"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("[--cache]"));
     // I/O failure: exit 74 (EX_IOERR).
     let out = smrseek(&["characterize", "/nonexistent/trace.csv"]);
     assert_eq!(out.status.code(), Some(74));

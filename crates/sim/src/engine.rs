@@ -3,7 +3,7 @@
 //! The single entry point is the [`Simulation`] builder: configure with a
 //! [`SimConfig`] (validated construction via [`SimConfig::builder`]), then
 //! [`run`](Simulation::run) a record stream or
-//! [`run_trace`](Simulation::run_trace) a trace decoded in blocks. Both
+//! [`run_trace`](Simulation::run_trace) an in-memory record slice. Both
 //! replay serially through the same per-record step.
 
 use std::time::Instant;
@@ -17,7 +17,6 @@ use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
     PrefetchConfig, TranslationLayer,
 };
-use smrseek_trace::binary::{MmapTrace, DEFAULT_BLOCK_RECORDS};
 use smrseek_trace::{stream, TraceRecord};
 
 /// Which translation layer to simulate.
@@ -809,67 +808,16 @@ impl EngineState {
     }
 }
 
-/// A trace the engine replays in decoded blocks rather than one record at
-/// a time: in-memory slices hand out zero-copy chunks, and [`MmapTrace`]
-/// decodes block by block off the shared mapping.
-pub trait BlockTrace {
-    /// The frontier bound derived from this trace — what an LS run uses
-    /// when [`SimConfig::frontier_hint`] is unset. Each implementation
-    /// preserves the derivation its pre-`Simulation` replay path used, so
-    /// reports stay byte-identical across the API change.
-    fn frontier_top(&self) -> u64;
-
-    /// Streams every record to `f` as consecutive non-empty blocks whose
-    /// concatenation is exactly the trace.
-    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord]));
-}
-
-impl BlockTrace for [TraceRecord] {
-    /// Highest *starting* LBA plus one — the derivation the historical
-    /// slice-based `simulate` used (via `stream::max_lba`), kept so
-    /// derived frontiers land on the same sector.
-    fn frontier_top(&self) -> u64 {
-        stream::max_lba(self).map_or(0, |l| l.sector() + 1)
-    }
-
-    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
-        for block in self.chunks(DEFAULT_BLOCK_RECORDS) {
-            f(block);
-        }
-    }
-}
-
-impl BlockTrace for Vec<TraceRecord> {
-    fn frontier_top(&self) -> u64 {
-        self.as_slice().frontier_top()
-    }
-
-    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
-        self.as_slice().for_each_block(f);
-    }
-}
-
-impl BlockTrace for MmapTrace {
-    /// One past the highest sector any record touches — from the v2
-    /// header when present, exactly the hint mmap-backed replay always
-    /// passed explicitly.
-    fn frontier_top(&self) -> u64 {
-        self.top_sector()
-    }
-
-    fn for_each_block(&self, f: &mut dyn FnMut(&[TraceRecord])) {
-        let mut blocks = self.blocks();
-        while let Some(block) = blocks.next_block() {
-            f(block);
-        }
-    }
-}
+/// Records [`Simulation::run_trace`] replays between two ingest-phase
+/// timestamps: 4096 records (96 KiB) amortize the clock reads while the
+/// block stays cache-resident.
+const DEFAULT_BLOCK_RECORDS: usize = 4096;
 
 /// One configured simulation run: the single entry point of the engine.
 ///
 /// Build one with [`Simulation::new`], then consume records with
 /// [`run`](Self::run) (any iterator) or [`run_trace`](Self::run_trace)
-/// (block-decoded traces). Replay is serial: each read's translation
+/// (in-memory traces). Replay is serial: each read's translation
 /// depends on every earlier write, so parallelism lives across runs (the
 /// cells of a [`RunMatrix`](crate::runner::RunMatrix)), never inside one.
 /// Both entry points produce byte-identical serialized [`RunReport`]s
@@ -916,8 +864,8 @@ impl Simulation {
         let timing = state.timing;
         let mut records = records.into_iter();
         loop {
-            // Pulling the next record is where trace parse / mmap-read
-            // cost lives, so it is accounted as the ingest phase.
+            // Pulling the next record is where trace parse / decode cost
+            // lives, so it is accounted as the ingest phase.
             let mark = timing.then(Instant::now);
             let Some(rec) = records.next() else { break };
             if let Some(t) = mark {
@@ -928,24 +876,21 @@ impl Simulation {
         state.finish()
     }
 
-    /// Replays a block-decoded trace: derives the LS frontier hint from
-    /// the trace when the config leaves it unset, and ingests in decoded
-    /// blocks rather than record-at-a-time — block decode time is
-    /// accounted to the ingest phase once per block, which is the point
-    /// of batching. Serialized reports are byte-identical to
-    /// [`run`](Self::run) over the same records.
-    pub fn run_trace<T>(mut self, trace: &T) -> RunReport
-    where
-        T: BlockTrace + ?Sized,
-    {
+    /// Replays an in-memory trace: derives the LS frontier hint from the
+    /// records when the config leaves it unset (highest touched LBA plus
+    /// one, via [`stream::max_lba`]) and ingests in blocks of 4096
+    /// records — ingest time is accounted once per block rather than per
+    /// record. Serialized reports are byte-identical to
+    /// [`run`](Self::run) over the same records with that hint.
+    pub fn run_trace(mut self, trace: &[TraceRecord]) -> RunReport {
         if matches!(self.config.layer, LayerChoice::Ls { .. })
             && self.config.frontier_hint.is_none()
         {
-            self.config.frontier_hint = Some(trace.frontier_top());
+            self.config.frontier_hint = Some(stream::max_lba(trace).map_or(0, |l| l.sector() + 1));
         }
         let mut state = EngineState::new(&self.config);
         let mut last = state.timing.then(Instant::now);
-        trace.for_each_block(&mut |block| {
+        for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
             if let Some(t) = &last {
                 state.phases.record(Phase::Ingest, t.elapsed());
             }
@@ -955,7 +900,7 @@ impl Simulation {
             if let Some(t) = &mut last {
                 *t = Instant::now();
             }
-        });
+        }
         state.finish()
     }
 }

@@ -19,12 +19,10 @@ use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
 use crate::runner::{MatrixStats, RunMatrix, TraceSource};
 use crate::saf::Saf;
-use crate::tracecache;
 use serde::Serialize;
 use smrseek_policy::PolicyStats;
 use smrseek_workloads::profiles::{self, Family, Profile};
 use std::num::NonZeroUsize;
-use std::path::Path;
 
 /// Tolerance for "adaptive tracks the best fixed mechanism": adaptive's
 /// total SAF may exceed the per-workload best by at most this factor.
@@ -159,21 +157,10 @@ pub fn run(opts: &ExpOptions) -> AdaptiveReport {
 /// workload) on up to `threads` workers. The report is identical to
 /// [`run`]'s for any thread count.
 pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> (AdaptiveReport, MatrixStats) {
-    run_cached(opts, threads, None)
-}
-
-/// [`run_with_threads`] replaying from the binary trace cache under
-/// `cache_dir` (mmapped when present, generated and written on first
-/// use). The report is identical to [`run`]'s.
-pub fn run_cached(
-    opts: &ExpOptions,
-    threads: NonZeroUsize,
-    cache_dir: Option<&Path>,
-) -> (AdaptiveReport, MatrixStats) {
     let all = profiles::all();
     let sources: Vec<TraceSource> = all
         .iter()
-        .map(|p| tracecache::profile_source(p, opts, cache_dir))
+        .map(|p| TraceSource::from_profile(p, opts))
         .collect();
     let matrix = RunMatrix::cross(&sources, &configs());
     let outcomes = matrix.execute(threads);

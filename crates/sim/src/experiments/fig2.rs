@@ -11,12 +11,10 @@ use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
 use crate::runner::{MatrixStats, RunMatrix, TraceSource};
-use crate::tracecache;
 use serde::Serialize;
 use smrseek_disk::SeekStats;
 use smrseek_workloads::profiles::{self, Family, Profile};
 use std::num::NonZeroUsize;
-use std::path::Path;
 
 /// Seek counts of one workload under both translations.
 #[derive(Debug, Clone, Serialize)]
@@ -65,23 +63,10 @@ pub fn run(opts: &ExpOptions) -> Vec<Fig2Row> {
 /// cells (NoLS, LS) per workload, executed on up to `threads` workers.
 /// Rows are identical to [`run`]'s for any thread count.
 pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig2Row>, MatrixStats) {
-    run_cached(opts, threads, None)
-}
-
-/// [`run_with_threads`] replaying from the binary trace cache: each
-/// workload's records come from an mmapped `.smrt` sidecar under
-/// `cache_dir` (populated on first use), so both cells share one mapping
-/// and repeat runs never regenerate the trace. Rows are identical to
-/// [`run`]'s.
-pub fn run_cached(
-    opts: &ExpOptions,
-    threads: NonZeroUsize,
-    cache_dir: Option<&Path>,
-) -> (Vec<Fig2Row>, MatrixStats) {
     let all = profiles::all();
     let sources: Vec<TraceSource> = all
         .iter()
-        .map(|p| tracecache::profile_source(p, opts, cache_dir))
+        .map(|p| TraceSource::from_profile(p, opts))
         .collect();
     let matrix = RunMatrix::cross(&sources, &[SimConfig::no_ls(), SimConfig::log_structured()]);
     let outcomes = matrix.execute(threads);

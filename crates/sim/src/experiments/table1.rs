@@ -8,12 +8,10 @@
 use super::ExpOptions;
 use crate::report::TextTable;
 use crate::runner::parallel_map;
-use crate::tracecache;
 use serde::Serialize;
 use smrseek_trace::{characterize, TraceStats};
 use smrseek_workloads::profiles::{self, Profile, TableRow};
 use std::num::NonZeroUsize;
-use std::path::Path;
 
 /// One workload's paper-vs-synthetic characteristics.
 #[derive(Debug, Clone, Serialize)]
@@ -45,26 +43,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table1Row> {
 /// identical to [`run`]'s for any thread count (characterization is pure;
 /// only wall time changes).
 pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Table1Row> {
-    run_cached(opts, threads, None)
-}
-
-/// [`run_with_threads`] reading each workload's records from the binary
-/// trace cache under `cache_dir` (mmapped when present, generated and
-/// written on first use). Rows are identical to [`run`]'s — the sidecar
-/// stores exactly the generated records.
-pub fn run_cached(
-    opts: &ExpOptions,
-    threads: NonZeroUsize,
-    cache_dir: Option<&Path>,
-) -> Vec<Table1Row> {
-    parallel_map(&profiles::all(), threads, |p| {
-        let trace = tracecache::profile_source(p, opts, cache_dir).records();
-        Table1Row {
-            workload: p.name.to_owned(),
-            paper: p.row,
-            synthetic: characterize(&trace),
-        }
-    })
+    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
 /// Renders the comparison table.

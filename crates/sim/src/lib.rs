@@ -29,9 +29,7 @@ pub mod saf;
 pub mod scheduler;
 pub mod tracecache;
 
-pub use engine::{
-    BlockTrace, ConfigError, LayerChoice, RunReport, SimConfig, SimConfigBuilder, Simulation,
-};
+pub use engine::{ConfigError, LayerChoice, RunReport, SimConfig, SimConfigBuilder, Simulation};
 pub use report::TextTable;
 pub use runner::{RunMatrix, RunMetrics, RunOutcome, ShardPolicy, TraceSource};
 pub use saf::Saf;

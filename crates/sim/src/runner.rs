@@ -17,10 +17,9 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::engine::{LayerChoice, RunReport, SimConfig, Simulation};
+use crate::engine::{RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
 use smrseek_obs::PhaseTotals;
-use smrseek_trace::binary::MmapTrace;
 use smrseek_trace::TraceRecord;
 use smrseek_workloads::profiles::Profile;
 use std::num::NonZeroUsize;
@@ -28,31 +27,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How a [`TraceSource`] produces its records.
-#[derive(Clone)]
-enum Supply {
-    /// A repeatable generator; each cell regenerates (or clones an Arc of)
-    /// the trace on the worker that runs it.
-    Generate(Arc<dyn Fn() -> Arc<Vec<TraceRecord>> + Send + Sync>),
-    /// One shared read-only mapping of a binary trace file; every cell
-    /// replays straight off the mapped pages with zero parse cost.
-    /// `top` caches the frontier hint (from the v2 header when present).
-    Mapped { map: Arc<MmapTrace>, top: u64 },
-}
-
 /// A named, repeatable source of trace records.
 ///
-/// Generator-backed cells regenerate their trace on the worker that runs
-/// them (sharing one materialized trace across threads would serialize on
-/// it and pin the whole matrix's memory high-water mark at once);
-/// repeatability is what keeps the matrix deterministic under any
-/// scheduling. Mmap-backed sources ([`TraceSource::from_mmap`]) instead
-/// share a single read-only mapping across every cell: the kernel page
-/// cache holds one copy of the trace no matter how many workers replay it.
+/// Every cell regenerates (or, for [`TraceSource::from_records`], clones
+/// an `Arc` of) its trace on the worker that runs it: sharing one
+/// generated trace across threads would pin the whole matrix's memory
+/// high-water mark at once, and repeatability is what keeps the matrix
+/// deterministic under any scheduling. Trace files of every format,
+/// `.smrt` included, are loaded into memory once
+/// ([`smrseek_trace::parse::parse_path`]) and wrapped with
+/// [`TraceSource::from_records`].
 #[derive(Clone)]
 pub struct TraceSource {
     name: String,
-    supply: Supply,
+    supply: Arc<dyn Fn() -> Arc<Vec<TraceRecord>> + Send + Sync>,
 }
 
 impl std::fmt::Debug for TraceSource {
@@ -66,26 +54,13 @@ impl std::fmt::Debug for TraceSource {
 impl TraceSource {
     /// Wraps an arbitrary trace supplier. `supply` must be repeatable:
     /// every call returns the same records in the same order.
-    pub fn new(
+    fn new(
         name: impl Into<String>,
         supply: impl Fn() -> Arc<Vec<TraceRecord>> + Send + Sync + 'static,
     ) -> Self {
         TraceSource {
             name: name.into(),
-            supply: Supply::Generate(Arc::new(supply)),
-        }
-    }
-
-    /// A source backed by one shared read-only mapping of a binary trace:
-    /// every cell replaying it decodes records zero-copy from the same
-    /// pages, so a huge trace replays N times with zero parse cost. The
-    /// frontier hint comes from the v2 header when present (one scan of
-    /// the mapping otherwise, paid once here).
-    pub fn from_mmap(name: impl Into<String>, map: Arc<MmapTrace>) -> Self {
-        let top = map.top_sector();
-        TraceSource {
-            name: name.into(),
-            supply: Supply::Mapped { map, top },
+            supply: Arc::new(supply),
         }
     }
 
@@ -110,62 +85,18 @@ impl TraceSource {
         &self.name
     }
 
-    /// The stable content digest of this source's records — the identity
-    /// the daemon's result cache keys on. Mmap-backed sources stream off
-    /// the mapping; generator-backed sources materialize once here, so
-    /// callers should cache the digest (see
-    /// [`tracecache::TraceRegistry`](crate::tracecache::TraceRegistry)).
-    pub fn digest(&self) -> smrseek_trace::TraceDigest {
-        match &self.supply {
-            Supply::Generate(f) => smrseek_trace::digest::digest_records(&f()),
-            Supply::Mapped { map, .. } => smrseek_trace::digest::digest_iter(map.iter()),
-        }
-    }
-
-    /// One past the highest sector the records touch — the LS frontier
-    /// hint. Cached from the v2 header for mmap-backed sources; computed
-    /// from a materialized pass for generator-backed ones.
-    pub fn top_sector(&self) -> u64 {
-        match &self.supply {
-            Supply::Generate(f) => smrseek_trace::binary::top_sector(&f()),
-            Supply::Mapped { top, .. } => *top,
-        }
-    }
-
-    /// Produces the records. Mmap-backed sources materialize a fresh
-    /// `Vec` here — replay paths that can stream should go through
-    /// [`RunMatrix::execute`], which decodes straight off the mapping.
+    /// Produces the records.
     pub fn records(&self) -> Arc<Vec<TraceRecord>> {
-        match &self.supply {
-            Supply::Generate(f) => f(),
-            Supply::Mapped { map, .. } => Arc::new(map.iter().collect()),
-        }
+        (self.supply)()
     }
 
-    /// Replays this source through `config`, decoding in blocks straight
-    /// off the mapping for mmap-backed sources (the frontier hint filled
-    /// from the cached `top_sector`) and materializing for
-    /// generator-backed ones.
+    /// Replays this source through `config`, returning the report and the
+    /// replay's wall time (trace generation excluded).
     fn replay(&self, config: &SimConfig) -> (RunReport, Duration) {
-        match &self.supply {
-            Supply::Generate(f) => {
-                let records = f();
-                let start = Instant::now();
-                let report = Simulation::new(config).run_trace(&**records);
-                (report, start.elapsed())
-            }
-            Supply::Mapped { map, top } => {
-                let config = match config.layer {
-                    LayerChoice::Ls { .. } if config.frontier_hint.is_none() => {
-                        config.with_frontier_hint(*top)
-                    }
-                    _ => *config,
-                };
-                let start = Instant::now();
-                let report = Simulation::new(&config).run_trace(&**map);
-                (report, start.elapsed())
-            }
-        }
+        let records = self.records();
+        let start = Instant::now();
+        let report = Simulation::new(config).run_trace(&records);
+        (report, start.elapsed())
     }
 }
 
@@ -571,52 +502,6 @@ mod tests {
             !line.contains("/worker"),
             "summed sim time is not a per-worker rate: {line}"
         );
-    }
-
-    #[test]
-    fn mmap_source_matches_generated_source() {
-        use smrseek_trace::binary::{write_binary_v2, MmapTrace};
-
-        let records = burst(1500);
-        let mut buf = Vec::new();
-        write_binary_v2(&mut buf, &records).expect("vec write");
-        let map = Arc::new(MmapTrace::from_bytes(buf).expect("own output maps"));
-        let mapped = TraceSource::from_mmap("burst", Arc::clone(&map));
-        let generated = TraceSource::from_records("burst", records.clone());
-        assert_eq!(*mapped.records(), records, "records() materializes");
-
-        let configs = [
-            SimConfig::no_ls(),
-            SimConfig::log_structured(),
-            SimConfig::ls_cache(),
-        ];
-        let via_map = RunMatrix::cross(&[mapped], &configs).execute(two());
-        let via_gen = RunMatrix::cross(&[generated], &configs).execute(two());
-        for (a, b) in via_map.iter().zip(&via_gen) {
-            assert_eq!(a.report.layer_name, b.report.layer_name);
-            assert_eq!(a.report.seeks, b.report.seeks);
-            assert_eq!(a.report.phys_sectors, b.report.phys_sectors);
-            assert_eq!(a.report.logical_ops, b.report.logical_ops);
-            assert_eq!(a.report.peak_extent_segments, b.report.peak_extent_segments);
-        }
-    }
-
-    #[test]
-    fn digest_and_top_are_supply_invariant() {
-        use smrseek_trace::binary::{top_sector, write_binary_v2, MmapTrace};
-
-        let records = burst(300);
-        let mut buf = Vec::new();
-        write_binary_v2(&mut buf, &records).expect("vec write");
-        let map = Arc::new(MmapTrace::from_bytes(buf).expect("own output maps"));
-        let mapped = TraceSource::from_mmap("burst", map);
-        let generated = TraceSource::from_records("burst", records.clone());
-        assert_eq!(mapped.digest(), generated.digest());
-        assert_eq!(mapped.top_sector(), generated.top_sector());
-        assert_eq!(generated.top_sector(), top_sector(&records));
-
-        let other = TraceSource::from_records("other", burst(301));
-        assert_ne!(other.digest(), generated.digest());
     }
 
     #[test]

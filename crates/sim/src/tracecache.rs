@@ -1,65 +1,31 @@
-//! On-disk binary trace cache (`.smrt` sidecars).
+//! Trace files for long-lived processes and the `convert` command.
 //!
-//! The paper's evaluation replays multi-million-operation traces; parsing
-//! CSV (or regenerating a synthetic workload) on every run dominates small
-//! experiments. This module stages traces through the compact v2 binary
-//! format of [`smrseek_trace::binary`] so repeat runs mmap the records
-//! read-only and replay with zero parse cost:
-//!
-//! * [`write_sidecar`] — atomically writes a `.smrt` file next to (or in a
-//!   cache directory for) the trace it caches.
-//! * [`sidecar_path`] / [`profile_sidecar`] — naming conventions for
-//!   external-trace and synthetic-profile caches.
-//! * [`profile_source`] — a cache-aware [`TraceSource`] for the run
-//!   matrix: mmaps the sidecar when present, generates (and populates the
-//!   cache) otherwise.
-//!
-//! Caching is best-effort: any cache I/O failure falls back to the
-//! uncached path with a note on stderr, never failing the experiment.
+//! * [`TraceRegistry`] — loads each trace file once (any format, sniffed
+//!   by [`sniff_path`] and read into memory by [`parse_path`]), digests
+//!   it, and shares the resulting [`TraceSource`] with every job that
+//!   names the same path.
+//! * [`write_smrt`] — atomically writes records as a v2 `.smrt` file, so
+//!   a trace converted once skips text parsing on every later load.
 
-use crate::experiments::ExpOptions;
 use crate::runner::TraceSource;
-use smrseek_trace::binary::{top_sector, write_binary_v2, MmapTrace};
-use smrseek_trace::digest::{digest_iter, digest_records};
-use smrseek_trace::parse::{parse_path, sniff_path, DetectedFormat};
+use smrseek_trace::binary::{top_sector, write_binary_v2};
+use smrseek_trace::digest::digest_records;
+use smrseek_trace::parse::{parse_path, sniff_path};
 use smrseek_trace::{TraceDigest, TraceRecord};
-use smrseek_workloads::profiles::Profile;
 use std::collections::HashMap;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Default cache directory for synthetic-profile sidecars, relative to the
-/// working directory.
-pub const DEFAULT_CACHE_DIR: &str = ".smrseek-cache";
-
-/// The `.smrt` sidecar path for an external trace file: the trace path
-/// with `.smrt` appended (`trace.csv` → `trace.csv.smrt`), so one CSV maps
-/// to exactly one cache file regardless of its extension.
-pub fn sidecar_path(trace: &Path) -> PathBuf {
-    let mut name = trace.file_name().unwrap_or_default().to_os_string();
-    name.push(".smrt");
-    trace.with_file_name(name)
-}
-
-/// The sidecar path for a synthetic profile trace: keyed by profile name,
-/// seed and operation count, since all three determine the records.
-pub fn profile_sidecar(dir: &Path, profile: &Profile, opts: &ExpOptions) -> PathBuf {
-    dir.join(format!(
-        "{}-s{}-o{}.smrt",
-        profile.name, opts.seed, opts.ops
-    ))
-}
-
 /// Writes `records` to `path` in the v2 binary format, atomically: the
 /// bytes land in a same-directory temp file first and are renamed into
-/// place, so a concurrent reader never sees a torn sidecar.
+/// place, so a concurrent reader never sees a torn file.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error message on failure (the temp file is
 /// cleaned up best-effort).
-pub fn write_sidecar(path: &Path, records: &[TraceRecord]) -> Result<(), String> {
+pub fn write_smrt(path: &Path, records: &[TraceRecord]) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
@@ -85,45 +51,12 @@ pub fn write_sidecar(path: &Path, records: &[TraceRecord]) -> Result<(), String>
     result
 }
 
-/// A cache-aware [`TraceSource`] for a synthetic profile.
-///
-/// With `cache_dir == None` this is exactly
-/// [`TraceSource::from_profile`]. With a directory, the sidecar is mmapped
-/// when present (zero-parse replay, one mapping shared by every matrix
-/// cell); otherwise the trace is generated once, written to the cache, and
-/// the fresh sidecar mmapped. Cache failures degrade to generation with a
-/// stderr note.
-pub fn profile_source(
-    profile: &Profile,
-    opts: &ExpOptions,
-    cache_dir: Option<&Path>,
-) -> TraceSource {
-    let Some(dir) = cache_dir else {
-        return TraceSource::from_profile(profile, opts);
-    };
-    let path = profile_sidecar(dir, profile, opts);
-    if !path.exists() {
-        let records = profile.generate_scaled(opts.seed, opts.ops);
-        if let Err(e) = write_sidecar(&path, &records) {
-            smrseek_obs::warn!("cache: {e}; running uncached");
-            return TraceSource::from_records(profile.name, records);
-        }
-    }
-    match MmapTrace::open(&path) {
-        Ok(map) => TraceSource::from_mmap(profile.name, Arc::new(map)),
-        Err(e) => {
-            smrseek_obs::warn!("cache: ignoring {}: {e}; running uncached", path.display());
-            TraceSource::from_profile(profile, opts)
-        }
-    }
-}
-
 /// One trace held open by a [`TraceRegistry`]: the replayable source plus
 /// its identity, computed once at load time so no job ever re-digests or
 /// re-scans the records.
 #[derive(Debug, Clone)]
 pub struct RegisteredTrace {
-    /// The replayable source (one shared mapping for binary traces).
+    /// The replayable source (one shared in-memory record vector).
     pub source: TraceSource,
     /// Stable content digest — the daemon's result-cache identity.
     pub digest: TraceDigest,
@@ -134,10 +67,9 @@ pub struct RegisteredTrace {
 }
 
 /// A shared registry of open traces for long-lived processes: each path is
-/// sniffed, loaded (mmapped for binary traces, parsed otherwise) and
-/// digested exactly once, and every job replaying it thereafter shares the
-/// same [`TraceSource`] — for mmap-backed traces that means one read-only
-/// mapping serving every concurrent worker.
+/// sniffed, loaded into memory and digested exactly once, and every job
+/// replaying it thereafter shares the same [`TraceSource`] — one record
+/// vector serving every concurrent worker.
 #[derive(Debug, Default)]
 pub struct TraceRegistry {
     entries: Mutex<HashMap<PathBuf, Arc<RegisteredTrace>>>,
@@ -160,33 +92,19 @@ impl TraceRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates open/sniff/parse/mmap failures from [`smrseek_trace`].
+    /// Propagates open/sniff/parse failures from [`smrseek_trace`].
     pub fn load(&self, path: &Path) -> smrseek_trace::Result<Arc<RegisteredTrace>> {
         let key = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
         let mut entries = self.entries.lock().expect("registry lock poisoned");
         if let Some(entry) = entries.get(&key) {
             return Ok(Arc::clone(entry));
         }
-        let name = path.display().to_string();
-        let entry = Arc::new(match sniff_path(path)? {
-            DetectedFormat::Binary => {
-                let map = Arc::new(MmapTrace::open(path)?);
-                RegisteredTrace {
-                    digest: digest_iter(map.iter()),
-                    top_sector: map.top_sector(),
-                    records: map.len() as u64,
-                    source: TraceSource::from_mmap(name, map),
-                }
-            }
-            format => {
-                let records = parse_path(path, format)?;
-                RegisteredTrace {
-                    digest: digest_records(&records),
-                    top_sector: top_sector(&records),
-                    records: records.len() as u64,
-                    source: TraceSource::from_records(name, records),
-                }
-            }
+        let records = parse_path(path, sniff_path(path)?)?;
+        let entry = Arc::new(RegisteredTrace {
+            digest: digest_records(&records),
+            top_sector: top_sector(&records),
+            records: records.len() as u64,
+            source: TraceSource::from_records(path.display().to_string(), records),
         });
         entries.insert(key, Arc::clone(&entry));
         Ok(entry)
@@ -215,34 +133,20 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_naming() {
-        assert_eq!(
-            sidecar_path(Path::new("/tmp/trace.csv")),
-            Path::new("/tmp/trace.csv.smrt")
-        );
-        assert_eq!(sidecar_path(Path::new("bare")), Path::new("bare.smrt"));
-        let p = profiles::by_name("w91").expect("profile exists");
-        let o = ExpOptions { seed: 7, ops: 123 };
-        assert_eq!(
-            profile_sidecar(Path::new("cache"), &p, &o),
-            Path::new("cache/w91-s7-o123.smrt")
-        );
-    }
-
-    #[test]
-    fn write_sidecar_roundtrips_atomically() {
+    fn write_smrt_roundtrips_atomically() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("t.smrt");
         let records = profiles::by_name("hm_1")
             .expect("profile exists")
             .generate_scaled(3, 500);
-        write_sidecar(&path, &records).expect("sidecar written");
-        let map = MmapTrace::open(&path).expect("sidecar maps");
-        assert_eq!(map.iter().collect::<Vec<_>>(), records);
+        write_smrt(&path, &records).expect("binary trace written");
+        let bytes = std::fs::read(&path).expect("binary trace read back");
         assert_eq!(
-            map.header().top_sector,
-            Some(smrseek_trace::binary::top_sector(&records))
+            smrseek_trace::binary::read_binary(&bytes[..]).expect("binary trace parses"),
+            records
         );
+        let iter = smrseek_trace::binary::BinaryRecordIter::new(&bytes[..]).expect("header");
+        assert_eq!(iter.header().top_sector, Some(top_sector(&records)));
         assert!(
             std::fs::read_dir(&dir).expect("dir listed").all(|e| !e
                 .expect("entry")
@@ -259,7 +163,7 @@ mod tests {
         use smrseek_trace::writer::write_cp_csv;
 
         let dir = tmp_dir("registry");
-        std::fs::create_dir_all(&dir).expect("cache dir");
+        std::fs::create_dir_all(&dir).expect("temp dir");
         let records = profiles::by_name("hm_1")
             .expect("profile exists")
             .generate_scaled(5, 300);
@@ -269,7 +173,7 @@ mod tests {
         let mut f = std::fs::File::create(&csv).expect("csv created");
         write_cp_csv(&mut f, &records).expect("csv written");
         let smrt = dir.join("t.smrt");
-        write_sidecar(&smrt, &records).expect("sidecar written");
+        write_smrt(&smrt, &records).expect("binary trace written");
 
         let registry = TraceRegistry::new();
         assert!(registry.is_empty());
@@ -290,21 +194,6 @@ mod tests {
         assert_eq!(registry.len(), 2);
 
         assert!(registry.load(&dir.join("missing.csv")).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn profile_source_populates_then_replays_cache() {
-        let dir = tmp_dir("profile_source");
-        let profile = profiles::by_name("w95").expect("profile exists");
-        let opts = ExpOptions { seed: 11, ops: 400 };
-        let fresh = profile_source(&profile, &opts, Some(&dir));
-        let sidecar = profile_sidecar(&dir, &profile, &opts);
-        assert!(sidecar.exists(), "first use populates the cache");
-        let cached = profile_source(&profile, &opts, Some(&dir));
-        let uncached = profile_source(&profile, &opts, None);
-        assert_eq!(*fresh.records(), *uncached.records());
-        assert_eq!(*cached.records(), *uncached.records());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -67,8 +67,8 @@ impl fmt::Display for TraceDigest {
 
 /// Streaming digest builder: feed records one at a time (in trace order)
 /// and [`finish`](TraceDigester::finish) to obtain the [`TraceDigest`].
-/// Never materializes the trace, so mmapped and generated sources digest
-/// in constant memory.
+/// Never materializes the trace, so a streamed source digests in constant
+/// memory.
 #[derive(Debug, Clone)]
 pub struct TraceDigester {
     state: u128,
@@ -128,8 +128,7 @@ pub fn digest_records(records: &[TraceRecord]) -> TraceDigest {
     digest_iter(records.iter().copied())
 }
 
-/// Digests any stream of records (e.g. [`crate::binary::MmapTrace::iter`])
-/// without materializing it.
+/// Digests any stream of records without materializing it.
 pub fn digest_iter(records: impl IntoIterator<Item = TraceRecord>) -> TraceDigest {
     let mut digester = TraceDigester::new();
     for rec in records {

@@ -12,9 +12,10 @@
 //! * parsers for the on-disk formats the paper's workloads come in
 //!   ([`parse::msr`] for the SNIA MSR Cambridge CSV format and
 //!   [`parse::cloudphysics`] for a CloudPhysics-style CSV), plus a compact
-//!   [`binary`] format for fast replay — streamable via
-//!   [`binary::BinaryRecordIter`] and mappable zero-copy via
-//!   [`binary::MmapTrace`],
+//!   [`binary`] format that skips text parsing — read whole via
+//!   [`binary::read_binary`] or streamed via [`binary::BinaryRecordIter`],
+//!   and sniffed and loaded like any other format by
+//!   [`parse::sniff_path`]/[`parse::parse_path`],
 //! * stream adaptors ([`stream`]) to sort, merge, sample and window traces,
 //! * and workload characterization ([`stats`]) reproducing the columns of
 //!   Table I in the paper.

@@ -188,9 +188,9 @@ pub fn sniff_path(path: &Path) -> Result<DetectedFormat> {
 }
 
 /// Reads the whole trace at `path` in the given (usually sniffed) format,
-/// materializing it. Binary traces go through [`crate::binary::read_binary`];
-/// callers wanting zero-copy replay of binary files should use
-/// [`crate::binary::MmapTrace`] instead.
+/// materializing it. Binary traces go through [`crate::binary::read_binary`],
+/// so a `.smrt` file is one more input format: every caller that loads a
+/// trace file, whatever its format, gets the same in-memory record vector.
 ///
 /// # Errors
 ///

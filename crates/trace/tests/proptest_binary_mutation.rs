@@ -1,15 +1,17 @@
 //! Byte-mutation property tests for the `.smrt` binary trace readers: no
-//! image, however damaged, may panic [`read_binary`], [`BinaryRecordIter`]
-//! or [`MmapTrace::from_bytes`]. Images start as valid v1 or v2 files and
-//! then get bit flips, stray bytes, truncation, and header fields (count,
+//! image, however damaged, may panic [`read_binary`] or
+//! [`BinaryRecordIter`]. Images start as valid v1 or v2 files and then get
+//! bit flips, stray bytes, truncation, and header fields (count,
 //! `top_sector`) overwritten with values near `u64::MAX`. Every image must
-//! end in records or a typed [`Error`], an accepted image's frontier hint
-//! must stay within [`MAX_END_SECTOR`], and when more than one reader
-//! accepts an image they must agree on its records.
+//! end in records or a typed [`Error`], the two readers must agree on
+//! whether an image is accepted and on its records, and an accepted
+//! image's frontier (header hint and the bound replay derives from the
+//! records) must stay within [`MAX_END_SECTOR`].
 
 use proptest::prelude::*;
-use smrseek_trace::binary::{read_binary, write_binary, write_binary_v2, BinaryRecordIter};
-use smrseek_trace::binary::{MmapTrace, DEFAULT_BLOCK_RECORDS};
+use smrseek_trace::binary::{
+    read_binary, top_sector, write_binary, write_binary_v2, BinaryRecordIter,
+};
 use smrseek_trace::{Error, Lba, TraceRecord, MAX_END_SECTOR};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -111,55 +113,37 @@ fn no_panic<T>(reader: &str, bytes: &[u8], f: impl FnOnce() -> T) -> Result<T, T
     })
 }
 
-/// Runs all three readers over `bytes` and checks that none panics (every
-/// outcome is records or an [`Error`]) and that the readers which accept
-/// the image agree.
+/// Runs both readers over `bytes` and checks that neither panics (every
+/// outcome is records or an [`Error`]), that they accept and refuse the
+/// same images, and that an accepted image yields the same records and a
+/// frontier within [`MAX_END_SECTOR`].
 fn check_readers(bytes: &[u8]) -> Result<(), TestCaseError> {
     let whole = no_panic("read_binary", bytes, || read_binary(bytes))?;
-
     let streamed = no_panic("BinaryRecordIter", bytes, || {
-        BinaryRecordIter::new(bytes).map(|iter| iter.collect::<Vec<_>>())
+        let iter = BinaryRecordIter::new(bytes)?;
+        let header = *iter.header();
+        iter.collect::<Result<Vec<TraceRecord>, Error>>()
+            .map(|records| (header, records))
     })?;
-    match streamed {
-        Err(_) => prop_assert!(whole.is_err(), "only the streaming reader refused"),
-        Ok(items) => {
-            let records: Result<Vec<TraceRecord>, Error> = items.into_iter().collect();
-            if let (Ok(streamed), Ok(whole)) = (records, &whole) {
-                prop_assert_eq!(&streamed, whole, "streamed records differ");
-            }
-        }
-    }
-
-    let mapped = no_panic("MmapTrace::from_bytes", bytes, || {
-        MmapTrace::from_bytes(bytes.to_vec()).map(|map| {
-            let mut blocks = Vec::new();
-            let mut reader = map.blocks();
-            while let Some(block) = reader.next_block() {
-                prop_assert!(block.len() <= DEFAULT_BLOCK_RECORDS);
-                blocks.extend_from_slice(block);
-            }
-            // Replay places the log frontier above this bound.
-            prop_assert!(
-                map.top_sector() <= MAX_END_SECTOR,
-                "frontier hint past the limit"
-            );
-            Ok((map.iter().collect::<Vec<_>>(), blocks))
-        })
-    })?;
-    match mapped {
-        Err(_) => {}
-        Ok(checked) => {
-            let (records, blocks) = checked?;
-            prop_assert_eq!(&records, &blocks, "iter and blocks differ");
-            match &whole {
-                Ok(whole) => prop_assert_eq!(&records, whole, "mapped records differ"),
-                Err(e) => {
-                    return Err(TestCaseError::fail(format!(
-                        "the mapping accepted an image read_binary refused: {e}"
-                    )))
-                }
-            }
-        }
+    prop_assert_eq!(
+        whole.is_ok(),
+        streamed.is_ok(),
+        "the readers disagree on the image: {:?} vs {:?}",
+        whole.as_ref().err(),
+        streamed.as_ref().err()
+    );
+    if let (Ok(whole), Ok((header, streamed))) = (&whole, &streamed) {
+        prop_assert_eq!(streamed, whole, "streamed records differ");
+        prop_assert_eq!(header.count, whole.len() as u64);
+        prop_assert!(
+            header.top_sector.unwrap_or(0) <= MAX_END_SECTOR,
+            "header frontier hint past the limit"
+        );
+        // Replay places the log frontier above this bound.
+        prop_assert!(
+            top_sector(whole) <= MAX_END_SECTOR,
+            "record frontier past the limit"
+        );
     }
     Ok(())
 }

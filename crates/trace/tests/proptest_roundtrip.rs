@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use smrseek_trace::binary::{
-    read_binary, top_sector, write_binary, write_binary_v2, BinaryRecordIter, MmapTrace,
+    read_binary, top_sector, write_binary, write_binary_v2, BinaryRecordIter,
 };
 use smrseek_trace::parse::{parse_reader, CpParser, MsrParser};
 use smrseek_trace::writer::{write_cp_csv, write_msr_csv};
@@ -66,12 +66,12 @@ proptest! {
         }
     }
 
-    /// The v2 format round-trips through both readers — streaming
-    /// [`BinaryRecordIter`] and zero-copy [`MmapTrace`] — with the header
+    /// The v2 format round-trips through both readers — whole-trace
+    /// [`read_binary`] and streaming [`BinaryRecordIter`] — with the header
     /// carrying the correct `top_sector` (one past the highest touched
     /// LBA).
     #[test]
-    fn v2_roundtrip_via_iter_and_mmap(trace in trace_strategy()) {
+    fn v2_roundtrip_via_read_and_iter(trace in trace_strategy()) {
         let mut buf = Vec::new();
         write_binary_v2(&mut buf, &trace).expect("vec write cannot fail");
 
@@ -83,16 +83,12 @@ proptest! {
             .collect::<Result<_, _>>()
             .expect("own records decode");
         prop_assert_eq!(&streamed, &trace);
-
-        let map = MmapTrace::from_bytes(buf).expect("own image validates");
-        prop_assert_eq!(map.len(), trace.len());
-        prop_assert_eq!(map.top_sector(), top_sector(&trace));
-        prop_assert_eq!(map.iter().collect::<Vec<_>>(), trace);
+        prop_assert_eq!(read_binary(&buf[..]).expect("own image parses"), trace);
     }
 
-    /// Staging a trace through the binary cache is transparent: records
-    /// parsed from CloudPhysics CSV and the same records replayed from a
-    /// v2 mmap image are identical.
+    /// Converting a trace to binary is transparent: records parsed from
+    /// CloudPhysics CSV and the same records read back from a v2 image
+    /// are identical.
     #[test]
     fn csv_parse_equals_binary_replay(trace in trace_strategy()) {
         let mut csv = Vec::new();
@@ -101,10 +97,7 @@ proptest! {
 
         let mut bin = Vec::new();
         write_binary_v2(&mut bin, &parsed).expect("vec write cannot fail");
-        let replayed: Vec<TraceRecord> = MmapTrace::from_bytes(bin)
-            .expect("own image validates")
-            .iter()
-            .collect();
+        let replayed = read_binary(&bin[..]).expect("own image parses");
         prop_assert_eq!(replayed, parsed);
     }
 
