@@ -8,11 +8,13 @@ use smrseek_bench::{bench_trace, BENCH_OPS};
 use smrseek_cache::{ByteLru, RangeCache};
 use smrseek_extent::ExtentMap;
 use smrseek_sim::{SimConfig, Simulation};
-use smrseek_stl::count_misordered_writes;
+use smrseek_stl::{
+    count_misordered_writes, CleanerConfig, CleaningLog, LogStructured, LsConfig, TranslationLayer,
+};
 use smrseek_trace::binary::{read_binary, write_binary_v2};
 use smrseek_trace::parse::{parse_reader, CpParser};
 use smrseek_trace::writer::write_cp_csv;
-use smrseek_trace::{Lba, Pba, MIB};
+use smrseek_trace::{Lba, Pba, TraceRecord, MIB};
 use smrseek_workloads::Zipf;
 use std::hint::black_box;
 use std::io::{BufReader, BufWriter};
@@ -153,6 +155,37 @@ fn simulator_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Replay throughput of the two extension layers (the zoned log and the
+/// finite cleaning log), for comparison with the `simulator` group.
+fn extension_layer_throughput(c: &mut Criterion) {
+    let trace = bench_trace("w91");
+    let mut group = c.benchmark_group("extension_layers");
+    group.bench_function("zoned_log_replay_w91", |b| {
+        b.iter(|| {
+            let mut ls = LogStructured::new(
+                LsConfig::for_trace(&trace).with_zones(256 * 1024 * 2), // 256 MiB zones
+            );
+            let mut ops = 0usize;
+            for rec in &trace {
+                ops += ls.apply(rec).len();
+            }
+            black_box(ops)
+        })
+    });
+    group.bench_function("cleaning_log_replay_synthetic", |b| {
+        b.iter(|| {
+            let mut log = CleaningLog::new(CleanerConfig::new(Pba::new(1 << 30), 2048, 64));
+            let mut ops = 0usize;
+            for i in 0..4000u64 {
+                let rec = TraceRecord::write(i, Lba::new((i % 64) * 512), 64);
+                ops += log.apply(&rec).len();
+            }
+            black_box(ops)
+        })
+    });
+    group.finish();
+}
+
 /// Trace ingestion: records/sec of CSV parsing vs reading the same trace
 /// back from its `.smrt` conversion — what `smrseek convert` saves every
 /// later load of an external trace.
@@ -252,7 +285,7 @@ fn misorder_scan(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
-    targets = extent_map, caches, generators, simulator_throughput, trace_ingest, obs_overhead,
-        misorder_scan,
+    targets = extent_map, caches, generators, simulator_throughput, extension_layer_throughput,
+        trace_ingest, obs_overhead, misorder_scan,
 }
 criterion_main!(micro);

@@ -2,17 +2,15 @@
 //!
 //! The actual benchmarks live in `benches/`:
 //!
-//! * `figures` — one Criterion group per paper table/figure
-//!   (`table1_characterize`, `fig2_seek_counts`, ..., `fig11_saf`), each
-//!   regenerating the corresponding result end-to-end. Every group also
-//!   prints the rendered table once, so `cargo bench` doubles as the
-//!   figure regenerator.
-//! * `ablations` — the parameter sweeps of DESIGN.md §5
-//!   (`ablation_defrag_thresholds`, `ablation_cache_size`,
-//!   `ablation_prefetch_window`, `ablation_stacking`).
+//! * `experiments` — one benchmark per entry of
+//!   `smrseek_sim::experiments::ALL` (`experiments/table1`,
+//!   `experiments/fig2`, ..., `experiments/zones`), each regenerating the
+//!   result end-to-end. Every report is also printed once, so
+//!   `cargo bench` doubles as the figure regenerator.
 //! * `micro` — substrate micro-benchmarks: extent-map insert/lookup, LRU
 //!   and range-cache operations, Zipf sampling, mis-order scanning, and
-//!   end-to-end simulator throughput per layer.
+//!   end-to-end simulator throughput per layer, including the zoned and
+//!   finite cleaning logs.
 //! * `policy` — the adaptive policy engine's overhead: the fixed
 //!   mechanism stack vs the same stack under the engine, plus the raw
 //!   classifier's per-record cost.
@@ -22,7 +20,7 @@ use smrseek_sim::experiments::ExpOptions;
 use smrseek_trace::TraceRecord;
 use smrseek_workloads::profiles;
 
-/// The operation count used by the figure benchmarks: large enough to be
+/// The operation count used by the experiment benchmarks: large enough to be
 /// representative, small enough that a full `cargo bench` stays in
 /// minutes.
 pub const BENCH_OPS: usize = 8_000;

@@ -1,4 +1,4 @@
-//! Empirical CDFs and histograms over seek/access distances (Fig 4).
+//! Empirical CDFs over seek/access distances (Fig 4).
 
 use serde::{Deserialize, Serialize};
 
@@ -133,60 +133,6 @@ impl FromIterator<i64> for Cdf {
     }
 }
 
-/// A fixed-bin histogram over absolute distances, log-2 spaced, for compact
-/// summaries of seek length distributions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogHistogram {
-    /// `bins[i]` counts samples with `2^i <= |x| < 2^(i+1)`; `zero` counts
-    /// exact zeros.
-    bins: Vec<u64>,
-    zero: u64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram able to represent any `i64`.
-    pub fn new() -> Self {
-        LogHistogram {
-            bins: vec![0; 64],
-            zero: 0,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, value: i64) {
-        match value.unsigned_abs() {
-            0 => self.zero += 1,
-            m => self.bins[63 - m.leading_zeros() as usize] += 1,
-        }
-    }
-
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.zero + self.bins.iter().sum::<u64>()
-    }
-
-    /// Count of exact-zero samples.
-    pub fn zeros(&self) -> u64 {
-        self.zero
-    }
-
-    /// Non-empty `(bin_floor, count)` pairs where `bin_floor = 2^i`.
-    pub fn nonzero_bins(&self) -> Vec<(u64, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
-            .collect()
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,20 +188,5 @@ mod tests {
         let before = a.clone();
         a.merge(&Cdf::default());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn log_histogram_binning() {
-        let mut h = LogHistogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(-1);
-        h.record(2);
-        h.record(3);
-        h.record(-1024);
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.zeros(), 1);
-        let bins = h.nonzero_bins();
-        assert_eq!(bins, vec![(1, 2), (2, 2), (1024, 1)]);
     }
 }

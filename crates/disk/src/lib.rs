@@ -14,7 +14,7 @@
 //!   threshold used by Fig 3.
 //! * [`counter`] — accumulating read/write seek statistics ([`SeekCounter`],
 //!   [`SeekStats`]).
-//! * [`histogram`] — distance histograms and CDFs (Fig 4).
+//! * [`histogram`] — distance CDFs (Fig 4).
 //! * [`series`] — per-operation-bucket long-seek time series (Fig 3).
 //! * [`cost`] — a seek-time cost model (rotational + head travel, §III).
 //! * [`zone`] — an SMR zoned-device model (ZBC-style write pointers)

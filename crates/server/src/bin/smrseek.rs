@@ -9,19 +9,11 @@
 //! smrseek <command> [--ops N] [--seed S] [--threads N] [--json FILE]
 //!
 //! commands:
-//!   table1 | fig2 | fig3 | fig4 | fig5 | fig7 | fig8 | fig10 | fig11
-//!   classify               log-friendly / agnostic / sensitive taxonomy
-//!   analyze                trace-level analysis vs seek class
-//!   frag                   static vs dynamic fragmentation (§IV-A)
-//!   ablate                 run the parameter-sweep ablations
-//!   adaptive               adaptive policy engine vs each fixed mechanism
-//!   timeamp                extension: seek-time amplification
-//!   hostcache              extension: host buffer-cache interaction
-//!   clean                  extension: finite-log cleaning sweep
-//!   reorder                extension: NCQ elevator vs prefetching
-//!   zones                  extension: SAF robustness to ZBC zone backing
-//!   plotdata [--out DIR]   write plot-ready CSV series for every figure
+//!   <experiment>           one table/figure/extension; the names are the
+//!                          entries of `smrseek_sim::experiments::ALL`,
+//!                          listed by the usage message
 //!   all                    run every experiment in order
+//!   plotdata [--out DIR]   write plot-ready CSV series for every figure
 //!   characterize <file>    Table-I style stats for an external trace
 //!   simulate <file>        NoLS/LS/mechanism SAF for an external trace
 //!   bench                  ingest + serial replay throughput per config
@@ -51,10 +43,7 @@
 //! format loads into one in-memory record vector; `convert` rewrites a
 //! text trace as `.smrt` once so later runs skip text parsing.
 
-use smrseek_sim::experiments::{
-    ablation, adaptive, analyze, classify, cleaning, fig10, fig11, fig2, fig3, fig4, fig5, fig7,
-    fig8, fragmentation, host_cache, reorder, table1, time_amp, zones, ExpOptions,
-};
+use smrseek_sim::experiments::{self, ExpOptions, Experiment};
 use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix};
 use smrseek_sim::{saf, tracecache, SimConfig, Simulation, TextTable, TraceSource};
 use smrseek_trace::binary;
@@ -131,8 +120,11 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage: smrseek <table1|fig2|...|fig11|ablate|adaptive|timeamp|hostcache|clean|all|list> \
-     [--ops N] [--seed S] [--threads N] [--json FILE]\n       \
+    let experiments: Vec<&str> = experiments::ALL.iter().map(|e| e.name).collect();
+    format!(
+        "usage: smrseek <{}|all> [--ops N] [--seed S] [--threads N] [--json FILE]\n       \
+     smrseek plotdata [--ops N] [--seed S] [--threads N] [--out DIR]\n       \
+     smrseek list\n       \
      smrseek <characterize|simulate> <trace> [--format msr|cp|blktrace|binary] \
      [--json FILE]\n       \
      smrseek bench [--ops N] [--seed S] [--json FILE]\n       \
@@ -147,10 +139,11 @@ fn usage() -> String {
      smrseek --version\n\
      global flags: -v/--verbose (or SMRSEEK_LOG=debug) for progress chatter, \
      --log-json for JSON-lines stderr\n\
-     threads: --threads N workers run matrix cells in parallel, each cell replaying its \
-     trace serially; SMRSEEK_THREADS overrides the default (host parallelism). Reports \
-     never depend on the thread count."
-        .to_owned()
+     threads: --threads N workers run an experiment's cells (workloads, configs, sweep \
+     points) in parallel, each cell replaying its trace serially; SMRSEEK_THREADS \
+     overrides the default (host parallelism). Reports never depend on the thread count.",
+        experiments.join("|")
+    )
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, CliError> {
@@ -766,283 +759,55 @@ fn run_trace_fetch(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-fn run_experiment(args: &Args) -> Result<String, CliError> {
+/// Runs one entry of [`experiments::ALL`]: prints its text, writes its
+/// JSON for `--json`, and logs its run-matrix summary.
+fn run_experiment(args: &Args, experiment: &Experiment) -> Result<String, CliError> {
+    let output = (experiment.run)(&args.opts, args.threads);
+    if let Some(stats) = &output.stats {
+        smrseek_obs::info!("{}", stats.summary(experiment.name));
+    }
+    maybe_write_json(&args.json, &output.json)?;
+    Ok(output.text)
+}
+
+/// `smrseek all`: every experiment, one per worker and each on one thread.
+/// Output text and JSON are assembled in [`experiments::ALL`] order, so
+/// stdout and `--json` are byte-identical for any `--threads`; each
+/// section is followed by one blank line, the last by none.
+fn run_all(args: &Args) -> Result<String, CliError> {
+    let results = parallel_map(&experiments::ALL, args.threads, |e| {
+        let start = Instant::now();
+        let output = (e.run)(&args.opts, NonZeroUsize::MIN);
+        (output, start.elapsed())
+    });
+    let mut sections = Vec::with_capacity(results.len());
+    let mut doc = Vec::with_capacity(results.len());
+    let mut busy = std::time::Duration::ZERO;
+    for (experiment, (output, wall)) in experiments::ALL.iter().zip(results) {
+        smrseek_obs::info!("all: {} {:.2}s", experiment.name, wall.as_secs_f64());
+        busy += wall;
+        sections.push(format!("{}\n", output.text.trim_end_matches('\n')));
+        doc.push((experiment.name.to_owned(), output.json));
+    }
+    smrseek_obs::info!(
+        "all: {} experiments, {:.2}s of sim time on {} thread(s)",
+        doc.len(),
+        busy.as_secs_f64(),
+        args.threads
+    );
+    maybe_write_json(&args.json, &serde::Value::Object(doc))?;
+    Ok(sections.join("\n"))
+}
+
+fn run_command(args: &Args) -> Result<String, CliError> {
     let opts = &args.opts;
     Ok(match args.command.as_str() {
-        "table1" => {
-            let rows = table1::run_with_threads(opts, args.threads);
-            maybe_write_json(&args.json, &rows)?;
-            table1::render(&rows)
-        }
-        "fig2" => {
-            let (rows, stats) = fig2::run_with_threads(opts, args.threads);
-            smrseek_obs::info!("{}", stats.summary("fig2"));
-            maybe_write_json(&args.json, &rows)?;
-            fig2::render(&rows)
-        }
-        "fig3" => {
-            let series = fig3::run(opts);
-            maybe_write_json(&args.json, &series)?;
-            fig3::render(&series)
-        }
-        "fig4" => {
-            let cdfs = fig4::run(opts);
-            maybe_write_json(&args.json, &cdfs)?;
-            fig4::render(&cdfs)
-        }
-        "fig5" => {
-            let dists = fig5::run(opts);
-            maybe_write_json(&args.json, &dists)?;
-            fig5::render(&dists)
-        }
-        "fig7" => {
-            let patterns = fig7::run(opts);
-            maybe_write_json(&args.json, &patterns)?;
-            fig7::render(&patterns)
-        }
-        "fig8" => {
-            let rows = fig8::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            fig8::render(&rows)
-        }
-        "fig10" => {
-            let stats = fig10::run(opts);
-            maybe_write_json(&args.json, &stats)?;
-            fig10::render(&stats)
-        }
-        "fig11" => {
-            let rows = fig11::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            fig11::render(&rows)
-        }
-        "ablate" => {
-            let (sweeps, stats) = ablation::run_with_threads(opts, args.threads);
-            smrseek_obs::info!("{}", stats.summary("ablate"));
-            maybe_write_json(&args.json, &sweeps)?;
-            ablation::render(&sweeps)
-        }
-        "adaptive" => {
-            let (report, stats) = adaptive::run_with_threads(opts, args.threads);
-            smrseek_obs::info!("{}", stats.summary("adaptive"));
-            maybe_write_json(&args.json, &report)?;
-            adaptive::render(&report)
-        }
-        "analyze" => {
-            let rows = analyze::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            analyze::render(&rows)
-        }
-        "frag" => {
-            let rows = fragmentation::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            fragmentation::render(&rows)
-        }
-        "classify" => {
-            let rows = classify::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            classify::render(&rows)
-        }
-        "timeamp" => {
-            let rows = time_amp::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            time_amp::render(&rows)
-        }
-        "hostcache" => {
-            let sweeps = host_cache::run(opts);
-            maybe_write_json(&args.json, &sweeps)?;
-            host_cache::render(&sweeps)
-        }
-        "clean" => {
-            let points = cleaning::run(opts);
-            let policies = cleaning::compare_policies(opts);
-            maybe_write_json(&args.json, &(&points, &policies))?;
-            format!(
-                "{}\n{}",
-                cleaning::render(&points),
-                cleaning::render_policies(&policies)
-            )
-        }
-        "zones" => {
-            let rows = zones::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            zones::render(&rows)
-        }
-        "reorder" => {
-            let rows = reorder::run(opts);
-            maybe_write_json(&args.json, &rows)?;
-            reorder::render(&rows)
-        }
-        "all" => {
-            // Every section becomes one cell of work for `parallel_map`:
-            // output text and JSON are assembled in this fixed order, so
-            // stdout and `--json` are byte-identical for any --threads.
-            use serde::{Serialize, Value};
-            use std::time::Duration;
-            type Section = (&'static str, Box<dyn Fn() -> (String, Value) + Sync>);
-            let o = *opts;
-            let sections: Vec<Section> = vec![
-                (
-                    "table1",
-                    Box::new(move || {
-                        let r = table1::run(&o);
-                        (format!("{}\n", table1::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig2",
-                    Box::new(move || {
-                        let r = fig2::run(&o);
-                        (fig2::render(&r), r.to_value())
-                    }),
-                ),
-                (
-                    "fig3",
-                    Box::new(move || {
-                        let r = fig3::run(&o);
-                        (format!("{}\n", fig3::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig4",
-                    Box::new(move || {
-                        let r = fig4::run(&o);
-                        (format!("{}\n", fig4::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig5",
-                    Box::new(move || {
-                        let r = fig5::run(&o);
-                        (format!("{}\n", fig5::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig7",
-                    Box::new(move || {
-                        let r = fig7::run(&o);
-                        (format!("{}\n", fig7::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig8",
-                    Box::new(move || {
-                        let r = fig8::run(&o);
-                        (format!("{}\n", fig8::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig10",
-                    Box::new(move || {
-                        let r = fig10::run(&o);
-                        (format!("{}\n", fig10::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "fig11",
-                    Box::new(move || {
-                        let r = fig11::run(&o);
-                        (fig11::render(&r), r.to_value())
-                    }),
-                ),
-                (
-                    "classify",
-                    Box::new(move || {
-                        let r = classify::run(&o);
-                        (format!("{}\n", classify::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "analyze",
-                    Box::new(move || {
-                        let r = analyze::run(&o);
-                        (format!("{}\n", analyze::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "frag",
-                    Box::new(move || {
-                        let r = fragmentation::run(&o);
-                        (format!("{}\n", fragmentation::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "ablate",
-                    Box::new(move || {
-                        let r = ablation::run(&o);
-                        (ablation::render(&r), r.to_value())
-                    }),
-                ),
-                (
-                    "adaptive",
-                    Box::new(move || {
-                        let r = adaptive::run(&o);
-                        (adaptive::render(&r), r.to_value())
-                    }),
-                ),
-                (
-                    "timeamp",
-                    Box::new(move || {
-                        let r = time_amp::run(&o);
-                        (format!("{}\n", time_amp::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "hostcache",
-                    Box::new(move || {
-                        let r = host_cache::run(&o);
-                        (host_cache::render(&r), r.to_value())
-                    }),
-                ),
-                (
-                    "clean",
-                    Box::new(move || {
-                        let r = cleaning::run(&o);
-                        (format!("{}\n", cleaning::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "reorder",
-                    Box::new(move || {
-                        let r = reorder::run(&o);
-                        (format!("{}\n", reorder::render(&r)), r.to_value())
-                    }),
-                ),
-                (
-                    "zones",
-                    Box::new(move || {
-                        let r = zones::run(&o);
-                        (zones::render(&r), r.to_value())
-                    }),
-                ),
-            ];
-            let results: Vec<(String, Value, Duration)> =
-                parallel_map(&sections, args.threads, |(_, job)| {
-                    let t = Instant::now();
-                    let (text, value) = job();
-                    (text, value, t.elapsed())
-                });
-            let mut out = String::new();
-            let mut doc = Vec::with_capacity(results.len());
-            let mut busy = Duration::ZERO;
-            for ((name, _), (text, value, wall)) in sections.iter().zip(results) {
-                smrseek_obs::info!("all: {name} {:.2}s", wall.as_secs_f64());
-                busy += wall;
-                out.push_str(&text);
-                doc.push(((*name).to_owned(), value));
-            }
-            smrseek_obs::info!(
-                "all: {} experiments, {:.2}s of sim time on {} thread(s)",
-                doc.len(),
-                busy.as_secs_f64(),
-                args.threads
-            );
-            maybe_write_json(&args.json, &Value::Object(doc))?;
-            out
-        }
+        "all" => run_all(args)?,
         "plotdata" => {
             let dir = args.out.clone().unwrap_or_else(|| "plotdata".to_owned());
-            let written = smrseek_sim::plotdata::export_all(opts, std::path::Path::new(&dir))
-                .map_err(CliError::Io)?;
+            let written =
+                smrseek_sim::plotdata::export_all(opts, args.threads, std::path::Path::new(&dir))
+                    .map_err(CliError::Io)?;
             let mut out = format!("wrote {} CSV files to {dir}/:\n", written.len());
             for p in written {
                 out.push_str(&format!("  {}\n", p.display()));
@@ -1156,12 +921,15 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
                 binary::top_sector(&records)
             )
         }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown command {other:?}\n{}",
-                usage()
-            )))
-        }
+        other => match experiments::find(other) {
+            Some(experiment) => run_experiment(args, experiment)?,
+            None => {
+                return Err(CliError::usage(format!(
+                    "unknown command {other:?}\n{}",
+                    usage()
+                )))
+            }
+        },
     })
 }
 
@@ -1188,7 +956,7 @@ fn main() -> ExitCode {
         smrseek_obs::log::set_json(true);
     }
     let started = Instant::now();
-    match run_experiment(&args) {
+    match run_command(&args) {
         Ok(output) => {
             print!("{output}");
             smrseek_obs::info!(

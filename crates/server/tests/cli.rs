@@ -429,6 +429,61 @@ fn all_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn every_experiment_is_byte_identical_across_thread_counts() {
+    for experiment in &smrseek_sim::experiments::ALL {
+        let name = experiment.name;
+        let run = |threads: &str| {
+            let json = tmp(&format!("{name}_t{threads}.json"));
+            let out = smrseek(&[
+                name,
+                "--ops",
+                "600",
+                "--threads",
+                threads,
+                "--json",
+                json.to_str().unwrap(),
+            ]);
+            assert!(
+                out.status.success(),
+                "{name} --threads {threads}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let doc = std::fs::read(&json).expect("json written");
+            std::fs::remove_file(&json).ok();
+            (stdout(&out), doc)
+        };
+        let (text1, json1) = run("1");
+        let (text2, json2) = run("2");
+        assert!(
+            !text1.is_empty() && !json1.is_empty(),
+            "{name}: empty output"
+        );
+        assert_eq!(text1, text2, "{name}: stdout must not depend on --threads");
+        assert!(json1 == json2, "{name}: JSON must not depend on --threads");
+    }
+}
+
+#[test]
+fn usage_names_every_experiment() {
+    let out = smrseek(&[]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    let first = err.lines().next().expect("usage line");
+    let list = first
+        .split_once('<')
+        .and_then(|(_, rest)| rest.split_once('>'))
+        .map(|(list, _)| list)
+        .expect("usage lists the experiment commands");
+    let names: Vec<&str> = list.split('|').collect();
+    for experiment in &smrseek_sim::experiments::ALL {
+        assert!(
+            names.contains(&experiment.name),
+            "usage is missing {}: {first}",
+            experiment.name
+        );
+    }
+}
+
+#[test]
 fn threads_flag_rejects_zero() {
     let out = smrseek(&["fig2", "--threads", "0"]);
     assert!(!out.status.success());

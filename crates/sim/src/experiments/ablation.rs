@@ -6,18 +6,18 @@
 //! evaluate mechanism stacking (which the paper leaves to future work).
 //!
 //! Every sweep is a list of `(param, SimConfig)` points replayed against
-//! the same workload; [`run_with_threads`] flattens all sweeps into one
-//! [`RunMatrix`] so the full ablation executes as a single parallel batch.
+//! the same workload; [`run`] flattens all sweeps into one [`RunMatrix`]
+//! so the full ablation executes as a single parallel batch.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
 use crate::runner::{MatrixStats, RunCell, RunMatrix, TraceSource};
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_stl::{CacheConfig, DefragConfig, DefragTiming, PrefetchConfig};
 use smrseek_trace::{KIB, MIB};
-use smrseek_workloads::profiles::{self, Profile};
+use smrseek_workloads::profiles;
 use std::num::NonZeroUsize;
 
 /// One point of a parameter sweep.
@@ -156,70 +156,6 @@ fn stacking_points() -> Vec<(String, SimConfig)> {
         .collect()
 }
 
-/// Replays one sweep sequentially: NoLS and LS baselines, then every
-/// point, all against the same trace.
-fn run_sweep(
-    profile: &Profile,
-    opts: &ExpOptions,
-    mechanism: &str,
-    points: &[(String, SimConfig)],
-) -> Sweep {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let base = Simulation::new(&SimConfig::no_ls()).run_trace(&trace).seeks;
-    let ls = Saf::from_stats(
-        &Simulation::new(&SimConfig::log_structured())
-            .run_trace(&trace)
-            .seeks,
-        &base,
-    );
-    let points = points
-        .iter()
-        .map(|(param, config)| SweepPoint {
-            param: param.clone(),
-            saf: Saf::from_stats(&Simulation::new(config).run_trace(&trace).seeks, &base),
-        })
-        .collect();
-    Sweep {
-        workload: profile.name.to_owned(),
-        mechanism: mechanism.to_owned(),
-        ls,
-        points,
-    }
-}
-
-/// Sweeps the selective-cache capacity (4–256 MiB; the paper fixes 64 MB).
-pub fn cache_size(profile: &Profile, opts: &ExpOptions) -> Sweep {
-    run_sweep(profile, opts, "selective-cache capacity", &cache_points())
-}
-
-/// Sweeps the defragmentation gates: `N` (min fragments) and `k`
-/// (min accesses).
-pub fn defrag_thresholds(profile: &Profile, opts: &ExpOptions) -> Sweep {
-    run_sweep(
-        profile,
-        opts,
-        "defrag thresholds",
-        &defrag_threshold_points(),
-    )
-}
-
-/// Sweeps the look-ahead/look-behind window (the paper leaves it
-/// unspecified; our default is 256 KB each way).
-pub fn prefetch_window(profile: &Profile, opts: &ExpOptions) -> Sweep {
-    run_sweep(profile, opts, "prefetch window", &prefetch_points())
-}
-
-/// Sweeps defragmentation timing: immediate versus idle-batched rewrites.
-pub fn defrag_timing(profile: &Profile, opts: &ExpOptions) -> Sweep {
-    run_sweep(profile, opts, "defrag timing", &defrag_timing_points())
-}
-
-/// Evaluates mechanism stacking: each mechanism alone, pairs, and all
-/// three together.
-pub fn stacking(profile: &Profile, opts: &ExpOptions) -> Sweep {
-    run_sweep(profile, opts, "mechanism stacking", &stacking_points())
-}
-
 /// One planned sweep: `(workload, mechanism, labelled config points)`.
 type SweepSpec = (&'static str, &'static str, Vec<(String, SimConfig)>);
 
@@ -237,15 +173,9 @@ fn sweep_specs() -> Vec<SweepSpec> {
     ]
 }
 
-/// Runs every ablation sweep.
-pub fn run(opts: &ExpOptions) -> Vec<Sweep> {
-    run_with_threads(opts, NonZeroUsize::MIN).0
-}
-
 /// Runs every ablation sweep as one flattened run matrix on up to
-/// `threads` workers. Sweeps are identical to [`run`]'s for any thread
-/// count.
-pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Sweep>, MatrixStats) {
+/// `threads` workers. Sweeps do not depend on the thread count.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Sweep>, MatrixStats) {
     let specs = sweep_specs();
     let mut matrix = RunMatrix::new();
     for (name, mechanism, points) in &specs {
@@ -312,17 +242,28 @@ pub fn render(sweeps: &[Sweep]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn opts() -> ExpOptions {
-        ExpOptions {
-            seed: 11,
-            ops: 6000,
-        }
+    /// One shared run at the test scale; each test picks its sweep by
+    /// workload and mechanism.
+    fn sweep(workload: &str, mechanism: &str) -> &'static Sweep {
+        static SWEEPS: OnceLock<Vec<Sweep>> = OnceLock::new();
+        SWEEPS
+            .get_or_init(|| {
+                let opts = ExpOptions {
+                    seed: 11,
+                    ops: 6000,
+                };
+                run(&opts, NonZeroUsize::MIN).0
+            })
+            .iter()
+            .find(|s| s.workload == workload && s.mechanism == mechanism)
+            .unwrap_or_else(|| panic!("no {mechanism} sweep on {workload}"))
     }
 
     #[test]
     fn bigger_cache_never_hurts_much() {
-        let sweep = cache_size(&profiles::by_name("w91").unwrap(), &opts());
+        let sweep = sweep("w91", "selective-cache capacity");
         assert_eq!(sweep.points.len(), 5);
         let first = sweep.points.first().unwrap().saf.total;
         let last = sweep.points.last().unwrap().saf.total;
@@ -334,7 +275,7 @@ mod tests {
 
     #[test]
     fn stricter_defrag_gates_reduce_rewrites_on_hostile_workload() {
-        let sweep = defrag_thresholds(&profiles::by_name("w20").unwrap(), &opts());
+        let sweep = sweep("w20", "defrag thresholds");
         let loose = sweep.points[0].saf.total; // N=2 k=1
         let strict = sweep.points[4].saf.total; // N=2 k=4
         assert!(
@@ -345,7 +286,7 @@ mod tests {
 
     #[test]
     fn stacking_all_three_beats_plain_ls() {
-        let sweep = stacking(&profiles::by_name("w91").unwrap(), &opts());
+        let sweep = sweep("w91", "mechanism stacking");
         let all = sweep
             .points
             .iter()
@@ -358,7 +299,7 @@ mod tests {
     fn idle_batching_softens_defrag_penalty() {
         // w20: single-pass scans where immediate defrag hurts; batching
         // the rewrites at idle time must not be worse.
-        let sweep = defrag_timing(&profiles::by_name("w20").unwrap(), &opts());
+        let sweep = sweep("w20", "defrag timing");
         let immediate = sweep.points[0].saf.total;
         let idle = sweep.points[2].saf.total; // 10ms
         assert!(
@@ -369,25 +310,30 @@ mod tests {
 
     #[test]
     fn matrix_run_matches_sequential_sweeps() {
+        // The flattened matrix on four workers gives exactly the sweeps
+        // of a one-worker (sequential) run.
         let o = ExpOptions { seed: 7, ops: 2000 };
-        let (parallel, stats) = run_with_threads(&o, NonZeroUsize::new(4).expect("nonzero"));
+        let (sequential, _) = run(&o, NonZeroUsize::MIN);
+        let (parallel, stats) = run(&o, NonZeroUsize::new(4).expect("nonzero"));
         assert_eq!(
             stats.cells.len(),
             parallel.iter().map(|s| s.points.len() + 2).sum()
         );
-        let w91 = profiles::by_name("w91").unwrap();
-        let sequential = cache_size(&w91, &o);
-        assert_eq!(parallel[0].mechanism, sequential.mechanism);
-        assert_eq!(parallel[0].ls.total, sequential.ls.total);
-        for (a, b) in parallel[0].points.iter().zip(&sequential.points) {
-            assert_eq!(a.param, b.param);
-            assert_eq!(a.saf.total, b.saf.total);
+        assert_eq!(parallel.len(), sequential.len());
+        for (a, b) in parallel.iter().zip(&sequential) {
+            assert_eq!((&a.workload, &a.mechanism), (&b.workload, &b.mechanism));
+            assert_eq!(a.ls.total, b.ls.total);
+            assert_eq!(a.points.len(), b.points.len());
+            for (p, q) in a.points.iter().zip(&b.points) {
+                assert_eq!(p.param, q.param);
+                assert_eq!(p.saf.total, q.saf.total);
+            }
         }
     }
 
     #[test]
     fn render_mentions_mechanisms() {
-        let sweeps = run(&ExpOptions { seed: 1, ops: 2500 });
+        let (sweeps, _) = run(&ExpOptions { seed: 1, ops: 2500 }, NonZeroUsize::MIN);
         let text = render(&sweeps);
         assert!(text.contains("selective-cache capacity"));
         assert!(text.contains("mechanism stacking"));

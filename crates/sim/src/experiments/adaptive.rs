@@ -15,7 +15,7 @@
 //! than plain LS).
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::{RunReport, SimConfig};
 use crate::report::TextTable;
 use crate::runner::{MatrixStats, RunMatrix, TraceSource};
 use crate::saf::Saf;
@@ -111,17 +111,7 @@ fn build_report(rows: Vec<AdaptiveRow>) -> AdaptiveReport {
     }
 }
 
-/// Simulates one workload under all six configurations.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> AdaptiveRow {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let reports: Vec<_> = configs()
-        .iter()
-        .map(|c| Simulation::new(c).run_trace(&trace))
-        .collect();
-    row_from_reports(profile, &reports.iter().collect::<Vec<_>>())
-}
-
-fn row_from_reports(profile: &Profile, reports: &[&crate::engine::RunReport]) -> AdaptiveRow {
+fn row_from_reports(profile: &Profile, reports: &[&RunReport]) -> AdaptiveRow {
     let base = reports[0].seeks;
     let saf = |i: usize| Saf::from_stats(&reports[i].seeks, &base);
     let row = AdaptiveRow {
@@ -148,15 +138,10 @@ fn row_from_reports(profile: &Profile, reports: &[&crate::engine::RunReport]) ->
     }
 }
 
-/// Runs the comparison on every Table-I workload.
-pub fn run(opts: &ExpOptions) -> AdaptiveReport {
-    run_with_threads(opts, NonZeroUsize::MIN).0
-}
-
-/// Runs the comparison as one parallel run matrix (six cells per
-/// workload) on up to `threads` workers. The report is identical to
-/// [`run`]'s for any thread count.
-pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> (AdaptiveReport, MatrixStats) {
+/// Runs the comparison on every Table-I workload as one parallel run
+/// matrix (six cells per workload) on up to `threads` workers. The report
+/// does not depend on the thread count.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (AdaptiveReport, MatrixStats) {
     let all = profiles::all();
     let sources: Vec<TraceSource> = all
         .iter()
@@ -233,14 +218,30 @@ pub fn render(report: &AdaptiveReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn opts() -> ExpOptions {
         ExpOptions { seed: 9, ops: 6000 }
     }
 
+    /// One shared run at the test scale; each test picks its rows by
+    /// workload name.
+    fn report() -> &'static AdaptiveReport {
+        static REPORT: OnceLock<AdaptiveReport> = OnceLock::new();
+        REPORT.get_or_init(|| run(&opts(), NonZeroUsize::MIN).0)
+    }
+
+    fn row(name: &str) -> &'static AdaptiveRow {
+        report()
+            .rows
+            .iter()
+            .find(|r| r.workload == name)
+            .unwrap_or_else(|| panic!("no {name} row"))
+    }
+
     #[test]
     fn adaptive_tracks_best_fixed_everywhere() {
-        let report = run(&opts());
+        let report = report();
         assert_eq!(report.rows.len(), profiles::all().len());
         for row in &report.rows {
             assert!(
@@ -257,7 +258,7 @@ mod tests {
 
     #[test]
     fn adaptive_beats_static_defrag_on_w20() {
-        let row = run_one(&profiles::by_name("w20").unwrap(), &opts());
+        let row = row("w20");
         assert!(
             row.adaptive.total < row.defrag.total,
             "w20: adaptive {:.3} must beat static defrag {:.3}",
@@ -272,16 +273,17 @@ mod tests {
         // profiles round per-burst); the policy must observe every one.
         let profile = profiles::by_name("w91").unwrap();
         let generated = profile.generate_scaled(opts().seed, opts().ops).len();
-        let row = run_one(&profile, &opts());
-        let policy = row.policy.expect("adaptive run reports policy stats");
+        let policy = row("w91")
+            .policy
+            .expect("adaptive run reports policy stats");
         assert_eq!(policy.records_observed, generated as u64);
     }
 
     #[test]
     fn parallel_execution_matches_serial() {
         let o = ExpOptions { seed: 9, ops: 1500 };
-        let serial = run(&o);
-        let (parallel, stats) = run_with_threads(&o, NonZeroUsize::new(4).expect("nonzero"));
+        let (serial, _) = run(&o, NonZeroUsize::MIN);
+        let (parallel, stats) = run(&o, NonZeroUsize::new(4).expect("nonzero"));
         assert_eq!(stats.cells.len(), 6 * serial.rows.len());
         for (a, b) in serial.rows.iter().zip(&parallel.rows) {
             assert_eq!(a.workload, b.workload);
@@ -292,7 +294,7 @@ mod tests {
 
     #[test]
     fn render_shows_verdicts() {
-        let report = run(&ExpOptions { seed: 2, ops: 2000 });
+        let (report, _) = run(&ExpOptions { seed: 2, ops: 2000 }, NonZeroUsize::MIN);
         let text = render(&report);
         assert!(text.contains("Adaptive policy vs fixed mechanisms"));
         assert!(text.contains("adaptive within 5% of best fixed everywhere"));

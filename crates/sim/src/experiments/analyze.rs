@@ -10,10 +10,12 @@ use super::classify::{classify_saf, SeekClass};
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_trace::{summarize, AnalysisSummary};
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// One workload's trace analysis next to its measured class.
 #[derive(Debug, Clone, Serialize)]
@@ -46,9 +48,9 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> AnalyzeRow {
     }
 }
 
-/// Analyzes all 21 profiles.
-pub fn run(opts: &ExpOptions) -> Vec<AnalyzeRow> {
-    profiles::all().iter().map(|p| run_one(p, opts)).collect()
+/// Analyzes all 21 profiles, one per worker on up to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<AnalyzeRow> {
+    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
 /// Renders the analysis table.
@@ -94,7 +96,7 @@ mod tests {
         // scans are mostly pre-trace data, yet the sparse log-scattered
         // blocks inside each scan range fragment most scan reads), so the
         // threshold is a floor, not a strong signal.
-        for row in run(&opts()) {
+        for row in run(&opts(), NonZeroUsize::MIN) {
             if row.class == SeekClass::LogSensitive {
                 assert!(
                     row.analysis.read_after_write > 0.05,
@@ -116,7 +118,7 @@ mod tests {
 
     #[test]
     fn render_covers_all_profiles() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }, NonZeroUsize::MIN));
         for name in ["usr_1", "w91", "ts_0"] {
             assert!(text.contains(name));
         }

@@ -6,10 +6,12 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use serde::{Deserialize, Serialize};
 use smrseek_workloads::profiles::{self, Profile};
 use std::fmt;
+use std::num::NonZeroUsize;
 
 /// One workload's seek-behaviour class under log-structured translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,9 +108,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> ClassifyRow {
     }
 }
 
-/// Classifies every Table-I workload.
-pub fn run(opts: &ExpOptions) -> Vec<ClassifyRow> {
-    profiles::all().iter().map(|p| run_one(p, opts)).collect()
+/// Classifies every Table-I workload, one per worker on up to `threads`
+/// workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<ClassifyRow> {
+    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
 /// Renders the classification table.
@@ -148,7 +151,7 @@ mod tests {
     #[test]
     fn paper_classification_reproduced() {
         let opts = ExpOptions { seed: 6, ops: 6000 };
-        let rows = run(&opts);
+        let rows = run(&opts, NonZeroUsize::MIN);
         assert_eq!(rows.len(), 21);
         let explicit: Vec<&ClassifyRow> = rows.iter().filter(|r| r.paper.is_some()).collect();
         let agreements = explicit.iter().filter(|r| r.agrees()).count();
@@ -167,7 +170,7 @@ mod tests {
     #[test]
     fn all_three_classes_present() {
         let opts = ExpOptions { seed: 6, ops: 6000 };
-        let rows = run(&opts);
+        let rows = run(&opts, NonZeroUsize::MIN);
         for class in [
             SeekClass::LogFriendly,
             SeekClass::LogAgnostic,
@@ -183,7 +186,7 @@ mod tests {
     #[test]
     fn render_reports_agreement() {
         let opts = ExpOptions { seed: 6, ops: 2000 };
-        let text = render(&run(&opts));
+        let text = render(&run(&opts, NonZeroUsize::MIN));
         assert!(text.contains("agreement with the paper"));
         assert!(text.contains("log-sensitive"));
     }

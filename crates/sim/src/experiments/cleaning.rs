@@ -10,11 +10,13 @@
 
 use super::ExpOptions;
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_disk::SeekCounter;
 use smrseek_stl::{CleanerConfig, CleanerPolicy, CleaningLog, TranslationLayer};
 use smrseek_trace::{Lba, Pba};
 use smrseek_workloads::TraceBuilder;
+use std::num::NonZeroUsize;
 
 /// One utilization point.
 #[derive(Debug, Clone, Serialize)]
@@ -36,12 +38,11 @@ pub struct CleaningPoint {
 ///
 /// The workload writes `live_fraction * capacity` distinct sectors once
 /// (cold + hot), then randomly overwrites the hot half for `opts.ops`
-/// operations.
-pub fn run(opts: &ExpOptions) -> Vec<CleaningPoint> {
-    [0.3f64, 0.5, 0.7, 0.8]
-        .iter()
-        .map(|&util| run_at(util, opts))
-        .collect()
+/// operations. Points run one per worker on up to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<CleaningPoint> {
+    parallel_map(&[0.3f64, 0.5, 0.7, 0.8], threads, |&util| {
+        run_at(util, opts)
+    })
 }
 
 /// Runs one utilization point.
@@ -106,8 +107,9 @@ pub struct PolicyRow {
 
 /// Compares cleaning configurations — greedy vs cost-benefit, with and
 /// without hot/cold stream separation — on a hot/cold churn workload at
-/// ~60% utilization (where policy differences matter most).
-pub fn compare_policies(opts: &ExpOptions) -> Vec<PolicyRow> {
+/// ~60% utilization (where policy differences matter most), one
+/// configuration per worker on up to `threads` workers.
+pub fn compare_policies(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<PolicyRow> {
     const SEGMENTS: usize = 64;
     const SEG_SECTORS: u64 = 2048;
     let capacity = SEGMENTS as u64 * SEG_SECTORS;
@@ -148,20 +150,17 @@ pub fn compare_policies(opts: &ExpOptions) -> Vec<PolicyRow> {
             ),
         ]
     };
-    configs
-        .iter()
-        .map(|(name, config)| {
-            let mut log = CleaningLog::new(*config);
-            for rec in &trace {
-                log.apply(rec);
-            }
-            PolicyRow {
-                config: (*name).to_owned(),
-                waf: log.stats().waf(),
-                cleanings: log.stats().cleanings,
-            }
-        })
-        .collect()
+    parallel_map(&configs, threads, |(name, config)| {
+        let mut log = CleaningLog::new(*config);
+        for rec in &trace {
+            log.apply(rec);
+        }
+        PolicyRow {
+            config: (*name).to_owned(),
+            waf: log.stats().waf(),
+            cleanings: log.stats().cleanings,
+        }
+    })
 }
 
 /// Renders the policy comparison.
@@ -247,7 +246,7 @@ mod tests {
 
     #[test]
     fn separation_reduces_waf_on_hot_cold_churn() {
-        let rows = compare_policies(&opts());
+        let rows = compare_policies(&opts(), NonZeroUsize::MIN);
         let get = |name: &str| rows.iter().find(|r| r.config == name).unwrap().waf;
         let plain = get("greedy");
         let separated = get("greedy + hot/cold");
@@ -260,17 +259,17 @@ mod tests {
 
     #[test]
     fn all_policy_configs_run_and_clean() {
-        for row in compare_policies(&opts()) {
+        for row in compare_policies(&opts(), NonZeroUsize::MIN) {
             assert!(row.waf >= 1.0, "{}: WAF {}", row.config, row.waf);
             assert!(row.cleanings > 0, "{}: never cleaned", row.config);
         }
-        let text = render_policies(&compare_policies(&opts()));
+        let text = render_policies(&compare_policies(&opts(), NonZeroUsize::MIN));
         assert!(text.contains("cost-benefit + hot/cold"));
     }
 
     #[test]
     fn render_lists_points() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 800 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 800 }, NonZeroUsize::MIN));
         assert!(text.contains("WAF"));
         assert!(text.contains("80%"));
     }

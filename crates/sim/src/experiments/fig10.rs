@@ -9,10 +9,12 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_stl::FragmentAccessTracker;
 use smrseek_trace::MIB;
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 10.
 pub const WORKLOADS: [&str; 8] = [
@@ -59,15 +61,13 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig10Stats {
     }
 }
 
-/// Measures the eight Fig 10 panels.
-pub fn run(opts: &ExpOptions) -> Vec<Fig10Stats> {
-    WORKLOADS
-        .iter()
-        .map(|name| {
-            let profile = profiles::by_name(name).expect("Fig 10 workload exists");
-            run_one(&profile, opts)
-        })
-        .collect()
+/// Measures the eight Fig 10 panels, one per worker on up to `threads`
+/// workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig10Stats> {
+    parallel_map(&WORKLOADS, threads, |name| {
+        let profile = profiles::by_name(name).expect("Fig 10 workload exists");
+        run_one(&profile, opts)
+    })
 }
 
 /// Renders popularity skew and cumulative cache sizes.
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn run_covers_eight_panels() {
-        let stats = run(&ExpOptions { seed: 1, ops: 2000 });
+        let stats = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
         assert_eq!(stats.len(), 8);
         let text = render(&stats);
         for name in WORKLOADS {

@@ -9,9 +9,11 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use serde::{Deserialize, Serialize};
 use smrseek_workloads::profiles::{self, Family, Profile};
+use std::num::NonZeroUsize;
 
 /// SAF results of one workload under the four translated configurations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,9 +49,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig11Row {
     }
 }
 
-/// Runs every Table-I workload (Fig 11a + 11b).
-pub fn run(opts: &ExpOptions) -> Vec<Fig11Row> {
-    profiles::all().iter().map(|p| run_one(p, opts)).collect()
+/// Runs every Table-I workload (Fig 11a + 11b), one per worker on up to
+/// `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig11Row> {
+    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
 /// Renders rows as the text analogue of Fig 11's grouped bars.

@@ -8,12 +8,12 @@
 //! `w93`, `w55`.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
 use crate::runner::{MatrixStats, RunMatrix, TraceSource};
 use serde::Serialize;
 use smrseek_disk::SeekStats;
-use smrseek_workloads::profiles::{self, Family, Profile};
+use smrseek_workloads::profiles::{self, Family};
 use std::num::NonZeroUsize;
 
 /// Seek counts of one workload under both translations.
@@ -41,28 +41,10 @@ impl Fig2Row {
     }
 }
 
-/// Simulates one workload under both translations.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig2Row {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    Fig2Row {
-        workload: profile.name.to_owned(),
-        family: profile.family,
-        nols: Simulation::new(&SimConfig::no_ls()).run_trace(&trace).seeks,
-        ls: Simulation::new(&SimConfig::log_structured())
-            .run_trace(&trace)
-            .seeks,
-    }
-}
-
-/// Simulates every Table-I workload (Fig 2a + 2b).
-pub fn run(opts: &ExpOptions) -> Vec<Fig2Row> {
-    run_with_threads(opts, NonZeroUsize::MIN).0
-}
-
-/// Simulates every Table-I workload through the parallel run matrix: two
-/// cells (NoLS, LS) per workload, executed on up to `threads` workers.
-/// Rows are identical to [`run`]'s for any thread count.
-pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig2Row>, MatrixStats) {
+/// Simulates every Table-I workload (Fig 2a + 2b) through the parallel
+/// run matrix: two cells (NoLS, LS) per workload, executed on up to
+/// `threads` workers. Rows do not depend on the thread count.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig2Row>, MatrixStats) {
     let all = profiles::all();
     let sources: Vec<TraceSource> = all
         .iter()
@@ -115,14 +97,25 @@ pub fn render(rows: &[Fig2Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn opts() -> ExpOptions {
-        ExpOptions { seed: 5, ops: 6000 }
+    /// One shared run at the test scale; each test picks its rows by
+    /// workload name.
+    fn rows() -> &'static [Fig2Row] {
+        static ROWS: OnceLock<Vec<Fig2Row>> = OnceLock::new();
+        ROWS.get_or_init(|| run(&ExpOptions { seed: 5, ops: 6000 }, NonZeroUsize::MIN).0)
+    }
+
+    fn row(name: &str) -> &'static Fig2Row {
+        rows()
+            .iter()
+            .find(|r| r.workload == name)
+            .unwrap_or_else(|| panic!("no {name} row"))
     }
 
     #[test]
     fn write_seeks_collapse_under_ls_everywhere() {
-        for row in run(&opts()) {
+        for row in rows() {
             assert!(
                 row.ls.write_seeks * 5 <= row.nols.write_seeks.max(5),
                 "{}: LS write seeks {} vs NoLS {}",
@@ -136,7 +129,7 @@ mod tests {
     #[test]
     fn read_seeks_grow_for_log_sensitive() {
         for name in ["w91", "w20", "usr_1"] {
-            let row = run_one(&profiles::by_name(name).unwrap(), &opts());
+            let row = row(name);
             assert!(
                 row.read_ratio() > 2.0,
                 "{name}: LS read seeks must grow, ratio {:.2}",
@@ -148,7 +141,7 @@ mod tests {
     #[test]
     fn net_reduction_for_log_friendly() {
         for name in ["src2_2", "wdev_0", "w36", "mds_0"] {
-            let row = run_one(&profiles::by_name(name).unwrap(), &opts());
+            let row = row(name);
             assert!(
                 row.net_ratio() < 1.0,
                 "{name}: net ratio {:.2} should be below 1",
@@ -160,8 +153,8 @@ mod tests {
     #[test]
     fn parallel_execution_matches_serial() {
         let o = ExpOptions { seed: 5, ops: 1500 };
-        let serial = run(&o);
-        let (parallel, stats) = run_with_threads(&o, NonZeroUsize::new(4).expect("nonzero"));
+        let (serial, _) = run(&o, NonZeroUsize::MIN);
+        let (parallel, stats) = run(&o, NonZeroUsize::new(4).expect("nonzero"));
         assert_eq!(serial.len(), parallel.len());
         assert_eq!(stats.cells.len(), 2 * serial.len());
         for (a, b) in serial.iter().zip(&parallel) {
@@ -173,11 +166,7 @@ mod tests {
 
     #[test]
     fn render_shows_both_panels() {
-        let rows = vec![
-            run_one(&profiles::by_name("hm_1").unwrap(), &opts()),
-            run_one(&profiles::by_name("w36").unwrap(), &opts()),
-        ];
-        let text = render(&rows);
+        let text = render(&[row("hm_1").clone(), row("w36").clone()]);
         assert!(text.contains("Fig 2a"));
         assert!(text.contains("Fig 2b"));
     }

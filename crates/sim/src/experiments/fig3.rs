@@ -9,9 +9,11 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_disk::series::diff_series;
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 3.
 pub const WORKLOADS: [&str; 4] = ["usr_1", "web_0", "w91", "w55"];
@@ -77,15 +79,13 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions, buckets: usize) -> Fig3Seri
     }
 }
 
-/// Computes the four Fig 3 series with 40 buckets each.
-pub fn run(opts: &ExpOptions) -> Vec<Fig3Series> {
-    WORKLOADS
-        .iter()
-        .map(|name| {
-            let profile = profiles::by_name(name).expect("Fig 3 workload exists");
-            run_one(&profile, opts, 40)
-        })
-        .collect()
+/// Computes the four Fig 3 series with 40 buckets each, one per worker on
+/// up to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig3Series> {
+    parallel_map(&WORKLOADS, threads, |name| {
+        let profile = profiles::by_name(name).expect("Fig 3 workload exists");
+        run_one(&profile, opts, 40)
+    })
 }
 
 /// Renders per-bucket sparkline-style rows plus summary statistics.
@@ -155,14 +155,14 @@ mod tests {
 
     #[test]
     fn run_covers_the_four_workloads() {
-        let series = run(&ExpOptions { seed: 1, ops: 2000 });
+        let series = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
         let names: Vec<_> = series.iter().map(|s| s.workload.as_str()).collect();
         assert_eq!(names, WORKLOADS);
     }
 
     #[test]
     fn render_has_sparklines() {
-        let series = run(&ExpOptions { seed: 1, ops: 2000 });
+        let series = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
         let text = render(&series);
         assert!(text.contains("usr_1 series:"));
         assert!(text.contains("burstiness"));

@@ -10,10 +10,12 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_disk::Cdf;
 use smrseek_trace::{GIB, SECTOR_SIZE};
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 4.
 pub const WORKLOADS: [&str; 4] = ["src2_2", "usr_0", "w84", "w64"];
@@ -74,15 +76,13 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig4Cdfs {
     }
 }
 
-/// Computes the four Fig 4 panels.
-pub fn run(opts: &ExpOptions) -> Vec<Fig4Cdfs> {
-    WORKLOADS
-        .iter()
-        .map(|name| {
-            let profile = profiles::by_name(name).expect("Fig 4 workload exists");
-            run_one(&profile, opts)
-        })
-        .collect()
+/// Computes the four Fig 4 panels, one per worker on up to `threads`
+/// workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig4Cdfs> {
+    parallel_map(&WORKLOADS, threads, |name| {
+        let profile = profiles::by_name(name).expect("Fig 4 workload exists");
+        run_one(&profile, opts)
+    })
 }
 
 /// Renders the within-range fractions the figure makes visible.
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn ls_pushes_seeks_outside_the_window() {
-        for c in run(&opts()) {
+        for c in run(&opts(), NonZeroUsize::MIN) {
             assert!(
                 c.ls_within_gb(1.0) < c.nols_within_gb(1.0) + 1e-9,
                 "{}: LS {:.2} should not concentrate more than NoLS {:.2}",
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_panels() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
         for name in WORKLOADS {
             assert!(text.contains(name));
         }

@@ -9,8 +9,10 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 5.
 pub const WORKLOADS: [&str; 4] = ["usr_0", "hm_1", "w20", "w36"];
@@ -98,15 +100,13 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig5Dist {
     }
 }
 
-/// Measures the four Fig 5 panels.
-pub fn run(opts: &ExpOptions) -> Vec<Fig5Dist> {
-    WORKLOADS
-        .iter()
-        .map(|name| {
-            let profile = profiles::by_name(name).expect("Fig 5 workload exists");
-            run_one(&profile, opts)
-        })
-        .collect()
+/// Measures the four Fig 5 panels, one per worker on up to `threads`
+/// workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig5Dist> {
+    parallel_map(&WORKLOADS, threads, |name| {
+        let profile = profiles::by_name(name).expect("Fig 5 workload exists");
+        run_one(&profile, opts)
+    })
 }
 
 /// Renders the concentration statistics.
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn fragmented_reads_exist_and_have_at_least_two_fragments() {
-        for d in run(&opts()) {
+        for d in run(&opts(), NonZeroUsize::MIN) {
             assert!(
                 d.fragmented_reads() > 0,
                 "{} must have fragmented reads",

@@ -7,9 +7,11 @@
 
 use super::ExpOptions;
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_trace::{OpKind, TraceRecord};
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 7.
 pub const WORKLOADS: [&str; 2] = ["hm_1", "w106"];
@@ -68,15 +70,13 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions, window: usize) -> Fig7Patte
     }
 }
 
-/// Extracts both Fig 7 panels (500-write windows).
-pub fn run(opts: &ExpOptions) -> Vec<Fig7Pattern> {
-    WORKLOADS
-        .iter()
-        .map(|name| {
-            let profile = profiles::by_name(name).expect("Fig 7 workload exists");
-            run_one(&profile, opts, 500)
-        })
-        .collect()
+/// Extracts both Fig 7 panels (500-write windows), one per worker on up
+/// to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig7Pattern> {
+    parallel_map(&WORKLOADS, threads, |name| {
+        let profile = profiles::by_name(name).expect("Fig 7 workload exists");
+        run_one(&profile, opts, 500)
+    })
 }
 
 /// Renders ordering statistics of the write windows.
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn render_lists_workloads() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
         assert!(text.contains("hm_1"));
         assert!(text.contains("w106"));
     }

@@ -6,9 +6,11 @@
 
 use super::ExpOptions;
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_stl::{count_misordered_writes, MISORDER_WINDOW_BYTES};
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// Mis-ordered write statistics of one workload.
 #[derive(Debug, Clone, Serialize)]
@@ -43,9 +45,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig8Row {
     }
 }
 
-/// Measures every Table-I workload.
-pub fn run(opts: &ExpOptions) -> Vec<Fig8Row> {
-    profiles::all().iter().map(|p| run_one(p, opts)).collect()
+/// Measures every Table-I workload, one per worker on up to `threads`
+/// workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig8Row> {
+    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
 /// Renders the per-workload mis-ordered fractions.
@@ -75,7 +78,7 @@ mod tests {
 
     #[test]
     fn misordered_heavy_profiles_rank_high() {
-        let rows = run(&opts());
+        let rows = run(&opts(), NonZeroUsize::MIN);
         let get = |name: &str| rows.iter().find(|r| r.workload == name).unwrap().fraction();
         // Descending/interleaved writers beat the purely random ones.
         assert!(get("hm_1") > get("mds_0"));
@@ -96,7 +99,7 @@ mod tests {
 
     #[test]
     fn fractions_bounded() {
-        for row in run(&ExpOptions { seed: 1, ops: 2000 }) {
+        for row in run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN) {
             assert!((0.0..=1.0).contains(&row.fraction()), "{}", row.workload);
             assert!(row.misordered <= row.total_writes);
         }
@@ -104,7 +107,7 @@ mod tests {
 
     #[test]
     fn render_has_percentages() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
         assert!(text.contains('%'));
         assert!(text.contains("256 KB"));
     }

@@ -12,10 +12,12 @@
 
 use super::ExpOptions;
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use serde::Serialize;
 use smrseek_stl::{LogStructured, LsConfig, TranslationLayer};
 use smrseek_workloads::profiles::{self, Profile};
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 
 /// Fragmentation profile of one workload.
 #[derive(Debug, Clone, Serialize)]
@@ -81,12 +83,14 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> FragRow {
     }
 }
 
-/// Measures a representative spread of workloads.
-pub fn run(opts: &ExpOptions) -> Vec<FragRow> {
-    ["w91", "w20", "hm_1", "mds_0", "usr_1", "w36"]
-        .iter()
-        .map(|name| run_one(&profiles::by_name(name).expect("profile exists"), opts))
-        .collect()
+/// Measures a representative spread of workloads, one per worker on up
+/// to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<FragRow> {
+    parallel_map(
+        &["w91", "w20", "hm_1", "mds_0", "usr_1", "w36"],
+        threads,
+        |name| run_one(&profiles::by_name(name).expect("profile exists"), opts),
+    )
 }
 
 /// Renders the comparison.
@@ -162,7 +166,7 @@ mod tests {
 
     #[test]
     fn render_lists_workloads() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }, NonZeroUsize::MIN));
         assert!(text.contains("w91"));
         assert!(text.contains("touched share"));
     }

@@ -11,10 +11,12 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_trace::MIB;
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// One point of the host-cache sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -79,15 +81,13 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions, sizes_mib: &[u64]) -> HostC
 /// Sizes are chosen relative to the *scaled* synthetic working sets: a
 /// host cache larger than the whole (scaled) footprint trivially absorbs
 /// everything, which real traces — with footprints of tens to thousands
-/// of GB (Table I) — never allow.
-pub fn run(opts: &ExpOptions) -> Vec<HostCacheSweep> {
-    ["w91", "hm_1"]
-        .iter()
-        .map(|name| {
-            let profile = profiles::by_name(name).expect("profile exists");
-            run_one(&profile, opts, &[0, 4, 16, 64, 256])
-        })
-        .collect()
+/// of GB (Table I) — never allow. Workloads run one per worker on up to
+/// `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<HostCacheSweep> {
+    parallel_map(&["w91", "hm_1"], threads, |name| {
+        let profile = profiles::by_name(name).expect("profile exists");
+        run_one(&profile, opts, &[0, 4, 16, 64, 256])
+    })
 }
 
 /// Renders the sweeps.
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn render_mentions_sizes() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
         assert!(text.contains("host buffer cache"));
         assert!(text.contains("256 MiB"));
     }

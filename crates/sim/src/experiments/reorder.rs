@@ -10,11 +10,13 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use crate::scheduler::{reorder, QueueConfig};
 use serde::Serialize;
 use smrseek_stl::{count_misordered_writes, MISORDER_WINDOW_BYTES};
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// The mis-order-heavy workloads where the comparison is interesting.
 pub const WORKLOADS: [&str; 4] = ["w84", "w95", "hm_1", "src2_2"];
@@ -81,12 +83,12 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> ReorderRow {
     }
 }
 
-/// Runs the four-workload comparison.
-pub fn run(opts: &ExpOptions) -> Vec<ReorderRow> {
-    WORKLOADS
-        .iter()
-        .map(|name| run_one(&profiles::by_name(name).expect("profile exists"), opts))
-        .collect()
+/// Runs the four-workload comparison, one workload per worker on up to
+/// `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<ReorderRow> {
+    parallel_map(&WORKLOADS, threads, |name| {
+        run_one(&profiles::by_name(name).expect("profile exists"), opts)
+    })
 }
 
 /// Renders the comparison.
@@ -122,7 +124,7 @@ mod tests {
 
     #[test]
     fn queue_reduces_misordering() {
-        for row in run(&opts()) {
+        for row in run(&opts(), NonZeroUsize::MIN) {
             assert!(
                 row.misordered_after <= row.misordered_before,
                 "{}: {} -> {}",
@@ -150,7 +152,7 @@ mod tests {
         // Fixing dispatch order upstream straightens the log layout for
         // the descending-burst workloads. (The SAF ratio may still rise
         // because the conventional baseline improves even more.)
-        for row in run(&opts()) {
+        for row in run(&opts(), NonZeroUsize::MIN) {
             if row.workload == "src2_2" {
                 continue; // see reordering_can_break_temporal_locality
             }
@@ -182,7 +184,7 @@ mod tests {
 
     #[test]
     fn render_lists_workloads() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
         for name in WORKLOADS {
             assert!(text.contains(name));
         }

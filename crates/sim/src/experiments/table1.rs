@@ -34,15 +34,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Table1Row {
     }
 }
 
-/// Characterizes all 21 profiles.
-pub fn run(opts: &ExpOptions) -> Vec<Table1Row> {
-    run_with_threads(opts, NonZeroUsize::MIN)
-}
-
-/// Characterizes all 21 profiles on up to `threads` workers. Rows are
-/// identical to [`run`]'s for any thread count (characterization is pure;
-/// only wall time changes).
-pub fn run_with_threads(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Table1Row> {
+/// Characterizes all 21 profiles on up to `threads` workers. Rows do not
+/// depend on the thread count (characterization is pure; only wall time
+/// changes).
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Table1Row> {
     parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn ratios_track_paper() {
         let opts = ExpOptions { seed: 3, ops: 8000 };
-        for row in run(&opts) {
+        for row in run(&opts, NonZeroUsize::MIN) {
             let paper = row.paper.read_count as f64 / row.paper.total_ops() as f64;
             let total = row.synthetic.total_ops();
             let synth = row.synthetic.read_count as f64 / total.max(1) as f64;
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn render_lists_all_workloads() {
         let opts = ExpOptions { seed: 3, ops: 2000 };
-        let text = render(&run(&opts));
+        let text = render(&run(&opts, NonZeroUsize::MIN));
         for name in ["usr_1", "w91", "ts_0", "w33"] {
             assert!(text.contains(name), "missing {name}");
         }

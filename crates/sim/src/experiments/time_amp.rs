@@ -10,10 +10,12 @@
 use super::ExpOptions;
 use crate::engine::{RunReport, SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_disk::DiskProfile;
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// Time-weighted results of one workload.
 #[derive(Debug, Clone, Serialize)]
@@ -69,9 +71,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> TimeAmpRow {
     }
 }
 
-/// Measures every Table-I workload.
-pub fn run(opts: &ExpOptions) -> Vec<TimeAmpRow> {
-    profiles::all().iter().map(|p| run_one(p, opts)).collect()
+/// Measures every Table-I workload, one per worker on up to `threads`
+/// workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<TimeAmpRow> {
+    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
 }
 
 /// Renders SAF-vs-TAF for every workload.

@@ -7,10 +7,12 @@
 use super::ExpOptions;
 use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
+use crate::runner::parallel_map;
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_trace::{MIB, SECTOR_SIZE};
 use smrseek_workloads::profiles::{self, Profile};
+use std::num::NonZeroUsize;
 
 /// One workload's flat-vs-zoned comparison.
 #[derive(Debug, Clone, Serialize)]
@@ -53,12 +55,14 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> ZoneRow {
     }
 }
 
-/// Compares a representative spread of workloads.
-pub fn run(opts: &ExpOptions) -> Vec<ZoneRow> {
-    ["w91", "w20", "hm_1", "mds_0", "w36", "usr_1"]
-        .iter()
-        .map(|name| run_one(&profiles::by_name(name).expect("profile exists"), opts))
-        .collect()
+/// Compares a representative spread of workloads, one per worker on up to
+/// `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<ZoneRow> {
+    parallel_map(
+        &["w91", "w20", "hm_1", "mds_0", "w36", "usr_1"],
+        threads,
+        |name| run_one(&profiles::by_name(name).expect("profile exists"), opts),
+    )
 }
 
 /// Renders the robustness check.
@@ -95,7 +99,7 @@ mod tests {
         // The experiment's point: the infinite-disk abstraction is safe —
         // guard bands split at most one write in a few thousand at
         // realistic zone sizes.
-        for row in run(&opts()) {
+        for row in run(&opts(), NonZeroUsize::MIN) {
             assert!(
                 row.relative_change().abs() < 0.05,
                 "{}: zoning moved SAF by {:+.1}%",
@@ -107,7 +111,7 @@ mod tests {
 
     #[test]
     fn zoned_runs_never_cheaper_and_split_occasionally() {
-        let rows = run(&opts());
+        let rows = run(&opts(), NonZeroUsize::MIN);
         let total_splits: u64 = rows.iter().map(|r| r.extra_phys_writes).sum();
         // Splits only happen when the frontier crosses a 256 MiB boundary
         // — rare at this scale, but the machinery must be exercised at
@@ -124,7 +128,7 @@ mod tests {
 
     #[test]
     fn render_mentions_zones() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }, NonZeroUsize::MIN));
         assert!(text.contains("256 MiB zones"));
         assert!(text.contains("w91"));
     }

@@ -8,6 +8,7 @@
 
 use crate::experiments::{fig10, fig11, fig2, fig3, fig4, fig5, fig7, fig8, ExpOptions};
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 /// CSV for Fig 2: one row per workload with the four seek counts.
@@ -135,23 +136,27 @@ pub fn fig11_csv(rows: &[fig11::Fig11Row]) -> String {
     out
 }
 
-/// Runs every figure experiment and writes its CSV into `dir` (created if
-/// needed). Returns the written paths.
+/// Runs every figure experiment on up to `threads` workers and writes its
+/// CSV into `dir` (created if needed). Returns the written paths.
 ///
 /// # Errors
 ///
 /// Returns a message if the directory or any file cannot be written.
-pub fn export_all(opts: &ExpOptions, dir: &Path) -> Result<Vec<PathBuf>, String> {
+pub fn export_all(
+    opts: &ExpOptions,
+    threads: NonZeroUsize,
+    dir: &Path,
+) -> Result<Vec<PathBuf>, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let files: [(&str, String); 8] = [
-        ("fig2.csv", fig2_csv(&fig2::run(opts))),
-        ("fig3.csv", fig3_csv(&fig3::run(opts))),
-        ("fig4.csv", fig4_csv(&fig4::run(opts), 65)),
-        ("fig5.csv", fig5_csv(&fig5::run(opts))),
-        ("fig7.csv", fig7_csv(&fig7::run(opts))),
-        ("fig8.csv", fig8_csv(&fig8::run(opts))),
-        ("fig10.csv", fig10_csv(&fig10::run(opts))),
-        ("fig11.csv", fig11_csv(&fig11::run(opts))),
+        ("fig2.csv", fig2_csv(&fig2::run(opts, threads).0)),
+        ("fig3.csv", fig3_csv(&fig3::run(opts, threads))),
+        ("fig4.csv", fig4_csv(&fig4::run(opts, threads), 65)),
+        ("fig5.csv", fig5_csv(&fig5::run(opts, threads))),
+        ("fig7.csv", fig7_csv(&fig7::run(opts, threads))),
+        ("fig8.csv", fig8_csv(&fig8::run(opts, threads))),
+        ("fig10.csv", fig10_csv(&fig10::run(opts, threads))),
+        ("fig11.csv", fig11_csv(&fig11::run(opts, threads))),
     ];
     let mut written = Vec::with_capacity(files.len());
     for (name, contents) in files {
@@ -187,7 +192,7 @@ mod tests {
 
     #[test]
     fn fig11_csv_has_21_rows_and_numeric_cells() {
-        let csv = fig11_csv(&fig11::run(&opts()));
+        let csv = fig11_csv(&fig11::run(&opts(), NonZeroUsize::MIN));
         let (header, rows) = parse_csv(&csv);
         assert_eq!(header.len(), 6);
         assert_eq!(rows.len(), 21);
@@ -201,7 +206,7 @@ mod tests {
 
     #[test]
     fn fig3_csv_covers_all_buckets() {
-        let series = fig3::run(&opts());
+        let series = fig3::run(&opts(), NonZeroUsize::MIN);
         let csv = fig3_csv(&series);
         let (_, rows) = parse_csv(&csv);
         let expected: usize = series.iter().map(|s| s.diff.len()).sum();
@@ -210,7 +215,7 @@ mod tests {
 
     #[test]
     fn fig4_csv_fractions_bounded() {
-        let csv = fig4_csv(&fig4::run(&opts()), 17);
+        let csv = fig4_csv(&fig4::run(&opts(), NonZeroUsize::MIN), 17);
         let (_, rows) = parse_csv(&csv);
         assert_eq!(rows.len(), 4 * 2 * 17);
         for row in &rows {
@@ -221,7 +226,7 @@ mod tests {
 
     #[test]
     fn fig10_csv_cumulative_is_monotone_per_workload() {
-        let csv = fig10_csv(&fig10::run(&opts()));
+        let csv = fig10_csv(&fig10::run(&opts(), NonZeroUsize::MIN));
         let (_, rows) = parse_csv(&csv);
         let mut last: Option<(String, u64)> = None;
         for row in &rows {
@@ -239,7 +244,7 @@ mod tests {
     fn export_all_writes_eight_files() {
         let dir =
             std::env::temp_dir().join(format!("smrseek_plotdata_test_{}", std::process::id()));
-        let written = export_all(&opts(), &dir).expect("export succeeds");
+        let written = export_all(&opts(), NonZeroUsize::MIN, &dir).expect("export succeeds");
         assert_eq!(written.len(), 8);
         for path in &written {
             let meta = std::fs::metadata(path).expect("file exists");

@@ -16,7 +16,8 @@
 //!   [`binary::read_binary`] or streamed via [`binary::BinaryRecordIter`],
 //!   and sniffed and loaded like any other format by
 //!   [`parse::sniff_path`]/[`parse::parse_path`],
-//! * stream adaptors ([`stream`]) to sort, merge, sample and window traces,
+//! * [`stream::max_lba`], the highest LBA a trace touches (where the log
+//!   model starts its write frontier),
 //! * and workload characterization ([`stats`]) reproducing the columns of
 //!   Table I in the paper.
 //!

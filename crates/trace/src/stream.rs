@@ -1,93 +1,7 @@
-//! Stream adaptors over trace record sequences.
-//!
-//! The paper samples, merges and windows its traces before analysis
-//! (Section III); these helpers provide those operations deterministically.
+//! Helpers over trace record sequences.
 
-use crate::record::{OpKind, TraceRecord};
+use crate::record::TraceRecord;
 use crate::types::Lba;
-
-/// Stable-sorts records by timestamp (ties keep input order, which matters
-/// for bursts dispatched "almost simultaneously", §IV-B).
-pub fn sort_by_time(records: &mut [TraceRecord]) {
-    records.sort_by_key(|r| r.timestamp_us);
-}
-
-/// Merges several already time-sorted traces into one time-sorted trace.
-///
-/// Ties across inputs resolve in favour of the earlier input, mimicking
-/// multiple sequential write streams interleaving "on their way to the
-/// disk" (§IV-B).
-///
-/// # Example
-///
-/// ```
-/// use smrseek_trace::stream::merge_sorted;
-/// use smrseek_trace::{Lba, TraceRecord};
-///
-/// let a = vec![TraceRecord::write(0, Lba::new(0), 8)];
-/// let b = vec![TraceRecord::write(0, Lba::new(100), 8)];
-/// let merged = merge_sorted(vec![a, b]);
-/// assert_eq!(merged[0].lba, Lba::new(0));
-/// assert_eq!(merged.len(), 2);
-/// ```
-pub fn merge_sorted(traces: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    let total: usize = traces.iter().map(Vec::len).sum();
-    let mut cursors: Vec<(usize, std::vec::IntoIter<TraceRecord>)> = traces
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (i, t.into_iter()))
-        .collect();
-    let mut heads: Vec<Option<TraceRecord>> = cursors.iter_mut().map(|(_, it)| it.next()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(rec) = head {
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let cur = heads[b].as_ref().expect("best head is Some");
-                        if rec.timestamp_us < cur.timestamp_us {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        match best {
-            None => break,
-            Some(i) => {
-                out.push(heads[i].take().expect("chosen head is Some"));
-                heads[i] = cursors[i].1.next();
-            }
-        }
-    }
-    out
-}
-
-/// Keeps every `n`-th record starting with the first (`n == 1` keeps all).
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn sample_every(records: &[TraceRecord], n: usize) -> Vec<TraceRecord> {
-    assert!(n > 0, "sample interval must be positive");
-    records.iter().copied().step_by(n).collect()
-}
-
-/// Returns the records whose timestamp lies in `[start_us, end_us)`.
-pub fn time_window(records: &[TraceRecord], start_us: u64, end_us: u64) -> Vec<TraceRecord> {
-    records
-        .iter()
-        .filter(|r| r.timestamp_us >= start_us && r.timestamp_us < end_us)
-        .copied()
-        .collect()
-}
-
-/// Returns only the records of the given kind.
-pub fn filter_kind(records: &[TraceRecord], kind: OpKind) -> Vec<TraceRecord> {
-    records.iter().filter(|r| r.op == kind).copied().collect()
-}
 
 /// Highest LBA touched by any record, or `None` for an empty trace.
 ///
@@ -106,69 +20,9 @@ pub fn max_lba(records: &[TraceRecord]) -> Option<Lba> {
     })
 }
 
-/// Splits a trace into consecutive chunks of `ops_per_bucket` operations,
-/// used by the paper's per-operation-window time series (Fig 3).
-pub fn op_buckets(records: &[TraceRecord], ops_per_bucket: usize) -> Vec<&[TraceRecord]> {
-    assert!(ops_per_bucket > 0, "bucket size must be positive");
-    records.chunks(ops_per_bucket).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(t: u64, lba: u64) -> TraceRecord {
-        TraceRecord::read(t, Lba::new(lba), 1)
-    }
-
-    #[test]
-    fn sort_is_stable() {
-        let mut v = vec![rec(5, 1), rec(1, 2), rec(5, 3)];
-        sort_by_time(&mut v);
-        assert_eq!(v[0].lba, Lba::new(2));
-        assert_eq!(v[1].lba, Lba::new(1));
-        assert_eq!(v[2].lba, Lba::new(3)); // tie kept input order
-    }
-
-    #[test]
-    fn merge_interleaves_and_prefers_earlier_input_on_tie() {
-        let a = vec![rec(0, 1), rec(10, 2)];
-        let b = vec![rec(0, 3), rec(5, 4)];
-        let m = merge_sorted(vec![a, b]);
-        let lbas: Vec<u64> = m.iter().map(|r| r.lba.sector()).collect();
-        assert_eq!(lbas, vec![1, 3, 4, 2]);
-    }
-
-    #[test]
-    fn merge_handles_empty_inputs() {
-        assert!(merge_sorted(vec![]).is_empty());
-        assert_eq!(merge_sorted(vec![vec![], vec![rec(1, 9)]]).len(), 1);
-    }
-
-    #[test]
-    fn sampling() {
-        let v: Vec<_> = (0..10).map(|i| rec(i, i)).collect();
-        let s = sample_every(&v, 3);
-        let lbas: Vec<u64> = s.iter().map(|r| r.lba.sector()).collect();
-        assert_eq!(lbas, vec![0, 3, 6, 9]);
-        assert_eq!(sample_every(&v, 1).len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn sampling_zero_panics() {
-        sample_every(&[], 0);
-    }
-
-    #[test]
-    fn windows_and_filters() {
-        let v = vec![rec(0, 1), rec(5, 2), rec(9, 3)];
-        assert_eq!(time_window(&v, 1, 9).len(), 1);
-        assert_eq!(time_window(&v, 0, 10).len(), 3);
-        let w = vec![TraceRecord::write(0, Lba::new(0), 1), rec(1, 1)];
-        assert_eq!(filter_kind(&w, OpKind::Write).len(), 1);
-        assert_eq!(filter_kind(&w, OpKind::Read).len(), 1);
-    }
 
     #[test]
     fn max_lba_accounts_for_length() {
@@ -178,14 +32,5 @@ mod tests {
         ];
         assert_eq!(max_lba(&v), Some(Lba::new(103)));
         assert_eq!(max_lba(&[]), None);
-    }
-
-    #[test]
-    fn buckets_cover_all_records() {
-        let v: Vec<_> = (0..10).map(|i| rec(i, i)).collect();
-        let b = op_buckets(&v, 4);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b[2].len(), 2);
-        assert_eq!(b.iter().map(|c| c.len()).sum::<usize>(), 10);
     }
 }

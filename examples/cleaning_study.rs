@@ -11,6 +11,7 @@
 use smrseek::sim::experiments::{cleaning, ExpOptions};
 use smrseek::stl::{CleanerConfig, CleaningLog, TranslationLayer};
 use smrseek::trace::{Lba, Pba, TraceRecord};
+use std::num::NonZeroUsize;
 
 fn main() {
     // Part 1: utilization sweep under steady random overwrites.
@@ -18,7 +19,10 @@ fn main() {
         seed: 42,
         ops: 6_000,
     };
-    print!("{}", cleaning::render(&cleaning::run(&opts)));
+    print!(
+        "{}",
+        cleaning::render(&cleaning::run(&opts, NonZeroUsize::MIN))
+    );
     println!();
 
     // Part 2: the archival regime — append-only ingest never cleans.

@@ -1,14 +1,14 @@
-//! Regenerates the paper's evaluation tables and figures in one shot, as a
-//! library-level example (the `smrseek` CLI offers the same per-figure).
+//! Regenerates the paper's evaluation tables and figures, plus the
+//! extensions, in one shot as a library-level example (the `smrseek` CLI
+//! offers the same per experiment).
 //!
 //! ```sh
 //! cargo run --release --example paper_figures            # quick (8k ops)
 //! cargo run --release --example paper_figures -- 40000   # paper scale
 //! ```
 
-use smrseek::sim::experiments::{
-    ablation, fig10, fig11, fig2, fig3, fig4, fig5, fig7, fig8, table1, ExpOptions,
-};
+use smrseek::sim::experiments::{ExpOptions, ALL};
+use smrseek::sim::runner::default_threads;
 
 fn main() {
     let ops = std::env::args()
@@ -17,22 +17,7 @@ fn main() {
         .unwrap_or(8_000);
     let opts = ExpOptions { seed: 42, ops };
     eprintln!("running all experiments at {ops} ops per workload...");
-
-    print!("{}", table1::render(&table1::run(&opts)));
-    println!();
-    print!("{}", fig2::render(&fig2::run(&opts)));
-    print!("{}", fig3::render(&fig3::run(&opts)));
-    println!();
-    print!("{}", fig4::render(&fig4::run(&opts)));
-    println!();
-    print!("{}", fig5::render(&fig5::run(&opts)));
-    println!();
-    print!("{}", fig7::render(&fig7::run(&opts)));
-    println!();
-    print!("{}", fig8::render(&fig8::run(&opts)));
-    println!();
-    print!("{}", fig10::render(&fig10::run(&opts)));
-    println!();
-    print!("{}", fig11::render(&fig11::run(&opts)));
-    print!("{}", ablation::render(&ablation::run(&opts)));
+    for experiment in &ALL {
+        println!("{}", (experiment.run)(&opts, default_threads()).text);
+    }
 }

@@ -1,12 +1,10 @@
-//! Smoke test: every experiment module runs end-to-end at a tiny scale
-//! and renders non-empty output. Guards the full experiment surface (the
+//! Smoke test: every experiment runs end-to-end at a tiny scale and
+//! renders non-empty output. Guards the full experiment surface (the
 //! per-module tests check correctness; this checks nothing is wired up
 //! wrong across the workspace).
 
-use smrseek::sim::experiments::{
-    ablation, analyze, classify, cleaning, fig10, fig11, fig2, fig3, fig4, fig5, fig7, fig8,
-    fragmentation, host_cache, reorder, table1, time_amp, zones, ExpOptions,
-};
+use smrseek::sim::experiments::{ExpOptions, ALL};
+use std::num::NonZeroUsize;
 
 fn opts() -> ExpOptions {
     ExpOptions { seed: 1, ops: 1200 }
@@ -14,35 +12,9 @@ fn opts() -> ExpOptions {
 
 #[test]
 fn every_experiment_runs_and_renders() {
-    let opts = opts();
-    let outputs: Vec<(&str, String)> = vec![
-        ("table1", table1::render(&table1::run(&opts))),
-        ("fig2", fig2::render(&fig2::run(&opts))),
-        ("fig3", fig3::render(&fig3::run(&opts))),
-        ("fig4", fig4::render(&fig4::run(&opts))),
-        ("fig5", fig5::render(&fig5::run(&opts))),
-        ("fig7", fig7::render(&fig7::run(&opts))),
-        ("fig8", fig8::render(&fig8::run(&opts))),
-        ("fig10", fig10::render(&fig10::run(&opts))),
-        ("fig11", fig11::render(&fig11::run(&opts))),
-        ("classify", classify::render(&classify::run(&opts))),
-        ("analyze", analyze::render(&analyze::run(&opts))),
-        (
-            "fragmentation",
-            fragmentation::render(&fragmentation::run(&opts)),
-        ),
-        ("ablation", ablation::render(&ablation::run(&opts))),
-        ("time_amp", time_amp::render(&time_amp::run(&opts))),
-        ("host_cache", host_cache::render(&host_cache::run(&opts))),
-        ("cleaning", cleaning::render(&cleaning::run(&opts))),
-        (
-            "cleaning_policies",
-            cleaning::render_policies(&cleaning::compare_policies(&opts)),
-        ),
-        ("reorder", reorder::render(&reorder::run(&opts))),
-        ("zones", zones::render(&zones::run(&opts))),
-    ];
-    for (name, text) in outputs {
+    for experiment in &ALL {
+        let output = (experiment.run)(&opts(), NonZeroUsize::MIN);
+        let (name, text) = (experiment.name, &output.text);
         assert!(
             text.lines().count() >= 3,
             "{name}: suspiciously short output:\n{text}"
@@ -53,28 +25,19 @@ fn every_experiment_runs_and_renders() {
 
 #[test]
 fn json_serialization_of_every_result_type() {
-    let opts = opts();
     // Every experiment result must serialize (the CLI's --json path).
-    serde_json::to_string(&table1::run(&opts)).expect("table1");
-    serde_json::to_string(&fig2::run(&opts)).expect("fig2");
-    serde_json::to_string(&fig3::run(&opts)).expect("fig3");
-    serde_json::to_string(&fig4::run(&opts)).expect("fig4");
-    serde_json::to_string(&fig5::run(&opts)).expect("fig5");
-    serde_json::to_string(&fig7::run(&opts)).expect("fig7");
-    serde_json::to_string(&fig8::run(&opts)).expect("fig8");
-    serde_json::to_string(&fig10::run(&opts)).expect("fig10");
-    serde_json::to_string(&fig11::run(&opts)).expect("fig11");
-    serde_json::to_string(&classify::run(&opts)).expect("classify");
-    serde_json::to_string(&analyze::run(&opts)).expect("analyze");
-    serde_json::to_string(&fragmentation::run(&opts)).expect("fragmentation");
-    serde_json::to_string(&zones::run(&opts)).expect("zones");
-    serde_json::to_string(&reorder::run(&opts)).expect("reorder");
+    for experiment in &ALL {
+        let output = (experiment.run)(&opts(), NonZeroUsize::MIN);
+        serde_json::to_string(&output.json)
+            .unwrap_or_else(|e| panic!("{}: JSON does not serialize: {e}", experiment.name));
+    }
 }
 
 #[test]
 fn plotdata_exports_from_the_facade() {
     let dir = std::env::temp_dir().join(format!("smrseek_smoke_{}", std::process::id()));
-    let files = smrseek::sim::plotdata::export_all(&opts(), &dir).expect("export");
+    let files =
+        smrseek::sim::plotdata::export_all(&opts(), NonZeroUsize::MIN, &dir).expect("export");
     assert_eq!(files.len(), 8);
     std::fs::remove_dir_all(&dir).ok();
 }
