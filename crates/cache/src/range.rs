@@ -131,7 +131,16 @@ impl RangeCache {
     ///
     /// Zero-length queries are vacuously covered and counted as hits.
     pub fn covers(&mut self, pba: Pba, sectors: u64) -> bool {
-        match self.covering_run(pba.sector(), sectors) {
+        matches!(self.probe(pba, sectors), Probe::Covered)
+    }
+
+    /// [`covers`](Self::covers) that, on a miss, keeps the position its
+    /// search found, so the range can then be inserted with
+    /// [`Uncovered::insert_evicting`] without a second search.
+    pub fn probe(&mut self, pba: Pba, sectors: u64) -> Probe<'_> {
+        let start = pba.sector();
+        let first = self.by_start.lower_bound(start);
+        match self.covering_run(first, start, sectors) {
             Some((mut pos, count)) => {
                 for _ in 0..count {
                     let (_, idx) = self.by_start.get(pos).expect("run entry");
@@ -140,11 +149,16 @@ impl RangeCache {
                     pos = self.by_start.next(pos);
                 }
                 self.stats.hits += 1;
-                true
+                Probe::Covered
             }
             None => {
                 self.stats.misses += 1;
-                false
+                Probe::Uncovered(Uncovered {
+                    cache: self,
+                    first,
+                    start,
+                    sectors,
+                })
             }
         }
     }
@@ -152,7 +166,9 @@ impl RangeCache {
     /// Like [`covers`](Self::covers) but without touching recency or
     /// counting toward statistics.
     pub fn peek_covers(&self, pba: Pba, sectors: u64) -> bool {
-        self.covering_run(pba.sector(), sectors).is_some()
+        let start = pba.sector();
+        let first = self.by_start.lower_bound(start);
+        self.covering_run(first, start, sectors).is_some()
     }
 
     /// Inserts `[pba, pba + sectors)`, creating entries only for the
@@ -177,8 +193,20 @@ impl RangeCache {
             return 0;
         }
         let start = pba.sector();
-        let end = start + sectors;
         let first = self.by_start.lower_bound(start);
+        self.insert_at(first, start, sectors, on_evict)
+    }
+
+    /// The body of [`insert_evicting`](Self::insert_evicting) for a
+    /// non-empty range, given `first`, the index's lower bound of `start`.
+    fn insert_at(
+        &mut self,
+        first: Pos,
+        start: u64,
+        sectors: u64,
+        on_evict: &mut dyn FnMut(Pba, u64),
+    ) -> u64 {
+        let end = start + sectors;
 
         // Touch the overlapping entries in PBA order first, then add the
         // gaps in PBA order, so the gaps end up most recently used.
@@ -245,11 +273,11 @@ impl RangeCache {
     /// The run of consecutive entries covering `[start, start + sectors)`
     /// in full, as the position of its first entry and its length, or
     /// `None` if any sector is uncovered. A zero-length query is covered;
-    /// its run is the entry holding `start`, if any. Never mutates.
-    fn covering_run(&self, start: u64, sectors: u64) -> Option<(Pos, usize)> {
+    /// its run is the entry holding `start`, if any. `pos` is the index's
+    /// lower bound of `start`. Never mutates.
+    fn covering_run(&self, pos: Pos, start: u64, sectors: u64) -> Option<(Pos, usize)> {
         let end = start + sectors;
         let vacuous = (sectors == 0).then_some((self.by_start.end(), 0));
-        let pos = self.by_start.lower_bound(start);
         let first = match self.by_start.get(pos) {
             Some((s, _)) if s == start => pos,
             _ => match self.by_start.prev(pos) {
@@ -340,6 +368,37 @@ impl RangeCache {
         if self.tail == NIL {
             self.tail = idx;
         }
+    }
+}
+
+/// What [`RangeCache::probe`] found.
+#[derive(Debug)]
+pub enum Probe<'a> {
+    /// The range is cached in full; its entries' recency was refreshed and
+    /// a hit counted.
+    Covered,
+    /// Some sector is missing; a miss was counted.
+    Uncovered(Uncovered<'a>),
+}
+
+/// A range [`RangeCache::probe`] found uncovered, holding the position of
+/// that search. The cache stays borrowed until it is inserted or dropped,
+/// so the position cannot go stale.
+#[derive(Debug)]
+pub struct Uncovered<'a> {
+    cache: &'a mut RangeCache,
+    first: Pos,
+    start: u64,
+    sectors: u64,
+}
+
+impl Uncovered<'_> {
+    /// Inserts the probed range exactly as
+    /// [`RangeCache::insert_evicting`] would, reusing the probe's search.
+    pub fn insert_evicting(self, on_evict: &mut dyn FnMut(Pba, u64)) -> u64 {
+        // A zero-length probe is always covered, so `sectors > 0` here.
+        self.cache
+            .insert_at(self.first, self.start, self.sectors, on_evict)
     }
 }
 

@@ -15,11 +15,11 @@
 //! log-structured system physical sectors are written once, so entries
 //! never go stale.
 
-use crate::range::RangeCache;
+use crate::range::{Probe, RangeCache};
 use serde::{Deserialize, Serialize};
 use smrseek_trace::Pba;
 
-/// Which tier (if any) served a [`TieredCache::lookup`].
+/// Which tier (if any) served a [`TieredCache::lookup_admitting`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierLookup {
     /// Served from the RAM tier: free.
@@ -94,10 +94,10 @@ impl TierStats {
 /// use smrseek_trace::Pba;
 ///
 /// let mut c = TieredCache::with_flash_sectors(16, 64);
-/// c.admit(Pba::new(0), 16);
-/// c.admit(Pba::new(100), 16); // RAM over budget: [0,16) demotes to flash
-/// assert_eq!(c.lookup(Pba::new(0), 16), TierLookup::Flash); // promoted back
-/// assert_eq!(c.lookup(Pba::new(0), 16), TierLookup::Ram);
+/// assert_eq!(c.lookup_admitting(Pba::new(0), 16, true), TierLookup::Miss); // filled
+/// c.lookup_admitting(Pba::new(100), 16, true); // RAM over budget: [0,16) demotes
+/// assert_eq!(c.lookup_admitting(Pba::new(0), 16, false), TierLookup::Flash); // promoted
+/// assert_eq!(c.lookup_admitting(Pba::new(0), 16, false), TierLookup::Ram);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TieredCache {
@@ -164,44 +164,39 @@ impl TieredCache {
     }
 
     /// Looks `[pba, pba + sectors)` up RAM-first, then flash. A flash hit
-    /// promotes the range into RAM (demoting RAM victims back to flash).
-    pub fn lookup(&mut self, pba: Pba, sectors: u64) -> TierLookup {
-        if self.ram.covers(pba, sectors) {
+    /// promotes the range into RAM; a miss is filled into RAM when
+    /// `admit_miss` is set (Alg. 3's WriteCache). RAM victims of either
+    /// fill demote to flash (when configured) instead of being dropped.
+    /// The RAM tier is searched once: a fill goes in at the position the
+    /// lookup found.
+    pub fn lookup_admitting(&mut self, pba: Pba, sectors: u64, admit_miss: bool) -> TierLookup {
+        let Probe::Uncovered(slot) = self.ram.probe(pba, sectors) else {
             self.stats.ram_hits += 1;
             return TierLookup::Ram;
-        }
+        };
         let flash_hit = self
             .flash
             .as_mut()
             .is_some_and(|flash| flash.covers(pba, sectors));
-        if flash_hit {
+        let found = if flash_hit {
             self.stats.flash_hits += 1;
             self.stats.promotions += 1;
-            self.admit(pba, sectors);
             TierLookup::Flash
         } else {
             self.stats.misses += 1;
             TierLookup::Miss
+        };
+        if found == TierLookup::Miss && !admit_miss {
+            return found;
         }
-    }
-
-    /// Fills `[pba, pba + sectors)` into the RAM tier; RAM victims demote
-    /// to flash (when configured) instead of being dropped.
-    pub fn admit(&mut self, pba: Pba, sectors: u64) {
-        match &mut self.flash {
-            None => {
-                self.ram.insert(pba, sectors);
+        let (flash, stats) = (&mut self.flash, &mut self.stats);
+        slot.insert_evicting(&mut |victim, len| {
+            if let Some(flash) = flash {
+                stats.demoted_sectors += len;
+                stats.flash_evicted_sectors += flash.insert(victim, len);
             }
-            Some(flash) => {
-                // Two disjoint &mut borrows (ram + flash) — destructured
-                // above so the closure can reach flash while ram evicts.
-                let stats = &mut self.stats;
-                self.ram.insert_evicting(pba, sectors, &mut |victim, len| {
-                    stats.demoted_sectors += len;
-                    stats.flash_evicted_sectors += flash.insert(victim, len);
-                });
-            }
-        }
+        });
+        found
     }
 }
 
@@ -218,10 +213,14 @@ mod tests {
         let mut tiered = TieredCache::single_sectors(30);
         let mut plain = RangeCache::with_capacity_sectors(30);
         for i in 0..20u64 {
-            tiered.admit(pba(i * 100), 10);
-            plain.insert(pba(i * 100), 10);
+            tiered.lookup_admitting(pba(i * 100), 10, true);
+            if !plain.covers(pba(i * 100), 10) {
+                plain.insert(pba(i * 100), 10);
+            }
             assert_eq!(
-                tiered.lookup(pba(i * 100 / 2), 10).is_hit(),
+                tiered
+                    .lookup_admitting(pba(i * 100 / 2), 10, false)
+                    .is_hit(),
                 plain.covers(pba(i * 100 / 2), 10),
                 "step {i}"
             );
@@ -234,26 +233,26 @@ mod tests {
     #[test]
     fn ram_eviction_demotes_to_flash() {
         let mut c = TieredCache::with_flash_sectors(20, 100);
-        c.admit(pba(0), 10);
-        c.admit(pba(100), 10);
-        c.admit(pba(200), 10); // RAM over budget: [0,10) demotes
+        c.lookup_admitting(pba(0), 10, true);
+        c.lookup_admitting(pba(100), 10, true);
+        c.lookup_admitting(pba(200), 10, true); // RAM over budget: [0,10) demotes
         assert_eq!(c.stats().demoted_sectors, 10);
         assert!(c.flash().unwrap().peek_covers(pba(0), 10));
         assert!(!c.ram().peek_covers(pba(0), 10));
         // A single-tier cache would miss here; the flash tier serves it.
-        assert_eq!(c.lookup(pba(0), 10), TierLookup::Flash);
+        assert_eq!(c.lookup_admitting(pba(0), 10, false), TierLookup::Flash);
     }
 
     #[test]
     fn flash_hit_promotes_back_to_ram() {
         let mut c = TieredCache::with_flash_sectors(20, 100);
-        c.admit(pba(0), 10);
-        c.admit(pba(100), 10);
-        c.admit(pba(200), 10); // [0,10) now in flash only
-        assert_eq!(c.lookup(pba(0), 10), TierLookup::Flash);
+        c.lookup_admitting(pba(0), 10, true);
+        c.lookup_admitting(pba(100), 10, true);
+        c.lookup_admitting(pba(200), 10, true); // [0,10) now in flash only
+        assert_eq!(c.lookup_admitting(pba(0), 10, false), TierLookup::Flash);
         assert_eq!(c.stats().promotions, 1);
         // Promotion put it back in RAM (demoting the RAM LRU).
-        assert_eq!(c.lookup(pba(0), 10), TierLookup::Ram);
+        assert_eq!(c.lookup_admitting(pba(0), 10, false), TierLookup::Ram);
         assert_eq!(c.stats().ram_hits, 1);
     }
 
@@ -261,7 +260,7 @@ mod tests {
     fn flash_overflow_counts_evicted_sectors() {
         let mut c = TieredCache::with_flash_sectors(10, 20);
         for i in 0..6u64 {
-            c.admit(pba(i * 100), 10); // each demotion overflows flash
+            c.lookup_admitting(pba(i * 100), 10, true); // each demotion overflows flash
         }
         assert!(c.stats().flash_evicted_sectors > 0);
         assert!(c.flash().unwrap().sectors_used() <= 20);
@@ -270,7 +269,7 @@ mod tests {
     #[test]
     fn miss_counts_once_across_both_tiers() {
         let mut c = TieredCache::with_flash_sectors(10, 20);
-        assert_eq!(c.lookup(pba(0), 5), TierLookup::Miss);
+        assert_eq!(c.lookup_admitting(pba(0), 5, false), TierLookup::Miss);
         let s = c.stats();
         assert_eq!((s.ram_hits, s.flash_hits, s.misses), (0, 0, 1));
         assert_eq!(s.hit_rate(), 0.0);

@@ -1,9 +1,10 @@
-//! Property tests: `ByteLru` against a naive recency-list model, and
+//! Property tests: `ByteLru` against a naive recency-list model,
 //! `RangeCache` against a per-sector model and, at a scale that spans many
-//! index chunks, a most-recent-first list model.
+//! index chunks, a most-recent-first list model, and `TieredCache`'s fused
+//! lookup-and-admit against a two-call model built from `RangeCache`.
 
 use proptest::prelude::*;
-use smrseek_cache::{ByteLru, RangeCache};
+use smrseek_cache::{ByteLru, RangeCache, TierLookup, TierStats, TieredCache};
 use smrseek_trace::Pba;
 use std::collections::HashMap;
 
@@ -310,5 +311,98 @@ proptest! {
         }
         prop_assert!(peak > 2 * smrseek_extent::CHUNK_CAP, "cache stayed small: peak {} entries", peak);
         prop_assert!(cache.stats().evictions > 100, "budget never bit: {:?}", cache.stats());
+    }
+}
+
+// ---------- TieredCache: fused lookup-and-admit vs two calls ----------
+
+/// A fragment lookup: `(start, sectors, admit on a miss)`.
+fn tier_ops() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    prop::collection::vec(
+        (
+            0u64..20_000,
+            1u64..24,
+            prop_oneof![4 => Just(true), 1 => Just(false)],
+        ),
+        600..1_500,
+    )
+}
+
+/// The two-call form, built from `RangeCache` calls that each search on
+/// their own: a RAM lookup, then flash, then — on a flash hit, or on a
+/// miss that is admitted — a separate RAM insert whose victims demote.
+struct TwoCalls {
+    ram: RangeCache,
+    flash: Option<RangeCache>,
+    stats: TierStats,
+}
+
+impl TwoCalls {
+    fn lookup(&mut self, s: u64, l: u64) -> TierLookup {
+        if self.ram.covers(Pba::new(s), l) {
+            self.stats.ram_hits += 1;
+            return TierLookup::Ram;
+        }
+        if self
+            .flash
+            .as_mut()
+            .is_some_and(|f| f.covers(Pba::new(s), l))
+        {
+            self.stats.flash_hits += 1;
+            self.stats.promotions += 1;
+            self.admit(s, l);
+            return TierLookup::Flash;
+        }
+        self.stats.misses += 1;
+        TierLookup::Miss
+    }
+
+    fn admit(&mut self, s: u64, l: u64) {
+        let (flash, stats) = (&mut self.flash, &mut self.stats);
+        self.ram
+            .insert_evicting(Pba::new(s), l, &mut |victim, len| {
+                if let Some(flash) = flash.as_mut() {
+                    stats.demoted_sectors += len;
+                    stats.flash_evicted_sectors += flash.insert(victim, len);
+                }
+            });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `lookup_admitting` answers, fills, evicts, demotes and counts
+    /// exactly as a lookup followed (on an admitted miss) by an admit,
+    /// in the single-tier and the flash-backed cache alike, with RAM
+    /// holding from a few dozen to hundreds of entries (several index
+    /// chunks).
+    #[test]
+    fn fused_lookup_admit_matches_two_calls(
+        ops in tier_ops(),
+        ram in 60u64..2_500,
+        flash in prop_oneof![Just(None), (200u64..8_000).prop_map(Some)],
+    ) {
+        let mut fused = match flash {
+            Some(f) => TieredCache::with_flash_sectors(ram, f),
+            None => TieredCache::single_sectors(ram),
+        };
+        let mut two_calls = TwoCalls {
+            ram: RangeCache::with_capacity_sectors(ram),
+            flash: flash.map(RangeCache::with_capacity_sectors),
+            stats: TierStats::default(),
+        };
+        for (i, &(s, l, admit)) in ops.iter().enumerate() {
+            let got = fused.lookup_admitting(Pba::new(s), l, admit);
+            let want = two_calls.lookup(s, l);
+            if want == TierLookup::Miss && admit {
+                two_calls.admit(s, l);
+            }
+            prop_assert_eq!(got, want, "step {}", i);
+            prop_assert_eq!(fused.ram(), &two_calls.ram, "step {}", i);
+            prop_assert_eq!(fused.flash(), two_calls.flash.as_ref(), "step {}", i);
+            prop_assert_eq!(fused.stats(), two_calls.stats, "step {}", i);
+        }
+        prop_assert!(fused.ram().stats().evictions > 0, "RAM budget never bit");
     }
 }

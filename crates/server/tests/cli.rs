@@ -348,6 +348,25 @@ fn record_ending_past_the_sector_limit_is_a_parse_error() {
 }
 
 #[test]
+fn non_utf8_line_is_a_parse_error_at_its_line() {
+    let path = tmp("non_utf8.csv");
+    let mut csv = b"128166372003061629,h,0,Read,0,512,0\n".to_vec();
+    csv.extend_from_slice(b"\xff\n128166372003061630,h,0,Read,0,512,0\n");
+    std::fs::write(&path, csv).expect("write temp");
+    let out = smrseek(&["simulate", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(65), "malformed data, not I/O");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 2: line is not UTF-8"), "got: {err}");
+    // The sniffer reports a non-UTF-8 first line the same way.
+    std::fs::write(&path, b"\xff\n").expect("write temp");
+    let out = smrseek(&["characterize", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(65));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 1: line is not UTF-8"), "got: {err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn sniff_empty_file_fails_cleanly() {
     let path = tmp("sniff.empty");
     std::fs::write(&path, "# only a comment\n\n").expect("write temp");

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
-use smrseek_disk::{Cdf, LongSeekSeries, SeekCounter, SeekStats};
+use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
@@ -585,10 +585,13 @@ enum LayerImpl {
 }
 
 impl LayerImpl {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<smrseek_disk::PhysIo> {
+    /// Appends the physical operations `rec` causes to `out`, in the
+    /// order [`TranslationLayer::apply`] would return them.
+    fn apply_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysIo>) {
+        let mut push = |io| out.push(io);
         match self {
-            LayerImpl::NoLs(l) => l.apply(rec),
-            LayerImpl::Ls(l) => l.apply(rec),
+            LayerImpl::NoLs(l) => l.apply_into(rec, &mut push),
+            LayerImpl::Ls(l) => l.apply_into(rec, &mut push),
         }
     }
 
@@ -620,6 +623,9 @@ struct EngineState {
     /// branch and no clock reads.
     timing: bool,
     phases: PhaseTotals,
+    /// The current record's physical operations, cleared and refilled by
+    /// every `step` so the replay loop allocates nothing per record.
+    ios: Vec<PhysIo>,
 }
 
 /// The [`LsConfig`] a fresh run of `config` builds its layer from.
@@ -691,6 +697,7 @@ impl EngineState {
             policy,
             timing: phase_accounting(),
             phases: PhaseTotals::default(),
+            ios: Vec::new(),
         }
     }
 
@@ -730,7 +737,8 @@ impl EngineState {
                 *t = Instant::now();
             }
         }
-        let ios = self.layer.apply(rec);
+        self.ios.clear();
+        self.layer.apply_into(rec, &mut self.ios);
         if let Some(t) = &mut mark {
             self.phases.record(Phase::Lookup, t.elapsed());
             *t = Instant::now();
@@ -755,9 +763,9 @@ impl EngineState {
                 *t = Instant::now();
             }
         }
-        for io in ios {
+        for io in &self.ios {
             self.phys_sectors += io.sectors;
-            if let Some(seek) = self.counter.observe(&io) {
+            if let Some(seek) = self.counter.observe(io) {
                 if let Some(series) = &mut self.series {
                     series.record(i, &seek);
                 }

@@ -47,15 +47,23 @@ impl NoLs {
     pub fn new() -> Self {
         NoLs::default()
     }
+
+    /// Sink form of [`TranslationLayer::apply`]: emits the one identity
+    /// operation without materializing a `Vec`.
+    pub fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+        sink(PhysIo::new(
+            rec.op,
+            Pba::new(rec.lba.sector()),
+            u64::from(rec.sectors),
+        ));
+    }
 }
 
 impl TranslationLayer for NoLs {
     fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
-        vec![PhysIo::new(
-            rec.op,
-            Pba::new(rec.lba.sector()),
-            u64::from(rec.sectors),
-        )]
+        let mut out = Vec::with_capacity(1);
+        self.apply_into(rec, &mut |io| out.push(io));
+        out
     }
 
     fn name(&self) -> &str {

@@ -57,6 +57,9 @@ pub struct LogStructured {
     pending_defrag: Vec<(Lba, u64)>,
     /// Timestamp of the last applied operation (idle-gap detection).
     last_timestamp_us: u64,
+    /// The physical runs of the range being read: one buffer reused
+    /// across records, so a read allocates nothing.
+    runs: Vec<(Pba, u64)>,
 }
 
 impl LogStructured {
@@ -78,6 +81,7 @@ impl LogStructured {
             range_accesses: HashMap::new(),
             pending_defrag: Vec::new(),
             last_timestamp_us: 0,
+            runs: Vec::new(),
             config,
         }
     }
@@ -161,16 +165,19 @@ impl LogStructured {
     /// the same writes in the same order without materializing a `Vec`.
     fn flush_defrag_queue_into(&mut self, sink: &mut dyn FnMut(PhysIo)) {
         let pending = std::mem::take(&mut self.pending_defrag);
+        let mut runs = std::mem::take(&mut self.runs);
         for (lba, sectors) in pending {
             // Skip ranges that became contiguous in the meantime (e.g. a
             // host overwrite re-wrote the whole range).
-            if self.physical_runs(lba, sectors).len() < 2 {
+            self.physical_runs_into(lba, sectors, &mut runs);
+            if runs.len() < 2 {
                 continue;
             }
             self.append_into(lba, sectors, sink);
             self.stats.defrag_rewrites += 1;
             self.stats.defrag_sectors += sectors;
         }
+        self.runs = runs;
     }
 
     /// Appends `sectors` at the frontier for logical range starting `lba`,
@@ -217,25 +224,34 @@ impl LogStructured {
     /// The physically-contiguous runs a read of `[lba, lba+sectors)` must
     /// fetch, holes resolved to identity placement, adjacent pieces merged.
     pub fn physical_runs(&self, lba: Lba, sectors: u64) -> Vec<(Pba, u64)> {
-        let mut runs: Vec<(u64, u64)> = Vec::new();
+        let mut runs = Vec::new();
+        self.physical_runs_into(lba, sectors, &mut runs);
+        runs
+    }
+
+    /// [`physical_runs`](Self::physical_runs) into a caller's buffer,
+    /// which is cleared first.
+    fn physical_runs_into(&self, lba: Lba, sectors: u64, runs: &mut Vec<(Pba, u64)>) {
+        runs.clear();
         // lookup_each folds the tiles without materializing a segment Vec —
         // this runs once per translated read, the hottest map operation.
         self.map.lookup_each(lba, sectors, |seg| {
             let (start, len) = match seg {
-                Segment::Mapped(e) => (e.pba.sector(), e.sectors),
-                Segment::Hole { lba, sectors } => (lba.sector(), sectors),
+                Segment::Mapped(e) => (e.pba, e.sectors),
+                Segment::Hole { lba, sectors } => (Pba::new(lba.sector()), sectors),
             };
             match runs.last_mut() {
                 Some(last) if last.0 + last.1 == start => last.1 += len,
                 _ => runs.push((start, len)),
             }
         });
-        runs.into_iter().map(|(s, l)| (Pba::new(s), l)).collect()
     }
 
     fn handle_read_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
         let sectors = u64::from(rec.sectors);
-        let runs = self.physical_runs(rec.lba, sectors);
+        // Taken for the read and put back at the end, keeping its capacity.
+        let mut runs = std::mem::take(&mut self.runs);
+        self.physical_runs_into(rec.lba, sectors, &mut runs);
         let fragmented = runs.len() > 1;
         if fragmented {
             self.stats.fragmented_reads += 1;
@@ -248,7 +264,10 @@ impl LogStructured {
             // Alg. 3: only fragments of fragmented reads consult the cache.
             if fragmented {
                 if let Some(cache) = &mut self.cache {
-                    match cache.lookup(pba, len) {
+                    // Alg. 3: on a miss, ReadDisk(fragment);
+                    // WriteCache(fragment) — unless the policy denies this
+                    // region the fill.
+                    match cache.lookup_admitting(pba, len, self.gates.cache_admit) {
                         // A flash hit pays the flash latency but, like a
                         // RAM hit, avoids the disk entirely (and the range
                         // was promoted back into RAM).
@@ -256,10 +275,7 @@ impl LogStructured {
                             self.stats.cache_hit_fragments += 1;
                             continue; // served from cache: no physical I/O
                         }
-                        // Alg. 3: ReadDisk(fragment); WriteCache(fragment)
-                        // — unless the policy denies this region the fill.
                         TierLookup::Miss if self.gates.cache_admit => {
-                            cache.admit(pba, len);
                             self.stats.cache_miss_fragments += 1;
                         }
                         TierLookup::Miss => {}
@@ -316,6 +332,7 @@ impl LogStructured {
                 }
             }
         }
+        self.runs = runs;
     }
 
     /// Sink form of [`TranslationLayer::apply`]: applies one record, calling

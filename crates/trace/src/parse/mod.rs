@@ -40,6 +40,19 @@ pub trait LineParser {
     ///
     /// Returns [`crate::Error::Parse`] when the line is malformed.
     fn parse_line(&mut self, line: &str, line_no: u64) -> Result<Option<TraceRecord>>;
+
+    /// Byte-level fast path over the start of a buffered input: parses the
+    /// first line of `buf` and returns what [`parse_line`](Self::parse_line)
+    /// would return for it together with the bytes the line occupies,
+    /// trailing `\n` included. Returns `None` — and leaves the parser state
+    /// untouched — for any line it cannot prove it parses exactly as
+    /// `parse_line` does (a malformed line, non-ASCII bytes, a line whose
+    /// `\n` is not yet in `buf`, ...); that line then takes the `&str` path.
+    /// The default has no fast path.
+    fn parse_prefix(&mut self, buf: &[u8]) -> Option<(Option<TraceRecord>, usize)> {
+        let _ = buf;
+        None
+    }
 }
 
 /// A streaming trace source: yields one parsed [`TraceRecord`] at a time
@@ -47,12 +60,17 @@ pub trait LineParser {
 /// in bounded memory. Created by [`parse_iter`].
 ///
 /// Each item is a `Result`: I/O errors from the reader and parse errors
-/// from the parser surface in-stream at the line that caused them.
+/// from the parser surface in-stream at the line that caused them (a line
+/// that is not UTF-8 is a parse error at its line number).
+///
+/// Each line is first offered to [`LineParser::parse_prefix`] straight from
+/// the reader's buffer; a line it declines is read into the line buffer
+/// and handed to [`LineParser::parse_line`]. Both paths count lines alike.
 #[derive(Debug)]
 pub struct RecordIter<R, P> {
     reader: R,
     parser: P,
-    line: String,
+    line: Vec<u8>,
     line_no: u64,
 }
 
@@ -61,14 +79,31 @@ impl<R: BufRead, P: LineParser> Iterator for RecordIter<R, P> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
+            // A read error here resurfaces from `read_until` below.
+            let fast = self
+                .reader
+                .fill_buf()
+                .ok()
+                .and_then(|buf| self.parser.parse_prefix(buf));
+            if let Some((rec, used)) = fast {
+                self.reader.consume(used);
+                self.line_no += 1;
+                match rec {
+                    Some(rec) => return Some(Ok(rec)),
+                    None => continue,
+                }
+            }
             self.line.clear();
-            match self.reader.read_line(&mut self.line) {
+            match self.reader.read_until(b'\n', &mut self.line) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => return Some(Err(e.into())),
             }
             self.line_no += 1;
-            let trimmed = self.line.trim_end_matches(['\n', '\r']);
+            let Ok(line) = std::str::from_utf8(&self.line) else {
+                return Some(Err(Error::parse(self.line_no, "line is not UTF-8")));
+            };
+            let trimmed = line.trim_end_matches(['\n', '\r']);
             match self.parser.parse_line(trimmed, self.line_no) {
                 Ok(Some(rec)) => return Some(Ok(rec)),
                 Ok(None) => continue, // blank/comment line
@@ -100,7 +135,7 @@ pub fn parse_iter<R: BufRead, P: LineParser>(reader: R, parser: P) -> RecordIter
     RecordIter {
         reader,
         parser,
-        line: String::new(),
+        line: Vec::new(),
         line_no: 0,
     }
 }
@@ -150,8 +185,10 @@ pub enum DetectedFormat {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Io`] if the file cannot be opened or read, and
-/// [`Error::Parse`] if it contains no data lines to sniff from.
+/// Returns [`Error::Io`] if the file cannot be opened or read,
+/// [`Error::Parse`] for a line before the first data line that is not
+/// UTF-8, and [`Error::Format`] if it contains no data lines to sniff
+/// from.
 pub fn sniff_path(path: &Path) -> Result<DetectedFormat> {
     let mut file = File::open(path)?;
     let mut prefix = [0u8; 6];
@@ -167,8 +204,11 @@ pub fn sniff_path(path: &Path) -> Result<DetectedFormat> {
         return Ok(DetectedFormat::Binary);
     }
     let file = File::open(path)?;
-    for line in BufReader::new(file).lines() {
+    for (n, line) in BufReader::new(file).split(b'\n').enumerate() {
         let line = line?;
+        let Ok(line) = std::str::from_utf8(&line) else {
+            return Err(Error::parse(n as u64 + 1, "line is not UTF-8"));
+        };
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with("timestamp_us") {
             continue;
@@ -204,5 +244,26 @@ pub fn parse_path(path: &Path, format: DetectedFormat) -> Result<Vec<TraceRecord
         DetectedFormat::Cloudphysics => parse_reader(reader, CpParser::new()),
         DetectedFormat::Blktrace => parse_reader(reader, BlktraceParser::new()),
         DetectedFormat::Binary => crate::binary::read_binary(reader),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_non_utf8_line_is_a_parse_error_at_its_own_line() {
+        let lines: Vec<u64> = parse_iter(&b"a\n\xff\nx\n"[..], MsrParser::new())
+            .map(|r| match r {
+                Err(Error::Parse { line, .. }) => line,
+                other => panic!("expected a parse error, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(lines, [1, 2, 3]);
+        let err = parse_reader(&b"\xff\n"[..], CpParser::new()).unwrap_err();
+        assert!(
+            err.to_string().contains("line 1: line is not UTF-8"),
+            "{err}"
+        );
     }
 }

@@ -91,7 +91,59 @@ impl LineParser for MsrParser {
             .parse()
             .map_err(|_| Error::parse(line_no, "Size is not an integer"))?;
         // ResponseTime is present in the published traces but unused here.
+        self.record(ts, disk, op, offset, size, line_no)
+    }
 
+    /// Single-pass ASCII cursor over the six leading fields, then to the
+    /// line's `\n`. It accepts only lines made of ASCII bytes whose
+    /// numbers are runs of at most 19 digits that fit their types and
+    /// whose `Type` is `Read` or `Write` in any case — lines on which
+    /// `parse_line`'s `trim`, `split` and `parse` calls reduce to the same
+    /// steps. Everything else, blank and comment lines included, is left
+    /// to `parse_line`.
+    fn parse_prefix(&mut self, buf: &[u8]) -> Option<(Option<TraceRecord>, usize)> {
+        let mut cur = Cursor { rest: buf };
+        let ts = cur.number()?;
+        cur.eat(b',')?;
+        cur.field()?; // Hostname
+        let disk = u32::try_from(cur.number()?).ok()?;
+        cur.eat(b',')?;
+        let ty = cur.field()?;
+        let op = if ty.eq_ignore_ascii_case(b"read") {
+            OpKind::Read
+        } else if ty.eq_ignore_ascii_case(b"write") {
+            OpKind::Write
+        } else {
+            return None;
+        };
+        let offset = cur.number()?;
+        cur.eat(b',')?;
+        let size = cur.number()?;
+        // Size is the last field `parse_line` reads: the line may end
+        // right after it, or run on to its `\n` over fields it ignores.
+        if cur.eat(b'\n').is_none() {
+            cur.eat(b',')?;
+            cur.skip_line()?;
+        }
+        // `record` only ever sets `first_ticks` to `ts`, as the line path
+        // then does too, so declining a line after it changes nothing.
+        let rec = self.record(ts, disk, op, offset, size, 0).ok()?;
+        Some((rec, buf.len() - cur.rest.len()))
+    }
+}
+
+impl MsrParser {
+    /// The record a line with these fields denotes, or `None` when the
+    /// disk filter or a zero size drops it.
+    fn record(
+        &mut self,
+        ts: u64,
+        disk: u32,
+        op: OpKind,
+        offset: u64,
+        size: u64,
+        line_no: u64,
+    ) -> Result<Option<TraceRecord>> {
         if let Some(want) = self.disk_filter {
             if disk != want {
                 return Ok(None);
@@ -116,6 +168,91 @@ impl LineParser for MsrParser {
 
         Ok(Some(TraceRecord::new(timestamp_us, op, lba, sectors)))
     }
+}
+
+/// The unread bytes of a line for [`MsrParser::parse_prefix`]; every
+/// method returns `None` where the line leaves the fast path's shape.
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    /// A run of 1 to 19 ASCII digits — any such run fits `u64`; longer
+    /// ones go to the line path. Stops before the first other byte.
+    fn number(&mut self) -> Option<u64> {
+        let mut n: u64 = 0;
+        let mut len = 0;
+        // Eight digits per step while they last, then one at a time. The
+        // arithmetic wraps only on runs longer than 19, which are refused.
+        while let Some(word) = self.rest.get(len..len + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            if !eight_digits(word) {
+                break;
+            }
+            n = n.wrapping_mul(100_000_000).wrapping_add(parse_eight(word));
+            len += 8;
+        }
+        while let Some(&b) = self.rest.get(len).filter(|b| b.is_ascii_digit()) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            len += 1;
+        }
+        if !(1..=19).contains(&len) {
+            return None;
+        }
+        self.rest = &self.rest[len..];
+        Some(n)
+    }
+
+    /// Consumes `byte` if it is next.
+    fn eat(&mut self, byte: u8) -> Option<()> {
+        let (&next, rest) = self.rest.split_first()?;
+        (next == byte).then(|| self.rest = rest)
+    }
+
+    /// The ASCII bytes up to the next `,`, which is consumed; `None` if a
+    /// `\n` or a non-ASCII byte comes first.
+    fn field(&mut self) -> Option<&'a [u8]> {
+        self.until(b',')
+    }
+
+    /// Consumes the rest of the line, its `\n` included, if it is ASCII.
+    fn skip_line(&mut self) -> Option<()> {
+        self.until(b'\n').map(drop)
+    }
+
+    /// The ASCII bytes up to the next `term`, which is consumed; `None`
+    /// if a `\n` (other than `term`) or a non-ASCII byte comes first.
+    fn until(&mut self, term: u8) -> Option<&'a [u8]> {
+        let at = self
+            .rest
+            .iter()
+            .position(|&b| b == term || b == b'\n' || !b.is_ascii())?;
+        let (field, rest) = self.rest.split_at(at);
+        (rest[0] == term).then(|| {
+            self.rest = &rest[1..];
+            field
+        })
+    }
+}
+
+/// Whether all eight bytes of `word` are ASCII digits.
+fn eight_digits(word: u64) -> bool {
+    const HIGH: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    // A byte is a digit iff its high nibble is 3, and stays 3 after adding 6.
+    (word & HIGH) | ((word.wrapping_add(0x0606_0606_0606_0606) & HIGH) >> 4)
+        == 0x3333_3333_3333_3333
+}
+
+/// The value of eight ASCII digits read little-endian (first digit in the
+/// lowest byte): pairs, then quads, then the eight combine in three
+/// multiply steps.
+fn parse_eight(word: u64) -> u64 {
+    const MASK: u64 = 0x0000_00FF_0000_00FF;
+    let v = word - 0x3030_3030_3030_3030;
+    let v = v.wrapping_mul(10) + (v >> 8);
+    let lo = (v & MASK).wrapping_mul(100 + (1_000_000 << 32));
+    let hi = ((v >> 16) & MASK).wrapping_mul(1 + (10_000 << 32));
+    lo.wrapping_add(hi) >> 32
 }
 
 fn next_field<'a>(
@@ -200,6 +337,54 @@ mod tests {
         assert!(p.parse_line("", 1).unwrap().is_none());
         assert!(p.parse_line("# header", 2).unwrap().is_none());
         assert!(p.parse_line("0,h,0,Read,0,0,0", 3).unwrap().is_none());
+    }
+
+    #[test]
+    fn fast_path_takes_plain_lines_and_declines_the_rest() {
+        let mut p = MsrParser::new();
+        let line = b"128166372003061629,src2,2,Write,8016384,24576,1943\nnext";
+        let (rec, used) = p.parse_prefix(line).expect("a plain line");
+        assert_eq!(used, line.len() - 4);
+        let want = MsrParser::new()
+            .parse_line("128166372003061629,src2,2,Write,8016384,24576,1943", 1)
+            .unwrap();
+        assert_eq!(rec, want);
+        // The line may end right after Size.
+        let (rec, used) = p.parse_prefix(b"0,h,0,READ,0,512\n").unwrap();
+        assert_eq!((rec.unwrap().sectors, used), (1, 17));
+        // Blank, comment, `+`-signed, CRLF-after-Size, non-ASCII,
+        // overflowing, too-large and unterminated lines take the line path.
+        for line in [
+            &b"\n"[..],
+            b"# c\n",
+            b"+0,h,0,Read,0,512,0\n",
+            b" 0,h,0,Read,0,512,0\n",
+            b"0,h,0,Read,0,512\r\n",
+            b"0,h\xc3\xa9,0,Read,0,512,0\n",
+            b"0,h,0,Read,0,512,\xff\n",
+            b"0,h,4294967296,Read,0,512,0\n",
+            b"18446744073709551616,h,0,Read,0,512,0\n",
+            b"0,h,0,Read,100,18446744073709551615,0\n",
+            b"0,h,0,Trim,0,512,0\n",
+            b"0,h,0,Read,0,512,0",
+        ] {
+            assert_eq!(
+                p.parse_prefix(line),
+                None,
+                "{:?}",
+                String::from_utf8_lossy(line)
+            );
+        }
+    }
+
+    #[test]
+    fn fast_path_applies_the_disk_filter_and_zero_size_skip() {
+        let mut p = MsrParser::with_disk(2);
+        assert_eq!(p.parse_prefix(b"5,h,0,Read,0,512,0\n"), Some((None, 19)));
+        assert_eq!(p.parse_prefix(b"5,h,2,Read,0,0,0\n"), Some((None, 17)));
+        // Dropped lines leave the first timestamp unset.
+        let (rec, _) = p.parse_prefix(b"70,h,2,Read,0,512,0\n").unwrap();
+        assert_eq!(rec.unwrap().timestamp_us, 0);
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! [`BlktraceParser`]. Lines start from the formats' own field layouts,
 //! with numeric fields drawn near `u32::MAX` and `u64::MAX` (and past it),
 //! then get truncated, spliced with stray bytes, or lose bytes. Every line
-//! must end in a record or a typed [`Error`].
+//! must end in a record or a typed [`Error`], and the MSR parser's
+//! byte-level fast path must agree with its line path on every line.
 
 use proptest::prelude::*;
 use smrseek_trace::parse::{parse_iter, BlktraceParser, CpParser, LineParser, MsrParser};
 use smrseek_trace::Error;
+use smrseek_trace::TraceRecord;
+use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A numeric field: ordinary values, values near `u32::MAX` and
@@ -43,6 +46,23 @@ fn msr_line() -> impl Strategy<Value = String> {
             format!("{ts},host,{disk},{op},{offset},{size},{resp}")
         },
     )
+}
+
+/// A well-formed MSR line with ordinary fields: the shape the byte-level
+/// fast path accepts, before any mutation.
+fn plain_msr_line() -> impl Strategy<Value = String> {
+    let op = prop_oneof![Just("Read"), Just("Write"), Just("read"), Just("WRITE")];
+    (
+        0u64..1 << 60,
+        0u32..3,
+        op,
+        0u64..1 << 40,
+        0u64..1 << 20,
+        0u64..1 << 20,
+    )
+        .prop_map(|(ts, disk, op, offset, size, resp)| {
+            format!("{ts},host,{disk},{op},{offset},{size},{resp}")
+        })
 }
 
 /// `timestamp_us,op,offset_bytes,length_bytes`.
@@ -139,8 +159,6 @@ fn check_parses<P: LineParser>(bytes: &[u8], parser: P) -> Result<(), TestCaseEr
         match result {
             Ok(sectors) => prop_assert!(sectors >= 1, "a parsed record covers a sector"),
             Err(Error::Parse { line, .. }) => prop_assert!(line >= 1, "lines count from 1"),
-            // A line that is not UTF-8 fails in the line reader.
-            Err(Error::Io(_)) => {}
             Err(other) => {
                 return Err(TestCaseError::fail(format!(
                     "unexpected error kind: {other}"
@@ -149,6 +167,35 @@ fn check_parses<P: LineParser>(bytes: &[u8], parser: P) -> Result<(), TestCaseEr
         }
     }
     Ok(())
+}
+
+/// [`MsrParser`] without its byte-level fast path: every line takes
+/// `parse_line`, the reference the fast path must reproduce.
+struct LineOnly(MsrParser);
+
+impl LineParser for LineOnly {
+    fn parse_line(
+        &mut self,
+        line: &str,
+        line_no: u64,
+    ) -> smrseek_trace::Result<Option<TraceRecord>> {
+        self.0.parse_line(line, line_no)
+    }
+}
+
+/// Every item of a parse, errors reduced to their line and reason.
+fn items<P: LineParser>(
+    reader: impl std::io::BufRead,
+    parser: P,
+) -> Vec<std::result::Result<TraceRecord, (u64, String)>> {
+    parse_iter(reader, parser)
+        .map(|r| {
+            r.map_err(|e| match e {
+                Error::Parse { line, reason } => (line, reason),
+                other => (0, other.to_string()),
+            })
+        })
+        .collect()
 }
 
 proptest! {
@@ -184,5 +231,29 @@ proptest! {
     ) {
         let bytes = mangle(&lines, &mutations);
         check_parses(&bytes, CpParser::new())?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The fast path yields, item for item and past errors, what the
+    /// line path yields, however the reader's buffer splits the lines.
+    #[test]
+    fn msr_fast_path_matches_the_line_path(
+        lines in prop::collection::vec(prop_oneof![1 => msr_line(), 3 => plain_msr_line()], 1..6),
+        mutations in prop::collection::vec(mutation(), 0..4),
+        newline_at_end in prop::bool::ANY,
+        capacity in 1usize..96,
+        disk_filter in prop::bool::ANY,
+    ) {
+        let mut bytes = mangle(&lines, &mutations);
+        if newline_at_end {
+            bytes.push(b'\n');
+        }
+        let parser = || if disk_filter { MsrParser::with_disk(0) } else { MsrParser::new() };
+        let fast = items(BufReader::with_capacity(capacity, &bytes[..]), parser());
+        let line_only = items(&bytes[..], LineOnly(parser()));
+        prop_assert_eq!(fast, line_only);
     }
 }

@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Interleaved A/B of two perfbench binaries on the same seeds.
+
+Usage, from anywhere:
+
+    python3 scripts/perf_ab.py --base BASE_BIN --change CHANGE_BIN \\
+        --workload sweep-large --pairs 6 --seconds 20 [--trace 0]
+
+Both binaries are builds of `perfbench/` (`cargo build --offline --release
+--manifest-path perfbench/Cargo.toml`, then `perfbench/target/release/
+smrseek-perfbench`), one from each checkout. For each seed 1..N the two
+run back to back, in alternating order, from the repository root, so slow
+drift in host speed lands on both sides of a pair. Every metric the runs
+report is printed with both medians, the base's interquartile spread as a
+share of its median, and the per-pair ratios change/base; "wins" counts
+the pairs in which the change is better in the direction BENCHMARK.json
+declares.
+
+Exits 1 if any run fails, prints no result, or reports `failed > 0` or
+`correct: false`.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run(binary, workload, seed, seconds, trace):
+    cmd = [binary, "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", trace]
+    out = subprocess.run(cmd, cwd=REPO, capture_output=True, text=True,
+                         timeout=900)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        raise RuntimeError(f"{binary} seed {seed}: exit {out.returncode}\n"
+                           f"{out.stderr}")
+    result = json.loads(lines[-1])
+    if result["failed"] > 0 or not result["correct"]:
+        raise RuntimeError(f"{binary} seed {seed}: failed={result['failed']} "
+                           f"correct={result['correct']}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def spread(values):
+    if len(values) < 2:
+        return float("nan")
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    med = statistics.median(values)
+    return (q3 - q1) / med if med else float("inf")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="perfbench binary A")
+    parser.add_argument("--change", required=True, help="perfbench binary B")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--trace", default="0", choices=["0", "1"])
+    args = parser.parse_args()
+
+    with open(REPO / "BENCHMARK.json") as f:
+        bench = json.load(f)
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench["per_layer"]}
+
+    base, change = [], []
+    try:
+        for seed in range(1, args.pairs + 1):
+            order = [("base", args.base), ("change", args.change)]
+            if seed % 2 == 0:
+                order.reverse()
+            pair = {}
+            for side, binary in order:
+                pair[side] = run(binary, args.workload, seed, args.seconds,
+                                 args.trace)
+            base.append(pair["base"])
+            change.append(pair["change"])
+            key = "records_per_s" if args.trace == "0" else None
+            note = "" if key is None else (
+                f" {key} base={pair['base'][key]:.6g} "
+                f"change={pair['change'][key]:.6g} "
+                f"ratio={pair['change'][key] / pair['base'][key]:.3f}")
+            print(f"seed {seed} ({order[0][0]} first):{note}", flush=True)
+    except RuntimeError as e:
+        print(f"perf_ab: {e}", file=sys.stderr)
+        return 1
+
+    print(f"\n{args.workload} trace={args.trace}: {args.pairs} interleaved "
+          f"pairs, seeds 1-{args.pairs}, {args.seconds} s per run")
+    print(f"  {'metric':<36} {'base':>11} {'change':>11} {'base_iqr':>8} "
+          f"{'ratio_med':>9} {'ratio_min':>9} {'ratio_max':>9} {'wins':>5}")
+    for name in base[0]:
+        b = [r[name] for r in base]
+        c = [r[name] for r in change]
+        ratios = [y / x for x, y in zip(b, c) if x]
+        higher = better.get(name) == "higher"
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
+        rmed = statistics.median(ratios) if ratios else float("nan")
+        rmin = min(ratios, default=float("nan"))
+        rmax = max(ratios, default=float("nan"))
+        print(f"  {name:<36} {statistics.median(b):>11.6g} "
+              f"{statistics.median(c):>11.6g} {spread(b):>8.3f} "
+              f"{rmed:>9.3f} {rmin:>9.3f} {rmax:>9.3f} "
+              f"{wins:>2}/{len(b):<2}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
