@@ -90,6 +90,22 @@ impl PhaseTotals {
         }
     }
 
+    /// Share `k` of these totals split `n` ways: every nanosecond and
+    /// call count divided by `n`, the remainders on share 0. The `n`
+    /// shares merge back into exactly these totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn share(&self, k: usize, n: usize) -> PhaseTotals {
+        let n = n as u64;
+        let part = |x: u64| x / n + if k == 0 { x % n } else { 0 };
+        PhaseTotals {
+            nanos: self.nanos.map(part),
+            calls: self.calls.map(part),
+        }
+    }
+
     /// Accumulated nanoseconds in `phase`.
     pub fn nanos(&self, phase: Phase) -> u64 {
         self.nanos[phase.index()]
@@ -162,6 +178,23 @@ mod tests {
         assert_eq!(a.nanos(Phase::Ingest), 0);
         assert_eq!(a.total_nanos(), 167);
         assert!(!a.is_zero());
+    }
+
+    #[test]
+    fn shares_merge_back_exactly() {
+        let mut t = PhaseTotals::default();
+        t.record(Phase::Lookup, Duration::from_nanos(100));
+        t.record(Phase::Ingest, Duration::from_nanos(7));
+        let mut merged = PhaseTotals::default();
+        for k in 0..3 {
+            merged.merge(&t.share(k, 3));
+        }
+        assert_eq!(merged, t);
+        assert_eq!(t.share(0, 3).nanos(Phase::Lookup), 34);
+        assert_eq!(t.share(2, 3).nanos(Phase::Lookup), 33);
+        assert_eq!(t.share(0, 3).calls(Phase::Ingest), 1);
+        assert_eq!(t.share(1, 3).calls(Phase::Ingest), 0);
+        assert_eq!(t.share(0, 1), t);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The single entry point is the [`Simulation`] builder: configure with a
 //! [`SimConfig`] (validated construction via [`SimConfig::builder`]), then
 //! [`run`](Simulation::run) a record stream or
-//! [`run_trace`](Simulation::run_trace) an in-memory record slice. Both
-//! replay serially through the same per-record step.
+//! [`run_trace`](Simulation::run_trace) an in-memory record slice;
+//! [`Simulation::run_group`] replays several configurations that share one
+//! translation in a single pass. All replay serially through the same
+//! per-record step.
 
 use std::time::Instant;
 
@@ -259,6 +261,29 @@ impl SimConfig {
             }
         }
         self
+    }
+
+    /// Whether `self` and `other` can replay as lanes of one translation
+    /// ([`Simulation::run_group`]): both log-structured, neither driven by
+    /// a policy (its feedback reads a mechanism's outcome back into the
+    /// translation), and equal in everything the extent map, host cache
+    /// and fragment tracking depend on — defragmentation, zones, frontier
+    /// hint, host cache, `track_fragments`. They may differ in the
+    /// read-side mechanisms (prefetch, selective cache, flash tier) and in
+    /// seek recording (distances, long-seek series).
+    pub fn shares_translation(&self, other: &SimConfig) -> bool {
+        match (self.layer, other.layer) {
+            (LayerChoice::Ls { defrag: a, .. }, LayerChoice::Ls { defrag: b, .. }) => {
+                a == b
+                    && self.policy.is_none()
+                    && other.policy.is_none()
+                    && self.zone_sectors == other.zone_sectors
+                    && self.frontier_hint == other.frontier_hint
+                    && self.host_cache_bytes == other.host_cache_bytes
+                    && self.track_fragments == other.track_fragments
+            }
+            _ => false,
+        }
     }
 
     /// A stable cache-key fragment: the [`canonical`](Self::canonical)
@@ -585,47 +610,67 @@ enum LayerImpl {
 }
 
 impl LayerImpl {
-    /// Appends the physical operations `rec` causes to `out`, in the
-    /// order [`TranslationLayer::apply`] would return them.
-    fn apply_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysIo>) {
-        let mut push = |io| out.push(io);
+    /// Calls `sink(k, io)` with each physical operation `rec` causes in
+    /// lane `k`, in the order [`TranslationLayer::apply`] on a layer of
+    /// that lane's configuration would return them. NoLS has one lane.
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(usize, PhysIo)) {
         match self {
-            LayerImpl::NoLs(l) => l.apply_into(rec, &mut push),
-            LayerImpl::Ls(l) => l.apply_into(rec, &mut push),
+            LayerImpl::NoLs(l) => l.apply_into(rec, &mut |io| sink(0, io)),
+            LayerImpl::Ls(l) => l.apply_lanes_into(rec, sink),
         }
     }
+}
 
-    fn name(&self) -> &str {
-        match self {
-            LayerImpl::NoLs(l) => l.name(),
-            LayerImpl::Ls(l) => l.name(),
+/// The seek model of one configuration in a replay: the physical
+/// operations of its read lane go here and nowhere else.
+struct SeekLane {
+    record_distances: bool,
+    counter: SeekCounter,
+    series: Option<LongSeekSeries>,
+    phys_sectors: u64,
+    /// The current record's physical operations in this lane, cleared and
+    /// refilled by every `step` so the replay loop allocates nothing per
+    /// record.
+    ios: Vec<PhysIo>,
+}
+
+impl SeekLane {
+    fn new(config: &SimConfig) -> Self {
+        SeekLane {
+            record_distances: config.record_distances,
+            counter: if config.record_distances {
+                SeekCounter::with_distances()
+            } else {
+                SeekCounter::new()
+            },
+            series: (config.longseek_bucket_ops > 0)
+                .then(|| LongSeekSeries::new(config.longseek_bucket_ops)),
+            phys_sectors: 0,
+            ios: Vec::new(),
         }
     }
 }
 
 /// Live engine state: started fresh, stepped once per record, and
-/// finished into a [`RunReport`].
+/// finished into one [`RunReport`] per configuration. Everything but the
+/// seek lanes is shared, which is exact only for configurations that
+/// [share their translation](SimConfig::shares_translation).
 struct EngineState {
-    config: SimConfig,
     layer: LayerImpl,
-    counter: SeekCounter,
-    series: Option<LongSeekSeries>,
+    lanes: Vec<SeekLane>,
     host_cache: Option<RangeCache>,
     host_cache_hits: u64,
-    phys_sectors: u64,
     logical_ops: u64,
     peak_extent_segments: u64,
     /// The adaptive policy engine, when configured: consulted before every
     /// record that reaches the layer, fed fragmented-read evidence after.
+    /// Only ever in a one-lane run: the feedback reads the lane's outcome.
     policy: Option<PolicyEngine>,
     /// Sampled from [`phase_accounting`] once at construction so a run's
     /// behavior cannot change mid-flight; when false, `step` pays a single
     /// branch and no clock reads.
     timing: bool,
     phases: PhaseTotals,
-    /// The current record's physical operations, cleared and refilled by
-    /// every `step` so the replay loop allocates nothing per record.
-    ios: Vec<PhysIo>,
 }
 
 /// The [`LsConfig`] a fresh run of `config` builds its layer from.
@@ -661,18 +706,16 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
 }
 
 impl EngineState {
-    fn new(config: &SimConfig) -> Self {
-        let layer = match ls_config_for(config) {
-            None => LayerImpl::NoLs(NoLs::new()),
-            Some(ls_config) => LayerImpl::Ls(Box::new(LogStructured::new(ls_config))),
-        };
-        let counter = if config.record_distances {
-            SeekCounter::with_distances()
+    /// State for `configs`, one seek lane each; the first decides the
+    /// layer kind, host cache and policy.
+    fn new(configs: &[SimConfig]) -> Self {
+        let config = &configs[0];
+        let ls_configs: Vec<LsConfig> = configs.iter().filter_map(ls_config_for).collect();
+        let layer = if ls_configs.is_empty() {
+            LayerImpl::NoLs(NoLs::new())
         } else {
-            SeekCounter::new()
+            LayerImpl::Ls(Box::new(LogStructured::with_lanes(&ls_configs)))
         };
-        let series = (config.longseek_bucket_ops > 0)
-            .then(|| LongSeekSeries::new(config.longseek_bucket_ops));
         // The host cache is indexed by *logical* sector; `RangeCache` is
         // address-space agnostic, so LBA sectors are passed as its keys.
         let host_cache = config
@@ -685,19 +728,15 @@ impl EngineState {
             LayerChoice::NoLs => None,
         };
         EngineState {
-            config: *config,
             layer,
-            counter,
-            series,
+            lanes: configs.iter().map(SeekLane::new).collect(),
             host_cache,
             host_cache_hits: 0,
-            phys_sectors: 0,
             logical_ops: 0,
             peak_extent_segments: 0,
             policy,
             timing: phase_accounting(),
             phases: PhaseTotals::default(),
-            ios: Vec::new(),
         }
     }
 
@@ -737,8 +776,12 @@ impl EngineState {
                 *t = Instant::now();
             }
         }
-        self.ios.clear();
-        self.layer.apply_into(rec, &mut self.ios);
+        for lane in &mut self.lanes {
+            lane.ios.clear();
+        }
+        let lanes = &mut self.lanes;
+        self.layer
+            .apply_into(rec, &mut |k, io| lanes[k].ios.push(io));
         if let Some(t) = &mut mark {
             self.phases.record(Phase::Lookup, t.elapsed());
             *t = Instant::now();
@@ -763,11 +806,13 @@ impl EngineState {
                 *t = Instant::now();
             }
         }
-        for io in &self.ios {
-            self.phys_sectors += io.sectors;
-            if let Some(seek) = self.counter.observe(io) {
-                if let Some(series) = &mut self.series {
-                    series.record(i, &seek);
+        for lane in &mut self.lanes {
+            for io in &lane.ios {
+                lane.phys_sectors += io.sectors;
+                if let Some(seek) = lane.counter.observe(io) {
+                    if let Some(series) = &mut lane.series {
+                        series.record(i, &seek);
+                    }
                 }
             }
         }
@@ -779,44 +824,52 @@ impl EngineState {
         }
     }
 
-    fn finish(self) -> RunReport {
-        let layer_name = if self.policy.is_some() {
-            // The mechanism mix is config-visible; what defines this run is
-            // that the policy engine drove it.
-            String::from("LS+adaptive")
-        } else {
-            self.layer.name().to_owned()
-        };
-        let (ls_stats, fragments, cache_tiers) = match self.layer {
-            LayerImpl::NoLs(_) => (None, None, None),
-            LayerImpl::Ls(ls) => (
-                Some(ls.stats()),
-                ls.fragment_tracker().cloned(),
-                ls.tier_stats(),
-            ),
-        };
-        RunReport {
-            layer_name,
-            logical_ops: self.logical_ops,
-            phys_sectors: self.phys_sectors,
-            host_cache_hits: self.host_cache_hits,
-            seeks: self.counter.stats(),
-            distances: self
-                .config
-                .record_distances
-                .then(|| self.counter.into_distances()),
-            longseek_series: self.series,
-            ls_stats,
-            fragments,
-            peak_extent_segments: self.peak_extent_segments,
-            policy: self.policy.map(|p| p.stats()),
-            cache_tiers,
-            phases: self.phases,
-        }
+    /// One report per lane, in lane order. The run's phase totals are
+    /// split evenly across the reports (remainders on the first), so
+    /// merging the reports' phases counts every nanosecond once.
+    fn finish(self) -> Vec<RunReport> {
+        let n = self.lanes.len();
+        let policy = self.policy.map(|p| p.stats());
+        self.lanes
+            .into_iter()
+            .enumerate()
+            .map(|(k, lane)| {
+                let (layer_name, ls_stats, fragments, cache_tiers) = match &self.layer {
+                    LayerImpl::NoLs(l) => (l.name(), None, None, None),
+                    LayerImpl::Ls(ls) => (
+                        // The mechanism mix is config-visible; what defines
+                        // a policy run is that the policy engine drove it.
+                        if policy.is_some() {
+                            "LS+adaptive"
+                        } else {
+                            ls.lane_name(k)
+                        },
+                        Some(ls.lane_stats(k)),
+                        ls.fragment_tracker().cloned(),
+                        ls.lane_tier_stats(k),
+                    ),
+                };
+                RunReport {
+                    layer_name: layer_name.to_owned(),
+                    logical_ops: self.logical_ops,
+                    phys_sectors: lane.phys_sectors,
+                    host_cache_hits: self.host_cache_hits,
+                    seeks: lane.counter.stats(),
+                    distances: lane.record_distances.then(|| lane.counter.into_distances()),
+                    longseek_series: lane.series,
+                    ls_stats,
+                    fragments,
+                    peak_extent_segments: self.peak_extent_segments,
+                    policy,
+                    cache_tiers,
+                    phases: self.phases.share(k, n),
+                }
+            })
+            .collect()
     }
 }
 
-/// Records [`Simulation::run_trace`] replays between two ingest-phase
+/// Records [`Simulation::run_group`] replays between two ingest-phase
 /// timestamps: 4096 records (96 KiB) amortize the clock reads while the
 /// block stays cache-resident.
 const DEFAULT_BLOCK_RECORDS: usize = 4096;
@@ -825,11 +878,13 @@ const DEFAULT_BLOCK_RECORDS: usize = 4096;
 ///
 /// Build one with [`Simulation::new`], then consume records with
 /// [`run`](Self::run) (any iterator) or [`run_trace`](Self::run_trace)
-/// (in-memory traces). Replay is serial: each read's translation
-/// depends on every earlier write, so parallelism lives across runs (the
-/// cells of a [`RunMatrix`](crate::runner::RunMatrix)), never inside one.
-/// Both entry points produce byte-identical serialized [`RunReport`]s
-/// over the same records.
+/// (in-memory traces); [`run_group`](Self::run_group) replays several
+/// configurations that share one translation in a single pass, and
+/// `run_trace` is its one-configuration case. Replay is serial: each
+/// read's translation depends on every earlier write, so parallelism lives
+/// across runs (the groups of a [`RunMatrix`](crate::runner::RunMatrix)),
+/// never inside one. Every entry point produces byte-identical serialized
+/// [`RunReport`]s over the same records.
 ///
 /// # Example
 ///
@@ -868,7 +923,7 @@ impl Simulation {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
-        let mut state = EngineState::new(&self.config);
+        let mut state = EngineState::new(std::slice::from_ref(&self.config));
         let timing = state.timing;
         let mut records = records.into_iter();
         loop {
@@ -881,22 +936,49 @@ impl Simulation {
             }
             state.step(&rec);
         }
-        state.finish()
+        state.finish().remove(0)
     }
 
-    /// Replays an in-memory trace: derives the LS frontier hint from the
-    /// records when the config leaves it unset (highest touched LBA plus
-    /// one, via [`stream::max_lba`]) and ingests in blocks of 4096
-    /// records — ingest time is accounted once per block rather than per
-    /// record. Serialized reports are byte-identical to
-    /// [`run`](Self::run) over the same records with that hint.
-    pub fn run_trace(mut self, trace: &[TraceRecord]) -> RunReport {
-        if matches!(self.config.layer, LayerChoice::Ls { .. })
-            && self.config.frontier_hint.is_none()
-        {
-            self.config.frontier_hint = Some(stream::max_lba(trace).map_or(0, |l| l.sector() + 1));
+    /// Replays an in-memory trace: the one-configuration case of
+    /// [`run_group`](Self::run_group). Serialized reports are
+    /// byte-identical to [`run`](Self::run) over the same records with the
+    /// derived frontier hint.
+    pub fn run_trace(self, trace: &[TraceRecord]) -> RunReport {
+        Self::run_group(std::slice::from_ref(&self.config), trace).remove(0)
+    }
+
+    /// Replays an in-memory trace once for every configuration in
+    /// `configs`, returning their reports in order. The configurations
+    /// keep one translation (extent map, frontier, defragmentation, host
+    /// cache) and one read lane and seek model each, so the reports are
+    /// byte-identical to one [`run_trace`](Self::run_trace) per
+    /// configuration. Derives the LS frontier hint from the records, once,
+    /// when the configs leave it unset (highest touched LBA plus one, via
+    /// [`stream::max_lba`]), and ingests in blocks of 4096 records —
+    /// ingest time is accounted once per block rather than per record.
+    /// Phase totals are split evenly across the reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `configs` is one configuration, or several that each
+    /// [share the translation](SimConfig::shares_translation) of the
+    /// first.
+    pub fn run_group(configs: &[SimConfig], trace: &[TraceRecord]) -> Vec<RunReport> {
+        let Some(first) = configs.first() else {
+            return Vec::new();
+        };
+        assert!(
+            configs.len() == 1 || configs.iter().all(|c| c.shares_translation(first)),
+            "a replay group's configs must share one translation"
+        );
+        let mut configs = configs.to_vec();
+        if matches!(first.layer, LayerChoice::Ls { .. }) && first.frontier_hint.is_none() {
+            let top = stream::max_lba(trace).map_or(0, |l| l.sector() + 1);
+            for config in &mut configs {
+                config.frontier_hint = Some(top);
+            }
         }
-        let mut state = EngineState::new(&self.config);
+        let mut state = EngineState::new(&configs);
         let mut last = state.timing.then(Instant::now);
         for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
             if let Some(t) = &last {
@@ -1090,6 +1172,101 @@ mod tests {
         for config in &sweep[1..] {
             assert!(matches!(config.layer, LayerChoice::Ls { .. }));
         }
+    }
+
+    #[test]
+    fn shares_translation_across_read_side_and_recording_knobs() {
+        let ls = SimConfig::log_structured();
+        for other in [
+            ls,
+            SimConfig::ls_prefetch(),
+            SimConfig::ls_cache(),
+            SimConfig::ls_cache().with_flash_cache(1 << 20),
+            SimConfig::ls_with(
+                None,
+                Some(PrefetchConfig::default()),
+                Some(CacheConfig::default()),
+            ),
+            ls.with_distances(),
+            ls.with_longseek_series(64),
+        ] {
+            assert!(ls.shares_translation(&other), "{other:?}");
+            assert!(other.shares_translation(&ls), "{other:?}");
+        }
+        let defrag = SimConfig::ls_defrag();
+        assert!(defrag.shares_translation(&SimConfig::ls_with(
+            Some(DefragConfig::default()),
+            None,
+            Some(CacheConfig::default())
+        )));
+    }
+
+    #[test]
+    fn shares_translation_refuses_diverging_maps() {
+        let ls = SimConfig::log_structured();
+        let cases = [
+            ("NoLS", SimConfig::no_ls(), SimConfig::no_ls()),
+            ("NoLS vs LS", SimConfig::no_ls(), ls),
+            ("policy", adaptive_config(), adaptive_config()),
+            (
+                "policy vs fixed",
+                SimConfig::ls_cache().with_policy(PolicyConfig::default()),
+                SimConfig::ls_cache(),
+            ),
+            ("defrag", SimConfig::ls_defrag(), ls),
+            (
+                "defrag timing",
+                SimConfig::ls_defrag(),
+                SimConfig::ls_with(Some(DefragConfig::idle(1_000)), None, None),
+            ),
+            ("zones", ls.with_zones(512), ls),
+            ("zone size", ls.with_zones(512), ls.with_zones(1024)),
+            ("frontier hint", ls.with_frontier_hint(4096), ls),
+            (
+                "frontier hints",
+                ls.with_frontier_hint(4096),
+                ls.with_frontier_hint(8192),
+            ),
+            ("host cache", ls.with_host_cache(1 << 20), ls),
+            (
+                "host cache size",
+                ls.with_host_cache(1 << 20),
+                ls.with_host_cache(2 << 20),
+            ),
+            ("track_fragments", ls.with_fragment_tracking(), ls),
+        ];
+        for (what, a, b) in cases {
+            assert!(!a.shares_translation(&b), "{what}: {a:?} / {b:?}");
+            assert!(!b.shares_translation(&a), "{what}: {b:?} / {a:?}");
+        }
+    }
+
+    #[test]
+    fn run_group_reports_match_single_runs() {
+        let trace = busy_trace(300);
+        let configs = [
+            SimConfig::log_structured(),
+            SimConfig::ls_prefetch().with_distances(),
+            SimConfig::ls_cache(),
+        ];
+        let reports = Simulation::run_group(&configs, &trace);
+        for (config, report) in configs.iter().zip(&reports) {
+            let alone = Simulation::new(config).run_trace(&trace);
+            assert_eq!(
+                serde_json::to_string(report).expect("serializes"),
+                serde_json::to_string(&alone).expect("serializes")
+            );
+        }
+        assert!(Simulation::run_group(&[], &trace).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "share one translation")]
+    fn run_group_refuses_diverging_configs() {
+        Simulation::run_group(
+            &[SimConfig::log_structured(), SimConfig::ls_defrag()],
+            &toy_trace(),
+        );
     }
 
     #[test]

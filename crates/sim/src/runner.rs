@@ -8,12 +8,19 @@
 //! [`RunMetrics`] (wall time, replay rate, peak extent-map size) alongside
 //! each [`RunReport`].
 //!
+//! The unit of work is a *translation group*: cells of one trace source
+//! whose configs [share a translation](SimConfig::shares_translation)
+//! replay together through one extent map
+//! ([`Simulation::run_group`]), as long as the matrix keeps at least one
+//! work item per thread.
+//!
 //! Determinism: results come back in cell order regardless of the thread
-//! count, and every cell regenerates its trace from a named, repeatable
+//! count, and every group regenerates its trace from a named, repeatable
 //! [`TraceSource`] — so reports (and any JSON derived from them) are
-//! byte-identical whether the matrix runs on one worker or sixteen. Only
-//! the timing side-channel ([`RunMetrics`]) varies between runs, which is
-//! why it lives next to, never inside, the serialized reports.
+//! byte-identical whether the matrix runs on one worker or sixteen, and
+//! however its cells were grouped. Only the timing side-channel
+//! ([`RunMetrics`]) varies between runs, which is why it lives next to,
+//! never inside, the serialized reports.
 
 #![deny(clippy::unwrap_used)]
 
@@ -29,12 +36,15 @@ use std::time::{Duration, Instant};
 
 /// A named, repeatable source of trace records.
 ///
-/// Every cell regenerates (or, for [`TraceSource::from_records`], clones
-/// an `Arc` of) its trace on the worker that runs it: sharing one
-/// generated trace across threads would pin the whole matrix's memory
-/// high-water mark at once, and repeatability is what keeps the matrix
-/// deterministic under any scheduling. Trace files of every format,
-/// `.smrt` included, are loaded into memory once
+/// Every translation group of a matrix regenerates (or, for
+/// [`TraceSource::from_records`], clones an `Arc` of) its trace on the
+/// worker that runs it — a [`TraceSource::from_profile`] source once per
+/// group, not once per cell: sharing one generated trace across threads
+/// would pin the whole matrix's memory high-water mark at once, and
+/// repeatability is what keeps the matrix deterministic under any
+/// scheduling. Clones of one source share its supply, which is how the
+/// runner tells that two cells replay the same trace. Trace files of
+/// every format, `.smrt` included, are loaded into memory once
 /// ([`smrseek_trace::parse::parse_path`]) and wrapped with
 /// [`TraceSource::from_records`].
 #[derive(Clone)]
@@ -90,13 +100,10 @@ impl TraceSource {
         (self.supply)()
     }
 
-    /// Replays this source through `config`, returning the report and the
-    /// replay's wall time (trace generation excluded).
-    fn replay(&self, config: &SimConfig) -> (RunReport, Duration) {
-        let records = self.records();
-        let start = Instant::now();
-        let report = Simulation::new(config).run_trace(&records);
-        (report, start.elapsed())
+    /// Whether `self` and `other` are clones of one source (the same
+    /// supply, by identity).
+    fn same_supply(&self, other: &TraceSource) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.supply), Arc::as_ptr(&other.supply))
     }
 }
 
@@ -136,7 +143,8 @@ impl RunCell {
 /// (which stay byte-deterministic across thread counts).
 #[derive(Debug, Clone, Copy)]
 pub struct RunMetrics {
-    /// Wall time of the replay (excluding trace generation).
+    /// Wall time of the replay (excluding trace generation); for a cell
+    /// of an `n`-cell translation group, an `n`th of the group's wall.
     pub wall: Duration,
     /// When the replay started, nanoseconds since the Unix epoch
     /// ([`smrseek_obs::unix_nanos`]).
@@ -173,12 +181,18 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Pairs `cell`'s report with the metrics of a replay that started at
-    /// `start_unix_ns` on this thread and took `wall`.
-    fn new(cell: &RunCell, report: RunReport, wall: Duration, start_unix_ns: u64) -> Self {
+    /// `start_unix_ns` on thread `tid` and took `wall`.
+    fn new(
+        cell: &RunCell,
+        report: RunReport,
+        wall: Duration,
+        start_unix_ns: u64,
+        tid: u64,
+    ) -> Self {
         let metrics = RunMetrics {
             wall,
             start_unix_ns,
-            tid: smrseek_obs::current_tid(),
+            tid,
             records: report.logical_ops,
             peak_extent_segments: report.peak_extent_segments,
             phases: report.phases,
@@ -236,14 +250,72 @@ impl RunMatrix {
     }
 
     /// Executes every cell on up to `threads` scoped workers and returns
-    /// the outcomes *in cell order* — the thread count changes wall time,
-    /// never results. Each cell replays serially on one worker.
+    /// the outcomes *in cell order* — the thread count changes wall time
+    /// and grouping, never results. Workers claim
+    /// [translation groups](Self::groups); each group replays serially on
+    /// one worker.
+    ///
+    /// Timing of an `n`-cell group: each cell reports a wall of the
+    /// group's wall divided by `n`, starting `k` such walls after the
+    /// group started (so the cells' spans tile the group's), on the
+    /// group's thread, with an `n`th of its phase totals (remainders on
+    /// the first cell). Summing cells therefore counts the group once.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
-        parallel_map(&self.cells, threads, |cell| {
-            let start = smrseek_obs::unix_nanos();
-            let (report, wall) = cell.source.replay(&cell.config);
-            RunOutcome::new(cell, report, wall, start)
-        })
+        let groups = self.groups(threads);
+        let done = parallel_map(&groups, threads, |group| self.run_group(group));
+        let mut outcomes: Vec<(usize, RunOutcome)> = groups
+            .iter()
+            .zip(done)
+            .flat_map(|(group, outcomes)| group.iter().copied().zip(outcomes))
+            .collect();
+        outcomes.sort_by_key(|&(i, _)| i);
+        outcomes.into_iter().map(|(_, outcome)| outcome).collect()
+    }
+
+    /// Partitions the cells into translation groups, as lists of cell
+    /// indices in cell order, ordered by their first cell. Walking the
+    /// cells in order, a cell joins the first earlier group of the same
+    /// source whose configs it [shares a translation
+    /// with](SimConfig::shares_translation) — but only while the matrix
+    /// keeps at least `threads` work items, so grouping never leaves a
+    /// worker idle that separate cells would have kept busy.
+    fn groups(&self, threads: NonZeroUsize) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut items = self.cells.len();
+        for (i, cell) in self.cells.iter().enumerate() {
+            if items > threads.get() {
+                let host = groups.iter_mut().find(|g| {
+                    let first = &self.cells[g[0]];
+                    first.source.same_supply(&cell.source)
+                        && first.config.shares_translation(&cell.config)
+                });
+                if let Some(group) = host {
+                    group.push(i);
+                    items -= 1;
+                    continue;
+                }
+            }
+            groups.push(vec![i]);
+        }
+        groups
+    }
+
+    /// Replays one group on this thread; outcomes in the group's order.
+    fn run_group(&self, group: &[usize]) -> Vec<RunOutcome> {
+        let cells: Vec<&RunCell> = group.iter().map(|&i| &self.cells[i]).collect();
+        let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
+        let records = cells[0].source.records();
+        let start_unix_ns = smrseek_obs::unix_nanos();
+        let start = Instant::now();
+        let reports = Simulation::run_group(&configs, &records);
+        let wall = start.elapsed();
+        lane_outcomes(
+            &cells,
+            reports,
+            wall,
+            start_unix_ns,
+            smrseek_obs::current_tid(),
+        )
     }
 
     /// [`execute`](Self::execute); the policy is ignored (see
@@ -251,6 +323,30 @@ impl RunMatrix {
     pub fn execute_with(&self, threads: NonZeroUsize, _policy: ShardPolicy) -> Vec<RunOutcome> {
         self.execute(threads)
     }
+}
+
+/// Pairs a group's reports with its cells, attributing the group's `wall`
+/// (started at `start_unix_ns` on thread `tid`) evenly: cell `k` of `n`
+/// gets `wall / n`, starting `k` such walls after the group. Each report
+/// already carries an `n`th of the group's phase totals.
+fn lane_outcomes(
+    cells: &[&RunCell],
+    reports: Vec<RunReport>,
+    wall: Duration,
+    start_unix_ns: u64,
+    tid: u64,
+) -> Vec<RunOutcome> {
+    let lane_wall = wall / u32::try_from(cells.len()).unwrap_or(u32::MAX);
+    let lane_ns = u64::try_from(lane_wall.as_nanos()).unwrap_or(u64::MAX);
+    cells
+        .iter()
+        .zip(reports)
+        .zip(0u64..)
+        .map(|((cell, report), k)| {
+            let start = start_unix_ns.saturating_add(k.saturating_mul(lane_ns));
+            RunOutcome::new(cell, report, lane_wall, start, tid)
+        })
+        .collect()
 }
 
 /// Applies `f` to every item on up to `threads` scoped workers, returning
@@ -411,6 +507,25 @@ mod tests {
         NonZeroUsize::new(2).expect("nonzero")
     }
 
+    /// Serializes the tests that flip the process-wide phase-accounting
+    /// switch, so one's untimed run never sees the other's setting.
+    static PHASE_SWITCH: Mutex<()> = Mutex::new(());
+
+    /// A mixed workload: reads of earlier writes fragment, so every
+    /// mechanism has work.
+    fn mixed(n: u64) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|i| {
+                let lba = Lba::new((i * 37) % 4096 * 8);
+                if i % 3 == 0 {
+                    TraceRecord::read(i, lba, 24)
+                } else {
+                    TraceRecord::write(i, lba, 8)
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
@@ -545,6 +660,7 @@ mod tests {
         // Phase accounting must surface per-cell totals through RunMetrics
         // and merge across the matrix. Serialized reports stay unaffected
         // (asserted separately in the engine's byte-identity tests).
+        let _switch = PHASE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         smrseek_obs::set_phase_accounting(true);
         let source = TraceSource::from_records("burst", burst(400));
         let outcomes = RunMatrix::cross(&[source], &[SimConfig::no_ls(), SimConfig::ls_cache()])
@@ -576,6 +692,122 @@ mod tests {
         )
         .execute(NonZeroUsize::MIN);
         assert!(cold[0].metrics.phases.is_zero());
+    }
+
+    #[test]
+    fn standard_sweep_groups_by_thread_count() {
+        let source = TraceSource::from_records("mixed", mixed(3000));
+        let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        // Cells: 0 NoLS, 1 LS, 2 LS+defrag, 3 LS+prefetch, 4 LS+cache.
+        let grouped: Vec<Vec<usize>> = vec![vec![0], vec![1, 3, 4], vec![2]];
+        assert_eq!(matrix.groups(n(1)), grouped);
+        assert_eq!(matrix.groups(n(2)), grouped);
+        assert_eq!(
+            matrix.groups(n(4)),
+            vec![vec![0], vec![1, 3], vec![2], vec![4]]
+        );
+        let alone: Vec<Vec<usize>> = (0..5).map(|i| vec![i]).collect();
+        assert_eq!(matrix.groups(n(5)), alone);
+        assert_eq!(matrix.groups(n(8)), alone);
+
+        let bytes = |threads: usize| -> Vec<(String, String)> {
+            matrix
+                .execute(n(threads))
+                .iter()
+                .map(|o| {
+                    let json = serde_json::to_string(&o.report).expect("report serializes");
+                    (o.report.layer_name.clone(), json)
+                })
+                .collect()
+        };
+        let serial = bytes(1);
+        let names: Vec<&str> = serial.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["NoLS", "LS", "LS+defrag", "LS+prefetch", "LS+cache"],
+            "outcomes come back in cell order"
+        );
+        for threads in [2, 4, 8] {
+            assert_eq!(bytes(threads), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn groups_need_the_same_source_not_equal_records() {
+        let a = TraceSource::from_records("a", mixed(100));
+        let b = TraceSource::from_records("a", mixed(100));
+        let configs = [SimConfig::log_structured(), SimConfig::ls_cache()];
+        let split = RunMatrix::cross(&[a.clone(), b], &configs);
+        assert_eq!(
+            split.groups(NonZeroUsize::MIN),
+            vec![vec![0, 1], vec![2, 3]]
+        );
+        let mut interleaved = RunMatrix::new();
+        for config in [configs[0], SimConfig::no_ls(), configs[1]] {
+            interleaved.push(RunCell::new(a.clone(), config));
+        }
+        assert_eq!(
+            interleaved.groups(NonZeroUsize::MIN),
+            vec![vec![0, 2], vec![1]]
+        );
+    }
+
+    #[test]
+    fn group_timing_tiles_the_group_span() {
+        let source = TraceSource::from_records("t", burst(10));
+        let cells: Vec<RunCell> = [
+            SimConfig::log_structured(),
+            SimConfig::ls_prefetch(),
+            SimConfig::ls_cache(),
+        ]
+        .into_iter()
+        .map(|c| RunCell::new(source.clone(), c))
+        .collect();
+        let refs: Vec<&RunCell> = cells.iter().collect();
+        let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
+        let reports = Simulation::run_group(&configs, &source.records());
+        let wall = Duration::from_nanos(1_000_000_007);
+        let outcomes = lane_outcomes(&refs, reports, wall, 5_000, 42);
+        let n = outcomes.len() as u32;
+        let summed: Duration = outcomes.iter().map(|o| o.metrics.wall).sum();
+        assert!(summed <= wall && wall - summed < Duration::from_nanos(u64::from(n)));
+        for (k, o) in outcomes.iter().enumerate() {
+            assert_eq!(o.metrics.tid, 42);
+            assert_eq!(o.metrics.wall, wall / n);
+            let lane_ns = (wall / n).as_nanos() as u64;
+            assert_eq!(o.metrics.start_unix_ns, 5_000 + k as u64 * lane_ns);
+        }
+    }
+
+    #[test]
+    fn grouped_phases_count_each_block_once() {
+        let _switch = PHASE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        // 10,000 records are three 4096-record ingest blocks.
+        let source = TraceSource::from_records("mixed", mixed(10_000));
+        let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
+        let groups = matrix.groups(two());
+        assert_eq!(groups.len(), 3);
+        smrseek_obs::set_phase_accounting(true);
+        let start = Instant::now();
+        let outcomes = matrix.execute(two());
+        let elapsed = start.elapsed();
+        smrseek_obs::set_phase_accounting(false);
+        let totals = MatrixStats::from_outcomes(&outcomes).phase_totals();
+        assert_eq!(totals.calls(smrseek_obs::Phase::Ingest), 3 * 3);
+        for group in &groups {
+            let first = outcomes[group[0]].metrics;
+            let mut end = first.start_unix_ns;
+            for &i in group {
+                let m = outcomes[i].metrics;
+                assert_eq!(m.wall, first.wall, "a group's cells share its wall");
+                assert_eq!(m.tid, first.tid, "a group runs on one thread");
+                assert_eq!(m.start_unix_ns, end, "cell spans tile the group span");
+                end += m.wall.as_nanos() as u64;
+            }
+            let summed: Duration = group.iter().map(|&i| outcomes[i].metrics.wall).sum();
+            assert!(summed <= elapsed, "{summed:?} > {elapsed:?}");
+        }
     }
 
     #[test]

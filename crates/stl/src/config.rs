@@ -215,6 +215,20 @@ impl LsConfig {
         self
     }
 
+    /// Whether `self` and `other` build the same extent map from the same
+    /// records: equal frontier, defragmentation, zones and fragment
+    /// tracking. They may differ only in the read-side mechanisms
+    /// (prefetch, selective cache, flash tier), which decide which reads
+    /// reach the disk but never write the map — so one
+    /// [`LogStructured`](crate::LogStructured) can serve both as read
+    /// lanes.
+    pub fn shares_translation(&self, other: &LsConfig) -> bool {
+        self.frontier_start == other.frontier_start
+            && self.defrag == other.defrag
+            && self.zone_sectors == other.zone_sectors
+            && self.track_fragments == other.track_fragments
+    }
+
     /// Backs the log with zones of `zone_sectors` sectors (ZBC-style; the
     /// last sector of each zone is a guard band).
     ///

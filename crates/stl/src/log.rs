@@ -1,7 +1,7 @@
 //! The log-structured translation layer with composable seek-reduction
 //! mechanisms.
 
-use crate::config::{DefragTiming, LsConfig};
+use crate::config::{DefragTiming, LsConfig, PrefetchConfig};
 use crate::fragstats::FragmentAccessTracker;
 use crate::layer::TranslationLayer;
 use crate::stats::LsStats;
@@ -23,6 +23,15 @@ use std::collections::HashMap;
 /// * The three seek-reduction mechanisms of Section IV hook the read path
 ///   when enabled in [`LsConfig`].
 ///
+/// One layer can serve several configurations at once
+/// ([`with_lanes`](Self::with_lanes)): the extent map, frontier, zones,
+/// defragmentation and fragment tracking are kept once, and each
+/// configuration gets a *read lane* holding only what its read-side
+/// mechanisms (prefetch buffer, selective cache, flash tier) need. Those
+/// mechanisms decide which physical reads reach the disk but never write
+/// the map, so every lane sees exactly the I/O a layer of its own
+/// configuration would emit.
+///
 /// # Example
 ///
 /// ```
@@ -37,13 +46,16 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogStructured {
+    /// Lane 0's configuration; every lane shares its translation fields.
     config: LsConfig,
     map: ExtentMap,
     frontier: Pba,
+    /// The counters of the shared translation; the read-side ones stay
+    /// zero here and live in each lane.
     stats: LsStats,
     tracker: Option<FragmentAccessTracker>,
-    cache: Option<TieredCache>,
-    prefetch_buffer: Option<RangeCache>,
+    /// One read lane per configuration, in construction order.
+    lanes: Vec<ReadLane>,
     /// Per-region mechanism gates for the *next* record, set by an
     /// adaptive policy engine via [`set_gates`](Self::set_gates). Purely
     /// transient (the engine re-derives them every record); the default is
@@ -62,21 +74,131 @@ pub struct LogStructured {
     runs: Vec<(Pba, u64)>,
 }
 
+/// The read side of one configuration over a shared translation: the
+/// prefetch buffer (Alg. 2), the selective cache with its optional flash
+/// tier (Alg. 3), and the counters only they move.
+#[derive(Debug, Clone)]
+struct ReadLane {
+    name: &'static str,
+    prefetch: Option<PrefetchConfig>,
+    prefetch_buffer: Option<RangeCache>,
+    cache: Option<TieredCache>,
+    /// Only `phys_reads` and the cache and prefetch counters move here.
+    stats: LsStats,
+}
+
+impl ReadLane {
+    fn new(config: &LsConfig) -> Self {
+        let name = match (
+            config.defrag.is_some(),
+            config.prefetch.is_some(),
+            config.cache.is_some(),
+        ) {
+            (false, false, false) => "LS",
+            (true, false, false) => "LS+defrag",
+            (false, true, false) => "LS+prefetch",
+            (false, false, true) if config.flash_cache_bytes.is_some() => "LS+cache2",
+            (false, false, true) => "LS+cache",
+            _ => "LS+combined",
+        };
+        ReadLane {
+            name,
+            prefetch: config.prefetch,
+            prefetch_buffer: config
+                .prefetch
+                .map(|p| RangeCache::with_capacity_bytes(p.buffer_bytes)),
+            cache: config.cache.map(|c| match config.flash_cache_bytes {
+                Some(flash) => TieredCache::with_flash_bytes(c.capacity_bytes, flash),
+                None => TieredCache::single_bytes(c.capacity_bytes),
+            }),
+            stats: LsStats::default(),
+        }
+    }
+
+    /// Serves the physical `runs` of one read as lane `k`, emitting the
+    /// reads that reach the disk.
+    fn read_runs(
+        &mut self,
+        k: usize,
+        runs: &[(Pba, u64)],
+        gates: &GateSet,
+        sink: &mut dyn FnMut(usize, PhysIo),
+    ) {
+        // Alg. 2 and 3 act only on the fragments of fragmented reads.
+        let fragmented = runs.len() > 1;
+        for &(pba, len) in runs {
+            if fragmented {
+                if let Some(cache) = &mut self.cache {
+                    // Alg. 3: on a miss, ReadDisk(fragment);
+                    // WriteCache(fragment) — unless the policy denies this
+                    // region the fill.
+                    match cache.lookup_admitting(pba, len, gates.cache_admit) {
+                        // A flash hit pays the flash latency but, like a
+                        // RAM hit, avoids the disk entirely (and the range
+                        // was promoted back into RAM).
+                        TierLookup::Ram | TierLookup::Flash => {
+                            self.stats.cache_hit_fragments += 1;
+                            continue; // served from cache: no physical I/O
+                        }
+                        TierLookup::Miss if gates.cache_admit => {
+                            self.stats.cache_miss_fragments += 1;
+                        }
+                        TierLookup::Miss => {}
+                    }
+                }
+                // Alg. 2: look-ahead-behind around fragments; the policy
+                // gate widens or narrows the window per region.
+                if let (Some(buffer), Some(p)) = (&mut self.prefetch_buffer, self.prefetch) {
+                    if buffer.covers(pba, len) {
+                        self.stats.prefetch_hit_fragments += 1;
+                        continue; // already in the drive buffer
+                    }
+                    let behind = gates.prefetch.apply(p.behind_sectors);
+                    let ahead = gates.prefetch.apply(p.ahead_sectors);
+                    let pre_start = Pba::new(pba.sector().saturating_sub(behind));
+                    let total = (pba.sector() - pre_start.sector()) + len + ahead;
+                    buffer.insert(pre_start, total);
+                    self.stats.prefetched_sectors += total - len;
+                    self.stats.phys_reads += 1;
+                    sink(k, PhysIo::read(pre_start, total));
+                    continue;
+                }
+            }
+            self.stats.phys_reads += 1;
+            sink(k, PhysIo::read(pba, len));
+        }
+    }
+}
+
 impl LogStructured {
     /// Creates a layer from a configuration.
     pub fn new(config: LsConfig) -> Self {
+        Self::with_lanes(&[config])
+    }
+
+    /// Creates one layer serving every configuration in `configs`, one
+    /// read lane each, in order; lane 0 is the layer's own
+    /// [`config`](Self::config). [`apply_lanes_into`](Self::apply_lanes_into)
+    /// emits each lane's I/O, identical to what a single-lane layer of
+    /// that configuration would emit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or if some configuration does not
+    /// [share its translation](LsConfig::shares_translation) with the
+    /// first.
+    pub fn with_lanes(configs: &[LsConfig]) -> Self {
+        let config = *configs.first().expect("a layer needs at least one lane");
+        assert!(
+            configs.iter().all(|c| c.shares_translation(&config)),
+            "read lanes must share one translation (frontier, defrag, zones, fragment tracking)"
+        );
         LogStructured {
             frontier: config.frontier_start,
             map: ExtentMap::new(),
             stats: LsStats::default(),
             tracker: config.track_fragments.then(FragmentAccessTracker::new),
-            cache: config.cache.map(|c| match config.flash_cache_bytes {
-                Some(flash) => TieredCache::with_flash_bytes(c.capacity_bytes, flash),
-                None => TieredCache::single_bytes(c.capacity_bytes),
-            }),
-            prefetch_buffer: config
-                .prefetch
-                .map(|p| RangeCache::with_capacity_bytes(p.buffer_bytes)),
+            lanes: configs.iter().map(ReadLane::new).collect(),
             gates: GateSet::default(),
             range_accesses: HashMap::new(),
             pending_defrag: Vec::new(),
@@ -102,12 +224,33 @@ impl LogStructured {
         &self.map
     }
 
-    /// Instrumentation counters.
+    /// Instrumentation counters of lane 0.
     pub fn stats(&self) -> LsStats {
-        self.stats
+        self.lane_stats(0)
     }
 
-    /// The configuration this layer was built from.
+    /// Instrumentation counters of lane `k`: the shared translation's
+    /// plus the lane's own read-side counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a lane.
+    pub fn lane_stats(&self, k: usize) -> LsStats {
+        let mut stats = self.stats;
+        stats.merge(&self.lanes[k].stats);
+        stats
+    }
+
+    /// The report name of lane `k`'s configuration ("LS", "LS+cache", ...).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a lane.
+    pub fn lane_name(&self, k: usize) -> &'static str {
+        self.lanes[k].name
+    }
+
+    /// The configuration of lane 0, whose translation every lane shares.
     pub fn config(&self) -> &LsConfig {
         &self.config
     }
@@ -117,33 +260,44 @@ impl LogStructured {
         self.tracker.as_ref()
     }
 
-    /// The selective cache (RAM tier plus optional flash), when enabled.
+    /// Lane 0's selective cache (RAM tier plus optional flash), when
+    /// enabled.
     pub fn cache(&self) -> Option<&TieredCache> {
-        self.cache.as_ref()
+        self.lanes[0].cache.as_ref()
     }
 
-    /// Tier-level event counters of the selective cache, when it is
+    /// Tier-level event counters of lane 0's selective cache, when it is
     /// configured with a flash tier (a single-tier cache has nothing
     /// tier-level to report).
     pub fn tier_stats(&self) -> Option<TierStats> {
-        self.cache
+        self.lane_tier_stats(0)
+    }
+
+    /// [`tier_stats`](Self::tier_stats) of lane `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a lane.
+    pub fn lane_tier_stats(&self, k: usize) -> Option<TierStats> {
+        self.lanes[k]
+            .cache
             .as_ref()
             .filter(|c| c.has_flash())
             .map(|c| c.stats())
     }
 
     /// Sets the per-region mechanism gates the *next* record is served
-    /// under. An adaptive policy engine calls this before every
-    /// [`apply`](TranslationLayer::apply); without a policy the gates stay
-    /// at their permissive default and behaviour is identical to the fixed
-    /// mechanisms.
+    /// under, in every lane. An adaptive policy engine calls this before
+    /// every [`apply`](TranslationLayer::apply); without a policy the
+    /// gates stay at their permissive default and behaviour is identical
+    /// to the fixed mechanisms.
     pub fn set_gates(&mut self, gates: GateSet) {
         self.gates = gates;
     }
 
-    /// The prefetch buffer, when enabled.
+    /// Lane 0's prefetch buffer, when enabled.
     pub fn prefetch_buffer(&self) -> Option<&RangeCache> {
-        self.prefetch_buffer.as_ref()
+        self.lanes[0].prefetch_buffer.as_ref()
     }
 
     /// Ranges currently queued for idle-time defragmentation.
@@ -157,13 +311,18 @@ impl LogStructured {
     /// model an explicit flush (e.g. at shutdown).
     pub fn flush_defrag_queue(&mut self) -> Vec<PhysIo> {
         let mut out = Vec::new();
-        self.flush_defrag_queue_into(&mut |io| out.push(io));
+        self.flush_defrag_queue_into(&mut |k, io| {
+            if k == 0 {
+                out.push(io);
+            }
+        });
         out
     }
 
     /// Sink form of [`flush_defrag_queue`](Self::flush_defrag_queue): emits
-    /// the same writes in the same order without materializing a `Vec`.
-    fn flush_defrag_queue_into(&mut self, sink: &mut dyn FnMut(PhysIo)) {
+    /// the same writes in the same order, to every lane, without
+    /// materializing a `Vec`.
+    fn flush_defrag_queue_into(&mut self, sink: &mut dyn FnMut(usize, PhysIo)) {
         let pending = std::mem::take(&mut self.pending_defrag);
         let mut runs = std::mem::take(&mut self.runs);
         for (lba, sectors) in pending {
@@ -181,18 +340,26 @@ impl LogStructured {
     }
 
     /// Appends `sectors` at the frontier for logical range starting `lba`,
-    /// emitting the physical writes (one, unless zoned backing splits the
-    /// append at guard bands).
-    fn append_into(&mut self, lba: Lba, sectors: u64, sink: &mut dyn FnMut(PhysIo)) {
+    /// emitting the physical writes to every lane (one, unless zoned
+    /// backing splits the append at guard bands).
+    fn append_into(&mut self, lba: Lba, sectors: u64, sink: &mut dyn FnMut(usize, PhysIo)) {
         match self.config.zone_sectors {
             None => {
                 let at = self.frontier;
                 self.map.insert(lba, sectors, at);
                 self.frontier += sectors;
-                self.stats.phys_writes += 1;
-                sink(PhysIo::write(at, sectors));
+                self.write_to_lanes(PhysIo::write(at, sectors), sink);
             }
             Some(z) => self.append_zoned_into(lba, sectors, z, sink),
+        }
+    }
+
+    /// Counts one physical write and emits it to every lane: writes go to
+    /// the shared log, so every configuration pays them.
+    fn write_to_lanes(&mut self, io: PhysIo, sink: &mut dyn FnMut(usize, PhysIo)) {
+        self.stats.phys_writes += 1;
+        for k in 0..self.lanes.len() {
+            sink(k, io);
         }
     }
 
@@ -200,7 +367,13 @@ impl LogStructured {
     /// frontier skips it and the write splits into per-zone pieces. Pieces
     /// are physically non-adjacent (the guard separates them), so later
     /// reads see the discontinuity.
-    fn append_zoned_into(&mut self, lba: Lba, sectors: u64, z: u64, sink: &mut dyn FnMut(PhysIo)) {
+    fn append_zoned_into(
+        &mut self,
+        lba: Lba,
+        sectors: u64,
+        z: u64,
+        sink: &mut dyn FnMut(usize, PhysIo),
+    ) {
         let mut cur_lba = lba;
         let mut left = sectors;
         while left > 0 {
@@ -213,8 +386,7 @@ impl LogStructured {
             let room = (z - 1) - offset;
             let take = left.min(room);
             self.map.insert(cur_lba, take, self.frontier);
-            sink(PhysIo::write(self.frontier, take));
-            self.stats.phys_writes += 1;
+            self.write_to_lanes(PhysIo::write(self.frontier, take), sink);
             self.frontier += take;
             cur_lba += take;
             left -= take;
@@ -247,7 +419,7 @@ impl LogStructured {
         });
     }
 
-    fn handle_read_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+    fn handle_read_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(usize, PhysIo)) {
         let sectors = u64::from(rec.sectors);
         // Taken for the read and put back at the end, keeping its capacity.
         let mut runs = std::mem::take(&mut self.runs);
@@ -260,47 +432,8 @@ impl LogStructured {
             }
         }
 
-        for &(pba, len) in &runs {
-            // Alg. 3: only fragments of fragmented reads consult the cache.
-            if fragmented {
-                if let Some(cache) = &mut self.cache {
-                    // Alg. 3: on a miss, ReadDisk(fragment);
-                    // WriteCache(fragment) — unless the policy denies this
-                    // region the fill.
-                    match cache.lookup_admitting(pba, len, self.gates.cache_admit) {
-                        // A flash hit pays the flash latency but, like a
-                        // RAM hit, avoids the disk entirely (and the range
-                        // was promoted back into RAM).
-                        TierLookup::Ram | TierLookup::Flash => {
-                            self.stats.cache_hit_fragments += 1;
-                            continue; // served from cache: no physical I/O
-                        }
-                        TierLookup::Miss if self.gates.cache_admit => {
-                            self.stats.cache_miss_fragments += 1;
-                        }
-                        TierLookup::Miss => {}
-                    }
-                }
-                // Alg. 2: look-ahead-behind around fragments; the policy
-                // gate widens or narrows the window per region.
-                if let (Some(buffer), Some(p)) = (&mut self.prefetch_buffer, self.config.prefetch) {
-                    if buffer.covers(pba, len) {
-                        self.stats.prefetch_hit_fragments += 1;
-                        continue; // already in the drive buffer
-                    }
-                    let behind = self.gates.prefetch.apply(p.behind_sectors);
-                    let ahead = self.gates.prefetch.apply(p.ahead_sectors);
-                    let pre_start = Pba::new(pba.sector().saturating_sub(behind));
-                    let total = (pba.sector() - pre_start.sector()) + len + ahead;
-                    buffer.insert(pre_start, total);
-                    self.stats.prefetched_sectors += total - len;
-                    self.stats.phys_reads += 1;
-                    sink(PhysIo::read(pre_start, total));
-                    continue;
-                }
-            }
-            self.stats.phys_reads += 1;
-            sink(PhysIo::read(pba, len));
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            lane.read_runs(k, &runs, &self.gates, sink);
         }
 
         // Alg. 1: opportunistic defragmentation — the fragmented data was
@@ -335,10 +468,24 @@ impl LogStructured {
         self.runs = runs;
     }
 
-    /// Sink form of [`TranslationLayer::apply`]: applies one record, calling
-    /// `sink` with each physical operation in the exact order `apply` would
-    /// have returned them, without materializing a `Vec`.
+    /// Sink form of [`TranslationLayer::apply`] for lane 0: applies one
+    /// record, calling `sink` with each of lane 0's physical operations in
+    /// the exact order `apply` would have returned them, without
+    /// materializing a `Vec`.
     pub fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+        self.apply_lanes_into(rec, &mut |k, io| {
+            if k == 0 {
+                sink(io);
+            }
+        });
+    }
+
+    /// Applies one record to the shared translation and every lane,
+    /// calling `sink(k, io)` with each of lane `k`'s physical operations.
+    /// Per lane the order is the one a single-lane layer of that lane's
+    /// configuration would emit; writes (host and defragmentation) go to
+    /// every lane.
+    pub fn apply_lanes_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(usize, PhysIo)) {
         // Idle-time defragmentation: if the gap since the previous
         // operation was long enough, the queued rewrites happened during
         // it — emit them before this operation's I/O.
@@ -373,18 +520,7 @@ impl TranslationLayer for LogStructured {
     }
 
     fn name(&self) -> &str {
-        match (
-            self.config.defrag.is_some(),
-            self.config.prefetch.is_some(),
-            self.config.cache.is_some(),
-        ) {
-            (false, false, false) => "LS",
-            (true, false, false) => "LS+defrag",
-            (false, true, false) => "LS+prefetch",
-            (false, false, true) if self.config.flash_cache_bytes.is_some() => "LS+cache2",
-            (false, false, true) => "LS+cache",
-            _ => "LS+combined",
-        }
+        self.lane_name(0)
     }
 }
 

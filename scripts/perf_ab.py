@@ -4,17 +4,20 @@
 Usage, from anywhere:
 
     python3 scripts/perf_ab.py --base BASE_BIN --change CHANGE_BIN \\
-        --workload sweep-large --pairs 6 --seconds 20 [--trace 0]
+        --workload table1-matrix,sweep-large --pairs 6 --seconds 20 [--trace 0]
 
 Both binaries are builds of `perfbench/` (`cargo build --offline --release
 --manifest-path perfbench/Cargo.toml`, then `perfbench/target/release/
-smrseek-perfbench`), one from each checkout. For each seed 1..N the two
-run back to back, in alternating order, from the repository root, so slow
-drift in host speed lands on both sides of a pair. Every metric the runs
-report is printed with both medians, the base's interquartile spread as a
-share of its median, and the per-pair ratios change/base; "wins" counts
-the pairs in which the change is better in the direction BENCHMARK.json
-declares.
+smrseek-perfbench`), one from each checkout. `--workload` takes one
+workload or a comma-separated list. For each seed 1..N and each workload
+the two run back to back, in alternating order, from the repository root,
+so slow drift in host speed lands on both sides of a pair; the workloads
+interleave within each seed, so a claimed gain on one and the
+no-regression check on another come from the same stretch of time. For
+each workload, every metric the runs report is printed with both medians,
+the base's interquartile spread as a share of its median, and the
+per-pair ratios change/base; "wins" counts the pairs in which the change
+is better in the direction BENCHMARK.json declares.
 
 Exits 1 if any run fails, prints no result, or reports `failed > 0` or
 `correct: false`.
@@ -54,45 +57,10 @@ def spread(values):
     return (q3 - q1) / med if med else float("inf")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="perfbench binary A")
-    parser.add_argument("--change", required=True, help="perfbench binary B")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--trace", default="0", choices=["0", "1"])
-    args = parser.parse_args()
-
-    with open(REPO / "BENCHMARK.json") as f:
-        bench = json.load(f)
-    better = {m["name"]: m["better"]
-              for m in bench["end_to_end"] + bench["per_layer"]}
-
-    base, change = [], []
-    try:
-        for seed in range(1, args.pairs + 1):
-            order = [("base", args.base), ("change", args.change)]
-            if seed % 2 == 0:
-                order.reverse()
-            pair = {}
-            for side, binary in order:
-                pair[side] = run(binary, args.workload, seed, args.seconds,
-                                 args.trace)
-            base.append(pair["base"])
-            change.append(pair["change"])
-            key = "records_per_s" if args.trace == "0" else None
-            note = "" if key is None else (
-                f" {key} base={pair['base'][key]:.6g} "
-                f"change={pair['change'][key]:.6g} "
-                f"ratio={pair['change'][key] / pair['base'][key]:.3f}")
-            print(f"seed {seed} ({order[0][0]} first):{note}", flush=True)
-    except RuntimeError as e:
-        print(f"perf_ab: {e}", file=sys.stderr)
-        return 1
-
-    print(f"\n{args.workload} trace={args.trace}: {args.pairs} interleaved "
-          f"pairs, seeds 1-{args.pairs}, {args.seconds} s per run")
+def table(workload, trace, seconds, base, change, better):
+    pairs = len(base)
+    print(f"\n{workload} trace={trace}: {pairs} interleaved pairs, "
+          f"seeds 1-{pairs}, {seconds} s per run")
     print(f"  {'metric':<36} {'base':>11} {'change':>11} {'base_iqr':>8} "
           f"{'ratio_med':>9} {'ratio_min':>9} {'ratio_max':>9} {'wins':>5}")
     for name in base[0]:
@@ -108,6 +76,53 @@ def main():
               f"{statistics.median(c):>11.6g} {spread(b):>8.3f} "
               f"{rmed:>9.3f} {rmin:>9.3f} {rmax:>9.3f} "
               f"{wins:>2}/{len(b):<2}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="perfbench binary A")
+    parser.add_argument("--change", required=True, help="perfbench binary B")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma-separated list")
+    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--trace", default="0", choices=["0", "1"])
+    args = parser.parse_args()
+    workloads = [w for w in args.workload.split(",") if w]
+
+    with open(REPO / "BENCHMARK.json") as f:
+        bench = json.load(f)
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench["per_layer"]}
+
+    base = {w: [] for w in workloads}
+    change = {w: [] for w in workloads}
+    try:
+        for seed in range(1, args.pairs + 1):
+            for workload in workloads:
+                order = [("base", args.base), ("change", args.change)]
+                if seed % 2 == 0:
+                    order.reverse()
+                pair = {}
+                for side, binary in order:
+                    pair[side] = run(binary, workload, seed, args.seconds,
+                                     args.trace)
+                base[workload].append(pair["base"])
+                change[workload].append(pair["change"])
+                key = "records_per_s" if args.trace == "0" else None
+                note = "" if key is None else (
+                    f" {key} base={pair['base'][key]:.6g} "
+                    f"change={pair['change'][key]:.6g} "
+                    f"ratio={pair['change'][key] / pair['base'][key]:.3f}")
+                print(f"seed {seed} {workload} ({order[0][0]} first):{note}",
+                      flush=True)
+    except RuntimeError as e:
+        print(f"perf_ab: {e}", file=sys.stderr)
+        return 1
+
+    for workload in workloads:
+        table(workload, args.trace, args.seconds, base[workload],
+              change[workload], better)
     return 0
 
 
