@@ -140,8 +140,10 @@ fn usage() -> String {
      global flags: -v/--verbose (or SMRSEEK_LOG=debug) for progress chatter, \
      --log-json for JSON-lines stderr\n\
      threads: --threads N workers run an experiment's cells (workloads, configs, sweep \
-     points) in parallel, each cell replaying its trace serially; SMRSEEK_THREADS \
-     overrides the default (host parallelism). Reports never depend on the thread count.",
+     points) in parallel, each cell's trace translated serially; with fewer translation \
+     groups than twice N (N >= 2), a group's selective-cache lanes replay on one more \
+     helper thread; SMRSEEK_THREADS overrides the default (host parallelism). Reports \
+     never depend on the thread count.",
         experiments.join("|")
     )
 }

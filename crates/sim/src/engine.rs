@@ -5,21 +5,25 @@
 //! [`run`](Simulation::run) a record stream or
 //! [`run_trace`](Simulation::run_trace) an in-memory record slice;
 //! [`Simulation::run_group`] replays several configurations that share one
-//! translation in a single pass. All replay serially through the same
-//! per-record step.
+//! translation in a single pass. All replay through the same per-record
+//! step. A group may hand some of its read lanes to one helper thread,
+//! which serves them from the translated I/O of the group's plain-LS lane
+//! through the same [`ReadLane::read_runs`] and seek accounting; the
+//! translation itself always replays serially.
 
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
 use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
-use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
+use smrseek_policy::{GateSet, PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
-    PrefetchConfig, TranslationLayer,
+    PrefetchConfig, ReadLane, TranslationLayer,
 };
-use smrseek_trace::{stream, TraceRecord};
+use smrseek_trace::{stream, Pba, TraceRecord};
 
 /// Which translation layer to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -284,6 +288,21 @@ impl SimConfig {
             }
             _ => false,
         }
+    }
+
+    /// Whether `self` is log-structured with no read-side mechanism
+    /// (prefetch or selective cache): its reads are then exactly each
+    /// read's merged physical runs, which is what a split group
+    /// ([`Simulation::run_group`]) forwards to its helper thread.
+    pub fn is_plain_ls(&self) -> bool {
+        matches!(
+            self.layer,
+            LayerChoice::Ls {
+                prefetch: None,
+                cache: None,
+                ..
+            }
+        )
     }
 
     /// A stable cache-key fragment: the [`canonical`](Self::canonical)
@@ -649,6 +668,20 @@ impl SeekLane {
             ios: Vec::new(),
         }
     }
+
+    /// Feeds the operations in `ios` of logical record `i` to the seek
+    /// model.
+    #[inline]
+    fn observe_ios(&mut self, i: u64) {
+        for io in &self.ios {
+            self.phys_sectors += io.sectors;
+            if let Some(seek) = self.counter.observe(io) {
+                if let Some(series) = &mut self.series {
+                    series.record(i, &seek);
+                }
+            }
+        }
+    }
 }
 
 /// Live engine state: started fresh, stepped once per record, and
@@ -740,9 +773,11 @@ impl EngineState {
         }
     }
 
-    /// Replays one record. Behaviorally identical with phase accounting on
-    /// or off: timing wraps the same statements, it never reorders them.
-    fn step(&mut self, rec: &TraceRecord) {
+    /// Replays one record; returns whether it reached the layer (a host
+    /// cache hit does not, and leaves every lane's `ios` stale). Behaviorally
+    /// identical with phase accounting on or off: timing wraps the same
+    /// statements, it never reorders them.
+    fn step(&mut self, rec: &TraceRecord) -> bool {
         let i = self.logical_ops;
         self.logical_ops += 1;
         let mut mark = self.timing.then(Instant::now);
@@ -758,7 +793,7 @@ impl EngineState {
             }
             if hit {
                 self.host_cache_hits += 1;
-                return; // served from host RAM: nothing reaches the device
+                return false; // served from host RAM: nothing reaches the device
             }
         }
         let frag_before = match (&self.policy, &self.layer) {
@@ -807,14 +842,7 @@ impl EngineState {
             }
         }
         for lane in &mut self.lanes {
-            for io in &lane.ios {
-                lane.phys_sectors += io.sectors;
-                if let Some(seek) = lane.counter.observe(io) {
-                    if let Some(series) = &mut lane.series {
-                        series.record(i, &seek);
-                    }
-                }
-            }
+            lane.observe_ios(i);
         }
         if let LayerImpl::Ls(ls) = &self.layer {
             self.peak_extent_segments = self.peak_extent_segments.max(ls.map().len() as u64);
@@ -822,51 +850,239 @@ impl EngineState {
         if let Some(t) = &mark {
             self.phases.record(Phase::Seek, t.elapsed());
         }
+        true
     }
 
-    /// One report per lane, in lane order. The run's phase totals are
-    /// split evenly across the reports (remainders on the first), so
-    /// merging the reports' phases counts every nanosecond once.
-    fn finish(self) -> Vec<RunReport> {
-        let n = self.lanes.len();
+    /// Replays `trace` in blocks of [`DEFAULT_BLOCK_RECORDS`], timing the
+    /// ingest phase once per block. With `forward`, every block also
+    /// takes a recycled [`ForwardBlock`], fills it with the plain lane's
+    /// I/O of each record that reached the layer, and sends it to the
+    /// helper; a failed receive or send means the helper is gone, and the
+    /// replay stops so its panic can resume on this thread.
+    fn replay_blocks(&mut self, trace: &[TraceRecord], forward: Option<&Forward>) {
+        let mut last = self.timing.then(Instant::now);
+        for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
+            if let Some(t) = &last {
+                self.phases.record(Phase::Ingest, t.elapsed());
+            }
+            match forward {
+                None => {
+                    for rec in block {
+                        self.step(rec);
+                    }
+                }
+                Some(f) => {
+                    let Ok(mut out) = f.free.recv() else { return };
+                    out.clear();
+                    for rec in block {
+                        if self.step(rec) {
+                            out.push(self.logical_ops - 1, &self.lanes[f.plain].ios);
+                        }
+                    }
+                    if f.full.send(out).is_err() {
+                        return;
+                    }
+                }
+            }
+            if let Some(t) = &mut last {
+                *t = Instant::now();
+            }
+        }
+    }
+
+    /// One report per configuration of the group: this state's lanes fill
+    /// the positions `helper` leaves free, in order, and each helper lane
+    /// its own. The run's phase totals, the helper's merged in, are split
+    /// evenly across the reports (remainders on the first), so merging the
+    /// reports' phases counts every nanosecond once.
+    fn finish(self, helper: HelperLanes) -> Vec<RunReport> {
         let policy = self.policy.map(|p| p.stats());
-        self.lanes
+        let ls = match &self.layer {
+            LayerImpl::NoLs(_) => None,
+            LayerImpl::Ls(ls) => Some(ls),
+        };
+        let report = |layer_name: &str,
+                      ls_stats: Option<LsStats>,
+                      cache_tiers: Option<TierStats>,
+                      lane: SeekLane| RunReport {
+            layer_name: layer_name.to_owned(),
+            logical_ops: self.logical_ops,
+            phys_sectors: lane.phys_sectors,
+            host_cache_hits: self.host_cache_hits,
+            seeks: lane.counter.stats(),
+            distances: lane.record_distances.then(|| lane.counter.into_distances()),
+            longseek_series: lane.series,
+            ls_stats,
+            fragments: ls.and_then(|ls| ls.fragment_tracker().cloned()),
+            peak_extent_segments: self.peak_extent_segments,
+            policy,
+            cache_tiers,
+            phases: PhaseTotals::default(),
+        };
+        let mut reports: Vec<RunReport> = self
+            .lanes
             .into_iter()
             .enumerate()
-            .map(|(k, lane)| {
-                let (layer_name, ls_stats, fragments, cache_tiers) = match &self.layer {
-                    LayerImpl::NoLs(l) => (l.name(), None, None, None),
-                    LayerImpl::Ls(ls) => (
-                        // The mechanism mix is config-visible; what defines
-                        // a policy run is that the policy engine drove it.
-                        if policy.is_some() {
-                            "LS+adaptive"
-                        } else {
-                            ls.lane_name(k)
-                        },
-                        Some(ls.lane_stats(k)),
-                        ls.fragment_tracker().cloned(),
-                        ls.lane_tier_stats(k),
-                    ),
-                };
-                RunReport {
-                    layer_name: layer_name.to_owned(),
-                    logical_ops: self.logical_ops,
-                    phys_sectors: lane.phys_sectors,
-                    host_cache_hits: self.host_cache_hits,
-                    seeks: lane.counter.stats(),
-                    distances: lane.record_distances.then(|| lane.counter.into_distances()),
-                    longseek_series: lane.series,
-                    ls_stats,
-                    fragments,
-                    peak_extent_segments: self.peak_extent_segments,
-                    policy,
-                    cache_tiers,
-                    phases: self.phases.share(k, n),
-                }
+            .map(|(k, lane)| match &self.layer {
+                LayerImpl::NoLs(l) => report(l.name(), None, None, lane),
+                // The mechanism mix is config-visible; what defines a
+                // policy run is that the policy engine drove it.
+                LayerImpl::Ls(ls) => report(
+                    if policy.is_some() {
+                        "LS+adaptive"
+                    } else {
+                        ls.lane_name(k)
+                    },
+                    Some(ls.lane_stats(k)),
+                    ls.lane_tier_stats(k),
+                    lane,
+                ),
             })
-            .collect()
+            .collect();
+        // Positions increase, so every earlier one is filled at each insert.
+        for (at, read, lane) in helper.lanes {
+            let mut stats = ls.map(|ls| ls.shared_stats()).unwrap_or_default();
+            stats.merge(&read.stats());
+            let lane = report(read.name(), Some(stats), read.tier_stats(), lane);
+            reports.insert(at, lane);
+        }
+        let mut phases = self.phases;
+        phases.merge(&helper.phases);
+        let n = reports.len();
+        for (k, report) in reports.iter_mut().enumerate() {
+            report.phases = phases.share(k, n);
+        }
+        reports
     }
+}
+
+/// Blocks a split group keeps in flight between its worker and its
+/// helper. It bounds the forwarded I/O's memory and how far the worker
+/// runs ahead.
+const BLOCKS_IN_FLIGHT: usize = 4;
+
+/// One block's forwarded I/O: the plain lane's physical operations of
+/// every record that reached the layer.
+#[derive(Debug, Default)]
+struct ForwardBlock {
+    ios: Vec<PhysIo>,
+    /// Per record: its index in the trace and the end of its operations
+    /// in `ios`.
+    records: Vec<(u64, usize)>,
+}
+
+impl ForwardBlock {
+    fn clear(&mut self) {
+        self.ios.clear();
+        self.records.clear();
+    }
+
+    fn push(&mut self, i: u64, ios: &[PhysIo]) {
+        self.ios.extend_from_slice(ios);
+        self.records.push((i, self.ios.len()));
+    }
+}
+
+/// The worker's ends of a split group's channels, and which of its lanes
+/// is the plain one whose I/O is forwarded.
+struct Forward {
+    plain: usize,
+    full: SyncSender<ForwardBlock>,
+    free: Receiver<ForwardBlock>,
+}
+
+/// The read lanes a split group replays on its helper thread: each with
+/// its position in the group and its seek model, plus the phase time the
+/// helper spent on them.
+#[derive(Default)]
+struct HelperLanes {
+    lanes: Vec<(usize, ReadLane, SeekLane)>,
+    phases: PhaseTotals,
+}
+
+impl HelperLanes {
+    /// Receives forwarded blocks until the worker hangs up, serving each
+    /// and returning it for reuse.
+    fn serve(
+        mut self,
+        full: Receiver<ForwardBlock>,
+        free: SyncSender<ForwardBlock>,
+        timing: bool,
+    ) -> Self {
+        let mut runs = Vec::new();
+        while let Ok(block) = full.recv() {
+            self.replay(&block, &mut runs, timing);
+            // Fails only once the worker is done with its last block.
+            let _ = free.send(block);
+        }
+        self
+    }
+
+    /// Serves every record of `block` in every helper lane. A record's
+    /// forwarded reads are its read's merged runs (the plain lane emits one
+    /// read per run), so they go through [`ReadLane::read_runs`] as one
+    /// read; its writes are every lane's writes and pass through in place.
+    fn replay(&mut self, block: &ForwardBlock, runs: &mut Vec<(Pba, u64)>, timing: bool) {
+        let gates = GateSet::default();
+        let mut start = 0;
+        for &(i, end) in &block.records {
+            let ios = &block.ios[start..end];
+            start = end;
+            let mut mark = timing.then(Instant::now);
+            for (_, read, seek) in &mut self.lanes {
+                seek.ios.clear();
+                let out = &mut seek.ios;
+                runs.clear();
+                for io in ios {
+                    if io.op.is_read() {
+                        runs.push((io.pba, io.sectors));
+                        continue;
+                    }
+                    read.read_runs(runs, &gates, &mut |io| out.push(io));
+                    runs.clear();
+                    out.push(*io);
+                }
+                read.read_runs(runs, &gates, &mut |io| out.push(io));
+            }
+            if let Some(t) = &mut mark {
+                self.phases.record(Phase::Lookup, t.elapsed());
+                *t = Instant::now();
+            }
+            for (_, _, seek) in &mut self.lanes {
+                seek.observe_ios(i);
+            }
+            if let Some(t) = &mark {
+                self.phases.record(Phase::Seek, t.elapsed());
+            }
+        }
+    }
+}
+
+/// Runs `produce` on this thread and `consume` on a scoped helper thread,
+/// joined by a channel of full blocks and one that returns them for reuse,
+/// over [`BLOCKS_IN_FLIGHT`] blocks; returns what `consume` returns. When
+/// either side stops, its channel ends drop and the other side's next
+/// send or receive fails instead of waiting, so a helper panic resumes
+/// here once `produce` returns, and a panic in `produce` ends the helper.
+fn pipeline<R: Send>(
+    produce: impl FnOnce(SyncSender<ForwardBlock>, Receiver<ForwardBlock>),
+    consume: impl FnOnce(Receiver<ForwardBlock>, SyncSender<ForwardBlock>) -> R + Send,
+) -> R {
+    std::thread::scope(|scope| {
+        let (full_tx, full_rx) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
+        let (free_tx, free_rx) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
+        for _ in 0..BLOCKS_IN_FLIGHT {
+            free_tx
+                .send(ForwardBlock::default())
+                .expect("the free channel holds every block");
+        }
+        let helper = scope.spawn(move || consume(full_rx, free_tx));
+        produce(full_tx, free_rx);
+        match helper.join() {
+            Ok(result) => result,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
 }
 
 /// Records [`Simulation::run_group`] replays between two ingest-phase
@@ -880,11 +1096,12 @@ const DEFAULT_BLOCK_RECORDS: usize = 4096;
 /// [`run`](Self::run) (any iterator) or [`run_trace`](Self::run_trace)
 /// (in-memory traces); [`run_group`](Self::run_group) replays several
 /// configurations that share one translation in a single pass, and
-/// `run_trace` is its one-configuration case. Replay is serial: each
+/// `run_trace` is its one-configuration case. Translation is serial: each
 /// read's translation depends on every earlier write, so parallelism lives
 /// across runs (the groups of a [`RunMatrix`](crate::runner::RunMatrix)),
-/// never inside one. Every entry point produces byte-identical serialized
-/// [`RunReport`]s over the same records.
+/// and inside a group only in read lanes handed to a helper thread, which
+/// consume the translation and never feed it. Every entry point produces
+/// byte-identical serialized [`RunReport`]s over the same records.
 ///
 /// # Example
 ///
@@ -936,7 +1153,7 @@ impl Simulation {
             }
             state.step(&rec);
         }
-        state.finish().remove(0)
+        state.finish(HelperLanes::default()).remove(0)
     }
 
     /// Replays an in-memory trace: the one-configuration case of
@@ -944,7 +1161,7 @@ impl Simulation {
     /// byte-identical to [`run`](Self::run) over the same records with the
     /// derived frontier hint.
     pub fn run_trace(self, trace: &[TraceRecord]) -> RunReport {
-        Self::run_group(std::slice::from_ref(&self.config), trace).remove(0)
+        Self::run_group(std::slice::from_ref(&self.config), &[], trace).remove(0)
     }
 
     /// Replays an in-memory trace once for every configuration in
@@ -956,20 +1173,39 @@ impl Simulation {
     /// when the configs leave it unset (highest touched LBA plus one, via
     /// [`stream::max_lba`]), and ingests in blocks of 4096 records —
     /// ingest time is accounted once per block rather than per record.
-    /// Phase totals are split evenly across the reports.
+    ///
+    /// `helper` lists, in increasing order, the positions of configs whose
+    /// read lanes replay on one scoped helper thread; empty replays every
+    /// lane on this thread. This thread keeps the translation and the
+    /// other lanes, and after each block forwards the I/O of its first
+    /// [plain-LS](SimConfig::is_plain_ls) lane, whose reads are each read's
+    /// merged physical runs and whose writes are every lane's writes. The
+    /// helper serves them through the same [`ReadLane::read_runs`] and seek
+    /// model, so the reports are byte-identical either way. A helper panic
+    /// resumes on this thread. Phase totals, the helper's included, are
+    /// split evenly across the reports.
     ///
     /// # Panics
     ///
     /// Panics unless `configs` is one configuration, or several that each
     /// [share the translation](SimConfig::shares_translation) of the
-    /// first.
-    pub fn run_group(configs: &[SimConfig], trace: &[TraceRecord]) -> Vec<RunReport> {
+    /// first; and unless `helper` is increasing, in range, and leaves a
+    /// plain-LS config on this thread.
+    pub fn run_group(
+        configs: &[SimConfig],
+        helper: &[usize],
+        trace: &[TraceRecord],
+    ) -> Vec<RunReport> {
         let Some(first) = configs.first() else {
             return Vec::new();
         };
         assert!(
             configs.len() == 1 || configs.iter().all(|c| c.shares_translation(first)),
             "a replay group's configs must share one translation"
+        );
+        assert!(
+            helper.windows(2).all(|w| w[0] < w[1]) && helper.iter().all(|&k| k < configs.len()),
+            "helper lanes must be increasing positions in the group"
         );
         let mut configs = configs.to_vec();
         if matches!(first.layer, LayerChoice::Ls { .. }) && first.frontier_hint.is_none() {
@@ -978,20 +1214,36 @@ impl Simulation {
                 config.frontier_hint = Some(top);
             }
         }
-        let mut state = EngineState::new(&configs);
-        let mut last = state.timing.then(Instant::now);
-        for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
-            if let Some(t) = &last {
-                state.phases.record(Phase::Ingest, t.elapsed());
-            }
-            for rec in block {
-                state.step(rec);
-            }
-            if let Some(t) = &mut last {
-                *t = Instant::now();
-            }
+        if helper.is_empty() {
+            let mut state = EngineState::new(&configs);
+            state.replay_blocks(trace, None);
+            return state.finish(HelperLanes::default());
         }
-        state.finish()
+        let own: Vec<SimConfig> = (0..configs.len())
+            .filter(|k| !helper.contains(k))
+            .map(|k| configs[k])
+            .collect();
+        let plain = own
+            .iter()
+            .position(SimConfig::is_plain_ls)
+            .expect("a split group keeps a plain-LS lane on its own thread");
+        let mut state = EngineState::new(&own);
+        let lanes = HelperLanes {
+            lanes: helper
+                .iter()
+                .map(|&k| {
+                    let ls = ls_config_for(&configs[k]).expect("a split group is log-structured");
+                    (k, ReadLane::new(&ls), SeekLane::new(&configs[k]))
+                })
+                .collect(),
+            phases: PhaseTotals::default(),
+        };
+        let timing = state.timing;
+        let lanes = pipeline(
+            |full, free| state.replay_blocks(trace, Some(&Forward { plain, full, free })),
+            move |full, free| lanes.serve(full, free, timing),
+        );
+        state.finish(lanes)
     }
 }
 
@@ -1249,7 +1501,7 @@ mod tests {
             SimConfig::ls_prefetch().with_distances(),
             SimConfig::ls_cache(),
         ];
-        let reports = Simulation::run_group(&configs, &trace);
+        let reports = Simulation::run_group(&configs, &[], &trace);
         for (config, report) in configs.iter().zip(&reports) {
             let alone = Simulation::new(config).run_trace(&trace);
             assert_eq!(
@@ -1257,7 +1509,86 @@ mod tests {
                 serde_json::to_string(&alone).expect("serializes")
             );
         }
-        assert!(Simulation::run_group(&[], &trace).is_empty());
+        assert!(Simulation::run_group(&[], &[], &trace).is_empty());
+    }
+
+    #[test]
+    fn split_group_reports_match_the_inline_group() {
+        // 9,000 records: two full blocks and a partial one, with long-seek
+        // buckets that straddle block boundaries.
+        let trace = busy_trace(9_000);
+        let configs = [
+            SimConfig::ls_cache().with_longseek_series(1_000),
+            SimConfig::log_structured().with_distances(),
+            SimConfig::ls_prefetch(),
+            SimConfig::ls_cache().with_flash_cache(1 << 20),
+        ];
+        let json = |reports: Vec<RunReport>| -> Vec<String> {
+            reports
+                .iter()
+                .map(|r| serde_json::to_string(r).expect("serializes"))
+                .collect()
+        };
+        let inline = json(Simulation::run_group(&configs, &[], &trace));
+        for helper in [&[0usize, 3][..], &[3], &[2, 3], &[0, 2, 3]] {
+            let split = json(Simulation::run_group(&configs, helper, &trace));
+            assert_eq!(split, inline, "helper lanes {helper:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plain-LS lane")]
+    fn split_group_needs_a_plain_lane_on_its_worker() {
+        Simulation::run_group(
+            &[SimConfig::log_structured(), SimConfig::ls_cache()],
+            &[0],
+            &toy_trace(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "plain-LS lane")]
+    fn split_group_cannot_move_its_only_lane() {
+        Simulation::run_group(&[SimConfig::ls_cache()], &[0], &toy_trace());
+    }
+
+    #[test]
+    #[should_panic(expected = "increasing positions")]
+    fn split_group_refuses_unordered_helper_lanes() {
+        let configs = [
+            SimConfig::log_structured(),
+            SimConfig::ls_cache(),
+            SimConfig::ls_prefetch(),
+        ];
+        Simulation::run_group(&configs, &[2, 1], &toy_trace());
+    }
+
+    #[test]
+    fn helper_panic_resumes_on_the_worker() {
+        // The helper dies after one block while the worker still has many
+        // to send: the worker must stop and re-raise the helper's panic,
+        // not wait on a channel nobody drains.
+        let sent = std::sync::atomic::AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pipeline(
+                |full, free| {
+                    for _ in 0..1_000 {
+                        let Ok(block) = free.recv() else { return };
+                        if full.send(block).is_err() {
+                            return;
+                        }
+                        sent.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                },
+                |full, _free| {
+                    let _first = full.recv();
+                    panic!("helper fault");
+                },
+            )
+        }));
+        let payload = result.expect_err("the helper's panic reaches the worker");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper fault"));
+        assert!(sent.into_inner() <= BLOCKS_IN_FLIGHT);
     }
 
     #[test]
@@ -1265,6 +1596,7 @@ mod tests {
     fn run_group_refuses_diverging_configs() {
         Simulation::run_group(
             &[SimConfig::log_structured(), SimConfig::ls_defrag()],
+            &[],
             &toy_trace(),
         );
     }

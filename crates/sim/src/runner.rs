@@ -12,7 +12,12 @@
 //! whose configs [share a translation](SimConfig::shares_translation)
 //! replay together through one extent map
 //! ([`Simulation::run_group`]), as long as the matrix keeps at least one
-//! work item per thread.
+//! work item per thread. When the matrix has too few groups to keep its
+//! threads busy (on at least two threads, fewer groups than twice the
+//! threads), a group that holds selective-cache lanes beside a plain-LS
+//! lane *splits*: its worker keeps the translation and the other lanes,
+//! and one helper thread replays the cache lanes from the plain lane's
+//! forwarded I/O. Only the group and thread counts choose this.
 //!
 //! Determinism: results come back in cell order regardless of the thread
 //! count, and every group regenerates its trace from a named, repeatable
@@ -24,7 +29,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::engine::{RunReport, SimConfig, Simulation};
+use crate::engine::{LayerChoice, RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
 use smrseek_obs::PhaseTotals;
 use smrseek_trace::TraceRecord;
@@ -252,8 +257,9 @@ impl RunMatrix {
     /// Executes every cell on up to `threads` scoped workers and returns
     /// the outcomes *in cell order* — the thread count changes wall time
     /// and grouping, never results. Workers claim
-    /// [translation groups](Self::groups); each group replays serially on
-    /// one worker.
+    /// [translation groups](Self::groups); each group's translation
+    /// replays serially on one worker, and a [split](Self::plan) group's
+    /// cache lanes on a helper thread beside it.
     ///
     /// Timing of an `n`-cell group: each cell reports a wall of the
     /// group's wall divided by `n`, starting `k` such walls after the
@@ -261,12 +267,14 @@ impl RunMatrix {
     /// group's thread, with an `n`th of its phase totals (remainders on
     /// the first cell). Summing cells therefore counts the group once.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
-        let groups = self.groups(threads);
-        let done = parallel_map(&groups, threads, |group| self.run_group(group));
-        let mut outcomes: Vec<(usize, RunOutcome)> = groups
+        let plan = self.plan(threads);
+        let done = parallel_map(&plan, threads, |(group, helper)| {
+            self.run_group(group, helper)
+        });
+        let mut outcomes: Vec<(usize, RunOutcome)> = plan
             .iter()
             .zip(done)
-            .flat_map(|(group, outcomes)| group.iter().copied().zip(outcomes))
+            .flat_map(|((group, _), outcomes)| group.iter().copied().zip(outcomes))
             .collect();
         outcomes.sort_by_key(|&(i, _)| i);
         outcomes.into_iter().map(|(_, outcome)| outcome).collect()
@@ -300,14 +308,43 @@ impl RunMatrix {
         groups
     }
 
-    /// Replays one group on this thread; outcomes in the group's order.
-    fn run_group(&self, group: &[usize]) -> Vec<RunOutcome> {
+    /// The [groups](Self::groups), each with the positions of the lanes
+    /// that replay on a helper thread. The split rule reads only the
+    /// thread and group counts: on at least two threads, with fewer
+    /// groups than twice the threads (so some worker would otherwise run
+    /// out of groups early), every group that holds a selective-cache lane
+    /// and a [plain-LS](SimConfig::is_plain_ls) lane hands its cache lanes
+    /// to a helper; otherwise nothing splits.
+    fn plan(&self, threads: NonZeroUsize) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let groups = self.groups(threads);
+        let split = threads.get() >= 2 && groups.len() < 2 * threads.get();
+        groups
+            .into_iter()
+            .map(|group| {
+                let configs: Vec<&SimConfig> =
+                    group.iter().map(|&i| &self.cells[i].config).collect();
+                let mut helper = Vec::new();
+                if split && configs.iter().any(|c| c.is_plain_ls()) {
+                    helper = (0..configs.len())
+                        .filter(|&k| {
+                            matches!(configs[k].layer, LayerChoice::Ls { cache: Some(_), .. })
+                        })
+                        .collect();
+                }
+                (group, helper)
+            })
+            .collect()
+    }
+
+    /// Replays one group on this thread, its `helper` lanes on one more;
+    /// outcomes in the group's order.
+    fn run_group(&self, group: &[usize], helper: &[usize]) -> Vec<RunOutcome> {
         let cells: Vec<&RunCell> = group.iter().map(|&i| &self.cells[i]).collect();
         let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
         let records = cells[0].source.records();
         let start_unix_ns = smrseek_obs::unix_nanos();
         let start = Instant::now();
-        let reports = Simulation::run_group(&configs, &records);
+        let reports = Simulation::run_group(&configs, helper, &records);
         let wall = start.elapsed();
         lane_outcomes(
             &cells,
@@ -387,13 +424,14 @@ where
 }
 
 /// The argument of [`RunMatrix::execute_with`], which ignores it: every
-/// cell replays serially and parallelism lives across cells, so there is
-/// no thread split left to choose. This one-variant enum exists only
+/// cell's translation replays serially, and the runner derives grouping
+/// and [splits](RunMatrix::plan) from the thread and group counts alone,
+/// so there is nothing left to choose. This one-variant enum exists only
 /// because the benchmark harness under `perfbench/` still calls
 /// `execute_with(threads, ShardPolicy::Auto)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// The only policy: cells in parallel, each replayed serially.
+    /// The only policy: groups in parallel, each translated serially.
     Auto,
 }
 
@@ -711,6 +749,25 @@ mod tests {
         assert_eq!(matrix.groups(n(5)), alone);
         assert_eq!(matrix.groups(n(8)), alone);
 
+        // Which lanes replay on a helper thread, per group.
+        let helpers = |threads: usize| -> Vec<Vec<usize>> {
+            matrix
+                .plan(n(threads))
+                .into_iter()
+                .map(|(_, h)| h)
+                .collect()
+        };
+        // One thread never splits.
+        assert_eq!(helpers(1), vec![vec![]; 3]);
+        // Two and three threads: three groups, fewer than twice the
+        // threads, and {LS, LS+prefetch, LS+cache} hands LS+cache over.
+        assert_eq!(helpers(2), vec![vec![], vec![2], vec![]]);
+        assert_eq!(helpers(3), vec![vec![], vec![2], vec![]]);
+        // Four threads: LS+cache replays alone, with no plain lane to feed
+        // it; eight: every config alone.
+        assert_eq!(helpers(4), vec![vec![]; 4]);
+        assert_eq!(helpers(8), vec![vec![]; 5]);
+
         let bytes = |threads: usize| -> Vec<(String, String)> {
             matrix
                 .execute(n(threads))
@@ -728,7 +785,35 @@ mod tests {
             ["NoLS", "LS", "LS+defrag", "LS+prefetch", "LS+cache"],
             "outcomes come back in cell order"
         );
-        for threads in [2, 4, 8] {
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(bytes(threads), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn table1_shaped_matrix_never_splits_on_two_threads() {
+        // 21 sources x (the standard sweep + the adaptive config): the shape
+        // of the Table-I matrix. Four groups per source are 84 work items,
+        // far more than twice two threads.
+        let sources: Vec<TraceSource> = (0..21u64)
+            .map(|s| TraceSource::from_records(format!("t{s}"), mixed(40 + s)))
+            .collect();
+        let mut configs = SimConfig::standard_sweep().to_vec();
+        configs.push(SimConfig::ls_adaptive());
+        let matrix = RunMatrix::cross(&sources, &configs);
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        let plan = matrix.plan(n(2));
+        assert_eq!(plan.len(), 84);
+        assert!(plan.iter().all(|(_, helper)| helper.is_empty()));
+        let bytes = |threads: usize| -> Vec<String> {
+            matrix
+                .execute(n(threads))
+                .iter()
+                .map(|o| serde_json::to_string(&o.report).expect("report serializes"))
+                .collect()
+        };
+        let serial = bytes(1);
+        for threads in [2, 4] {
             assert_eq!(bytes(threads), serial, "{threads} threads");
         }
     }
@@ -766,7 +851,7 @@ mod tests {
         .collect();
         let refs: Vec<&RunCell> = cells.iter().collect();
         let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
-        let reports = Simulation::run_group(&configs, &source.records());
+        let reports = Simulation::run_group(&configs, &[], &source.records());
         let wall = Duration::from_nanos(1_000_000_007);
         let outcomes = lane_outcomes(&refs, reports, wall, 5_000, 42);
         let n = outcomes.len() as u32;
@@ -808,6 +893,43 @@ mod tests {
             let summed: Duration = group.iter().map(|&i| outcomes[i].metrics.wall).sum();
             assert!(summed <= elapsed, "{summed:?} > {elapsed:?}");
         }
+    }
+
+    #[test]
+    fn split_group_phases_include_the_helper() {
+        let _switch = PHASE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        let source = TraceSource::from_records("mixed", mixed(10_000));
+        let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
+        // The same three groups on one thread and on two; on two,
+        // {LS, LS+prefetch, LS+cache} hands LS+cache to a helper.
+        let one = matrix.plan(NonZeroUsize::MIN);
+        let split = matrix.plan(two());
+        assert_eq!(
+            one.iter().map(|(g, _)| g).collect::<Vec<_>>(),
+            split.iter().map(|(g, _)| g).collect::<Vec<_>>()
+        );
+        assert_eq!(split[1], (vec![1, 3, 4], vec![2]));
+        smrseek_obs::set_phase_accounting(true);
+        let inline = MatrixStats::from_outcomes(&matrix.execute(NonZeroUsize::MIN)).phase_totals();
+        let outcomes = matrix.execute(two());
+        smrseek_obs::set_phase_accounting(false);
+        let split = MatrixStats::from_outcomes(&outcomes).phase_totals();
+        // Every record reaches the layer once per group: one lookup and one
+        // seek interval each. The helper times one more of each per record,
+        // and those land in the group's totals.
+        use smrseek_obs::Phase;
+        assert_eq!(inline.calls(Phase::Lookup), 3 * 10_000);
+        assert_eq!(inline.calls(Phase::Seek), 3 * 10_000);
+        assert_eq!(split.calls(Phase::Lookup), 4 * 10_000);
+        assert_eq!(split.calls(Phase::Seek), 4 * 10_000);
+        let group: u64 = [1, 3, 4]
+            .iter()
+            .map(|&i| outcomes[i].metrics.phases.calls(Phase::Seek))
+            .sum();
+        assert_eq!(group, 2 * 10_000);
+        // Ingest stays once per block, on each group's worker.
+        assert_eq!(split.calls(Phase::Ingest), 3 * 3);
+        assert_eq!(inline.calls(Phase::Ingest), 3 * 3);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use cleaner::{CleanerConfig, CleanerPolicy, CleanerStats, CleaningLog};
 pub use config::{CacheConfig, DefragConfig, DefragTiming, LsConfig, PrefetchConfig};
 pub use fragstats::FragmentAccessTracker;
 pub use layer::{NoLs, TranslationLayer};
-pub use log::LogStructured;
+pub use log::{LogStructured, ReadLane};
 pub use media_cache::{MediaCacheConfig, MediaCacheStl};
 pub use misorder::{count_misordered_writes, MISORDER_WINDOW_BYTES};
 pub use stats::LsStats;

@@ -77,8 +77,14 @@ pub struct LogStructured {
 /// The read side of one configuration over a shared translation: the
 /// prefetch buffer (Alg. 2), the selective cache with its optional flash
 /// tier (Alg. 3), and the counters only they move.
+///
+/// A lane reads nothing but each read's merged physical runs, so it can
+/// also be served away from its [`LogStructured`]: fed the runs a plain
+/// lane (no prefetch, no cache) emits as reads, in order,
+/// [`read_runs`](Self::read_runs) emits exactly the reads the lane would
+/// have emitted inside the layer.
 #[derive(Debug, Clone)]
-struct ReadLane {
+pub struct ReadLane {
     name: &'static str,
     prefetch: Option<PrefetchConfig>,
     prefetch_buffer: Option<RangeCache>,
@@ -88,7 +94,8 @@ struct ReadLane {
 }
 
 impl ReadLane {
-    fn new(config: &LsConfig) -> Self {
+    /// The read lane of `config`; only its read-side mechanisms matter.
+    pub fn new(config: &LsConfig) -> Self {
         let name = match (
             config.defrag.is_some(),
             config.prefetch.is_some(),
@@ -115,14 +122,33 @@ impl ReadLane {
         }
     }
 
-    /// Serves the physical `runs` of one read as lane `k`, emitting the
-    /// reads that reach the disk.
-    fn read_runs(
+    /// The report name of the lane's configuration ("LS", "LS+cache", ...).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The lane's own counters: `phys_reads` and the cache and prefetch
+    /// counters; everything else stays zero.
+    pub fn stats(&self) -> LsStats {
+        self.stats
+    }
+
+    /// Tier-level event counters of the lane's selective cache, when it
+    /// has a flash tier.
+    pub fn tier_stats(&self) -> Option<TierStats> {
+        self.cache
+            .as_ref()
+            .filter(|c| c.has_flash())
+            .map(|c| c.stats())
+    }
+
+    /// Serves the merged physical `runs` of one read, emitting the reads
+    /// that reach the disk.
+    pub fn read_runs(
         &mut self,
-        k: usize,
         runs: &[(Pba, u64)],
         gates: &GateSet,
-        sink: &mut dyn FnMut(usize, PhysIo),
+        sink: &mut impl FnMut(PhysIo),
     ) {
         // Alg. 2 and 3 act only on the fragments of fragmented reads.
         let fragmented = runs.len() > 1;
@@ -160,12 +186,12 @@ impl ReadLane {
                     buffer.insert(pre_start, total);
                     self.stats.prefetched_sectors += total - len;
                     self.stats.phys_reads += 1;
-                    sink(k, PhysIo::read(pre_start, total));
+                    sink(PhysIo::read(pre_start, total));
                     continue;
                 }
             }
             self.stats.phys_reads += 1;
-            sink(k, PhysIo::read(pba, len));
+            sink(PhysIo::read(pba, len));
         }
     }
 }
@@ -241,6 +267,12 @@ impl LogStructured {
         stats
     }
 
+    /// The counters of the shared translation alone: what a lane served
+    /// away from the layer merges its own [`ReadLane::stats`] into.
+    pub fn shared_stats(&self) -> LsStats {
+        self.stats
+    }
+
     /// The report name of lane `k`'s configuration ("LS", "LS+cache", ...).
     ///
     /// # Panics
@@ -279,11 +311,7 @@ impl LogStructured {
     ///
     /// Panics if `k` is not a lane.
     pub fn lane_tier_stats(&self, k: usize) -> Option<TierStats> {
-        self.lanes[k]
-            .cache
-            .as_ref()
-            .filter(|c| c.has_flash())
-            .map(|c| c.stats())
+        self.lanes[k].tier_stats()
     }
 
     /// Sets the per-region mechanism gates the *next* record is served
@@ -433,7 +461,7 @@ impl LogStructured {
         }
 
         for (k, lane) in self.lanes.iter_mut().enumerate() {
-            lane.read_runs(k, &runs, &self.gates, sink);
+            lane.read_runs(&runs, &self.gates, &mut |io| sink(k, io));
         }
 
         // Alg. 1: opportunistic defragmentation — the fragmented data was

@@ -4,13 +4,16 @@
 Usage, from anywhere:
 
     python3 scripts/perf_ab.py --base BASE_BIN --change CHANGE_BIN \\
-        --workload table1-matrix,sweep-large --pairs 6 --seconds 20 [--trace 0]
+        --workload table1-matrix,sweep-large --pairs 6 --seconds 20 \\
+        [--trace 0] [--first-seed 1]
 
 Both binaries are builds of `perfbench/` (`cargo build --offline --release
 --manifest-path perfbench/Cargo.toml`, then `perfbench/target/release/
 smrseek-perfbench`), one from each checkout. `--workload` takes one
-workload or a comma-separated list. For each seed 1..N and each workload
-the two run back to back, in alternating order, from the repository root,
+workload or a comma-separated list. For each of N seeds from
+`--first-seed` (default 1; pass one past the seeds used while developing
+to re-check a claim on fresh ones) and each workload the two run back to
+back, in alternating order, from the repository root,
 so slow drift in host speed lands on both sides of a pair; the workloads
 interleave within each seed, so a claimed gain on one and the
 no-regression check on another come from the same stretch of time. For
@@ -18,6 +21,16 @@ each workload, every metric the runs report is printed with both medians,
 the base's interquartile spread as a share of its median, and the
 per-pair ratios change/base; "wins" counts the pairs in which the change
 is better in the direction BENCHMARK.json declares.
+
+Each end-to-end metric then gets one verdict per workload, against its
+bound in BENCHMARK.json:
+
+  gain        at least 9 in 10 pairs better, and the median ratio better
+              than 1 by more than the base's interquartile spread;
+  regression  the median ratio worse than 1 by more than the bound;
+  unresolved  the base's spread wider than the bound, and not every
+              pair better;
+  neutral     anything else.
 
 Exits 1 if any run fails, prints no result, or reports `failed > 0` or
 `correct: false`.
@@ -57,12 +70,27 @@ def spread(values):
     return (q3 - q1) / med if med else float("inf")
 
 
-def table(workload, trace, seconds, base, change, better):
+def verdict(higher, bound, base_iqr, ratio_med, wins, pairs):
+    """Classifies one end-to-end metric; see the module docstring."""
+    gain = ratio_med - 1 if higher else 1 - ratio_med
+    if wins >= 0.9 * pairs and gain > base_iqr:
+        return "gain"
+    if -gain > bound:
+        return "regression"
+    if base_iqr > bound and wins < pairs:
+        return "unresolved"
+    return "neutral"
+
+
+def table(workload, trace, seconds, first_seed, base, change, better,
+          bounds):
     pairs = len(base)
     print(f"\n{workload} trace={trace}: {pairs} interleaved pairs, "
-          f"seeds 1-{pairs}, {seconds} s per run")
+          f"seeds {first_seed}-{first_seed + pairs - 1}, "
+          f"{seconds} s per run")
     print(f"  {'metric':<36} {'base':>11} {'change':>11} {'base_iqr':>8} "
           f"{'ratio_med':>9} {'ratio_min':>9} {'ratio_max':>9} {'wins':>5}")
+    verdicts = []
     for name in base[0]:
         b = [r[name] for r in base]
         c = [r[name] for r in change]
@@ -76,6 +104,11 @@ def table(workload, trace, seconds, base, change, better):
               f"{statistics.median(c):>11.6g} {spread(b):>8.3f} "
               f"{rmed:>9.3f} {rmin:>9.3f} {rmax:>9.3f} "
               f"{wins:>2}/{len(b):<2}")
+        if name in bounds:
+            verdicts.append((name, verdict(higher, bounds[name], spread(b),
+                                           rmed, wins, len(b))))
+    for name, v in verdicts:
+        print(f"  verdict {workload} {name}: {v}")
 
 
 def main():
@@ -87,6 +120,8 @@ def main():
     parser.add_argument("--pairs", type=int, default=6)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", default="0", choices=["0", "1"])
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="the first of the --pairs seeds")
     args = parser.parse_args()
     workloads = [w for w in args.workload.split(",") if w]
 
@@ -94,11 +129,12 @@ def main():
         bench = json.load(f)
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     base = {w: [] for w in workloads}
     change = {w: [] for w in workloads}
     try:
-        for seed in range(1, args.pairs + 1):
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
             for workload in workloads:
                 order = [("base", args.base), ("change", args.change)]
                 if seed % 2 == 0:
@@ -121,8 +157,8 @@ def main():
         return 1
 
     for workload in workloads:
-        table(workload, args.trace, args.seconds, base[workload],
-              change[workload], better)
+        table(workload, args.trace, args.seconds, args.first_seed,
+              base[workload], change[workload], better, bounds)
     return 0
 
 
