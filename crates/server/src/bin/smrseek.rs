@@ -842,6 +842,7 @@ fn run_command(args: &Args) -> Result<String, CliError> {
                 Some(path) => {
                     let mut f = File::create(path)
                         .map_err(|e| CliError::Io(format!("cannot create {path}: {e}")))?;
+                    // The writer hands the file 64 KiB chunks: no `BufWriter`.
                     write_cp_csv(&mut f, &trace)
                         .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
                     format!("wrote {} records to {path}\n", trace.len())

@@ -120,6 +120,40 @@ fn gen_without_out_prints_csv() {
 }
 
 #[test]
+fn gen_out_file_matches_stdout() {
+    let path = tmp("hm_1.csv");
+    let printed = smrseek(&["gen", "hm_1", "--ops", "2000"]);
+    assert!(printed.status.success());
+    let out = smrseek(&[
+        "gen",
+        "hm_1",
+        "--ops",
+        "2000",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read(&path).expect("gen wrote the file");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written, printed.stdout);
+}
+
+#[test]
+fn gen_out_write_failure_is_an_io_error() {
+    // Every write to /dev/full fails with ENOSPC.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = smrseek(&["gen", "hm_1", "--ops", "2000", "--out", "/dev/full"]);
+    assert_eq!(out.status.code(), Some(74));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot write /dev/full"));
+}
+
+#[test]
 fn gen_unknown_profile_fails() {
     let out = smrseek(&["gen", "bogus"]);
     assert!(!out.status.success());

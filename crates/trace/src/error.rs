@@ -21,7 +21,8 @@ pub enum Error {
         /// What was wrong with the line.
         reason: String,
     },
-    /// A binary trace had a bad magic number or truncated payload.
+    /// A binary trace had a bad magic number or truncated payload, or a
+    /// record cannot be written in the requested format.
     Format(String),
 }
 
