@@ -8,8 +8,9 @@
 //! a short replay confirms the reports really are byte-identical.
 
 use proptest::prelude::*;
+use smrseek_policy::PolicyConfig;
 use smrseek_sim::runner::RunMatrix;
-use smrseek_sim::{SimConfig, TraceSource};
+use smrseek_sim::{LayerChoice, SimConfig, TraceSource};
 use smrseek_trace::{Lba, TraceRecord};
 use std::num::NonZeroUsize;
 
@@ -32,7 +33,7 @@ fn report_bytes(config: SimConfig) -> String {
     serde_json::to_string_pretty(&outcomes[0].report).expect("report serializes")
 }
 
-/// Any of the five layer constructors.
+/// Any of the five layer constructors, or a cache-backed policy config.
 fn layer_strategy() -> impl Strategy<Value = SimConfig> {
     prop_oneof![
         Just(SimConfig::no_ls()),
@@ -40,6 +41,12 @@ fn layer_strategy() -> impl Strategy<Value = SimConfig> {
         Just(SimConfig::ls_defrag()),
         Just(SimConfig::ls_prefetch()),
         Just(SimConfig::ls_cache()),
+        Just(SimConfig::ls_adaptive()),
+        Just(SimConfig::ls_cache().with_policy(PolicyConfig {
+            region_sectors: 512,
+            hot_enter: 1,
+            ..PolicyConfig::default()
+        })),
     ]
 }
 
@@ -73,9 +80,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Unobservable edits never change the key: a NoLS config keeps its
-    /// key when LS-only knobs are set, and an LS config keeps its key
-    /// when the frontier hint it would derive is made explicit. The
-    /// engine agrees: both variants replay to byte-identical reports.
+    /// key when LS-only knobs are set, an LS config keeps its key when the
+    /// frontier hint it would derive is made explicit, and a cache-backed
+    /// policy config keeps its key whether or not it configures a defrag
+    /// its policy never lets fire. The engine agrees on the last: both
+    /// variants replay to byte-identical reports.
     #[test]
     fn neutral_edits_share_a_key(base in config_strategy(), top in 1u64..1 << 20) {
         let mut edited = base;
@@ -92,6 +101,22 @@ proptest! {
         let key_base = base.cache_key(Some(top));
         let key_edited = edited.cache_key(Some(top));
         prop_assert_eq!(&key_base, &key_edited, "neutral edit changed the key");
+
+        if base.policy.is_some() {
+            let LayerChoice::Ls { defrag: paper, .. } = SimConfig::ls_defrag().layer else {
+                unreachable!("LS+defrag is log-structured")
+            };
+            let mut toggled = base;
+            if let LayerChoice::Ls { defrag, .. } = &mut toggled.layer {
+                *defrag = if defrag.is_some() { None } else { paper };
+            }
+            prop_assert_eq!(
+                &key_base,
+                &toggled.cache_key(Some(top)),
+                "an inert defrag changed the key"
+            );
+            prop_assert_eq!(report_bytes(base), report_bytes(toggled));
+        }
     }
 
     /// Key soundness against the engine: whenever two random configs

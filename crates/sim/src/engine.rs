@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
 use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
-use smrseek_policy::{GateSet, PolicyConfig, PolicyEngine, PolicyStats};
+use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
     PrefetchConfig, ReadLane, TranslationLayer,
@@ -246,11 +246,14 @@ impl SimConfig {
     ///   (one past the trace's highest sector) when known: a run that
     ///   derives the hint from the trace equals one that passes the same
     ///   bound explicitly.
+    /// * A defragmentation config the policy never lets fire is cleared
+    ///   ([`effective_defrag`](Self::effective_defrag)).
     ///
     /// Knobs that change report *content* (`record_distances`,
     /// `longseek_bucket_ops`, `host_cache_bytes`) are kept verbatim.
     pub fn canonical(mut self, top: Option<u64>) -> Self {
-        match self.layer {
+        let effective = self.effective_defrag();
+        match &mut self.layer {
             LayerChoice::NoLs => {
                 self.zone_sectors = None;
                 self.frontier_hint = None;
@@ -258,7 +261,8 @@ impl SimConfig {
                 self.policy = None;
                 self.flash_cache_bytes = None;
             }
-            LayerChoice::Ls { .. } => {
+            LayerChoice::Ls { defrag, .. } => {
+                *defrag = effective;
                 if self.frontier_hint.is_none() {
                     self.frontier_hint = top;
                 }
@@ -267,20 +271,37 @@ impl SimConfig {
         self
     }
 
+    /// The defragmentation that can actually rewrite data in a run of
+    /// `self`: the configured one, except under a policy with a selective
+    /// cache, which never opens the defrag gate (see
+    /// [`PolicyEngine::set_cache_present`]). `None` for NoLS.
+    pub fn effective_defrag(&self) -> Option<DefragConfig> {
+        match self.layer {
+            LayerChoice::NoLs => None,
+            LayerChoice::Ls { cache: Some(_), .. } if self.policy.is_some() => None,
+            LayerChoice::Ls { defrag, .. } => defrag,
+        }
+    }
+
     /// Whether `self` and `other` can replay as lanes of one translation
-    /// ([`Simulation::run_group`]): both log-structured, neither driven by
-    /// a policy (its feedback reads a mechanism's outcome back into the
-    /// translation), and equal in everything the extent map, host cache
-    /// and fragment tracking depend on — defragmentation, zones, frontier
-    /// hint, host cache, `track_fragments`. They may differ in the
-    /// read-side mechanisms (prefetch, selective cache, flash tier) and in
-    /// seek recording (distances, long-seek series).
+    /// ([`Simulation::run_group`]): both log-structured, equal in
+    /// everything the extent map, host cache and fragment tracking depend
+    /// on — [effective](Self::effective_defrag) defragmentation, zones,
+    /// frontier hint, host cache, `track_fragments` — and neither driven
+    /// by a policy that could fire defragmentation (one without a
+    /// selective cache, over a configured defrag): that policy's feedback
+    /// would reach the translation through the defrag gate. Any other
+    /// policy gates only its own lane's reads. They may differ in the
+    /// read-side mechanisms (prefetch, selective cache, flash tier), in
+    /// such a policy, and in seek recording (distances, long-seek series).
     pub fn shares_translation(&self, other: &SimConfig) -> bool {
+        let policy_cannot_defrag =
+            |c: &SimConfig| c.policy.is_none() || c.effective_defrag().is_none();
         match (self.layer, other.layer) {
-            (LayerChoice::Ls { defrag: a, .. }, LayerChoice::Ls { defrag: b, .. }) => {
-                a == b
-                    && self.policy.is_none()
-                    && other.policy.is_none()
+            (LayerChoice::Ls { .. }, LayerChoice::Ls { .. }) => {
+                self.effective_defrag() == other.effective_defrag()
+                    && policy_cannot_defrag(self)
+                    && policy_cannot_defrag(other)
                     && self.zone_sectors == other.zone_sectors
                     && self.frontier_hint == other.frontier_hint
                     && self.host_cache_bytes == other.host_cache_bytes
@@ -686,8 +707,9 @@ impl SeekLane {
 
 /// Live engine state: started fresh, stepped once per record, and
 /// finished into one [`RunReport`] per configuration. Everything but the
-/// seek lanes is shared, which is exact only for configurations that
-/// [share their translation](SimConfig::shares_translation).
+/// seek lanes and policy engines is shared, which is exact only for
+/// configurations that [share their
+/// translation](SimConfig::shares_translation).
 struct EngineState {
     layer: LayerImpl,
     lanes: Vec<SeekLane>,
@@ -695,10 +717,14 @@ struct EngineState {
     host_cache_hits: u64,
     logical_ops: u64,
     peak_extent_segments: u64,
-    /// The adaptive policy engine, when configured: consulted before every
-    /// record that reaches the layer, fed fragmented-read evidence after.
-    /// Only ever in a one-lane run: the feedback reads the lane's outcome.
-    policy: Option<PolicyEngine>,
+    /// One adaptive policy engine per lane whose configuration has one,
+    /// with the lane's position: consulted before every record that
+    /// reaches the layer for that lane's gates, and fed that lane's own
+    /// outcome after. Only lane 0's gates reach defragmentation, and a
+    /// group's policies can never open that gate, so each lane replays
+    /// exactly as it would alone. Empty lists take a replay loop with no
+    /// policy step at all (see [`step`](Self::step)).
+    policies: Vec<(usize, PolicyEngine)>,
     /// Sampled from [`phase_accounting`] once at construction so a run's
     /// behavior cannot change mid-flight; when false, `step` pays a single
     /// branch and no clock reads.
@@ -716,9 +742,7 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
     match config.layer {
         LayerChoice::NoLs => None,
         LayerChoice::Ls {
-            defrag,
-            prefetch,
-            cache,
+            prefetch, cache, ..
         } => {
             let top = config.frontier_hint.expect(
                 "Simulation::run needs SimConfig::with_frontier_hint for log-structured \
@@ -727,7 +751,7 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
                  header or a first pass)",
             );
             let mut ls_config = LsConfig::above_sector(top);
-            ls_config.defrag = defrag;
+            ls_config.defrag = config.effective_defrag();
             ls_config.prefetch = prefetch;
             ls_config.cache = cache;
             ls_config.flash_cache_bytes = config.flash_cache_bytes;
@@ -740,7 +764,7 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
 
 impl EngineState {
     /// State for `configs`, one seek lane each; the first decides the
-    /// layer kind, host cache and policy.
+    /// layer kind and host cache, and each its own lane's policy.
     fn new(configs: &[SimConfig]) -> Self {
         let config = &configs[0];
         let ls_configs: Vec<LsConfig> = configs.iter().filter_map(ls_config_for).collect();
@@ -756,10 +780,14 @@ impl EngineState {
             .map(smrseek_cache::RangeCache::with_capacity_bytes);
         // Policy without LS is rejected by the builder; tolerated here by
         // simply never constructing the engine.
-        let policy = match config.layer {
-            LayerChoice::Ls { .. } => config.policy.map(|p| fresh_policy(p, config)),
-            LayerChoice::NoLs => None,
-        };
+        let policies = configs
+            .iter()
+            .enumerate()
+            .filter_map(|(k, c)| match c.layer {
+                LayerChoice::Ls { .. } => c.policy.map(|p| (k, fresh_policy(p, c))),
+                LayerChoice::NoLs => None,
+            })
+            .collect();
         EngineState {
             layer,
             lanes: configs.iter().map(SeekLane::new).collect(),
@@ -767,7 +795,7 @@ impl EngineState {
             host_cache_hits: 0,
             logical_ops: 0,
             peak_extent_segments: 0,
-            policy,
+            policies,
             timing: phase_accounting(),
             phases: PhaseTotals::default(),
         }
@@ -776,8 +804,11 @@ impl EngineState {
     /// Replays one record; returns whether it reached the layer (a host
     /// cache hit does not, and leaves every lane's `ios` stale). Behaviorally
     /// identical with phase accounting on or off: timing wraps the same
-    /// statements, it never reorders them.
-    fn step(&mut self, rec: &TraceRecord) -> bool {
+    /// statements, it never reorders them. `POLICY` says whether
+    /// [`policies`](Self::policies) is non-empty; callers decide it once
+    /// per replay, so runs without a policy compile to a step with no
+    /// policy code in it.
+    fn step<const POLICY: bool>(&mut self, rec: &TraceRecord) -> bool {
         let i = self.logical_ops;
         self.logical_ops += 1;
         let mut mark = self.timing.then(Instant::now);
@@ -796,16 +827,12 @@ impl EngineState {
                 return false; // served from host RAM: nothing reaches the device
             }
         }
-        let frag_before = match (&self.policy, &self.layer) {
-            (Some(_), LayerImpl::Ls(ls)) => {
-                let s = ls.stats();
-                Some((s.fragmented_reads, s.phys_reads))
+        if POLICY {
+            if let LayerImpl::Ls(ls) = &mut self.layer {
+                for (k, policy) in &mut self.policies {
+                    ls.set_lane_gates(*k, policy.observe(rec.lba.sector(), rec.op.is_read()));
+                }
             }
-            _ => None,
-        };
-        if let (Some(policy), LayerImpl::Ls(ls)) = (&mut self.policy, &mut self.layer) {
-            let gates = policy.observe(rec.lba.sector(), rec.op.is_read());
-            ls.set_gates(gates);
             if let Some(t) = &mut mark {
                 self.phases.record(Phase::Classify, t.elapsed());
                 *t = Instant::now();
@@ -821,15 +848,19 @@ impl EngineState {
             self.phases.record(Phase::Lookup, t.elapsed());
             *t = Instant::now();
         }
-        if let Some((frag, phys)) = frag_before {
-            if let (Some(policy), LayerImpl::Ls(ls)) = (&mut self.policy, &self.layer) {
-                let s = ls.stats();
-                if s.fragmented_reads > frag {
-                    // A fragmented read that paid disk I/O is hot evidence;
-                    // one fully absorbed by the cache or prefetch buffer is
-                    // evidence the cheaper mechanisms already cover this
-                    // region, so defrag rewrites would be pure cost.
-                    if s.phys_reads > phys {
+        if POLICY {
+            let fragmented = match &self.layer {
+                LayerImpl::Ls(ls) => rec.op.is_read() && ls.last_read_fragmented(),
+                LayerImpl::NoLs(_) => false,
+            };
+            if fragmented {
+                for (k, policy) in &mut self.policies {
+                    // A fragmented read that paid disk I/O in this lane is
+                    // hot evidence; one the lane's cache or prefetch buffer
+                    // fully absorbed is evidence the cheaper mechanisms
+                    // already cover this region, so defrag rewrites would
+                    // be pure cost.
+                    if self.lanes[*k].ios.iter().any(|io| io.op.is_read()) {
                         policy.record_fragmented(rec.lba.sector());
                     } else {
                         policy.record_cache_absorbed(rec.lba.sector());
@@ -860,6 +891,19 @@ impl EngineState {
     /// helper; a failed receive or send means the helper is gone, and the
     /// replay stops so its panic can resume on this thread.
     fn replay_blocks(&mut self, trace: &[TraceRecord], forward: Option<&Forward>) {
+        if self.policies.is_empty() {
+            self.replay_blocks_with::<false>(trace, forward);
+        } else {
+            self.replay_blocks_with::<true>(trace, forward);
+        }
+    }
+
+    /// [`replay_blocks`](Self::replay_blocks) with the policy step decided.
+    fn replay_blocks_with<const POLICY: bool>(
+        &mut self,
+        trace: &[TraceRecord],
+        forward: Option<&Forward>,
+    ) {
         let mut last = self.timing.then(Instant::now);
         for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
             if let Some(t) = &last {
@@ -868,14 +912,14 @@ impl EngineState {
             match forward {
                 None => {
                     for rec in block {
-                        self.step(rec);
+                        self.step::<POLICY>(rec);
                     }
                 }
                 Some(f) => {
                     let Ok(mut out) = f.free.recv() else { return };
                     out.clear();
                     for rec in block {
-                        if self.step(rec) {
+                        if self.step::<POLICY>(rec) {
                             out.push(self.logical_ops - 1, &self.lanes[f.plain].ios);
                         }
                     }
@@ -890,13 +934,34 @@ impl EngineState {
         }
     }
 
+    /// Replays a record stream, timing each pull as the ingest phase
+    /// (that is where trace parse / decode cost lives).
+    fn replay_stream<const POLICY: bool>(
+        &mut self,
+        mut records: impl Iterator<Item = TraceRecord>,
+    ) {
+        loop {
+            let mark = self.timing.then(Instant::now);
+            let Some(rec) = records.next() else { break };
+            if let Some(t) = mark {
+                self.phases.record(Phase::Ingest, t.elapsed());
+            }
+            self.step::<POLICY>(&rec);
+        }
+    }
+
     /// One report per configuration of the group: this state's lanes fill
     /// the positions `helper` leaves free, in order, and each helper lane
     /// its own. The run's phase totals, the helper's merged in, are split
     /// evenly across the reports (remainders on the first), so merging the
     /// reports' phases counts every nanosecond once.
     fn finish(self, helper: HelperLanes) -> Vec<RunReport> {
-        let policy = self.policy.map(|p| p.stats());
+        let policy = |k: usize| {
+            self.policies
+                .iter()
+                .find(|(j, _)| *j == k)
+                .map(|(_, p)| p.stats())
+        };
         let ls = match &self.layer {
             LayerImpl::NoLs(_) => None,
             LayerImpl::Ls(ls) => Some(ls),
@@ -904,6 +969,7 @@ impl EngineState {
         let report = |layer_name: &str,
                       ls_stats: Option<LsStats>,
                       cache_tiers: Option<TierStats>,
+                      policy: Option<PolicyStats>,
                       lane: SeekLane| RunReport {
             layer_name: layer_name.to_owned(),
             logical_ops: self.logical_ops,
@@ -924,26 +990,30 @@ impl EngineState {
             .into_iter()
             .enumerate()
             .map(|(k, lane)| match &self.layer {
-                LayerImpl::NoLs(l) => report(l.name(), None, None, lane),
+                LayerImpl::NoLs(l) => report(l.name(), None, None, None, lane),
                 // The mechanism mix is config-visible; what defines a
                 // policy run is that the policy engine drove it.
-                LayerImpl::Ls(ls) => report(
-                    if policy.is_some() {
-                        "LS+adaptive"
-                    } else {
-                        ls.lane_name(k)
-                    },
-                    Some(ls.lane_stats(k)),
-                    ls.lane_tier_stats(k),
-                    lane,
-                ),
+                LayerImpl::Ls(ls) => {
+                    let policy = policy(k);
+                    report(
+                        if policy.is_some() {
+                            "LS+adaptive"
+                        } else {
+                            ls.lane_name(k)
+                        },
+                        Some(ls.lane_stats(k)),
+                        ls.lane_tier_stats(k),
+                        policy,
+                        lane,
+                    )
+                }
             })
             .collect();
         // Positions increase, so every earlier one is filled at each insert.
         for (at, read, lane) in helper.lanes {
             let mut stats = ls.map(|ls| ls.shared_stats()).unwrap_or_default();
             stats.merge(&read.stats());
-            let lane = report(read.name(), Some(stats), read.tier_stats(), lane);
+            let lane = report(read.name(), Some(stats), read.tier_stats(), None, lane);
             reports.insert(at, lane);
         }
         let mut phases = self.phases;
@@ -1023,7 +1093,6 @@ impl HelperLanes {
     /// read per run), so they go through [`ReadLane::read_runs`] as one
     /// read; its writes are every lane's writes and pass through in place.
     fn replay(&mut self, block: &ForwardBlock, runs: &mut Vec<(Pba, u64)>, timing: bool) {
-        let gates = GateSet::default();
         let mut start = 0;
         for &(i, end) in &block.records {
             let ios = &block.ios[start..end];
@@ -1038,11 +1107,11 @@ impl HelperLanes {
                         runs.push((io.pba, io.sectors));
                         continue;
                     }
-                    read.read_runs(runs, &gates, &mut |io| out.push(io));
+                    read.read_runs(runs, &mut |io| out.push(io));
                     runs.clear();
                     out.push(*io);
                 }
-                read.read_runs(runs, &gates, &mut |io| out.push(io));
+                read.read_runs(runs, &mut |io| out.push(io));
             }
             if let Some(t) = &mut mark {
                 self.phases.record(Phase::Lookup, t.elapsed());
@@ -1141,17 +1210,11 @@ impl Simulation {
         I: IntoIterator<Item = TraceRecord>,
     {
         let mut state = EngineState::new(std::slice::from_ref(&self.config));
-        let timing = state.timing;
-        let mut records = records.into_iter();
-        loop {
-            // Pulling the next record is where trace parse / decode cost
-            // lives, so it is accounted as the ingest phase.
-            let mark = timing.then(Instant::now);
-            let Some(rec) = records.next() else { break };
-            if let Some(t) = mark {
-                state.phases.record(Phase::Ingest, t.elapsed());
-            }
-            state.step(&rec);
+        let records = records.into_iter();
+        if state.policies.is_empty() {
+            state.replay_stream::<false>(records);
+        } else {
+            state.replay_stream::<true>(records);
         }
         state.finish(HelperLanes::default()).remove(0)
     }
@@ -1167,7 +1230,8 @@ impl Simulation {
     /// Replays an in-memory trace once for every configuration in
     /// `configs`, returning their reports in order. The configurations
     /// keep one translation (extent map, frontier, defragmentation, host
-    /// cache) and one read lane and seek model each, so the reports are
+    /// cache) and one read lane, seek model and, when configured, policy
+    /// engine each, so the reports are
     /// byte-identical to one [`run_trace`](Self::run_trace) per
     /// configuration. Derives the LS frontier hint from the records, once,
     /// when the configs leave it unset (highest touched LBA plus one, via
@@ -1189,8 +1253,8 @@ impl Simulation {
     ///
     /// Panics unless `configs` is one configuration, or several that each
     /// [share the translation](SimConfig::shares_translation) of the
-    /// first; and unless `helper` is increasing, in range, and leaves a
-    /// plain-LS config on this thread.
+    /// first; and unless `helper` is increasing, in range, names no config
+    /// with a policy, and leaves a plain-LS config on this thread.
     pub fn run_group(
         configs: &[SimConfig],
         helper: &[usize],
@@ -1206,6 +1270,11 @@ impl Simulation {
         assert!(
             helper.windows(2).all(|w| w[0] < w[1]) && helper.iter().all(|&k| k < configs.len()),
             "helper lanes must be increasing positions in the group"
+        );
+        assert!(
+            helper.iter().all(|&k| configs[k].policy.is_none()),
+            "a policy lane must replay on the group's own thread: its policy observes the \
+             records, and the helper thread sees only their translated I/O"
         );
         let mut configs = configs.to_vec();
         if matches!(first.layer, LayerChoice::Ls { .. }) && first.frontier_hint.is_none() {
@@ -1388,6 +1457,32 @@ mod tests {
 
         // LS: an unset hint resolves to the trace bound, so deriving the
         // frontier equals passing it explicitly.
+        // A policy with a selective cache never fires its defrag config.
+        let adaptive = SimConfig::ls_adaptive();
+        let LayerChoice::Ls {
+            prefetch, cache, ..
+        } = adaptive.layer
+        else {
+            unreachable!("the adaptive config is log-structured")
+        };
+        let inert = SimConfig {
+            layer: LayerChoice::Ls {
+                defrag: None,
+                prefetch,
+                cache,
+            },
+            ..adaptive
+        };
+        assert_eq!(adaptive.cache_key(Some(1008)), inert.cache_key(Some(1008)));
+        let fixed = SimConfig::ls_defrag().with_policy(PolicyConfig::default());
+        assert_ne!(
+            fixed.cache_key(Some(1008)),
+            SimConfig::log_structured()
+                .with_policy(PolicyConfig::default())
+                .cache_key(Some(1008)),
+            "a cache-less policy's defrag can fire"
+        );
+
         let derived = SimConfig::log_structured();
         let explicit = SimConfig::log_structured().with_frontier_hint(1008);
         assert_eq!(
@@ -1459,11 +1554,20 @@ mod tests {
         let cases = [
             ("NoLS", SimConfig::no_ls(), SimConfig::no_ls()),
             ("NoLS vs LS", SimConfig::no_ls(), ls),
-            ("policy", adaptive_config(), adaptive_config()),
             (
-                "policy vs fixed",
-                SimConfig::ls_cache().with_policy(PolicyConfig::default()),
-                SimConfig::ls_cache(),
+                "cache-less policy over defrag",
+                SimConfig::ls_with(
+                    Some(DefragConfig::default()),
+                    Some(PrefetchConfig::default()),
+                    None,
+                )
+                .with_policy(PolicyConfig::default()),
+                ls,
+            ),
+            (
+                "cache-less policy vs its fixed defrag",
+                SimConfig::ls_defrag().with_policy(PolicyConfig::default()),
+                SimConfig::ls_defrag(),
             ),
             ("defrag", SimConfig::ls_defrag(), ls),
             (
@@ -1491,6 +1595,47 @@ mod tests {
             assert!(!a.shares_translation(&b), "{what}: {a:?} / {b:?}");
             assert!(!b.shares_translation(&a), "{what}: {b:?} / {a:?}");
         }
+    }
+
+    #[test]
+    fn shares_translation_admits_cache_backed_policies() {
+        // A policy with a selective cache never opens the defrag gate, so
+        // its map is plain LS's whatever defrag it configures; a policy
+        // with no defrag has no gate to open.
+        let ls = SimConfig::log_structured();
+        let prefetch_policy = SimConfig::ls_prefetch().with_policy(PolicyConfig::default());
+        let cases = [
+            ("policy", adaptive_config(), adaptive_config()),
+            (
+                "policy vs fixed",
+                SimConfig::ls_cache().with_policy(PolicyConfig::default()),
+                SimConfig::ls_cache(),
+            ),
+            ("adaptive vs LS", SimConfig::ls_adaptive(), ls),
+            (
+                "adaptive vs prefetch",
+                SimConfig::ls_adaptive(),
+                SimConfig::ls_prefetch(),
+            ),
+            ("policy without defrag", prefetch_policy, ls),
+        ];
+        for (what, a, b) in cases {
+            assert!(a.shares_translation(&b), "{what}: {a:?} / {b:?}");
+            assert!(b.shares_translation(&a), "{what}: {b:?} / {a:?}");
+        }
+        assert_eq!(SimConfig::ls_adaptive().effective_defrag(), None);
+        assert_eq!(
+            SimConfig::ls_defrag()
+                .with_policy(PolicyConfig::default())
+                .effective_defrag(),
+            Some(DefragConfig::default())
+        );
+        assert_eq!(
+            SimConfig::ls_defrag().effective_defrag(),
+            Some(DefragConfig::default())
+        );
+        // ...but not with a fixed defrag, whose rewrites do fire.
+        assert!(!SimConfig::ls_adaptive().shares_translation(&SimConfig::ls_defrag()));
     }
 
     #[test]

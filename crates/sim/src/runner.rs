@@ -16,8 +16,9 @@
 //! threads busy (on at least two threads, fewer groups than twice the
 //! threads), a group that holds selective-cache lanes beside a plain-LS
 //! lane *splits*: its worker keeps the translation and the other lanes,
-//! and one helper thread replays the cache lanes from the plain lane's
-//! forwarded I/O. Only the group and thread counts choose this.
+//! and one helper thread replays the policy-free cache lanes from the
+//! plain lane's forwarded I/O. Only the group and thread counts choose
+//! this.
 //!
 //! Determinism: results come back in cell order regardless of the thread
 //! count, and every group regenerates its trace from a named, repeatable
@@ -314,7 +315,8 @@ impl RunMatrix {
     /// groups than twice the threads (so some worker would otherwise run
     /// out of groups early), every group that holds a selective-cache lane
     /// and a [plain-LS](SimConfig::is_plain_ls) lane hands its cache lanes
-    /// to a helper; otherwise nothing splits.
+    /// to a helper — all but policy-driven ones, which need the records
+    /// and stay on the worker; otherwise nothing splits.
     fn plan(&self, threads: NonZeroUsize) -> Vec<(Vec<usize>, Vec<usize>)> {
         let groups = self.groups(threads);
         let split = threads.get() >= 2 && groups.len() < 2 * threads.get();
@@ -328,6 +330,7 @@ impl RunMatrix {
                     helper = (0..configs.len())
                         .filter(|&k| {
                             matches!(configs[k].layer, LayerChoice::Ls { cache: Some(_), .. })
+                                && configs[k].policy.is_none()
                         })
                         .collect();
                 }
@@ -793,8 +796,9 @@ mod tests {
     #[test]
     fn table1_shaped_matrix_never_splits_on_two_threads() {
         // 21 sources x (the standard sweep + the adaptive config): the shape
-        // of the Table-I matrix. Four groups per source are 84 work items,
-        // far more than twice two threads.
+        // of the Table-I matrix. Three groups per source, the adaptive
+        // config a lane of LS's, are 63 work items, far more than twice
+        // two threads.
         let sources: Vec<TraceSource> = (0..21u64)
             .map(|s| TraceSource::from_records(format!("t{s}"), mixed(40 + s)))
             .collect();
@@ -803,7 +807,13 @@ mod tests {
         let matrix = RunMatrix::cross(&sources, &configs);
         let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
         let plan = matrix.plan(n(2));
-        assert_eq!(plan.len(), 84);
+        assert_eq!(plan.len(), 63);
+        // Cells per source: NoLS, LS, LS+defrag, LS+prefetch, LS+cache,
+        // LS+adaptive.
+        assert_eq!(
+            plan[..3].iter().map(|(g, _)| g.clone()).collect::<Vec<_>>(),
+            vec![vec![0], vec![1, 3, 4, 5], vec![2]]
+        );
         assert!(plan.iter().all(|(_, helper)| helper.is_empty()));
         let bytes = |threads: usize| -> Vec<String> {
             matrix
@@ -816,6 +826,24 @@ mod tests {
         for threads in [2, 4] {
             assert_eq!(bytes(threads), serial, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn policy_lanes_stay_on_the_worker_when_a_group_splits() {
+        let source = TraceSource::from_records("mixed", mixed(3000));
+        let mut configs = SimConfig::standard_sweep().to_vec();
+        configs.push(SimConfig::ls_adaptive());
+        let matrix = RunMatrix::cross(&[source], &configs);
+        // Three groups on two threads split; of {LS, LS+prefetch,
+        // LS+cache, LS+adaptive} only the fixed cache lane moves.
+        assert_eq!(
+            matrix.plan(two()),
+            vec![
+                (vec![0], vec![]),
+                (vec![1, 3, 4, 5], vec![2]),
+                (vec![2], vec![])
+            ]
+        );
     }
 
     #[test]

@@ -7,13 +7,25 @@
 //! A group shares a translation base — defragmentation, zones, host
 //! cache, fragment tracking — and its members vary the read-side
 //! mechanisms (prefetch, selective cache, flash tier) and seek recording
-//! (distances, long-seek series) independently.
+//! (distances, long-seek series) independently. Over a defrag-free base,
+//! members may also be driven by an adaptive policy that can never fire
+//! defragmentation: one with a selective cache (whatever defrag it
+//! configures) or one with no defrag at all. Each such lane runs its own
+//! policy engine on its own outcome, and is also checked against an
+//! independent replay that keeps the configured defrag in its layer: the
+//! policy's closed defrag gate, not the group, is what makes it inert.
 
 use proptest::prelude::*;
-use smrseek_sim::{LayerChoice, RunReport, SimConfig, Simulation};
-use smrseek_stl::{CacheConfig, DefragConfig, PrefetchConfig};
-use smrseek_trace::{Lba, OpKind, TraceRecord};
+use smrseek_cache::RangeCache;
+use smrseek_disk::{PhysIo, SeekCounter, SeekStats};
+use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
+use smrseek_sim::{LayerChoice, RunMatrix, RunReport, SimConfig, Simulation, TraceSource};
+use smrseek_stl::{
+    CacheConfig, DefragConfig, LogStructured, LsConfig, LsStats, PrefetchConfig, TranslationLayer,
+};
+use smrseek_trace::{stream, Lba, OpKind, Pba, TraceRecord};
 use smrseek_workloads::profiles;
+use std::num::NonZeroUsize;
 
 /// Small requests over a small logical space (reads hit fragmented data);
 /// timestamps spaced so idle gaps occur.
@@ -89,6 +101,127 @@ fn base(defrag: usize, zones: bool, host_cache: bool, track: bool) -> SimConfig 
         config = config.with_fragment_tracking();
     }
     config
+}
+
+/// A policy small enough to classify `trace`'s 512-sector space into
+/// several regions and flip their gates within a few hundred records.
+fn policy() -> impl Strategy<Value = PolicyConfig> {
+    (32u64..256, 1u32..4, 1i32..6).prop_map(|(region_sectors, ewma_shift, hot_enter)| {
+        PolicyConfig {
+            region_sectors,
+            ewma_shift,
+            hot_enter,
+            ..PolicyConfig::default()
+        }
+    })
+}
+
+/// A policy-driven group member over `base` (which has no defrag):
+/// [`member`]'s mechanisms, plus a configured defrag whenever the member
+/// has a selective cache (the policy never lets it fire), and a prefetch
+/// buffer whenever it has none (a policy needs a mechanism to gate).
+fn policy_member(
+    base: SimConfig,
+    mechanisms: u8,
+    recording: u8,
+    bucket_ops: u64,
+    policy: PolicyConfig,
+) -> SimConfig {
+    let mechanisms = if mechanisms & 2 == 0 {
+        mechanisms | 1
+    } else {
+        mechanisms
+    };
+    let mut config = member(base, mechanisms, recording, bucket_ops).with_policy(policy);
+    if let LayerChoice::Ls {
+        defrag,
+        cache: Some(_),
+        ..
+    } = &mut config.layer
+    {
+        *defrag = Some(DefragConfig::default());
+    }
+    config
+}
+
+/// A group over a defrag-free `base` mixing fixed members (`fixed`) and
+/// policy members (`driven`), a plain-LS member first so it can split.
+/// Returns the configs and the positions of the fixed cache lanes, which
+/// are the ones a split hands to the helper.
+fn policy_group(
+    base: SimConfig,
+    fixed: &[(u8, u8)],
+    driven: &[(u8, u8, PolicyConfig)],
+) -> (Vec<SimConfig>, Vec<usize>) {
+    let mut configs = vec![member(base, 0, 1, 16)];
+    configs.extend(fixed.iter().map(|&(m, r)| member(base, m, r, 16)));
+    configs.extend(
+        driven
+            .iter()
+            .map(|&(m, r, p)| policy_member(base, m, r, 16, p)),
+    );
+    configs.sort_by_key(|c| c.policy.is_some());
+    let helper = configs
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| {
+            c.policy.is_none() && matches!(c.layer, LayerChoice::Ls { cache: Some(_), .. })
+        })
+        .map(|(k, _)| k)
+        .collect();
+    (configs, helper)
+}
+
+/// A policy-driven `config` replayed without the engine: one single-lane
+/// layer built from every mechanism the config names, its defrag
+/// included, with the policy observing each record that passes the host
+/// cache, gating the layer, and learning from the layer's counters.
+fn reference(config: &SimConfig, trace: &[TraceRecord]) -> (SeekStats, LsStats, PolicyStats) {
+    let LayerChoice::Ls {
+        defrag,
+        prefetch,
+        cache,
+    } = config.layer
+    else {
+        unreachable!("policy members are log-structured")
+    };
+    let top = stream::max_lba(trace).map_or(0, |l| l.sector() + 1);
+    let mut ls_config = LsConfig::above_sector(top);
+    ls_config.defrag = defrag;
+    ls_config.prefetch = prefetch;
+    ls_config.cache = cache;
+    ls_config.flash_cache_bytes = config.flash_cache_bytes;
+    ls_config.zone_sectors = config.zone_sectors;
+    ls_config.track_fragments = config.track_fragments;
+    let mut ls = LogStructured::new(ls_config);
+    let mut policy = PolicyEngine::new(config.policy.expect("a policy member"));
+    policy.set_cache_present(cache.is_some());
+    let mut host = config.host_cache_bytes.map(RangeCache::with_capacity_bytes);
+    let mut seeks = SeekCounter::new();
+    for rec in trace {
+        if let Some(host) = &mut host {
+            let key = Pba::new(rec.lba.sector());
+            if rec.op.is_read() && host.covers(key, u64::from(rec.sectors)) {
+                continue;
+            }
+            host.insert(key, u64::from(rec.sectors));
+        }
+        let before = ls.stats();
+        ls.set_gates(policy.observe(rec.lba.sector(), rec.op.is_read()));
+        let ios: Vec<PhysIo> = ls.apply(rec);
+        let after = ls.stats();
+        if after.fragmented_reads > before.fragmented_reads {
+            if after.phys_reads > before.phys_reads {
+                policy.record_fragmented(rec.lba.sector());
+            } else {
+                policy.record_cache_absorbed(rec.lba.sector());
+            }
+        }
+        for io in &ios {
+            seeks.observe(io);
+        }
+    }
+    (seeks.stats(), ls.stats(), policy.stats())
 }
 
 fn to_json(reports: &[RunReport]) -> Vec<String> {
@@ -190,4 +323,121 @@ proptest! {
         let split = to_json(&Simulation::run_group(&configs, &helper, &trace));
         prop_assert_eq!(split, inline);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Groups mixing fixed lanes with policy lanes (`ls_adaptive`-shaped
+    /// and `ls_cache().with_policy(..)`-shaped members among them) match
+    /// lone runs inline, and match the inline group when their fixed cache
+    /// lanes replay on a helper.
+    #[test]
+    fn policy_lanes_match_single_runs_inline_and_split(
+        trace in trace(),
+        zones in prop::bool::ANY,
+        host_cache in prop::bool::ANY,
+        track in prop::bool::ANY,
+        fixed in prop::collection::vec((0u8..8, 0u8..4), 0..3),
+        driven in prop::collection::vec((0u8..8, 0u8..4, policy()), 1..4),
+    ) {
+        let base = base(0, zones, host_cache, track);
+        let (configs, helper) = policy_group(base, &fixed, &driven);
+        let reports = Simulation::run_group(&configs, &[], &trace);
+        let inline = to_json(&reports);
+        for ((config, report), json) in configs.iter().zip(&reports).zip(&inline) {
+            let alone = Simulation::new(config).run_trace(&trace);
+            prop_assert_eq!(json, &serde_json::to_string(&alone).expect("report serializes"));
+            if config.policy.is_some() {
+                let (seeks, ls_stats, policy) = reference(config, &trace);
+                prop_assert_eq!(report.seeks, seeks);
+                prop_assert_eq!(report.ls_stats, Some(ls_stats));
+                prop_assert_eq!(report.policy, Some(policy));
+            }
+        }
+        if !helper.is_empty() {
+            let split = to_json(&Simulation::run_group(&configs, &helper, &trace));
+            prop_assert_eq!(split, inline);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The Table-I matrix's shape — the standard sweep plus `ls_adaptive`
+    /// and a cache-backed policy — gives the same bytes on 1, 2 and 4
+    /// threads: on 2, one source's LS group carries both policy lanes and
+    /// splits its fixed cache lane off to a helper.
+    #[test]
+    fn table1_shaped_matrix_is_thread_count_invariant(
+        profiles in prop::collection::vec(0usize..21, 1..3),
+        seed in 0u64..1_000,
+        ops in 1_500usize..5_000,
+    ) {
+        let sources: Vec<TraceSource> = profiles
+            .iter()
+            .map(|&p| TraceSource::from_records(
+                format!("p{p}"),
+                profiles::all()[p].generate_scaled(seed, ops),
+            ))
+            .collect();
+        let mut configs = SimConfig::standard_sweep().to_vec();
+        configs.push(SimConfig::ls_adaptive());
+        configs.push(SimConfig::ls_cache().with_policy(PolicyConfig::default()));
+        let matrix = RunMatrix::cross(&sources, &configs);
+        let bytes = |threads: usize| -> Vec<String> {
+            let threads = NonZeroUsize::new(threads).expect("nonzero");
+            matrix
+                .execute(threads)
+                .iter()
+                .map(|o| serde_json::to_string(&o.report).expect("report serializes"))
+                .collect()
+        };
+        let serial = bytes(1);
+        prop_assert_eq!(bytes(2), serial.clone());
+        prop_assert_eq!(bytes(4), serial);
+    }
+}
+
+/// A policy without a selective cache can open the defrag gate, which
+/// writes the map: it never shares a translation, so it never groups.
+#[test]
+fn cache_less_policy_refuses_to_share() {
+    let driven = SimConfig::ls_with(
+        Some(DefragConfig::default()),
+        Some(PrefetchConfig::default()),
+        None,
+    )
+    .with_policy(PolicyConfig::default());
+    for other in [
+        SimConfig::log_structured(),
+        SimConfig::ls_defrag(),
+        SimConfig::ls_prefetch(),
+        SimConfig::ls_adaptive(),
+        driven,
+    ] {
+        assert!(!driven.shares_translation(&other), "{other:?}");
+        assert!(!other.shares_translation(&driven), "{other:?}");
+    }
+    let source = TraceSource::from_records("t", profiles::all()[0].generate_scaled(1, 500));
+    let matrix = RunMatrix::cross(&[source], &[SimConfig::log_structured(), driven]);
+    let outcomes = matrix.execute(NonZeroUsize::MIN);
+    assert_eq!(outcomes[1].report.layer_name, "LS+adaptive");
+    let alone = Simulation::new(&driven).run_trace(&profiles::all()[0].generate_scaled(1, 500));
+    assert_eq!(
+        serde_json::to_string(&outcomes[1].report).expect("report serializes"),
+        serde_json::to_string(&alone).expect("report serializes")
+    );
+}
+
+#[test]
+#[should_panic(expected = "policy lane must replay on the group's own thread")]
+fn policy_lane_cannot_replay_on_the_helper() {
+    let trace = profiles::all()[0].generate_scaled(1, 200);
+    Simulation::run_group(
+        &[SimConfig::log_structured(), SimConfig::ls_adaptive()],
+        &[1],
+        &trace,
+    );
 }

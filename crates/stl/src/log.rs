@@ -54,14 +54,12 @@ pub struct LogStructured {
     /// zero here and live in each lane.
     stats: LsStats,
     tracker: Option<FragmentAccessTracker>,
-    /// One read lane per configuration, in construction order.
+    /// One read lane per configuration, in construction order. Lane 0's
+    /// gates also decide defragmentation rewrites.
     lanes: Vec<ReadLane>,
-    /// Per-region mechanism gates for the *next* record, set by an
-    /// adaptive policy engine via [`set_gates`](Self::set_gates). Purely
-    /// transient (the engine re-derives them every record); the default is
-    /// fully permissive — exactly the fixed-mechanism behaviour of a
-    /// policy-free run.
-    gates: GateSet,
+    /// Whether the most recent read record was fragmented: the outcome an
+    /// adaptive policy engine reads back after each record.
+    last_read_fragmented: bool,
     /// Fragmented-read access counts per exact logical range, for the
     /// defragmentation `min_accesses` gate.
     range_accesses: HashMap<(u64, u32), u64>,
@@ -76,7 +74,8 @@ pub struct LogStructured {
 
 /// The read side of one configuration over a shared translation: the
 /// prefetch buffer (Alg. 2), the selective cache with its optional flash
-/// tier (Alg. 3), and the counters only they move.
+/// tier (Alg. 3), the policy gates they run under, and the counters only
+/// they move.
 ///
 /// A lane reads nothing but each read's merged physical runs, so it can
 /// also be served away from its [`LogStructured`]: fed the runs a plain
@@ -89,6 +88,12 @@ pub struct ReadLane {
     prefetch: Option<PrefetchConfig>,
     prefetch_buffer: Option<RangeCache>,
     cache: Option<TieredCache>,
+    /// Per-region mechanism gates for the *next* read, set by an adaptive
+    /// policy engine via [`LogStructured::set_lane_gates`]. Purely
+    /// transient (the engine re-derives them every record); the default is
+    /// fully permissive — exactly the fixed-mechanism behaviour of a
+    /// policy-free run.
+    gates: GateSet,
     /// Only `phys_reads` and the cache and prefetch counters move here.
     stats: LsStats,
 }
@@ -118,6 +123,7 @@ impl ReadLane {
                 Some(flash) => TieredCache::with_flash_bytes(c.capacity_bytes, flash),
                 None => TieredCache::single_bytes(c.capacity_bytes),
             }),
+            gates: GateSet::default(),
             stats: LsStats::default(),
         }
     }
@@ -142,14 +148,10 @@ impl ReadLane {
             .map(|c| c.stats())
     }
 
-    /// Serves the merged physical `runs` of one read, emitting the reads
-    /// that reach the disk.
-    pub fn read_runs(
-        &mut self,
-        runs: &[(Pba, u64)],
-        gates: &GateSet,
-        sink: &mut impl FnMut(PhysIo),
-    ) {
+    /// Serves the merged physical `runs` of one read under the lane's
+    /// gates, emitting the reads that reach the disk.
+    pub fn read_runs(&mut self, runs: &[(Pba, u64)], sink: &mut impl FnMut(PhysIo)) {
+        let gates = self.gates;
         // Alg. 2 and 3 act only on the fragments of fragmented reads.
         let fragmented = runs.len() > 1;
         for &(pba, len) in runs {
@@ -225,7 +227,7 @@ impl LogStructured {
             stats: LsStats::default(),
             tracker: config.track_fragments.then(FragmentAccessTracker::new),
             lanes: configs.iter().map(ReadLane::new).collect(),
-            gates: GateSet::default(),
+            last_read_fragmented: false,
             range_accesses: HashMap::new(),
             pending_defrag: Vec::new(),
             last_timestamp_us: 0,
@@ -320,7 +322,27 @@ impl LogStructured {
     /// gates stay at their permissive default and behaviour is identical
     /// to the fixed mechanisms.
     pub fn set_gates(&mut self, gates: GateSet) {
-        self.gates = gates;
+        for lane in &mut self.lanes {
+            lane.gates = gates;
+        }
+    }
+
+    /// [`set_gates`](Self::set_gates) for lane `k` alone: the prefetch
+    /// window and cache admission of its next read, and, for lane 0, the
+    /// defragmentation rewrite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a lane.
+    pub fn set_lane_gates(&mut self, k: usize, gates: GateSet) {
+        self.lanes[k].gates = gates;
+    }
+
+    /// Whether the most recent read record was fragmented (translated to
+    /// more than one physical run), whatever its lanes then served from a
+    /// cache or buffer. False before the first read.
+    pub fn last_read_fragmented(&self) -> bool {
+        self.last_read_fragmented
     }
 
     /// Lane 0's prefetch buffer, when enabled.
@@ -453,6 +475,7 @@ impl LogStructured {
         let mut runs = std::mem::take(&mut self.runs);
         self.physical_runs_into(rec.lba, sectors, &mut runs);
         let fragmented = runs.len() > 1;
+        self.last_read_fragmented = fragmented;
         if fragmented {
             self.stats.fragmented_reads += 1;
             if let Some(tracker) = &mut self.tracker {
@@ -461,7 +484,7 @@ impl LogStructured {
         }
 
         for (k, lane) in self.lanes.iter_mut().enumerate() {
-            lane.read_runs(&runs, &self.gates, &mut |io| sink(k, io));
+            lane.read_runs(&runs, &mut |io| sink(k, io));
         }
 
         // Alg. 1: opportunistic defragmentation — the fragmented data was
@@ -475,7 +498,10 @@ impl LogStructured {
                 // The policy gate can veto the rewrite for cold regions;
                 // the access count keeps accumulating so the range rewrites
                 // promptly once its region earns the gate.
-                if self.gates.defrag && runs.len() >= d.min_fragments && *count >= d.min_accesses {
+                if self.lanes[0].gates.defrag
+                    && runs.len() >= d.min_fragments
+                    && *count >= d.min_accesses
+                {
                     match d.timing {
                         DefragTiming::Immediate => {
                             self.append_into(rec.lba, sectors, sink);
@@ -860,6 +886,57 @@ mod tests {
         ls.set_gates(GateSet::default());
         ls.apply(&TraceRecord::read(5, lba(0), 6));
         assert_eq!(ls.stats().defrag_rewrites, 1);
+    }
+
+    #[test]
+    fn lane_gates_apply_to_their_own_lane() {
+        let cfg = LsConfig::new(lba(1000)).with_cache(CacheConfig::default());
+        let mut ls = LogStructured::with_lanes(&[cfg, cfg]);
+        ls.apply(&TraceRecord::write(0, lba(0), 6));
+        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        ls.set_lane_gates(
+            1,
+            GateSet {
+                cache_admit: false,
+                ..GateSet::default()
+            },
+        );
+        let mut read = |t: u64| {
+            let mut ios = [0usize; 2];
+            ls.apply_lanes_into(&TraceRecord::read(t, lba(0), 6), &mut |k, _| ios[k] += 1);
+            ios
+        };
+        assert_eq!(read(2), [3, 3]);
+        // Lane 0 admitted the fragments; lane 1 was denied the fills.
+        assert_eq!(read(3), [0, 3]);
+        assert!(ls.last_read_fragmented());
+        assert_eq!(ls.lane_stats(0).cache_hit_fragments, 3);
+        assert_eq!(ls.lane_stats(1).cache_hit_fragments, 0);
+        ls.apply(&TraceRecord::read(4, lba(100), 4));
+        assert!(!ls.last_read_fragmented(), "an unfragmented read clears it");
+    }
+
+    #[test]
+    fn lane_zero_gates_decide_defrag() {
+        let cfg = LsConfig::new(lba(1000)).with_defrag(DefragConfig::default());
+        let deny = GateSet {
+            defrag: false,
+            ..GateSet::default()
+        };
+        let mut ls = LogStructured::with_lanes(&[cfg, cfg]);
+        ls.apply(&TraceRecord::write(0, lba(0), 6));
+        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        ls.set_lane_gates(1, deny);
+        ls.apply(&TraceRecord::read(2, lba(0), 6));
+        assert_eq!(
+            ls.stats().defrag_rewrites,
+            1,
+            "lane 1's gate is not consulted"
+        );
+        ls.apply(&TraceRecord::write(3, lba(2), 1));
+        ls.set_lane_gates(0, deny);
+        ls.apply(&TraceRecord::read(4, lba(0), 6));
+        assert_eq!(ls.stats().defrag_rewrites, 1, "lane 0's gate vetoed it");
     }
 
     #[test]

@@ -18,9 +18,10 @@ so slow drift in host speed lands on both sides of a pair; the workloads
 interleave within each seed, so a claimed gain on one and the
 no-regression check on another come from the same stretch of time. For
 each workload, every metric the runs report is printed with both medians,
-the base's interquartile spread as a share of its median, and the
-per-pair ratios change/base; "wins" counts the pairs in which the change
-is better in the direction BENCHMARK.json declares.
+the base's interquartile spread as a share of its median, the per-pair
+ratios change/base with their own interquartile range, and "wins", the
+pairs in which the change is better in the direction BENCHMARK.json
+declares.
 
 Each end-to-end metric then gets one verdict per workload, against its
 bound in BENCHMARK.json:
@@ -32,12 +33,20 @@ bound in BENCHMARK.json:
               pair better;
   neutral     anything else.
 
+Next to each verdict stand the per-pair ratios' interquartile range and
+the one-sided sign-test p-value of the win count: the chance of at least
+that many wins in that many pairs if either side were equally likely to
+win each pair. They do not change the verdict; they show how consistent
+the pairs were when the base's own spread is wide (a change that wins
+10 of 10 pairs has p = 0.001 whatever that spread).
+
 Exits 1 if any run fails, prints no result, or reports `failed > 0` or
 `correct: false`.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -62,12 +71,21 @@ def run(binary, workload, seed, seconds, trace):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def spread(values):
+def iqr(values):
     if len(values) < 2:
         return float("nan")
     q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def spread(values):
     med = statistics.median(values)
-    return (q3 - q1) / med if med else float("inf")
+    return iqr(values) / med if med else float("inf")
+
+
+def sign_p(wins, pairs):
+    """One-sided sign test: P(at least `wins` of `pairs` fair coin flips)."""
+    return sum(math.comb(pairs, k) for k in range(wins, pairs + 1)) / 2 ** pairs
 
 
 def verdict(higher, bound, base_iqr, ratio_med, wins, pairs):
@@ -89,7 +107,8 @@ def table(workload, trace, seconds, first_seed, base, change, better,
           f"seeds {first_seed}-{first_seed + pairs - 1}, "
           f"{seconds} s per run")
     print(f"  {'metric':<36} {'base':>11} {'change':>11} {'base_iqr':>8} "
-          f"{'ratio_med':>9} {'ratio_min':>9} {'ratio_max':>9} {'wins':>5}")
+          f"{'ratio_med':>9} {'ratio_min':>9} {'ratio_max':>9} "
+          f"{'ratio_iqr':>9} {'wins':>5}")
     verdicts = []
     for name in base[0]:
         b = [r[name] for r in base]
@@ -100,15 +119,17 @@ def table(workload, trace, seconds, first_seed, base, change, better,
         rmed = statistics.median(ratios) if ratios else float("nan")
         rmin = min(ratios, default=float("nan"))
         rmax = max(ratios, default=float("nan"))
+        riqr = iqr(ratios)
         print(f"  {name:<36} {statistics.median(b):>11.6g} "
               f"{statistics.median(c):>11.6g} {spread(b):>8.3f} "
-              f"{rmed:>9.3f} {rmin:>9.3f} {rmax:>9.3f} "
+              f"{rmed:>9.3f} {rmin:>9.3f} {rmax:>9.3f} {riqr:>9.3f} "
               f"{wins:>2}/{len(b):<2}")
         if name in bounds:
-            verdicts.append((name, verdict(higher, bounds[name], spread(b),
-                                           rmed, wins, len(b))))
-    for name, v in verdicts:
-        print(f"  verdict {workload} {name}: {v}")
+            v = verdict(higher, bounds[name], spread(b), rmed, wins, len(b))
+            verdicts.append((name, v, riqr, sign_p(wins, len(b))))
+    for name, v, riqr, p in verdicts:
+        print(f"  verdict {workload} {name}: {v} "
+              f"(ratio_iqr {riqr:.3f}, sign p={p:.3g})")
 
 
 def main():
