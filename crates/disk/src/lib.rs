@@ -17,8 +17,6 @@
 //! * [`histogram`] — distance CDFs (Fig 4).
 //! * [`series`] — per-operation-bucket long-seek time series (Fig 3).
 //! * [`cost`] — a seek-time cost model (rotational + head travel, §III).
-//! * [`zone`] — an SMR zoned-device model (ZBC-style write pointers)
-//!   backing the log for fidelity beyond the infinite-disk abstraction.
 //!
 //! # Example
 //!
@@ -38,20 +36,16 @@
 #![warn(missing_docs)]
 pub mod cost;
 pub mod counter;
-pub mod geometry;
 pub mod histogram;
 pub mod physio;
 pub mod position;
 pub mod seek;
 pub mod series;
-pub mod zone;
 
 pub use cost::{DiskProfile, FlashProfile};
 pub use counter::{SeekCounter, SeekStats};
-pub use geometry::{DiskGeometry, Location, RecordingZone};
 pub use histogram::Cdf;
 pub use physio::PhysIo;
 pub use position::HeadTracker;
 pub use seek::{Seek, LONG_SEEK_SECTORS};
 pub use series::LongSeekSeries;
-pub use zone::{ZoneState, ZonedDevice};

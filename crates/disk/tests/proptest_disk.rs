@@ -1,9 +1,8 @@
 //! Property tests for the disk crate: the seek counter against a direct
-//! re-implementation, CDF axioms, cost-model monotonicity, geometry
-//! consistency, and zoned-device conservation.
+//! re-implementation, CDF axioms, and cost-model monotonicity.
 
 use proptest::prelude::*;
-use smrseek_disk::{Cdf, DiskGeometry, DiskProfile, PhysIo, SeekCounter, ZonedDevice};
+use smrseek_disk::{Cdf, DiskProfile, PhysIo, SeekCounter};
 use smrseek_trace::{OpKind, Pba};
 
 fn io_strategy() -> impl Strategy<Value = PhysIo> {
@@ -85,54 +84,5 @@ proptest! {
         if (d as u64) < p.sectors_per_track {
             prop_assert!(p.seek_time_us(-d) >= t - 1e-9);
         }
-    }
-
-    /// Geometry: locate() is injective over sectors and cylinders are
-    /// nondecreasing in sector number.
-    #[test]
-    fn geometry_locate_monotone(step in 1u64..10_000) {
-        let geo = DiskGeometry::zbr(1 << 22, 2048, 512, 6);
-        let mut prev_cyl = 0u64;
-        let mut sector = 0u64;
-        while sector < geo.capacity_sectors() {
-            let loc = geo.locate(Pba::new(sector)).expect("in range");
-            prop_assert!(loc.cylinder >= prev_cyl);
-            prop_assert!(loc.angle < loc.track_sectors);
-            prev_cyl = loc.cylinder;
-            sector += step;
-        }
-    }
-
-    /// Zoned device: appended runs are disjoint, in-order, within zones,
-    /// and conserve the appended sector count.
-    #[test]
-    fn zoned_appends_conserve(lens in prop::collection::vec(1u64..300, 1..40)) {
-        let mut dev = ZonedDevice::new(64, 256);
-        let mut all_runs: Vec<(u64, u64)> = Vec::new();
-        let mut appended = 0u64;
-        for &len in &lens {
-            if len > dev.remaining_sectors() {
-                prop_assert!(dev.append(len).is_err());
-                continue;
-            }
-            let runs = dev.append(len).expect("fits");
-            let total: u64 = runs.iter().map(|&(_, l)| l).sum();
-            prop_assert_eq!(total, len);
-            for &(start, l) in &runs {
-                // Within a single zone.
-                let z = dev.zone_of(start).expect("valid");
-                prop_assert_eq!(dev.zone_of(start + l - 1), Some(z));
-                all_runs.push((start.sector(), l));
-            }
-            appended += len;
-        }
-        // Runs are strictly ordered and disjoint.
-        for pair in all_runs.windows(2) {
-            prop_assert!(pair[0].0 + pair[0].1 <= pair[1].0);
-        }
-        prop_assert_eq!(
-            dev.capacity_sectors() - dev.remaining_sectors(),
-            appended
-        );
     }
 }

@@ -18,7 +18,7 @@
 
 use serde::Value;
 use smrseek_policy::PolicyConfig;
-use smrseek_sim::{LayerChoice, SimConfig};
+use smrseek_sim::SimConfig;
 use std::path::PathBuf;
 
 /// Where a job's records come from.
@@ -118,7 +118,7 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
         "`config.layer` must be one of nols|ls|ls_defrag|ls_prefetch|ls_cache|ls_adaptive"
             .to_owned()
     })?;
-    let mut config = match layer {
+    let preset = match layer {
         "nols" => SimConfig::no_ls(),
         "ls" => SimConfig::log_structured(),
         "ls_defrag" => SimConfig::ls_defrag(),
@@ -127,75 +127,52 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
         "ls_adaptive" => SimConfig::ls_adaptive(),
         other => return Err(format!("unknown layer {other:?}")),
     };
+    // Every knob goes through the engine builder, so the API rejects
+    // exactly what `SimConfig::builder` would: zones too small for a
+    // guard band or on the NoLS baseline, zero-byte caches, a policy with
+    // nothing to gate, a flash tier without its front cache.
+    let mut builder = SimConfig::builder(preset.layer);
+    if let Some(policy) = preset.policy {
+        builder = builder.policy(policy);
+    }
+    if let Some(bytes) = preset.flash_cache_bytes {
+        builder = builder.flash_cache(bytes);
+    }
     for (key, value) in entries {
-        match key.as_str() {
-            "layer" => {}
-            "record_distances" => {
-                config.record_distances = value
-                    .as_bool()
-                    .ok_or_else(|| "`record_distances` must be a bool".to_owned())?;
-            }
-            "track_fragments" => {
-                config.track_fragments = value
-                    .as_bool()
-                    .ok_or_else(|| "`track_fragments` must be a bool".to_owned())?;
-            }
-            "longseek_bucket_ops" => {
-                config.longseek_bucket_ops = value.as_u64().ok_or_else(|| {
-                    "`longseek_bucket_ops` must be an unsigned integer".to_owned()
-                })?;
-            }
-            "host_cache_bytes" => {
-                config.host_cache_bytes =
-                    Some(value.as_u64().ok_or_else(|| {
-                        "`host_cache_bytes` must be an unsigned integer".to_owned()
-                    })?);
-            }
-            "zone_sectors" => {
-                config.zone_sectors = Some(
-                    value
-                        .as_u64()
-                        .ok_or_else(|| "`zone_sectors` must be an unsigned integer".to_owned())?,
-                );
-            }
-            "frontier_hint" => {
-                config.frontier_hint = Some(
-                    value
-                        .as_u64()
-                        .ok_or_else(|| "`frontier_hint` must be an unsigned integer".to_owned())?,
-                );
-            }
-            "flash_cache_bytes" => {
-                config.flash_cache_bytes =
-                    Some(value.as_u64().ok_or_else(|| {
-                        "`flash_cache_bytes` must be an unsigned integer".to_owned()
-                    })?);
-            }
-            "policy" => {
-                config.policy = Some(parse_policy(value)?);
-            }
+        let uint = || {
+            value
+                .as_u64()
+                .ok_or_else(|| format!("`{key}` must be an unsigned integer"))
+        };
+        let flag = || {
+            value
+                .as_bool()
+                .ok_or_else(|| format!("`{key}` must be a bool"))
+        };
+        builder = match key.as_str() {
+            "layer" => builder,
+            "record_distances" => match flag()? {
+                true => builder.distances(),
+                false => builder,
+            },
+            "track_fragments" => match flag()? {
+                true => builder.fragment_tracking(),
+                false => builder,
+            },
+            // 0 keeps the series off, as in `SimConfig::longseek_bucket_ops`.
+            "longseek_bucket_ops" => match uint()? {
+                0 => builder,
+                bucket_ops => builder.longseek_series(bucket_ops),
+            },
+            "host_cache_bytes" => builder.host_cache(uint()?),
+            "zone_sectors" => builder.zones(uint()?),
+            "frontier_hint" => builder.frontier_hint(uint()?),
+            "flash_cache_bytes" => builder.flash_cache(uint()?),
+            "policy" => builder.policy(parse_policy(value)?),
             other => return Err(format!("unknown config field {other:?}")),
-        }
+        };
     }
-    if matches!(config.layer, LayerChoice::NoLs) && config.zone_sectors.is_some() {
-        // Not an error the engine would catch — zones are silently ignored
-        // by NoLS — but accepting it would imply it did something.
-        return Err("`zone_sectors` has no effect with layer \"nols\"".to_owned());
-    }
-    // The adaptive knobs reuse the engine builder's validation so the API
-    // rejects exactly what `SimConfig::builder` would (zero regions, a
-    // policy with nothing to gate, a flash tier without its front cache).
-    if config.policy.is_some() || config.flash_cache_bytes.is_some() {
-        let mut builder = SimConfig::builder(config.layer);
-        if let Some(policy) = config.policy {
-            builder = builder.policy(policy);
-        }
-        if let Some(flash) = config.flash_cache_bytes {
-            builder = builder.flash_cache(flash);
-        }
-        builder.build().map_err(|e| e.to_string())?;
-    }
-    Ok(config)
+    builder.build().map_err(|e| e.to_string())
 }
 
 /// Parses a `config.policy` object into a [`PolicyConfig`]. Starts from
@@ -262,6 +239,7 @@ pub fn result_key(trace_key: &str, top: Option<u64>, config: Option<&SimConfig>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smrseek_sim::LayerChoice;
 
     #[test]
     fn parses_path_sweep_request() {
@@ -362,7 +340,19 @@ mod tests {
             ),
             (
                 br#"{"trace": {"path": "a"}, "config": {"layer": "nols", "zone_sectors": 8}}"#,
-                "no effect",
+                "no log to zone",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 0}}"#,
+                "guard band",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 1}}"#,
+                "guard band",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "host_cache_bytes": 0}}"#,
+                "host cache",
             ),
             (
                 br#"{"trace": {"path": "a"},

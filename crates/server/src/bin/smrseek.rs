@@ -21,8 +21,6 @@
 //!   gen <profile>          emit a synthetic trace as CloudPhysics CSV
 //!   list                   list the 21 workload profiles
 //!   serve                  run the smrseekd HTTP daemon (see crate docs)
-//!   bench-daemon           drive a running daemon with concurrent
-//!                          submissions; p50/p99/p999 latency + drops
 //!   profile <trace>        replay the sweep with phase accounting and write
 //!                          a Chrome trace-event JSON (`--out`, default
 //!                          trace.json) viewable in Perfetto
@@ -111,9 +109,6 @@ struct Args {
     workers: usize,
     queue_depth: usize,
     peers: Vec<String>,
-    requests: usize,
-    concurrency: usize,
-    distinct: usize,
     ops_explicit: bool,
     verbose: bool,
     log_json: bool,
@@ -132,8 +127,6 @@ fn usage() -> String {
      smrseek gen <profile> [--ops N] [--seed S] [--out FILE]\n       \
      smrseek serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--threads N] \
      [--peers ADDR,ADDR,...]\n       \
-     smrseek bench-daemon [--addr HOST:PORT] [--requests N] [--concurrency N] \
-     [--distinct N] [--ops N] [--json FILE]\n       \
      smrseek profile <trace> [--out trace.json] [--format ...] [--threads N]\n       \
      smrseek trace <trace-id> [--addr HOST:PORT] [--peers ADDR,ADDR,...] [--out trace.json]\n       \
      smrseek --version\n\
@@ -164,9 +157,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         workers: 2,
         queue_depth: 64,
         peers: Vec::new(),
-        requests: 2000,
-        concurrency: 256,
-        distinct: 16,
         ops_explicit: false,
         verbose: false,
         log_json: false,
@@ -255,27 +245,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .filter(|p| !p.is_empty())
                     .map(str::to_owned)
                     .collect();
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--requests needs a value"))?
-                    .parse()
-                    .map_err(|_| CliError::usage("--requests must be an integer"))?;
-            }
-            "--concurrency" => {
-                args.concurrency = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--concurrency needs a value"))?
-                    .parse()
-                    .map_err(|_| CliError::usage("--concurrency must be a positive integer"))?;
-            }
-            "--distinct" => {
-                args.distinct = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--distinct needs a value"))?
-                    .parse()
-                    .map_err(|_| CliError::usage("--distinct must be a positive integer"))?;
             }
             other if args.file.is_none() && !other.starts_with("--") => {
                 args.file = Some(other.to_owned());
@@ -582,39 +551,6 @@ fn run_serve(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `smrseek bench-daemon`: drives `--requests` submissions at a running
-/// daemon with up to `--concurrency` in flight and reports completion,
-/// drop, and backpressure counts plus the p50/p99/p999 latency tail.
-/// The daemon must already be listening on `--addr` (typically
-/// `smrseek serve` in another process).
-fn run_bench_daemon(args: &Args) -> Result<String, CliError> {
-    let addr = args
-        .addr
-        .parse()
-        .map_err(|e| CliError::usage(format!("--addr must be a literal host:port: {e}")))?;
-    let config = smrseek_server::loadgen::LoadConfig {
-        addr,
-        requests: args.requests,
-        concurrency: args.concurrency.max(1),
-        distinct: args.distinct.max(1),
-        ops: if args.ops_explicit {
-            args.opts.ops as u64
-        } else {
-            smrseek_server::loadgen::LoadConfig::default().ops
-        },
-        ..smrseek_server::loadgen::LoadConfig::default()
-    };
-    let report = smrseek_server::loadgen::run(&config)
-        .map_err(|e| CliError::Io(format!("load generator failed: {e}")))?;
-    maybe_write_json(&args.json, &report.to_json())?;
-    Ok(format!(
-        "bench-daemon: {} requests at concurrency {} against {addr}\n{}",
-        args.requests,
-        config.concurrency,
-        report.render_text()
-    ))
-}
-
 /// One `GET /v1/trace/<id>` against a daemon, relayed as `(status, body)`.
 fn fetch_trace(addr: &str, id: &str) -> Result<(u16, Vec<u8>), CliError> {
     let timeout = std::time::Duration::from_secs(5);
@@ -904,7 +840,6 @@ fn run_command(args: &Args) -> Result<String, CliError> {
         }
         "bench" => run_bench(args)?,
         "serve" => run_serve(args)?,
-        "bench-daemon" => run_bench_daemon(args)?,
         "profile" => run_profile(args)?,
         "trace" => run_trace_fetch(args)?,
         "convert" => {

@@ -82,7 +82,7 @@ pub fn response_bytes(response: &Response) -> Vec<u8> {
 }
 
 /// Splits raw response bytes (a full `Connection: close` exchange) into
-/// `(status, body)`. Used by the fleet forwarder and the load generator,
+/// `(status, body)`. Used by the fleet forwarder and `smrseek trace`,
 /// which read peer responses to EOF.
 ///
 /// # Errors

@@ -41,7 +41,6 @@ pub mod api;
 pub mod fleet;
 pub mod http;
 pub mod jobs;
-pub mod loadgen;
 pub mod metrics;
 pub mod sse;
 pub mod worker;

@@ -8,10 +8,12 @@
 //! uses the in-process server so it can pin `workers = 0` (a knob the CLI
 //! does not expose) and make backpressure deterministic.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
@@ -44,23 +46,35 @@ impl HttpResponse {
     }
 }
 
-/// One request against the daemon; the connection closes after the
-/// response (the daemon always answers `Connection: close`).
-fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> HttpResponse {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("set timeout");
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\n\r\n",
+/// Sends one raw HTTP request and reads the response to EOF (the daemon
+/// always answers `Connection: close`). Fails instead of panicking, so
+/// the load generator can count a failed exchange as a drop.
+fn exchange(addr: &str, raw: &[u8], timeout: Duration) -> std::io::Result<Vec<u8>> {
+    let addr: SocketAddr = addr.parse().map_err(std::io::Error::other)?;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    stream.write_all(raw)?;
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response)?;
+    Ok(response)
+}
+
+/// A request's bytes; `headers` holds extra header lines, each ending
+/// in CRLF.
+fn request_bytes(addr: &str, method: &str, path: &str, headers: &str, body: &str) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\n{headers}content-length: {}\r\n\r\n{body}",
         body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("send head");
-    stream.write_all(body.as_bytes()).expect("send body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_http(&raw)
+    )
+    .into_bytes()
+}
+
+/// One request against the daemon.
+fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> HttpResponse {
+    let raw = request_bytes(addr, method, path, "", body.unwrap_or(""));
+    let response = exchange(addr, &raw, Duration::from_secs(30)).expect("exchange with daemon");
+    parse_http(&response)
 }
 
 /// Splits a raw HTTP/1.1 response into status, headers, and body.
@@ -89,19 +103,10 @@ fn parse_http(raw: &[u8]) -> HttpResponse {
 
 /// A `POST /v1/jobs` carrying a client-chosen `x-request-id` header.
 fn request_with_id(addr: &str, body: &str, request_id: &str) -> HttpResponse {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("set timeout");
-    let head = format!(
-        "POST /v1/jobs HTTP/1.1\r\nhost: {addr}\r\nx-request-id: {request_id}\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("send head");
-    stream.write_all(body.as_bytes()).expect("send body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_http(&raw)
+    let headers = format!("x-request-id: {request_id}\r\n");
+    let raw = request_bytes(addr, "POST", "/v1/jobs", &headers, body);
+    let response = exchange(addr, &raw, Duration::from_secs(30)).expect("exchange with daemon");
+    parse_http(&response)
 }
 
 /// Pulls one numeric metric value out of a Prometheus exposition.
@@ -327,6 +332,54 @@ fn status_envelope_inlines_the_result() {
     );
     assert_eq!(request(&addr, "GET", "/v1/jobs/99", None).status, 404);
     terminate(child);
+}
+
+#[test]
+fn degenerate_configs_get_400_and_leave_the_worker_free() {
+    // One worker: a degenerate config that reached it (a zero zone
+    // divides by zero, a one-sector zone is all guard band and spins)
+    // would stall every later job. In-process, so a stuck worker cannot
+    // outlive a failed assertion.
+    let handle = smrseek_server::start(smrseek_server::ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        ..smrseek_server::ServerConfig::default()
+    })
+    .expect("start in-process daemon");
+    let addr = handle.addr().to_string();
+    for knob in [
+        r#""zone_sectors": 0"#,
+        r#""zone_sectors": 1"#,
+        r#""host_cache_bytes": 0"#,
+    ] {
+        let body = format!(
+            r#"{{"trace": {{"profile": "hm_1", "ops": 200}}, "config": {{"layer": "ls", {knob}}}}}"#
+        );
+        let submit = request(&addr, "POST", "/v1/jobs", Some(&body));
+        assert_eq!(submit.status, 400, "{knob}: {}", submit.body_str());
+    }
+    let submit = request(
+        &addr,
+        "POST",
+        "/v1/jobs",
+        Some(r#"{"trace": {"profile": "hm_1", "ops": 200}, "config": {"layer": "ls"}}"#),
+    );
+    assert_eq!(submit.status, 202, "{}", submit.body_str());
+    let id: serde::Value = serde_json::from_str(&submit.body_str()).expect("JSON envelope");
+    let id = id.get("id").and_then(serde::Value::as_u64).expect("job id");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let body = request(&addr, "GET", &format!("/v1/jobs/{id}"), None).body_str();
+        if body.contains("\"status\":\"done\"") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "valid job never finished: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
 }
 
 #[test]
@@ -767,6 +820,125 @@ fn two_daemon_fleet_computes_each_unique_sweep_exactly_once() {
     handle_b.shutdown();
 }
 
+/// What a burst of concurrent submissions observed.
+#[derive(Debug, Default)]
+struct LoadReport {
+    /// Full responses received (any status).
+    completed: u64,
+    /// Exchanges that failed or outlived their deadline: a daemon may
+    /// answer 503 under backpressure, but must never go silent.
+    dropped: u64,
+    /// Response count by HTTP status.
+    statuses: BTreeMap<u16, u64>,
+    /// Nearest-rank latency percentiles over completed exchanges (µs).
+    p50_us: u64,
+    p99_us: u64,
+    p999_us: u64,
+}
+
+/// The sorted-sample percentile at quantile `q`: classical nearest-rank,
+/// `ceil(q * n)` one-indexed.
+fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The submission body for distinct-job index `i`: a generator-profile
+/// trace, so the daemon needs no files and each seed is its own cache key.
+fn job_body(i: usize, ops: u64) -> String {
+    format!(r#"{{"trace": {{"profile": "hm_1", "seed": {i}, "ops": {ops}}}}}"#)
+}
+
+/// Submits `requests` jobs spread over `distinct` seeds from
+/// `concurrency` threads, one blocking [`exchange`] at a time each.
+fn load(
+    addr: &str,
+    requests: usize,
+    concurrency: usize,
+    distinct: usize,
+    ops: u64,
+    timeout: Duration,
+) -> LoadReport {
+    let next = AtomicUsize::new(0);
+    // `None` is a drop; `Some((status, µs))` a completed exchange.
+    let outcomes: Vec<Option<(u16, u64)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..concurrency)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut outcomes = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= requests {
+                            return outcomes;
+                        }
+                        let raw = request_bytes(
+                            addr,
+                            "POST",
+                            "/v1/jobs",
+                            "",
+                            &job_body(i % distinct, ops),
+                        );
+                        let started = Instant::now();
+                        let status = exchange(addr, &raw, timeout)
+                            .ok()
+                            .and_then(|resp| smrseek_server::http::parse_response(&resp).ok());
+                        let elapsed = started.elapsed();
+                        outcomes.push(
+                            status
+                                .filter(|_| elapsed < timeout)
+                                .map(|(status, _)| (status, elapsed.as_micros() as u64)),
+                        );
+                    }
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("load thread never panics"))
+            .collect()
+    });
+    let mut report = LoadReport::default();
+    let mut samples = Vec::with_capacity(outcomes.len());
+    for outcome in outcomes {
+        match outcome {
+            Some((status, us)) => {
+                report.completed += 1;
+                *report.statuses.entry(status).or_insert(0) += 1;
+                samples.push(us);
+            }
+            None => report.dropped += 1,
+        }
+    }
+    samples.sort_unstable();
+    report.p50_us = percentile(&samples, 0.50);
+    report.p99_us = percentile(&samples, 0.99);
+    report.p999_us = percentile(&samples, 0.999);
+    report
+}
+
+#[test]
+fn percentiles_use_nearest_rank() {
+    let sorted: Vec<u64> = (1..=1000).collect();
+    assert_eq!(percentile(&sorted, 0.50), 500);
+    assert_eq!(percentile(&sorted, 0.99), 990);
+    assert_eq!(percentile(&sorted, 0.999), 999);
+    assert_eq!(percentile(&sorted, 1.0), 1000);
+    assert_eq!(percentile(&[], 0.5), 0);
+    assert_eq!(percentile(&[7], 0.999), 7);
+}
+
+#[test]
+fn job_bodies_are_distinct_by_seed() {
+    let a = job_body(0, 100);
+    let b = job_body(1, 100);
+    assert_ne!(a, b);
+    assert!(a.contains("\"seed\": 0"), "{a}");
+    smrseek_server::api::parse_job_request(a.as_bytes()).expect("body parses as a job request");
+}
+
 #[test]
 fn loadgen_thousand_concurrent_submissions_zero_drops() {
     let handle = smrseek_server::start(smrseek_server::ServerConfig {
@@ -777,15 +949,8 @@ fn loadgen_thousand_concurrent_submissions_zero_drops() {
     })
     .expect("start in-process daemon");
 
-    let report = smrseek_server::loadgen::run(&smrseek_server::loadgen::LoadConfig {
-        addr: handle.addr(),
-        requests: 1000,
-        concurrency: 128,
-        distinct: 4,
-        ops: 100,
-        timeout: Duration::from_secs(60),
-    })
-    .expect("load generator runs");
+    let addr = handle.addr().to_string();
+    let report = load(&addr, 1000, 128, 4, 100, Duration::from_secs(60));
 
     assert_eq!(report.dropped, 0, "no silent drops: {report:?}");
     assert_eq!(
@@ -802,7 +967,6 @@ fn loadgen_thousand_concurrent_submissions_zero_drops() {
     assert!(report.p50_us <= report.p99_us && report.p99_us <= report.p999_us);
 
     // The daemon saw all thousand connections and reaped none of them.
-    let addr = handle.addr().to_string();
     let text = request(&addr, "GET", "/metrics", None).body_str();
     assert!(
         metric(&text, "smrseekd_connections_accepted_total").expect("accepted metric") >= 1000,

@@ -19,6 +19,7 @@ use smrseek_cache::{RangeCache, TierStats};
 use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
+use smrseek_stl::config::ZONES_TOO_SMALL;
 use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
     PrefetchConfig, ReadLane, TranslationLayer,
@@ -335,8 +336,9 @@ impl SimConfig {
     }
 
     /// A validating builder over `layer`: the same knobs as the `with_*`
-    /// methods, but degenerate values (zero-byte caches, zero-sector zones,
-    /// zero-width long-seek buckets) surface as a typed [`ConfigError`] at
+    /// methods, but degenerate values (zero-byte caches, zones with no
+    /// sector beside their guard band, zero-width long-seek buckets)
+    /// surface as a typed [`ConfigError`] at
     /// [`build`](SimConfigBuilder::build) time instead of panicking or
     /// being silently clamped mid-run.
     pub fn builder(layer: LayerChoice) -> SimConfigBuilder {
@@ -359,8 +361,9 @@ pub enum ConfigError {
     ZeroHostCache,
     /// The selective cache ([`CacheConfig`]) was given zero capacity.
     ZeroSelectiveCache,
-    /// Zones of zero sectors cannot hold any write.
-    ZeroZoneSectors,
+    /// Zones of fewer than two sectors: the last sector of every zone is
+    /// a guard band, so such a zone has no sector left for data.
+    ZonesTooSmall,
     /// A long-seek series with zero operations per bucket has no time
     /// axis ([`LongSeekSeries::new`] panics on it mid-run otherwise).
     ZeroLongseekBucket,
@@ -387,7 +390,7 @@ impl std::fmt::Display for ConfigError {
         let msg = match self {
             ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
-            ConfigError::ZeroZoneSectors => "zones must span at least one sector",
+            ConfigError::ZonesTooSmall => ZONES_TOO_SMALL,
             ConfigError::ZeroLongseekBucket => {
                 "long-seek series buckets must span at least one operation"
             }
@@ -497,8 +500,8 @@ impl SimConfigBuilder {
         if config.host_cache_bytes == Some(0) {
             return Err(ConfigError::ZeroHostCache);
         }
-        if config.zone_sectors == Some(0) {
-            return Err(ConfigError::ZeroZoneSectors);
+        if config.zone_sectors.is_some_and(|z| z < 2) {
+            return Err(ConfigError::ZonesTooSmall);
         }
         if let Some(bucket_ops) = self.longseek_bucket_ops {
             if bucket_ops == 0 {
@@ -737,7 +740,8 @@ struct EngineState {
 /// # Panics
 ///
 /// Panics when `config` is log-structured without a frontier hint (see the
-/// message; [`Simulation::run_trace`] derives the hint before calling).
+/// message; [`Simulation::run_trace`] derives the hint before calling), or
+/// with zones of fewer than two sectors ([`LsConfig::with_zones`]).
 fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
     match config.layer {
         LayerChoice::NoLs => None,
@@ -756,7 +760,9 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
             ls_config.cache = cache;
             ls_config.flash_cache_bytes = config.flash_cache_bytes;
             ls_config.track_fragments = config.track_fragments;
-            ls_config.zone_sectors = config.zone_sectors;
+            if let Some(z) = config.zone_sectors {
+                ls_config = ls_config.with_zones(z);
+            }
             Some(ls_config)
         }
     }
@@ -1809,12 +1815,14 @@ mod tests {
             Err(ConfigError::ZeroLongseekBucket)
         );
         assert_eq!(nols().zones(512).build(), Err(ConfigError::ZonesWithoutLs));
-        assert_eq!(
-            SimConfig::builder(SimConfig::log_structured().layer)
-                .zones(0)
-                .build(),
-            Err(ConfigError::ZeroZoneSectors)
-        );
+        for tiny in [0, 1] {
+            assert_eq!(
+                SimConfig::builder(SimConfig::log_structured().layer)
+                    .zones(tiny)
+                    .build(),
+                Err(ConfigError::ZonesTooSmall)
+            );
+        }
         let empty_cache = CacheConfig { capacity_bytes: 0 };
         assert_eq!(
             SimConfig::builder(SimConfig::ls_with(None, None, Some(empty_cache)).layer).build(),
@@ -1864,6 +1872,9 @@ mod tests {
         assert!(ConfigError::PolicyWithoutMechanisms
             .to_string()
             .contains("mechanism"));
+        assert!(ConfigError::ZonesTooSmall
+            .to_string()
+            .contains("guard band"));
     }
 
     #[test]

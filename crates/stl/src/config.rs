@@ -105,6 +105,10 @@ impl Default for CacheConfig {
     }
 }
 
+/// Why [`LsConfig::with_zones`] refuses a zone size below two sectors.
+pub const ZONES_TOO_SMALL: &str =
+    "zones need at least two sectors: one for data and one for the guard band";
+
 /// Full configuration of a [`crate::LogStructured`] layer.
 ///
 /// # Example
@@ -234,10 +238,9 @@ impl LsConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `zone_sectors < 2` (a zone needs at least one data
-    /// sector and its guard).
+    /// Panics with [`ZONES_TOO_SMALL`] if `zone_sectors < 2`.
     pub fn with_zones(mut self, zone_sectors: u64) -> Self {
-        assert!(zone_sectors >= 2, "zones need at least two sectors");
+        assert!(zone_sectors >= 2, "{ZONES_TOO_SMALL}");
         self.zone_sectors = Some(zone_sectors);
         self
     }

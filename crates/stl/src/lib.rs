@@ -25,9 +25,7 @@
 //!
 //! Supporting analyses: [`fragstats`] (dynamic-fragmentation CDFs, Fig 5;
 //! fragment popularity and cumulative cache size, Fig 10) and [`misorder`]
-//! (mis-ordered writes within a 256 KB window, Fig 8). [`media_cache`]
-//! models the simple media-cache STL that shipped drives use (Section II),
-//! for cleaning-overhead comparisons.
+//! (mis-ordered writes within a 256 KB window, Fig 8).
 //!
 //! # Example
 //!
@@ -55,7 +53,6 @@ pub mod config;
 pub mod fragstats;
 pub mod layer;
 pub mod log;
-pub mod media_cache;
 pub mod misorder;
 pub mod stats;
 
@@ -64,6 +61,5 @@ pub use config::{CacheConfig, DefragConfig, DefragTiming, LsConfig, PrefetchConf
 pub use fragstats::FragmentAccessTracker;
 pub use layer::{NoLs, TranslationLayer};
 pub use log::{LogStructured, ReadLane};
-pub use media_cache::{MediaCacheConfig, MediaCacheStl};
 pub use misorder::{count_misordered_writes, MISORDER_WINDOW_BYTES};
 pub use stats::LsStats;

@@ -9,8 +9,8 @@
 //!
 //! * [`trace`] — block-trace model, parsers, writers, characterization.
 //! * [`extent`] — the LBA→PBA interval map substrate.
-//! * [`disk`] — seek detection, classification, distances, cost model, and
-//!   a zoned-device model.
+//! * [`disk`] — seek detection, classification, distances, and a cost
+//!   model.
 //! * [`cache`] — LRU, fragment cache and prefetch buffer substrates.
 //! * [`stl`] — the translation layers (identity and log-structured) and the
 //!   paper's three seek-reduction mechanisms.
