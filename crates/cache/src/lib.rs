@@ -10,10 +10,9 @@
 //!   fragment it reads.
 //!
 //! Both are built on [`RangeCache`], an LRU-evicted set of sector ranges in
-//! PBA space with a byte budget. A generic keyed [`ByteLru`] is provided as
-//! the simpler building block and for ablation experiments. [`TieredCache`]
-//! stacks a simulated flash tier behind the RAM tier (demotion on RAM
-//! eviction, promotion on flash hit) for the adaptive policy subsystem.
+//! PBA space with a byte budget. [`TieredCache`] stacks a simulated flash
+//! tier behind the RAM tier (demotion on RAM eviction, promotion on flash
+//! hit) for the adaptive policy subsystem.
 //!
 //! # Example
 //!
@@ -28,10 +27,8 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod lru;
 pub mod range;
 pub mod tier;
 
-pub use lru::ByteLru;
 pub use range::RangeCache;
 pub use tier::{TierLookup, TierStats, TieredCache};

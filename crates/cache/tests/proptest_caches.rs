@@ -1,105 +1,12 @@
-//! Property tests: `ByteLru` against a naive recency-list model,
-//! `RangeCache` against a per-sector model and, at a scale that spans many
-//! index chunks, a most-recent-first list model, and `TieredCache`'s fused
-//! lookup-and-admit against a two-call model built from `RangeCache`.
+//! Property tests: `RangeCache` against a per-sector model and, at a scale
+//! that spans many index chunks, a most-recent-first list model, and
+//! `TieredCache`'s fused lookup-and-admit against a two-call model built
+//! from `RangeCache`.
 
 use proptest::prelude::*;
-use smrseek_cache::{ByteLru, RangeCache, TierLookup, TierStats, TieredCache};
+use smrseek_cache::{RangeCache, TierLookup, TierStats, TieredCache};
 use smrseek_trace::Pba;
 use std::collections::HashMap;
-
-// ---------- ByteLru vs naive model ----------
-
-#[derive(Debug, Clone)]
-enum LruOp {
-    Insert(u16, u64),
-    Touch(u16),
-    Remove(u16),
-}
-
-fn lru_ops() -> impl Strategy<Value = Vec<LruOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            3 => (0u16..64, 1u64..50).prop_map(|(k, b)| LruOp::Insert(k, b)),
-            1 => (0u16..64).prop_map(LruOp::Touch),
-            1 => (0u16..64).prop_map(LruOp::Remove),
-        ],
-        1..120,
-    )
-}
-
-/// Naive model: vector ordered most-recent-first.
-#[derive(Default)]
-struct LruModel {
-    entries: Vec<(u16, u64)>, // (key, bytes), MRU first
-    capacity: u64,
-}
-
-impl LruModel {
-    fn bytes(&self) -> u64 {
-        self.entries.iter().map(|&(_, b)| b).sum()
-    }
-
-    fn apply(&mut self, op: &LruOp) -> Vec<u16> {
-        match *op {
-            LruOp::Insert(k, b) => {
-                self.entries.retain(|&(key, _)| key != k);
-                self.entries.insert(0, (k, b));
-                let mut evicted = Vec::new();
-                while self.bytes() > self.capacity && self.entries.len() > 1 {
-                    let (k, _) = self.entries.pop().expect("nonempty");
-                    evicted.push(k);
-                }
-                evicted
-            }
-            LruOp::Touch(k) => {
-                if let Some(pos) = self.entries.iter().position(|&(key, _)| key == k) {
-                    let e = self.entries.remove(pos);
-                    self.entries.insert(0, e);
-                }
-                Vec::new()
-            }
-            LruOp::Remove(k) => {
-                self.entries.retain(|&(key, _)| key != k);
-                Vec::new()
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn byte_lru_matches_model(ops in lru_ops(), capacity in 50u64..400) {
-        let mut lru = ByteLru::new(capacity);
-        let mut model = LruModel {
-            capacity,
-            ..LruModel::default()
-        };
-        for op in &ops {
-            let evicted_model = model.apply(op);
-            let evicted_real = match *op {
-                LruOp::Insert(k, b) => lru.insert(k, b),
-                LruOp::Touch(k) => {
-                    lru.touch(&k);
-                    Vec::new()
-                }
-                LruOp::Remove(k) => {
-                    lru.remove(&k);
-                    Vec::new()
-                }
-            };
-            prop_assert_eq!(&evicted_real, &evicted_model, "op {:?}", op);
-            prop_assert_eq!(lru.bytes_used(), model.bytes());
-            prop_assert_eq!(lru.len(), model.entries.len());
-        }
-        // Final recency order matches exactly.
-        let real: Vec<u16> = lru.keys_by_recency().into_iter().copied().collect();
-        let want: Vec<u16> = model.entries.iter().map(|&(k, _)| k).collect();
-        prop_assert_eq!(real, want);
-    }
-}
 
 // ---------- RangeCache vs per-sector model ----------
 

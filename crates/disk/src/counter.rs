@@ -142,11 +142,6 @@ impl SeekCounter {
     pub fn into_distances(self) -> Vec<i64> {
         self.distances
     }
-
-    /// Underlying head tracker (e.g. to warp the head between phases).
-    pub fn head_mut(&mut self) -> &mut HeadTracker {
-        &mut self.head
-    }
 }
 
 #[cfg(test)]

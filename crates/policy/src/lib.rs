@@ -42,7 +42,8 @@ pub struct PolicyConfig {
     /// `sector / region_sectors`. Must be nonzero.
     pub region_sectors: u64,
     /// EWMA decay shift: each event moves a rate `1/2^shift` of the way
-    /// toward its target, so smaller shifts adapt faster.
+    /// toward its target, so smaller shifts adapt faster. Must be below
+    /// 32, the width of the rates.
     pub ewma_shift: u32,
     /// Log-odds evidence contributed by one fragmented read (toward hot).
     pub frag_weight: i32,
@@ -54,8 +55,37 @@ pub struct PolicyConfig {
     pub hot_exit: i32,
     /// Scores are clamped to `[-score_clamp, score_clamp]` so a long cold
     /// (or hot) streak cannot build unbounded inertia — the HMM-style
-    /// smoothing stays responsive.
+    /// smoothing stays responsive. Must not be negative, and a clamped
+    /// score plus or minus either weight must fit in an `i32`.
     pub score_clamp: i32,
+}
+
+impl PolicyConfig {
+    /// Checks that a [`PolicyEngine`] can run under this configuration
+    /// (no division by zero, over-wide shift or `i32` overflow): the one
+    /// place that decides which values are valid.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first out-of-range field.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        // Scores stay in [-clamp, clamp]; each step adds or subtracts a
+        // weight before clamping again.
+        let fits = |w: i32| i64::from(self.score_clamp) + i64::from(w).abs() <= i64::from(i32::MAX);
+        if self.region_sectors == 0 {
+            Err("`region_sectors` must be at least 1: regions must be non-empty")
+        } else if self.ewma_shift >= u32::BITS {
+            Err("`ewma_shift` must be below 32, the width of the EWMA rates")
+        } else if self.score_clamp < 0 {
+            Err("`score_clamp` must not be negative")
+        } else if !fits(self.frag_weight) {
+            Err("`frag_weight` too large: score_clamp + |frag_weight| exceeds i32::MAX")
+        } else if !fits(self.write_weight) {
+            Err("`write_weight` too large: score_clamp + |write_weight| exceeds i32::MAX")
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl Default for PolicyConfig {
@@ -234,10 +264,11 @@ impl PolicyEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `config.region_sectors` is zero ([`smrseek_sim`]'s config
-    /// builder reports this as a typed error before construction).
+    /// Panics with the [`PolicyConfig::validate`] message if `config` is
+    /// out of range (`smrseek_sim`'s config builder reports the same
+    /// check as a typed error before construction).
     pub fn new(config: PolicyConfig) -> Self {
-        assert!(config.region_sectors > 0, "regions must be non-empty");
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         PolicyEngine {
             config,
             regions: HashMap::new(),
@@ -586,5 +617,22 @@ mod tests {
             region_sectors: 0,
             ..PolicyConfig::default()
         });
+    }
+
+    #[test]
+    fn validate_accepts_each_bound_and_rejects_one_past_it() {
+        let valid = |f: fn(&mut PolicyConfig)| {
+            let mut c = PolicyConfig::default();
+            f(&mut c);
+            c.validate().is_ok()
+        };
+        assert!(valid(|c| c.ewma_shift = 31) && !valid(|c| c.ewma_shift = 32));
+        assert!(valid(|c| c.score_clamp = 0) && !valid(|c| c.score_clamp = -1));
+        // The default weights are 2 (fragmented read) and 1 (write).
+        assert!(
+            valid(|c| c.score_clamp = i32::MAX - 2) && !valid(|c| c.score_clamp = i32::MAX - 1)
+        );
+        assert!(valid(|c| c.frag_weight = -(i32::MAX - 8)) && !valid(|c| c.frag_weight = i32::MIN));
+        assert!(!valid(|c| (c.score_clamp, c.frag_weight) = (i32::MAX, 0)));
     }
 }

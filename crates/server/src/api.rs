@@ -361,11 +361,6 @@ mod tests {
             ),
             (
                 br#"{"trace": {"path": "a"},
-                     "config": {"layer": "ls_adaptive", "policy": {"region_sectors": 0}}}"#,
-                "region",
-            ),
-            (
-                br#"{"trace": {"path": "a"},
                      "config": {"layer": "nols", "policy": {}}}"#,
                 "NoLS",
             ),
@@ -382,6 +377,24 @@ mod tests {
         ] {
             let err = parse_job_request(body).expect_err("must reject");
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        }
+        // Every out-of-range policy field is named in the message.
+        for policy in [
+            r#"{"region_sectors": 0}"#,
+            r#"{"ewma_shift": 32}"#,
+            r#"{"score_clamp": -1}"#,
+            r#"{"frag_weight": 2147483647, "score_clamp": 2147483647}"#,
+            r#"{"write_weight": -2147483648, "score_clamp": 0}"#,
+        ] {
+            let body = format!(
+                r#"{{"trace": {{"path": "a"}}, "config": {{"layer": "ls_adaptive", "policy": {policy}}}}}"#
+            );
+            let err = parse_job_request(body.as_bytes()).expect_err("must reject");
+            let field = policy.split('"').nth(1).unwrap_or_default();
+            assert!(
+                err.starts_with(&format!("invalid policy: `{field}`")),
+                "{err}"
+            );
         }
     }
 

@@ -370,9 +370,11 @@ pub enum ConfigError {
     /// Zoned logging was requested for the NoLS baseline, which keeps no
     /// log — the knob would be silently ignored.
     ZonesWithoutLs,
-    /// The policy classifier was given zero-sector regions: every sector
-    /// would be its own region boundary division by zero.
-    ZeroPolicyRegion,
+    /// The policy configuration is out of range (zero-sector regions, an
+    /// over-wide EWMA shift, a negative score clamp, or weights whose score
+    /// arithmetic could overflow). Carries [`PolicyConfig::validate`]'s
+    /// message, which names the field.
+    Policy(&'static str),
     /// An adaptive policy was requested for the NoLS baseline, which has
     /// no mechanisms to gate.
     PolicyWithoutLs,
@@ -388,6 +390,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
+            ConfigError::Policy(e) => return write!(f, "invalid policy: {e}"),
             ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
             ConfigError::ZonesTooSmall => ZONES_TOO_SMALL,
@@ -395,7 +398,6 @@ impl std::fmt::Display for ConfigError {
                 "long-seek series buckets must span at least one operation"
             }
             ConfigError::ZonesWithoutLs => "the NoLS baseline keeps no log to zone",
-            ConfigError::ZeroPolicyRegion => "policy regions must span at least one sector",
             ConfigError::PolicyWithoutLs => "the NoLS baseline has no mechanisms for a policy to gate",
             ConfigError::PolicyWithoutMechanisms => {
                 "an adaptive policy needs at least one mechanism (defrag, prefetch, or cache) to gate"
@@ -521,9 +523,7 @@ impl SimConfigBuilder {
             return Err(ConfigError::ZeroFlashCache);
         }
         if let Some(policy) = config.policy {
-            if policy.region_sectors == 0 {
-                return Err(ConfigError::ZeroPolicyRegion);
-            }
+            policy.validate().map_err(ConfigError::Policy)?;
         }
         match config.layer {
             LayerChoice::NoLs => {
@@ -1834,15 +1834,19 @@ mod tests {
                 .build(),
             Err(ConfigError::ZeroFlashCache)
         );
-        assert_eq!(
-            SimConfig::builder(SimConfig::ls_cache().layer)
-                .policy(PolicyConfig {
-                    region_sectors: 0,
-                    ..PolicyConfig::default()
-                })
-                .build(),
-            Err(ConfigError::ZeroPolicyRegion)
-        );
+        // Each out-of-range policy field: PolicyConfig::validate's message.
+        for bad in [0, 1, 2, 3] {
+            let mut policy = PolicyConfig::default();
+            match bad {
+                0 => policy.region_sectors = 0,
+                1 => policy.ewma_shift = 32,
+                2 => policy.score_clamp = -1,
+                _ => policy.write_weight = i32::MIN,
+            }
+            let err = policy.validate().expect_err("out of range");
+            let builder = SimConfig::builder(SimConfig::ls_cache().layer).policy(policy);
+            assert_eq!(builder.build(), Err(ConfigError::Policy(err)));
+        }
         assert_eq!(
             nols().policy(PolicyConfig::default()).build(),
             Err(ConfigError::PolicyWithoutLs)

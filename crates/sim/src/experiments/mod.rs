@@ -3,9 +3,9 @@
 //! Each module exposes one structured `run(opts, threads)` returning the
 //! data behind the figure plus a `render(...)` producing the text table
 //! the CLI prints. [`ALL`] lists every experiment once, in the order
-//! `smrseek all` prints them; the CLI, the smoke tests, the
-//! `paper_figures` example and the criterion bench all iterate it. The
-//! experiment index in `DESIGN.md` maps figures to these modules.
+//! `smrseek all` prints them; the CLI, the smoke tests and the
+//! `paper_figures` example all iterate it. The experiment index in
+//! `DESIGN.md` maps figures to these modules.
 
 pub mod ablation;
 pub mod adaptive;

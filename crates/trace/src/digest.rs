@@ -47,11 +47,6 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 pub struct TraceDigest(u128);
 
 impl TraceDigest {
-    /// The raw 128-bit digest value.
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// The digest as 32 lowercase hex characters (the form used in cache
     /// keys and APIs).
     pub fn to_hex(self) -> String {

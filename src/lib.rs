@@ -11,7 +11,8 @@
 //! * [`extent`] — the LBA→PBA interval map substrate.
 //! * [`disk`] — seek detection, classification, distances, and a cost
 //!   model.
-//! * [`cache`] — LRU, fragment cache and prefetch buffer substrates.
+//! * [`cache`] — the fragment cache, prefetch buffer and flash-tier
+//!   substrates.
 //! * [`stl`] — the translation layers (identity and log-structured) and the
 //!   paper's three seek-reduction mechanisms.
 //! * [`workloads`] — deterministic synthetic workload generators with named
@@ -40,3 +41,9 @@ pub use smrseek_sim as sim;
 pub use smrseek_stl as stl;
 pub use smrseek_trace as trace;
 pub use smrseek_workloads as workloads;
+
+/// The README's Rust examples, compiled and run as doctests so they
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
