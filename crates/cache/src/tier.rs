@@ -6,10 +6,9 @@
 //! flash; a flash hit **promotes** the range into RAM, and RAM evictions
 //! **demote** their victims into flash instead of dropping them — so the
 //! flash tier holds the recently-evicted working set that a single-tier
-//! cache would have to re-read from the disk with a seek. The two tiers
-//! have distinct hit costs (a flash hit pays `smrseek-disk`'s
-//! `FlashProfile` latency, a RAM hit is free), which is what makes the
-//! split observable in time-weighted experiments.
+//! cache would have to re-read from the disk with a seek. Either hit
+//! avoids the seek; [`TierStats`] counts RAM and flash hits apart, so the
+//! split shows in every report that carries the per-tier counters.
 //!
 //! Like [`RangeCache`], the tiers track presence and recency only — in a
 //! log-structured system physical sectors are written once, so entries

@@ -109,40 +109,6 @@ impl DiskProfile {
     }
 }
 
-/// Cost model of the simulated flash tier behind the multi-level cache.
-///
-/// A flash hit avoids the disk seek entirely but is not free: it pays a
-/// fixed read latency (controller + NAND sense) plus a bandwidth-bound
-/// transfer term. The defaults approximate a mid-range SATA SSD — ~80 µs
-/// to first byte, ~500 MiB/s sustained — slow enough that a flash hit is
-/// clearly distinguishable from a RAM hit (free) and fast enough to beat
-/// any mechanical seek (≥ 1 ms head movement or a missed rotation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlashProfile {
-    /// Fixed per-read latency in microseconds.
-    pub read_latency_us: f64,
-    /// Sustained read bandwidth in MiB per second.
-    pub mib_per_s: f64,
-}
-
-impl Default for FlashProfile {
-    fn default() -> Self {
-        FlashProfile {
-            read_latency_us: 80.0,
-            mib_per_s: 500.0,
-        }
-    }
-}
-
-impl FlashProfile {
-    /// Time to serve a read of `sectors` sectors from flash, in
-    /// microseconds: fixed latency plus the bandwidth-bound transfer.
-    pub fn read_time_us(&self, sectors: u64) -> f64 {
-        let bytes = sectors as f64 * SECTOR_SIZE as f64;
-        self.read_latency_us + bytes / (self.mib_per_s * 1024.0 * 1024.0) * 1e6
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,30 +165,6 @@ mod tests {
         let d = DiskProfile::default();
         let io = d.io_time_us(1 << 20, 2048);
         assert!((io - (d.seek_time_us(1 << 20) + d.rotation_us())).abs() < 1e-6);
-    }
-
-    #[test]
-    fn flash_hit_beats_any_disk_seek_but_is_not_free() {
-        let flash = FlashProfile::default();
-        let disk = DiskProfile::default();
-        // Zero transfer still pays the fixed latency.
-        assert_eq!(flash.read_time_us(0), flash.read_latency_us);
-        // A typical 8-sector fragment from flash beats even the cheapest
-        // mechanical repositioning (track-to-track or a missed rotation)...
-        assert!(flash.read_time_us(8) < disk.min_seek_us);
-        assert!(flash.read_time_us(8) < disk.seek_time_us(-8));
-        // ...but costs far more than nothing (distinguishing it from RAM).
-        assert!(flash.read_time_us(8) > 50.0);
-    }
-
-    #[test]
-    fn flash_transfer_term_scales_linearly() {
-        let flash = FlashProfile::default();
-        let one_mib = flash.read_time_us(2048) - flash.read_latency_us;
-        let two_mib = flash.read_time_us(4096) - flash.read_latency_us;
-        assert!((two_mib - 2.0 * one_mib).abs() < 1e-9);
-        // 1 MiB at 500 MiB/s = 2 ms.
-        assert!((one_mib - 2000.0).abs() < 1.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod position;
 pub mod seek;
 pub mod series;
 
-pub use cost::{DiskProfile, FlashProfile};
+pub use cost::DiskProfile;
 pub use counter::{SeekCounter, SeekStats};
 pub use histogram::Cdf;
 pub use physio::PhysIo;

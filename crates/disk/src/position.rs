@@ -64,12 +64,6 @@ impl HeadTracker {
         self.next_expected = io.end();
         seek
     }
-
-    /// Moves the head without performing an operation (e.g. after a
-    /// drive-internal activity that repositions it).
-    pub fn warp_to(&mut self, pba: Pba) {
-        self.next_expected = pba;
-    }
 }
 
 #[cfg(test)]
@@ -80,9 +74,9 @@ mod tests {
     #[test]
     fn sequential_stream_is_seek_free_after_first() {
         let mut head = HeadTracker::new();
-        head.warp_to(Pba::new(1000));
+        // The first write seeks from the parked head to the stream.
         let s = head.observe(&PhysIo::write(Pba::new(1000), 8));
-        assert!(s.is_none());
+        assert_eq!(s.map(|s| s.distance), Some(1000));
         for i in 1..10 {
             let io = PhysIo::write(Pba::new(1000 + i * 8), 8);
             assert!(head.observe(&io).is_none(), "op {i} should be contiguous");

@@ -128,9 +128,9 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
         other => return Err(format!("unknown layer {other:?}")),
     };
     // Every knob goes through the engine builder, so the API rejects
-    // exactly what `SimConfig::builder` would: zones too small for a
-    // guard band or on the NoLS baseline, zero-byte caches, a policy with
-    // nothing to gate, a flash tier without its front cache.
+    // exactly what `SimConfig::builder` would: zero-byte caches, a policy
+    // with nothing to gate or out of range, a flash tier without its front
+    // cache.
     let mut builder = SimConfig::builder(preset.layer);
     if let Some(policy) = preset.policy {
         builder = builder.policy(policy);
@@ -165,7 +165,6 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
                 bucket_ops => builder.longseek_series(bucket_ops),
             },
             "host_cache_bytes" => builder.host_cache(uint()?),
-            "zone_sectors" => builder.zones(uint()?),
             "frontier_hint" => builder.frontier_hint(uint()?),
             "flash_cache_bytes" => builder.flash_cache(uint()?),
             "policy" => builder.policy(parse_policy(value)?),
@@ -339,16 +338,8 @@ mod tests {
                 "unknown config field",
             ),
             (
-                br#"{"trace": {"path": "a"}, "config": {"layer": "nols", "zone_sectors": 8}}"#,
-                "no log to zone",
-            ),
-            (
-                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 0}}"#,
-                "guard band",
-            ),
-            (
-                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 1}}"#,
-                "guard band",
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 8}}"#,
+                "unknown config field \"zone_sectors\"",
             ),
             (
                 br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "host_cache_bytes": 0}}"#,

@@ -15,7 +15,9 @@ use smrseek_obs::{DistSpan, PhaseTotals, SpanStore};
 use smrseek_policy::PolicyStats;
 use smrseek_sim::runner::RunMatrix;
 use smrseek_sim::{saf, SimConfig, TraceSource};
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -116,6 +118,28 @@ pub fn run_job(
     .map_err(|e| format!("cannot serialize result: {e}"))
 }
 
+/// [`run_job`] with any panic inside it turned into the job's failure
+/// message, so a replay defect fails one job instead of ending the worker
+/// thread (and stalling every job queued behind it). Asserting unwind
+/// safety holds because a job shares nothing mutable with later jobs: its
+/// trace is read-only and its engine state is dropped with the panic.
+fn run_job_contained(work: &JobWork, threads: NonZeroUsize) -> Result<JobOutcome, String> {
+    panic::catch_unwind(AssertUnwindSafe(|| run_job(work, threads, None)))
+        .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(&*payload))))
+}
+
+/// The text of a panic payload: `panic!` with a literal carries a
+/// `&str`, with format arguments a `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(msg) = payload.downcast_ref::<&str>() {
+        msg
+    } else if let Some(msg) = payload.downcast_ref::<String>() {
+        msg
+    } else {
+        "non-string panic payload"
+    }
+}
+
 /// Records the worker-side spans of one traced job: `queue` (submission
 /// to dequeue — jobs that sat behind a deep queue show it here, not as
 /// mysteriously slow replays) and `replay` (the engine run itself), both
@@ -171,7 +195,7 @@ pub fn spawn_workers(
                 .spawn(move || {
                     while let Some((id, work)) = jobs.next_job() {
                         let replay_span = record_job_spans(&spans, &jobs, id);
-                        let outcome = run_job(&work, threads, None);
+                        let outcome = run_job_contained(&work, threads);
                         if let Some(mut span) = replay_span {
                             span.dur_ns =
                                 smrseek_obs::unix_nanos().saturating_sub(span.start_unix_ns);
@@ -303,5 +327,75 @@ mod tests {
             worker.join().expect("worker exits cleanly");
         }
         assert_eq!(metrics.replayed_total(), 900);
+    }
+
+    /// Polls `id` until it leaves `queued`/`running`, or fails the test.
+    fn wait_terminal(jobs: &JobTable, id: crate::jobs::JobId) -> crate::jobs::JobStatus {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let status = jobs.status(id).expect("known job");
+            if matches!(
+                status.state,
+                crate::jobs::JobState::Done | crate::jobs::JobState::Failed
+            ) {
+                return status;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {id:?} stuck in {:?}",
+                status.state
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn panicking_job_fails_and_frees_its_worker() {
+        // A zero-sector policy region makes `PolicyEngine::new` panic
+        // mid-replay. The API's builder refuses it, so only a hand-built
+        // config reaches a worker this way.
+        let broken = SimConfig::ls_adaptive().with_policy(smrseek_policy::PolicyConfig {
+            region_sectors: 0,
+            ..smrseek_policy::PolicyConfig::default()
+        });
+        let jobs = Arc::new(JobTable::new(8));
+        let submit = |key: &str, config: SimConfig| match jobs.submit(
+            key.to_owned(),
+            JobWork {
+                source: source(),
+                kind: JobKind::Single(Box::new(config)),
+                digest: None,
+            },
+            format!("rq-{key}"),
+        ) {
+            crate::jobs::Submit::Queued(id) => id,
+            other => panic!("expected queue, got {other:?}"),
+        };
+        let bad = submit("bad", broken);
+        let good = submit("good", SimConfig::ls_cache());
+        let workers = spawn_workers(
+            1,
+            Arc::clone(&jobs),
+            Arc::new(Metrics::new()),
+            Arc::new(SpanStore::new(8)),
+            NonZeroUsize::MIN,
+        );
+        let failed = wait_terminal(&jobs, bad);
+        assert_eq!(failed.state, crate::jobs::JobState::Failed);
+        let error = failed.error.expect("failure message");
+        assert!(error.starts_with("job panicked: "), "{error}");
+        assert!(error.contains("region_sectors"), "{error}");
+        let events = jobs.events(bad).expect("known job");
+        assert!(events.is_closed(), "the failed stream is terminated");
+        let frames = String::from_utf8(events.collected()).expect("UTF-8 frames");
+        assert!(frames.contains("event: failed"), "{frames}");
+        let done = wait_terminal(&jobs, good);
+        assert_eq!(done.state, crate::jobs::JobState::Done);
+        let snapshot = jobs.snapshot();
+        assert_eq!((snapshot.failed, snapshot.done), (1, 1));
+        jobs.shutdown();
+        for worker in workers {
+            worker.join().expect("worker exits cleanly");
+        }
     }
 }

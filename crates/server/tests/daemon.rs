@@ -336,10 +336,11 @@ fn status_envelope_inlines_the_result() {
 
 #[test]
 fn degenerate_configs_get_400_and_leave_the_worker_free() {
-    // One worker: a degenerate config that reached it (a zero zone
-    // divides by zero, a one-sector zone is all guard band and spins, a
-    // negative policy score clamp panics) would stall every later job.
-    // In-process, so a stuck worker cannot outlive a failed assertion.
+    // One worker: every degenerate config, and every knob the API does
+    // not have, gets a 400 naming it before it can reach the worker (a
+    // negative policy score clamp would panic there), and the worker stays
+    // free for the valid job after them. In-process, so a stuck worker
+    // cannot outlive a failed assertion.
     let handle = smrseek_server::start(smrseek_server::ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
@@ -347,18 +348,31 @@ fn degenerate_configs_get_400_and_leave_the_worker_free() {
     })
     .expect("start in-process daemon");
     let addr = handle.addr().to_string();
-    for knob in [
-        r#""layer": "ls", "zone_sectors": 0"#,
-        r#""layer": "ls", "zone_sectors": 1"#,
-        r#""layer": "ls", "host_cache_bytes": 0"#,
-        r#""layer": "ls_adaptive", "policy": {"score_clamp": -1}"#,
-        r#""layer": "ls_adaptive", "policy": {"ewma_shift": 40}"#,
-        r#""layer": "ls_adaptive", "policy": {"frag_weight": 2147483647, "score_clamp": 2147483647}"#,
+    for (knob, needle) in [
+        (r#""layer": "ls", "zone_sectors": 8"#, "zone_sectors"),
+        (r#""layer": "ls", "host_cache_bytes": 0"#, "host cache"),
+        (
+            r#""layer": "ls_adaptive", "policy": {"score_clamp": -1}"#,
+            "score_clamp",
+        ),
+        (
+            r#""layer": "ls_adaptive", "policy": {"ewma_shift": 40}"#,
+            "ewma_shift",
+        ),
+        (
+            r#""layer": "ls_adaptive", "policy": {"frag_weight": 2147483647, "score_clamp": 2147483647}"#,
+            "policy",
+        ),
     ] {
         let body =
             format!(r#"{{"trace": {{"profile": "hm_1", "ops": 200}}, "config": {{{knob}}}}}"#);
         let submit = request(&addr, "POST", "/v1/jobs", Some(&body));
         assert_eq!(submit.status, 400, "{knob}: {}", submit.body_str());
+        assert!(
+            submit.body_str().contains(needle),
+            "{knob}: {}",
+            submit.body_str()
+        );
     }
     let submit = request(
         &addr,

@@ -89,9 +89,8 @@ proptest! {
     fn neutral_edits_share_a_key(base in config_strategy(), top in 1u64..1 << 20) {
         let mut edited = base;
         if matches!(base.layer, smrseek_sim::LayerChoice::NoLs) {
-            // Zones, frontier hints, and fragment tracking only exist
-            // under a translation layer; NoLS replays ignore them.
-            edited.zone_sectors = Some(top);
+            // Frontier hints and fragment tracking only exist under a
+            // translation layer; NoLS replays ignore them.
             edited.frontier_hint = Some(top);
             edited.track_fragments = !edited.track_fragments;
         } else {

@@ -19,7 +19,6 @@ use smrseek_cache::{RangeCache, TierStats};
 use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
-use smrseek_stl::config::ZONES_TOO_SMALL;
 use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
     PrefetchConfig, ReadLane, TranslationLayer,
@@ -60,10 +59,6 @@ pub struct SimConfig {
     /// fully covered by recently-touched LBA ranges never reach the
     /// device, writes are write-through and populate the cache.
     pub host_cache_bytes: Option<u64>,
-    /// Back the log with ZBC-style zones of this many sectors (guard-band
-    /// splits; extension) instead of the paper's continuous infinite
-    /// frontier. Ignored for the NoLS baseline.
-    pub zone_sectors: Option<u64>,
     /// Drive the layer's mechanisms through the adaptive policy engine
     /// (`smrseek-policy`): per-region online heat classification gates
     /// defrag rewrites, scales the prefetch window, and admits or denies
@@ -94,7 +89,6 @@ impl SimConfig {
             longseek_bucket_ops: 0,
             track_fragments: false,
             host_cache_bytes: None,
-            zone_sectors: None,
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
@@ -113,7 +107,6 @@ impl SimConfig {
             longseek_bucket_ops: 0,
             track_fragments: false,
             host_cache_bytes: None,
-            zone_sectors: None,
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
@@ -151,7 +144,6 @@ impl SimConfig {
             longseek_bucket_ops: 0,
             track_fragments: false,
             host_cache_bytes: None,
-            zone_sectors: None,
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
@@ -207,12 +199,6 @@ impl SimConfig {
         self
     }
 
-    /// Backs the log with zones of `sectors` sectors.
-    pub fn with_zones(mut self, sectors: u64) -> Self {
-        self.zone_sectors = Some(sectors);
-        self
-    }
-
     /// Declares the logical-space bound (`top` = one past the highest
     /// sector the trace touches), letting [`Simulation::run`] place the
     /// write frontier without scanning the trace.
@@ -241,8 +227,7 @@ impl SimConfig {
     /// report.
     ///
     /// * The NoLS baseline ignores every log-structured knob
-    ///   (`zone_sectors`, `frontier_hint`, `track_fragments`), so they are
-    ///   cleared.
+    ///   (`frontier_hint`, `track_fragments`), so they are cleared.
     /// * For LS layers an unset frontier hint is resolved against `top`
     ///   (one past the trace's highest sector) when known: a run that
     ///   derives the hint from the trace equals one that passes the same
@@ -256,7 +241,6 @@ impl SimConfig {
         let effective = self.effective_defrag();
         match &mut self.layer {
             LayerChoice::NoLs => {
-                self.zone_sectors = None;
                 self.frontier_hint = None;
                 self.track_fragments = false;
                 self.policy = None;
@@ -287,7 +271,7 @@ impl SimConfig {
     /// Whether `self` and `other` can replay as lanes of one translation
     /// ([`Simulation::run_group`]): both log-structured, equal in
     /// everything the extent map, host cache and fragment tracking depend
-    /// on — [effective](Self::effective_defrag) defragmentation, zones,
+    /// on — [effective](Self::effective_defrag) defragmentation,
     /// frontier hint, host cache, `track_fragments` — and neither driven
     /// by a policy that could fire defragmentation (one without a
     /// selective cache, over a configured defrag): that policy's feedback
@@ -303,7 +287,6 @@ impl SimConfig {
                 self.effective_defrag() == other.effective_defrag()
                     && policy_cannot_defrag(self)
                     && policy_cannot_defrag(other)
-                    && self.zone_sectors == other.zone_sectors
                     && self.frontier_hint == other.frontier_hint
                     && self.host_cache_bytes == other.host_cache_bytes
                     && self.track_fragments == other.track_fragments
@@ -336,8 +319,8 @@ impl SimConfig {
     }
 
     /// A validating builder over `layer`: the same knobs as the `with_*`
-    /// methods, but degenerate values (zero-byte caches, zones with no
-    /// sector beside their guard band, zero-width long-seek buckets)
+    /// methods, but degenerate values (zero-byte caches, zero-width
+    /// long-seek buckets, out-of-range policy knobs)
     /// surface as a typed [`ConfigError`] at
     /// [`build`](SimConfigBuilder::build) time instead of panicking or
     /// being silently clamped mid-run.
@@ -361,15 +344,9 @@ pub enum ConfigError {
     ZeroHostCache,
     /// The selective cache ([`CacheConfig`]) was given zero capacity.
     ZeroSelectiveCache,
-    /// Zones of fewer than two sectors: the last sector of every zone is
-    /// a guard band, so such a zone has no sector left for data.
-    ZonesTooSmall,
     /// A long-seek series with zero operations per bucket has no time
     /// axis ([`LongSeekSeries::new`] panics on it mid-run otherwise).
     ZeroLongseekBucket,
-    /// Zoned logging was requested for the NoLS baseline, which keeps no
-    /// log — the knob would be silently ignored.
-    ZonesWithoutLs,
     /// The policy configuration is out of range (zero-sector regions, an
     /// over-wide EWMA shift, a negative score clamp, or weights whose score
     /// arithmetic could overflow). Carries [`PolicyConfig::validate`]'s
@@ -393,11 +370,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Policy(e) => return write!(f, "invalid policy: {e}"),
             ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
-            ConfigError::ZonesTooSmall => ZONES_TOO_SMALL,
             ConfigError::ZeroLongseekBucket => {
                 "long-seek series buckets must span at least one operation"
             }
-            ConfigError::ZonesWithoutLs => "the NoLS baseline keeps no log to zone",
             ConfigError::PolicyWithoutLs => "the NoLS baseline has no mechanisms for a policy to gate",
             ConfigError::PolicyWithoutMechanisms => {
                 "an adaptive policy needs at least one mechanism (defrag, prefetch, or cache) to gate"
@@ -466,12 +441,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Backs the log with zones of `sectors` sectors.
-    pub fn zones(mut self, sectors: u64) -> Self {
-        self.config.zone_sectors = Some(sectors);
-        self
-    }
-
     /// Declares the logical-space bound (see
     /// [`SimConfig::with_frontier_hint`]).
     pub fn frontier_hint(mut self, top: u64) -> Self {
@@ -502,9 +471,6 @@ impl SimConfigBuilder {
         if config.host_cache_bytes == Some(0) {
             return Err(ConfigError::ZeroHostCache);
         }
-        if config.zone_sectors.is_some_and(|z| z < 2) {
-            return Err(ConfigError::ZonesTooSmall);
-        }
         if let Some(bucket_ops) = self.longseek_bucket_ops {
             if bucket_ops == 0 {
                 return Err(ConfigError::ZeroLongseekBucket);
@@ -515,9 +481,6 @@ impl SimConfigBuilder {
             if cache.is_some_and(|cc| cc.capacity_bytes == 0) {
                 return Err(ConfigError::ZeroSelectiveCache);
             }
-        }
-        if matches!(config.layer, LayerChoice::NoLs) && config.zone_sectors.is_some() {
-            return Err(ConfigError::ZonesWithoutLs);
         }
         if config.flash_cache_bytes == Some(0) {
             return Err(ConfigError::ZeroFlashCache);
@@ -740,8 +703,7 @@ struct EngineState {
 /// # Panics
 ///
 /// Panics when `config` is log-structured without a frontier hint (see the
-/// message; [`Simulation::run_trace`] derives the hint before calling), or
-/// with zones of fewer than two sectors ([`LsConfig::with_zones`]).
+/// message; [`Simulation::run_trace`] derives the hint before calling).
 fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
     match config.layer {
         LayerChoice::NoLs => None,
@@ -760,9 +722,6 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
             ls_config.cache = cache;
             ls_config.flash_cache_bytes = config.flash_cache_bytes;
             ls_config.track_fragments = config.track_fragments;
-            if let Some(z) = config.zone_sectors {
-                ls_config = ls_config.with_zones(z);
-            }
             Some(ls_config)
         }
     }
@@ -1449,7 +1408,6 @@ mod tests {
     fn canonical_clears_unobservable_knobs() {
         // NoLS: every LS-only knob is cleared, whatever its value.
         let noisy = SimConfig {
-            zone_sectors: Some(1 << 20),
             frontier_hint: Some(999),
             track_fragments: true,
             ..SimConfig::no_ls()
@@ -1581,8 +1539,6 @@ mod tests {
                 SimConfig::ls_defrag(),
                 SimConfig::ls_with(Some(DefragConfig::idle(1_000)), None, None),
             ),
-            ("zones", ls.with_zones(512), ls),
-            ("zone size", ls.with_zones(512), ls.with_zones(1024)),
             ("frontier hint", ls.with_frontier_hint(4096), ls),
             (
                 "frontier hints",
@@ -1792,13 +1748,11 @@ mod tests {
 
         let built = SimConfig::builder(SimConfig::ls_cache().layer)
             .fragment_tracking()
-            .zones(512)
             .frontier_hint(4096)
             .build()
             .expect("valid config");
         let chained = SimConfig::ls_cache()
             .with_fragment_tracking()
-            .with_zones(512)
             .with_frontier_hint(4096);
         assert_eq!(built, chained);
     }
@@ -1814,15 +1768,6 @@ mod tests {
             nols().longseek_series(0).build(),
             Err(ConfigError::ZeroLongseekBucket)
         );
-        assert_eq!(nols().zones(512).build(), Err(ConfigError::ZonesWithoutLs));
-        for tiny in [0, 1] {
-            assert_eq!(
-                SimConfig::builder(SimConfig::log_structured().layer)
-                    .zones(tiny)
-                    .build(),
-                Err(ConfigError::ZonesTooSmall)
-            );
-        }
         let empty_cache = CacheConfig { capacity_bytes: 0 };
         assert_eq!(
             SimConfig::builder(SimConfig::ls_with(None, None, Some(empty_cache)).layer).build(),
@@ -1876,9 +1821,6 @@ mod tests {
         assert!(ConfigError::PolicyWithoutMechanisms
             .to_string()
             .contains("mechanism"));
-        assert!(ConfigError::ZonesTooSmall
-            .to_string()
-            .contains("guard band"));
     }
 
     #[test]

@@ -11,7 +11,6 @@ pub mod ablation;
 pub mod adaptive;
 pub mod analyze;
 pub mod classify;
-pub mod cleaning;
 pub mod fig10;
 pub mod fig11;
 pub mod fig2;
@@ -25,7 +24,6 @@ pub mod host_cache;
 pub mod reorder;
 pub mod table1;
 pub mod time_amp;
-pub mod zones;
 
 use crate::runner::MatrixStats;
 use serde::{Deserialize, Serialize, Value};
@@ -91,7 +89,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the order `smrseek all` prints them.
-pub static ALL: [Experiment; 19] = [
+pub static ALL: [Experiment; 17] = [
     Experiment {
         name: "table1",
         run: |o, t| Output::of(table1::render, &table1::run(o, t)),
@@ -166,28 +164,8 @@ pub static ALL: [Experiment; 19] = [
         run: |o, t| Output::of(host_cache::render, &host_cache::run(o, t)),
     },
     Experiment {
-        name: "clean",
-        run: |o, t| {
-            let points = cleaning::run(o, t);
-            let policies = cleaning::compare_policies(o, t);
-            Output {
-                text: format!(
-                    "{}\n{}",
-                    cleaning::render(&points),
-                    cleaning::render_policies(&policies)
-                ),
-                json: (&points, &policies).to_value(),
-                stats: None,
-            }
-        },
-    },
-    Experiment {
         name: "reorder",
         run: |o, t| Output::of(reorder::render, &reorder::run(o, t)),
-    },
-    Experiment {
-        name: "zones",
-        run: |o, t| Output::of(zones::render, &zones::run(o, t)),
     },
 ];
 

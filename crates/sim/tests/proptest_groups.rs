@@ -4,8 +4,8 @@
 //! split group (cache lanes on a helper thread) to the same bytes as the
 //! group replayed on one thread.
 //!
-//! A group shares a translation base — defragmentation, zones, host
-//! cache, fragment tracking — and its members vary the read-side
+//! A group shares a translation base — defragmentation, host cache,
+//! fragment tracking — and its members vary the read-side
 //! mechanisms (prefetch, selective cache, flash tier) and seek recording
 //! (distances, long-seek series) independently. Over a defrag-free base,
 //! members may also be driven by an adaptive policy that can never fire
@@ -82,18 +82,15 @@ fn member(base: SimConfig, mechanisms: u8, recording: u8, bucket_ops: u64) -> Si
     config
 }
 
-/// The shared base: defrag (0 off, 1 immediate, 2 idle), zones, host
-/// cache, fragment tracking.
-fn base(defrag: usize, zones: bool, host_cache: bool, track: bool) -> SimConfig {
+/// The shared base: defrag (0 off, 1 immediate, 2 idle), host cache,
+/// fragment tracking.
+fn base(defrag: usize, host_cache: bool, track: bool) -> SimConfig {
     let defrag = match defrag {
         0 => None,
         1 => Some(DefragConfig::default()),
         _ => Some(DefragConfig::idle(1_500)),
     };
     let mut config = SimConfig::ls_with(defrag, None, None);
-    if zones {
-        config = config.with_zones(64);
-    }
     if host_cache {
         config = config.with_host_cache(32 * 512);
     }
@@ -191,7 +188,6 @@ fn reference(config: &SimConfig, trace: &[TraceRecord]) -> (SeekStats, LsStats, 
     ls_config.prefetch = prefetch;
     ls_config.cache = cache;
     ls_config.flash_cache_bytes = config.flash_cache_bytes;
-    ls_config.zone_sectors = config.zone_sectors;
     ls_config.track_fragments = config.track_fragments;
     let mut ls = LogStructured::new(ls_config);
     let mut policy = PolicyEngine::new(config.policy.expect("a policy member"));
@@ -260,12 +256,11 @@ proptest! {
     fn group_reports_match_single_runs_byte_for_byte(
         trace in trace(),
         defrag in 0usize..3,
-        zones in prop::bool::ANY,
         host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         members in prop::collection::vec((0u8..8, 0u8..4), 1..6),
     ) {
-        let base = base(defrag, zones, host_cache, track);
+        let base = base(defrag, host_cache, track);
         let configs: Vec<SimConfig> =
             members.iter().map(|&(m, r)| member(base, m, r, 16)).collect();
         let reports = Simulation::run_group(&configs, &[], &trace);
@@ -283,14 +278,13 @@ proptest! {
     fn split_group_matches_inline_group_on_random_traces(
         trace in trace(),
         defrag in 0usize..3,
-        zones in prop::bool::ANY,
         host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         plain_recording in 0u8..4,
         members in prop::collection::vec((0u8..8, 0u8..4), 0..4),
         flash in prop::bool::ANY,
     ) {
-        let base = base(defrag, zones, host_cache, track);
+        let base = base(defrag, host_cache, track);
         let (configs, helper) = split_group(base, plain_recording, &members, flash, 16);
         let inline = to_json(&Simulation::run_group(&configs, &[], &trace));
         let split = to_json(&Simulation::run_group(&configs, &helper, &trace));
@@ -310,14 +304,13 @@ proptest! {
         seed in 0u64..1_000,
         ops in 4_000usize..10_000,
         defrag in 0usize..3,
-        zones in prop::bool::ANY,
         host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         members in prop::collection::vec((0u8..8, 0u8..4), 0..3),
         flash in prop::bool::ANY,
     ) {
         let trace = profiles::all()[profile].generate_scaled(seed, ops);
-        let base = base(defrag, zones, host_cache, track);
+        let base = base(defrag, host_cache, track);
         let (configs, helper) = split_group(base, 3, &members, flash, 1_000);
         let inline = to_json(&Simulation::run_group(&configs, &[], &trace));
         let split = to_json(&Simulation::run_group(&configs, &helper, &trace));
@@ -335,13 +328,12 @@ proptest! {
     #[test]
     fn policy_lanes_match_single_runs_inline_and_split(
         trace in trace(),
-        zones in prop::bool::ANY,
         host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         fixed in prop::collection::vec((0u8..8, 0u8..4), 0..3),
         driven in prop::collection::vec((0u8..8, 0u8..4, policy()), 1..4),
     ) {
-        let base = base(0, zones, host_cache, track);
+        let base = base(0, host_cache, track);
         let (configs, helper) = policy_group(base, &fixed, &driven);
         let reports = Simulation::run_group(&configs, &[], &trace);
         let inline = to_json(&reports);

@@ -105,10 +105,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// Why [`LsConfig::with_zones`] refuses a zone size below two sectors.
-pub const ZONES_TOO_SMALL: &str =
-    "zones need at least two sectors: one for data and one for the guard band";
-
 /// Full configuration of a [`crate::LogStructured`] layer.
 ///
 /// # Example
@@ -143,12 +139,6 @@ pub struct LsConfig {
     /// (needed by the Fig 5 / Fig 10 experiments; off by default to keep
     /// memory flat on huge traces).
     pub track_fragments: bool,
-    /// Zone size in sectors for ZBC-style zoned backing (extension beyond
-    /// the paper's idealized infinite frontier): the last sector of every
-    /// zone is a guard band the log skips, so appends split at zone
-    /// boundaries and physical contiguity breaks there. `None` models the
-    /// paper's continuous infinite disk.
-    pub zone_sectors: Option<u64>,
 }
 
 impl LsConfig {
@@ -163,7 +153,6 @@ impl LsConfig {
             cache: None,
             flash_cache_bytes: None,
             track_fragments: false,
-            zone_sectors: None,
         }
     }
 
@@ -220,8 +209,7 @@ impl LsConfig {
     }
 
     /// Whether `self` and `other` build the same extent map from the same
-    /// records: equal frontier, defragmentation, zones and fragment
-    /// tracking. They may differ only in the read-side mechanisms
+    /// records: equal frontier, defragmentation and fragment tracking. They may differ only in the read-side mechanisms
     /// (prefetch, selective cache, flash tier), which decide which reads
     /// reach the disk but never write the map — so one
     /// [`LogStructured`](crate::LogStructured) can serve both as read
@@ -229,20 +217,7 @@ impl LsConfig {
     pub fn shares_translation(&self, other: &LsConfig) -> bool {
         self.frontier_start == other.frontier_start
             && self.defrag == other.defrag
-            && self.zone_sectors == other.zone_sectors
             && self.track_fragments == other.track_fragments
-    }
-
-    /// Backs the log with zones of `zone_sectors` sectors (ZBC-style; the
-    /// last sector of each zone is a guard band).
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`ZONES_TOO_SMALL`] if `zone_sectors < 2`.
-    pub fn with_zones(mut self, zone_sectors: u64) -> Self {
-        assert!(zone_sectors >= 2, "{ZONES_TOO_SMALL}");
-        self.zone_sectors = Some(zone_sectors);
-        self
     }
 }
 

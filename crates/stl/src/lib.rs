@@ -48,7 +48,6 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod cleaner;
 pub mod config;
 pub mod fragstats;
 pub mod layer;
@@ -56,7 +55,6 @@ pub mod log;
 pub mod misorder;
 pub mod stats;
 
-pub use cleaner::{CleanerConfig, CleanerPolicy, CleanerStats, CleaningLog};
 pub use config::{CacheConfig, DefragConfig, DefragTiming, LsConfig, PrefetchConfig};
 pub use fragstats::FragmentAccessTracker;
 pub use layer::{NoLs, TranslationLayer};

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 ///   when enabled in [`LsConfig`].
 ///
 /// One layer can serve several configurations at once
-/// ([`with_lanes`](Self::with_lanes)): the extent map, frontier, zones,
+/// ([`with_lanes`](Self::with_lanes)): the extent map, frontier,
 /// defragmentation and fragment tracking are kept once, and each
 /// configuration gets a *read lane* holding only what its read-side
 /// mechanisms (prefetch buffer, selective cache, flash tier) need. Those
@@ -219,7 +219,7 @@ impl LogStructured {
         let config = *configs.first().expect("a layer needs at least one lane");
         assert!(
             configs.iter().all(|c| c.shares_translation(&config)),
-            "read lanes must share one translation (frontier, defrag, zones, fragment tracking)"
+            "read lanes must share one translation (frontier, defrag, fragment tracking)"
         );
         LogStructured {
             frontier: config.frontier_start,
@@ -389,57 +389,16 @@ impl LogStructured {
         self.runs = runs;
     }
 
-    /// Appends `sectors` at the frontier for logical range starting `lba`,
-    /// emitting the physical writes to every lane (one, unless zoned
-    /// backing splits the append at guard bands).
+    /// Appends `sectors` at the frontier for logical range starting `lba`
+    /// and emits the physical write to every lane: writes go to the
+    /// shared log, so every configuration pays them.
     fn append_into(&mut self, lba: Lba, sectors: u64, sink: &mut dyn FnMut(usize, PhysIo)) {
-        match self.config.zone_sectors {
-            None => {
-                let at = self.frontier;
-                self.map.insert(lba, sectors, at);
-                self.frontier += sectors;
-                self.write_to_lanes(PhysIo::write(at, sectors), sink);
-            }
-            Some(z) => self.append_zoned_into(lba, sectors, z, sink),
-        }
-    }
-
-    /// Counts one physical write and emits it to every lane: writes go to
-    /// the shared log, so every configuration pays them.
-    fn write_to_lanes(&mut self, io: PhysIo, sink: &mut dyn FnMut(usize, PhysIo)) {
+        let io = PhysIo::write(self.frontier, sectors);
+        self.map.insert(lba, sectors, io.pba);
+        self.frontier += sectors;
         self.stats.phys_writes += 1;
         for k in 0..self.lanes.len() {
             sink(k, io);
-        }
-    }
-
-    /// Zoned append: the last sector of each zone is a guard band; the
-    /// frontier skips it and the write splits into per-zone pieces. Pieces
-    /// are physically non-adjacent (the guard separates them), so later
-    /// reads see the discontinuity.
-    fn append_zoned_into(
-        &mut self,
-        lba: Lba,
-        sectors: u64,
-        z: u64,
-        sink: &mut dyn FnMut(usize, PhysIo),
-    ) {
-        let mut cur_lba = lba;
-        let mut left = sectors;
-        while left > 0 {
-            let offset = self.frontier.sector() % z;
-            if offset == z - 1 {
-                // Skip the guard sector.
-                self.frontier += 1;
-                continue;
-            }
-            let room = (z - 1) - offset;
-            let take = left.min(room);
-            self.map.insert(cur_lba, take, self.frontier);
-            self.write_to_lanes(PhysIo::write(self.frontier, take), sink);
-            self.frontier += take;
-            cur_lba += take;
-            left -= take;
         }
     }
 
@@ -1060,68 +1019,6 @@ mod tests {
             "nothing left to defragment: {flushed:?}"
         );
         assert_eq!(ls.stats().defrag_rewrites, 0);
-    }
-
-    #[test]
-    fn zoned_append_splits_at_guard_bands() {
-        let cfg = LsConfig::new(lba(1000)).with_zones(8); // 7 data + 1 guard
-        let mut ls = LogStructured::new(cfg);
-        // Frontier starts at 1000 (offset 0 in its zone of [1000..1008)?
-        // zones are absolute: zone of 1000 is [1000/8*8=1000? 1000%8=0].
-        let w = ls.apply(&TraceRecord::write(0, lba(0), 10));
-        // Zone layout: sectors ..1006 data, 1007 guard, 1008.. next zone.
-        assert_eq!(
-            w,
-            vec![PhysIo::write(pba(1000), 7), PhysIo::write(pba(1008), 3)]
-        );
-        assert_eq!(ls.frontier(), pba(1011));
-        // A read of the whole range splits at the guard.
-        let r = ls.apply(&TraceRecord::read(1, lba(0), 10));
-        assert_eq!(
-            r,
-            vec![PhysIo::read(pba(1000), 7), PhysIo::read(pba(1008), 3)]
-        );
-    }
-
-    #[test]
-    fn zoned_append_skips_guard_exactly() {
-        let cfg = LsConfig::new(lba(0)).with_zones(4); // 3 data + 1 guard
-        let mut ls = LogStructured::new(cfg);
-        // Writes of 3 sectors fill exactly one zone's data each.
-        for t in 0..3u64 {
-            let w = ls.apply(&TraceRecord::write(t, lba(t * 3), 3));
-            assert_eq!(w.len(), 1, "no split needed: {w:?}");
-            assert_eq!(w[0].pba, pba(t * 4));
-        }
-        assert_eq!(ls.frontier(), pba(11)); // 8 + 3, guard at 11 pending
-                                            // Map translations stay correct across guards.
-        assert_eq!(ls.map().translate(lba(4)), Some(pba(5)));
-        assert_eq!(ls.map().translate(lba(8)), Some(pba(10)));
-    }
-
-    #[test]
-    fn zoned_log_increases_fragmentation_realistically() {
-        // Same workload, with and without zones: the zoned log can only
-        // have equal or more physical reads (guard-band splits).
-        let mk = |zones: Option<u64>| {
-            let mut cfg = LsConfig::new(lba(100_000));
-            cfg.zone_sectors = zones;
-            let mut ls = LogStructured::new(cfg);
-            let mut phys_reads = 0usize;
-            for i in 0..200u64 {
-                ls.apply(&TraceRecord::write(i, lba(i * 64), 48));
-            }
-            for i in 0..200u64 {
-                phys_reads += ls
-                    .apply(&TraceRecord::read(1000 + i, lba(i * 64), 48))
-                    .len();
-            }
-            phys_reads
-        };
-        let flat = mk(None);
-        let zoned = mk(Some(256));
-        assert!(zoned >= flat, "zoned {zoned} < flat {flat}");
-        assert!(zoned > flat, "expected some guard-band splits");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The lanes differ only in read-side mechanisms (none, prefetch, cache,
 //! cache with a flash tier, prefetch plus cache) over a shared translation
 //! base: defragmentation off, immediate or idle-batched, with or without
-//! zones and fragment tracking. Caches and buffers are sized small so
+//! fragment tracking. Caches and buffers are sized small so
 //! evictions and flash demotions happen within a short trace.
 
 use proptest::prelude::*;
@@ -38,18 +38,15 @@ fn trace() -> impl Strategy<Value = Vec<TraceRecord>> {
     })
 }
 
-/// The shared translation: defrag (0 off, 1 immediate, 2 idle), zones,
-/// fragment tracking.
-fn base(trace: &[TraceRecord], defrag: usize, zones: bool, track: bool) -> LsConfig {
+/// The shared translation: defrag (0 off, 1 immediate, 2 idle), fragment
+/// tracking.
+fn base(trace: &[TraceRecord], defrag: usize, track: bool) -> LsConfig {
     let mut config = LsConfig::for_trace(trace);
     config.defrag = match defrag {
         0 => None,
         1 => Some(DefragConfig::default()),
         _ => Some(DefragConfig::idle(1_500)),
     };
-    if zones {
-        config = config.with_zones(64);
-    }
     config.track_fragments = track;
     config
 }
@@ -83,10 +80,9 @@ proptest! {
     fn every_lane_matches_a_single_lane_layer(
         trace in trace(),
         defrag in 0usize..3,
-        zones in prop::bool::ANY,
         track in prop::bool::ANY,
     ) {
-        let configs = lanes(base(&trace, defrag, zones, track));
+        let configs = lanes(base(&trace, defrag, track));
         let mut shared = LogStructured::with_lanes(&configs);
         let mut per_lane: Vec<Vec<PhysIo>> = vec![Vec::new(); configs.len()];
         for rec in &trace {

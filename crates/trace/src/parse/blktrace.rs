@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Fields: `dev cpu seq timestamp pid action rwbs sector + count [proc]`.
-//! Only one action type is kept (default `Q`, queue events) so each
-//! logical request is counted once; RWBS strings containing `R` map to
+//! Only queue (`Q`) events are kept, so each logical request is counted
+//! once; RWBS strings containing `R` map to
 //! reads, `W` to writes, others (e.g. pure flush/discard) are skipped.
 
 use super::LineParser;
@@ -34,27 +34,13 @@ use crate::types::Lba;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct BlktraceParser {
-    action: char,
-}
+#[derive(Debug, Clone, Default)]
+pub struct BlktraceParser;
 
 impl BlktraceParser {
     /// Keeps queue (`Q`) events.
     pub fn new() -> Self {
-        BlktraceParser { action: 'Q' }
-    }
-
-    /// Keeps a different action type (e.g. `'C'` for completions, `'D'`
-    /// for dispatches).
-    pub fn with_action(action: char) -> Self {
-        BlktraceParser { action }
-    }
-}
-
-impl Default for BlktraceParser {
-    fn default() -> Self {
-        BlktraceParser::new()
+        BlktraceParser
     }
 }
 
@@ -73,9 +59,9 @@ impl LineParser for BlktraceParser {
         let action = req(&mut fields, line_no, "action")?;
         let rwbs = req(&mut fields, line_no, "rwbs")?;
 
-        // Non-matching actions (C, D, I, M, ...) are simply skipped —
-        // they describe the same request at a different lifecycle stage.
-        if !(action.len() == 1 && action.starts_with(self.action)) {
+        // Other actions (C, D, I, M, ...) are simply skipped — they
+        // describe the same request at a different lifecycle stage.
+        if action != "Q" {
             return Ok(None);
         }
         let op = if rwbs.contains('R') {
@@ -174,10 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn completions_selectable() {
-        let recs = parse_reader(SAMPLE.as_bytes(), BlktraceParser::with_action('C')).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].timestamp_us, 200);
+    fn other_lifecycle_events_skipped() {
+        let mut p = BlktraceParser::new();
+        for line in SAMPLE.lines().filter(|l| !l.contains(" Q ")) {
+            assert!(p.parse_line(line, 1).unwrap().is_none(), "{line}");
+        }
+        let repeated = "  8,0 1 1 0.0 1 QQ W 1024 + 8 [x]";
+        assert!(p.parse_line(repeated, 1).unwrap().is_none());
     }
 
     #[test]
