@@ -95,11 +95,6 @@ impl Cdf {
             .collect()
     }
 
-    /// The sorted samples.
-    pub fn samples(&self) -> &[i64] {
-        &self.sorted
-    }
-
     /// Folds another CDF's samples into this one (linear-time merge of the
     /// two sorted sample sets). The result equals building one CDF from the
     /// concatenated raw samples.

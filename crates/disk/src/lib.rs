@@ -6,6 +6,10 @@
 //! operation, and term it a read or write seek according to whether the
 //! second of the two operations is a read or write."*
 //!
+//! Like the paper, the model counts seeks: it does not time them, and it
+//! sees I/Os in the order they are issued (no device queue re-orders
+//! them).
+//!
 //! Modules:
 //!
 //! * [`physio`] — the physical I/O operation fed to the seek model.
@@ -16,7 +20,6 @@
 //!   [`SeekStats`]).
 //! * [`histogram`] — distance CDFs (Fig 4).
 //! * [`series`] — per-operation-bucket long-seek time series (Fig 3).
-//! * [`cost`] — a seek-time cost model (rotational + head travel, §III).
 //!
 //! # Example
 //!
@@ -34,7 +37,6 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod cost;
 pub mod counter;
 pub mod histogram;
 pub mod physio;
@@ -42,7 +44,6 @@ pub mod position;
 pub mod seek;
 pub mod series;
 
-pub use cost::DiskProfile;
 pub use counter::{SeekCounter, SeekStats};
 pub use histogram::Cdf;
 pub use physio::PhysIo;

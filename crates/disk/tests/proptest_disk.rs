@@ -1,8 +1,8 @@
 //! Property tests for the disk crate: the seek counter against a direct
-//! re-implementation, CDF axioms, and cost-model monotonicity.
+//! re-implementation and CDF axioms.
 
 use proptest::prelude::*;
-use smrseek_disk::{Cdf, DiskProfile, PhysIo, SeekCounter};
+use smrseek_disk::{Cdf, PhysIo, SeekCounter};
 use smrseek_trace::{OpKind, Pba};
 
 fn io_strategy() -> impl Strategy<Value = PhysIo> {
@@ -67,22 +67,6 @@ proptest! {
         for &p in &[0.01, 0.25, 0.5, 0.75, 0.99, 1.0] {
             let q = cdf.quantile(p).expect("nonempty");
             prop_assert!(cdf.fraction_at_or_below(q) >= p - 1e-12);
-        }
-    }
-
-    /// Seek cost is nonnegative, and for long seeks monotone in distance.
-    #[test]
-    fn cost_model_sane(d in 1i64..1 << 40) {
-        let p = DiskProfile::default();
-        let t = p.seek_time_us(d);
-        prop_assert!(t >= 0.0 && t.is_finite());
-        let further = p.seek_time_us(d.saturating_mul(2));
-        if d as u64 >= p.sectors_per_track {
-            prop_assert!(further >= t - 1e-9, "d={d}: {t} then {further}");
-        }
-        // Backward never cheaper than forward for short hops.
-        if (d as u64) < p.sectors_per_track {
-            prop_assert!(p.seek_time_us(-d) >= t - 1e-9);
         }
     }
 }

@@ -165,7 +165,6 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
                 bucket_ops => builder.longseek_series(bucket_ops),
             },
             "host_cache_bytes" => builder.host_cache(uint()?),
-            "frontier_hint" => builder.frontier_hint(uint()?),
             "flash_cache_bytes" => builder.flash_cache(uint()?),
             "policy" => builder.policy(parse_policy(value)?),
             other => return Err(format!("unknown config field {other:?}")),
@@ -340,6 +339,10 @@ mod tests {
             (
                 br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 8}}"#,
                 "unknown config field \"zone_sectors\"",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "frontier_hint": 0}}"#,
+                "unknown config field \"frontier_hint\"",
             ),
             (
                 br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "host_cache_bytes": 0}}"#,

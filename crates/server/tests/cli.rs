@@ -441,7 +441,7 @@ fn all_smoke_test_runs_every_experiment() {
     }
     // The per-run timing summary goes to stderr, never stdout.
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("17 experiments"), "timing summary on stderr");
+    assert!(err.contains("15 experiments"), "timing summary on stderr");
     assert!(!text.contains("experiments,"), "stdout stays clean");
 }
 
@@ -546,15 +546,13 @@ fn threads_flag_rejects_zero() {
 
 #[test]
 fn extension_commands_run() {
-    for command in ["timeamp", "hostcache", "reorder"] {
-        let out = smrseek(&[command, "--ops", "1000"]);
-        assert!(
-            out.status.success(),
-            "{command}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(stdout(&out).contains("Extension"));
-    }
+    let out = smrseek(&["hostcache", "--ops", "1000"]);
+    assert!(
+        out.status.success(),
+        "hostcache: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout(&out).contains("Extension"));
 }
 
 #[test]

@@ -350,6 +350,12 @@ fn degenerate_configs_get_400_and_leave_the_worker_free() {
     let addr = handle.addr().to_string();
     for (knob, needle) in [
         (r#""layer": "ls", "zone_sectors": 8"#, "zone_sectors"),
+        // The daemon places the frontier above the trace itself; a client
+        // bound near u64::MAX would overflow the log's placement arithmetic.
+        (
+            r#""layer": "ls", "frontier_hint": 18446744073709551615"#,
+            "frontier_hint",
+        ),
         (r#""layer": "ls", "host_cache_bytes": 0"#, "host cache"),
         (
             r#""layer": "ls_adaptive", "policy": {"score_clamp": -1}"#,

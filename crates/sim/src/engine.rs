@@ -441,13 +441,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Declares the logical-space bound (see
-    /// [`SimConfig::with_frontier_hint`]).
-    pub fn frontier_hint(mut self, top: u64) -> Self {
-        self.config.frontier_hint = Some(top);
-        self
-    }
-
     /// Drives the layer's mechanisms through the adaptive policy engine.
     pub fn policy(mut self, policy: PolicyConfig) -> Self {
         self.config.policy = Some(policy);
@@ -1748,12 +1741,9 @@ mod tests {
 
         let built = SimConfig::builder(SimConfig::ls_cache().layer)
             .fragment_tracking()
-            .frontier_hint(4096)
             .build()
             .expect("valid config");
-        let chained = SimConfig::ls_cache()
-            .with_fragment_tracking()
-            .with_frontier_hint(4096);
+        let chained = SimConfig::ls_cache().with_fragment_tracking();
         assert_eq!(built, chained);
     }
 

@@ -21,9 +21,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fragmentation;
 pub mod host_cache;
-pub mod reorder;
 pub mod table1;
-pub mod time_amp;
 
 use crate::runner::MatrixStats;
 use serde::{Deserialize, Serialize, Value};
@@ -89,7 +87,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the order `smrseek all` prints them.
-pub static ALL: [Experiment; 17] = [
+pub static ALL: [Experiment; 15] = [
     Experiment {
         name: "table1",
         run: |o, t| Output::of(table1::render, &table1::run(o, t)),
@@ -156,16 +154,8 @@ pub static ALL: [Experiment; 17] = [
         },
     },
     Experiment {
-        name: "timeamp",
-        run: |o, t| Output::of(time_amp::render, &time_amp::run(o, t)),
-    },
-    Experiment {
         name: "hostcache",
         run: |o, t| Output::of(host_cache::render, &host_cache::run(o, t)),
-    },
-    Experiment {
-        name: "reorder",
-        run: |o, t| Output::of(reorder::render, &reorder::run(o, t)),
     },
 ];
 

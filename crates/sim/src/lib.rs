@@ -26,7 +26,6 @@ pub mod plotdata;
 pub mod report;
 pub mod runner;
 pub mod saf;
-pub mod scheduler;
 pub mod tracecache;
 
 pub use engine::{ConfigError, LayerChoice, RunReport, SimConfig, SimConfigBuilder, Simulation};

@@ -9,8 +9,8 @@
 //!
 //! * [`trace`] — block-trace model, parsers, writers, characterization.
 //! * [`extent`] — the LBA→PBA interval map substrate.
-//! * [`disk`] — seek detection, classification, distances, and a cost
-//!   model.
+//! * [`disk`] — seek detection, classification, distances and long-seek
+//!   series.
 //! * [`cache`] — the fragment cache, prefetch buffer and flash-tier
 //!   substrates.
 //! * [`stl`] — the translation layers (identity and log-structured) and the
