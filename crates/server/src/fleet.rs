@@ -3,7 +3,7 @@
 //! A fleet is a static list of daemon addresses, each running with the
 //! same `--peers` list. Every job key — the same canonical
 //! (trace digest × config) string the result cache uses — maps to exactly
-//! one *owner* via a consistent-hash ring ([`VNODES`] virtual nodes per
+//! one *owner* via a consistent-hash ring (`VNODES` virtual nodes per
 //! peer, FNV-1a hashed). A daemon that receives a submission it does not
 //! own re-POSTs the body to the owner with the `x-smrseek-forwarded`
 //! marker and relays the owner's response verbatim (plus an
@@ -155,7 +155,7 @@ impl Fleet {
 }
 
 /// Re-POSTs a submission body to `peer` and returns the relayed
-/// `(status, body)`. Blocking with [`FORWARD_TIMEOUT`]s on connect,
+/// `(status, body)`. Blocking with `FORWARD_TIMEOUT`s on connect,
 /// read, and write — callers run on the auxiliary dispatch pool, never
 /// the reactor thread.
 ///

@@ -3,10 +3,11 @@
 //! Each job carries an append-only [`smrseek_net::EventStream`] of
 //! pre-encoded SSE frames: `queued` on submission, `running` when a
 //! worker picks it up, a `phases` frame carrying the engine's
-//! per-[`Phase`] timing from `smrseek-obs` once the replay finishes, and
-//! a terminal `done`/`failed` frame after which the stream closes and
-//! subscribers see EOF. Subscribers that connect late replay the full
-//! history — the stream is the job's progress log, not a fan-out bus.
+//! per-[`Phase`](smrseek_obs::Phase) timing from `smrseek-obs` once the
+//! replay finishes, and a terminal `done`/`failed` frame after which the
+//! stream closes and subscribers see EOF. Subscribers that connect late
+//! replay the full history — the stream is the job's progress log, not a
+//! fan-out bus.
 
 use serde::{Number, Value};
 use smrseek_obs::PhaseTotals;

@@ -257,10 +257,9 @@ impl RunMatrix {
 
     /// Executes every cell on up to `threads` scoped workers and returns
     /// the outcomes *in cell order* — the thread count changes wall time
-    /// and grouping, never results. Workers claim
-    /// [translation groups](Self::groups); each group's translation
-    /// replays serially on one worker, and a [split](Self::plan) group's
-    /// cache lanes on a helper thread beside it.
+    /// and grouping, never results. Workers claim translation groups;
+    /// each group's translation replays serially on one worker, and a
+    /// split group's cache lanes on a helper thread beside it.
     ///
     /// Timing of an `n`-cell group: each cell reports a wall of the
     /// group's wall divided by `n`, starting `k` such walls after the
@@ -428,9 +427,9 @@ where
 
 /// The argument of [`RunMatrix::execute_with`], which ignores it: every
 /// cell's translation replays serially, and the runner derives grouping
-/// and [splits](RunMatrix::plan) from the thread and group counts alone,
-/// so there is nothing left to choose. This one-variant enum exists only
-/// because the benchmark harness under `perfbench/` still calls
+/// and splits from the thread and group counts alone, so there is nothing
+/// left to choose. This one-variant enum exists only because the
+/// benchmark harness under `perfbench/` still calls
 /// `execute_with(threads, ShardPolicy::Auto)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {

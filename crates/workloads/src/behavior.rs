@@ -115,7 +115,6 @@ pub fn generate(
     seed: u64,
 ) -> Vec<TraceRecord> {
     behavior.validate();
-    let mut b = TraceBuilder::new(seed);
     let region_start = Lba::new(0);
     let total_ops = (read_ops + write_ops) as u64;
     let region_sectors = (behavior.region_mib * MIB / SECTOR_SIZE)
@@ -123,6 +122,20 @@ pub fn generate(
         .div_ceil(NOMINAL_OPS as u64)
         .max(2 * MIB / SECTOR_SIZE);
     let cycles = behavior.cycles as usize;
+    let ops_per_chunk = ops_per_chunk(mean_write_sectors);
+
+    // Room for exactly the writes the cycles below emit (descending bursts
+    // round up to whole chunks), so neither the written ranges nor the
+    // Zipf table over them reallocates.
+    let writes: usize = (0..cycles)
+        .map(|cycle| {
+            let [seq, desc, int, rand] =
+                split_writes(behavior, per_cycle(write_ops, cycles, cycle));
+            seq + desc.div_ceil(ops_per_chunk) * ops_per_chunk + int + rand
+        })
+        .sum();
+    let mut b = TraceBuilder::with_write_capacity(seed, writes);
+
     // A separate, ever-ascending area for pure sequential write streams so
     // they do not overwrite (defragment) the hot region.
     let mut seq_cursor = Lba::new(region_sectors);
@@ -135,26 +148,13 @@ pub fn generate(
         let r = per_cycle(read_ops, cycles, cycle);
 
         // ---- write phase ----
-        let w_seq = frac(w, behavior.wr_sequential);
-        let w_desc = frac(w, behavior.wr_descending);
-        let w_int = frac(w, behavior.wr_interleaved);
-        let w_rand = w.saturating_sub(w_seq + w_desc + w_int);
-
+        let [w_seq, w_desc, w_int, w_rand] = split_writes(behavior, w);
         if w_seq > 0 {
             b.write_sequential(seq_cursor, w_seq, mean_write_sectors);
             seq_cursor += w_seq as u64 * u64::from(mean_write_sectors);
         }
         if w_desc > 0 {
-            // Bursts of descending chunks at random bases inside the
-            // region. Chunk size adapts to the write size so that a chunk
-            // boundary's logical successor lands within the 256 KB
-            // mis-order window (Fig 8): the volume between a chunk's first
-            // write and the op that completes the preceding chunk is
-            // (2 * ops_per_chunk - 1) writes.
-            let write_bytes = u64::from(mean_write_sectors) * SECTOR_SIZE;
-            let ops_per_chunk =
-                usize::try_from((224 * 1024 / write_bytes.max(1)).div_ceil(2).clamp(1, 6))
-                    .expect("small");
+            // Bursts of descending chunks at random bases inside the region.
             let chunks_per_burst = 4;
             let burst = ops_per_chunk * chunks_per_burst;
             let mut left = w_desc;
@@ -223,7 +223,32 @@ pub fn generate(
             b.read_random(region_start, region_sectors, r_rand, mean_read_sectors);
         }
     }
+    debug_assert_eq!(
+        b.written_ranges().len(),
+        writes,
+        "sized to the emitted writes"
+    );
     b.finish()
+}
+
+/// A cycle's `w` writes by placement: `[sequential, descending,
+/// interleaved, random]`, the remainder of the fractions falling through
+/// to random.
+fn split_writes(behavior: &Behavior, w: usize) -> [usize; 4] {
+    let seq = frac(w, behavior.wr_sequential);
+    let desc = frac(w, behavior.wr_descending);
+    let int = frac(w, behavior.wr_interleaved);
+    [seq, desc, int, w.saturating_sub(seq + desc + int)]
+}
+
+/// Writes per descending chunk. Chunk size adapts to the write size so
+/// that a chunk boundary's logical successor lands within the 256 KB
+/// mis-order window (Fig 8): the volume between a chunk's first write and
+/// the op that completes the preceding chunk is (2 * ops_per_chunk - 1)
+/// writes.
+fn ops_per_chunk(mean_write_sectors: u32) -> usize {
+    let write_bytes = u64::from(mean_write_sectors) * SECTOR_SIZE;
+    usize::try_from((224 * 1024 / write_bytes.max(1)).div_ceil(2).clamp(1, 6)).expect("small")
 }
 
 /// Share of `total` for cycle `i` of `cycles`, distributing remainders to

@@ -43,17 +43,28 @@ pub struct TraceBuilder {
     records: Vec<TraceRecord>,
     /// Ranges written so far, in temporal order, for replay/zipf reads.
     written_ranges: Vec<(Lba, u32)>,
+    /// Zipf prefix sums over `written_ranges`' ranks, kept across read
+    /// bursts and extended as ranges are written; replaced only when a
+    /// burst asks for another θ.
+    zipf: Option<Zipf>,
 }
 
 impl TraceBuilder {
     /// Creates a builder seeded with `seed` (same seed ⇒ same trace).
     pub fn new(seed: u64) -> Self {
+        TraceBuilder::with_write_capacity(seed, 0)
+    }
+
+    /// Creates a builder seeded with `seed` with room for `writes` written
+    /// ranges, and as many Zipf re-read ranks, before either reallocates.
+    pub(crate) fn with_write_capacity(seed: u64, writes: usize) -> Self {
         TraceBuilder {
             rng: StdRng::seed_from_u64(seed),
             clock_us: 0,
             interarrival_us: 1_000,
             records: Vec::new(),
-            written_ranges: Vec::new(),
+            written_ranges: Vec::with_capacity(writes),
+            zipf: None,
         }
     }
 
@@ -244,12 +255,8 @@ impl TraceBuilder {
         if self.written_ranges.is_empty() {
             return;
         }
-        let n = self.written_ranges.len();
-        let zipf = Zipf::new(n, theta);
         for _ in 0..count {
-            let rank = zipf.sample(&mut self.rng);
-            // rank 0 = most recent write.
-            let (lba, sectors) = self.written_ranges[n - 1 - rank];
+            let (lba, sectors) = self.zipf_written_range(theta);
             self.push(OpKind::Read, lba, sectors);
         }
     }
@@ -262,14 +269,26 @@ impl TraceBuilder {
         if self.written_ranges.is_empty() {
             return;
         }
-        let n = self.written_ranges.len();
-        let zipf = Zipf::new(n, theta);
         for _ in 0..count {
-            let rank = zipf.sample(&mut self.rng);
-            let (lba, sectors) = self.written_ranges[n - 1 - rank];
+            let (lba, sectors) = self.zipf_written_range(theta);
             let start = Lba::new(lba.sector().saturating_sub(u64::from(halo_sectors)));
             self.push(OpKind::Read, start, sectors + 2 * halo_sectors);
         }
+    }
+
+    /// One Zipf(θ) draw over the ranges written so far, rank 0 the most
+    /// recent. The kept table is extended in place to the ranges written
+    /// since the last draw; a new θ starts a new table with room for as
+    /// many ranks as `written_ranges` has.
+    fn zipf_written_range(&mut self, theta: f64) -> (Lba, u32) {
+        let zipf = match &mut self.zipf {
+            Some(z) if z.theta() == theta => z,
+            slot => slot.insert(Zipf::with_capacity(theta, self.written_ranges.capacity())),
+        };
+        let n = self.written_ranges.len();
+        zipf.extend_to(n);
+        let rank = zipf.sample(&mut self.rng);
+        self.written_ranges[n - 1 - rank]
     }
 }
 
@@ -383,6 +402,24 @@ mod tests {
             .filter(|r| r.op == OpKind::Read && r.lba == last_write_lba)
             .count();
         assert!(hot > 50, "most recent range must dominate, got {hot}");
+    }
+
+    #[test]
+    fn zipf_table_follows_the_writes_and_each_bursts_theta() {
+        let mut b = TraceBuilder::with_write_capacity(4, 300);
+        b.write_random(Lba::new(0), 1 << 16, 100, 8);
+        b.read_zipf_written(50, 0.8);
+        b.write_random(Lba::new(0), 1 << 16, 100, 8);
+        b.read_straddling_written(50, 0.8, 16);
+        assert_eq!(b.zipf.as_ref().map(Zipf::len), Some(200));
+
+        // A new θ must draw exactly as a table built for it from scratch.
+        let mut fresh = b.clone();
+        fresh.zipf = None;
+        b.read_zipf_written(50, 1.6);
+        fresh.read_zipf_written(50, 1.6);
+        assert_eq!(b.zipf, fresh.zipf);
+        assert_eq!(b.finish(), fresh.finish());
     }
 
     #[test]
