@@ -1,28 +1,25 @@
-//! Zero-dependency nonblocking network core for smrseekd.
+//! Zero-dependency blocking network core for smrseekd.
 //!
-//! The crate supplies the daemon's event-driven connection layer: an
-//! `epoll(7)`-based readiness loop ([`serve`]) owning every connection on
-//! one reactor thread, incremental HTTP/1.1 request framing and parsing
-//! ([`RequestFramer`] → [`Request`]) with head/body size limits and
-//! idle/slow-loris reaping, a pluggable [`Dispatcher`] that answers each
-//! parsed request with an [`Action`] (respond inline, stream an
-//! [`EventStream`], or defer blocking work to an auxiliary pool), and a
-//! self-pipe [`Waker`] so producers on any thread can nudge the loop.
+//! Every connection carries one request and gets `Connection: close`, so
+//! [`serve`] runs one accept thread plus one thread per open connection,
+//! parked and reused between connections. A connection's thread frames
+//! its request ([`RequestFramer`] → [`Request`]) under size limits and a
+//! deadline, hands it to a [`Dispatcher`] whose [`Action`] answers it or
+//! follows an [`EventStream`] as Server-Sent Events, and writes the answer
+//! under a deadline. Above a connection cap the accept thread answers 503.
 //!
-//! The raw syscalls are declared in [`sys`] instead of pulling in
-//! `libc`/`mio`: the workspace builds offline with vendored stand-ins
-//! only.
+//! [`Poller`] wraps `epoll(7)` over the raw syscalls in [`sys`] (the
+//! workspace builds offline, without `libc`); only a nonblocking benchmark
+//! client uses it.
 
 pub mod sys;
 
 mod conn;
 mod poller;
-mod reactor;
+mod server;
 mod stream;
-mod wake;
 
 pub use conn::{FrameStatus, FramingLimits, Request, RequestFramer};
 pub use poller::{Event, Interest, Poller};
-pub use reactor::{serve, Action, Dispatcher, LoopStats, NetConfig, NetHandle};
+pub use server::{serve, Action, Dispatcher, LoopStats, NetConfig, NetHandle};
 pub use stream::EventStream;
-pub use wake::Waker;

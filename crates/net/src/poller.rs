@@ -29,12 +29,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// No readiness interest: the fd stays registered but reports only
-    /// errors and hangups.
-    pub const NONE: Interest = Interest {
-        readable: false,
-        writable: false,
-    };
 
     fn mask(self) -> u32 {
         let mut events = 0;
@@ -110,7 +104,7 @@ impl Poller {
 
     /// Removes `fd` from the interest list.
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::NONE)
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::default())
     }
 
     /// Waits for readiness, appending events to `out`. A `None` timeout

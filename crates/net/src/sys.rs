@@ -1,11 +1,9 @@
-//! Minimal raw syscall declarations for the readiness loop.
+//! Minimal raw syscall declarations for [`crate::Poller`].
 //!
-//! The workspace builds with vendored stand-ins only, so the epoll and
-//! pipe syscalls are declared here instead of pulling in `libc`/`mio`. The declarations are
+//! The workspace builds with vendored stand-ins only, so the epoll
+//! syscalls are declared here instead of pulling in `libc`/`mio`. The declarations are
 //! Linux-shaped; the crate is only built on the Linux hosts the daemon
 //! targets.
-
-use std::ffi::c_void;
 
 /// `EPOLL_CTL_ADD`: register a new fd with the epoll instance.
 pub const EPOLL_CTL_ADD: i32 = 1;
@@ -27,10 +25,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 
 /// `EPOLL_CLOEXEC` for [`epoll_create1`] (same value as `O_CLOEXEC`).
 pub const EPOLL_CLOEXEC: i32 = 0o2000000;
-/// `O_CLOEXEC` for [`pipe2`].
-pub const O_CLOEXEC: i32 = 0o2000000;
-/// `O_NONBLOCK` for [`pipe2`].
-pub const O_NONBLOCK: i32 = 0o4000;
 
 /// One readiness event, kernel ABI layout (packed on x86_64, naturally
 /// aligned elsewhere — matching glibc's per-arch definition).
@@ -51,12 +45,6 @@ extern "C" {
     pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     /// `epoll_wait(2)`: blocks until events are ready or the timeout lapses.
     pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    /// `pipe2(2)`: creates a pipe with the given status flags.
-    pub fn pipe2(pipefd: *mut i32, flags: i32) -> i32;
-    /// `read(2)`: used to drain the self-pipe waker.
-    pub fn read(fd: i32, buf: *mut c_void, count: usize) -> isize;
-    /// `write(2)`: used to signal the self-pipe waker.
-    pub fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
-    /// `close(2)`: releases the epoll and pipe fds.
+    /// `close(2)`: releases the epoll fd.
     pub fn close(fd: i32) -> i32;
 }

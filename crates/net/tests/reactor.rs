@@ -1,10 +1,10 @@
-//! End-to-end tests of the readiness loop with real sockets.
+//! End-to-end tests of the connection server with real sockets.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use smrseek_net::{serve, Action, EventStream, FramingLimits, NetConfig, NetHandle, Request};
 
@@ -21,7 +21,7 @@ fn quick_config() -> NetConfig {
         limits: FramingLimits::default(),
         idle_timeout: Duration::from_millis(400),
         ping_interval: Duration::from_millis(200),
-        aux_threads: 2,
+        max_connections: 512,
     }
 }
 
@@ -35,7 +35,7 @@ fn describe(request: &Request) -> String {
     )
 }
 
-/// Starts a reactor whose dispatcher echoes the parsed request line and
+/// Starts a server whose dispatcher echoes the parsed request line and
 /// body length.
 fn echo_server(config: NetConfig) -> NetHandle {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -49,6 +49,9 @@ fn echo_server(config: NetConfig) -> NetHandle {
 
 fn roundtrip(handle: &NetHandle, request: &[u8]) -> String {
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
     stream.write_all(request).expect("write");
     let mut out = String::new();
     stream.read_to_string(&mut out).expect("read");
@@ -66,23 +69,40 @@ fn inline_respond_roundtrip() {
 }
 
 #[test]
-fn deferred_respond_roundtrip() {
+fn blocking_dispatch_does_not_hold_up_other_connections() {
+    // The dispatcher runs on the connection's own thread and may block:
+    // while a slow request sits inside it, a quick one is still answered.
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let gate = Mutex::new((entered_tx, release_rx));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|request: Request| {
-            Action::Defer(Box::new(move || {
-                // Simulates blocking work off the reactor thread.
-                std::thread::sleep(Duration::from_millis(20));
-                Action::Respond(response_bytes(&format!("deferred {}", describe(&request))))
-            }))
+        Arc::new(move |request: Request| {
+            if request.target == "/slow" {
+                let gate = gate.lock().expect("gate lock");
+                gate.0.send(()).expect("signal entry");
+                gate.1
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("released");
+            }
+            Action::Respond(response_bytes(&describe(&request)))
         }),
         quick_config(),
     )
     .expect("serve");
-    let resp = roundtrip(&handle, b"POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc");
-    assert!(resp.ends_with("deferred POST /x body=3"), "got: {resp}");
-    assert_eq!(handle.stats().deferred.load(Ordering::Relaxed), 1);
+    let mut slow = TcpStream::connect(handle.local_addr()).expect("connect");
+    slow.write_all(b"POST /slow HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc")
+        .expect("write");
+    entered_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("slow request dispatched");
+    let quick = roundtrip(&handle, b"GET /quick HTTP/1.1\r\n\r\n");
+    assert!(quick.ends_with("GET /quick body=0"), "got: {quick}");
+    release_tx.send(()).expect("release");
+    let mut out = String::new();
+    slow.read_to_string(&mut out).expect("read");
+    assert!(out.ends_with("POST /slow body=3"), "got: {out}");
     handle.shutdown();
 }
 
@@ -126,7 +146,7 @@ fn stalled_mid_head_connection_is_reaped() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
     let mut out = Vec::new();
-    // The reactor must reap us (EOF) rather than waiting forever.
+    // The server must reap us (EOF) rather than waiting forever.
     stream.read_to_end(&mut out).expect("read to eof");
     assert!(out.is_empty(), "no response expected, got {out:?}");
     assert_eq!(handle.stats().reaped_idle.load(Ordering::Relaxed), 1);
@@ -254,7 +274,7 @@ fn idle_stream_receives_ping_comments() {
         .expect("write");
     conn.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
-    // No events arrive; after ping_interval the loop writes a comment.
+    // No events arrive; after ping_interval the server writes a comment.
     std::thread::sleep(Duration::from_millis(600));
     stream_log.close();
     let mut out = String::new();
@@ -303,9 +323,8 @@ fn loop_stats_readers_cover_every_counter() {
     stats.accept_errors.fetch_add(3, Ordering::Relaxed);
     stats.active.fetch_add(5, Ordering::Relaxed);
     stats.reaped_idle.fetch_add(7, Ordering::Relaxed);
-    stats.deferred.fetch_add(11, Ordering::Relaxed);
-    stats.wakeups.fetch_add(13, Ordering::Relaxed);
-    stats.streaming.fetch_add(17, Ordering::Relaxed);
+    stats.refused.fetch_add(11, Ordering::Relaxed);
+    stats.streaming.fetch_add(13, Ordering::Relaxed);
     let readers = LoopStats::readers();
     let names: Vec<&str> = readers.iter().map(|(name, _)| *name).collect();
     assert_eq!(
@@ -315,11 +334,157 @@ fn loop_stats_readers_cover_every_counter() {
             "accept_errors",
             "active",
             "reaped_idle",
-            "deferred",
-            "wakeups",
+            "refused",
             "streaming"
         ]
     );
     let values: Vec<u64> = readers.iter().map(|(_, read)| read(&stats)).collect();
-    assert_eq!(values, [2, 3, 5, 7, 11, 13, 17]);
+    assert_eq!(values, [2, 3, 5, 7, 11, 13]);
+}
+
+/// Polls `read` until it returns `want`, for at most five seconds.
+fn wait_for(what: &str, want: u64, read: impl Fn() -> u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while read() != want {
+        assert!(Instant::now() < deadline, "{what} never reached {want}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn connection_over_the_cap_gets_503() {
+    let handle = echo_server(NetConfig {
+        idle_timeout: Duration::from_secs(5),
+        max_connections: 2,
+        ..quick_config()
+    });
+    let stats = handle.stats();
+    // Two clients hold both slots by stalling mid-head.
+    let held: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+            stream.write_all(b"GET /held HTTP/1.1\r\n").expect("write");
+            stream
+        })
+        .collect();
+    wait_for("active", 2, || stats.active.load(Ordering::Relaxed));
+    // The third is answered by the accept thread and closed; it reads
+    // without writing, so no unread request bytes can reset the close.
+    let mut third = TcpStream::connect(handle.local_addr()).expect("connect");
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut out = String::new();
+    third.read_to_string(&mut out).expect("read");
+    assert!(out.starts_with("HTTP/1.1 503 "), "got: {out}");
+    assert!(out.contains("retry-after: 1\r\n"), "got: {out}");
+    assert_eq!(stats.refused.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.active.load(Ordering::Relaxed), 2);
+    // Freeing a slot lets the next connection through.
+    drop(held);
+    wait_for("active", 0, || stats.active.load(Ordering::Relaxed));
+    let resp = roundtrip(&handle, b"GET /after HTTP/1.1\r\n\r\n");
+    assert!(resp.ends_with("GET /after body=0"), "got: {resp}");
+    assert_eq!(stats.accepted.load(Ordering::Relaxed), 4);
+    handle.shutdown();
+}
+
+#[test]
+fn many_concurrent_stream_subscribers_all_follow_to_close() {
+    // 256 subscribers, all opened from this one thread: the server runs
+    // one thread per subscriber (257 with the accept thread), well under
+    // the default cap.
+    const SUBSCRIBERS: usize = 256;
+    let stream_log = Arc::new(EventStream::new());
+    stream_log.append(b"event: a\ndata: 1\n\n");
+    let dispatch_log = Arc::clone(&stream_log);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = serve(
+        listener,
+        Arc::new(move |_request: Request| Action::Stream {
+            head:
+                b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\nconnection: close\r\n\r\n"
+                    .to_vec(),
+            stream: Arc::clone(&dispatch_log),
+        }),
+        NetConfig {
+            idle_timeout: Duration::from_secs(10),
+            ping_interval: Duration::from_secs(10),
+            ..quick_config()
+        },
+    )
+    .expect("serve");
+    let stats = handle.stats();
+    let mut conns: Vec<TcpStream> = (0..SUBSCRIBERS)
+        .map(|_| TcpStream::connect(handle.local_addr()).expect("connect"))
+        .collect();
+    for conn in &mut conns {
+        conn.write_all(b"GET /events HTTP/1.1\r\n\r\n")
+            .expect("write");
+    }
+    wait_for("streaming", SUBSCRIBERS as u64, || {
+        stats.streaming.load(Ordering::Relaxed)
+    });
+    stream_log.append(b"event: b\ndata: 2\n\n");
+    stream_log.close();
+    for mut conn in conns {
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut out = String::new();
+        conn.read_to_string(&mut out).expect("read");
+        let a = out.find("event: a").expect("history chunk");
+        let b = out.find("event: b").expect("live chunk");
+        assert!(a < b, "events out of order: {out}");
+    }
+    wait_for("active", 0, || stats.active.load(Ordering::Relaxed));
+    assert_eq!(stats.refused.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.reaped_idle.load(Ordering::Relaxed), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_closes_open_streams_and_stalled_requests() {
+    let stream_log = Arc::new(EventStream::new());
+    let dispatch_log = Arc::clone(&stream_log);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let handle = serve(
+        listener,
+        Arc::new(move |_request: Request| Action::Stream {
+            head: b"HTTP/1.1 200 OK\r\nconnection: close\r\n\r\n".to_vec(),
+            stream: Arc::clone(&dispatch_log),
+        }),
+        NetConfig {
+            idle_timeout: Duration::from_secs(30),
+            ping_interval: Duration::from_secs(30),
+            ..quick_config()
+        },
+    )
+    .expect("serve");
+    let stats = handle.stats();
+    let mut streaming = TcpStream::connect(handle.local_addr()).expect("connect");
+    streaming
+        .write_all(b"GET /events HTTP/1.1\r\n\r\n")
+        .expect("write");
+    let mut stalled = TcpStream::connect(handle.local_addr()).expect("connect");
+    stalled.write_all(b"GET /x HTTP/1.1\r\n").expect("write");
+    wait_for("streaming", 1, || stats.streaming.load(Ordering::Relaxed));
+    wait_for("active", 2, || stats.active.load(Ordering::Relaxed));
+    // Neither the open stream nor the stalled request may hold shutdown
+    // for its 30 s timeouts: every connection is closed and joined.
+    let started = Instant::now();
+    handle.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown waited {:?}",
+        started.elapsed()
+    );
+    for stream in [&mut streaming, &mut stalled] {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut out = Vec::new();
+        let _ = stream.read_to_end(&mut out);
+    }
+    assert_eq!(stats.active.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.streaming.load(Ordering::Relaxed), 0);
 }

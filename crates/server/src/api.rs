@@ -19,6 +19,7 @@
 use serde::Value;
 use smrseek_policy::PolicyConfig;
 use smrseek_sim::SimConfig;
+use smrseek_workloads::profiles::MAX_OPS;
 use std::path::PathBuf;
 
 /// Where a job's records come from.
@@ -91,9 +92,12 @@ fn parse_trace_ref(v: &Value) -> Result<TraceRef, String> {
                 None => return Err("`trace.ops` is required for profile traces".to_owned()),
                 Some(o) => o
                     .as_u64()
-                    .ok_or_else(|| "`trace.ops` must be an unsigned integer".to_owned())?
-                    as usize,
+                    .ok_or_else(|| "`trace.ops` must be an unsigned integer".to_owned())?,
             };
+            if ops > MAX_OPS as u64 {
+                return Err(format!("`trace.ops` must be at most {MAX_OPS}"));
+            }
+            let ops = ops as usize;
             Ok(TraceRef::Profile {
                 name: name.to_owned(),
                 seed,
@@ -316,7 +320,23 @@ mod tests {
 
     #[test]
     fn rejects_malformed_requests() {
+        // The JSON parser stops at upstream serde_json's nesting limit
+        // (127 levels parse, the 128th fails) instead of recursing once
+        // per byte; 10,000 `[` once overflowed the parsing thread's stack.
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let (deep, deeper, deepest) = (nested(127), nested(128), "[".repeat(10_000));
+        let profile_ops = |ops| format!(r#"{{"trace": {{"profile": "usr_1", "ops": {ops}}}}}"#);
+        assert!(parse_job_request(profile_ops(MAX_OPS).as_bytes()).is_ok());
+        let over_cap = profile_ops(MAX_OPS + 1);
         for (body, needle) in [
+            (deep.as_bytes(), "missing field `trace`"),
+            (deeper.as_bytes(), "recursion limit"),
+            (deepest.as_bytes(), "recursion limit"),
+            (over_cap.as_bytes(), "`trace.ops` must be at most 50000000"),
+            (
+                br#"{"trace": {"profile": "w91", "ops": 10000000000}}"#,
+                "`trace.ops` must be at most",
+            ),
             (&b"not json"[..], "not valid JSON"),
             (br#"{}"#, "missing field `trace`"),
             (br#"{"trace": {}}"#, "`path` or `profile`"),

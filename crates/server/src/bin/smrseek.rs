@@ -48,6 +48,7 @@ use smrseek_trace::binary;
 use smrseek_trace::parse::{parse_path, sniff_path, DetectedFormat};
 use smrseek_trace::writer::write_cp_csv;
 use smrseek_trace::{characterize, TraceRecord};
+use smrseek_workloads::profiles::MAX_OPS;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Write};
@@ -169,6 +170,9 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .ok_or_else(|| CliError::usage("--ops needs a value"))?
                     .parse()
                     .map_err(|_| CliError::usage("--ops must be an integer"))?;
+                if args.opts.ops > MAX_OPS {
+                    return Err(CliError::usage(format!("--ops must be at most {MAX_OPS}")));
+                }
                 args.ops_explicit = true;
             }
             "--seed" => {

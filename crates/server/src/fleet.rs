@@ -156,8 +156,8 @@ impl Fleet {
 
 /// Re-POSTs a submission body to `peer` and returns the relayed
 /// `(status, body)`. Blocking with `FORWARD_TIMEOUT`s on connect,
-/// read, and write — callers run on the auxiliary dispatch pool, never
-/// the reactor thread.
+/// read, and write; the caller is the submitting connection's own
+/// thread.
 ///
 /// `trace` is the [`smrseek_obs::dtrace::TRACE_HEADER`] value for the hop
 /// (the origin's trace id plus its `forward` span id), when the request

@@ -3,13 +3,14 @@
 //! The daemon needs exactly one request per connection, no TLS, no
 //! chunked encoding, and bounded header/body sizes — a few hundred lines
 //! of `std` beat an external dependency here (the build environment is
-//! offline; see `vendor/README.md`). Requests are framed and parsed by
-//! `smrseek-net`'s [`RequestFramer`](smrseek_net::RequestFramer); this
-//! module re-exports its [`Request`] and writes the responses. Every
-//! response carries `Connection: close`, so clients never have to reason
-//! about keep-alive against a daemon that may be draining for shutdown.
-
-use std::io::{self, Write};
+//! offline; see `vendor/README.md`). Each connection's thread frames and
+//! parses its request with `smrseek-net`'s
+//! [`RequestFramer`](smrseek_net::RequestFramer); this module re-exports
+//! its [`Request`] and serializes the responses that thread writes. Every
+//! response carries `Connection: close`: one request per connection is
+//! what lets the daemon serve each connection on one short-lived thread,
+//! and clients never have to reason about keep-alive against a daemon
+//! that may be draining for shutdown.
 
 pub use smrseek_net::Request;
 
@@ -73,11 +74,25 @@ impl Response {
     }
 }
 
-/// Serializes `response` to wire bytes (what [`write_response`] would
-/// send) — the form the nonblocking reactor queues for flushing.
+/// Serializes `response` to wire bytes — the form a dispatcher hands its
+/// connection thread to write.
 pub fn response_bytes(response: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(response.body.len() + 256);
-    write_response(&mut out, response).expect("writing to a Vec cannot fail");
+    let mut head = format!(
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
+        response.status,
+        response.reason(),
+        response.content_type,
+        response.body.len(),
+    );
+    for (name, value) in &response.extra {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+    let mut out = head.into_bytes();
+    out.extend_from_slice(&response.body);
     out
 }
 
@@ -106,31 +121,6 @@ pub fn parse_response(raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
         }
         _ => Err(format!("bad status line {status_line:?}")),
     }
-}
-
-/// Writes `response` to `stream` and flushes it.
-///
-/// # Errors
-///
-/// Propagates transport write failures.
-pub fn write_response(stream: &mut impl Write, response: &Response) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
-        response.status,
-        response.reason(),
-        response.content_type,
-        response.body.len(),
-    );
-    for (name, value) in &response.extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -212,10 +202,8 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
         let resp = Response::json(503, "{}").with_header("retry-after", "1");
-        write_response(&mut out, &resp).expect("writes");
-        let text = String::from_utf8(out).expect("utf8");
+        let text = String::from_utf8(response_bytes(&resp)).expect("utf8");
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("connection: close\r\n"));

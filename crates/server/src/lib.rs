@@ -22,15 +22,16 @@
 //! | `GET /healthz`             | liveness probe (text: `ok`, workers, queue depth/capacity, fleet view) |
 //! | `GET /metrics`             | Prometheus text exposition                   |
 //!
-//! Since PR 9 the daemon fronts everything with the nonblocking
-//! event-loop core in `smrseek-net`: one reactor thread multiplexes
-//! every connection through epoll, slow or stalled clients are reaped on
-//! a deadline instead of pinning a thread, quick GETs answer inline on
-//! the reactor, and submissions (which may load a trace or forward to a
-//! peer) run on a small auxiliary pool — worker threads only ever replay
-//! simulations. With `--peers`, N daemons shard the result cache by
-//! consistent hashing on the job key so each unique sweep is computed
-//! exactly once fleet-wide (see [`fleet`]).
+//! Every connection carries one request, so the daemon fronts everything
+//! with `smrseek-net`'s blocking core: one accept thread and one thread
+//! per connection, which frames the request, routes it inline (a
+//! submission may load a trace or forward to a peer on that thread) and
+//! writes the answer. Absolute request and response deadlines close
+//! stalled clients, and a connection cap answers 503 instead of starting
+//! another thread; worker threads only ever replay simulations. With
+//! `--peers`, N daemons shard the result cache by consistent hashing on
+//! the job key so each unique sweep is computed exactly once fleet-wide
+//! (see [`fleet`]).
 //!
 //! Everything is `std`: `std::net` sockets, `std::thread` workers, the
 //! vendored `serde_json` for JSON. See [`http`] for the wire format,
@@ -115,12 +116,10 @@ pub struct ServerConfig {
     /// including this one's bound address) for sharding the result cache.
     /// Empty means a standalone daemon.
     pub peers: Vec<String>,
-    /// How long a connection may sit without delivering a complete
-    /// request (or draining a response) before the reactor reaps it.
+    /// How long a connection may take to deliver its whole request (or
+    /// to drain a response write) before it is closed and counted as
+    /// reaped.
     pub idle_timeout: Duration,
-    /// Auxiliary dispatch threads for work too slow for the reactor
-    /// (trace loading, peer forwarding).
-    pub aux_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -132,7 +131,6 @@ impl Default for ServerConfig {
             job_threads: NonZeroUsize::MIN,
             peers: Vec::new(),
             idle_timeout: Duration::from_secs(10),
-            aux_threads: 2,
         }
     }
 }
@@ -187,7 +185,7 @@ impl Handle {
         &self.state
     }
 
-    /// Graceful shutdown: stop the reactor (open connections are closed,
+    /// Graceful shutdown: stop the server (open connections are closed,
     /// no new ones accepted), let every worker finish the job it is
     /// running (queued jobs are dropped), and join all threads.
     pub fn shutdown(mut self) {
@@ -238,7 +236,6 @@ pub fn start(config: ServerConfig) -> io::Result<Handle> {
         dispatcher,
         NetConfig {
             idle_timeout: config.idle_timeout,
-            aux_threads: config.aux_threads.max(1),
             ..NetConfig::default()
         },
     )?;
@@ -251,37 +248,16 @@ pub fn start(config: ServerConfig) -> io::Result<Handle> {
     })
 }
 
-/// Bridges the reactor to daemon routing. Quick GETs answer inline on
-/// the reactor thread; `POST /v1/jobs` defers to the auxiliary pool
-/// (resolving a trace can load + digest a file, and fleet forwarding
-/// blocks on a peer); `GET /v1/jobs/<id>/events` returns the job's live
-/// event stream.
+/// Bridges the connection threads to daemon routing:
+/// `GET /v1/jobs/<id>/events` returns the job's live event stream, and
+/// everything else goes through [`route`].
 struct DaemonDispatcher {
     state: Arc<ServerState>,
     fleet: Option<Arc<Fleet>>,
 }
 
-/// Logs and accounts one finished request, returning the wire bytes.
-fn finish(
-    state: &ServerState,
-    endpoint: Endpoint,
-    line: &str,
-    request_id: &str,
-    response: Response,
-    started: Instant,
-) -> Vec<u8> {
-    let response = response.with_header("x-request-id", request_id);
-    let elapsed = started.elapsed();
-    smrseek_obs::info!(
-        "request_id={request_id} {line} status={} duration_us={}",
-        response.status,
-        elapsed.as_micros()
-    );
-    state.metrics.observe(endpoint, elapsed);
-    http::response_bytes(&response)
-}
-
 impl DaemonDispatcher {
+    /// Logs and accounts one finished request, returning its wire bytes.
     fn respond(
         &self,
         endpoint: Endpoint,
@@ -290,14 +266,15 @@ impl DaemonDispatcher {
         response: Response,
         started: Instant,
     ) -> Action {
-        Action::Respond(finish(
-            &self.state,
-            endpoint,
-            line,
-            request_id,
-            response,
-            started,
-        ))
+        let response = response.with_header("x-request-id", request_id);
+        let elapsed = started.elapsed();
+        smrseek_obs::info!(
+            "request_id={request_id} {line} status={} duration_us={}",
+            response.status,
+            elapsed.as_micros()
+        );
+        self.state.metrics.observe(endpoint, elapsed);
+        Action::Respond(http::response_bytes(&response))
     }
 
     /// `GET /v1/jobs/<id>/events`: hand the connection the job's event
@@ -346,41 +323,6 @@ impl smrseek_net::Dispatcher for DaemonDispatcher {
                 return self.subscribe(raw_id, &line, &request_id, started);
             }
         }
-        if request.method == "POST" && path == "/v1/jobs" {
-            // The submission's trace context: continue the caller's trace
-            // (its header span — a peer's `forward` span, or a client's
-            // own root — becomes the parent), or mint a fresh root.
-            let incoming = request.header(TRACE_HEADER).and_then(TraceContext::parse);
-            let ctx = incoming.map_or_else(TraceContext::mint, |parent| parent.child());
-            let parent_span = incoming.map(|parent| parent.span_id);
-            let state = Arc::clone(&self.state);
-            let fleet = self.fleet.clone();
-            return Action::Defer(Box::new(move || {
-                let dispatch_start = dtrace::unix_nanos();
-                let response = submit_routed(&state, fleet.as_deref(), &request, &request_id, ctx);
-                state.spans.record(DistSpan {
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                    parent_span_id: parent_span,
-                    name: "dispatch".to_owned(),
-                    request_id: request_id.clone(),
-                    start_unix_ns: dispatch_start,
-                    dur_ns: dtrace::unix_nanos().saturating_sub(dispatch_start),
-                    pid: std::process::id(),
-                    tid: smrseek_obs::current_tid(),
-                });
-                // Echo the context so the submitter can fetch the trace.
-                let response = response.with_header(TRACE_HEADER, ctx.header_value());
-                Action::Respond(finish(
-                    &state,
-                    Endpoint::JobsPost,
-                    &line,
-                    &request_id,
-                    response,
-                    started,
-                ))
-            }));
-        }
         let (endpoint, response) = route(&self.state, self.fleet.as_deref(), &request, &request_id);
         self.respond(endpoint, &line, &request_id, response, started)
     }
@@ -388,7 +330,8 @@ impl smrseek_net::Dispatcher for DaemonDispatcher {
 
 /// Routes one request against the daemon state. Connection threads call
 /// this; it is public so tests can exercise the full API in-process.
-/// `fleet` (when sharded) feeds the `/healthz` fleet view; `request_id`
+/// `fleet` (when sharded) routes submissions to their owner and feeds
+/// the `/healthz` fleet view; `request_id`
 /// is echoed in submit/status envelopes and retained on any job this
 /// request creates.
 pub fn route(
@@ -422,7 +365,7 @@ pub fn route(
         }
         ("POST", "/v1/jobs") => (
             Endpoint::JobsPost,
-            submit_job(state, &request.body, request_id),
+            submit_traced(state, fleet, request, request_id),
         ),
         ("GET", "/v1/jobs") => (Endpoint::JobsGet, jobs_list(state)),
         ("GET", path) if path.starts_with("/v1/jobs/") => {
@@ -518,10 +461,20 @@ fn error_body(msg: &str) -> String {
 fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork), String> {
     let (source, trace_key, top) = match &request.trace {
         TraceRef::Path(path) => {
-            let entry = state
-                .registry
-                .load(path)
-                .map_err(|e| format!("cannot load trace {}: {e}", path.display()))?;
+            let cannot_load =
+                |e: &dyn std::fmt::Display| format!("cannot load trace {}: {e}", path.display());
+            // A device or FIFO never ends (or never starts) its stream, so
+            // only regular files are loaded.
+            if !std::fs::metadata(path)
+                .map_err(|e| cannot_load(&e))?
+                .is_file()
+            {
+                return Err(format!(
+                    "`trace.path` must name a regular file: {}",
+                    path.display()
+                ));
+            }
+            let entry = state.registry.load(path).map_err(|e| cannot_load(&e))?;
             (
                 entry.source.clone(),
                 api::trace_key(&request.trace, Some(entry.digest)),
@@ -560,21 +513,38 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
     ))
 }
 
-fn submit_job(state: &ServerState, body: &[u8], request_id: &str) -> Response {
-    let request = match api::parse_job_request(body) {
-        Ok(request) => request,
-        Err(msg) => return Response::json(400, error_body(&msg)),
-    };
-    let (key, work) = match resolve(state, &request) {
-        Ok(resolved) => resolved,
-        Err(msg) => return Response::json(400, error_body(&msg)),
-    };
-    submit_local(state, key, work, request_id, None)
+/// `POST /v1/jobs` under its trace context: continue the caller's trace
+/// (its header span — a peer's `forward` span, or a client's own root —
+/// becomes the parent) or mint a fresh root, record this hop's
+/// `dispatch` span, and echo the context so the submitter can fetch the
+/// trace.
+fn submit_traced(
+    state: &ServerState,
+    fleet: Option<&Fleet>,
+    request: &Request,
+    request_id: &str,
+) -> Response {
+    let incoming = request.header(TRACE_HEADER).and_then(TraceContext::parse);
+    let ctx = incoming.map_or_else(TraceContext::mint, |parent| parent.child());
+    let dispatch_start = dtrace::unix_nanos();
+    let response = submit_routed(state, fleet, request, request_id, ctx);
+    state.spans.record(DistSpan {
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        parent_span_id: incoming.map(|parent| parent.span_id),
+        name: "dispatch".to_owned(),
+        request_id: request_id.to_owned(),
+        start_unix_ns: dispatch_start,
+        dur_ns: dtrace::unix_nanos().saturating_sub(dispatch_start),
+        pid: std::process::id(),
+        tid: smrseek_obs::current_tid(),
+    });
+    response.with_header(TRACE_HEADER, ctx.header_value())
 }
 
-/// The fleet-aware submission path the dispatcher defers to: resolve the
-/// job key, forward to its consistent-hash owner when that is another
-/// peer, otherwise enqueue locally. A request already marked
+/// The fleet-aware submission path: resolve the job key, forward to its
+/// consistent-hash owner when that is another peer, otherwise enqueue
+/// against the local job table / result cache. A request already marked
 /// [`fleet::FORWARDED_HEADER`] is always handled locally — the owner
 /// check happened on the first hop, and honoring the marker means a
 /// misconfigured fleet degrades to local computation instead of a
@@ -644,20 +614,9 @@ fn submit_routed(
         parent: ctx,
         queued_unix_ns: dtrace::unix_nanos(),
     };
-    submit_local(state, key, work, request_id, Some(trace))
-}
-
-/// Enqueues resolved work against the local job table / result cache.
-fn submit_local(
-    state: &ServerState,
-    key: String,
-    work: JobWork,
-    request_id: &str,
-    trace: Option<JobTrace>,
-) -> Response {
     match state
         .jobs
-        .submit_traced(key, work, request_id.to_owned(), trace)
+        .submit_traced(key, work, request_id.to_owned(), Some(trace))
     {
         Submit::Queued(id) => {
             state.metrics.cache_miss();

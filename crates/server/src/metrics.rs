@@ -121,7 +121,7 @@ pub struct Metrics {
     /// flash-hit (the `tier` label order), plus total misses.
     cache_tier_hits: [Counter; 2],
     cache_tier_misses: Counter,
-    /// Event-loop counters, wired in once the reactor starts (absent in
+    /// Connection counters, wired in once the server starts (absent in
     /// in-process tests; the callback series render as zeros then).
     net: Arc<OnceLock<Arc<LoopStats>>>,
     /// Fleet peers this daemon forwards to, registered once at startup so
@@ -216,8 +216,8 @@ impl Metrics {
             "Selective-cache lookups no tier could serve.",
         );
 
-        // Event-loop counters render through callbacks reading the
-        // reactor's own atomics: zeros until `set_net_stats` wires the
+        // Connection counters render through callbacks reading the
+        // server's own atomics: zeros until `set_net_stats` wires the
         // source in, live afterwards, no copying either way.
         let net: Arc<OnceLock<Arc<LoopStats>>> = Arc::new(OnceLock::new());
         for (name, read) in LoopStats::readers() {
@@ -242,14 +242,9 @@ impl Metrics {
                     "Connections closed by the idle/slow-client timeout.",
                     false,
                 ),
-                "deferred" => (
-                    "smrseekd_dispatch_deferred_total",
-                    "Requests handed to the auxiliary dispatch pool.",
-                    false,
-                ),
-                "wakeups" => (
-                    "smrseekd_eventloop_wakeups_total",
-                    "Times the reactor woke from epoll_wait.",
+                "refused" => (
+                    "smrseekd_connections_refused_total",
+                    "Connections answered 503 because the connection cap was reached.",
                     false,
                 ),
                 "streaming" => (
@@ -319,7 +314,7 @@ impl Metrics {
         &self.registry
     }
 
-    /// Wires the reactor's event-loop counters into the exposition. The
+    /// Wires the server's connection counters into the exposition. The
     /// daemon calls this once after `smrseek_net::serve` returns; later
     /// calls are ignored.
     pub fn set_net_stats(&self, stats: Arc<LoopStats>) {
@@ -618,7 +613,7 @@ mod tests {
         for endpoint in Endpoint::ALL {
             m.observe(endpoint, Duration::from_micros(5));
         }
-        // Populate the event-loop and fleet families too, so the lint
+        // Populate the connection and fleet families too, so the lint
         // walks every sample this daemon can ever emit.
         let net = Arc::new(LoopStats::default());
         net.accepted
@@ -712,8 +707,7 @@ mod tests {
             "smrseekd_connections_accepted_total",
             "smrseekd_accept_errors_total",
             "smrseekd_connections_reaped_total",
-            "smrseekd_dispatch_deferred_total",
-            "smrseekd_eventloop_wakeups_total",
+            "smrseekd_connections_refused_total",
             "smrseekd_forwarded_total",
             "smrseekd_forward_errors_total",
         ] {
@@ -864,12 +858,9 @@ mod tests {
              # HELP smrseekd_connections_reaped_total Connections closed by the idle/slow-client timeout.\n\
              # TYPE smrseekd_connections_reaped_total counter\n\
              smrseekd_connections_reaped_total 0\n\
-             # HELP smrseekd_dispatch_deferred_total Requests handed to the auxiliary dispatch pool.\n\
-             # TYPE smrseekd_dispatch_deferred_total counter\n\
-             smrseekd_dispatch_deferred_total 0\n\
-             # HELP smrseekd_eventloop_wakeups_total Times the reactor woke from epoll_wait.\n\
-             # TYPE smrseekd_eventloop_wakeups_total counter\n\
-             smrseekd_eventloop_wakeups_total 0\n\
+             # HELP smrseekd_connections_refused_total Connections answered 503 because the connection cap was reached.\n\
+             # TYPE smrseekd_connections_refused_total counter\n\
+             smrseekd_connections_refused_total 0\n\
              # HELP smrseekd_sse_streams_active Connections currently following a job event stream.\n\
              # TYPE smrseekd_sse_streams_active gauge\n\
              smrseekd_sse_streams_active 0\n\

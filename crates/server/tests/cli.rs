@@ -537,6 +537,24 @@ fn usage_names_every_experiment() {
 }
 
 #[test]
+fn ops_over_the_profile_cap_is_a_usage_error() {
+    // 10 billion records once reached the generator and aborted on a
+    // 43 GB allocation; the cap stops it at argument parsing.
+    for args in [
+        &["gen", "w91", "--ops", "10000000000"][..],
+        &["fig2", "--ops", "50000001"],
+    ] {
+        let out = smrseek(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--ops must be at most 50000000"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn threads_flag_rejects_zero() {
     let out = smrseek(&["fig2", "--threads", "0"]);
     assert!(!out.status.success());

@@ -29,6 +29,33 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
+/// The longest text line, in bytes without its `\n`, that [`sniff_path`]
+/// and the text parsers read. Real trace lines are around a hundred
+/// bytes; a longer one is [`Error::Format`], so a file with one huge line
+/// (or a device that never sends `\n`) cannot make a reader buffer it
+/// whole.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] (plus its `\n`) into
+/// `line`, replacing its contents. Returns the bytes read, 0 at the end
+/// of the input.
+fn read_line_bounded<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+    line_no: u64,
+) -> Result<usize> {
+    line.clear();
+    let n = reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', line)?;
+    if n > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+        return Err(Error::Format(format!(
+            "line {line_no} is longer than {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    Ok(n)
+}
+
 /// A line-oriented trace parser.
 ///
 /// Implementations turn one text line into zero or one [`TraceRecord`];
@@ -61,7 +88,8 @@ pub trait LineParser {
 ///
 /// Each item is a `Result`: I/O errors from the reader and parse errors
 /// from the parser surface in-stream at the line that caused them (a line
-/// that is not UTF-8 is a parse error at its line number).
+/// that is not UTF-8 is a parse error at its line number, a line longer
+/// than [`MAX_LINE_BYTES`] a format error).
 ///
 /// Each line is first offered to [`LineParser::parse_prefix`] straight from
 /// the reader's buffer; a line it declines is read into the line buffer
@@ -93,13 +121,12 @@ impl<R: BufRead, P: LineParser> Iterator for RecordIter<R, P> {
                     None => continue,
                 }
             }
-            self.line.clear();
-            match self.reader.read_until(b'\n', &mut self.line) {
+            self.line_no += 1;
+            match read_line_bounded(&mut self.reader, &mut self.line, self.line_no) {
                 Ok(0) => return None,
                 Ok(_) => {}
-                Err(e) => return Some(Err(e.into())),
+                Err(e) => return Some(Err(e)),
             }
-            self.line_no += 1;
             let Ok(line) = std::str::from_utf8(&self.line) else {
                 return Some(Err(Error::parse(self.line_no, "line is not UTF-8")));
             };
@@ -188,7 +215,8 @@ pub enum DetectedFormat {
 /// Returns [`Error::Io`] if the file cannot be opened or read,
 /// [`Error::Parse`] for a line before the first data line that is not
 /// UTF-8, and [`Error::Format`] if it contains no data lines to sniff
-/// from.
+/// from or a line before the first data line is longer than
+/// [`MAX_LINE_BYTES`].
 pub fn sniff_path(path: &Path) -> Result<DetectedFormat> {
     let mut file = File::open(path)?;
     let mut prefix = [0u8; 6];
@@ -203,11 +231,16 @@ pub fn sniff_path(path: &Path) -> Result<DetectedFormat> {
     if crate::binary::sniff_magic(&prefix[..filled]).is_some() {
         return Ok(DetectedFormat::Binary);
     }
-    let file = File::open(path)?;
-    for (n, line) in BufReader::new(file).split(b'\n').enumerate() {
-        let line = line?;
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut line = Vec::new();
+    let mut line_no = 0;
+    loop {
+        line_no += 1;
+        if read_line_bounded(&mut reader, &mut line, line_no)? == 0 {
+            break;
+        }
         let Ok(line) = std::str::from_utf8(&line) else {
-            return Err(Error::parse(n as u64 + 1, "line is not UTF-8"));
+            return Err(Error::parse(line_no, "line is not UTF-8"));
         };
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with("timestamp_us") {
@@ -226,7 +259,6 @@ pub fn sniff_path(path: &Path) -> Result<DetectedFormat> {
         "no data lines to sniff the format from".to_owned(),
     ))
 }
-
 /// Reads the whole trace at `path` in the given (usually sniffed) format,
 /// materializing it. Binary traces go through [`crate::binary::read_binary`],
 /// so a `.smrt` file is one more input format: every caller that loads a
@@ -265,5 +297,45 @@ mod tests {
             err.to_string().contains("line 1: line is not UTF-8"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn an_over_long_line_is_a_format_error() {
+        // A line of exactly the limit still parses as a (bad) line.
+        let mut at_limit = vec![b'x'; MAX_LINE_BYTES];
+        at_limit.push(b'\n');
+        let err = parse_reader(&at_limit[..], CpParser::new()).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 1, .. }), "{err}");
+        // One byte more, with or without a newline, is refused unread.
+        let mut text = b"100,R,4096,8192\n".to_vec();
+        text.extend(vec![b'7'; MAX_LINE_BYTES + 1]);
+        for tail in [&b""[..], b"\n"] {
+            let mut input = text.clone();
+            input.extend_from_slice(tail);
+            let err = parse_reader(&input[..], CpParser::new()).unwrap_err();
+            assert!(
+                matches!(&err, Error::Format(msg) if msg.contains("line 2 is longer")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn sniffing_an_over_long_line_or_dev_zero_is_a_format_error() {
+        let dir = std::env::temp_dir().join(format!("smrseek-sniff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("long.csv");
+        std::fs::write(&path, vec![b'1'; 4 * MAX_LINE_BYTES]).expect("write");
+        for path in [path.as_path(), Path::new("/dev/zero")] {
+            let err = sniff_path(path).unwrap_err();
+            assert!(
+                matches!(&err, Error::Format(msg) if msg.contains("line 1 is longer")),
+                "{}: {err}",
+                path.display()
+            );
+        }
+        let err = parse_path(&path, DetectedFormat::Msr).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

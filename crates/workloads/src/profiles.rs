@@ -93,6 +93,12 @@ pub struct Profile {
 /// Default operation count for [`Profile::generate`].
 pub const DEFAULT_OPS: usize = 40_000;
 
+/// The largest operation count a caller may ask a profile for: above the
+/// largest Table-I profile (`usr_1`, 45,283,980 records), so every profile
+/// fits at its paper scale, and small enough that one generated trace
+/// (24 bytes per record) stays near a gigabyte.
+pub const MAX_OPS: usize = 50_000_000;
+
 impl Profile {
     /// Generates the stand-in trace with [`DEFAULT_OPS`] operations.
     pub fn generate(&self, seed: u64) -> Vec<TraceRecord> {
@@ -577,6 +583,13 @@ pub fn by_family(family: Family) -> Vec<Profile> {
 mod tests {
     use super::*;
     use smrseek_trace::{characterize, OpKind};
+
+    #[test]
+    fn every_profile_fits_under_max_ops_at_table_i_scale() {
+        let largest = all().iter().map(|p| p.row.total_ops()).max().unwrap();
+        assert_eq!(largest, 45_283_980, "usr_1 is the largest Table-I trace");
+        assert!(largest <= MAX_OPS as u64);
+    }
 
     #[test]
     fn has_21_profiles_with_unique_names() {
