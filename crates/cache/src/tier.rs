@@ -166,8 +166,8 @@ impl TieredCache {
     /// promotes the range into RAM; a miss is filled into RAM when
     /// `admit_miss` is set (Alg. 3's WriteCache). RAM victims of either
     /// fill demote to flash (when configured) instead of being dropped.
-    /// The RAM tier is searched once: a fill goes in at the position the
-    /// lookup found.
+    /// The RAM tier is probed once: a fill goes in through the probe's
+    /// [`Uncovered`](crate::range::Uncovered) handle.
     pub fn lookup_admitting(&mut self, pba: Pba, sectors: u64, admit_miss: bool) -> TierLookup {
         let Probe::Uncovered(slot) = self.ram.probe(pba, sectors) else {
             self.stats.ram_hits += 1;

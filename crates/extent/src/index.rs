@@ -1,5 +1,5 @@
 //! A two-level sorted index keyed by `u64` sectors: the storage beneath
-//! [`ExtentMap`](crate::ExtentMap) and `smrseek-cache`'s range caches.
+//! [`ExtentMap`](crate::ExtentMap).
 //!
 //! Entries live in chunks of at most [`CHUNK_CAP`] `(key, value)` pairs,
 //! each chunk a sorted `Vec`, plus one flat `Vec` holding every chunk's

@@ -9,8 +9,7 @@
 //! * [`ExtentMap`] — a coalescing interval map from logical sector ranges
 //!   to physical sector ranges, with split-on-overwrite semantics,
 //! * [`Extent`] and [`Segment`] — the mapping records returned by lookups,
-//! * [`SortedIndex`] — the two-level sorted array beneath the map, shared
-//!   with `smrseek-cache`'s range caches,
+//! * [`SortedIndex`] — the two-level sorted array beneath the map,
 //! * fragmentation measurement: [`ExtentMap::static_fragmentation`] (the
 //!   paper's *static fragmentation*: seeks needed to sequentially read the
 //!   entire LBA space) and [`ExtentMap::fragments_in`] (*dynamic

@@ -223,6 +223,9 @@ mod tests {
         assert_eq!(req.target, "/v1/jobs");
         assert_eq!(req.header("content-length"), Some("4"));
         assert_eq!(req.body, b"abcd");
+        // Bytes past the declared length are not part of the body.
+        let req = complete(framer().push(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcd"));
+        assert_eq!(req.body, b"abc");
     }
 
     #[test]

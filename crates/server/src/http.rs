@@ -126,68 +126,6 @@ pub fn parse_response(raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smrseek_net::{FrameStatus, FramingLimits, RequestFramer};
-
-    /// Frames `bytes` the way the daemon does: one framer with the
-    /// default limits, fed `step` bytes per push.
-    fn frame_in_steps(bytes: &[u8], step: usize) -> FrameStatus {
-        let mut framer = RequestFramer::new(FramingLimits::default());
-        for chunk in bytes.chunks(step) {
-            match framer.push(chunk) {
-                FrameStatus::Partial => {}
-                done => return done,
-            }
-        }
-        FrameStatus::Partial
-    }
-
-    fn parse(bytes: &[u8]) -> Request {
-        match frame_in_steps(bytes, bytes.len().max(1)) {
-            FrameStatus::Complete(req) => req,
-            other => panic!("expected a complete request, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_get_without_body() {
-        let req = parse(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n");
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.target, "/healthz");
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn parses_post_with_content_length() {
-        let req = parse(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"");
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.body, b"{\"a\"");
-    }
-
-    #[test]
-    fn parses_across_any_read_fragmentation() {
-        let wire = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 12\r\n\r\n{\"body\":true}";
-        for step in [1usize, 2, 3, 5, 7, 64, 4096] {
-            match frame_in_steps(wire, step) {
-                FrameStatus::Complete(req) => {
-                    assert_eq!(req.method, "POST", "step {step}");
-                    assert_eq!(req.body, b"{\"body\":true", "step {step}");
-                }
-                other => panic!("step {step}: expected a complete request, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_head_is_rejected() {
-        let mut wire = b"GET /x HTTP/1.1\r\n".to_vec();
-        wire.extend_from_slice(b"x-pad: ");
-        wire.resize(FramingLimits::default().max_head + 10, b'a');
-        wire.extend_from_slice(b"\r\n\r\n");
-        assert_eq!(
-            frame_in_steps(&wire, wire.len()),
-            FrameStatus::Oversized("request head exceeds limit")
-        );
-    }
 
     #[test]
     fn parse_response_splits_status_and_body() {

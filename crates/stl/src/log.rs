@@ -5,6 +5,7 @@ use crate::config::{DefragTiming, LsConfig, PrefetchConfig};
 use crate::fragstats::FragmentAccessTracker;
 use crate::layer::TranslationLayer;
 use crate::stats::LsStats;
+use smrseek_cache::range::Probe;
 use smrseek_cache::{RangeCache, TierLookup, TierStats, TieredCache};
 use smrseek_disk::PhysIo;
 use smrseek_extent::{ExtentMap, Segment};
@@ -177,15 +178,15 @@ impl ReadLane {
                 // Alg. 2: look-ahead-behind around fragments; the policy
                 // gate widens or narrows the window per region.
                 if let (Some(buffer), Some(p)) = (&mut self.prefetch_buffer, self.prefetch) {
-                    if buffer.covers(pba, len) {
+                    let Probe::Uncovered(miss) = buffer.probe(pba, len) else {
                         self.stats.prefetch_hit_fragments += 1;
                         continue; // already in the drive buffer
-                    }
+                    };
                     let behind = gates.prefetch.apply(p.behind_sectors);
                     let ahead = gates.prefetch.apply(p.ahead_sectors);
                     let pre_start = Pba::new(pba.sector().saturating_sub(behind));
                     let total = (pba.sector() - pre_start.sector()) + len + ahead;
-                    buffer.insert(pre_start, total);
+                    miss.insert_around(pre_start, total, &mut |_, _| {});
                     self.stats.prefetched_sectors += total - len;
                     self.stats.phys_reads += 1;
                     sink(PhysIo::read(pre_start, total));

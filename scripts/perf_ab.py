@@ -40,6 +40,14 @@ win each pair. They do not change the verdict; they show how consistent
 the pairs were when the base's own spread is wide (a change that wins
 10 of 10 pairs has p = 0.001 whatever that spread).
 
+Each run also reports the host's CPU steal: the share of all CPU time
+that /proc/stat's `steal` column gained while it ran, i.e. time the
+hypervisor gave this host's virtual CPUs to someone else. A warning is
+printed for every run whose steal exceeds 5%, and for a workload whose
+base `records_per_s` spans more than x1.5 across seeds: either means
+the round ran on a host whose speed moved under it, and its ratios are
+suspect. Neither changes a verdict.
+
 Exits 1 if any run fails, prints no result, or reports `failed > 0` or
 `correct: false`.
 """
@@ -54,12 +62,45 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
+# A run whose steal share exceeds this gets a warning.
+STEAL_WARN = 0.05
+# A base whose records_per_s max/min across seeds exceeds this gets one.
+SPAN_WARN = 1.5
+
+
+def cpu_times():
+    """The aggregate `cpu` line of /proc/stat as (total, steal) jiffies,
+    or None where it cannot be read. `guest` time is already counted in
+    `user`, so the total sums the first eight columns only."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+    except OSError:
+        return None
+    if not fields or fields[0] != "cpu" or len(fields) < 9:
+        return None
+    ticks = [int(x) for x in fields[1:9]]
+    return sum(ticks), ticks[7]
+
+
+def steal_share(before, after):
+    """Steal's share of the CPU time between two cpu_times() readings."""
+    if before is None or after is None or after[0] <= before[0]:
+        return None
+    return (after[1] - before[1]) / (after[0] - before[0])
+
+
+def fmt_steal(share):
+    return "n/a" if share is None else f"{share * 100:.1f}%"
+
 
 def run(binary, workload, seed, seconds, trace):
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", trace]
+    before = cpu_times()
     out = subprocess.run(cmd, cwd=REPO, capture_output=True, text=True,
                          timeout=900)
+    steal = steal_share(before, cpu_times())
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise RuntimeError(f"{binary} seed {seed}: exit {out.returncode}\n"
@@ -68,7 +109,7 @@ def run(binary, workload, seed, seconds, trace):
     if result["failed"] > 0 or not result["correct"]:
         raise RuntimeError(f"{binary} seed {seed}: failed={result['failed']} "
                            f"correct={result['correct']}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, steal
 
 
 def iqr(values):
@@ -154,16 +195,17 @@ def main():
 
     base = {w: [] for w in workloads}
     change = {w: [] for w in workloads}
+    warnings = []
     try:
         for seed in range(args.first_seed, args.first_seed + args.pairs):
             for workload in workloads:
                 order = [("base", args.base), ("change", args.change)]
                 if seed % 2 == 0:
                     order.reverse()
-                pair = {}
+                pair, steal = {}, {}
                 for side, binary in order:
-                    pair[side] = run(binary, workload, seed, args.seconds,
-                                     args.trace)
+                    pair[side], steal[side] = run(binary, workload, seed,
+                                                  args.seconds, args.trace)
                 base[workload].append(pair["base"])
                 change[workload].append(pair["change"])
                 key = "records_per_s" if args.trace == "0" else None
@@ -171,8 +213,14 @@ def main():
                     f" {key} base={pair['base'][key]:.6g} "
                     f"change={pair['change'][key]:.6g} "
                     f"ratio={pair['change'][key] / pair['base'][key]:.3f}")
-                print(f"seed {seed} {workload} ({order[0][0]} first):{note}",
-                      flush=True)
+                print(f"seed {seed} {workload} ({order[0][0]} first):{note}"
+                      f" steal base={fmt_steal(steal['base'])} "
+                      f"change={fmt_steal(steal['change'])}", flush=True)
+                for side, share in steal.items():
+                    if share is not None and share > STEAL_WARN:
+                        warnings.append(
+                            f"seed {seed} {workload} {side}: steal "
+                            f"{fmt_steal(share)} > {STEAL_WARN:.0%}")
     except RuntimeError as e:
         print(f"perf_ab: {e}", file=sys.stderr)
         return 1
@@ -180,6 +228,15 @@ def main():
     for workload in workloads:
         table(workload, args.trace, args.seconds, args.first_seed,
               base[workload], change[workload], better, bounds)
+        rates = [r["records_per_s"] for r in base[workload]
+                 if r.get("records_per_s")]
+        if rates and max(rates) / min(rates) > SPAN_WARN:
+            warnings.append(
+                f"{workload}: base records_per_s spans x"
+                f"{max(rates) / min(rates):.2f} across seeds "
+                f"({min(rates):.6g} to {max(rates):.6g}) > x{SPAN_WARN}")
+    for w in warnings:
+        print(f"WARNING: {w}: host speed moved during this round")
     return 0
 
 
