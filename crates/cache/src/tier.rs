@@ -167,7 +167,8 @@ impl TieredCache {
     /// `admit_miss` is set (Alg. 3's WriteCache). RAM victims of either
     /// fill demote to flash (when configured) instead of being dropped.
     /// The RAM tier is probed once: a fill goes in through the probe's
-    /// [`Uncovered`](crate::range::Uncovered) handle.
+    /// [`Uncovered`](crate::range::Uncovered) handle. A promoted range
+    /// stays in flash too, so it then counts against both tiers' budgets.
     pub fn lookup_admitting(&mut self, pba: Pba, sectors: u64, admit_miss: bool) -> TierLookup {
         let Probe::Uncovered(slot) = self.ram.probe(pba, sectors) else {
             self.stats.ram_hits += 1;
@@ -205,6 +206,28 @@ mod tests {
 
     fn pba(s: u64) -> Pba {
         Pba::new(s)
+    }
+
+    #[test]
+    fn a_promoted_flash_hit_stays_in_flash() {
+        // Pins today's promotion: the range is copied into RAM and kept
+        // in flash, whose budget it still takes. Moving it instead would
+        // change cache reports; whoever does that flips this test.
+        let mut tiered = TieredCache::with_flash_sectors(20, 100);
+        tiered.lookup_admitting(pba(0), 10, true);
+        tiered.lookup_admitting(pba(100), 10, true);
+        tiered.lookup_admitting(pba(200), 10, true); // demotes [0, 10)
+        let flash = tiered.flash().expect("a flash tier");
+        assert!(!tiered.ram().peek_covers(pba(0), 10));
+        assert!(flash.peek_covers(pba(0), 10));
+        assert_eq!(flash.sectors_used(), 10);
+        assert_eq!(tiered.lookup_admitting(pba(0), 10, true), TierLookup::Flash);
+        let flash = tiered.flash().expect("a flash tier");
+        assert!(tiered.ram().peek_covers(pba(0), 10), "promoted into RAM");
+        assert!(flash.peek_covers(pba(0), 10), "and kept in flash");
+        // [100, 110) was demoted by the promotion; [0, 10) still counts.
+        assert!(flash.peek_covers(pba(100), 10));
+        assert_eq!(flash.sectors_used(), 20);
     }
 
     #[test]

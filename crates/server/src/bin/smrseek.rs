@@ -135,9 +135,10 @@ fn usage() -> String {
      --log-json for JSON-lines stderr\n\
      threads: --threads N workers run an experiment's cells (workloads, configs, sweep \
      points) in parallel, each cell's trace translated serially; with fewer translation \
-     groups than twice N (N >= 2), a group's selective-cache lanes replay on one more \
-     helper thread; SMRSEEK_THREADS overrides the default (host parallelism). Reports \
-     never depend on the thread count.",
+     groups than twice N (N >= 2), a group's selective-cache lanes replay apart from it, \
+     served by whichever of the N workers is free (never more than N replay threads); \
+     SMRSEEK_THREADS overrides the default (host parallelism). Reports never depend on \
+     the thread count.",
         experiments.join("|")
     )
 }

@@ -6,13 +6,13 @@
 //! [`run_trace`](Simulation::run_trace) an in-memory record slice;
 //! [`Simulation::run_group`] replays several configurations that share one
 //! translation in a single pass. All replay through the same per-record
-//! step. A group may hand some of its read lanes to one helper thread,
-//! which serves them from the translated I/O of the group's plain-LS lane
-//! through the same [`ReadLane::read_runs`] and seek accounting; the
+//! step. A group may *split*: some of its read lanes then replay, on
+//! whichever worker of the matrix is free to serve them, from the
+//! translated I/O of the group's plain-LS lane, through the same
+//! [`ReadLane::read_runs`] and seek accounting (DESIGN.md §13); the
 //! translation itself always replays serially.
 
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
@@ -23,7 +23,9 @@ use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
     PrefetchConfig, ReadLane, TranslationLayer,
 };
-use smrseek_trace::{stream, Pba, TraceRecord};
+use smrseek_trace::{stream, TraceRecord};
+
+use crate::split::{LaneBoard, SplitLanes};
 
 /// Which translation layer to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -298,7 +300,7 @@ impl SimConfig {
     /// Whether `self` is log-structured with no read-side mechanism
     /// (prefetch or selective cache): its reads are then exactly each
     /// read's merged physical runs, which is what a split group
-    /// ([`Simulation::run_group`]) forwards to its helper thread.
+    /// ([`Simulation::run_group`]) forwards to its split lanes.
     pub fn is_plain_ls(&self) -> bool {
         matches!(
             self.layer,
@@ -622,7 +624,7 @@ impl LayerImpl {
 
 /// The seek model of one configuration in a replay: the physical
 /// operations of its read lane go here and nowhere else.
-struct SeekLane {
+pub(crate) struct SeekLane {
     record_distances: bool,
     counter: SeekCounter,
     series: Option<LongSeekSeries>,
@@ -630,11 +632,11 @@ struct SeekLane {
     /// The current record's physical operations in this lane, cleared and
     /// refilled by every `step` so the replay loop allocates nothing per
     /// record.
-    ios: Vec<PhysIo>,
+    pub(crate) ios: Vec<PhysIo>,
 }
 
 impl SeekLane {
-    fn new(config: &SimConfig) -> Self {
+    pub(crate) fn new(config: &SimConfig) -> Self {
         SeekLane {
             record_distances: config.record_distances,
             counter: if config.record_distances {
@@ -649,10 +651,16 @@ impl SeekLane {
         }
     }
 
+    /// The long-seek series' bucket width, if the lane records one.
+    #[cfg(test)]
+    pub(crate) fn bucket_ops(&self) -> Option<u64> {
+        self.series.as_ref().map(LongSeekSeries::ops_per_bucket)
+    }
+
     /// Feeds the operations in `ios` of logical record `i` to the seek
     /// model.
     #[inline]
-    fn observe_ios(&mut self, i: u64) {
+    pub(crate) fn observe_ios(&mut self, i: u64) {
         for io in &self.ios {
             self.phys_sectors += io.sectors;
             if let Some(seek) = self.counter.observe(io) {
@@ -843,16 +851,23 @@ impl EngineState {
     }
 
     /// Replays `trace` in blocks of [`DEFAULT_BLOCK_RECORDS`], timing the
-    /// ingest phase once per block. With `forward`, every block also
-    /// takes a recycled [`ForwardBlock`], fills it with the plain lane's
-    /// I/O of each record that reached the layer, and sends it to the
-    /// helper; a failed receive or send means the helper is gone, and the
-    /// replay stops so its panic can resume on this thread.
-    fn replay_blocks(&mut self, trace: &[TraceRecord], forward: Option<&Forward>) {
+    /// ingest phase once per block. With `forward`, a split group's plain
+    /// lane and its queue on `board`, every block also takes an empty
+    /// [`ForwardBlock`](crate::split::ForwardBlock), fills it with the
+    /// plain lane's I/O of each record that reached the layer, and queues
+    /// it. After every block this thread serves the other groups' queued
+    /// blocks; returns the time that took, which no phase of this replay
+    /// counts.
+    fn replay_blocks(
+        &mut self,
+        trace: &[TraceRecord],
+        forward: Option<Forward>,
+        board: &LaneBoard,
+    ) -> Duration {
         if self.policies.is_empty() {
-            self.replay_blocks_with::<false>(trace, forward);
+            self.replay_blocks_with::<false>(trace, forward, board)
         } else {
-            self.replay_blocks_with::<true>(trace, forward);
+            self.replay_blocks_with::<true>(trace, forward, board)
         }
     }
 
@@ -860,8 +875,10 @@ impl EngineState {
     fn replay_blocks_with<const POLICY: bool>(
         &mut self,
         trace: &[TraceRecord],
-        forward: Option<&Forward>,
-    ) {
+        forward: Option<Forward>,
+        board: &LaneBoard,
+    ) -> Duration {
+        let mut served = Duration::ZERO;
         let mut last = self.timing.then(Instant::now);
         for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
             if let Some(t) = &last {
@@ -873,23 +890,23 @@ impl EngineState {
                         self.step::<POLICY>(rec);
                     }
                 }
-                Some(f) => {
-                    let Ok(mut out) = f.free.recv() else { return };
+                Some(Forward { plain, slot }) => {
+                    let mut out = board.take_free(slot);
                     out.clear();
                     for rec in block {
                         if self.step::<POLICY>(rec) {
-                            out.push(self.logical_ops - 1, &self.lanes[f.plain].ios);
+                            out.push(self.logical_ops - 1, &self.lanes[plain].ios);
                         }
                     }
-                    if f.full.send(out).is_err() {
-                        return;
-                    }
+                    board.push(slot, out);
                 }
             }
+            served += board.serve_others(forward.map(|f| f.slot));
             if let Some(t) = &mut last {
                 *t = Instant::now();
             }
         }
+        served
     }
 
     /// Replays a record stream, timing each pull as the ingest phase
@@ -909,11 +926,11 @@ impl EngineState {
     }
 
     /// One report per configuration of the group: this state's lanes fill
-    /// the positions `helper` leaves free, in order, and each helper lane
-    /// its own. The run's phase totals, the helper's merged in, are split
-    /// evenly across the reports (remainders on the first), so merging the
-    /// reports' phases counts every nanosecond once.
-    fn finish(self, helper: HelperLanes) -> Vec<RunReport> {
+    /// the positions the `split` lanes leave free, in order, and each
+    /// split lane its own. The run's phase totals, the split lanes' merged
+    /// in, are split evenly across the reports (remainders on the first),
+    /// so merging the reports' phases counts every nanosecond once.
+    fn finish(self, split: Option<SplitLanes>) -> Vec<RunReport> {
         let policy = |k: usize| {
             self.policies
                 .iter()
@@ -967,15 +984,18 @@ impl EngineState {
                 }
             })
             .collect();
-        // Positions increase, so every earlier one is filled at each insert.
-        for (at, read, lane) in helper.lanes {
-            let mut stats = ls.map(|ls| ls.shared_stats()).unwrap_or_default();
-            stats.merge(&read.stats());
-            let lane = report(read.name(), Some(stats), read.tier_stats(), None, lane);
-            reports.insert(at, lane);
-        }
         let mut phases = self.phases;
-        phases.merge(&helper.phases);
+        if let Some(split) = split {
+            // Positions increase, so every earlier one is filled at each
+            // insert.
+            for (at, read, lane) in split.lanes {
+                let mut stats = ls.map(|ls| ls.shared_stats()).unwrap_or_default();
+                stats.merge(&read.stats());
+                let lane = report(read.name(), Some(stats), read.tier_stats(), None, lane);
+                reports.insert(at, lane);
+            }
+            phases.merge(&split.phases);
+        }
         let n = reports.len();
         for (k, report) in reports.iter_mut().enumerate() {
             report.phases = phases.share(k, n);
@@ -984,132 +1004,12 @@ impl EngineState {
     }
 }
 
-/// Blocks a split group keeps in flight between its worker and its
-/// helper. It bounds the forwarded I/O's memory and how far the worker
-/// runs ahead.
-const BLOCKS_IN_FLIGHT: usize = 4;
-
-/// One block's forwarded I/O: the plain lane's physical operations of
-/// every record that reached the layer.
-#[derive(Debug, Default)]
-struct ForwardBlock {
-    ios: Vec<PhysIo>,
-    /// Per record: its index in the trace and the end of its operations
-    /// in `ios`.
-    records: Vec<(u64, usize)>,
-}
-
-impl ForwardBlock {
-    fn clear(&mut self) {
-        self.ios.clear();
-        self.records.clear();
-    }
-
-    fn push(&mut self, i: u64, ios: &[PhysIo]) {
-        self.ios.extend_from_slice(ios);
-        self.records.push((i, self.ios.len()));
-    }
-}
-
-/// The worker's ends of a split group's channels, and which of its lanes
-/// is the plain one whose I/O is forwarded.
+/// A split group's plain lane, whose I/O is forwarded, and its queue on
+/// the matrix's [`LaneBoard`].
+#[derive(Clone, Copy)]
 struct Forward {
     plain: usize,
-    full: SyncSender<ForwardBlock>,
-    free: Receiver<ForwardBlock>,
-}
-
-/// The read lanes a split group replays on its helper thread: each with
-/// its position in the group and its seek model, plus the phase time the
-/// helper spent on them.
-#[derive(Default)]
-struct HelperLanes {
-    lanes: Vec<(usize, ReadLane, SeekLane)>,
-    phases: PhaseTotals,
-}
-
-impl HelperLanes {
-    /// Receives forwarded blocks until the worker hangs up, serving each
-    /// and returning it for reuse.
-    fn serve(
-        mut self,
-        full: Receiver<ForwardBlock>,
-        free: SyncSender<ForwardBlock>,
-        timing: bool,
-    ) -> Self {
-        let mut runs = Vec::new();
-        while let Ok(block) = full.recv() {
-            self.replay(&block, &mut runs, timing);
-            // Fails only once the worker is done with its last block.
-            let _ = free.send(block);
-        }
-        self
-    }
-
-    /// Serves every record of `block` in every helper lane. A record's
-    /// forwarded reads are its read's merged runs (the plain lane emits one
-    /// read per run), so they go through [`ReadLane::read_runs`] as one
-    /// read; its writes are every lane's writes and pass through in place.
-    fn replay(&mut self, block: &ForwardBlock, runs: &mut Vec<(Pba, u64)>, timing: bool) {
-        let mut start = 0;
-        for &(i, end) in &block.records {
-            let ios = &block.ios[start..end];
-            start = end;
-            let mut mark = timing.then(Instant::now);
-            for (_, read, seek) in &mut self.lanes {
-                seek.ios.clear();
-                let out = &mut seek.ios;
-                runs.clear();
-                for io in ios {
-                    if io.op.is_read() {
-                        runs.push((io.pba, io.sectors));
-                        continue;
-                    }
-                    read.read_runs(runs, &mut |io| out.push(io));
-                    runs.clear();
-                    out.push(*io);
-                }
-                read.read_runs(runs, &mut |io| out.push(io));
-            }
-            if let Some(t) = &mut mark {
-                self.phases.record(Phase::Lookup, t.elapsed());
-                *t = Instant::now();
-            }
-            for (_, _, seek) in &mut self.lanes {
-                seek.observe_ios(i);
-            }
-            if let Some(t) = &mark {
-                self.phases.record(Phase::Seek, t.elapsed());
-            }
-        }
-    }
-}
-
-/// Runs `produce` on this thread and `consume` on a scoped helper thread,
-/// joined by a channel of full blocks and one that returns them for reuse,
-/// over [`BLOCKS_IN_FLIGHT`] blocks; returns what `consume` returns. When
-/// either side stops, its channel ends drop and the other side's next
-/// send or receive fails instead of waiting, so a helper panic resumes
-/// here once `produce` returns, and a panic in `produce` ends the helper.
-fn pipeline<R: Send>(
-    produce: impl FnOnce(SyncSender<ForwardBlock>, Receiver<ForwardBlock>),
-    consume: impl FnOnce(Receiver<ForwardBlock>, SyncSender<ForwardBlock>) -> R + Send,
-) -> R {
-    std::thread::scope(|scope| {
-        let (full_tx, full_rx) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
-        let (free_tx, free_rx) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
-        for _ in 0..BLOCKS_IN_FLIGHT {
-            free_tx
-                .send(ForwardBlock::default())
-                .expect("the free channel holds every block");
-        }
-        let helper = scope.spawn(move || consume(full_rx, free_tx));
-        produce(full_tx, free_rx);
-        match helper.join() {
-            Ok(result) => result,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
+    slot: usize,
 }
 
 /// Records [`Simulation::run_group`] replays between two ingest-phase
@@ -1126,8 +1026,8 @@ const DEFAULT_BLOCK_RECORDS: usize = 4096;
 /// `run_trace` is its one-configuration case. Translation is serial: each
 /// read's translation depends on every earlier write, so parallelism lives
 /// across runs (the groups of a [`RunMatrix`](crate::runner::RunMatrix)),
-/// and inside a group only in read lanes handed to a helper thread, which
-/// consume the translation and never feed it. Every entry point produces
+/// and inside a group only in split read lanes, which consume the
+/// translation and never feed it. Every entry point produces
 /// byte-identical serialized [`RunReport`]s over the same records.
 ///
 /// # Example
@@ -1174,7 +1074,7 @@ impl Simulation {
         } else {
             state.replay_stream::<true>(records);
         }
-        state.finish(HelperLanes::default()).remove(0)
+        state.finish(None).remove(0)
     }
 
     /// Replays an in-memory trace: the one-configuration case of
@@ -1196,43 +1096,61 @@ impl Simulation {
     /// [`stream::max_lba`]), and ingests in blocks of 4096 records —
     /// ingest time is accounted once per block rather than per record.
     ///
-    /// `helper` lists, in increasing order, the positions of configs whose
-    /// read lanes replay on one scoped helper thread; empty replays every
-    /// lane on this thread. This thread keeps the translation and the
+    /// `split` lists, in increasing order, the positions of configs whose
+    /// read lanes the group splits off; empty replays every lane in the
+    /// translation's step. This thread keeps the translation and the
     /// other lanes, and after each block forwards the I/O of its first
     /// [plain-LS](SimConfig::is_plain_ls) lane, whose reads are each read's
     /// merged physical runs and whose writes are every lane's writes. The
-    /// helper serves them through the same [`ReadLane::read_runs`] and seek
-    /// model, so the reports are byte-identical either way. A helper panic
-    /// resumes on this thread. Phase totals, the helper's included, are
-    /// split evenly across the reports.
+    /// split lanes serve them through the same [`ReadLane::read_runs`] and
+    /// seek model, so the reports are byte-identical either way. Called
+    /// here, outside a matrix, this thread serves them too; in a
+    /// [`RunMatrix`](crate::runner::RunMatrix) the other workers share
+    /// that work (DESIGN.md §13). Phase totals, the split lanes'
+    /// included, are split evenly across the reports.
     ///
     /// # Panics
     ///
     /// Panics unless `configs` is one configuration, or several that each
     /// [share the translation](SimConfig::shares_translation) of the
-    /// first; and unless `helper` is increasing, in range, names no config
+    /// first; and unless `split` is increasing, in range, names no config
     /// with a policy, and leaves a plain-LS config on this thread.
     pub fn run_group(
         configs: &[SimConfig],
-        helper: &[usize],
+        split: &[usize],
         trace: &[TraceRecord],
     ) -> Vec<RunReport> {
+        let board = LaneBoard::new(usize::from(!split.is_empty()));
+        Self::replay_group(configs, split, trace, &board, Some(0)).0
+    }
+
+    /// [`run_group`](Self::run_group) as a cell of a matrix whose workers
+    /// share `board`: a split group queues its split lanes' blocks there
+    /// under `slot`, and between blocks this thread serves other groups'
+    /// queued blocks. Returns the reports and the time spent serving other
+    /// groups.
+    pub(crate) fn replay_group(
+        configs: &[SimConfig],
+        split: &[usize],
+        trace: &[TraceRecord],
+        board: &LaneBoard,
+        slot: Option<usize>,
+    ) -> (Vec<RunReport>, Duration) {
         let Some(first) = configs.first() else {
-            return Vec::new();
+            return (Vec::new(), Duration::ZERO);
         };
         assert!(
             configs.len() == 1 || configs.iter().all(|c| c.shares_translation(first)),
             "a replay group's configs must share one translation"
         );
         assert!(
-            helper.windows(2).all(|w| w[0] < w[1]) && helper.iter().all(|&k| k < configs.len()),
-            "helper lanes must be increasing positions in the group"
+            split.windows(2).all(|w| w[0] < w[1]) && split.iter().all(|&k| k < configs.len()),
+            "split lanes must be increasing positions in the group"
         );
         assert!(
-            helper.iter().all(|&k| configs[k].policy.is_none()),
+            split.iter().all(|&k| configs[k].policy.is_none()),
             "a policy lane must replay on the group's own thread: its policy observes the \
-             records, and the helper thread sees only their translated I/O"
+             records, and a split lane sees only their translated I/O"
         );
         let mut configs = configs.to_vec();
         if matches!(first.layer, LayerChoice::Ls { .. }) && first.frontier_hint.is_none() {
@@ -1241,36 +1159,32 @@ impl Simulation {
                 config.frontier_hint = Some(top);
             }
         }
-        if helper.is_empty() {
+        if split.is_empty() {
             let mut state = EngineState::new(&configs);
-            state.replay_blocks(trace, None);
-            return state.finish(HelperLanes::default());
+            let served = state.replay_blocks(trace, None, board);
+            return (state.finish(None), served);
         }
         let own: Vec<SimConfig> = (0..configs.len())
-            .filter(|k| !helper.contains(k))
+            .filter(|k| !split.contains(k))
             .map(|k| configs[k])
             .collect();
         let plain = own
             .iter()
             .position(SimConfig::is_plain_ls)
             .expect("a split group keeps a plain-LS lane on its own thread");
+        let slot = slot.expect("a split group has a queue on the board");
         let mut state = EngineState::new(&own);
-        let lanes = HelperLanes {
-            lanes: helper
-                .iter()
-                .map(|&k| {
-                    let ls = ls_config_for(&configs[k]).expect("a split group is log-structured");
-                    (k, ReadLane::new(&ls), SeekLane::new(&configs[k]))
-                })
-                .collect(),
-            phases: PhaseTotals::default(),
-        };
-        let timing = state.timing;
-        let lanes = pipeline(
-            |full, free| state.replay_blocks(trace, Some(&Forward { plain, full, free })),
-            move |full, free| lanes.serve(full, free, timing),
-        );
-        state.finish(lanes)
+        let lanes = split
+            .iter()
+            .map(|&k| {
+                let ls = ls_config_for(&configs[k]).expect("a split group is log-structured");
+                (k, ReadLane::new(&ls), SeekLane::new(&configs[k]))
+            })
+            .collect();
+        board.open(slot, SplitLanes::new(lanes, state.timing));
+        let served = state.replay_blocks(trace, Some(Forward { plain, slot }), board);
+        let lanes = board.close(slot);
+        (state.finish(Some(lanes)), served)
     }
 }
 
@@ -1665,30 +1579,25 @@ mod tests {
 
     #[test]
     fn helper_panic_resumes_on_the_worker() {
-        // The helper dies after one block while the worker still has many
-        // to send: the worker must stop and re-raise the helper's panic,
-        // not wait on a channel nobody drains.
-        let sent = std::sync::atomic::AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline(
-                |full, free| {
-                    for _ in 0..1_000 {
-                        let Ok(block) = free.recv() else { return };
-                        if full.send(block).is_err() {
-                            return;
-                        }
-                        sent.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                },
-                |full, _free| {
-                    let _first = full.recv();
-                    panic!("helper fault");
-                },
-            )
-        }));
-        let payload = result.expect_err("the helper's panic reaches the worker");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper fault"));
-        assert!(sent.into_inner() <= BLOCKS_IN_FLIGHT);
+        // A split lane panics while another thread serves it: the group's
+        // own worker must re-raise that panic rather than wait for the
+        // block, and the serving thread must see the queue close.
+        let trace = busy_trace(40_000);
+        let configs = [
+            SimConfig::log_structured(),
+            SimConfig::ls_cache().with_longseek_series(crate::split::fault::FAULT_BUCKET_OPS),
+        ];
+        let board = LaneBoard::new(1);
+        let payload = std::thread::scope(|scope| {
+            let server = scope.spawn(|| board.serve_until_closed());
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _queue = board.guard(0);
+                Simulation::replay_group(&configs, &[1], &trace, &board, Some(0))
+            }));
+            server.join().expect("the serving thread outlives the lane");
+            result.expect_err("the lane's panic reaches the group's worker")
+        });
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected lane fault"));
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub mod plotdata;
 pub mod report;
 pub mod runner;
 pub mod saf;
+mod split;
 pub mod tracecache;
 
 pub use engine::{ConfigError, LayerChoice, RunReport, SimConfig, SimConfigBuilder, Simulation};

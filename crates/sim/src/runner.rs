@@ -16,9 +16,12 @@
 //! threads busy (on at least two threads, fewer groups than twice the
 //! threads), a group that holds selective-cache lanes beside a plain-LS
 //! lane *splits*: its worker keeps the translation and the other lanes,
-//! and one helper thread replays the policy-free cache lanes from the
-//! plain lane's forwarded I/O. Only the group and thread counts choose
-//! this.
+//! and the policy-free cache lanes replay from the plain lane's forwarded
+//! I/O, queued in blocks that the matrix's workers serve between blocks
+//! of their own cells and after their last one. Only the group and thread
+//! counts choose this. A matrix on `N` threads runs `N` replay threads,
+//! never more: a split group's worker serves its own oldest block when
+//! all its blocks are queued.
 //!
 //! Determinism: results come back in cell order regardless of the thread
 //! count, and every group regenerates its trace from a named, repeatable
@@ -32,6 +35,7 @@
 
 use crate::engine::{LayerChoice, RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
+use crate::split::LaneBoard;
 use smrseek_obs::PhaseTotals;
 use smrseek_trace::TraceRecord;
 use smrseek_workloads::profiles::Profile;
@@ -151,6 +155,9 @@ impl RunCell {
 pub struct RunMetrics {
     /// Wall time of the replay (excluding trace generation); for a cell
     /// of an `n`-cell translation group, an `n`th of the group's wall.
+    /// A group's wall runs until its last split-lane block is served,
+    /// whichever worker served it, and leaves out the time its own worker
+    /// spent serving other groups' blocks.
     pub wall: Duration,
     /// When the replay started, nanoseconds since the Unix epoch
     /// ([`smrseek_obs::unix_nanos`]).
@@ -259,7 +266,8 @@ impl RunMatrix {
     /// the outcomes *in cell order* — the thread count changes wall time
     /// and grouping, never results. Workers claim translation groups;
     /// each group's translation replays serially on one worker, and a
-    /// split group's cache lanes on a helper thread beside it.
+    /// split group's cache lanes on whichever workers serve its queued
+    /// blocks. A panic in any cell, split lanes included, resumes here.
     ///
     /// Timing of an `n`-cell group: each cell reports a wall of the
     /// group's wall divided by `n`, starting `k` such walls after the
@@ -267,14 +275,26 @@ impl RunMatrix {
     /// group's thread, with an `n`th of its phase totals (remainders on
     /// the first cell). Summing cells therefore counts the group once.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
-        let plan = self.plan(threads);
-        let done = parallel_map(&plan, threads, |(group, helper)| {
-            self.run_group(group, helper)
-        });
+        let mut slots = 0..;
+        let plan: Vec<(Vec<usize>, Vec<usize>, Option<usize>)> = self
+            .plan(threads)
+            .into_iter()
+            .map(|(group, split)| {
+                let slot = if split.is_empty() { None } else { slots.next() };
+                (group, split, slot)
+            })
+            .collect();
+        let board = LaneBoard::new(slots.start);
+        let done = parallel_map_then(
+            &plan,
+            threads,
+            |(group, split, slot)| self.run_group(group, split, *slot, &board),
+            || board.serve_until_closed(),
+        );
         let mut outcomes: Vec<(usize, RunOutcome)> = plan
             .iter()
             .zip(done)
-            .flat_map(|((group, _), outcomes)| group.iter().copied().zip(outcomes))
+            .flat_map(|((group, ..), outcomes)| group.iter().copied().zip(outcomes))
             .collect();
         outcomes.sort_by_key(|&(i, _)| i);
         outcomes.into_iter().map(|(_, outcome)| outcome).collect()
@@ -309,13 +329,13 @@ impl RunMatrix {
     }
 
     /// The [groups](Self::groups), each with the positions of the lanes
-    /// that replay on a helper thread. The split rule reads only the
-    /// thread and group counts: on at least two threads, with fewer
-    /// groups than twice the threads (so some worker would otherwise run
-    /// out of groups early), every group that holds a selective-cache lane
-    /// and a [plain-LS](SimConfig::is_plain_ls) lane hands its cache lanes
-    /// to a helper — all but policy-driven ones, which need the records
-    /// and stay on the worker; otherwise nothing splits.
+    /// it splits off. The split rule reads only the thread and group
+    /// counts: on at least two threads, with fewer groups than twice the
+    /// threads (so some worker would otherwise run out of groups early),
+    /// every group that holds a selective-cache lane and a
+    /// [plain-LS](SimConfig::is_plain_ls) lane splits off its cache lanes
+    /// — all but policy-driven ones, which need the records and stay with
+    /// the translation; otherwise nothing splits.
     fn plan(&self, threads: NonZeroUsize) -> Vec<(Vec<usize>, Vec<usize>)> {
         let groups = self.groups(threads);
         let split = threads.get() >= 2 && groups.len() < 2 * threads.get();
@@ -338,16 +358,25 @@ impl RunMatrix {
             .collect()
     }
 
-    /// Replays one group on this thread, its `helper` lanes on one more;
-    /// outcomes in the group's order.
-    fn run_group(&self, group: &[usize], helper: &[usize]) -> Vec<RunOutcome> {
+    /// Replays one group on this thread, its `split` lanes through queue
+    /// `slot` of `board`; outcomes in the group's order. The time this
+    /// thread spends serving other groups' blocks is left out of the
+    /// group's wall.
+    fn run_group(
+        &self,
+        group: &[usize],
+        split: &[usize],
+        slot: Option<usize>,
+        board: &LaneBoard,
+    ) -> Vec<RunOutcome> {
+        let _queue = slot.map(|slot| board.guard(slot));
         let cells: Vec<&RunCell> = group.iter().map(|&i| &self.cells[i]).collect();
         let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
         let records = cells[0].source.records();
         let start_unix_ns = smrseek_obs::unix_nanos();
         let start = Instant::now();
-        let reports = Simulation::run_group(&configs, helper, &records);
-        let wall = start.elapsed();
+        let (reports, served) = Simulation::replay_group(&configs, split, &records, board, slot);
+        let wall = start.elapsed().saturating_sub(served);
         lane_outcomes(
             &cells,
             reports,
@@ -391,11 +420,25 @@ fn lane_outcomes(
 /// Applies `f` to every item on up to `threads` scoped workers, returning
 /// results in item order. Work is claimed from a shared index queue, so an
 /// expensive item never strands idle workers behind a static partition.
+/// A panic in `f` resumes on the caller, with its own payload, once every
+/// worker has stopped.
 pub fn parallel_map<T, R, F>(items: &[T], threads: NonZeroUsize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
+{
+    parallel_map_then(items, threads, f, || {})
+}
+
+/// [`parallel_map`], each worker calling `idle` once no item is left to
+/// claim (on one worker, nobody does).
+fn parallel_map_then<T, R, F, I>(items: &[T], threads: NonZeroUsize, f: F, idle: I) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    I: Fn() + Sync,
 {
     let workers = threads.get().min(items.len());
     if workers <= 1 {
@@ -404,15 +447,25 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let result = f(&items[i]);
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    }
+                    idle();
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -957,6 +1010,152 @@ mod tests {
         // Ingest stays once per block, on each group's worker.
         assert_eq!(split.calls(Phase::Ingest), 3 * 3);
         assert_eq!(inline.calls(Phase::Ingest), 3 * 3);
+    }
+
+    /// Runs `f` on a thread of its own and returns what it returns, or
+    /// resumes its panic; fails the test if it runs past `limit` (a
+    /// matrix that hangs leaves its threads behind, not the test).
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        });
+        let Ok(result) = rx.recv_timeout(limit) else {
+            panic!("the matrix did not finish within {limit:?}");
+        };
+        runner.join().expect("the runner thread caught every panic");
+        result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    fn report_json(outcomes: &[RunOutcome]) -> Vec<String> {
+        outcomes
+            .iter()
+            .map(|o| serde_json::to_string(&o.report).expect("report serializes"))
+            .collect()
+    }
+
+    #[test]
+    fn a_split_group_serves_itself_while_the_other_workers_are_busy() {
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        let records = Arc::new(mixed(20_000));
+        let configs = [
+            SimConfig::log_structured(),
+            SimConfig::ls_prefetch(),
+            SimConfig::ls_cache(),
+        ];
+        let alone: Vec<String> = configs
+            .iter()
+            .map(|c| {
+                let report = Simulation::new(c).run_trace(&records);
+                serde_json::to_string(&report).expect("report serializes")
+            })
+            .collect();
+        for threads in [2usize, 3] {
+            // The group's supply marks it started; every other worker's
+            // supply then blocks until the group has finished, so no
+            // other worker serves a block of it.
+            let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let idle_count = Arc::new(AtomicUsize::new(usize::MAX));
+            let group = {
+                let (records, started) = (Arc::clone(&records), Arc::clone(&started));
+                TraceSource::new("group", move || {
+                    let held = Arc::clone(&records);
+                    started.store(true, Ordering::SeqCst);
+                    held
+                })
+            };
+            let busy = |k: usize| {
+                let (records, started) = (Arc::clone(&records), Arc::clone(&started));
+                let idle_count = Arc::clone(&idle_count);
+                TraceSource::new(format!("busy{k}"), move || {
+                    while !started.load(Ordering::SeqCst)
+                        || Arc::strong_count(&records) > idle_count.load(Ordering::SeqCst)
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Arc::new(burst(10))
+                })
+            };
+            let mut matrix = RunMatrix::new();
+            for k in 1..threads {
+                matrix.push(RunCell::new(busy(k), SimConfig::no_ls()));
+            }
+            for config in configs {
+                matrix.push(RunCell::new(group.clone(), config));
+            }
+            let plan = matrix.plan(n(threads));
+            assert_eq!(plan.len(), threads, "one work item per worker");
+            assert_eq!(
+                plan[threads - 1].1,
+                vec![2],
+                "the group splits LS+cache off"
+            );
+            // Every handle to the records but the runner's own.
+            idle_count.store(Arc::strong_count(&records), Ordering::SeqCst);
+            let outcomes = within(Duration::from_secs(120), move || matrix.execute(n(threads)));
+            assert_eq!(
+                report_json(&outcomes[threads - 1..]),
+                alone,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn two_split_groups_match_serial_replay() {
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        let sources = [
+            TraceSource::from_records("a", mixed(12_000)),
+            TraceSource::from_records("b", burst(9_000)),
+        ];
+        let configs = [
+            SimConfig::log_structured(),
+            SimConfig::ls_cache(),
+            SimConfig::ls_prefetch(),
+        ];
+        let matrix = RunMatrix::cross(&sources, &configs);
+        let serial = report_json(&matrix.execute(NonZeroUsize::MIN));
+        for threads in [2usize, 3] {
+            let splits = matrix
+                .plan(n(threads))
+                .iter()
+                .filter(|(_, split)| !split.is_empty())
+                .count();
+            assert_eq!(splits, 2, "{threads} threads");
+            let m = matrix.clone();
+            let split = within(Duration::from_secs(120), move || m.execute(n(threads)));
+            assert_eq!(report_json(&split), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_lane_panic_on_another_worker_fails_the_matrix() {
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        let group = TraceSource::from_records("group", mixed(40_000));
+        let mut matrix = RunMatrix::new();
+        for k in 0..2 {
+            matrix.push(RunCell::new(
+                TraceSource::from_records(format!("tiny{k}"), burst(10)),
+                SimConfig::no_ls(),
+            ));
+        }
+        matrix.push(RunCell::new(group.clone(), SimConfig::log_structured()));
+        let faulty =
+            SimConfig::ls_cache().with_longseek_series(crate::split::fault::FAULT_BUCKET_OPS);
+        matrix.push(RunCell::new(group, faulty));
+        for threads in [2usize, 3] {
+            assert!(matrix.plan(n(threads)).iter().any(|(_, s)| !s.is_empty()));
+            let m = matrix.clone();
+            let result = within(Duration::from_secs(120), move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.execute(n(threads))))
+            });
+            let payload = result.expect_err("the lane's panic fails the matrix");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected lane fault"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! Binary replay format lives in [`crate::binary`].
 
 pub mod blktrace;
+mod blocks;
 pub mod cloudphysics;
 pub mod msr;
 
@@ -49,17 +50,31 @@ fn read_line_bounded<R: BufRead>(
         .take(MAX_LINE_BYTES as u64 + 1)
         .read_until(b'\n', line)?;
     if n > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
-        return Err(Error::Format(format!(
-            "line {line_no} is longer than {MAX_LINE_BYTES} bytes"
-        )));
+        return Err(overlong(line_no));
     }
     Ok(n)
+}
+
+/// The error for line `line_no` running past [`MAX_LINE_BYTES`].
+fn overlong(line_no: u64) -> Error {
+    Error::Format(format!(
+        "line {line_no} is longer than {MAX_LINE_BYTES} bytes"
+    ))
 }
 
 /// A line-oriented trace parser.
 ///
 /// Implementations turn one text line into zero or one [`TraceRecord`];
 /// blank lines and comment lines yield `None`.
+///
+/// A parser's state may change only until it yields its first record
+/// (or its first error, which ends a [`parse_reader`] anyway): from then
+/// on, what [`parse_line`](Self::parse_line) and
+/// [`parse_prefix`](Self::parse_prefix) return for a line depends on the
+/// line and its number alone. [`MsrParser`] settles its timestamp epoch
+/// on its first record and keeps it; the other parsers have no state.
+/// This is what lets [`parse_reader`] hand clones of a settled parser to
+/// several threads and still return the records of one serial pass.
 pub trait LineParser {
     /// Parses one line. `line_no` is 1-based, used only for error messages.
     ///
@@ -107,12 +122,13 @@ impl<R: BufRead, P: LineParser> Iterator for RecordIter<R, P> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            // A read error here resurfaces from `read_until` below.
-            let fast = self
-                .reader
-                .fill_buf()
-                .ok()
-                .and_then(|buf| self.parser.parse_prefix(buf));
+            // A read error here resurfaces from `read_until` below. The
+            // fast path sees at most one line's worth of the buffer, so an
+            // over-long line is refused whatever the reader buffers.
+            let fast = self.reader.fill_buf().ok().and_then(|buf| {
+                let window = buf.len().min(MAX_LINE_BYTES + 1);
+                self.parser.parse_prefix(&buf[..window])
+            });
             if let Some((rec, used)) = fast {
                 self.reader.consume(used);
                 self.line_no += 1;
@@ -167,7 +183,19 @@ pub fn parse_iter<R: BufRead, P: LineParser>(reader: R, parser: P) -> RecordIter
     }
 }
 
-/// Reads an entire trace from `reader` using `parser`.
+/// Reads an entire trace from `reader` using `parser`: the records, or
+/// the first error, of collecting [`parse_iter`] over the same input.
+///
+/// The input is read in 1 MiB blocks cut at line ends. Blocks parse
+/// serially until the parser yields its first record; the rest parse on
+/// up to [`std::thread::available_parallelism`] threads (this one
+/// included), each with a clone of the now settled parser (see
+/// [`LineParser`]), and their records are appended in input order.
+/// This thread alone reads; it parses a block itself whenever no other
+/// thread is free to take it. A
+/// block that fails is parsed again serially from its exact first line
+/// number, so errors name the same line and say the same thing. Text in
+/// flight is one block per thread.
 ///
 /// # Errors
 ///
@@ -185,8 +213,12 @@ pub fn parse_iter<R: BufRead, P: LineParser>(reader: R, parser: P) -> RecordIter
 /// # Ok(())
 /// # }
 /// ```
-pub fn parse_reader<R: BufRead, P: LineParser>(reader: R, parser: P) -> Result<Vec<TraceRecord>> {
-    parse_iter(reader, parser).collect()
+pub fn parse_reader<R, P>(reader: R, parser: P) -> Result<Vec<TraceRecord>>
+where
+    R: BufRead,
+    P: LineParser + Clone + Send,
+{
+    blocks::parse_reader(reader, parser)
 }
 
 /// A trace format identified by [`sniff_path`].
@@ -318,6 +350,23 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_whatever_the_reader_buffers() {
+        // A slice reader buffers the whole input, so the fast path could
+        // see the long line whole; it is refused all the same.
+        let mut line = b"1,h,0,Read,0,512,".to_vec();
+        line.extend(vec![b'7'; MAX_LINE_BYTES]);
+        line.push(b'\n');
+        let err = parse_iter(&line[..], MsrParser::new())
+            .next()
+            .expect("one item")
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Format(msg) if msg.contains("line 1 is longer")),
+            "{err}"
+        );
     }
 
     #[test]
