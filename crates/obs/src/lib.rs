@@ -16,8 +16,9 @@
 //! * [`phase`] — the engine's per-record phase accounting
 //!   ([`phase::Phase`]: ingest, extent lookup, seek accounting, host
 //!   cache, policy classification) accumulated into mergeable
-//!   [`phase::PhaseTotals`]. Gated by a process-wide flag so the hot loop
-//!   pays a single branch when profiling is off.
+//!   [`phase::PhaseTotals`]. Every replay times the records of a fixed
+//!   sample, one in [`phase::SAMPLE_INTERVAL`], so the hot loop reads no
+//!   clock for the rest.
 //! * [`chrome`] — serializes [`DistSpan`]s as Chrome trace-event JSON,
 //!   loadable in `chrome://tracing` or Perfetto; named processes get
 //!   track metadata and cross-track parent links get flow arrows.
@@ -40,4 +41,4 @@ pub mod phase;
 pub use dtrace::{current_tid, unix_nanos, DistSpan, SpanStore, TraceContext};
 pub use log::Level;
 pub use metrics::{Counter, Gauge, Histogram, Registry, ValueFormat};
-pub use phase::{phase_accounting, set_phase_accounting, Phase, PhaseTotals};
+pub use phase::{Phase, PhaseTotals};

@@ -7,13 +7,35 @@
 //! them across matrix cells, the daemon folds them into `/metrics` — and
 //! never enter serialized reports, which must stay byte-deterministic.
 //!
-//! Accounting is off by default: timing every record costs two
-//! `Instant::now()` calls per phase, too much for throughput-sensitive
-//! replay. [`set_phase_accounting`] flips a process-wide flag the engine
-//! reads once per run, so steady-state cost when off is zero.
+//! Every replay accounts its phases, in every process. Timing every
+//! record would cost a clock read per phase per record, so the engine
+//! times the per-record phases of a fixed sample only: each record whose
+//! logical index is a multiple of [`SAMPLE_INTERVAL`] (record 0 always),
+//! and scales the sampled nanoseconds by the interval once when the run
+//! finishes ([`PhaseTotals::scaled`]). Call counts stay the intervals
+//! kept, so they are deterministic. Ingest is timed once per block of
+//! records, never sampled.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The engine times the per-record phases of every record whose logical
+/// index is a multiple of this (see the [module docs](self)).
+pub const SAMPLE_INTERVAL: u64 = 1 << 6;
+
+/// Whether the record at logical index `i` is in the timed sample.
+#[inline]
+pub fn sampled(i: u64) -> bool {
+    i.is_multiple_of(SAMPLE_INTERVAL)
+}
+
+/// Whether the record at logical index `i` is the one before a sampled
+/// record. The engine runs it through the timed step too and drops its
+/// times: a sampled record that ran cold, after a stretch of untimed
+/// ones, would charge the cold start to its phases.
+#[inline]
+pub fn warms_up(i: u64) -> bool {
+    sampled(i + 1)
+}
 
 /// A stage of per-record simulation work that the engine accounts for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +104,28 @@ impl PhaseTotals {
         self.calls[i] += 1;
     }
 
+    /// Records the time since `*mark` under `phase` and moves `mark` to
+    /// now: consecutive laps time consecutive phases with one clock read
+    /// each. Does nothing without a mark, so a step that never sets one
+    /// compiles to no timing code.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase, mark: &mut Option<Instant>) {
+        if let Some(t) = mark {
+            let now = Instant::now();
+            self.record(phase, now - *t);
+            *t = now;
+        }
+    }
+
+    /// These totals with every nanosecond multiplied by `factor` and the
+    /// call counts kept: a sample's totals estimating the whole run's.
+    pub fn scaled(&self, factor: u64) -> PhaseTotals {
+        PhaseTotals {
+            nanos: self.nanos.map(|x| x.saturating_mul(factor)),
+            calls: self.calls,
+        }
+    }
+
     /// Folds another set of totals into this one.
     pub fn merge(&mut self, other: &PhaseTotals) {
         for i in 0..Phase::ALL.len() {
@@ -126,7 +170,7 @@ impl PhaseTotals {
         self.nanos.iter().copied().sum()
     }
 
-    /// True when nothing has been recorded (accounting was off).
+    /// True when nothing has been recorded.
     pub fn is_zero(&self) -> bool {
         self.total_nanos() == 0 && self.calls.iter().all(|&c| c == 0)
     }
@@ -140,20 +184,6 @@ impl PhaseTotals {
             .into_iter()
             .map(|phase| (phase, self.nanos(phase), self.calls(phase)))
     }
-}
-
-/// Process-wide switch the engine samples at run start.
-static ACCOUNTING: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables engine phase accounting for runs started after the
-/// call. Runs already in flight keep the setting they started with.
-pub fn set_phase_accounting(enabled: bool) {
-    ACCOUNTING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether engine phase accounting is currently enabled.
-pub fn phase_accounting() -> bool {
-    ACCOUNTING.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -230,6 +260,40 @@ mod tests {
         assert_eq!(pairs[0], (Phase::Ingest, 0, 0));
         let order: Vec<Phase> = pairs.iter().map(|&(p, _, _)| p).collect();
         assert_eq!(order, Phase::ALL.to_vec());
+    }
+
+    #[test]
+    fn scaled_multiplies_nanos_and_keeps_calls() {
+        let mut t = PhaseTotals::default();
+        t.record(Phase::Lookup, Duration::from_nanos(3));
+        t.record(Phase::Seek, Duration::from_nanos(5));
+        let s = t.scaled(SAMPLE_INTERVAL);
+        assert_eq!(s.nanos(Phase::Lookup), 3 * SAMPLE_INTERVAL);
+        assert_eq!(s.nanos(Phase::Seek), 5 * SAMPLE_INTERVAL);
+        assert_eq!(s.calls(Phase::Lookup), 1);
+        assert_eq!(t.scaled(1), t);
+    }
+
+    #[test]
+    fn laps_time_consecutive_phases() {
+        let mut t = PhaseTotals::default();
+        let mut none = None;
+        t.lap(Phase::Lookup, &mut none);
+        assert!(t.is_zero(), "no mark, nothing timed");
+        let mut mark = Some(Instant::now());
+        t.lap(Phase::Lookup, &mut mark);
+        t.lap(Phase::Seek, &mut mark);
+        assert_eq!(t.calls(Phase::Lookup), 1);
+        assert_eq!(t.calls(Phase::Seek), 1);
+    }
+
+    #[test]
+    fn the_sample_starts_at_record_zero() {
+        assert!(SAMPLE_INTERVAL.is_power_of_two());
+        assert!(sampled(0) && sampled(SAMPLE_INTERVAL) && !sampled(1));
+        assert!(warms_up(SAMPLE_INTERVAL - 1) && !warms_up(0));
+        let timed = (0..3 * SAMPLE_INTERVAL + 1).filter(|&i| sampled(i)).count();
+        assert_eq!(timed, 4);
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //!   plotdata [--out DIR]   write plot-ready CSV series for every figure
 //!   characterize <file>    Table-I style stats for an external trace
 //!   simulate <file>        NoLS/LS/mechanism SAF for an external trace
-//!   bench                  ingest + serial replay throughput per config
 //!   convert <in> <out>     convert any trace to the v2 binary format
 //!   gen <profile>          emit a synthetic trace as CloudPhysics CSV
 //!   list                   list the 21 workload profiles
 //!   serve                  run the smrseekd HTTP daemon (see crate docs)
-//!   profile <trace>        replay the sweep with phase accounting and write
-//!                          a Chrome trace-event JSON (`--out`, default
-//!                          trace.json) viewable in Perfetto
+//!   profile <trace>        replay the sweep and write its cells, phases and
+//!                          serve time as a Chrome trace-event JSON
+//!                          (`--out`, default trace.json) viewable in
+//!                          Perfetto
 //!   trace <trace-id>       fetch a distributed trace from a daemon
 //!                          (`--addr`) or a whole fleet (`--peers`),
 //!                          stitch the spans, and write a Chrome
@@ -43,7 +43,7 @@
 
 use smrseek_sim::experiments::{self, ExpOptions, Experiment};
 use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix};
-use smrseek_sim::{saf, tracecache, SimConfig, Simulation, TextTable, TraceSource};
+use smrseek_sim::{saf, tracecache, SimConfig, TextTable, TraceSource};
 use smrseek_trace::binary;
 use smrseek_trace::parse::{parse_path, sniff_path, DetectedFormat};
 use smrseek_trace::writer::write_cp_csv;
@@ -110,7 +110,6 @@ struct Args {
     workers: usize,
     queue_depth: usize,
     peers: Vec<String>,
-    ops_explicit: bool,
     verbose: bool,
     log_json: bool,
 }
@@ -123,7 +122,6 @@ fn usage() -> String {
      smrseek list\n       \
      smrseek <characterize|simulate> <trace> [--format msr|cp|blktrace|binary] \
      [--json FILE]\n       \
-     smrseek bench [--ops N] [--seed S] [--json FILE]\n       \
      smrseek convert <trace> <out.smrt> [--format msr|cp|blktrace|binary]\n       \
      smrseek gen <profile> [--ops N] [--seed S] [--out FILE]\n       \
      smrseek serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--threads N] \
@@ -137,8 +135,7 @@ fn usage() -> String {
      points) in parallel, each cell's trace translated serially; with fewer translation \
      groups than twice N (N >= 2), a group's selective-cache lanes replay apart from it, \
      served by whichever of the N workers is free (never more than N replay threads); \
-     SMRSEEK_THREADS overrides the default (host parallelism). Reports never depend on \
-     the thread count.",
+     the default is the host's parallelism. Reports never depend on the thread count.",
         experiments.join("|")
     )
 }
@@ -159,7 +156,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         workers: 2,
         queue_depth: 64,
         peers: Vec::new(),
-        ops_explicit: false,
         verbose: false,
         log_json: false,
     };
@@ -174,7 +170,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 if args.opts.ops > MAX_OPS {
                     return Err(CliError::usage(format!("--ops must be at most {MAX_OPS}")));
                 }
-                args.ops_explicit = true;
             }
             "--seed" => {
                 args.opts.seed = it
@@ -317,11 +312,12 @@ fn install_signal_handlers() {
     }
 }
 
-/// `smrseek profile <trace>`: replays the standard sweep with phase
-/// accounting on and writes one `cell:*` span per cell as Chrome
-/// trace-event JSON (open in Perfetto or `chrome://tracing`). Each cell
-/// span gets synthetic `phase:*` children, linked to it by span id,
-/// laying out where the cell's replay time went.
+/// `smrseek profile <trace>`: replays the standard sweep and writes one
+/// `cell:*` span per cell as Chrome trace-event JSON (open in Perfetto or
+/// `chrome://tracing`). Each cell span gets synthetic `phase:*` children,
+/// linked to it by span id, laying out where the cell's replay time went;
+/// a worker's time serving other groups' split lanes is a `serve` span
+/// after its group's cells.
 fn run_profile(args: &Args) -> Result<String, CliError> {
     let path = args
         .file
@@ -339,28 +335,39 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
     for (config, label) in SimConfig::standard_sweep().iter().zip(labels) {
         matrix.push(RunCell::new(source.clone(), *config).with_label(label));
     }
-    smrseek_obs::set_phase_accounting(true);
     let outcomes = matrix.execute(args.threads);
-    smrseek_obs::set_phase_accounting(false);
     // One span per cell, each followed by its phase totals laid out as
-    // children.
+    // children; a group's time serving other groups' split lanes follows
+    // its last cell as one `serve` span on the same thread.
     let trace = smrseek_obs::TraceContext::mint();
+    let nanos = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    let span = |name: String, start_unix_ns: u64, dur_ns: u64, tid: u64| smrseek_obs::DistSpan {
+        trace_id: trace.trace_id,
+        span_id: trace.child().span_id,
+        parent_span_id: None,
+        name,
+        request_id: "profile".to_owned(),
+        start_unix_ns,
+        dur_ns,
+        pid: std::process::id(),
+        tid,
+    };
     let mut spans = Vec::new();
     for outcome in &outcomes {
-        let cell = smrseek_obs::DistSpan {
-            trace_id: trace.trace_id,
-            span_id: trace.child().span_id,
-            parent_span_id: None,
-            name: format!("cell:{}", outcome.label),
-            request_id: "profile".to_owned(),
-            start_unix_ns: outcome.metrics.start_unix_ns,
-            dur_ns: u64::try_from(outcome.metrics.wall.as_nanos()).unwrap_or(u64::MAX),
-            pid: std::process::id(),
-            tid: outcome.metrics.tid,
-        };
-        let children = smrseek_obs::chrome::phase_children(&cell, &outcome.metrics.phases);
+        let m = &outcome.metrics;
+        let cell = span(
+            format!("cell:{}", outcome.label),
+            m.start_unix_ns,
+            nanos(m.wall),
+            m.tid,
+        );
+        let children = smrseek_obs::chrome::phase_children(&cell, &m.phases);
+        let end = cell.start_unix_ns.saturating_add(cell.dur_ns);
         spans.push(cell);
         spans.extend(children);
+        if !m.served.is_zero() {
+            spans.push(span("serve".to_owned(), end, nanos(m.served), m.tid));
+        }
     }
     let file = File::create(&out_path)
         .map_err(|e| CliError::Io(format!("cannot create {out_path}: {e}")))?;
@@ -383,146 +390,6 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
     Ok(format!(
         "{path}: {records} ops, {} span(s) -> {out_path}\n{table}",
         spans.len()
-    ))
-}
-
-/// `smrseek bench` replays `--ops` records (default 10 million — large
-/// enough that per-record overheads dominate any constant cost) of a
-/// deterministic mixed read/write workload through the NoLS baseline and
-/// three log-structured configs, and reports ingest bandwidth (decoding
-/// the binary image with [`binary::read_binary`]) plus serial replay
-/// throughput for each. The host's CPU count is reported alongside so
-/// numbers from different machines compare honestly.
-fn run_bench(args: &Args) -> Result<String, CliError> {
-    #[derive(serde::Serialize)]
-    struct BenchPhase {
-        seconds: f64,
-        records_per_s: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchConfigRun {
-        config: &'static str,
-        serial: BenchPhase,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchReport {
-        records: usize,
-        trace_bytes: usize,
-        host_cpus: usize,
-        default_threads: usize,
-        ingest_mib_per_s: f64,
-        ingest: BenchPhase,
-        configs: Vec<BenchConfigRun>,
-    }
-
-    let n = if args.ops_explicit {
-        args.opts.ops
-    } else {
-        10_000_000
-    };
-    let seed = args.opts.seed | 1;
-    smrseek_obs::info!("bench: generating {n} records");
-    let records: Vec<TraceRecord> = (0..n as u64)
-        .map(|i| {
-            // A multiplicative scramble over a 16 GiB span: almost every
-            // record seeks, so the seek model is fully exercised.
-            let lba = smrseek_trace::Lba::new(
-                i.wrapping_mul(seed).wrapping_mul(2654435761) % (1 << 22) * 8,
-            );
-            if i % 3 == 0 {
-                TraceRecord::read(i, lba, 8)
-            } else {
-                TraceRecord::write(i, lba, 16)
-            }
-        })
-        .collect();
-    let mut buf = Vec::new();
-    binary::write_binary_v2(&mut buf, &records).map_err(|e| CliError::Io(e.to_string()))?;
-    let trace_bytes = buf.len();
-    drop(records);
-
-    let phase = |seconds: f64| BenchPhase {
-        seconds,
-        records_per_s: n as f64 / seconds,
-    };
-    // Ingest: one decode of the binary image into memory, no simulation.
-    let start = Instant::now();
-    let records = binary::read_binary(&buf[..]).map_err(|e| CliError::Parse(e.to_string()))?;
-    let ingest_s = start.elapsed().as_secs_f64();
-    drop(buf);
-    if records.len() != n {
-        return Err(CliError::Parse(format!(
-            "bench decoded {} of {n} records",
-            records.len()
-        )));
-    }
-
-    let host_cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-
-    // The NoLS baseline, plain log-structured translation, and the full
-    // mechanism stack with and without the adaptive policy engine — the
-    // last pair reads off the engine's end-to-end overhead.
-    let fixed_stack = {
-        let mut c = SimConfig::ls_adaptive();
-        c.policy = None;
-        c.flash_cache_bytes = None;
-        c
-    };
-    let bench_configs = [
-        ("NoLS", SimConfig::no_ls()),
-        ("LS", SimConfig::log_structured()),
-        ("LS+fixed", fixed_stack),
-        ("LS+adaptive", SimConfig::ls_adaptive()),
-    ];
-    let mut configs = Vec::with_capacity(bench_configs.len());
-    for (name, config) in bench_configs {
-        let replay = || {
-            let start = Instant::now();
-            let report = Simulation::new(&config).run_trace(&records);
-            (start.elapsed().as_secs_f64(), report.logical_ops)
-        };
-        // Warm the page cache and branch predictors off the books.
-        replay();
-        let (serial_s, serial_ops) = replay();
-        if serial_ops != n as u64 {
-            return Err(CliError::Parse(format!(
-                "bench replayed {serial_ops} of {n} records"
-            )));
-        }
-        smrseek_obs::info!("bench: {name} serial: {:.0} records/s", n as f64 / serial_s);
-        configs.push(BenchConfigRun {
-            config: name,
-            serial: phase(serial_s),
-        });
-    }
-
-    let report = BenchReport {
-        records: n,
-        trace_bytes,
-        host_cpus,
-        default_threads: runner::default_threads().get(),
-        ingest_mib_per_s: trace_bytes as f64 / (1 << 20) as f64 / ingest_s,
-        ingest: phase(ingest_s),
-        configs,
-    };
-    maybe_write_json(&args.json, &report)?;
-
-    let mut table = TextTable::new(vec!["stage", "seconds", "records/s"]);
-    table.row(vec![
-        "ingest".into(),
-        format!("{:.3}", report.ingest.seconds),
-        format!("{:.0}", report.ingest.records_per_s),
-    ]);
-    for run in &report.configs {
-        table.row(vec![
-            format!("{} serial", run.config),
-            format!("{:.3}", run.serial.seconds),
-            format!("{:.0}", run.serial.records_per_s),
-        ]);
-    }
-    Ok(format!(
-        "bench: {n} records ({:.1} MiB binary), {host_cpus} host CPU(s)\n{table}",
-        trace_bytes as f64 / (1 << 20) as f64
     ))
 }
 
@@ -843,7 +710,6 @@ fn run_command(args: &Args) -> Result<String, CliError> {
             maybe_write_json(&args.json, &safs)?;
             format!("{path}: {ops} ops\n{table}")
         }
-        "bench" => run_bench(args)?,
         "serve" => run_serve(args)?,
         "profile" => run_profile(args)?,
         "trace" => run_trace_fetch(args)?,

@@ -205,10 +205,6 @@ impl Handle {
 ///
 /// Returns the bind error when the address is unavailable.
 pub fn start(config: ServerConfig) -> io::Result<Handle> {
-    // The daemon always pays for coarse phase accounting (a few
-    // `Instant::now` calls per record) so `/metrics` can export where
-    // replay time goes; offline CLI runs leave it off.
-    smrseek_obs::set_phase_accounting(true);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let state = Arc::new(ServerState::new(config.queue_depth, config.workers));

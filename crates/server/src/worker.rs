@@ -6,7 +6,10 @@
 //! five layer configurations fan out across the run's `job_threads` via
 //! the same `parallel_map` the CLI uses — the daemon adds queueing and
 //! caching, never a second execution path (that is what keeps its results
-//! byte-identical to offline runs).
+//! byte-identical to offline runs). Its replays run as fast as offline
+//! ones too: every replay times the same sample of records for its phase
+//! totals, which workers fold into `/metrics` and the job's SSE `phases`
+//! frame.
 
 use crate::jobs::JobTable;
 use crate::metrics::Metrics;
@@ -63,8 +66,9 @@ pub struct JobOutcome {
     pub doc: String,
     /// Logical records the job accounts for (full trace length per cell).
     pub records: u64,
-    /// Engine phase timing merged across the job's cells (all zero unless
-    /// phase accounting is enabled — the daemon enables it at startup).
+    /// Engine phase timing merged across the job's cells: ingest per
+    /// block, the other phases estimated from the records of the phase
+    /// sample ([`smrseek_obs::phase`]).
     pub phases: PhaseTotals,
     /// Adaptive-policy decision counters merged across the job's cells
     /// (all zero for jobs without a policy config).

@@ -619,6 +619,80 @@ fn log_json_emits_structured_lines() {
 }
 
 #[test]
+fn profile_timeline_adds_up_on_every_thread() {
+    // On two threads the sweep's LS group splits LS+cache off, and the
+    // worker of NoLS and LS+defrag serves its blocks between its own: that
+    // time is a `serve` span after its group's cells, so per thread the
+    // top-level spans never overlap and leave no gap.
+    let csv = tmp("timeline.csv");
+    let json = tmp("timeline.json");
+    let gen = ["gen", "w91", "--ops", "30000", "--out"];
+    let out = smrseek(&[&gen[..], &[csv.to_str().unwrap()]].concat());
+    assert!(out.status.success());
+    let out = smrseek(&[
+        "profile",
+        csv.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--out",
+        json.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let data = std::fs::read_to_string(&json).expect("trace written");
+    let value: serde_json::Value = serde_json::from_str(&data).expect("valid Chrome trace JSON");
+    let events = value
+        .get("traceEvents")
+        .and_then(serde_json::Value::as_array)
+        .expect("traceEvents array");
+    // (ts, end) in µs of every top-level span, per tid.
+    let mut by_tid: std::collections::BTreeMap<i64, Vec<(f64, f64)>> = Default::default();
+    for e in events {
+        let name = e
+            .get("name")
+            .and_then(serde_json::Value::as_str)
+            .expect("name");
+        if !(name.starts_with("cell:") || name == "serve") {
+            continue;
+        }
+        let field = |k: &str| e.get(k).and_then(serde_json::Value::as_f64).expect(k);
+        let tid = e
+            .get("tid")
+            .and_then(serde_json::Value::as_i64)
+            .expect("tid");
+        by_tid
+            .entry(tid)
+            .or_default()
+            .push((field("ts"), field("ts") + field("dur")));
+    }
+    assert!(!by_tid.is_empty(), "{data}");
+    for (tid, spans) in &mut by_tid {
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in spans.windows(2) {
+            assert!(
+                pair[1].0 + 1.0 >= pair[0].1,
+                "tid {tid}: {:?} overlaps {:?}: {data}",
+                pair[0],
+                pair[1]
+            );
+        }
+        let first = spans[0].0;
+        let last = spans.iter().map(|s| s.1).fold(first, f64::max);
+        let covered: f64 = spans.iter().map(|s| s.1 - s.0).sum();
+        assert!(
+            covered >= 0.9 * (last - first),
+            "tid {tid}: spans cover {covered} of {} µs: {data}",
+            last - first
+        );
+    }
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&json).ok();
+}
+
+#[test]
 fn profile_writes_valid_chrome_trace_with_nested_phases() {
     let csv = tmp("profile.csv");
     let json = tmp("profile.json");
@@ -741,39 +815,4 @@ fn profile_without_trace_is_a_usage_error() {
     let out = smrseek(&["profile"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("profile needs a trace file"));
-}
-
-#[test]
-fn bench_emits_throughput_json() {
-    let json = tmp("bench.json");
-    let out = smrseek(&["bench", "--ops", "50000", "--json", json.to_str().unwrap()]);
-    assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.contains("ingest") && text.contains("serial"));
-    assert!(
-        !text.contains("shard"),
-        "bench reports serial replay only: {text}"
-    );
-    let parsed: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&json).expect("json written"))
-            .expect("bench JSON parses");
-    let text = serde_json::to_string(&parsed).expect("re-serializes");
-    assert!(text.contains("\"records\":50000"));
-    let configs = parsed
-        .get("configs")
-        .and_then(serde_json::Value::as_array)
-        .expect("configs array");
-    assert_eq!(configs.len(), 4, "NoLS, LS, LS+fixed, LS+adaptive");
-    for config in configs {
-        let rate = config
-            .get("serial")
-            .and_then(|s| s.get("records_per_s"))
-            .and_then(serde_json::Value::as_f64);
-        assert!(rate.is_some_and(|r| r > 0.0), "{config:?}");
-        assert!(
-            config.get("sharded").is_none(),
-            "no sharded rows: {config:?}"
-        );
-    }
-    std::fs::remove_file(&json).ok();
 }

@@ -757,8 +757,8 @@ fn sse_events_stream_replays_job_lifecycle() {
         queued < running && running < done,
         "frames arrive in lifecycle order: {body}"
     );
-    // The daemon runs with phase accounting on, so the finishing job
-    // publishes its engine phase split before the terminal frame.
+    // Every replay accounts its phases, so the finishing job publishes
+    // its engine phase split before the terminal frame.
     let phases = position("phases");
     assert!(running < phases && phases < done, "{body}");
     assert!(body.contains("\"seconds\":"), "{body}");
@@ -776,6 +776,46 @@ fn sse_events_stream_replays_job_lifecycle() {
         404
     );
     handle.shutdown();
+}
+
+#[test]
+fn a_job_shorter_than_the_phase_sample_still_reports_phases() {
+    // Record 0 is always in the sample, so even a job with fewer records
+    // than the sample interval times its phases.
+    let records = smrseek_obs::phase::SAMPLE_INTERVAL / 2;
+    let dir = temp_dir("short_job");
+    let path = dir.join("short.csv");
+    let mut csv = String::from("timestamp_us,op,offset_bytes,length_bytes\n");
+    for i in 0..records {
+        let op = if i % 3 == 0 { 'R' } else { 'W' };
+        csv.push_str(&format!("{i},{op},{},4096\n", (i * 7919 % 64) * 4096));
+    }
+    std::fs::write(&path, csv).expect("write trace");
+    let handle = smrseek_server::start(smrseek_server::ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        ..smrseek_server::ServerConfig::default()
+    })
+    .expect("start in-process daemon");
+    let addr = handle.addr().to_string();
+    let body = format!(r#"{{"trace": {{"path": "{}"}}}}"#, path.display());
+    let submit = request(&addr, "POST", "/v1/jobs", Some(&body));
+    assert_eq!(submit.status, 202, "{}", submit.body_str());
+    // The stream follows the job to its terminal frame.
+    let events = request(&addr, "GET", "/v1/jobs/1/events", None).body_str();
+    assert!(events.contains("event: done\n"), "{events}");
+    assert!(events.contains("event: phases\n"), "{events}");
+    assert!(events.contains("\"lookup\":{"), "{events}");
+    let text = request(&addr, "GET", "/metrics", None).body_str();
+    let lookup: f64 = text
+        .lines()
+        .find(|l| l.starts_with("smrseekd_engine_phase_seconds_total{phase=\"lookup\"}"))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("lookup seconds exported:\n{text}"));
+    assert!(lookup > 0.0, "{text}");
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Reserves two loopback ports by binding and dropping ephemeral

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
 use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
-use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
+use smrseek_obs::{phase, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
     CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
@@ -545,20 +545,11 @@ pub struct RunReport {
     /// Per-tier cache hit/promotion/demotion counters, when the selective
     /// cache had a flash tier ([`SimConfig::with_flash_cache`]).
     pub cache_tiers: Option<TierStats>,
-    /// Engine phase accounting (where simulation wall time went). All
-    /// zeros unless [`smrseek_obs::set_phase_accounting`] was on when the
-    /// run started. A timing side channel like `RunMetrics`: deliberately
-    /// excluded from the hand-written [`Serialize`] impl below, because
-    /// serialized reports must stay byte-deterministic across machines and
-    /// thread counts.
-    pub phases: PhaseTotals,
 }
 
-/// Hand-written (the vendored `serde_derive` has no `#[serde(skip)]`):
-/// reproduces exactly what the derive emitted for every field except
-/// `phases`, which is wall-clock noise and must not reach serialized
-/// reports. The adaptive fields (`policy`, `cache_tiers`)
-/// are appended only when present, so reports from policy-free runs stay
+/// Hand-written: reproduces exactly what the derive emitted for every
+/// field, except that the adaptive fields (`policy`, `cache_tiers`) are
+/// appended only when present, so reports from policy-free runs stay
 /// byte-identical to those from before the fields existed.
 impl Serialize for RunReport {
     fn to_value(&self) -> serde::Value {
@@ -692,11 +683,11 @@ struct EngineState {
     /// exactly as it would alone. Empty lists take a replay loop with no
     /// policy step at all (see [`step`](Self::step)).
     policies: Vec<(usize, PolicyEngine)>,
-    /// Sampled from [`phase_accounting`] once at construction so a run's
-    /// behavior cannot change mid-flight; when false, `step` pays a single
-    /// branch and no clock reads.
-    timing: bool,
-    phases: PhaseTotals,
+    /// Per-record phase time of the [sampled](smrseek_obs::phase::sampled)
+    /// records, unscaled.
+    sampled: PhaseTotals,
+    /// Ingest time, one interval per block.
+    ingest: PhaseTotals,
 }
 
 /// The [`LsConfig`] a fresh run of `config` builds its layer from.
@@ -762,32 +753,30 @@ impl EngineState {
             logical_ops: 0,
             peak_extent_segments: 0,
             policies,
-            timing: phase_accounting(),
-            phases: PhaseTotals::default(),
+            sampled: PhaseTotals::default(),
+            ingest: PhaseTotals::default(),
         }
     }
 
     /// Replays one record; returns whether it reached the layer (a host
-    /// cache hit does not, and leaves every lane's `ios` stale). Behaviorally
-    /// identical with phase accounting on or off: timing wraps the same
-    /// statements, it never reorders them. `POLICY` says whether
-    /// [`policies`](Self::policies) is non-empty; callers decide it once
-    /// per replay, so runs without a policy compile to a step with no
-    /// policy code in it.
-    fn step<const POLICY: bool>(&mut self, rec: &TraceRecord) -> bool {
+    /// cache hit does not, and leaves every lane's `ios` stale). `POLICY`
+    /// says whether [`policies`](Self::policies) is non-empty, and `TIMED`
+    /// whether the record is in the phase sample: callers decide `POLICY`
+    /// once per replay and `TIMED` per record, so the untimed step of a
+    /// run without a policy compiles to neither policy nor timing code.
+    /// Timing wraps the same statements, it never reorders them.
+    #[inline]
+    fn step<const POLICY: bool, const TIMED: bool>(&mut self, rec: &TraceRecord) -> bool {
         let i = self.logical_ops;
         self.logical_ops += 1;
-        let mut mark = self.timing.then(Instant::now);
+        let mut mark = TIMED.then(Instant::now);
         if let Some(cache) = &mut self.host_cache {
             let key = smrseek_trace::Pba::new(rec.lba.sector());
             let hit = rec.op.is_read() && cache.covers(key, u64::from(rec.sectors));
             if !hit {
                 cache.insert(key, u64::from(rec.sectors));
             }
-            if let Some(t) = &mut mark {
-                self.phases.record(Phase::HostCache, t.elapsed());
-                *t = Instant::now();
-            }
+            self.sampled.lap(Phase::HostCache, &mut mark);
             if hit {
                 self.host_cache_hits += 1;
                 return false; // served from host RAM: nothing reaches the device
@@ -799,10 +788,7 @@ impl EngineState {
                     ls.set_lane_gates(*k, policy.observe(rec.lba.sector(), rec.op.is_read()));
                 }
             }
-            if let Some(t) = &mut mark {
-                self.phases.record(Phase::Classify, t.elapsed());
-                *t = Instant::now();
-            }
+            self.sampled.lap(Phase::Classify, &mut mark);
         }
         for lane in &mut self.lanes {
             lane.ios.clear();
@@ -810,10 +796,7 @@ impl EngineState {
         let lanes = &mut self.lanes;
         self.layer
             .apply_into(rec, &mut |k, io| lanes[k].ios.push(io));
-        if let Some(t) = &mut mark {
-            self.phases.record(Phase::Lookup, t.elapsed());
-            *t = Instant::now();
-        }
+        self.sampled.lap(Phase::Lookup, &mut mark);
         if POLICY {
             let fragmented = match &self.layer {
                 LayerImpl::Ls(ls) => rec.op.is_read() && ls.last_read_fragmented(),
@@ -833,10 +816,7 @@ impl EngineState {
                     }
                 }
             }
-            if let Some(t) = &mut mark {
-                self.phases.record(Phase::Classify, t.elapsed());
-                *t = Instant::now();
-            }
+            self.sampled.lap(Phase::Classify, &mut mark);
         }
         for lane in &mut self.lanes {
             lane.observe_ios(i);
@@ -844,14 +824,31 @@ impl EngineState {
         if let LayerImpl::Ls(ls) = &self.layer {
             self.peak_extent_segments = self.peak_extent_segments.max(ls.map().len() as u64);
         }
-        if let Some(t) = &mark {
-            self.phases.record(Phase::Seek, t.elapsed());
-        }
+        self.sampled.lap(Phase::Seek, &mut mark);
         true
     }
 
+    /// [`step`](Self::step), timed when the record is in the phase
+    /// sample. The record before a sampled one runs the timed step with
+    /// its times dropped, so the sampled record finds that code warm.
+    #[inline]
+    fn step_sampled<const POLICY: bool>(&mut self, rec: &TraceRecord) -> bool {
+        let i = self.logical_ops;
+        if phase::sampled(i) {
+            self.step::<POLICY, true>(rec)
+        } else if phase::warms_up(i) {
+            let kept = self.sampled;
+            let reached = self.step::<POLICY, true>(rec);
+            self.sampled = kept;
+            reached
+        } else {
+            self.step::<POLICY, false>(rec)
+        }
+    }
+
     /// Replays `trace` in blocks of [`DEFAULT_BLOCK_RECORDS`], timing the
-    /// ingest phase once per block. With `forward`, a split group's plain
+    /// ingest phase once per block and the other phases of the sampled
+    /// records. With `forward`, a split group's plain
     /// lane and its queue on `board`, every block also takes an empty
     /// [`ForwardBlock`](crate::split::ForwardBlock), fills it with the
     /// plain lane's I/O of each record that reached the layer, and queues
@@ -879,22 +876,20 @@ impl EngineState {
         board: &LaneBoard,
     ) -> Duration {
         let mut served = Duration::ZERO;
-        let mut last = self.timing.then(Instant::now);
+        let mut last = Some(Instant::now());
         for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
-            if let Some(t) = &last {
-                self.phases.record(Phase::Ingest, t.elapsed());
-            }
+            self.ingest.lap(Phase::Ingest, &mut last);
             match forward {
                 None => {
                     for rec in block {
-                        self.step::<POLICY>(rec);
+                        self.step_sampled::<POLICY>(rec);
                     }
                 }
                 Some(Forward { plain, slot }) => {
                     let mut out = board.take_free(slot);
                     out.clear();
                     for rec in block {
-                        if self.step::<POLICY>(rec) {
+                        if self.step_sampled::<POLICY>(rec) {
                             out.push(self.logical_ops - 1, &self.lanes[plain].ios);
                         }
                     }
@@ -902,35 +897,25 @@ impl EngineState {
                 }
             }
             served += board.serve_others(forward.map(|f| f.slot));
-            if let Some(t) = &mut last {
-                *t = Instant::now();
-            }
+            last = Some(Instant::now());
         }
         served
     }
 
-    /// Replays a record stream, timing each pull as the ingest phase
-    /// (that is where trace parse / decode cost lives).
-    fn replay_stream<const POLICY: bool>(
-        &mut self,
-        mut records: impl Iterator<Item = TraceRecord>,
-    ) {
-        loop {
-            let mark = self.timing.then(Instant::now);
-            let Some(rec) = records.next() else { break };
-            if let Some(t) = mark {
-                self.phases.record(Phase::Ingest, t.elapsed());
-            }
-            self.step::<POLICY>(&rec);
+    /// Replays a record stream. Nothing reads a stream run's phases, so
+    /// none are timed.
+    fn replay_stream<const POLICY: bool>(&mut self, records: impl Iterator<Item = TraceRecord>) {
+        for rec in records {
+            self.step::<POLICY, false>(&rec);
         }
     }
 
-    /// One report per configuration of the group: this state's lanes fill
-    /// the positions the `split` lanes leave free, in order, and each
-    /// split lane its own. The run's phase totals, the split lanes' merged
-    /// in, are split evenly across the reports (remainders on the first),
-    /// so merging the reports' phases counts every nanosecond once.
-    fn finish(self, split: Option<SplitLanes>) -> Vec<RunReport> {
+    /// One report per configuration of the group, and the group's phase
+    /// totals, beside the `served` time of its replay: this state's lanes
+    /// fill the positions the `split` lanes leave free, in order, and each
+    /// split lane its own. The split lanes' sampled phases merge into this
+    /// state's before the sample is scaled to the whole run.
+    fn finish(self, split: Option<SplitLanes>, served: Duration) -> GroupReplay {
         let policy = |k: usize| {
             self.policies
                 .iter()
@@ -958,7 +943,6 @@ impl EngineState {
             peak_extent_segments: self.peak_extent_segments,
             policy,
             cache_tiers,
-            phases: PhaseTotals::default(),
         };
         let mut reports: Vec<RunReport> = self
             .lanes
@@ -984,7 +968,7 @@ impl EngineState {
                 }
             })
             .collect();
-        let mut phases = self.phases;
+        let mut sampled = self.sampled;
         if let Some(split) = split {
             // Positions increase, so every earlier one is filled at each
             // insert.
@@ -994,13 +978,15 @@ impl EngineState {
                 let lane = report(read.name(), Some(stats), read.tier_stats(), None, lane);
                 reports.insert(at, lane);
             }
-            phases.merge(&split.phases);
+            sampled.merge(&split.phases);
         }
-        let n = reports.len();
-        for (k, report) in reports.iter_mut().enumerate() {
-            report.phases = phases.share(k, n);
+        let mut phases = self.ingest;
+        phases.merge(&sampled.scaled(phase::SAMPLE_INTERVAL));
+        GroupReplay {
+            reports,
+            phases,
+            served,
         }
-        reports
     }
 }
 
@@ -1074,7 +1060,7 @@ impl Simulation {
         } else {
             state.replay_stream::<true>(records);
         }
-        state.finish(None).remove(0)
+        state.finish(None, Duration::ZERO).reports.remove(0)
     }
 
     /// Replays an in-memory trace: the one-configuration case of
@@ -1106,8 +1092,7 @@ impl Simulation {
     /// seek model, so the reports are byte-identical either way. Called
     /// here, outside a matrix, this thread serves them too; in a
     /// [`RunMatrix`](crate::runner::RunMatrix) the other workers share
-    /// that work (DESIGN.md §13). Phase totals, the split lanes'
-    /// included, are split evenly across the reports.
+    /// that work (DESIGN.md §13).
     ///
     /// # Panics
     ///
@@ -1121,23 +1106,22 @@ impl Simulation {
         trace: &[TraceRecord],
     ) -> Vec<RunReport> {
         let board = LaneBoard::new(usize::from(!split.is_empty()));
-        Self::replay_group(configs, split, trace, &board, Some(0)).0
+        Self::replay_group(configs, split, trace, &board, Some(0)).reports
     }
 
     /// [`run_group`](Self::run_group) as a cell of a matrix whose workers
     /// share `board`: a split group queues its split lanes' blocks there
     /// under `slot`, and between blocks this thread serves other groups'
-    /// queued blocks. Returns the reports and the time spent serving other
-    /// groups.
+    /// queued blocks.
     pub(crate) fn replay_group(
         configs: &[SimConfig],
         split: &[usize],
         trace: &[TraceRecord],
         board: &LaneBoard,
         slot: Option<usize>,
-    ) -> (Vec<RunReport>, Duration) {
+    ) -> GroupReplay {
         let Some(first) = configs.first() else {
-            return (Vec::new(), Duration::ZERO);
+            return GroupReplay::default();
         };
         assert!(
             configs.len() == 1 || configs.iter().all(|c| c.shares_translation(first)),
@@ -1162,7 +1146,7 @@ impl Simulation {
         if split.is_empty() {
             let mut state = EngineState::new(&configs);
             let served = state.replay_blocks(trace, None, board);
-            return (state.finish(None), served);
+            return state.finish(None, served);
         }
         let own: Vec<SimConfig> = (0..configs.len())
             .filter(|k| !split.contains(k))
@@ -1181,11 +1165,23 @@ impl Simulation {
                 (k, ReadLane::new(&ls), SeekLane::new(&configs[k]))
             })
             .collect();
-        board.open(slot, SplitLanes::new(lanes, state.timing));
+        board.open(slot, SplitLanes::new(lanes));
         let served = state.replay_blocks(trace, Some(Forward { plain, slot }), board);
-        let lanes = board.close(slot);
-        (state.finish(Some(lanes)), served)
+        state.finish(Some(board.close(slot)), served)
     }
+}
+
+/// What [`Simulation::replay_group`] returns.
+#[derive(Debug, Default)]
+pub(crate) struct GroupReplay {
+    /// One report per configuration, in the group's order.
+    pub(crate) reports: Vec<RunReport>,
+    /// The group's phase totals, its split lanes' included, whichever
+    /// worker served them.
+    pub(crate) phases: PhaseTotals,
+    /// Time this thread spent serving other groups' blocks, which no
+    /// phase of the group counts.
+    pub(crate) served: Duration,
 }
 
 /// Constructs a policy engine for a run, informing it

@@ -33,7 +33,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::engine::{LayerChoice, RunReport, SimConfig, Simulation};
+use crate::engine::{GroupReplay, LayerChoice, RunReport, SimConfig, Simulation};
 use crate::experiments::ExpOptions;
 use crate::split::LaneBoard;
 use smrseek_obs::PhaseTotals;
@@ -157,8 +157,14 @@ pub struct RunMetrics {
     /// of an `n`-cell translation group, an `n`th of the group's wall.
     /// A group's wall runs until its last split-lane block is served,
     /// whichever worker served it, and leaves out the time its own worker
-    /// spent serving other groups' blocks.
+    /// spent serving other groups' blocks ([`served`](Self::served)).
     pub wall: Duration,
+    /// Time the group's worker spent serving other groups' split-lane
+    /// blocks while it replayed this group, all on the group's last cell
+    /// (zero on the others), so summing cells counts it once. It comes
+    /// after the cells' walls: the group's cells and this time together
+    /// take the group's elapsed time.
+    pub served: Duration,
     /// When the replay started, nanoseconds since the Unix epoch
     /// ([`smrseek_obs::unix_nanos`]).
     pub start_unix_ns: u64,
@@ -168,8 +174,9 @@ pub struct RunMetrics {
     pub records: u64,
     /// Largest extent-map segment count the run reached (0 for NoLS).
     pub peak_extent_segments: u64,
-    /// Engine phase accounting for the cell (all zeros unless
-    /// [`smrseek_obs::set_phase_accounting`] was on).
+    /// Engine phase accounting for the cell: an `n`th of its group's
+    /// (remainders on the first cell), the records of the phase sample
+    /// scaled to the whole replay ([`smrseek_obs::phase`]).
     pub phases: PhaseTotals,
 }
 
@@ -190,32 +197,6 @@ pub struct RunOutcome {
     pub report: RunReport,
     /// Execution timing/footprint (non-deterministic side channel).
     pub metrics: RunMetrics,
-}
-
-impl RunOutcome {
-    /// Pairs `cell`'s report with the metrics of a replay that started at
-    /// `start_unix_ns` on thread `tid` and took `wall`.
-    fn new(
-        cell: &RunCell,
-        report: RunReport,
-        wall: Duration,
-        start_unix_ns: u64,
-        tid: u64,
-    ) -> Self {
-        let metrics = RunMetrics {
-            wall,
-            start_unix_ns,
-            tid,
-            records: report.logical_ops,
-            peak_extent_segments: report.peak_extent_segments,
-            phases: report.phases,
-        };
-        RunOutcome {
-            label: cell.label.clone(),
-            report,
-            metrics,
-        }
-    }
 }
 
 /// An ordered collection of (trace source × configuration) cells.
@@ -273,7 +254,8 @@ impl RunMatrix {
     /// group's wall divided by `n`, starting `k` such walls after the
     /// group started (so the cells' spans tile the group's), on the
     /// group's thread, with an `n`th of its phase totals (remainders on
-    /// the first cell). Summing cells therefore counts the group once.
+    /// the first cell); the last cell also carries the group's serve
+    /// time. Summing cells therefore counts the group once.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
         let mut slots = 0..;
         let plan: Vec<(Vec<usize>, Vec<usize>, Option<usize>)> = self
@@ -375,11 +357,11 @@ impl RunMatrix {
         let records = cells[0].source.records();
         let start_unix_ns = smrseek_obs::unix_nanos();
         let start = Instant::now();
-        let (reports, served) = Simulation::replay_group(&configs, split, &records, board, slot);
-        let wall = start.elapsed().saturating_sub(served);
+        let replay = Simulation::replay_group(&configs, split, &records, board, slot);
+        let wall = start.elapsed().saturating_sub(replay.served);
         lane_outcomes(
             &cells,
-            reports,
+            replay,
             wall,
             start_unix_ns,
             smrseek_obs::current_tid(),
@@ -394,25 +376,43 @@ impl RunMatrix {
 }
 
 /// Pairs a group's reports with its cells, attributing the group's `wall`
-/// (started at `start_unix_ns` on thread `tid`) evenly: cell `k` of `n`
-/// gets `wall / n`, starting `k` such walls after the group. Each report
-/// already carries an `n`th of the group's phase totals.
+/// (started at `start_unix_ns` on thread `tid`) and phase totals evenly:
+/// cell `k` of `n` gets `wall / n`, starting `k` such walls after the
+/// group, and share `k` of the phases. The last cell carries the group's
+/// serve time.
 fn lane_outcomes(
     cells: &[&RunCell],
-    reports: Vec<RunReport>,
+    replay: GroupReplay,
     wall: Duration,
     start_unix_ns: u64,
     tid: u64,
 ) -> Vec<RunOutcome> {
-    let lane_wall = wall / u32::try_from(cells.len()).unwrap_or(u32::MAX);
+    let n = cells.len();
+    let lane_wall = wall / u32::try_from(n).unwrap_or(u32::MAX);
     let lane_ns = u64::try_from(lane_wall.as_nanos()).unwrap_or(u64::MAX);
     cells
         .iter()
-        .zip(reports)
-        .zip(0u64..)
+        .zip(replay.reports)
+        .zip(0..)
         .map(|((cell, report), k)| {
-            let start = start_unix_ns.saturating_add(k.saturating_mul(lane_ns));
-            RunOutcome::new(cell, report, lane_wall, start, tid)
+            let metrics = RunMetrics {
+                wall: lane_wall,
+                served: if k + 1 == n {
+                    replay.served
+                } else {
+                    Duration::ZERO
+                },
+                start_unix_ns: start_unix_ns.saturating_add((k as u64).saturating_mul(lane_ns)),
+                tid,
+                records: report.logical_ops,
+                peak_extent_segments: report.peak_extent_segments,
+                phases: replay.phases.share(k, n),
+            };
+            RunOutcome {
+                label: cell.label.clone(),
+                report,
+                metrics,
+            }
         })
         .collect()
 }
@@ -490,27 +490,10 @@ pub enum ShardPolicy {
     Auto,
 }
 
-/// The thread budget: the `SMRSEEK_THREADS` environment variable when set
-/// to a positive integer, otherwise the machine's available parallelism
-/// (falling back to one worker where it cannot be queried). An unset,
-/// empty, zero, or unparsable variable is ignored rather than an error —
-/// an operator typo degrades to the default, never to a refusal to run.
+/// The thread budget: the machine's available parallelism, or one worker
+/// where it cannot be queried.
 pub fn default_threads() -> NonZeroUsize {
-    std::env::var("SMRSEEK_THREADS")
-        .ok()
-        .as_deref()
-        .and_then(parse_thread_override)
-        .unwrap_or_else(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
-}
-
-/// Parses an `SMRSEEK_THREADS` value; `None` for anything but a positive
-/// integer.
-fn parse_thread_override(value: &str) -> Option<NonZeroUsize> {
-    value
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .and_then(NonZeroUsize::new)
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 /// Per-cell metrics retained after the reports have been consumed into
@@ -552,8 +535,7 @@ impl MatrixStats {
             .unwrap_or(0)
     }
 
-    /// Engine phase totals merged across every cell (all zeros unless
-    /// [`smrseek_obs::set_phase_accounting`] was on during execution).
+    /// Engine phase totals merged across every cell.
     pub fn phase_totals(&self) -> PhaseTotals {
         let mut totals = PhaseTotals::default();
         for (_, m) in &self.cells {
@@ -600,9 +582,12 @@ mod tests {
         NonZeroUsize::new(2).expect("nonzero")
     }
 
-    /// Serializes the tests that flip the process-wide phase-accounting
-    /// switch, so one's untimed run never sees the other's setting.
-    static PHASE_SWITCH: Mutex<()> = Mutex::new(());
+    /// Records of an `n`-record replay that its step times: one in
+    /// [`SAMPLE_INTERVAL`](smrseek_obs::phase::SAMPLE_INTERVAL), record 0
+    /// first.
+    fn sampled(n: u64) -> u64 {
+        n.div_ceil(smrseek_obs::phase::SAMPLE_INTERVAL)
+    }
 
     /// A mixed workload: reads of earlier writes fragment, so every
     /// mechanism has work.
@@ -681,6 +666,7 @@ mod tests {
                     "a".into(),
                     RunMetrics {
                         wall: Duration::from_secs(2),
+                        served: Duration::ZERO,
                         start_unix_ns: 0,
                         tid: 1,
                         records: 600,
@@ -692,6 +678,7 @@ mod tests {
                     "b".into(),
                     RunMetrics {
                         wall: Duration::from_secs(1),
+                        served: Duration::ZERO,
                         start_unix_ns: 0,
                         tid: 2,
                         records: 300,
@@ -750,41 +737,35 @@ mod tests {
 
     #[test]
     fn execute_merges_phase_totals_when_accounting_is_on() {
-        // Phase accounting must surface per-cell totals through RunMetrics
-        // and merge across the matrix. Serialized reports stay unaffected
-        // (asserted separately in the engine's byte-identity tests).
-        let _switch = PHASE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-        smrseek_obs::set_phase_accounting(true);
+        // Every replay accounts its phases, surfaced per cell through
+        // RunMetrics and merged across the matrix. Serialized reports stay
+        // unaffected (asserted separately in the engine's byte-identity
+        // tests).
+        use smrseek_obs::Phase;
         let source = TraceSource::from_records("burst", burst(400));
         let outcomes = RunMatrix::cross(&[source], &[SimConfig::no_ls(), SimConfig::ls_cache()])
             .execute(two());
-        smrseek_obs::set_phase_accounting(false);
         let stats = MatrixStats::from_outcomes(&outcomes);
         let totals = stats.phase_totals();
         for o in &outcomes {
-            assert!(
-                !o.metrics.phases.is_zero(),
-                "cell {} recorded no phases",
-                o.label
-            );
-            // Ingest is timed per decoded *block* since batched ingest
-            // (400 records fit one block), not per record.
-            assert_eq!(
-                o.metrics.phases.calls(smrseek_obs::Phase::Ingest),
-                1,
-                "ingest is timed once per block"
-            );
+            let phases = o.metrics.phases;
+            // Ingest is timed per block (400 records fit one block), the
+            // other phases on the sampled records only.
+            assert_eq!(phases.calls(Phase::Ingest), 1, "{}", o.label);
+            assert_eq!(phases.calls(Phase::Lookup), sampled(400), "{}", o.label);
+            assert_eq!(phases.calls(Phase::Seek), sampled(400), "{}", o.label);
         }
-        assert!(totals.nanos(smrseek_obs::Phase::Lookup) > 0);
-        assert!(totals.nanos(smrseek_obs::Phase::Seek) > 0);
-        assert_eq!(totals.calls(smrseek_obs::Phase::Ingest), 2);
-        // Untimed runs stay all-zero so merged totals are not polluted.
-        let cold = RunMatrix::cross(
-            &[TraceSource::from_records("burst", burst(50))],
+        assert!(totals.nanos(Phase::Lookup) > 0);
+        assert!(totals.nanos(Phase::Seek) > 0);
+        assert_eq!(totals.calls(Phase::Ingest), 2);
+        // A replay shorter than the sample interval still times record 0.
+        let short = RunMatrix::cross(
+            &[TraceSource::from_records("burst", burst(5))],
             &[SimConfig::no_ls()],
         )
         .execute(NonZeroUsize::MIN);
-        assert!(cold[0].metrics.phases.is_zero());
+        assert_eq!(short[0].metrics.phases.calls(Phase::Lookup), 1);
+        assert!(short[0].metrics.phases.nanos(Phase::Lookup) > 0);
     }
 
     #[test]
@@ -931,9 +912,12 @@ mod tests {
         .collect();
         let refs: Vec<&RunCell> = cells.iter().collect();
         let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
-        let reports = Simulation::run_group(&configs, &[], &source.records());
+        let board = LaneBoard::new(0);
+        let mut replay = Simulation::replay_group(&configs, &[], &source.records(), &board, None);
+        replay.served = Duration::from_nanos(77);
+        let phases = replay.phases;
         let wall = Duration::from_nanos(1_000_000_007);
-        let outcomes = lane_outcomes(&refs, reports, wall, 5_000, 42);
+        let outcomes = lane_outcomes(&refs, replay, wall, 5_000, 42);
         let n = outcomes.len() as u32;
         let summed: Duration = outcomes.iter().map(|o| o.metrics.wall).sum();
         assert!(summed <= wall && wall - summed < Duration::from_nanos(u64::from(n)));
@@ -942,22 +926,26 @@ mod tests {
             assert_eq!(o.metrics.wall, wall / n);
             let lane_ns = (wall / n).as_nanos() as u64;
             assert_eq!(o.metrics.start_unix_ns, 5_000 + k as u64 * lane_ns);
+            assert_eq!(o.metrics.phases, phases.share(k, n as usize));
         }
+        let served: Vec<Duration> = outcomes.iter().map(|o| o.metrics.served).collect();
+        assert_eq!(
+            served,
+            [Duration::ZERO, Duration::ZERO, Duration::from_nanos(77)],
+            "the serve time rides on the group's last cell"
+        );
     }
 
     #[test]
     fn grouped_phases_count_each_block_once() {
-        let _switch = PHASE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         // 10,000 records are three 4096-record ingest blocks.
         let source = TraceSource::from_records("mixed", mixed(10_000));
         let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
         let groups = matrix.groups(two());
         assert_eq!(groups.len(), 3);
-        smrseek_obs::set_phase_accounting(true);
         let start = Instant::now();
         let outcomes = matrix.execute(two());
         let elapsed = start.elapsed();
-        smrseek_obs::set_phase_accounting(false);
         let totals = MatrixStats::from_outcomes(&outcomes).phase_totals();
         assert_eq!(totals.calls(smrseek_obs::Phase::Ingest), 3 * 3);
         for group in &groups {
@@ -977,39 +965,42 @@ mod tests {
 
     #[test]
     fn split_group_phases_include_the_helper() {
-        let _switch = PHASE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        use smrseek_obs::Phase;
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
         let source = TraceSource::from_records("mixed", mixed(10_000));
         let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
-        // The same three groups on one thread and on two; on two,
-        // {LS, LS+prefetch, LS+cache} hands LS+cache to a helper.
-        let one = matrix.plan(NonZeroUsize::MIN);
-        let split = matrix.plan(two());
-        assert_eq!(
-            one.iter().map(|(g, _)| g).collect::<Vec<_>>(),
-            split.iter().map(|(g, _)| g).collect::<Vec<_>>()
-        );
-        assert_eq!(split[1], (vec![1, 3, 4], vec![2]));
-        smrseek_obs::set_phase_accounting(true);
-        let inline = MatrixStats::from_outcomes(&matrix.execute(NonZeroUsize::MIN)).phase_totals();
-        let outcomes = matrix.execute(two());
-        smrseek_obs::set_phase_accounting(false);
-        let split = MatrixStats::from_outcomes(&outcomes).phase_totals();
-        // Every record reaches the layer once per group: one lookup and one
-        // seek interval each. The helper times one more of each per record,
-        // and those land in the group's totals.
-        use smrseek_obs::Phase;
-        assert_eq!(inline.calls(Phase::Lookup), 3 * 10_000);
-        assert_eq!(inline.calls(Phase::Seek), 3 * 10_000);
-        assert_eq!(split.calls(Phase::Lookup), 4 * 10_000);
-        assert_eq!(split.calls(Phase::Seek), 4 * 10_000);
-        let group: u64 = [1, 3, 4]
-            .iter()
-            .map(|&i| outcomes[i].metrics.phases.calls(Phase::Seek))
-            .sum();
-        assert_eq!(group, 2 * 10_000);
-        // Ingest stays once per block, on each group's worker.
-        assert_eq!(split.calls(Phase::Ingest), 3 * 3);
-        assert_eq!(inline.calls(Phase::Ingest), 3 * 3);
+        // The same three groups on one, two and three threads; on two and
+        // three, {LS, LS+prefetch, LS+cache} splits LS+cache off.
+        let inline = matrix.plan(NonZeroUsize::MIN);
+        assert_eq!(inline[1], (vec![1, 3, 4], vec![]));
+        for threads in [2, 3] {
+            assert_eq!(matrix.plan(n(threads))[1], (vec![1, 3, 4], vec![2]));
+        }
+        for threads in [1usize, 2, 3] {
+            let outcomes = matrix.execute(n(threads));
+            let calls = |cells: &[usize], phase: Phase| -> u64 {
+                cells
+                    .iter()
+                    .map(|&i| outcomes[i].metrics.phases.calls(phase))
+                    .sum()
+            };
+            // Each group's step times one lookup and one seek interval
+            // per sampled record (none hits a host cache); the split
+            // lanes, whichever worker serves them, time one more of each
+            // per sampled record, and those land in the group's totals.
+            let served = u64::from(threads > 1);
+            for (cells, intervals) in [(&[0][..], 1), (&[1, 3, 4], 1 + served), (&[2], 1)] {
+                for phase in [Phase::Lookup, Phase::Seek] {
+                    assert_eq!(
+                        calls(cells, phase),
+                        intervals * sampled(10_000),
+                        "{threads} threads, cells {cells:?}, {phase:?}"
+                    );
+                }
+                // Ingest stays once per block, on the group's worker.
+                assert_eq!(calls(cells, Phase::Ingest), 3, "{threads} threads");
+            }
+        }
     }
 
     /// Runs `f` on a thread of its own and returns what it returns, or
@@ -1163,26 +1154,5 @@ mod tests {
         let source = TraceSource::from_records("t", burst(10));
         let cell = RunCell::new(source, SimConfig::no_ls()).with_label("t/NoLS");
         assert_eq!(cell.label, "t/NoLS");
-    }
-
-    #[test]
-    fn thread_override_parses_positive_integers_only() {
-        assert_eq!(parse_thread_override("3"), NonZeroUsize::new(3));
-        assert_eq!(parse_thread_override(" 16 "), NonZeroUsize::new(16));
-        assert_eq!(parse_thread_override("0"), None);
-        assert_eq!(parse_thread_override(""), None);
-        assert_eq!(parse_thread_override("-2"), None);
-        assert_eq!(parse_thread_override("many"), None);
-    }
-
-    #[test]
-    fn env_override_steers_default_threads() {
-        std::env::set_var("SMRSEEK_THREADS", "3");
-        assert_eq!(default_threads(), NonZeroUsize::new(3).expect("nonzero"));
-        std::env::set_var("SMRSEEK_THREADS", "not-a-number");
-        let fallback = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
-        assert_eq!(default_threads(), fallback);
-        std::env::remove_var("SMRSEEK_THREADS");
-        assert_eq!(default_threads(), fallback);
     }
 }

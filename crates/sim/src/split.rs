@@ -19,7 +19,7 @@
 
 use crate::engine::SeekLane;
 use smrseek_disk::PhysIo;
-use smrseek_obs::{Phase, PhaseTotals};
+use smrseek_obs::{phase, Phase, PhaseTotals};
 use smrseek_stl::ReadLane;
 use smrseek_trace::Pba;
 use std::any::Any;
@@ -56,66 +56,76 @@ impl ForwardBlock {
 }
 
 /// The read lanes a split group replays from forwarded blocks: each with
-/// its position in the group and its seek model, plus the phase time
-/// spent on them, whichever worker spent it.
+/// its position in the group and its seek model, plus the phase time of
+/// the [sampled](smrseek_obs::phase::sampled) records, unscaled,
+/// whichever worker spent it.
 pub(crate) struct SplitLanes {
     pub(crate) lanes: Vec<(usize, ReadLane, SeekLane)>,
     pub(crate) phases: PhaseTotals,
-    timing: bool,
     /// One read's merged runs, reused across records.
     runs: Vec<(Pba, u64)>,
 }
 
 impl SplitLanes {
-    /// `lanes`, timing their phases when `timing` is set.
-    pub(crate) fn new(lanes: Vec<(usize, ReadLane, SeekLane)>, timing: bool) -> Self {
+    pub(crate) fn new(lanes: Vec<(usize, ReadLane, SeekLane)>) -> Self {
         SplitLanes {
             lanes,
             phases: PhaseTotals::default(),
-            timing,
             runs: Vec::new(),
         }
     }
 
-    /// Serves every record of `block` in every lane. A record's forwarded
-    /// reads are its read's merged runs (the plain lane emits one read per
-    /// run), so they go through [`ReadLane::read_runs`] as one read; its
-    /// writes are every lane's writes and pass through in place.
+    /// Serves every record of `block` in every lane, timing the records
+    /// the group's own step times and warming up on the ones it warms up
+    /// on: the forwarded records keep their logical index.
     fn replay(&mut self, block: &ForwardBlock) {
         #[cfg(test)]
         fault::point(self);
-        let runs = &mut self.runs;
         let mut start = 0;
         for &(i, end) in &block.records {
             let ios = &block.ios[start..end];
             start = end;
-            let mut mark = self.timing.then(Instant::now);
-            for (_, read, seek) in &mut self.lanes {
-                seek.ios.clear();
-                let out = &mut seek.ios;
-                runs.clear();
-                for io in ios {
-                    if io.op.is_read() {
-                        runs.push((io.pba, io.sectors));
-                        continue;
-                    }
-                    read.read_runs(runs, &mut |io| out.push(io));
-                    runs.clear();
-                    out.push(*io);
-                }
-                read.read_runs(runs, &mut |io| out.push(io));
-            }
-            if let Some(t) = &mut mark {
-                self.phases.record(Phase::Lookup, t.elapsed());
-                *t = Instant::now();
-            }
-            for (_, _, seek) in &mut self.lanes {
-                seek.observe_ios(i);
-            }
-            if let Some(t) = &mark {
-                self.phases.record(Phase::Seek, t.elapsed());
+            if phase::sampled(i) {
+                self.serve::<true>(i, ios);
+            } else if phase::warms_up(i) {
+                let kept = self.phases;
+                self.serve::<true>(i, ios);
+                self.phases = kept;
+            } else {
+                self.serve::<false>(i, ios);
             }
         }
+    }
+
+    /// Serves record `i`'s forwarded `ios` in every lane, timed when
+    /// `TIMED`. A record's forwarded reads are its read's merged runs (the
+    /// plain lane emits one read per run), so they go through
+    /// [`ReadLane::read_runs`] as one read; its writes are every lane's
+    /// writes and pass through in place.
+    #[inline]
+    fn serve<const TIMED: bool>(&mut self, i: u64, ios: &[PhysIo]) {
+        let runs = &mut self.runs;
+        let mut mark = TIMED.then(Instant::now);
+        for (_, read, seek) in &mut self.lanes {
+            seek.ios.clear();
+            let out = &mut seek.ios;
+            runs.clear();
+            for io in ios {
+                if io.op.is_read() {
+                    runs.push((io.pba, io.sectors));
+                    continue;
+                }
+                read.read_runs(runs, &mut |io| out.push(io));
+                runs.clear();
+                out.push(*io);
+            }
+            read.read_runs(runs, &mut |io| out.push(io));
+        }
+        self.phases.lap(Phase::Lookup, &mut mark);
+        for (_, _, seek) in &mut self.lanes {
+            seek.observe_ios(i);
+        }
+        self.phases.lap(Phase::Seek, &mut mark);
     }
 }
 

@@ -48,8 +48,9 @@ base `records_per_s` spans more than x1.5 across seeds: either means
 the round ran on a host whose speed moved under it, and its ratios are
 suspect. Neither changes a verdict.
 
-Exits 1 if any run fails, prints no result, or reports `failed > 0` or
-`correct: false`.
+This is the repository's performance gate: it exits 1 if any
+end-to-end verdict is `regression`, and if any run fails, prints no
+result, or reports `failed > 0` or `correct: false`.
 """
 
 import argparse
@@ -171,6 +172,8 @@ def table(workload, trace, seconds, first_seed, base, change, better,
     for name, v, riqr, p in verdicts:
         print(f"  verdict {workload} {name}: {v} "
               f"(ratio_iqr {riqr:.3f}, sign p={p:.3g})")
+    return [f"{workload} {name}" for name, v, _, _ in verdicts
+            if v == "regression"]
 
 
 def main():
@@ -225,9 +228,11 @@ def main():
         print(f"perf_ab: {e}", file=sys.stderr)
         return 1
 
+    regressions = []
     for workload in workloads:
-        table(workload, args.trace, args.seconds, args.first_seed,
-              base[workload], change[workload], better, bounds)
+        regressions += table(workload, args.trace, args.seconds,
+                             args.first_seed, base[workload],
+                             change[workload], better, bounds)
         rates = [r["records_per_s"] for r in base[workload]
                  if r.get("records_per_s")]
         if rates and max(rates) / min(rates) > SPAN_WARN:
@@ -237,6 +242,10 @@ def main():
                 f"({min(rates):.6g} to {max(rates):.6g}) > x{SPAN_WARN}")
     for w in warnings:
         print(f"WARNING: {w}: host speed moved during this round")
+    if regressions:
+        print(f"perf_ab: FAIL: regression in {', '.join(regressions)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
