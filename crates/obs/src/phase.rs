@@ -9,32 +9,36 @@
 //!
 //! Every replay accounts its phases, in every process. Timing every
 //! record would cost a clock read per phase per record, so the engine
-//! times the per-record phases of a fixed sample only: each record whose
-//! logical index is a multiple of [`SAMPLE_INTERVAL`] (record 0 always),
-//! and scales the sampled nanoseconds by the interval once when the run
-//! finishes ([`PhaseTotals::scaled`]). Call counts stay the intervals
-//! kept, so they are deterministic. Ingest is timed once per block of
-//! records, never sampled.
+//! times the per-record phases of a fixed sample only: the last record of
+//! every [`SAMPLE_INTERVAL`] (logical index `i` with
+//! `i % SAMPLE_INTERVAL == SAMPLE_INTERVAL - 1`) and the run's last
+//! record, and scales the sampled nanoseconds by the interval once when
+//! the run finishes ([`PhaseTotals::scaled`]). An `n`-record run times
+//! `⌈n / SAMPLE_INTERVAL⌉` records, so every non-empty run has phases,
+//! and none of them is the run's cold first record. Call counts stay the
+//! intervals kept, so they are deterministic. Ingest is timed once per
+//! block of records, never sampled.
 
 use std::time::{Duration, Instant};
 
-/// The engine times the per-record phases of every record whose logical
-/// index is a multiple of this (see the [module docs](self)).
+/// The engine times the per-record phases of one record in this many
+/// (see the [module docs](self)).
 pub const SAMPLE_INTERVAL: u64 = 1 << 6;
 
-/// Whether the record at logical index `i` is in the timed sample.
+/// Whether the record at logical index `i` of an `n`-record run is in
+/// the timed sample: the last of its interval, or the run's last record.
 #[inline]
-pub fn sampled(i: u64) -> bool {
-    i.is_multiple_of(SAMPLE_INTERVAL)
+pub fn sampled(i: u64, n: u64) -> bool {
+    (i + 1).is_multiple_of(SAMPLE_INTERVAL) || i + 1 == n
 }
 
-/// Whether the record at logical index `i` is the one before a sampled
-/// record. The engine runs it through the timed step too and drops its
-/// times: a sampled record that ran cold, after a stretch of untimed
-/// ones, would charge the cold start to its phases.
+/// Whether the record at logical index `i` of an `n`-record run is the
+/// one before a sampled record. The engine runs it through the timed
+/// step too and drops its times: a sampled record that ran cold, after a
+/// stretch of untimed ones, would charge the cold start to its phases.
 #[inline]
-pub fn warms_up(i: u64) -> bool {
-    sampled(i + 1)
+pub fn warms_up(i: u64, n: u64) -> bool {
+    sampled(i + 1, n)
 }
 
 /// A stage of per-record simulation work that the engine accounts for.
@@ -288,12 +292,21 @@ mod tests {
     }
 
     #[test]
-    fn the_sample_starts_at_record_zero() {
+    fn the_sample_ends_each_interval_and_the_run() {
         assert!(SAMPLE_INTERVAL.is_power_of_two());
-        assert!(sampled(0) && sampled(SAMPLE_INTERVAL) && !sampled(1));
-        assert!(warms_up(SAMPLE_INTERVAL - 1) && !warms_up(0));
-        let timed = (0..3 * SAMPLE_INTERVAL + 1).filter(|&i| sampled(i)).count();
-        assert_eq!(timed, 4);
+        let n = 3 * SAMPLE_INTERVAL + 5;
+        let last = SAMPLE_INTERVAL - 1;
+        assert!(!sampled(0, n), "the cold first record is never timed");
+        assert!(sampled(last, n) && sampled(2 * SAMPLE_INTERVAL - 1, n));
+        assert!(!sampled(SAMPLE_INTERVAL, n));
+        assert!(sampled(n - 1, n), "the run's last record is timed");
+        assert!(warms_up(last - 1, n) && warms_up(n - 2, n) && !warms_up(0, n));
+        // ⌈n / SAMPLE_INTERVAL⌉ timed records, whatever n is.
+        for n in [1, 5, SAMPLE_INTERVAL, SAMPLE_INTERVAL + 1, n] {
+            let timed = (0..n).filter(|&i| sampled(i, n)).count() as u64;
+            assert_eq!(timed, n.div_ceil(SAMPLE_INTERVAL), "{n} records");
+        }
+        assert!(sampled(0, 1), "a one-record run times its only record");
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
         "`config.layer` must be one of nols|ls|ls_defrag|ls_prefetch|ls_cache|ls_adaptive"
             .to_owned()
     })?;
-    let preset = match layer {
+    let mut config = match layer {
         "nols" => SimConfig::no_ls(),
         "ls" => SimConfig::log_structured(),
         "ls_defrag" => SimConfig::ls_defrag(),
@@ -131,17 +131,9 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
         "ls_adaptive" => SimConfig::ls_adaptive(),
         other => return Err(format!("unknown layer {other:?}")),
     };
-    // Every knob goes through the engine builder, so the API rejects
-    // exactly what `SimConfig::builder` would: zero-byte caches, a policy
-    // with nothing to gate or out of range, a flash tier without its front
-    // cache.
-    let mut builder = SimConfig::builder(preset.layer);
-    if let Some(policy) = preset.policy {
-        builder = builder.policy(policy);
-    }
-    if let Some(bytes) = preset.flash_cache_bytes {
-        builder = builder.flash_cache(bytes);
-    }
+    // The knobs edit the preset, and `SimConfig::validate` then rejects
+    // zero-byte caches, a policy with nothing to gate or out of range, and
+    // a flash tier without its front cache, before any worker sees them.
     for (key, value) in entries {
         let uint = || {
             value
@@ -153,28 +145,23 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
                 .as_bool()
                 .ok_or_else(|| format!("`{key}` must be a bool"))
         };
-        builder = match key.as_str() {
-            "layer" => builder,
-            "record_distances" => match flag()? {
-                true => builder.distances(),
-                false => builder,
-            },
-            "track_fragments" => match flag()? {
-                true => builder.fragment_tracking(),
-                false => builder,
-            },
-            // 0 keeps the series off, as in `SimConfig::longseek_bucket_ops`.
+        // `false` and a zero bucket width keep the preset's value: off.
+        match key.as_str() {
+            "layer" => {}
+            "record_distances" => config.record_distances |= flag()?,
+            "track_fragments" => config.track_fragments |= flag()?,
             "longseek_bucket_ops" => match uint()? {
-                0 => builder,
-                bucket_ops => builder.longseek_series(bucket_ops),
+                0 => {}
+                bucket_ops => config.longseek_bucket_ops = bucket_ops,
             },
-            "host_cache_bytes" => builder.host_cache(uint()?),
-            "flash_cache_bytes" => builder.flash_cache(uint()?),
-            "policy" => builder.policy(parse_policy(value)?),
+            "host_cache_bytes" => config.host_cache_bytes = Some(uint()?),
+            "flash_cache_bytes" => config.flash_cache_bytes = Some(uint()?),
+            "policy" => config.policy = Some(parse_policy(value)?),
             other => return Err(format!("unknown config field {other:?}")),
-        };
+        }
     }
-    builder.build().map_err(|e| e.to_string())
+    config.validate().map_err(|e| e.to_string())?;
+    Ok(config)
 }
 
 /// Parses a `config.policy` object into a [`PolicyConfig`]. Starts from

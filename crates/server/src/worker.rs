@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn panicking_job_fails_and_frees_its_worker() {
         // A zero-sector policy region makes `PolicyEngine::new` panic
-        // mid-replay. The API's builder refuses it, so only a hand-built
+        // mid-replay. The API's `SimConfig::validate` refuses it, so only a hand-built
         // config reaches a worker this way.
         let broken = SimConfig::ls_adaptive().with_policy(smrseek_policy::PolicyConfig {
             region_sectors: 0,

@@ -599,6 +599,33 @@ fn stderr_is_quiet_by_default_and_env_restores_chatter() {
 }
 
 #[test]
+fn every_replaying_experiment_logs_its_matrix_summary() {
+    // Each experiment that replays traces does so through one run matrix,
+    // whose per-cell summary `-v` logs: one run per (trace, config) cell.
+    for (name, runs) in [
+        ("fig2", 42),
+        ("fig3", 8),
+        ("fig4", 8),
+        ("fig5", 4),
+        ("fig10", 8),
+        ("fig11", 105),
+        ("classify", 42),
+        ("analyze", 42),
+        ("ablate", 45),
+        ("adaptive", 126),
+        ("hostcache", 30),
+    ] {
+        let out = smrseek(&[name, "--ops", "500", "-v"]);
+        assert!(out.status.success(), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{name}: {runs} runs,")),
+            "{name}: {err}"
+        );
+    }
+}
+
+#[test]
 fn log_json_emits_structured_lines() {
     let out = smrseek(&["fig3", "--ops", "500", "-v", "--log-json"]);
     assert!(out.status.success());

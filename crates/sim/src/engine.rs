@@ -1,7 +1,7 @@
 //! The simulation engine: trace × translation layer → seek statistics.
 //!
 //! The single entry point is the [`Simulation`] builder: configure with a
-//! [`SimConfig`] (validated construction via [`SimConfig::builder`]), then
+//! [`SimConfig`] (checked by [`SimConfig::validate`]), then
 //! [`run`](Simulation::run) a record stream or
 //! [`run_trace`](Simulation::run_trace) an in-memory record slice;
 //! [`Simulation::run_group`] replays several configurations that share one
@@ -65,12 +65,12 @@ pub struct SimConfig {
     /// (`smrseek-policy`): per-region online heat classification gates
     /// defrag rewrites, scales the prefetch window, and admits or denies
     /// cache fills, per record. Requires a log-structured layer with at
-    /// least one mechanism to gate (validated by the builder).
+    /// least one mechanism to gate ([`validate`](Self::validate) checks).
     pub policy: Option<PolicyConfig>,
     /// Back the selective cache with a simulated flash tier of this many
     /// bytes (`smrseek_cache::TieredCache`): RAM evictions demote, flash
-    /// hits promote. Requires the selective cache (validated by the
-    /// builder); the per-tier counters surface as
+    /// hits promote. Requires the selective cache
+    /// ([`validate`](Self::validate) checks); the per-tier counters surface as
     /// [`RunReport::cache_tiers`].
     pub flash_cache_bytes: Option<u64>,
     /// Logical-space bound for streaming runs: one past the highest sector
@@ -320,24 +320,73 @@ impl SimConfig {
         serde_json::to_string(&self.canonical(top)).expect("SimConfig always serializes")
     }
 
-    /// A validating builder over `layer`: the same knobs as the `with_*`
-    /// methods, but degenerate values (zero-byte caches, zero-width
-    /// long-seek buckets, out-of-range policy knobs)
-    /// surface as a typed [`ConfigError`] at
-    /// [`build`](SimConfigBuilder::build) time instead of panicking or
-    /// being silently clamped mid-run.
-    pub fn builder(layer: LayerChoice) -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig {
-                layer,
-                ..SimConfig::no_ls()
-            },
-            longseek_bucket_ops: None,
+    /// Checks the knobs a run would otherwise panic on or silently ignore:
+    /// zero-byte caches, out-of-range policy knobs, a policy with nothing
+    /// to gate, a flash tier without the cache it backs. A zero long-seek
+    /// bucket width is valid: it means the series is off.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first degenerate knob found; see the
+    /// variants for what each rejects.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use smrseek_sim::{ConfigError, SimConfig};
+    ///
+    /// assert_eq!(SimConfig::ls_adaptive().validate(), Ok(()));
+    /// let err = SimConfig::no_ls().with_host_cache(0).validate().unwrap_err();
+    /// assert_eq!(err, ConfigError::ZeroHostCache);
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.host_cache_bytes == Some(0) {
+            return Err(ConfigError::ZeroHostCache);
         }
+        if let LayerChoice::Ls { cache, .. } = self.layer {
+            if cache.is_some_and(|cc| cc.capacity_bytes == 0) {
+                return Err(ConfigError::ZeroSelectiveCache);
+            }
+        }
+        if self.flash_cache_bytes == Some(0) {
+            return Err(ConfigError::ZeroFlashCache);
+        }
+        if let Some(policy) = self.policy {
+            policy.validate().map_err(ConfigError::Policy)?;
+        }
+        match self.layer {
+            LayerChoice::NoLs => {
+                if self.policy.is_some() {
+                    return Err(ConfigError::PolicyWithoutLs);
+                }
+                if self.flash_cache_bytes.is_some() {
+                    return Err(ConfigError::FlashCacheWithoutSelectiveCache);
+                }
+            }
+            LayerChoice::Ls {
+                defrag,
+                prefetch,
+                cache,
+            } => {
+                // Without a mechanism every gate decision is a no-op:
+                // rejected rather than silently inert.
+                if self.policy.is_some()
+                    && defrag.is_none()
+                    && prefetch.is_none()
+                    && cache.is_none()
+                {
+                    return Err(ConfigError::PolicyWithoutMechanisms);
+                }
+                if self.flash_cache_bytes.is_some() && cache.is_none() {
+                    return Err(ConfigError::FlashCacheWithoutSelectiveCache);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-/// Why a [`SimConfigBuilder`] refused to produce a [`SimConfig`].
+/// Why [`SimConfig::validate`] refused a configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// A host buffer cache of zero bytes can never hold a range: every
@@ -346,9 +395,6 @@ pub enum ConfigError {
     ZeroHostCache,
     /// The selective cache ([`CacheConfig`]) was given zero capacity.
     ZeroSelectiveCache,
-    /// A long-seek series with zero operations per bucket has no time
-    /// axis ([`LongSeekSeries::new`] panics on it mid-run otherwise).
-    ZeroLongseekBucket,
     /// The policy configuration is out of range (zero-sector regions, an
     /// over-wide EWMA shift, a negative score clamp, or weights whose score
     /// arithmetic could overflow). Carries [`PolicyConfig::validate`]'s
@@ -372,9 +418,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Policy(e) => return write!(f, "invalid policy: {e}"),
             ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
-            ConfigError::ZeroLongseekBucket => {
-                "long-seek series buckets must span at least one operation"
-            }
             ConfigError::PolicyWithoutLs => "the NoLS baseline has no mechanisms for a policy to gate",
             ConfigError::PolicyWithoutMechanisms => {
                 "an adaptive policy needs at least one mechanism (defrag, prefetch, or cache) to gate"
@@ -389,131 +432,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Typed construction of a [`SimConfig`] that validates at build time.
-///
-/// # Example
-///
-/// ```
-/// use smrseek_sim::{ConfigError, LayerChoice, SimConfig};
-///
-/// let config = SimConfig::builder(LayerChoice::NoLs)
-///     .distances()
-///     .longseek_series(1000)
-///     .build()
-///     .unwrap();
-/// assert!(config.record_distances);
-///
-/// let err = SimConfig::builder(LayerChoice::NoLs)
-///     .host_cache(0)
-///     .build()
-///     .unwrap_err();
-/// assert_eq!(err, ConfigError::ZeroHostCache);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-    /// Kept apart from the config because `longseek_bucket_ops: 0` is the
-    /// *disabled* default there: only an explicit zero is an error.
-    longseek_bucket_ops: Option<u64>,
-}
-
-impl SimConfigBuilder {
-    /// Enables seek-distance recording.
-    pub fn distances(mut self) -> Self {
-        self.config.record_distances = true;
-        self
-    }
-
-    /// Enables the long-seek series with the given bucket width.
-    pub fn longseek_series(mut self, bucket_ops: u64) -> Self {
-        self.longseek_bucket_ops = Some(bucket_ops);
-        self
-    }
-
-    /// Enables fragment tracking.
-    pub fn fragment_tracking(mut self) -> Self {
-        self.config.track_fragments = true;
-        self
-    }
-
-    /// Interposes a host buffer cache of `bytes` bytes.
-    pub fn host_cache(mut self, bytes: u64) -> Self {
-        self.config.host_cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Drives the layer's mechanisms through the adaptive policy engine.
-    pub fn policy(mut self, policy: PolicyConfig) -> Self {
-        self.config.policy = Some(policy);
-        self
-    }
-
-    /// Backs the selective cache with a flash tier of `bytes` bytes.
-    pub fn flash_cache(mut self, bytes: u64) -> Self {
-        self.config.flash_cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Validates the accumulated knobs and produces the config.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the first degenerate knob found; see the
-    /// variants for what each rejects.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        let mut config = self.config;
-        if config.host_cache_bytes == Some(0) {
-            return Err(ConfigError::ZeroHostCache);
-        }
-        if let Some(bucket_ops) = self.longseek_bucket_ops {
-            if bucket_ops == 0 {
-                return Err(ConfigError::ZeroLongseekBucket);
-            }
-            config.longseek_bucket_ops = bucket_ops;
-        }
-        if let LayerChoice::Ls { cache, .. } = config.layer {
-            if cache.is_some_and(|cc| cc.capacity_bytes == 0) {
-                return Err(ConfigError::ZeroSelectiveCache);
-            }
-        }
-        if config.flash_cache_bytes == Some(0) {
-            return Err(ConfigError::ZeroFlashCache);
-        }
-        if let Some(policy) = config.policy {
-            policy.validate().map_err(ConfigError::Policy)?;
-        }
-        match config.layer {
-            LayerChoice::NoLs => {
-                if config.policy.is_some() {
-                    return Err(ConfigError::PolicyWithoutLs);
-                }
-                if config.flash_cache_bytes.is_some() {
-                    return Err(ConfigError::FlashCacheWithoutSelectiveCache);
-                }
-            }
-            LayerChoice::Ls {
-                defrag,
-                prefetch,
-                cache,
-            } => {
-                // Without a mechanism every gate decision is a no-op:
-                // rejected rather than silently inert.
-                if config.policy.is_some()
-                    && defrag.is_none()
-                    && prefetch.is_none()
-                    && cache.is_none()
-                {
-                    return Err(ConfigError::PolicyWithoutMechanisms);
-                }
-                if config.flash_cache_bytes.is_some() && cache.is_none() {
-                    return Err(ConfigError::FlashCacheWithoutSelectiveCache);
-                }
-            }
-        }
-        Ok(config)
-    }
-}
 
 /// The result of one simulation run.
 #[derive(Debug, Clone)]
@@ -735,7 +653,7 @@ impl EngineState {
         let host_cache = config
             .host_cache_bytes
             .map(smrseek_cache::RangeCache::with_capacity_bytes);
-        // Policy without LS is rejected by the builder; tolerated here by
+        // Policy without LS is rejected by `validate`; tolerated here by
         // simply never constructing the engine.
         let policies = configs
             .iter()
@@ -828,15 +746,16 @@ impl EngineState {
         true
     }
 
-    /// [`step`](Self::step), timed when the record is in the phase
-    /// sample. The record before a sampled one runs the timed step with
-    /// its times dropped, so the sampled record finds that code warm.
+    /// [`step`](Self::step) of a record of an `n`-record run, timed when
+    /// the record is in the phase sample. The record before a sampled one
+    /// runs the timed step with its times dropped, so the sampled record
+    /// finds that code warm.
     #[inline]
-    fn step_sampled<const POLICY: bool>(&mut self, rec: &TraceRecord) -> bool {
+    fn step_sampled<const POLICY: bool>(&mut self, rec: &TraceRecord, n: u64) -> bool {
         let i = self.logical_ops;
-        if phase::sampled(i) {
+        if phase::sampled(i, n) {
             self.step::<POLICY, true>(rec)
-        } else if phase::warms_up(i) {
+        } else if phase::warms_up(i, n) {
             let kept = self.sampled;
             let reached = self.step::<POLICY, true>(rec);
             self.sampled = kept;
@@ -876,20 +795,21 @@ impl EngineState {
         board: &LaneBoard,
     ) -> Duration {
         let mut served = Duration::ZERO;
+        let n = trace.len() as u64;
         let mut last = Some(Instant::now());
         for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
             self.ingest.lap(Phase::Ingest, &mut last);
             match forward {
                 None => {
                     for rec in block {
-                        self.step_sampled::<POLICY>(rec);
+                        self.step_sampled::<POLICY>(rec, n);
                     }
                 }
                 Some(Forward { plain, slot }) => {
                     let mut out = board.take_free(slot);
                     out.clear();
                     for rec in block {
-                        if self.step_sampled::<POLICY>(rec) {
+                        if self.step_sampled::<POLICY>(rec, n) {
                             out.push(self.logical_ops - 1, &self.lanes[plain].ios);
                         }
                     }
@@ -1165,7 +1085,7 @@ impl Simulation {
                 (k, ReadLane::new(&ls), SeekLane::new(&configs[k]))
             })
             .collect();
-        board.open(slot, SplitLanes::new(lanes));
+        board.open(slot, SplitLanes::new(lanes, trace.len() as u64));
         let served = state.replay_blocks(trace, Some(Forward { plain, slot }), board);
         state.finish(Some(board.close(slot)), served)
     }
@@ -1631,47 +1551,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_with_chain() {
-        let built = SimConfig::builder(LayerChoice::NoLs)
-            .distances()
-            .longseek_series(64)
-            .host_cache(1 << 20)
-            .build()
-            .expect("valid config");
-        let chained = SimConfig::no_ls()
-            .with_distances()
-            .with_longseek_series(64)
-            .with_host_cache(1 << 20);
-        assert_eq!(built, chained);
-
-        let built = SimConfig::builder(SimConfig::ls_cache().layer)
-            .fragment_tracking()
-            .build()
-            .expect("valid config");
-        let chained = SimConfig::ls_cache().with_fragment_tracking();
-        assert_eq!(built, chained);
-    }
-
-    #[test]
     fn builder_rejects_degenerate_knobs() {
-        let nols = || SimConfig::builder(LayerChoice::NoLs);
+        let nols = SimConfig::no_ls;
         assert_eq!(
-            nols().host_cache(0).build(),
+            nols().with_host_cache(0).validate(),
             Err(ConfigError::ZeroHostCache)
-        );
-        assert_eq!(
-            nols().longseek_series(0).build(),
-            Err(ConfigError::ZeroLongseekBucket)
         );
         let empty_cache = CacheConfig { capacity_bytes: 0 };
         assert_eq!(
-            SimConfig::builder(SimConfig::ls_with(None, None, Some(empty_cache)).layer).build(),
+            SimConfig::ls_with(None, None, Some(empty_cache)).validate(),
             Err(ConfigError::ZeroSelectiveCache)
         );
         assert_eq!(
-            SimConfig::builder(SimConfig::ls_cache().layer)
-                .flash_cache(0)
-                .build(),
+            SimConfig::ls_cache().with_flash_cache(0).validate(),
             Err(ConfigError::ZeroFlashCache)
         );
         // Each out-of-range policy field: PolicyConfig::validate's message.
@@ -1684,29 +1576,29 @@ mod tests {
                 _ => policy.write_weight = i32::MIN,
             }
             let err = policy.validate().expect_err("out of range");
-            let builder = SimConfig::builder(SimConfig::ls_cache().layer).policy(policy);
-            assert_eq!(builder.build(), Err(ConfigError::Policy(err)));
+            assert_eq!(
+                SimConfig::ls_cache().with_policy(policy).validate(),
+                Err(ConfigError::Policy(err))
+            );
         }
         assert_eq!(
-            nols().policy(PolicyConfig::default()).build(),
+            nols().with_policy(PolicyConfig::default()).validate(),
             Err(ConfigError::PolicyWithoutLs)
         );
         assert_eq!(
-            nols().flash_cache(1 << 20).build(),
+            nols().with_flash_cache(1 << 20).validate(),
             Err(ConfigError::FlashCacheWithoutSelectiveCache)
         );
         // A policy over a bare log has nothing to gate.
         assert_eq!(
-            SimConfig::builder(SimConfig::log_structured().layer)
-                .policy(PolicyConfig::default())
-                .build(),
+            SimConfig::log_structured()
+                .with_policy(PolicyConfig::default())
+                .validate(),
             Err(ConfigError::PolicyWithoutMechanisms)
         );
         // A flash tier needs the selective cache in front of it.
         assert_eq!(
-            SimConfig::builder(SimConfig::ls_defrag().layer)
-                .flash_cache(1 << 20)
-                .build(),
+            SimConfig::ls_defrag().with_flash_cache(1 << 20).validate(),
             Err(ConfigError::FlashCacheWithoutSelectiveCache)
         );
         // Errors render as actionable prose.

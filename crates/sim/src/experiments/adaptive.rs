@@ -15,9 +15,9 @@
 //! than plain LS).
 
 use super::ExpOptions;
-use crate::engine::{RunReport, SimConfig};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::{MatrixStats, RunMatrix, TraceSource};
+use crate::runner::{MatrixStats, RunOutcome};
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_policy::PolicyStats;
@@ -111,9 +111,10 @@ fn build_report(rows: Vec<AdaptiveRow>) -> AdaptiveReport {
     }
 }
 
-fn row_from_reports(profile: &Profile, reports: &[&RunReport]) -> AdaptiveRow {
-    let base = reports[0].seeks;
-    let saf = |i: usize| Saf::from_stats(&reports[i].seeks, &base);
+/// One workload's row from its outcomes under [`configs`], in order.
+fn row(profile: &Profile, cells: Vec<RunOutcome>) -> AdaptiveRow {
+    let base = cells[0].report.seeks;
+    let saf = |i: usize| Saf::from_stats(&cells[i].report.seeks, &base);
     let row = AdaptiveRow {
         workload: profile.name.to_owned(),
         family: profile.family,
@@ -123,7 +124,7 @@ fn row_from_reports(profile: &Profile, reports: &[&RunReport]) -> AdaptiveRow {
         cache: saf(4),
         adaptive: saf(5),
         best_fixed: String::new(),
-        policy: reports[5].policy,
+        policy: cells[5].report.policy,
     };
     let best = row.best_fixed_saf();
     let fixed = [row.ls, row.defrag, row.prefetch, row.cache];
@@ -142,22 +143,7 @@ fn row_from_reports(profile: &Profile, reports: &[&RunReport]) -> AdaptiveRow {
 /// matrix (six cells per workload) on up to `threads` workers. The report
 /// does not depend on the thread count.
 pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (AdaptiveReport, MatrixStats) {
-    let all = profiles::all();
-    let sources: Vec<TraceSource> = all
-        .iter()
-        .map(|p| TraceSource::from_profile(p, opts))
-        .collect();
-    let matrix = RunMatrix::cross(&sources, &configs());
-    let outcomes = matrix.execute(threads);
-    let stats = MatrixStats::from_outcomes(&outcomes);
-    let rows = all
-        .iter()
-        .zip(outcomes.chunks_exact(6))
-        .map(|(profile, cells)| {
-            let reports: Vec<_> = cells.iter().map(|c| &c.report).collect();
-            row_from_reports(profile, &reports)
-        })
-        .collect();
+    let (rows, stats) = super::replay(&profiles::all(), &configs(), opts, threads, row);
     (build_report(rows), stats)
 }
 

@@ -8,14 +8,15 @@
 
 use super::classify::{classify_saf, SeekClass};
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::{MatrixStats, RunMatrix, TraceSource};
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_trace::{summarize, AnalysisSummary};
 use smrseek_workloads::profiles::{self, Profile};
 use std::num::NonZeroUsize;
+use std::sync::{Arc, OnceLock};
 
 /// One workload's trace analysis next to its measured class.
 #[derive(Debug, Clone, Serialize)]
@@ -30,27 +31,52 @@ pub struct AnalyzeRow {
     pub class: SeekClass,
 }
 
-/// Analyzes one workload.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> AnalyzeRow {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let base = Simulation::new(&SimConfig::no_ls()).run_trace(&trace).seeks;
-    let saf = Saf::from_stats(
-        &Simulation::new(&SimConfig::log_structured())
-            .run_trace(&trace)
-            .seeks,
-        &base,
-    );
-    AnalyzeRow {
-        workload: profile.name.to_owned(),
-        analysis: summarize(&trace),
-        saf: saf.total,
-        class: classify_saf(saf.total),
-    }
+/// Analyzes each profile: its NoLS and LS replays as one run matrix on up
+/// to `threads` workers. The matrix builds each trace once, so the source
+/// that generates it summarizes it too, on the same worker.
+fn rows(
+    profiles: &[Profile],
+    opts: &ExpOptions,
+    threads: NonZeroUsize,
+) -> (Vec<AnalyzeRow>, MatrixStats) {
+    let summaries: Vec<Arc<OnceLock<AnalysisSummary>>> =
+        profiles.iter().map(|_| Arc::default()).collect();
+    let sources: Vec<TraceSource> = profiles
+        .iter()
+        .zip(&summaries)
+        .map(|(profile, summary)| {
+            let (profile, summary, opts) = (profile.clone(), Arc::clone(summary), *opts);
+            TraceSource::new(profile.name, move || {
+                let trace = profile.generate_scaled(opts.seed, opts.ops);
+                summary.get_or_init(|| summarize(&trace));
+                Arc::new(trace)
+            })
+        })
+        .collect();
+    let configs = [SimConfig::no_ls(), SimConfig::log_structured()];
+    let outcomes = RunMatrix::cross(&sources, &configs).execute(threads);
+    let stats = MatrixStats::from_outcomes(&outcomes);
+    let rows = profiles
+        .iter()
+        .zip(outcomes.chunks_exact(2))
+        .zip(summaries)
+        .map(|((profile, pair), summary)| {
+            let saf = Saf::from_stats(&pair[1].report.seeks, &pair[0].report.seeks);
+            AnalyzeRow {
+                workload: profile.name.to_owned(),
+                analysis: summary.get().expect("the matrix built the trace").clone(),
+                saf: saf.total,
+                class: classify_saf(saf.total),
+            }
+        })
+        .collect();
+    (rows, stats)
 }
 
-/// Analyzes all 21 profiles, one per worker on up to `threads` workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<AnalyzeRow> {
-    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
+/// Analyzes all 21 profiles, replaying them as one run matrix on up to
+/// `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<AnalyzeRow>, MatrixStats) {
+    rows(&profiles::all(), opts, threads)
 }
 
 /// Renders the analysis table.
@@ -96,7 +122,7 @@ mod tests {
         // scans are mostly pre-trace data, yet the sparse log-scattered
         // blocks inside each scan range fragment most scan reads), so the
         // threshold is a floor, not a strong signal.
-        for row in run(&opts(), NonZeroUsize::MIN) {
+        for row in run(&opts(), NonZeroUsize::MIN).0 {
             if row.class == SeekClass::LogSensitive {
                 assert!(
                     row.analysis.read_after_write > 0.05,
@@ -111,14 +137,15 @@ mod tests {
 
     #[test]
     fn write_heavy_workloads_overwrite_quickly() {
-        let row = run_one(&profiles::by_name("mds_0").unwrap(), &opts());
+        let (rows, _) = rows(&super::super::named(&["mds_0"]), &opts(), NonZeroUsize::MIN);
+        let row = &rows[0];
         assert!(row.analysis.overwrites > 0);
         assert!(row.class == SeekClass::LogFriendly);
     }
 
     #[test]
     fn render_covers_all_profiles() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }, NonZeroUsize::MIN));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 1500 }, NonZeroUsize::MIN).0);
         for name in ["usr_1", "w91", "ts_0"] {
             assert!(text.contains(name));
         }

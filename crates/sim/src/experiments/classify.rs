@@ -4,12 +4,12 @@
 //! against the classification the paper's own Figures 2 and 11 imply.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::MatrixStats;
 use crate::saf::Saf;
 use serde::{Deserialize, Serialize};
-use smrseek_workloads::profiles::{self, Profile};
+use smrseek_workloads::profiles;
 use std::fmt;
 use std::num::NonZeroUsize;
 
@@ -90,28 +90,25 @@ impl ClassifyRow {
     }
 }
 
-/// Classifies one workload.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> ClassifyRow {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let base = Simulation::new(&SimConfig::no_ls()).run_trace(&trace).seeks;
-    let saf = Saf::from_stats(
-        &Simulation::new(&SimConfig::log_structured())
-            .run_trace(&trace)
-            .seeks,
-        &base,
-    );
-    ClassifyRow {
-        workload: profile.name.to_owned(),
-        saf,
-        measured: classify_saf(saf.total),
-        paper: paper_class(profile.name),
-    }
-}
-
-/// Classifies every Table-I workload, one per worker on up to `threads`
-/// workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<ClassifyRow> {
-    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
+/// Classifies every Table-I workload from its NoLS and LS replays, as one
+/// run matrix on up to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<ClassifyRow>, MatrixStats) {
+    let configs = [SimConfig::no_ls(), SimConfig::log_structured()];
+    super::replay(
+        &profiles::all(),
+        &configs,
+        opts,
+        threads,
+        |profile, pair| {
+            let saf = Saf::from_stats(&pair[1].report.seeks, &pair[0].report.seeks);
+            ClassifyRow {
+                workload: profile.name.to_owned(),
+                saf,
+                measured: classify_saf(saf.total),
+                paper: paper_class(profile.name),
+            }
+        },
+    )
 }
 
 /// Renders the classification table.
@@ -151,7 +148,7 @@ mod tests {
     #[test]
     fn paper_classification_reproduced() {
         let opts = ExpOptions { seed: 6, ops: 6000 };
-        let rows = run(&opts, NonZeroUsize::MIN);
+        let (rows, _) = run(&opts, NonZeroUsize::MIN);
         assert_eq!(rows.len(), 21);
         let explicit: Vec<&ClassifyRow> = rows.iter().filter(|r| r.paper.is_some()).collect();
         let agreements = explicit.iter().filter(|r| r.agrees()).count();
@@ -170,7 +167,7 @@ mod tests {
     #[test]
     fn all_three_classes_present() {
         let opts = ExpOptions { seed: 6, ops: 6000 };
-        let rows = run(&opts, NonZeroUsize::MIN);
+        let (rows, _) = run(&opts, NonZeroUsize::MIN);
         for class in [
             SeekClass::LogFriendly,
             SeekClass::LogAgnostic,
@@ -186,7 +183,7 @@ mod tests {
     #[test]
     fn render_reports_agreement() {
         let opts = ExpOptions { seed: 6, ops: 2000 };
-        let text = render(&run(&opts, NonZeroUsize::MIN));
+        let text = render(&run(&opts, NonZeroUsize::MIN).0);
         assert!(text.contains("agreement with the paper"));
         assert!(text.contains("log-sensitive"));
     }

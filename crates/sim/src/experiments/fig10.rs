@@ -7,13 +7,12 @@
 //! or less" — the justification for a 64 MB selective cache.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::MatrixStats;
 use serde::Serialize;
 use smrseek_stl::FragmentAccessTracker;
 use smrseek_trace::MIB;
-use smrseek_workloads::profiles::{self, Profile};
 use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 10.
@@ -50,24 +49,28 @@ impl Fig10Stats {
     }
 }
 
-/// Measures one workload's fragment popularity under plain LS translation.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig10Stats {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let report =
-        Simulation::new(&SimConfig::log_structured().with_fragment_tracking()).run_trace(&trace);
-    Fig10Stats {
-        workload: profile.name.to_owned(),
-        tracker: report.fragments.expect("fragment tracking was enabled"),
-    }
+/// Measures each `names` workload's fragment popularity under plain LS
+/// translation, as one run matrix on up to `threads` workers.
+fn popularity(
+    names: &[&str],
+    opts: &ExpOptions,
+    threads: NonZeroUsize,
+) -> (Vec<Fig10Stats>, MatrixStats) {
+    let configs = [SimConfig::log_structured().with_fragment_tracking()];
+    let profiles = super::named(names);
+    super::replay(&profiles, &configs, opts, threads, |profile, cell| {
+        let fragments = cell.into_iter().next().and_then(|o| o.report.fragments);
+        Fig10Stats {
+            workload: profile.name.to_owned(),
+            tracker: fragments.expect("fragment tracking was enabled"),
+        }
+    })
 }
 
-/// Measures the eight Fig 10 panels, one per worker on up to `threads`
+/// Measures the eight Fig 10 panels as one run matrix on up to `threads`
 /// workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig10Stats> {
-    parallel_map(&WORKLOADS, threads, |name| {
-        let profile = profiles::by_name(name).expect("Fig 10 workload exists");
-        run_one(&profile, opts)
-    })
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig10Stats>, MatrixStats) {
+    popularity(&WORKLOADS, opts, threads)
 }
 
 /// Renders popularity skew and cumulative cache sizes.
@@ -106,8 +109,11 @@ mod tests {
 
     #[test]
     fn popularity_is_skewed_for_zipf_profiles() {
-        for name in ["hm_1", "w55"] {
-            let s = run_one(&profiles::by_name(name).unwrap(), &opts());
+        let names = ["hm_1", "w55"];
+        for (name, s) in names
+            .into_iter()
+            .zip(popularity(&names, &opts(), NonZeroUsize::MIN).0)
+        {
             assert!(
                 s.top_decile_access_share() > 0.2,
                 "{name}: top decile share {:.2}",
@@ -119,7 +125,7 @@ mod tests {
     #[test]
     fn hot_fragments_fit_small_cache() {
         // The paper's point: the hot set is 10s of MB, not GBs.
-        let s = run_one(&profiles::by_name("hm_1").unwrap(), &opts());
+        let s = &popularity(&["hm_1"], &opts(), NonZeroUsize::MIN).0[0];
         let hot = s.cache_mib_for(0.8);
         assert!(hot < 64.0, "hm_1 hot set is {hot:.1} MiB");
         assert!(s.cache_mib_for(0.5) <= hot);
@@ -128,7 +134,7 @@ mod tests {
 
     #[test]
     fn cumulative_curve_monotone() {
-        let s = run_one(&profiles::by_name("w33").unwrap(), &opts());
+        let s = &popularity(&["w33"], &opts(), NonZeroUsize::MIN).0[0];
         let curve = s.tracker.cumulative_cache_bytes();
         assert!(!curve.is_empty());
         assert!(curve.windows(2).all(|w| w[0] <= w[1]));
@@ -136,7 +142,7 @@ mod tests {
 
     #[test]
     fn run_covers_eight_panels() {
-        let stats = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
+        let (stats, _) = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
         assert_eq!(stats.len(), 8);
         let text = render(&stats);
         for name in WORKLOADS {

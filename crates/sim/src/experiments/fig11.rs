@@ -7,10 +7,10 @@
 //! overall (w91 3.7 → 0.2); defragmentation can hurt (w20 worsens ~2.8x).
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
-use crate::saf::Saf;
+use crate::runner::MatrixStats;
+use crate::saf::{sweep_safs, Saf};
 use serde::{Deserialize, Serialize};
 use smrseek_workloads::profiles::{self, Family, Profile};
 use std::num::NonZeroUsize;
@@ -32,27 +32,32 @@ pub struct Fig11Row {
     pub cache: Saf,
 }
 
-/// Runs one workload through the baseline and the four configurations.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig11Row {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let base = Simulation::new(&SimConfig::no_ls()).run_trace(&trace).seeks;
-    let saf_of = |config: &SimConfig| {
-        Saf::from_stats(&Simulation::new(config).run_trace(&trace).seeks, &base)
-    };
-    Fig11Row {
-        workload: profile.name.to_owned(),
-        family: profile.family,
-        ls: saf_of(&SimConfig::log_structured()),
-        defrag: saf_of(&SimConfig::ls_defrag()),
-        prefetch: saf_of(&SimConfig::ls_prefetch()),
-        cache: saf_of(&SimConfig::ls_cache()),
-    }
+/// Replays each profile under [`SimConfig::standard_sweep`] as one run
+/// matrix on up to `threads` workers; a row holds the SAFs `simulate`
+/// prints for the same sweep.
+fn rows(
+    profiles: &[Profile],
+    opts: &ExpOptions,
+    threads: NonZeroUsize,
+) -> (Vec<Fig11Row>, MatrixStats) {
+    let configs = SimConfig::standard_sweep();
+    super::replay(profiles, &configs, opts, threads, |profile, sweep| {
+        let safs = sweep_safs(&sweep);
+        Fig11Row {
+            workload: profile.name.to_owned(),
+            family: profile.family,
+            ls: safs[1].1,
+            defrag: safs[2].1,
+            prefetch: safs[3].1,
+            cache: safs[4].1,
+        }
+    })
 }
 
-/// Runs every Table-I workload (Fig 11a + 11b), one per worker on up to
+/// Runs every Table-I workload (Fig 11a + 11b) as one run matrix on up to
 /// `threads` workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig11Row> {
-    parallel_map(&profiles::all(), threads, |p| run_one(p, opts))
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig11Row>, MatrixStats) {
+    rows(&profiles::all(), opts, threads)
 }
 
 /// Renders rows as the text analogue of Fig 11's grouped bars.
@@ -94,10 +99,19 @@ mod tests {
         ExpOptions { seed: 7, ops: 6000 }
     }
 
+    /// The rows of the `names` workloads at the test scale.
+    fn rows_of(names: &[&str]) -> Vec<Fig11Row> {
+        rows(
+            &super::super::named(names),
+            &small_opts(),
+            NonZeroUsize::MIN,
+        )
+        .0
+    }
+
     #[test]
     fn w91_is_log_sensitive_and_cache_fixes_it() {
-        let profile = profiles::by_name("w91").unwrap();
-        let row = run_one(&profile, &small_opts());
+        let row = &rows_of(&["w91"])[0];
         assert!(
             row.ls.total > 1.0,
             "w91 LS SAF {:.2} must exceed 1",
@@ -113,9 +127,8 @@ mod tests {
 
     #[test]
     fn write_intensive_msr_is_log_friendly() {
-        for name in ["mds_0", "rsrch_0", "wdev_0"] {
-            let profile = profiles::by_name(name).unwrap();
-            let row = run_one(&profile, &small_opts());
+        let names = ["mds_0", "rsrch_0", "wdev_0"];
+        for (name, row) in names.into_iter().zip(rows_of(&names)) {
             assert!(
                 row.ls.total < 1.0,
                 "{name}: LS SAF {:.2} should be below 1",
@@ -126,8 +139,7 @@ mod tests {
 
     #[test]
     fn defrag_hurts_single_pass_scans() {
-        let profile = profiles::by_name("w20").unwrap();
-        let row = run_one(&profile, &small_opts());
+        let row = &rows_of(&["w20"])[0];
         assert!(
             row.defrag.total > row.ls.total,
             "w20: defrag SAF {:.2} should exceed LS {:.2}",
@@ -138,8 +150,7 @@ mod tests {
 
     #[test]
     fn prefetch_helps_misordered_workloads() {
-        let profile = profiles::by_name("w84").unwrap();
-        let row = run_one(&profile, &small_opts());
+        let row = &rows_of(&["w84"])[0];
         assert!(
             row.prefetch.total < row.ls.total * 0.8,
             "w84: prefetch SAF {:.2} should beat LS {:.2}",
@@ -150,11 +161,7 @@ mod tests {
 
     #[test]
     fn render_contains_both_families() {
-        let rows = vec![
-            run_one(&profiles::by_name("hm_1").unwrap(), &small_opts()),
-            run_one(&profiles::by_name("w91").unwrap(), &small_opts()),
-        ];
-        let text = render(&rows);
+        let text = render(&rows_of(&["hm_1", "w91"]));
         assert!(text.contains("Fig 11a"));
         assert!(text.contains("Fig 11b"));
         assert!(text.contains("hm_1"));

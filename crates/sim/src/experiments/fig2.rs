@@ -10,7 +10,7 @@
 use super::ExpOptions;
 use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::{MatrixStats, RunMatrix, TraceSource};
+use crate::runner::MatrixStats;
 use serde::Serialize;
 use smrseek_disk::SeekStats;
 use smrseek_workloads::profiles::{self, Family};
@@ -45,25 +45,19 @@ impl Fig2Row {
 /// run matrix: two cells (NoLS, LS) per workload, executed on up to
 /// `threads` workers. Rows do not depend on the thread count.
 pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig2Row>, MatrixStats) {
-    let all = profiles::all();
-    let sources: Vec<TraceSource> = all
-        .iter()
-        .map(|p| TraceSource::from_profile(p, opts))
-        .collect();
-    let matrix = RunMatrix::cross(&sources, &[SimConfig::no_ls(), SimConfig::log_structured()]);
-    let outcomes = matrix.execute(threads);
-    let stats = MatrixStats::from_outcomes(&outcomes);
-    let rows = all
-        .iter()
-        .zip(outcomes.chunks_exact(2))
-        .map(|(profile, pair)| Fig2Row {
+    let configs = [SimConfig::no_ls(), SimConfig::log_structured()];
+    super::replay(
+        &profiles::all(),
+        &configs,
+        opts,
+        threads,
+        |profile, pair| Fig2Row {
             workload: profile.name.to_owned(),
             family: profile.family,
             nols: pair[0].report.seeks,
             ls: pair[1].report.seeks,
-        })
-        .collect();
-    (rows, stats)
+        },
+    )
 }
 
 /// Renders the text analogue of Fig 2's stacked bars.

@@ -7,12 +7,11 @@
 //! significant overhead in bursts (the paper's diurnal patterns).
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::{parallel_map, MatrixStats, RunCell, RunMatrix, TraceSource};
 use serde::Serialize;
 use smrseek_disk::series::diff_series;
-use smrseek_workloads::profiles::{self, Profile};
 use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 3.
@@ -61,31 +60,51 @@ impl Fig3Series {
     }
 }
 
-/// Computes the series for one workload with `buckets` buckets.
-pub fn run_one(profile: &Profile, opts: &ExpOptions, buckets: usize) -> Fig3Series {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let bucket_ops = (trace.len() as u64 / buckets.max(1) as u64).max(1);
-    let ls = Simulation::new(&SimConfig::log_structured().with_longseek_series(bucket_ops))
-        .run_trace(&trace);
-    let nols =
-        Simulation::new(&SimConfig::no_ls().with_longseek_series(bucket_ops)).run_trace(&trace);
-    Fig3Series {
-        workload: profile.name.to_owned(),
-        bucket_ops,
-        diff: diff_series(
-            &ls.longseek_series.expect("series was enabled"),
-            &nols.longseek_series.expect("series was enabled"),
-        ),
+/// Computes the series of the `names` workloads with `buckets` buckets
+/// each, as one run matrix on up to `threads` workers. A bucket's width
+/// comes from its trace's length, so the traces are generated first, once
+/// each and on the same workers, and the matrix replays each under LS and
+/// NoLS.
+fn series(
+    names: &[&str],
+    opts: &ExpOptions,
+    buckets: usize,
+    threads: NonZeroUsize,
+) -> (Vec<Fig3Series>, MatrixStats) {
+    let profiles = super::named(names);
+    let traces = parallel_map(&profiles, threads, |p| {
+        p.generate_scaled(opts.seed, opts.ops)
+    });
+    let mut matrix = RunMatrix::new();
+    for (profile, trace) in profiles.iter().zip(traces) {
+        let bucket_ops = (trace.len() as u64 / buckets.max(1) as u64).max(1);
+        let source = TraceSource::from_records(profile.name, trace);
+        for config in [SimConfig::log_structured(), SimConfig::no_ls()] {
+            let config = config.with_longseek_series(bucket_ops);
+            matrix.push(RunCell::new(source.clone(), config));
+        }
     }
+    let outcomes = matrix.execute(threads);
+    let series = outcomes.chunks_exact(2).map(|pair| {
+        let [ls, nols] = [&pair[0], &pair[1]].map(|o| {
+            o.report
+                .longseek_series
+                .as_ref()
+                .expect("series was enabled")
+        });
+        Fig3Series {
+            workload: pair[0].label.clone(),
+            bucket_ops: ls.ops_per_bucket(),
+            diff: diff_series(ls, nols),
+        }
+    });
+    (series.collect(), MatrixStats::from_outcomes(&outcomes))
 }
 
-/// Computes the four Fig 3 series with 40 buckets each, one per worker on
-/// up to `threads` workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig3Series> {
-    parallel_map(&WORKLOADS, threads, |name| {
-        let profile = profiles::by_name(name).expect("Fig 3 workload exists");
-        run_one(&profile, opts, 40)
-    })
+/// Computes the four Fig 3 series with 40 buckets each, as one run matrix
+/// on up to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig3Series>, MatrixStats) {
+    series(&WORKLOADS, opts, 40, threads)
 }
 
 /// Renders per-bucket sparkline-style rows plus summary statistics.
@@ -135,8 +154,7 @@ mod tests {
 
     #[test]
     fn log_sensitive_series_show_overhead() {
-        let profile = profiles::by_name("w91").unwrap();
-        let s = run_one(&profile, &opts(), 20);
+        let s = &series(&["w91"], &opts(), 20, NonZeroUsize::MIN).0[0];
         assert!(s.net() > 0, "w91 must show net long-seek overhead");
         assert!(s.peak() > 0);
         assert!(s.diff.len() as u64 * s.bucket_ops >= 8000);
@@ -144,8 +162,7 @@ mod tests {
 
     #[test]
     fn series_is_bursty_not_flat() {
-        let profile = profiles::by_name("w55").unwrap();
-        let s = run_one(&profile, &opts(), 40);
+        let s = &series(&["w55"], &opts(), 40, NonZeroUsize::MIN).0[0];
         assert!(
             s.burstiness() > 0.5,
             "w55 should be temporally bursty, got {:.2}",
@@ -155,14 +172,14 @@ mod tests {
 
     #[test]
     fn run_covers_the_four_workloads() {
-        let series = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
+        let (series, _) = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
         let names: Vec<_> = series.iter().map(|s| s.workload.as_str()).collect();
         assert_eq!(names, WORKLOADS);
     }
 
     #[test]
     fn render_has_sparklines() {
-        let series = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
+        let (series, _) = run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN);
         let text = render(&series);
         assert!(text.contains("usr_1 series:"));
         assert!(text.contains("burstiness"));

@@ -8,13 +8,12 @@
 //! seeks within ±1 GB than the newer ones.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::{MatrixStats, RunOutcome};
 use serde::Serialize;
 use smrseek_disk::Cdf;
 use smrseek_trace::{GIB, SECTOR_SIZE};
-use smrseek_workloads::profiles::{self, Profile};
 use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 4.
@@ -60,29 +59,32 @@ fn within_gb(cdf: &Cdf, gb: f64) -> f64 {
     cdf.fraction_within(-s, s)
 }
 
-/// Computes both CDFs for one workload.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig4Cdfs {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let nols = Simulation::new(&SimConfig::no_ls().with_distances()).run_trace(&trace);
-    let ls = Simulation::new(&SimConfig::log_structured().with_distances()).run_trace(&trace);
-    Fig4Cdfs {
-        workload: profile.name.to_owned(),
-        nols: nols
-            .distance_cdf()
-            .expect("run was configured with distances"),
-        ls: ls
-            .distance_cdf()
-            .expect("run was configured with distances"),
-    }
+/// Computes both CDFs of each `names` workload as one run matrix on up to
+/// `threads` workers.
+fn cdfs(names: &[&str], opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig4Cdfs>, MatrixStats) {
+    let configs = [
+        SimConfig::no_ls().with_distances(),
+        SimConfig::log_structured().with_distances(),
+    ];
+    let profiles = super::named(names);
+    super::replay(&profiles, &configs, opts, threads, |profile, pair| {
+        let pair = <[RunOutcome; 2]>::try_from(pair).expect("a NoLS and an LS cell");
+        let [nols, ls] = pair.map(|o| {
+            let distances = o.report.distances;
+            Cdf::from_samples(distances.expect("run was configured with distances"))
+        });
+        Fig4Cdfs {
+            workload: profile.name.to_owned(),
+            nols,
+            ls,
+        }
+    })
 }
 
-/// Computes the four Fig 4 panels, one per worker on up to `threads`
+/// Computes the four Fig 4 panels as one run matrix on up to `threads`
 /// workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig4Cdfs> {
-    parallel_map(&WORKLOADS, threads, |name| {
-        let profile = profiles::by_name(name).expect("Fig 4 workload exists");
-        run_one(&profile, opts)
-    })
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig4Cdfs>, MatrixStats) {
+    cdfs(&WORKLOADS, opts, threads)
 }
 
 /// Renders the within-range fractions the figure makes visible.
@@ -120,7 +122,7 @@ mod tests {
 
     #[test]
     fn ls_pushes_seeks_outside_the_window() {
-        for c in run(&opts(), NonZeroUsize::MIN) {
+        for c in run(&opts(), NonZeroUsize::MIN).0 {
             assert!(
                 c.ls_within_gb(1.0) < c.nols_within_gb(1.0) + 1e-9,
                 "{}: LS {:.2} should not concentrate more than NoLS {:.2}",
@@ -133,7 +135,7 @@ mod tests {
 
     #[test]
     fn nols_seeks_are_local() {
-        let c = run_one(&profiles::by_name("usr_0").unwrap(), &opts());
+        let c = &cdfs(&["usr_0"], &opts(), NonZeroUsize::MIN).0[0];
         assert!(
             c.nols_within_gb(2.0) > 0.95,
             "NoLS seeks should be within the workload footprint, got {:.2}",
@@ -143,7 +145,7 @@ mod tests {
 
     #[test]
     fn curves_are_monotone() {
-        let c = run_one(&profiles::by_name("w64").unwrap(), &opts());
+        let c = &cdfs(&["w64"], &opts(), NonZeroUsize::MIN).0[0];
         let (nols, ls) = c.curves(17);
         for curve in [nols, ls] {
             assert_eq!(curve.len(), 17);
@@ -153,7 +155,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_panels() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN).0);
         for name in WORKLOADS {
             assert!(text.contains(name));
         }

@@ -7,11 +7,10 @@
 //! fragmented reads, and the disparity is even higher for `w36`.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::MatrixStats;
 use serde::Serialize;
-use smrseek_workloads::profiles::{self, Profile};
 use std::num::NonZeroUsize;
 
 /// The workloads plotted in Fig 5.
@@ -85,28 +84,27 @@ impl Fig5Dist {
     }
 }
 
-/// Measures one workload's fragmented-read distribution.
-pub fn run_one(profile: &Profile, opts: &ExpOptions) -> Fig5Dist {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let report =
-        Simulation::new(&SimConfig::log_structured().with_fragment_tracking()).run_trace(&trace);
-    Fig5Dist {
-        workload: profile.name.to_owned(),
-        per_read_fragments: report
-            .fragments
-            .expect("fragment tracking was enabled")
-            .per_read_fragment_counts()
-            .to_vec(),
-    }
+/// Measures each `names` workload's fragmented-read distribution as one
+/// run matrix on up to `threads` workers.
+fn dists(names: &[&str], opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig5Dist>, MatrixStats) {
+    let configs = [SimConfig::log_structured().with_fragment_tracking()];
+    let profiles = super::named(names);
+    super::replay(&profiles, &configs, opts, threads, |profile, cell| {
+        let fragments = cell[0].report.fragments.as_ref();
+        Fig5Dist {
+            workload: profile.name.to_owned(),
+            per_read_fragments: fragments
+                .expect("fragment tracking was enabled")
+                .per_read_fragment_counts()
+                .to_vec(),
+        }
+    })
 }
 
-/// Measures the four Fig 5 panels, one per worker on up to `threads`
+/// Measures the four Fig 5 panels as one run matrix on up to `threads`
 /// workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<Fig5Dist> {
-    parallel_map(&WORKLOADS, threads, |name| {
-        let profile = profiles::by_name(name).expect("Fig 5 workload exists");
-        run_one(&profile, opts)
-    })
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig5Dist>, MatrixStats) {
+    dists(&WORKLOADS, opts, threads)
 }
 
 /// Renders the concentration statistics.
@@ -141,7 +139,7 @@ mod tests {
 
     #[test]
     fn fragmented_reads_exist_and_have_at_least_two_fragments() {
-        for d in run(&opts(), NonZeroUsize::MIN) {
+        for d in run(&opts(), NonZeroUsize::MIN).0 {
             assert!(
                 d.fragmented_reads() > 0,
                 "{} must have fragmented reads",
@@ -154,8 +152,11 @@ mod tests {
     #[test]
     fn fragments_are_concentrated() {
         // The paper: >=50% of fragments in <=~20-30% of fragmented reads.
-        for name in ["usr_0", "hm_1"] {
-            let d = run_one(&profiles::by_name(name).unwrap(), &opts());
+        let names = ["usr_0", "hm_1"];
+        for (name, d) in names
+            .into_iter()
+            .zip(dists(&names, &opts(), NonZeroUsize::MIN).0)
+        {
             let share = d.reads_holding_fragment_share(0.5);
             assert!(
                 share < 0.5,
@@ -167,7 +168,7 @@ mod tests {
 
     #[test]
     fn cdf_points_monotone_and_terminal() {
-        let d = run_one(&profiles::by_name("w20").unwrap(), &opts());
+        let d = &dists(&["w20"], &opts(), NonZeroUsize::MIN).0[0];
         let pts = d.cdf_points();
         assert!(!pts.is_empty());
         assert!(pts.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));

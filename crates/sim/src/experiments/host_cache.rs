@@ -9,13 +9,12 @@
 //! selective caching still helps on top.
 
 use super::ExpOptions;
-use crate::engine::{SimConfig, Simulation};
+use crate::engine::SimConfig;
 use crate::report::TextTable;
-use crate::runner::parallel_map;
+use crate::runner::{MatrixStats, RunOutcome};
 use crate::saf::Saf;
 use serde::Serialize;
 use smrseek_trace::MIB;
-use smrseek_workloads::profiles::{self, Profile};
 use std::num::NonZeroUsize;
 
 /// One point of the host-cache sweep.
@@ -40,39 +39,56 @@ pub struct HostCacheSweep {
     pub points: Vec<HostCachePoint>,
 }
 
-/// Runs the sweep for one workload over host cache sizes (MiB).
-pub fn run_one(profile: &Profile, opts: &ExpOptions, sizes_mib: &[u64]) -> HostCacheSweep {
-    let trace = profile.generate_scaled(opts.seed, opts.ops);
-    let reads = trace.iter().filter(|r| r.op.is_read()).count() as f64;
-    let points = sizes_mib
+/// Runs the sweep of each `names` workload over host cache sizes (MiB),
+/// as one run matrix on up to `threads` workers: per size, NoLS, LS and
+/// LS+cache behind the same host cache.
+fn sweeps(
+    names: &[&str],
+    sizes_mib: &[u64],
+    opts: &ExpOptions,
+    threads: NonZeroUsize,
+) -> (Vec<HostCacheSweep>, MatrixStats) {
+    let configs: Vec<SimConfig> = sizes_mib
         .iter()
-        .map(|&mib| {
-            let with_host = |mut config: SimConfig| {
-                if mib > 0 {
-                    config.host_cache_bytes = Some(mib * MIB);
-                }
-                config
-            };
-            // The baseline sees the same host cache: SAF isolates the
-            // translation layer's contribution at each cache size.
-            let base = Simulation::new(&with_host(SimConfig::no_ls())).run_trace(&trace);
-            let ls = Simulation::new(&with_host(SimConfig::log_structured())).run_trace(&trace);
-            let cached = Simulation::new(&with_host(SimConfig::ls_cache())).run_trace(&trace);
-            HostCachePoint {
-                host_mib: mib,
-                host_hit_fraction: if reads > 0.0 {
-                    ls.host_cache_hits as f64 / reads
-                } else {
-                    0.0
-                },
-                ls: Saf::from_stats(&ls.seeks, &base.seeks),
-                ls_cache: Saf::from_stats(&cached.seeks, &base.seeks),
-            }
+        .flat_map(|&mib| {
+            let host = (mib > 0).then_some(mib * MIB);
+            [
+                SimConfig::no_ls(),
+                SimConfig::log_structured(),
+                SimConfig::ls_cache(),
+            ]
+            .map(|config| SimConfig {
+                host_cache_bytes: host,
+                ..config
+            })
         })
         .collect();
-    HostCacheSweep {
-        workload: profile.name.to_owned(),
-        points,
+    let profiles = super::named(names);
+    super::replay(&profiles, &configs, opts, threads, |profile, cells| {
+        let points = sizes_mib.iter().zip(cells.chunks_exact(3));
+        HostCacheSweep {
+            workload: profile.name.to_owned(),
+            points: points.map(|(&mib, point)| point_of(mib, point)).collect(),
+        }
+    })
+}
+
+/// One sweep point from its NoLS, LS and LS+cache outcomes. The baseline
+/// sees the same host cache: SAF isolates the translation layer's
+/// contribution at each size.
+fn point_of(host_mib: u64, cells: &[RunOutcome]) -> HostCachePoint {
+    let [base, ls, cached] = [0, 1, 2].map(|k| &cells[k].report);
+    // Every read either hit the host cache or reached LS.
+    let reads = ls.host_cache_hits + ls.ls_stats.expect("LS reports its stats").logical_reads;
+    HostCachePoint {
+        host_mib,
+        host_hit_fraction: if reads > 0 {
+            ls.host_cache_hits as f64 / reads as f64
+        } else {
+            0.0
+        },
+        ls: Saf::from_stats(&ls.seeks, &base.seeks),
+        ls_cache: Saf::from_stats(&cached.seeks, &base.seeks),
     }
 }
 
@@ -81,13 +97,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions, sizes_mib: &[u64]) -> HostC
 /// Sizes are chosen relative to the *scaled* synthetic working sets: a
 /// host cache larger than the whole (scaled) footprint trivially absorbs
 /// everything, which real traces — with footprints of tens to thousands
-/// of GB (Table I) — never allow. Workloads run one per worker on up to
-/// `threads` workers.
-pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> Vec<HostCacheSweep> {
-    parallel_map(&["w91", "hm_1"], threads, |name| {
-        let profile = profiles::by_name(name).expect("profile exists");
-        run_one(&profile, opts, &[0, 4, 16, 64, 256])
-    })
+/// of GB (Table I) — never allow. Both workloads replay as one run matrix
+/// on up to `threads` workers.
+pub fn run(opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<HostCacheSweep>, MatrixStats) {
+    sweeps(&["w91", "hm_1"], &[0, 4, 16, 64, 256], opts, threads)
 }
 
 /// Renders the sweeps.
@@ -126,7 +139,7 @@ mod tests {
 
     #[test]
     fn bigger_host_cache_absorbs_more_reads() {
-        let sweep = run_one(&profiles::by_name("w91").unwrap(), &opts(), &[0, 4, 1024]);
+        let sweep = &sweeps(&["w91"], &[0, 4, 1024], &opts(), NonZeroUsize::MIN).0[0];
         let hits: Vec<f64> = sweep.points.iter().map(|p| p.host_hit_fraction).collect();
         assert_eq!(hits[0], 0.0);
         assert!(hits[2] >= hits[1]);
@@ -140,7 +153,7 @@ mod tests {
         // to thousands of GB) does not fix fragmentation; the reads that
         // reach the disk still seek, and selective caching still helps.
         // 4 MiB here is ~30% of w91's scaled scan working set.
-        let sweep = run_one(&profiles::by_name("w91").unwrap(), &opts(), &[4]);
+        let sweep = &sweeps(&["w91"], &[4], &opts(), NonZeroUsize::MIN).0[0];
         let p = &sweep.points[0];
         assert!(
             p.ls.total > 1.0,
@@ -160,13 +173,13 @@ mod tests {
         // The flip side, and why the sweep sizes matter: once the host
         // cache exceeds the (scaled) footprint, repeats never reach the
         // device and amplification evaporates.
-        let sweep = run_one(&profiles::by_name("w91").unwrap(), &opts(), &[0, 1024]);
+        let sweep = &sweeps(&["w91"], &[0, 1024], &opts(), NonZeroUsize::MIN).0[0];
         assert!(sweep.points[1].ls.total < sweep.points[0].ls.total);
     }
 
     #[test]
     fn render_mentions_sizes() {
-        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN));
+        let text = render(&run(&ExpOptions { seed: 1, ops: 2000 }, NonZeroUsize::MIN).0);
         assert!(text.contains("host buffer cache"));
         assert!(text.contains("256 MiB"));
     }

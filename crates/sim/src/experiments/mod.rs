@@ -2,10 +2,13 @@
 //!
 //! Each module exposes one structured `run(opts, threads)` returning the
 //! data behind the figure plus a `render(...)` producing the text table
-//! the CLI prints. [`ALL`] lists every experiment once, in the order
-//! `smrseek all` prints them; the CLI, the smoke tests and the
-//! `paper_figures` example all iterate it. The experiment index in
-//! `DESIGN.md` maps figures to these modules.
+//! the CLI prints. Every experiment that replays traces through the
+//! engine does so through one [`RunMatrix`], and its `run` returns that
+//! matrix's [`MatrixStats`] beside the data; most build the matrix with
+//! the private `replay` (profiles × configs). [`ALL`] lists every
+//! experiment once, in the order `smrseek all` prints them; the CLI, the
+//! smoke tests and the `paper_figures` example all iterate it. The
+//! experiment index in `DESIGN.md` maps figures to these modules.
 
 pub mod ablation;
 pub mod adaptive;
@@ -23,8 +26,11 @@ pub mod fragmentation;
 pub mod host_cache;
 pub mod table1;
 
-use crate::runner::MatrixStats;
+use crate::engine::SimConfig;
+use crate::runner::{MatrixStats, RunMatrix, RunOutcome, TraceSource};
 use serde::{Deserialize, Serialize, Value};
+use smrseek_workloads::profiles::{self, Profile};
+use std::borrow::Borrow;
 use std::num::NonZeroUsize;
 
 /// Common options for experiment runs.
@@ -53,8 +59,10 @@ pub struct Output {
     pub text: String,
     /// The data behind the report (what `--json` writes).
     pub json: Value,
-    /// Per-cell metrics, for experiments that replay through a
-    /// [`RunMatrix`](crate::runner::RunMatrix).
+    /// Per-cell metrics of the experiment's [`RunMatrix`]: every
+    /// experiment that replays traces through the engine does so through
+    /// one matrix. `None` for those that only analyze traces (`table1`,
+    /// `fig7`, `fig8`, `frag`).
     pub stats: Option<MatrixStats>,
 }
 
@@ -68,12 +76,50 @@ impl Output {
         }
     }
 
-    fn with_stats(self, stats: MatrixStats) -> Self {
+    /// [`of`](Self::of) for a run's data, keeping its matrix's stats.
+    fn replayed<T, D>(render: fn(&T) -> String, (data, stats): (D, MatrixStats)) -> Self
+    where
+        T: Serialize + ?Sized,
+        D: Borrow<T>,
+    {
         Output {
             stats: Some(stats),
-            ..self
+            ..Output::of(render, data.borrow())
         }
     }
+}
+
+/// The Table-I profiles named by `names`, in order.
+fn named(names: &[&str]) -> Vec<Profile> {
+    names
+        .iter()
+        .map(|name| profiles::by_name(name).unwrap_or_else(|| panic!("no profile {name}")))
+        .collect()
+}
+
+/// Replays every profile under every config as one
+/// [`RunMatrix::cross`] on up to `threads` workers, and makes each
+/// profile's outcomes, in config order, into a `row`; returns the rows
+/// and the matrix's stats.
+fn replay<R>(
+    profiles: &[Profile],
+    configs: &[SimConfig],
+    opts: &ExpOptions,
+    threads: NonZeroUsize,
+    row: impl Fn(&Profile, Vec<RunOutcome>) -> R,
+) -> (Vec<R>, MatrixStats) {
+    let sources: Vec<TraceSource> = profiles
+        .iter()
+        .map(|p| TraceSource::from_profile(p, opts))
+        .collect();
+    let outcomes = RunMatrix::cross(&sources, configs).execute(threads);
+    let stats = MatrixStats::from_outcomes(&outcomes);
+    let mut cells = outcomes.into_iter();
+    let rows = profiles
+        .iter()
+        .map(|p| row(p, cells.by_ref().take(configs.len()).collect()))
+        .collect();
+    (rows, stats)
 }
 
 /// One experiment: its CLI command name and how to run it on up to
@@ -94,22 +140,19 @@ pub static ALL: [Experiment; 15] = [
     },
     Experiment {
         name: "fig2",
-        run: |o, t| {
-            let (rows, stats) = fig2::run(o, t);
-            Output::of(fig2::render, &rows).with_stats(stats)
-        },
+        run: |o, t| Output::replayed(fig2::render, fig2::run(o, t)),
     },
     Experiment {
         name: "fig3",
-        run: |o, t| Output::of(fig3::render, &fig3::run(o, t)),
+        run: |o, t| Output::replayed(fig3::render, fig3::run(o, t)),
     },
     Experiment {
         name: "fig4",
-        run: |o, t| Output::of(fig4::render, &fig4::run(o, t)),
+        run: |o, t| Output::replayed(fig4::render, fig4::run(o, t)),
     },
     Experiment {
         name: "fig5",
-        run: |o, t| Output::of(fig5::render, &fig5::run(o, t)),
+        run: |o, t| Output::replayed(fig5::render, fig5::run(o, t)),
     },
     Experiment {
         name: "fig7",
@@ -121,19 +164,19 @@ pub static ALL: [Experiment; 15] = [
     },
     Experiment {
         name: "fig10",
-        run: |o, t| Output::of(fig10::render, &fig10::run(o, t)),
+        run: |o, t| Output::replayed(fig10::render, fig10::run(o, t)),
     },
     Experiment {
         name: "fig11",
-        run: |o, t| Output::of(fig11::render, &fig11::run(o, t)),
+        run: |o, t| Output::replayed(fig11::render, fig11::run(o, t)),
     },
     Experiment {
         name: "classify",
-        run: |o, t| Output::of(classify::render, &classify::run(o, t)),
+        run: |o, t| Output::replayed(classify::render, classify::run(o, t)),
     },
     Experiment {
         name: "analyze",
-        run: |o, t| Output::of(analyze::render, &analyze::run(o, t)),
+        run: |o, t| Output::replayed(analyze::render, analyze::run(o, t)),
     },
     Experiment {
         name: "frag",
@@ -141,21 +184,15 @@ pub static ALL: [Experiment; 15] = [
     },
     Experiment {
         name: "ablate",
-        run: |o, t| {
-            let (sweeps, stats) = ablation::run(o, t);
-            Output::of(ablation::render, &sweeps).with_stats(stats)
-        },
+        run: |o, t| Output::replayed(ablation::render, ablation::run(o, t)),
     },
     Experiment {
         name: "adaptive",
-        run: |o, t| {
-            let (report, stats) = adaptive::run(o, t);
-            Output::of(adaptive::render, &report).with_stats(stats)
-        },
+        run: |o, t| Output::replayed(adaptive::render, adaptive::run(o, t)),
     },
     Experiment {
         name: "hostcache",
-        run: |o, t| Output::of(host_cache::render, &host_cache::run(o, t)),
+        run: |o, t| Output::replayed(host_cache::render, host_cache::run(o, t)),
     },
 ];
 

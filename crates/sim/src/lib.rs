@@ -29,7 +29,7 @@ pub mod saf;
 mod split;
 pub mod tracecache;
 
-pub use engine::{ConfigError, LayerChoice, RunReport, SimConfig, SimConfigBuilder, Simulation};
+pub use engine::{ConfigError, LayerChoice, RunReport, SimConfig, Simulation};
 pub use report::TextTable;
 pub use runner::{RunMatrix, RunMetrics, RunOutcome, ShardPolicy, TraceSource};
 pub use saf::Saf;

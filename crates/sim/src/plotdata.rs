@@ -150,13 +150,13 @@ pub fn export_all(
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let files: [(&str, String); 8] = [
         ("fig2.csv", fig2_csv(&fig2::run(opts, threads).0)),
-        ("fig3.csv", fig3_csv(&fig3::run(opts, threads))),
-        ("fig4.csv", fig4_csv(&fig4::run(opts, threads), 65)),
-        ("fig5.csv", fig5_csv(&fig5::run(opts, threads))),
+        ("fig3.csv", fig3_csv(&fig3::run(opts, threads).0)),
+        ("fig4.csv", fig4_csv(&fig4::run(opts, threads).0, 65)),
+        ("fig5.csv", fig5_csv(&fig5::run(opts, threads).0)),
         ("fig7.csv", fig7_csv(&fig7::run(opts, threads))),
         ("fig8.csv", fig8_csv(&fig8::run(opts, threads))),
-        ("fig10.csv", fig10_csv(&fig10::run(opts, threads))),
-        ("fig11.csv", fig11_csv(&fig11::run(opts, threads))),
+        ("fig10.csv", fig10_csv(&fig10::run(opts, threads).0)),
+        ("fig11.csv", fig11_csv(&fig11::run(opts, threads).0)),
     ];
     let mut written = Vec::with_capacity(files.len());
     for (name, contents) in files {
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn fig11_csv_has_21_rows_and_numeric_cells() {
-        let csv = fig11_csv(&fig11::run(&opts(), NonZeroUsize::MIN));
+        let csv = fig11_csv(&fig11::run(&opts(), NonZeroUsize::MIN).0);
         let (header, rows) = parse_csv(&csv);
         assert_eq!(header.len(), 6);
         assert_eq!(rows.len(), 21);
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn fig3_csv_covers_all_buckets() {
-        let series = fig3::run(&opts(), NonZeroUsize::MIN);
+        let (series, _) = fig3::run(&opts(), NonZeroUsize::MIN);
         let csv = fig3_csv(&series);
         let (_, rows) = parse_csv(&csv);
         let expected: usize = series.iter().map(|s| s.diff.len()).sum();
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn fig4_csv_fractions_bounded() {
-        let csv = fig4_csv(&fig4::run(&opts(), NonZeroUsize::MIN), 17);
+        let csv = fig4_csv(&fig4::run(&opts(), NonZeroUsize::MIN).0, 17);
         let (_, rows) = parse_csv(&csv);
         assert_eq!(rows.len(), 4 * 2 * 17);
         for row in &rows {
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn fig10_csv_cumulative_is_monotone_per_workload() {
-        let csv = fig10_csv(&fig10::run(&opts(), NonZeroUsize::MIN));
+        let csv = fig10_csv(&fig10::run(&opts(), NonZeroUsize::MIN).0);
         let (_, rows) = parse_csv(&csv);
         let mut last: Option<(String, u64)> = None;
         for row in &rows {

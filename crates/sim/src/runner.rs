@@ -23,11 +23,16 @@
 //! never more: a split group's worker serves its own oldest block when
 //! all its blocks are queued.
 //!
+//! Each execution builds every [`TraceSource`]'s records once: the first
+//! group that replays a source builds them, later groups of the source
+//! share them, and the last one to finish drops them, so a source-major
+//! matrix holds about one trace per worker at a time.
+//!
 //! Determinism: results come back in cell order regardless of the thread
-//! count, and every group regenerates its trace from a named, repeatable
-//! [`TraceSource`] — so reports (and any JSON derived from them) are
-//! byte-identical whether the matrix runs on one worker or sixteen, and
-//! however its cells were grouped. Only the timing side-channel
+//! count, and every trace comes from a named, repeatable [`TraceSource`]
+//! — so reports (and any JSON derived from them) are byte-identical
+//! whether the matrix runs on one worker or sixteen, and however its
+//! cells were grouped. Only the timing side-channel
 //! ([`RunMetrics`]) varies between runs, which is why it lives next to,
 //! never inside, the serialized reports.
 
@@ -40,20 +45,20 @@ use smrseek_obs::PhaseTotals;
 use smrseek_trace::TraceRecord;
 use smrseek_workloads::profiles::Profile;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A named, repeatable source of trace records.
 ///
-/// Every translation group of a matrix regenerates (or, for
-/// [`TraceSource::from_records`], clones an `Arc` of) its trace on the
-/// worker that runs it — a [`TraceSource::from_profile`] source once per
-/// group, not once per cell: sharing one generated trace across threads
-/// would pin the whole matrix's memory high-water mark at once, and
-/// repeatability is what keeps the matrix deterministic under any
-/// scheduling. Clones of one source share its supply, which is how the
-/// runner tells that two cells replay the same trace. Trace files of
+/// [`RunMatrix::execute`] asks each source for its records once, on the
+/// worker of the first group that replays it — a
+/// [`TraceSource::from_profile`] source generates its trace then, a
+/// [`TraceSource::from_records`] one clones an `Arc` — and drops them
+/// after the source's last group, so a matrix never holds every trace
+/// at once. Repeatability is what keeps the matrix deterministic under
+/// any scheduling. Clones of one source share its supply, which is how
+/// the runner tells that two cells replay the same trace. Trace files of
 /// every format, `.smrt` included, are loaded into memory once
 /// ([`smrseek_trace::parse::parse_path`]) and wrapped with
 /// [`TraceSource::from_records`].
@@ -74,7 +79,7 @@ impl std::fmt::Debug for TraceSource {
 impl TraceSource {
     /// Wraps an arbitrary trace supplier. `supply` must be repeatable:
     /// every call returns the same records in the same order.
-    fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         supply: impl Fn() -> Arc<Vec<TraceRecord>> + Send + Sync + 'static,
     ) -> Self {
@@ -103,11 +108,6 @@ impl TraceSource {
     /// The source's display name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Produces the records.
-    pub fn records(&self) -> Arc<Vec<TraceRecord>> {
-        (self.supply)()
     }
 
     /// Whether `self` and `other` are clones of one source (the same
@@ -199,7 +199,8 @@ pub struct RunOutcome {
     pub metrics: RunMetrics,
 }
 
-/// An ordered collection of (trace source × configuration) cells.
+/// An ordered collection of (trace source × configuration) cells, every
+/// experiment's one replay path.
 #[derive(Debug, Clone, Default)]
 pub struct RunMatrix {
     cells: Vec<RunCell>,
@@ -248,7 +249,9 @@ impl RunMatrix {
     /// and grouping, never results. Workers claim translation groups;
     /// each group's translation replays serially on one worker, and a
     /// split group's cache lanes on whichever workers serve its queued
-    /// blocks. A panic in any cell, split lanes included, resumes here.
+    /// blocks. Each source's records are built once per call, by the first
+    /// group that replays them, and dropped after its last group. A panic
+    /// in any cell, split lanes included, resumes here.
     ///
     /// Timing of an `n`-cell group: each cell reports a wall of the
     /// group's wall divided by `n`, starting `k` such walls after the
@@ -258,19 +261,44 @@ impl RunMatrix {
     /// time. Summing cells therefore counts the group once.
     pub fn execute(&self, threads: NonZeroUsize) -> Vec<RunOutcome> {
         let mut slots = 0..;
-        let plan: Vec<(Vec<usize>, Vec<usize>, Option<usize>)> = self
+        let mut traces: Vec<SharedTrace> = Vec::new();
+        let plan: Vec<_> = self
             .plan(threads)
             .into_iter()
             .map(|(group, split)| {
                 let slot = if split.is_empty() { None } else { slots.next() };
-                (group, split, slot)
+                let source = &self.cells[group[0]].source;
+                let known = traces.iter().position(|t| t.source.same_supply(source));
+                let trace = known.unwrap_or_else(|| {
+                    traces.push(SharedTrace::new(source));
+                    traces.len() - 1
+                });
+                *traces[trace].pending.get_mut() += 1;
+                (group, split, slot, trace)
             })
             .collect();
         let board = LaneBoard::new(slots.start);
-        let done = parallel_map_then(
+        // Groups go out in plan order, except that a worker passes over
+        // groups whose trace another worker is still building: it starts
+        // the next trace instead of queueing behind that one.
+        let claimed = Mutex::new(vec![false; plan.len()]);
+        let claim = || {
+            let mut claimed = claimed.lock().expect("claim list poisoned");
+            let first = claimed.iter().position(|&c| !c)?;
+            let i = (first..plan.len())
+                .find(|&i| !claimed[i] && !traces[plan[i].3].building())
+                .unwrap_or(first);
+            claimed[i] = true;
+            traces[plan[i].3].claimed.store(true, Ordering::Relaxed);
+            Some(i)
+        };
+        let done = map_claimed(
             &plan,
             threads,
-            |(group, split, slot)| self.run_group(group, split, *slot, &board),
+            claim,
+            |(group, split, slot, trace)| {
+                self.run_group(group, split, *slot, &board, &traces[*trace])
+            },
             || board.serve_until_closed(),
         );
         let mut outcomes: Vec<(usize, RunOutcome)> = plan
@@ -340,25 +368,28 @@ impl RunMatrix {
             .collect()
     }
 
-    /// Replays one group on this thread, its `split` lanes through queue
-    /// `slot` of `board`; outcomes in the group's order. The time this
-    /// thread spends serving other groups' blocks is left out of the
-    /// group's wall.
+    /// Replays one group of `trace` on this thread, its `split` lanes
+    /// through queue `slot` of `board`; outcomes in the group's order. The
+    /// time this thread spends serving other groups' blocks is left out of
+    /// the group's wall.
     fn run_group(
         &self,
         group: &[usize],
         split: &[usize],
         slot: Option<usize>,
         board: &LaneBoard,
+        trace: &SharedTrace,
     ) -> Vec<RunOutcome> {
         let _queue = slot.map(|slot| board.guard(slot));
         let cells: Vec<&RunCell> = group.iter().map(|&i| &self.cells[i]).collect();
         let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
-        let records = cells[0].source.records();
+        let records = trace.records();
         let start_unix_ns = smrseek_obs::unix_nanos();
         let start = Instant::now();
         let replay = Simulation::replay_group(&configs, split, &records, board, slot);
         let wall = start.elapsed().saturating_sub(replay.served);
+        drop(records);
+        trace.release();
         lane_outcomes(
             &cells,
             replay,
@@ -372,6 +403,54 @@ impl RunMatrix {
     /// [`ShardPolicy`]).
     pub fn execute_with(&self, threads: NonZeroUsize, _policy: ShardPolicy) -> Vec<RunOutcome> {
         self.execute(threads)
+    }
+}
+
+/// One distinct source of an execution and its records while a group may
+/// still replay them: the first group to ask builds them under the lock,
+/// later groups clone the `Arc`, and the last group to finish drops it.
+struct SharedTrace<'a> {
+    source: &'a TraceSource,
+    /// Groups of the source that have not finished.
+    pending: AtomicUsize,
+    /// Whether a group of the source has been handed to a worker.
+    claimed: AtomicBool,
+    records: Mutex<Option<Arc<Vec<TraceRecord>>>>,
+}
+
+impl<'a> SharedTrace<'a> {
+    fn new(source: &'a TraceSource) -> Self {
+        SharedTrace {
+            source,
+            pending: AtomicUsize::new(0),
+            claimed: AtomicBool::new(false),
+            records: Mutex::new(None),
+        }
+    }
+
+    /// The source's records, built on the first call. A supply that
+    /// panicked stored nothing, so the next group builds again and fails
+    /// with the supply's own panic rather than a poisoned lock.
+    fn records(&self) -> Arc<Vec<TraceRecord>> {
+        let mut held = self.records.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(held.get_or_insert_with(|| (self.source.supply)()))
+    }
+
+    /// Whether a worker has taken a group of the source and has not built
+    /// its records yet (or holds the lock for an instant to share them).
+    fn building(&self) -> bool {
+        self.claimed.load(Ordering::Relaxed)
+            && self.records.try_lock().map_or(true, |held| held.is_none())
+    }
+
+    /// Marks one group of the source finished; the last drops the records.
+    fn release(&self) {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.records
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+        }
     }
 }
 
@@ -428,46 +507,49 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_then(items, threads, f, || {})
+    let next = AtomicUsize::new(0);
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < items.len());
+    map_claimed(items, threads, claim, f, || {})
 }
 
-/// [`parallel_map`], each worker calling `idle` once no item is left to
-/// claim (on one worker, nobody does).
-fn parallel_map_then<T, R, F, I>(items: &[T], threads: NonZeroUsize, f: F, idle: I) -> Vec<R>
+/// [`parallel_map`] with the order of work chosen by `claim`, which hands
+/// out each item's index once and then `None`; each worker calls `idle`
+/// once `claim` has nothing left (on one worker, nobody does).
+fn map_claimed<T, R, C, F, I>(items: &[T], threads: NonZeroUsize, claim: C, f: F, idle: I) -> Vec<R>
 where
     T: Sync,
     R: Send,
+    C: Fn() -> Option<usize> + Sync,
     F: Fn(&T) -> R + Sync,
     I: Fn() + Sync,
 {
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || {
+        while let Some(i) = claim() {
+            let result = f(&items[i]);
+            *slots[i].lock().expect("result slot poisoned") = Some(result);
+        }
+    };
     let workers = threads.get().min(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let result = f(&items[i]);
-                        *slots[i].lock().expect("result slot poisoned") = Some(result);
-                    }
-                    idle();
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        work();
+                        idle();
+                    })
                 })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
+                .collect();
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
-        }
-    });
+        });
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -582,9 +664,9 @@ mod tests {
         NonZeroUsize::new(2).expect("nonzero")
     }
 
-    /// Records of an `n`-record replay that its step times: one in
-    /// [`SAMPLE_INTERVAL`](smrseek_obs::phase::SAMPLE_INTERVAL), record 0
-    /// first.
+    /// Records of an `n`-record replay that its step times: the last of
+    /// every [`SAMPLE_INTERVAL`](smrseek_obs::phase::SAMPLE_INTERVAL), and
+    /// the replay's last.
     fn sampled(n: u64) -> u64 {
         n.div_ceil(smrseek_obs::phase::SAMPLE_INTERVAL)
     }
@@ -758,7 +840,8 @@ mod tests {
         assert!(totals.nanos(Phase::Lookup) > 0);
         assert!(totals.nanos(Phase::Seek) > 0);
         assert_eq!(totals.calls(Phase::Ingest), 2);
-        // A replay shorter than the sample interval still times record 0.
+        // A replay shorter than the sample interval still times its last
+        // record.
         let short = RunMatrix::cross(
             &[TraceSource::from_records("burst", burst(5))],
             &[SimConfig::no_ls()],
@@ -913,7 +996,7 @@ mod tests {
         let refs: Vec<&RunCell> = cells.iter().collect();
         let configs: Vec<SimConfig> = cells.iter().map(|c| c.config).collect();
         let board = LaneBoard::new(0);
-        let mut replay = Simulation::replay_group(&configs, &[], &source.records(), &board, None);
+        let mut replay = Simulation::replay_group(&configs, &[], &(source.supply)(), &board, None);
         replay.served = Duration::from_nanos(77);
         let phases = replay.phases;
         let wall = Duration::from_nanos(1_000_000_007);
@@ -1144,6 +1227,79 @@ mod tests {
             assert_eq!(
                 payload.downcast_ref::<&str>(),
                 Some(&"injected lane fault"),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn each_source_is_built_once_per_execute() {
+        use std::sync::Weak;
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        // Six generated sources, each counting its builds; every build is
+        // a fresh trace whose liveness a `Weak` tracks.
+        let live: Arc<Mutex<Vec<Weak<Vec<TraceRecord>>>>> = Arc::default();
+        let most = Arc::new(AtomicUsize::new(0));
+        let builds: Vec<Arc<AtomicUsize>> = (0..6).map(|_| Arc::default()).collect();
+        let sources: Vec<TraceSource> = builds
+            .iter()
+            .enumerate()
+            .map(|(k, count)| {
+                let (count, live, most) = (Arc::clone(count), Arc::clone(&live), Arc::clone(&most));
+                TraceSource::new(format!("s{k}"), move || {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    let records = Arc::new(mixed(2_000 + 100 * k as u64));
+                    let mut live = live.lock().expect("live list");
+                    live.retain(|w| w.strong_count() > 0);
+                    live.push(Arc::downgrade(&records));
+                    most.fetch_max(live.len(), Ordering::SeqCst);
+                    records
+                })
+            })
+            .collect();
+        let matrix = RunMatrix::cross(&sources, &SimConfig::standard_sweep());
+        let serial = report_json(&matrix.execute(NonZeroUsize::MIN));
+        for threads in [1usize, 2, 3] {
+            for count in &builds {
+                count.store(0, Ordering::SeqCst);
+            }
+            most.store(0, Ordering::SeqCst);
+            let groups = matrix.groups(n(threads)).len();
+            assert!(groups > sources.len(), "sources replay in several groups");
+            let outcomes = matrix.execute(n(threads));
+            assert_eq!(report_json(&outcomes), serial, "{threads} threads");
+            for (k, count) in builds.iter().enumerate() {
+                assert_eq!(count.load(Ordering::SeqCst), 1, "s{k}, {threads} threads");
+            }
+            let live = live.lock().expect("live list");
+            assert!(
+                live.iter().all(|w| w.strong_count() == 0),
+                "a trace outlived execute on {threads} threads"
+            );
+            let most = most.load(Ordering::SeqCst);
+            assert!(
+                most <= threads + 1,
+                "{most} traces at once on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_supply_panic_fails_the_matrix_with_its_own_payload() {
+        let n = |t: usize| NonZeroUsize::new(t).expect("nonzero");
+        let broken = TraceSource::new("broken", || -> Arc<Vec<TraceRecord>> {
+            std::panic::panic_any("injected supply fault")
+        });
+        let matrix = RunMatrix::cross(&[broken], &SimConfig::standard_sweep());
+        for threads in [1usize, 2, 3] {
+            let m = matrix.clone();
+            let result = within(Duration::from_secs(120), move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.execute(n(threads))))
+            });
+            let payload = result.expect_err("the supply's panic fails the matrix");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected supply fault"),
                 "{threads} threads"
             );
         }

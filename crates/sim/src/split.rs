@@ -62,15 +62,19 @@ impl ForwardBlock {
 pub(crate) struct SplitLanes {
     pub(crate) lanes: Vec<(usize, ReadLane, SeekLane)>,
     pub(crate) phases: PhaseTotals,
+    /// Records in the group's trace, which the sample rule reads.
+    records: u64,
     /// One read's merged runs, reused across records.
     runs: Vec<(Pba, u64)>,
 }
 
 impl SplitLanes {
-    pub(crate) fn new(lanes: Vec<(usize, ReadLane, SeekLane)>) -> Self {
+    /// Lanes of a group replaying a `records`-record trace.
+    pub(crate) fn new(lanes: Vec<(usize, ReadLane, SeekLane)>, records: u64) -> Self {
         SplitLanes {
             lanes,
             phases: PhaseTotals::default(),
+            records,
             runs: Vec::new(),
         }
     }
@@ -85,9 +89,9 @@ impl SplitLanes {
         for &(i, end) in &block.records {
             let ios = &block.ios[start..end];
             start = end;
-            if phase::sampled(i) {
+            if phase::sampled(i, self.records) {
                 self.serve::<true>(i, ios);
-            } else if phase::warms_up(i) {
+            } else if phase::warms_up(i, self.records) {
                 let kept = self.phases;
                 self.serve::<true>(i, ios);
                 self.phases = kept;

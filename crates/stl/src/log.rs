@@ -295,12 +295,6 @@ impl LogStructured {
         self.tracker.as_ref()
     }
 
-    /// Lane 0's selective cache (RAM tier plus optional flash), when
-    /// enabled.
-    pub fn cache(&self) -> Option<&TieredCache> {
-        self.lanes[0].cache.as_ref()
-    }
-
     /// Tier-level event counters of lane 0's selective cache, when it is
     /// configured with a flash tier (a single-tier cache has nothing
     /// tier-level to report).
@@ -344,11 +338,6 @@ impl LogStructured {
     /// cache or buffer. False before the first read.
     pub fn last_read_fragmented(&self) -> bool {
         self.last_read_fragmented
-    }
-
-    /// Lane 0's prefetch buffer, when enabled.
-    pub fn prefetch_buffer(&self) -> Option<&RangeCache> {
-        self.lanes[0].prefetch_buffer.as_ref()
     }
 
     /// Ranges currently queued for idle-time defragmentation.
