@@ -442,58 +442,6 @@ fn fetch_trace(addr: &str, id: &str) -> Result<(u16, Vec<u8>), CliError> {
         .map_err(|e| CliError::Parse(format!("bad response from {addr}: {e}")))
 }
 
-/// Decodes a `GET /v1/trace/<id>` body into [`smrseek_obs::DistSpan`]s.
-fn parse_trace_body(body: &[u8]) -> Result<Vec<smrseek_obs::DistSpan>, String> {
-    use serde::Value;
-    fn hex_span_id(value: &Value) -> Option<u64> {
-        value.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
-    }
-    fn number(span: &Value, key: &str) -> Result<u64, String> {
-        span.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("span is missing {key}"))
-    }
-    let text = std::str::from_utf8(body).map_err(|_| "trace body is not UTF-8".to_owned())?;
-    let root: Value =
-        serde_json::from_str(text).map_err(|e| format!("trace body is not JSON: {e}"))?;
-    let trace_id = root
-        .get("trace_id")
-        .and_then(Value::as_str)
-        .and_then(smrseek_obs::dtrace::parse_trace_id)
-        .ok_or("trace body has no trace_id")?;
-    let spans = root
-        .get("spans")
-        .and_then(Value::as_array)
-        .ok_or("trace body has no spans array")?;
-    spans
-        .iter()
-        .map(|span| {
-            Ok(smrseek_obs::DistSpan {
-                trace_id,
-                span_id: span
-                    .get("span_id")
-                    .and_then(hex_span_id)
-                    .ok_or("span is missing span_id")?,
-                parent_span_id: span.get("parent_span_id").and_then(hex_span_id),
-                name: span
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("span is missing name")?
-                    .to_owned(),
-                request_id: span
-                    .get("request_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
-                start_unix_ns: number(span, "start_unix_ns")?,
-                dur_ns: number(span, "dur_ns")?,
-                pid: u32::try_from(number(span, "pid")?).map_err(|_| "pid overflows u32")?,
-                tid: number(span, "tid")?,
-            })
-        })
-        .collect()
-}
-
 /// `smrseek trace`: fetches `GET /v1/trace/<trace-id>` from a daemon
 /// (`--addr`) or every member of a fleet (`--peers`), stitches the spans
 /// into one timeline, and writes a Chrome trace-event JSON (loadable in
@@ -533,8 +481,8 @@ fn run_trace_fetch(args: &Args) -> Result<String, CliError> {
             }
         }
         holders += 1;
-        let parsed =
-            parse_trace_body(&body).map_err(|e| CliError::Parse(format!("{addr}: {e}")))?;
+        let parsed = smrseek_server::tracebody::decode(&body)
+            .map_err(|e| CliError::Parse(format!("{addr}: {e}")))?;
         for span in parsed {
             if !processes.iter().any(|&(pid, _)| pid == span.pid) {
                 processes.push((span.pid, format!("smrseekd {addr} (pid {})", span.pid)));

@@ -44,6 +44,7 @@ pub mod http;
 pub mod jobs;
 pub mod metrics;
 pub mod sse;
+pub mod tracebody;
 pub mod worker;
 
 use crate::api::{JobRequest, TraceRef};
@@ -401,48 +402,7 @@ fn trace_spans(state: &ServerState, raw_id: &str) -> Response {
     let Some(spans) = state.spans.get(trace_id) else {
         return Response::json(404, error_body("no such trace"));
     };
-    let spans_json: Vec<Value> = spans
-        .iter()
-        .map(|span| {
-            Value::Object(vec![
-                (
-                    "span_id".to_owned(),
-                    Value::String(format!("{:016x}", span.span_id)),
-                ),
-                (
-                    "parent_span_id".to_owned(),
-                    span.parent_span_id
-                        .map_or(Value::Null, |id| Value::String(format!("{id:016x}"))),
-                ),
-                ("name".to_owned(), Value::String(span.name.clone())),
-                (
-                    "request_id".to_owned(),
-                    Value::String(span.request_id.clone()),
-                ),
-                (
-                    "start_unix_ns".to_owned(),
-                    Value::Number(Number::U(span.start_unix_ns)),
-                ),
-                ("dur_ns".to_owned(), Value::Number(Number::U(span.dur_ns))),
-                (
-                    "pid".to_owned(),
-                    Value::Number(Number::U(u64::from(span.pid))),
-                ),
-                ("tid".to_owned(), Value::Number(Number::U(span.tid))),
-            ])
-        })
-        .collect();
-    Response::json(
-        200,
-        serde_json::to_string(&Value::Object(vec![
-            (
-                "trace_id".to_owned(),
-                Value::String(format!("{trace_id:032x}")),
-            ),
-            ("spans".to_owned(), Value::Array(spans_json)),
-        ]))
-        .expect("trace body serializes"),
-    )
+    Response::json(200, tracebody::encode(trace_id, &spans))
 }
 
 fn error_body(msg: &str) -> String {
@@ -461,16 +421,17 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
                 |e: &dyn std::fmt::Display| format!("cannot load trace {}: {e}", path.display());
             // A device or FIFO never ends (or never starts) its stream, so
             // only regular files are loaded.
-            if !std::fs::metadata(path)
-                .map_err(|e| cannot_load(&e))?
-                .is_file()
-            {
+            let meta = std::fs::metadata(path).map_err(|e| cannot_load(&e))?;
+            if !meta.is_file() {
                 return Err(format!(
                     "`trace.path` must name a regular file: {}",
                     path.display()
                 ));
             }
-            let entry = state.registry.load(path).map_err(|e| cannot_load(&e))?;
+            let entry = state
+                .registry
+                .load(path, &meta)
+                .map_err(|e| cannot_load(&e))?;
             (
                 entry.source.clone(),
                 api::trace_key(&request.trace, Some(entry.digest)),

@@ -187,20 +187,7 @@ fn concurrent_clients_share_one_job_and_match_offline_bytes() {
     let trace = write_trace(&dir, "t.csv");
 
     // The offline truth: exactly the file `simulate --json` writes.
-    let offline_json = dir.join("offline.json");
-    let out = Command::new(bin())
-        .arg("simulate")
-        .arg(&trace)
-        .arg("--json")
-        .arg(&offline_json)
-        .output()
-        .expect("run simulate");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let offline = std::fs::read(&offline_json).expect("read offline json");
+    let offline = offline_json(&trace, &dir.join("offline.json"));
 
     let (child, addr) = spawn_daemon(&["--workers", "2", "--queue-depth", "8"]);
     let submit_body = format!(
@@ -210,45 +197,9 @@ fn concurrent_clients_share_one_job_and_match_offline_bytes() {
 
     // Four concurrent clients submit the identical job and then poll for
     // its result. The job table guarantees exactly one of them enqueues.
-    let results: Vec<Vec<u8>> = std::thread::scope(|scope| {
+    let results: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let addr = addr.clone();
-                let body = submit_body.clone();
-                scope.spawn(move || {
-                    let submit = request(&addr, "POST", "/v1/jobs", Some(&body));
-                    assert!(
-                        submit.status == 202 || submit.status == 200,
-                        "submit got {}: {}",
-                        submit.status,
-                        submit.body_str()
-                    );
-                    let id = submit
-                        .body_str()
-                        .split("\"id\":")
-                        .nth(1)
-                        .and_then(|s| {
-                            s.chars()
-                                .take_while(char::is_ascii_digit)
-                                .collect::<String>()
-                                .parse::<u64>()
-                                .ok()
-                        })
-                        .expect("submit body has an id");
-                    let deadline = Instant::now() + Duration::from_secs(60);
-                    loop {
-                        let poll = request(&addr, "GET", &format!("/v1/jobs/{id}/result"), None);
-                        match poll.status {
-                            200 => return poll.body,
-                            202 => {
-                                assert!(Instant::now() < deadline, "job finished in time");
-                                std::thread::sleep(Duration::from_millis(20));
-                            }
-                            other => panic!("poll got {other}: {}", poll.body_str()),
-                        }
-                    }
-                })
-            })
+            .map(|_| scope.spawn(|| job_result(&addr, &submit_body)))
             .collect();
         handles
             .into_iter()
@@ -306,6 +257,82 @@ fn concurrent_clients_share_one_job_and_match_offline_bytes() {
     assert_eq!(listing.body_str(), r#"{"jobs":[{"id":1,"status":"done"}]}"#);
 
     terminate(child);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What `smrseek simulate --json` writes for `trace`.
+fn offline_json(trace: &Path, out: &Path) -> String {
+    let run = Command::new(bin())
+        .arg("simulate")
+        .arg(trace)
+        .arg("--json")
+        .arg(out)
+        .output()
+        .expect("run simulate");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    std::fs::read_to_string(out).expect("read offline json")
+}
+
+/// Submits `body` (a new job or a cache hit) and polls its result for at
+/// most 60 s.
+fn job_result(addr: &str, body: &str) -> String {
+    let submit = request(addr, "POST", "/v1/jobs", Some(body));
+    assert!(
+        submit.status == 202 || submit.status == 200,
+        "submit got {}: {}",
+        submit.status,
+        submit.body_str()
+    );
+    let id: serde::Value = serde_json::from_str(&submit.body_str()).expect("JSON envelope");
+    let id = id.get("id").and_then(serde::Value::as_u64).expect("job id");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let poll = request(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
+        match poll.status {
+            200 => return poll.body_str(),
+            202 => {
+                assert!(Instant::now() < deadline, "job finished in time");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("poll got {other}: {}", poll.body_str()),
+        }
+    }
+}
+
+#[test]
+fn an_overwritten_trace_file_is_reloaded() {
+    let dir = temp_dir("overwrite");
+    let trace = write_trace(&dir, "t.csv");
+    let handle = smrseek_server::start(smrseek_server::ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        ..smrseek_server::ServerConfig::default()
+    })
+    .expect("start in-process daemon");
+    let addr = handle.addr().to_string();
+    let body = format!(r#"{{"trace": {{"path": {:?}}}}}"#, trace.display());
+    let before = offline_json(&trace, &dir.join("before.json"));
+    assert_eq!(job_result(&addr, &body), before);
+
+    // Another workload's trace under the same path.
+    let out = Command::new(bin())
+        .args(["gen", "w91", "--ops", "400", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run gen");
+    assert!(out.status.success());
+    let after = offline_json(&trace, &dir.join("after.json"));
+    assert_ne!(after, before);
+    assert_eq!(
+        job_result(&addr, &body),
+        after,
+        "the daemon answers for the file as it is now"
+    );
+    handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

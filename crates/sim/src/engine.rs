@@ -20,10 +20,10 @@ use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_stl::{
-    CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats, NoLs,
-    PrefetchConfig, ReadLane, TranslationLayer,
+    CacheConfig, DefragConfig, FragmentAccessTracker, LogStructured, LsConfig, LsStats,
+    PrefetchConfig, ReadLane,
 };
-use smrseek_trace::{stream, TraceRecord};
+use smrseek_trace::{stream, Pba, TraceRecord};
 
 use crate::split::{LaneBoard, SplitLanes};
 
@@ -511,26 +511,6 @@ impl RunReport {
     }
 }
 
-/// The concrete layers the engine can drive (static dispatch keeps the hot
-/// loop monomorphic and lets the engine extract layer-specific results
-/// after the run).
-enum LayerImpl {
-    NoLs(NoLs),
-    Ls(Box<LogStructured>),
-}
-
-impl LayerImpl {
-    /// Calls `sink(k, io)` with each physical operation `rec` causes in
-    /// lane `k`, in the order [`TranslationLayer::apply`] on a layer of
-    /// that lane's configuration would return them. NoLS has one lane.
-    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(usize, PhysIo)) {
-        match self {
-            LayerImpl::NoLs(l) => l.apply_into(rec, &mut |io| sink(0, io)),
-            LayerImpl::Ls(l) => l.apply_lanes_into(rec, sink),
-        }
-    }
-}
-
 /// The seek model of one configuration in a replay: the physical
 /// operations of its read lane go here and nowhere else.
 pub(crate) struct SeekLane {
@@ -587,7 +567,10 @@ impl SeekLane {
 /// configurations that [share their
 /// translation](SimConfig::shares_translation).
 struct EngineState {
-    layer: LayerImpl,
+    /// The log-structured translation; `None` is the NoLS baseline, whose
+    /// one lane [`step`](Self::step) gives each record's identity
+    /// operation (PBA = LBA) itself.
+    layer: Option<Box<LogStructured>>,
     lanes: Vec<SeekLane>,
     host_cache: Option<RangeCache>,
     host_cache_hits: u64,
@@ -643,11 +626,8 @@ impl EngineState {
     fn new(configs: &[SimConfig]) -> Self {
         let config = &configs[0];
         let ls_configs: Vec<LsConfig> = configs.iter().filter_map(ls_config_for).collect();
-        let layer = if ls_configs.is_empty() {
-            LayerImpl::NoLs(NoLs::new())
-        } else {
-            LayerImpl::Ls(Box::new(LogStructured::with_lanes(&ls_configs)))
-        };
+        let layer =
+            (!ls_configs.is_empty()).then(|| Box::new(LogStructured::with_lanes(&ls_configs)));
         // The host cache is indexed by *logical* sector; `RangeCache` is
         // address-space agnostic, so LBA sectors are passed as its keys.
         let host_cache = config
@@ -701,7 +681,7 @@ impl EngineState {
             }
         }
         if POLICY {
-            if let LayerImpl::Ls(ls) = &mut self.layer {
+            if let Some(ls) = &mut self.layer {
                 for (k, policy) in &mut self.policies {
                     ls.set_lane_gates(*k, policy.observe(rec.lba.sector(), rec.op.is_read()));
                 }
@@ -712,14 +692,21 @@ impl EngineState {
             lane.ios.clear();
         }
         let lanes = &mut self.lanes;
-        self.layer
-            .apply_into(rec, &mut |k, io| lanes[k].ios.push(io));
+        match &mut self.layer {
+            Some(ls) => ls.apply_lanes_into(rec, &mut |k, io| lanes[k].ios.push(io)),
+            None => lanes[0].ios.push(PhysIo::new(
+                rec.op,
+                Pba::new(rec.lba.sector()),
+                u64::from(rec.sectors),
+            )),
+        }
         self.sampled.lap(Phase::Lookup, &mut mark);
         if POLICY {
-            let fragmented = match &self.layer {
-                LayerImpl::Ls(ls) => rec.op.is_read() && ls.last_read_fragmented(),
-                LayerImpl::NoLs(_) => false,
-            };
+            let fragmented = rec.op.is_read()
+                && self
+                    .layer
+                    .as_ref()
+                    .is_some_and(|ls| ls.last_read_fragmented());
             if fragmented {
                 for (k, policy) in &mut self.policies {
                     // A fragmented read that paid disk I/O in this lane is
@@ -739,7 +726,7 @@ impl EngineState {
         for lane in &mut self.lanes {
             lane.observe_ios(i);
         }
-        if let LayerImpl::Ls(ls) = &self.layer {
+        if let Some(ls) = &self.layer {
             self.peak_extent_segments = self.peak_extent_segments.max(ls.map().len() as u64);
         }
         self.sampled.lap(Phase::Seek, &mut mark);
@@ -834,18 +821,21 @@ impl EngineState {
     /// totals, beside the `served` time of its replay: this state's lanes
     /// fill the positions the `split` lanes leave free, in order, and each
     /// split lane its own. The split lanes' sampled phases merge into this
-    /// state's before the sample is scaled to the whole run.
-    fn finish(self, split: Option<SplitLanes>, served: Duration) -> GroupReplay {
+    /// state's before the sample is scaled to the whole run. A tracked
+    /// translation's fragment tracker moves into the last report, and every
+    /// other report gets a clone.
+    fn finish(mut self, split: Option<SplitLanes>, served: Duration) -> GroupReplay {
         let policy = |k: usize| {
             self.policies
                 .iter()
                 .find(|(j, _)| *j == k)
                 .map(|(_, p)| p.stats())
         };
-        let ls = match &self.layer {
-            LayerImpl::NoLs(_) => None,
-            LayerImpl::Ls(ls) => Some(ls),
-        };
+        let tracker = self
+            .layer
+            .as_mut()
+            .and_then(|ls| ls.take_fragment_tracker());
+        let ls = self.layer.as_deref();
         let report = |layer_name: &str,
                       ls_stats: Option<LsStats>,
                       cache_tiers: Option<TierStats>,
@@ -859,7 +849,7 @@ impl EngineState {
             distances: lane.record_distances.then(|| lane.counter.into_distances()),
             longseek_series: lane.series,
             ls_stats,
-            fragments: ls.and_then(|ls| ls.fragment_tracker().cloned()),
+            fragments: None,
             peak_extent_segments: self.peak_extent_segments,
             policy,
             cache_tiers,
@@ -868,11 +858,11 @@ impl EngineState {
             .lanes
             .into_iter()
             .enumerate()
-            .map(|(k, lane)| match &self.layer {
-                LayerImpl::NoLs(l) => report(l.name(), None, None, None, lane),
+            .map(|(k, lane)| match ls {
+                None => report("NoLS", None, None, None, lane),
                 // The mechanism mix is config-visible; what defines a
                 // policy run is that the policy engine drove it.
-                LayerImpl::Ls(ls) => {
+                Some(ls) => {
                     let policy = policy(k);
                     report(
                         if policy.is_some() {
@@ -899,6 +889,12 @@ impl EngineState {
                 reports.insert(at, lane);
             }
             sampled.merge(&split.phases);
+        }
+        if let Some((last, others)) = reports.split_last_mut() {
+            for report in others {
+                report.fragments = tracker.clone();
+            }
+            last.fragments = tracker;
         }
         let mut phases = self.ingest;
         phases.merge(&sampled.scaled(phase::SAMPLE_INTERVAL));
@@ -1118,7 +1114,7 @@ fn fresh_policy(config: PolicyConfig, sim: &SimConfig) -> PolicyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smrseek_trace::Lba;
+    use smrseek_trace::{Lba, OpKind};
 
     fn toy_trace() -> Vec<TraceRecord> {
         vec![
@@ -1136,6 +1132,28 @@ mod tests {
         // write@0 (no seek from rest at 0), write@1000 (seek), read@0 (seek)
         assert_eq!(report.seeks.write_seeks, 1);
         assert_eq!(report.seeks.read_seeks, 1);
+    }
+
+    #[test]
+    fn nols_lane_emits_identity_io() {
+        // NoLS has no layer: each record reaching the device is one
+        // operation of its own kind at PBA = LBA.
+        let mut state = EngineState::new(&[SimConfig::no_ls()]);
+        for rec in toy_trace() {
+            assert!(state.step::<false, false>(&rec));
+            let io = PhysIo::new(rec.op, Pba::new(rec.lba.sector()), u64::from(rec.sectors));
+            assert_eq!(state.lanes[0].ios, [io]);
+        }
+    }
+
+    #[test]
+    fn nols_lane_preserves_op_kind() {
+        let mut state = EngineState::new(&[SimConfig::no_ls()]);
+        for op in [OpKind::Read, OpKind::Write] {
+            assert!(state.step::<false, false>(&TraceRecord::new(0, op, Lba::new(5), 1)));
+            assert_eq!(state.lanes[0].ios.len(), 1);
+            assert_eq!(state.lanes[0].ios[0].op, op);
+        }
     }
 
     #[test]

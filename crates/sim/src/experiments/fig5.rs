@@ -90,13 +90,12 @@ fn dists(names: &[&str], opts: &ExpOptions, threads: NonZeroUsize) -> (Vec<Fig5D
     let configs = [SimConfig::log_structured().with_fragment_tracking()];
     let profiles = super::named(names);
     super::replay(&profiles, &configs, opts, threads, |profile, cell| {
-        let fragments = cell[0].report.fragments.as_ref();
+        let fragments = cell.into_iter().next().and_then(|o| o.report.fragments);
         Fig5Dist {
             workload: profile.name.to_owned(),
             per_read_fragments: fragments
                 .expect("fragment tracking was enabled")
-                .per_read_fragment_counts()
-                .to_vec(),
+                .into_per_read_fragment_counts(),
         }
     })
 }

@@ -14,9 +14,8 @@ use super::ExpOptions;
 use crate::report::TextTable;
 use crate::runner::parallel_map;
 use serde::Serialize;
-use smrseek_stl::{LogStructured, LsConfig, TranslationLayer};
+use smrseek_stl::{LogStructured, LsConfig};
 use smrseek_workloads::profiles::{self, Profile};
-use std::collections::HashSet;
 use std::num::NonZeroUsize;
 
 /// Fragmentation profile of one workload.
@@ -51,23 +50,16 @@ impl FragRow {
     }
 }
 
-/// Measures one workload.
+/// Measures one workload. It drives the layer itself rather than through
+/// a run matrix because it samples the map's static fragmentation at each
+/// tenth of the run, which no report carries.
 pub fn run_one(profile: &Profile, opts: &ExpOptions) -> FragRow {
     let trace = profile.generate_scaled(opts.seed, opts.ops);
     let mut ls = LogStructured::new(LsConfig::for_trace(&trace).with_fragment_tracking());
     let mut growth = Vec::with_capacity(11);
     let step = (trace.len() / 10).max(1);
-    let mut touched: HashSet<u64> = HashSet::new();
     for (i, rec) in trace.iter().enumerate() {
-        if rec.op.is_read() {
-            let runs = ls.physical_runs(rec.lba, u64::from(rec.sectors));
-            if runs.len() > 1 {
-                for (pba, _) in runs {
-                    touched.insert(pba.sector());
-                }
-            }
-        }
-        ls.apply(rec);
+        ls.apply_into(rec, &mut |_| {});
         if i % step == 0 {
             growth.push(ls.map().static_fragmentation());
         }
@@ -77,7 +69,10 @@ pub fn run_one(profile: &Profile, opts: &ExpOptions) -> FragRow {
         workload: profile.name.to_owned(),
         static_fragments: ls.map().static_fragmentation(),
         map_extents: ls.map().len(),
-        read_touched_fragments: touched.len(),
+        read_touched_fragments: ls
+            .fragment_tracker()
+            .expect("fragment tracking was enabled")
+            .distinct_fragments(),
         fragmented_read_rate: stats.fragmented_read_rate(),
         growth,
     }

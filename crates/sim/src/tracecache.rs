@@ -1,9 +1,9 @@
 //! Trace files for long-lived processes and the `convert` command.
 //!
-//! * [`TraceRegistry`] — loads each trace file once (any format, sniffed
-//!   by [`sniff_path`] and read into memory by [`parse_path`]), digests
-//!   it, and shares the resulting [`TraceSource`] with every job that
-//!   names the same path.
+//! * [`TraceRegistry`] — loads each version of a trace file once (any
+//!   format, sniffed by [`sniff_path`] and read into memory by
+//!   [`parse_path`]), digests it, and shares the resulting [`TraceSource`]
+//!   with every job that names the same path while the file is unchanged.
 //! * [`write_smrt`] — atomically writes records as a v2 `.smrt` file, so
 //!   a trace converted once skips text parsing on every later load.
 
@@ -13,9 +13,12 @@ use smrseek_trace::digest::digest_records;
 use smrseek_trace::parse::{parse_path, sniff_path};
 use smrseek_trace::{TraceDigest, TraceRecord};
 use std::collections::HashMap;
+use std::fs::Metadata;
 use std::io::{BufWriter, Write as _};
+use std::os::unix::fs::MetadataExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 /// Writes `records` to `path` in the v2 binary format, atomically: the
 /// bytes land in a same-directory temp file first and are renamed into
@@ -66,13 +69,33 @@ pub struct RegisteredTrace {
     pub records: u64,
 }
 
-/// A shared registry of open traces for long-lived processes: each path is
-/// sniffed, loaded into memory and digested exactly once, and every job
-/// replaying it thereafter shares the same [`TraceSource`] — one record
-/// vector serving every concurrent worker.
+/// Which version of a file a registry entry was loaded from: a file
+/// rewritten in place changes its length or modification time, and one
+/// replaced by a rename changes its inode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileStamp {
+    len: u64,
+    modified: Option<SystemTime>,
+    inode: u64,
+}
+
+impl FileStamp {
+    fn of(meta: &Metadata) -> Self {
+        FileStamp {
+            len: meta.len(),
+            modified: meta.modified().ok(),
+            inode: meta.ino(),
+        }
+    }
+}
+
+/// A shared registry of open traces for long-lived processes: each version
+/// of a path is sniffed, loaded into memory and digested exactly once, and
+/// every job replaying it thereafter shares the same [`TraceSource`] — one
+/// record vector serving every concurrent worker.
 #[derive(Debug, Default)]
 pub struct TraceRegistry {
-    entries: Mutex<HashMap<PathBuf, Arc<RegisteredTrace>>>,
+    entries: Mutex<HashMap<PathBuf, (FileStamp, Arc<RegisteredTrace>)>>,
 }
 
 impl TraceRegistry {
@@ -81,9 +104,12 @@ impl TraceRegistry {
         TraceRegistry::default()
     }
 
-    /// Loads the trace at `path`, or returns the already-loaded entry.
-    /// Paths are keyed by their canonicalized form, so `./t.csv` and an
-    /// absolute path to the same file share one entry.
+    /// Loads the trace at `path`, whose metadata the caller read as
+    /// `meta`, or returns the entry already loaded from the same version
+    /// of the file: same length, modification time and inode. A changed
+    /// file is loaded afresh and replaces its path's entry. Paths are keyed
+    /// by their canonicalized form, so `./t.csv` and an absolute path to
+    /// the same file share one entry.
     ///
     /// The registry lock is deliberately held across a cold load: when
     /// many jobs name the same cold trace at once, one loads and digests
@@ -93,11 +119,18 @@ impl TraceRegistry {
     /// # Errors
     ///
     /// Propagates open/sniff/parse failures from [`smrseek_trace`].
-    pub fn load(&self, path: &Path) -> smrseek_trace::Result<Arc<RegisteredTrace>> {
+    pub fn load(
+        &self,
+        path: &Path,
+        meta: &Metadata,
+    ) -> smrseek_trace::Result<Arc<RegisteredTrace>> {
         let key = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+        let stamp = FileStamp::of(meta);
         let mut entries = self.entries.lock().expect("registry lock poisoned");
-        if let Some(entry) = entries.get(&key) {
-            return Ok(Arc::clone(entry));
+        if let Some((loaded, entry)) = entries.get(&key) {
+            if *loaded == stamp {
+                return Ok(Arc::clone(entry));
+            }
         }
         let records = parse_path(path, sniff_path(path)?)?;
         let entry = Arc::new(RegisteredTrace {
@@ -106,7 +139,7 @@ impl TraceRegistry {
             records: records.len() as u64,
             source: TraceSource::from_records(path.display().to_string(), records),
         });
-        entries.insert(key, Arc::clone(&entry));
+        entries.insert(key, (stamp, Arc::clone(&entry)));
         Ok(entry)
     }
 
@@ -175,10 +208,12 @@ mod tests {
         let smrt = dir.join("t.smrt");
         write_smrt(&smrt, &records).expect("binary trace written");
 
+        let load =
+            |registry: &TraceRegistry, path: &Path| registry.load(path, &std::fs::metadata(path)?);
         let registry = TraceRegistry::new();
         assert!(registry.is_empty());
-        let via_csv = registry.load(&csv).expect("csv loads");
-        let via_smrt = registry.load(&smrt).expect("binary loads");
+        let via_csv = load(&registry, &csv).expect("csv loads");
+        let via_smrt = load(&registry, &smrt).expect("binary loads");
         assert_eq!(registry.len(), 2);
         assert_eq!(
             via_csv.digest, via_smrt.digest,
@@ -189,11 +224,21 @@ mod tests {
 
         // A second load of the same file (via a relative-ish alias) hits
         // the existing entry instead of re-parsing.
-        let again = registry.load(&csv).expect("cached load");
+        let again = load(&registry, &csv).expect("cached load");
         assert!(Arc::ptr_eq(&again, &via_csv));
         assert_eq!(registry.len(), 2);
 
-        assert!(registry.load(&dir.join("missing.csv")).is_err());
+        // A rewritten file is a new version: loaded afresh, in place of
+        // the old entry.
+        let shorter = &records[..records.len() / 2];
+        let mut f = std::fs::File::create(&csv).expect("csv recreated");
+        write_cp_csv(&mut f, shorter).expect("csv rewritten");
+        let fresh = load(&registry, &csv).expect("rewritten csv loads");
+        assert!(!Arc::ptr_eq(&fresh, &via_csv));
+        assert_eq!(fresh.records, shorter.len() as u64);
+        assert_eq!(registry.len(), 2);
+
+        assert!(load(&registry, &dir.join("missing.csv")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,9 +20,7 @@ use smrseek_cache::RangeCache;
 use smrseek_disk::{PhysIo, SeekCounter, SeekStats};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_sim::{LayerChoice, RunMatrix, RunReport, SimConfig, Simulation, TraceSource};
-use smrseek_stl::{
-    CacheConfig, DefragConfig, LogStructured, LsConfig, LsStats, PrefetchConfig, TranslationLayer,
-};
+use smrseek_stl::{CacheConfig, DefragConfig, LogStructured, LsConfig, LsStats, PrefetchConfig};
 use smrseek_trace::{stream, Lba, OpKind, Pba, TraceRecord};
 use smrseek_workloads::profiles;
 use std::num::NonZeroUsize;
@@ -204,7 +202,8 @@ fn reference(config: &SimConfig, trace: &[TraceRecord]) -> (SeekStats, LsStats, 
         }
         let before = ls.stats();
         ls.set_gates(policy.observe(rec.lba.sector(), rec.op.is_read()));
-        let ios: Vec<PhysIo> = ls.apply(rec);
+        let mut ios: Vec<PhysIo> = Vec::new();
+        ls.apply_into(rec, &mut |io| ios.push(io));
         let after = ls.stats();
         if after.fragmented_reads > before.fragmented_reads {
             if after.phys_reads > before.phys_reads {

@@ -81,6 +81,12 @@ impl FragmentAccessTracker {
         &self.per_read_fragments
     }
 
+    /// [`per_read_fragment_counts`](Self::per_read_fragment_counts), taken
+    /// out of the tracker.
+    pub fn into_per_read_fragment_counts(self) -> Vec<u32> {
+        self.per_read_fragments
+    }
+
     /// Fragments sorted by access count, most popular first (ties broken
     /// by physical address for determinism) — the solid curve of Fig 10.
     pub fn popularity(&self) -> Vec<FragmentPopularity> {

@@ -2,14 +2,20 @@
 //! *"Minimizing Read Seeks for SMR Disk"* (IISWC 2018).
 //!
 //! A translation layer turns each logical block operation into the physical
-//! operations actually performed by the medium. Two base layers implement
-//! the paper's disk model (Section II):
+//! operations actually performed by the medium. The paper's disk model
+//! (Section II) has two:
 //!
-//! * [`NoLs`] — conventional update-in-place translation (PBA = LBA); the
+//! * NoLS — conventional update-in-place translation (PBA = LBA); the
 //!   baseline whose seek counts define a seek amplification factor of 1.
+//!   It keeps no state, so it has no type here: the replay engine emits
+//!   each record's one identity operation itself.
 //! * [`LogStructured`] — full-extent-map log-structured translation on an
 //!   infinite disk: every write goes to an advancing write frontier; reads
-//!   of never-written data fall through to their identity location.
+//!   of never-written data fall through to their identity location. A
+//!   record is translated by [`apply_into`](LogStructured::apply_into), or
+//!   by [`apply_lanes_into`](LogStructured::apply_lanes_into) for several
+//!   configurations over one translation; both hand each physical
+//!   operation to a sink, so a record allocates nothing.
 //!
 //! Three seek-reduction mechanisms (Section IV) compose onto the
 //! log-structured layer via [`LsConfig`]:
@@ -30,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use smrseek_stl::{LogStructured, LsConfig, NoLs, TranslationLayer};
+//! use smrseek_stl::{LogStructured, LsConfig};
 //! use smrseek_trace::{Lba, TraceRecord};
 //!
 //! let trace = [
@@ -41,7 +47,7 @@
 //! let mut ls = LogStructured::new(LsConfig::new(Lba::new(1 << 20)));
 //! let mut phys = Vec::new();
 //! for rec in &trace {
-//!     phys.extend(ls.apply(rec));
+//!     ls.apply_into(rec, &mut |io| phys.push(io));
 //! }
 //! // The read is split into three physical pieces by the update.
 //! assert_eq!(phys.len(), 2 + 3);
@@ -50,14 +56,12 @@
 #![warn(missing_docs)]
 pub mod config;
 pub mod fragstats;
-pub mod layer;
 pub mod log;
 pub mod misorder;
 pub mod stats;
 
 pub use config::{CacheConfig, DefragConfig, DefragTiming, LsConfig, PrefetchConfig};
 pub use fragstats::FragmentAccessTracker;
-pub use layer::{NoLs, TranslationLayer};
 pub use log::{LogStructured, ReadLane};
 pub use misorder::{count_misordered_writes, MISORDER_WINDOW_BYTES};
 pub use stats::LsStats;

@@ -3,7 +3,6 @@
 
 use crate::config::{DefragTiming, LsConfig, PrefetchConfig};
 use crate::fragstats::FragmentAccessTracker;
-use crate::layer::TranslationLayer;
 use crate::stats::LsStats;
 use smrseek_cache::range::Probe;
 use smrseek_cache::{RangeCache, TierLookup, TierStats, TieredCache};
@@ -36,14 +35,15 @@ use std::collections::HashMap;
 /// # Example
 ///
 /// ```
-/// use smrseek_stl::{LogStructured, LsConfig, TranslationLayer};
+/// use smrseek_stl::{LogStructured, LsConfig};
 /// use smrseek_trace::{Lba, Pba, TraceRecord};
 ///
 /// let mut ls = LogStructured::new(LsConfig::new(Lba::new(1000)));
-/// let w = ls.apply(&TraceRecord::write(0, Lba::new(7), 2));
-/// assert_eq!(w[0].pba, Pba::new(1000)); // appended at the frontier
-/// let r = ls.apply(&TraceRecord::read(1, Lba::new(7), 2));
-/// assert_eq!(r[0].pba, Pba::new(1000)); // translated back
+/// let mut ios = Vec::new();
+/// ls.apply_into(&TraceRecord::write(0, Lba::new(7), 2), &mut |io| ios.push(io));
+/// assert_eq!(ios[0].pba, Pba::new(1000)); // appended at the frontier
+/// ls.apply_into(&TraceRecord::read(1, Lba::new(7), 2), &mut |io| ios.push(io));
+/// assert_eq!(ios[1].pba, Pba::new(1000)); // translated back
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogStructured {
@@ -206,8 +206,8 @@ impl LogStructured {
     }
 
     /// Creates one layer serving every configuration in `configs`, one
-    /// read lane each, in order; lane 0 is the layer's own
-    /// [`config`](Self::config). [`apply_lanes_into`](Self::apply_lanes_into)
+    /// read lane each, in order; lane 0's configuration decides the shared
+    /// translation. [`apply_lanes_into`](Self::apply_lanes_into)
     /// emits each lane's I/O, identical to what a single-lane layer of
     /// that configuration would emit.
     ///
@@ -235,12 +235,6 @@ impl LogStructured {
             runs: Vec::new(),
             config,
         }
-    }
-
-    /// Convenience constructor: plain log-structured translation with the
-    /// frontier derived from the trace (see [`LsConfig::for_trace`]).
-    pub fn for_trace(records: &[TraceRecord]) -> Self {
-        Self::new(LsConfig::for_trace(records))
     }
 
     /// Current write-frontier position.
@@ -285,14 +279,15 @@ impl LogStructured {
         self.lanes[k].name
     }
 
-    /// The configuration of lane 0, whose translation every lane shares.
-    pub fn config(&self) -> &LsConfig {
-        &self.config
-    }
-
     /// Fragment statistics, when tracking was enabled.
     pub fn fragment_tracker(&self) -> Option<&FragmentAccessTracker> {
         self.tracker.as_ref()
+    }
+
+    /// Moves the fragment statistics out, leaving the layer tracking
+    /// nothing from here on: for a caller that is done replaying.
+    pub fn take_fragment_tracker(&mut self) -> Option<FragmentAccessTracker> {
+        self.tracker.take()
     }
 
     /// Tier-level event counters of lane 0's selective cache, when it is
@@ -313,7 +308,7 @@ impl LogStructured {
 
     /// Sets the per-region mechanism gates the *next* record is served
     /// under, in every lane. An adaptive policy engine calls this before
-    /// every [`apply`](TranslationLayer::apply); without a policy the
+    /// every [`apply_lanes_into`](Self::apply_lanes_into); without a policy the
     /// gates stay at their permissive default and behaviour is identical
     /// to the fixed mechanisms.
     pub fn set_gates(&mut self, gates: GateSet) {
@@ -340,28 +335,10 @@ impl LogStructured {
         self.last_read_fragmented
     }
 
-    /// Ranges currently queued for idle-time defragmentation.
-    pub fn pending_defrag(&self) -> &[(Lba, u64)] {
-        &self.pending_defrag
-    }
-
-    /// Rewrites every queued range as one batch at the frontier (a single
-    /// seek for the whole batch) and returns the physical writes. Called
-    /// automatically when an idle gap is detected; callable directly to
-    /// model an explicit flush (e.g. at shutdown).
-    pub fn flush_defrag_queue(&mut self) -> Vec<PhysIo> {
-        let mut out = Vec::new();
-        self.flush_defrag_queue_into(&mut |k, io| {
-            if k == 0 {
-                out.push(io);
-            }
-        });
-        out
-    }
-
-    /// Sink form of [`flush_defrag_queue`](Self::flush_defrag_queue): emits
-    /// the same writes in the same order, to every lane, without
-    /// materializing a `Vec`.
+    /// Rewrites every range queued for idle-time defragmentation as one
+    /// batch at the frontier (a single seek for the whole batch), emitting
+    /// the physical writes to every lane. Runs when an idle gap is
+    /// detected.
     fn flush_defrag_queue_into(&mut self, sink: &mut dyn FnMut(usize, PhysIo)) {
         let pending = std::mem::take(&mut self.pending_defrag);
         let mut runs = std::mem::take(&mut self.runs);
@@ -393,15 +370,8 @@ impl LogStructured {
     }
 
     /// The physically-contiguous runs a read of `[lba, lba+sectors)` must
-    /// fetch, holes resolved to identity placement, adjacent pieces merged.
-    pub fn physical_runs(&self, lba: Lba, sectors: u64) -> Vec<(Pba, u64)> {
-        let mut runs = Vec::new();
-        self.physical_runs_into(lba, sectors, &mut runs);
-        runs
-    }
-
-    /// [`physical_runs`](Self::physical_runs) into a caller's buffer,
-    /// which is cleared first.
+    /// fetch, holes resolved to identity placement, adjacent pieces merged,
+    /// into `runs`, which is cleared first.
     fn physical_runs_into(&self, lba: Lba, sectors: u64, runs: &mut Vec<(Pba, u64)>) {
         runs.clear();
         // lookup_each folds the tiles without materializing a segment Vec —
@@ -471,10 +441,10 @@ impl LogStructured {
         self.runs = runs;
     }
 
-    /// Sink form of [`TranslationLayer::apply`] for lane 0: applies one
-    /// record, calling `sink` with each of lane 0's physical operations in
-    /// the exact order `apply` would have returned them, without
-    /// materializing a `Vec`.
+    /// Applies one record, calling `sink` with each of lane 0's physical
+    /// operations in the order the medium performs them:
+    /// [`apply_lanes_into`](Self::apply_lanes_into) for a single-lane
+    /// layer.
     pub fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
         self.apply_lanes_into(rec, &mut |k, io| {
             if k == 0 {
@@ -515,18 +485,6 @@ impl LogStructured {
     }
 }
 
-impl TranslationLayer for LogStructured {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
-        let mut out = Vec::new();
-        self.apply_into(rec, &mut |io| out.push(io));
-        out
-    }
-
-    fn name(&self) -> &str {
-        self.lane_name(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,6 +497,13 @@ mod tests {
         Pba::new(s)
     }
 
+    /// Lane 0's physical operations for `rec`.
+    fn apply(ls: &mut LogStructured, rec: &TraceRecord) -> Vec<PhysIo> {
+        let mut ios = Vec::new();
+        ls.apply_into(rec, &mut |io| ios.push(io));
+        ios
+    }
+
     fn plain(frontier: u64) -> LogStructured {
         LogStructured::new(LsConfig::new(lba(frontier)))
     }
@@ -546,8 +511,8 @@ mod tests {
     #[test]
     fn writes_append_sequentially() {
         let mut ls = plain(1000);
-        let a = ls.apply(&TraceRecord::write(0, lba(500), 8));
-        let b = ls.apply(&TraceRecord::write(1, lba(0), 4));
+        let a = apply(&mut ls, &TraceRecord::write(0, lba(500), 8));
+        let b = apply(&mut ls, &TraceRecord::write(1, lba(0), 4));
         assert_eq!(a, vec![PhysIo::write(pba(1000), 8)]);
         assert_eq!(b, vec![PhysIo::write(pba(1008), 4)]);
         assert_eq!(ls.frontier(), pba(1012));
@@ -557,7 +522,7 @@ mod tests {
     #[test]
     fn read_of_unwritten_data_is_identity() {
         let mut ls = plain(1000);
-        let r = ls.apply(&TraceRecord::read(0, lba(10), 8));
+        let r = apply(&mut ls, &TraceRecord::read(0, lba(10), 8));
         assert_eq!(r, vec![PhysIo::read(pba(10), 8)]);
         assert_eq!(ls.stats().fragmented_reads, 0);
     }
@@ -565,8 +530,8 @@ mod tests {
     #[test]
     fn read_after_write_translates() {
         let mut ls = plain(1000);
-        ls.apply(&TraceRecord::write(0, lba(50), 8));
-        let r = ls.apply(&TraceRecord::read(1, lba(50), 8));
+        apply(&mut ls, &TraceRecord::write(0, lba(50), 8));
+        let r = apply(&mut ls, &TraceRecord::read(1, lba(50), 8));
         assert_eq!(r, vec![PhysIo::read(pba(1000), 8)]);
     }
 
@@ -574,11 +539,11 @@ mod tests {
     fn update_fragments_subsequent_read() {
         // The paper's Fig 6 scenario: contiguous data fragmented by updates.
         let mut ls = plain(1000);
-        ls.apply(&TraceRecord::write(0, lba(0), 6)); // LBA 0..6 at 1000..1006
-        ls.apply(&TraceRecord::write(1, lba(2), 1)); // update LBA 2 -> 1006
-        ls.apply(&TraceRecord::write(2, lba(4), 1)); // update LBA 4 -> 1007
-        let r = ls.apply(&TraceRecord::read(3, lba(1), 4)); // read LBA 1..5
-                                                            // pieces: LBA1 @1001, LBA2 @1006, LBA3 @1003, LBA4 @1007
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6)); // LBA 0..6 at 1000..1006
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1)); // update LBA 2 -> 1006
+        apply(&mut ls, &TraceRecord::write(2, lba(4), 1)); // update LBA 4 -> 1007
+        let r = apply(&mut ls, &TraceRecord::read(3, lba(1), 4)); // read LBA 1..5
+                                                                  // pieces: LBA1 @1001, LBA2 @1006, LBA3 @1003, LBA4 @1007
         assert_eq!(
             r,
             vec![
@@ -594,9 +559,9 @@ mod tests {
     #[test]
     fn straddling_read_merges_identity_and_log() {
         let mut ls = plain(1000);
-        ls.apply(&TraceRecord::write(0, lba(10), 2)); // 10..12 -> 1000..1002
-                                                      // Read 8..14: hole [8,10) @8, mapped [10,12) @1000, hole [12,14) @12.
-        let r = ls.apply(&TraceRecord::read(1, lba(8), 6));
+        apply(&mut ls, &TraceRecord::write(0, lba(10), 2)); // 10..12 -> 1000..1002
+                                                            // Read 8..14: hole [8,10) @8, mapped [10,12) @1000, hole [12,14) @12.
+        let r = apply(&mut ls, &TraceRecord::read(1, lba(8), 6));
         assert_eq!(
             r,
             vec![
@@ -612,10 +577,10 @@ mod tests {
         let mut ls = plain(1000);
         // Logically-sequential writes land physically sequential: the
         // "small file creation" log-friendly case.
-        ls.apply(&TraceRecord::write(0, lba(0), 4));
-        ls.apply(&TraceRecord::write(1, lba(4), 4));
-        ls.apply(&TraceRecord::write(2, lba(8), 4));
-        let r = ls.apply(&TraceRecord::read(3, lba(0), 12));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 4));
+        apply(&mut ls, &TraceRecord::write(1, lba(4), 4));
+        apply(&mut ls, &TraceRecord::write(2, lba(8), 4));
+        let r = apply(&mut ls, &TraceRecord::read(3, lba(0), 12));
         assert_eq!(r, vec![PhysIo::read(pba(1000), 12)]);
     }
 
@@ -623,9 +588,9 @@ mod tests {
     fn defrag_rewrites_fragmented_read() {
         let cfg = LsConfig::new(lba(1000)).with_defrag(DefragConfig::default());
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        let r1 = ls.apply(&TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        let r1 = apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
         // 3 fragment reads + 1 defrag write at the frontier.
         assert_eq!(r1.len(), 4);
         let w = r1.last().unwrap();
@@ -634,7 +599,7 @@ mod tests {
         assert_eq!(ls.stats().defrag_rewrites, 1);
         assert_eq!(ls.stats().defrag_sectors, 6);
         // Re-read: now contiguous, single physical read, no more rewrites.
-        let r2 = ls.apply(&TraceRecord::read(3, lba(0), 6));
+        let r2 = apply(&mut ls, &TraceRecord::read(3, lba(0), 6));
         assert_eq!(r2.len(), 1);
         assert_eq!(r2[0].pba, w.pba);
         assert_eq!(ls.stats().defrag_rewrites, 1);
@@ -648,15 +613,15 @@ mod tests {
             ..DefragConfig::default()
         });
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
         // 3 fragments -> meets N=3.
-        let r = ls.apply(&TraceRecord::read(2, lba(0), 6));
+        let r = apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
         assert_eq!(ls.stats().defrag_rewrites, 1);
         assert_eq!(r.len(), 4);
         // A 2-fragment read elsewhere does not trigger.
-        ls.apply(&TraceRecord::write(3, lba(100), 2));
-        let r = ls.apply(&TraceRecord::read(4, lba(100), 3)); // mapped + hole
+        apply(&mut ls, &TraceRecord::write(3, lba(100), 2));
+        let r = apply(&mut ls, &TraceRecord::read(4, lba(100), 3)); // mapped + hole
         assert_eq!(r.len(), 2);
         assert_eq!(ls.stats().defrag_rewrites, 1);
     }
@@ -669,13 +634,13 @@ mod tests {
             ..DefragConfig::default()
         });
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        ls.apply(&TraceRecord::read(2, lba(0), 6)); // 1st access: no rewrite
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::read(2, lba(0), 6)); // 1st access: no rewrite
         assert_eq!(ls.stats().defrag_rewrites, 0);
-        ls.apply(&TraceRecord::read(3, lba(0), 6)); // 2nd access: rewrite
+        apply(&mut ls, &TraceRecord::read(3, lba(0), 6)); // 2nd access: rewrite
         assert_eq!(ls.stats().defrag_rewrites, 1);
-        ls.apply(&TraceRecord::read(4, lba(0), 6)); // now defragmented
+        apply(&mut ls, &TraceRecord::read(4, lba(0), 6)); // now defragmented
         assert_eq!(ls.stats().defrag_rewrites, 1);
     }
 
@@ -683,12 +648,12 @@ mod tests {
     fn selective_cache_absorbs_repeat_fragmented_reads() {
         let cfg = LsConfig::new(lba(1000)).with_cache(CacheConfig::default());
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        let r1 = ls.apply(&TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        let r1 = apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
         assert_eq!(r1.len(), 3); // all misses -> all disk reads
         assert_eq!(ls.stats().cache_miss_fragments, 3);
-        let r2 = ls.apply(&TraceRecord::read(3, lba(0), 6));
+        let r2 = apply(&mut ls, &TraceRecord::read(3, lba(0), 6));
         assert!(r2.is_empty(), "fully cached: no physical I/O");
         assert_eq!(ls.stats().cache_hit_fragments, 3);
     }
@@ -697,9 +662,9 @@ mod tests {
     fn unfragmented_reads_bypass_cache() {
         let cfg = LsConfig::new(lba(1000)).with_cache(CacheConfig::default());
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        let r1 = ls.apply(&TraceRecord::read(1, lba(0), 6));
-        let r2 = ls.apply(&TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        let r1 = apply(&mut ls, &TraceRecord::read(1, lba(0), 6));
+        let r2 = apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
         assert_eq!(r1.len(), 1);
         assert_eq!(r2.len(), 1); // not cached: Alg. 3 gates on fragmentation
         assert_eq!(ls.stats().cache_hit_fragments, 0);
@@ -716,12 +681,12 @@ mod tests {
             buffer_bytes: 1 << 20,
         });
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6)); // 0..6 @10000
-        ls.apply(&TraceRecord::write(1, lba(3), 1)); // @10006
-        ls.apply(&TraceRecord::write(2, lba(2), 1)); // @10007
-        ls.apply(&TraceRecord::write(3, lba(4), 1)); // @10008
-                                                     // Read 0..6: fragments @10000(len2), @10007(1), @10006(1), @10008(1), @10005(1)
-        let r = ls.apply(&TraceRecord::read(4, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6)); // 0..6 @10000
+        apply(&mut ls, &TraceRecord::write(1, lba(3), 1)); // @10006
+        apply(&mut ls, &TraceRecord::write(2, lba(2), 1)); // @10007
+        apply(&mut ls, &TraceRecord::write(3, lba(4), 1)); // @10008
+                                                           // Read 0..6: fragments @10000(len2), @10007(1), @10006(1), @10008(1), @10005(1)
+        let r = apply(&mut ls, &TraceRecord::read(4, lba(0), 6));
         // First fragment read enlarges to cover 8 ahead: 10000-8..10000+2+8,
         // which covers 10006..10009 -> remaining fragments all hit buffer
         // except @10005? 10005 < 10010 so covered too.
@@ -738,11 +703,11 @@ mod tests {
             buffer_bytes: 1 << 20,
         });
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 4)); // @100000
-                                                     // Push the frontier far away.
-        ls.apply(&TraceRecord::write(1, lba(1000), 5000)); // @100004..105004
-        ls.apply(&TraceRecord::write(2, lba(2), 1)); // @105004
-        let r = ls.apply(&TraceRecord::read(3, lba(0), 4));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 4)); // @100000
+                                                           // Push the frontier far away.
+        apply(&mut ls, &TraceRecord::write(1, lba(1000), 5000)); // @100004..105004
+        apply(&mut ls, &TraceRecord::write(2, lba(2), 1)); // @105004
+        let r = apply(&mut ls, &TraceRecord::read(3, lba(0), 4));
         // Fragments: @100000(2), @105004(1), @100003(1). The second is far
         // beyond the first's look-ahead, so it needs its own read; the third
         // was covered by the first read's look-behind+data... check len.
@@ -754,11 +719,11 @@ mod tests {
     fn fragment_tracking_records_reads() {
         let cfg = LsConfig::new(lba(1000)).with_fragment_tracking();
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        ls.apply(&TraceRecord::read(2, lba(0), 6));
-        ls.apply(&TraceRecord::read(3, lba(0), 6));
-        ls.apply(&TraceRecord::read(4, lba(100), 1)); // unfragmented: ignored
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(3, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(4, lba(100), 1)); // unfragmented: ignored
         let t = ls.fragment_tracker().unwrap();
         assert_eq!(t.fragmented_read_count(), 2);
         assert_eq!(t.per_read_fragment_counts(), &[3, 3]);
@@ -777,12 +742,12 @@ mod tests {
         let mut ls = LogStructured::new(cfg);
         // Two separate fragmented ranges, each with 4-sector fragments.
         for (t, base) in [(0u64, 0u64), (10, 100)] {
-            ls.apply(&TraceRecord::write(t, lba(base), 8));
-            ls.apply(&TraceRecord::write(t + 1, lba(base + 2), 2));
+            apply(&mut ls, &TraceRecord::write(t, lba(base), 8));
+            apply(&mut ls, &TraceRecord::write(t + 1, lba(base + 2), 2));
         }
-        ls.apply(&TraceRecord::read(20, lba(0), 8)); // fills RAM, misses
-        ls.apply(&TraceRecord::read(21, lba(100), 8)); // evicts range 0 to flash
-        let r = ls.apply(&TraceRecord::read(22, lba(0), 8));
+        apply(&mut ls, &TraceRecord::read(20, lba(0), 8)); // fills RAM, misses
+        apply(&mut ls, &TraceRecord::read(21, lba(100), 8)); // evicts range 0 to flash
+        let r = apply(&mut ls, &TraceRecord::read(22, lba(0), 8));
         assert!(r.is_empty(), "flash absorbed the re-read: {r:?}");
         let tiers = ls.tier_stats().unwrap();
         assert!(tiers.flash_hits > 0, "{tiers:?}");
@@ -793,22 +758,22 @@ mod tests {
     fn cache_admit_gate_denies_fills() {
         let cfg = LsConfig::new(lba(1000)).with_cache(CacheConfig::default());
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
         ls.set_gates(GateSet {
             cache_admit: false,
             ..GateSet::default()
         });
-        let r1 = ls.apply(&TraceRecord::read(2, lba(0), 6));
-        let r2 = ls.apply(&TraceRecord::read(3, lba(0), 6));
+        let r1 = apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
+        let r2 = apply(&mut ls, &TraceRecord::read(3, lba(0), 6));
         assert_eq!(r1.len(), 3);
         assert_eq!(r2.len(), 3, "denied fills: second read still hits disk");
         assert_eq!(ls.stats().cache_hit_fragments, 0);
         assert_eq!(ls.stats().cache_miss_fragments, 0, "denied fills uncounted");
         // Re-admitting restores Alg. 3 behaviour.
         ls.set_gates(GateSet::default());
-        ls.apply(&TraceRecord::read(4, lba(0), 6));
-        let r = ls.apply(&TraceRecord::read(5, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(4, lba(0), 6));
+        let r = apply(&mut ls, &TraceRecord::read(5, lba(0), 6));
         assert!(r.is_empty());
         assert_eq!(ls.stats().cache_hit_fragments, 3);
     }
@@ -820,20 +785,20 @@ mod tests {
             ..DefragConfig::default()
         });
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
         ls.set_gates(GateSet {
             defrag: false,
             ..GateSet::default()
         });
-        ls.apply(&TraceRecord::read(2, lba(0), 6));
-        ls.apply(&TraceRecord::read(3, lba(0), 6));
-        ls.apply(&TraceRecord::read(4, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(3, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(4, lba(0), 6));
         assert_eq!(ls.stats().defrag_rewrites, 0, "gate vetoed every rewrite");
         // The access count kept accumulating, so the first gated-open
         // fragmented read rewrites immediately.
         ls.set_gates(GateSet::default());
-        ls.apply(&TraceRecord::read(5, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(5, lba(0), 6));
         assert_eq!(ls.stats().defrag_rewrites, 1);
     }
 
@@ -841,8 +806,8 @@ mod tests {
     fn lane_gates_apply_to_their_own_lane() {
         let cfg = LsConfig::new(lba(1000)).with_cache(CacheConfig::default());
         let mut ls = LogStructured::with_lanes(&[cfg, cfg]);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
         ls.set_lane_gates(
             1,
             GateSet {
@@ -861,7 +826,7 @@ mod tests {
         assert!(ls.last_read_fragmented());
         assert_eq!(ls.lane_stats(0).cache_hit_fragments, 3);
         assert_eq!(ls.lane_stats(1).cache_hit_fragments, 0);
-        ls.apply(&TraceRecord::read(4, lba(100), 4));
+        apply(&mut ls, &TraceRecord::read(4, lba(100), 4));
         assert!(!ls.last_read_fragmented(), "an unfragmented read clears it");
     }
 
@@ -873,18 +838,18 @@ mod tests {
             ..GateSet::default()
         };
         let mut ls = LogStructured::with_lanes(&[cfg, cfg]);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
         ls.set_lane_gates(1, deny);
-        ls.apply(&TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
         assert_eq!(
             ls.stats().defrag_rewrites,
             1,
             "lane 1's gate is not consulted"
         );
-        ls.apply(&TraceRecord::write(3, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(3, lba(2), 1));
         ls.set_lane_gates(0, deny);
-        ls.apply(&TraceRecord::read(4, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(4, lba(0), 6));
         assert_eq!(ls.stats().defrag_rewrites, 1, "lane 0's gate vetoed it");
     }
 
@@ -906,14 +871,14 @@ mod tests {
             // Fragments far enough apart that every window misses on the
             // same two fragments and hits the third — only the prefetched
             // volume varies with the gate.
-            ls.apply(&TraceRecord::write(0, lba(0), 4)); // @100000
-            ls.apply(&TraceRecord::write(1, lba(1000), 5000)); // push frontier
-            ls.apply(&TraceRecord::write(2, lba(2), 1)); // @105004
+            apply(&mut ls, &TraceRecord::write(0, lba(0), 4)); // @100000
+            apply(&mut ls, &TraceRecord::write(1, lba(1000), 5000)); // push frontier
+            apply(&mut ls, &TraceRecord::write(2, lba(2), 1)); // @105004
             ls.set_gates(GateSet {
                 prefetch: window,
                 ..GateSet::default()
             });
-            ls.apply(&TraceRecord::read(3, lba(0), 4));
+            apply(&mut ls, &TraceRecord::read(3, lba(0), 4));
             assert_eq!(ls.stats().prefetch_hit_fragments, 1);
             prefetched.push(ls.stats().prefetched_sectors);
         }
@@ -923,25 +888,25 @@ mod tests {
 
     #[test]
     fn name_reflects_mechanisms() {
-        assert_eq!(plain(0).name(), "LS");
+        assert_eq!(plain(0).lane_name(0), "LS");
         let d = LogStructured::new(LsConfig::default().with_defrag(DefragConfig::default()));
-        assert_eq!(d.name(), "LS+defrag");
+        assert_eq!(d.lane_name(0), "LS+defrag");
         let p = LogStructured::new(LsConfig::default().with_prefetch(PrefetchConfig::default()));
-        assert_eq!(p.name(), "LS+prefetch");
+        assert_eq!(p.lane_name(0), "LS+prefetch");
         let c = LogStructured::new(LsConfig::default().with_cache(CacheConfig::default()));
-        assert_eq!(c.name(), "LS+cache");
+        assert_eq!(c.lane_name(0), "LS+cache");
         let c2 = LogStructured::new(
             LsConfig::default()
                 .with_cache(CacheConfig::default())
                 .with_flash_cache(1 << 20),
         );
-        assert_eq!(c2.name(), "LS+cache2");
+        assert_eq!(c2.lane_name(0), "LS+cache2");
         let all = LogStructured::new(
             LsConfig::default()
                 .with_defrag(DefragConfig::default())
                 .with_cache(CacheConfig::default()),
         );
-        assert_eq!(all.name(), "LS+combined");
+        assert_eq!(all.lane_name(0), "LS+combined");
     }
 
     #[test]
@@ -949,25 +914,25 @@ mod tests {
         use crate::config::DefragConfig;
         let cfg = LsConfig::new(lba(1000)).with_defrag(DefragConfig::idle(10_000));
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(100, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(100, lba(2), 1));
         // Fragmented read: queues, does not rewrite inline.
-        let r = ls.apply(&TraceRecord::read(200, lba(0), 6));
+        let r = apply(&mut ls, &TraceRecord::read(200, lba(0), 6));
         assert_eq!(r.len(), 3, "no inline rewrite: {r:?}");
-        assert_eq!(ls.pending_defrag(), &[(lba(0), 6)]);
+        assert_eq!(ls.pending_defrag, &[(lba(0), 6)]);
         assert_eq!(ls.stats().defrag_rewrites, 0);
         // Next op arrives within the gap: still queued.
-        let r = ls.apply(&TraceRecord::read(5_000, lba(0), 6));
+        let r = apply(&mut ls, &TraceRecord::read(5_000, lba(0), 6));
         assert_eq!(r.len(), 3);
-        assert_eq!(ls.pending_defrag().len(), 1); // dedup via access gate reset
-                                                  // An op after a >=10ms gap flushes the queue first.
-        let r = ls.apply(&TraceRecord::read(50_000, lba(0), 6));
+        assert_eq!(ls.pending_defrag.len(), 1); // dedup via access gate reset
+                                                // An op after a >=10ms gap flushes the queue first.
+        let r = apply(&mut ls, &TraceRecord::read(50_000, lba(0), 6));
         let writes: Vec<_> = r.iter().filter(|io| io.op == OpKind::Write).collect();
         assert_eq!(writes.len(), 1, "batched rewrite: {r:?}");
         assert_eq!(ls.stats().defrag_rewrites, 1);
-        assert!(ls.pending_defrag().is_empty());
+        assert!(ls.pending_defrag.is_empty());
         // The read that triggered the flush now sees defragmented data.
-        let r = ls.apply(&TraceRecord::read(50_100, lba(0), 6));
+        let r = apply(&mut ls, &TraceRecord::read(50_100, lba(0), 6));
         assert_eq!(r.len(), 1);
     }
 
@@ -977,16 +942,16 @@ mod tests {
         let cfg = LsConfig::new(lba(1000)).with_defrag(DefragConfig::idle(1_000));
         let mut ls = LogStructured::new(cfg);
         // Create two separate fragmented ranges.
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        ls.apply(&TraceRecord::write(2, lba(100), 6));
-        ls.apply(&TraceRecord::write(3, lba(102), 1));
-        ls.apply(&TraceRecord::read(4, lba(0), 6));
-        ls.apply(&TraceRecord::read(5, lba(100), 6));
-        assert_eq!(ls.pending_defrag().len(), 2);
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::write(2, lba(100), 6));
+        apply(&mut ls, &TraceRecord::write(3, lba(102), 1));
+        apply(&mut ls, &TraceRecord::read(4, lba(0), 6));
+        apply(&mut ls, &TraceRecord::read(5, lba(100), 6));
+        assert_eq!(ls.pending_defrag.len(), 2);
         // Idle gap: the next op is preceded by BOTH rewrites,
         // back-to-back at the frontier (physically contiguous).
-        let r = ls.apply(&TraceRecord::read(1_000_000, lba(500), 1));
+        let r = apply(&mut ls, &TraceRecord::read(1_000_000, lba(500), 1));
         let writes: Vec<&PhysIo> = r.iter().filter(|io| io.op == OpKind::Write).collect();
         assert_eq!(writes.len(), 2);
         assert_eq!(writes[0].end(), writes[1].pba, "batch is contiguous");
@@ -998,12 +963,13 @@ mod tests {
         use crate::config::DefragConfig;
         let cfg = LsConfig::new(lba(1000)).with_defrag(DefragConfig::idle(1_000));
         let mut ls = LogStructured::new(cfg);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        ls.apply(&TraceRecord::read(2, lba(0), 6)); // queued
-                                                    // The host overwrites the whole range: now contiguous by itself.
-        ls.apply(&TraceRecord::write(3, lba(0), 6));
-        let flushed = ls.flush_defrag_queue();
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::read(2, lba(0), 6)); // queued
+                                                          // The host overwrites the whole range: now contiguous by itself.
+        apply(&mut ls, &TraceRecord::write(3, lba(0), 6));
+        let mut flushed = Vec::new();
+        ls.flush_defrag_queue_into(&mut |_, io| flushed.push(io));
         assert!(
             flushed.is_empty(),
             "nothing left to defragment: {flushed:?}"
@@ -1014,9 +980,9 @@ mod tests {
     #[test]
     fn stats_count_physical_ops() {
         let mut ls = plain(1000);
-        ls.apply(&TraceRecord::write(0, lba(0), 6));
-        ls.apply(&TraceRecord::write(1, lba(2), 1));
-        ls.apply(&TraceRecord::read(2, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(0, lba(0), 6));
+        apply(&mut ls, &TraceRecord::write(1, lba(2), 1));
+        apply(&mut ls, &TraceRecord::read(2, lba(0), 6));
         let s = ls.stats();
         assert_eq!(s.phys_writes, 2);
         assert_eq!(s.phys_reads, 3);

@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 use smrseek_cache::TierStats;
 use smrseek_disk::PhysIo;
-use smrseek_stl::{
-    CacheConfig, DefragConfig, LogStructured, LsConfig, LsStats, PrefetchConfig, TranslationLayer,
-};
+use smrseek_stl::{CacheConfig, DefragConfig, LogStructured, LsConfig, LsStats, PrefetchConfig};
 use smrseek_trace::{Lba, OpKind, TraceRecord};
 
 /// Small requests over a small logical space, so reads hit data that
@@ -92,10 +90,10 @@ proptest! {
             let mut single = LogStructured::new(*config);
             let mut ios = Vec::new();
             for rec in &trace {
-                ios.extend(single.apply(rec));
+                single.apply_into(rec, &mut |io| ios.push(io));
             }
             let expected: LaneView =
-                (ios, single.stats(), single.tier_stats(), single.name().to_owned());
+                (ios, single.stats(), single.tier_stats(), single.lane_name(0).to_owned());
             let got: LaneView = (
                 std::mem::take(&mut per_lane[k]),
                 shared.lane_stats(k),

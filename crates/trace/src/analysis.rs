@@ -1,22 +1,27 @@
 //! Deeper trace analyses behind the paper's workload observations.
 //!
 //! Three lenses that explain *why* a workload is log-friendly or
-//! log-sensitive before any simulation runs:
+//! log-sensitive before any simulation runs, all measured by [`summarize`]
+//! in one pass over the trace:
 //!
-//! * [`overwrite_intervals`] — how quickly written data is overwritten
-//!   (short intervals ⇒ churn the log absorbs; §III's write-intensive
-//!   MSR workloads),
-//! * [`wss_series`] — working-set size per window (the diurnal phases of
-//!   Fig 3 show up here as WSS swings),
-//! * [`read_after_write_fraction`] — how much read traffic targets data
+//! * overwrite intervals — how quickly written data is overwritten (short
+//!   intervals ⇒ churn the log absorbs; §III's write-intensive MSR
+//!   workloads),
+//! * working-set size per window (the diurnal phases of Fig 3 show up here
+//!   as WSS swings),
+//! * the read-after-write fraction — how much read traffic targets data
 //!   written earlier in the trace (the reads that can be fragmented at
 //!   all; reads of pre-trace data always come from the identity area).
 
 use crate::record::{OpKind, TraceRecord};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Analysis granularity: one 4 KiB block = 8 sectors.
 const BLOCK_SECTORS: u64 = 8;
+
+/// Operations per working-set window.
+const WSS_WINDOW_OPS: usize = 1000;
 
 fn blocks_of(rec: &TraceRecord) -> impl Iterator<Item = u64> {
     let first = rec.lba.sector() / BLOCK_SECTORS;
@@ -24,114 +29,123 @@ fn blocks_of(rec: &TraceRecord) -> impl Iterator<Item = u64> {
     first..=last
 }
 
-/// For every write that overwrites a 4 KiB block written earlier in the
-/// trace, the number of intervening *write operations* since that block
-/// was last written. Short intervals mean hot churn; an empty result means
-/// the trace never overwrites (the archival regime).
-pub fn overwrite_intervals(records: &[TraceRecord]) -> Vec<u64> {
-    let mut last_write: HashMap<u64, u64> = HashMap::new();
-    let mut intervals = Vec::new();
-    let mut write_index = 0u64;
-    for rec in records {
-        if rec.op != OpKind::Write {
-            continue;
-        }
-        for block in blocks_of(rec) {
-            if let Some(prev) = last_write.insert(block, write_index) {
-                intervals.push(write_index - prev);
-            }
-        }
-        write_index += 1;
+/// Fibonacci hashing of a block number: one multiply by 2^64 / φ (odd),
+/// as `RangeCache` places its buckets. The product's high half is the
+/// well-mixed one and the table indexes by the hash's low bits, so the
+/// halves are swapped. Block numbers come from trace files, so a crafted
+/// trace can make them collide; that slows a local `characterize` or
+/// `analyze` down without changing its answer, and the daemon never
+/// summarizes.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("block numbers hash as u64");
     }
-    intervals
+
+    fn write_u64(&mut self, block: u64) {
+        self.0 = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
 }
 
-/// Distinct 4 KiB blocks touched (read or written) in each consecutive
-/// window of `window_ops` operations — the working-set-size series.
-///
-/// # Panics
-///
-/// Panics if `window_ops` is zero.
-pub fn wss_series(records: &[TraceRecord], window_ops: usize) -> Vec<u64> {
-    assert!(window_ops > 0, "window must be positive");
-    records
-        .chunks(window_ops)
-        .map(|window| {
-            let mut blocks: HashMap<u64, ()> = HashMap::new();
-            for rec in window {
-                for block in blocks_of(rec) {
-                    blocks.insert(block, ());
-                }
-            }
-            blocks.len() as u64
-        })
-        .collect()
+/// What the pass remembers of one 4 KiB block.
+struct Block {
+    /// The write count of the trace when the block was last written, or
+    /// [`NEVER`].
+    last_write: u64,
+    /// The last working-set window that touched the block, or [`NEVER`].
+    window: u64,
 }
 
-/// Fraction of read *bytes* that target blocks written earlier in the
-/// trace, in `[0, 1]`. Only these reads can be fragmented by
-/// log-structured translation; the remainder always reads from the
-/// identity area.
-pub fn read_after_write_fraction(records: &[TraceRecord]) -> f64 {
-    let mut written: HashMap<u64, ()> = HashMap::new();
-    let mut read_blocks = 0u64;
-    let mut read_after_write_blocks = 0u64;
-    for rec in records {
-        match rec.op {
-            OpKind::Write => {
-                for block in blocks_of(rec) {
-                    written.insert(block, ());
-                }
-            }
-            OpKind::Read => {
-                for block in blocks_of(rec) {
-                    read_blocks += 1;
-                    if written.contains_key(&block) {
-                        read_after_write_blocks += 1;
-                    }
-                }
-            }
-        }
-    }
-    if read_blocks == 0 {
-        0.0
-    } else {
-        read_after_write_blocks as f64 / read_blocks as f64
-    }
-}
+const NEVER: u64 = u64::MAX;
 
 /// Summary of the three analyses, for reports.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct AnalysisSummary {
-    /// Number of overwrite events.
+    /// Number of overwrite events: writes of a 4 KiB block written earlier
+    /// in the trace, counted per block.
     pub overwrites: usize,
-    /// Median overwrite interval in write ops (`None` without overwrites).
+    /// Median overwrite interval (`None` without overwrites): the number of
+    /// *write operations* since the overwritten block was last written,
+    /// the upper median of an even count. Short intervals mean hot churn.
     pub median_overwrite_interval: Option<u64>,
-    /// Mean working-set size per 1000-op window, in 4 KiB blocks.
+    /// Mean working-set size per 1000-op window, in 4 KiB blocks: the
+    /// distinct blocks read or written in each consecutive window (the
+    /// last one possibly shorter).
     pub mean_wss_blocks: f64,
     /// Peak working-set size, in 4 KiB blocks.
     pub peak_wss_blocks: u64,
-    /// Fraction of read bytes targeting trace-written data.
+    /// Fraction of read bytes, counted in 4 KiB blocks, that target blocks
+    /// written earlier in the trace, in `[0, 1]`. Only these reads can be
+    /// fragmented by log-structured translation; the remainder always
+    /// reads from the identity area.
     pub read_after_write: f64,
 }
 
-/// Computes the [`AnalysisSummary`] with 1000-op WSS windows.
+/// Computes the [`AnalysisSummary`] in one pass, with one table entry per
+/// 4 KiB block touched.
 pub fn summarize(records: &[TraceRecord]) -> AnalysisSummary {
-    let mut intervals = overwrite_intervals(records);
-    intervals.sort_unstable();
-    let median = (!intervals.is_empty()).then(|| intervals[intervals.len() / 2]);
-    let wss = wss_series(records, 1000);
-    let mean_wss = if wss.is_empty() {
-        0.0
-    } else {
-        wss.iter().sum::<u64>() as f64 / wss.len() as f64
-    };
+    let mut blocks: HashMap<u64, Block, BuildHasherDefault<BlockHasher>> = HashMap::default();
+    let mut intervals = Vec::new();
+    let mut writes = 0u64;
+    let (mut read_blocks, mut read_after_write_blocks) = (0u64, 0u64);
+    let (mut wss, mut wss_total, mut peak_wss_blocks) = (0u64, 0u64, 0u64);
+    for (i, rec) in records.iter().enumerate() {
+        if i % WSS_WINDOW_OPS == 0 {
+            wss_total += wss;
+            peak_wss_blocks = peak_wss_blocks.max(wss);
+            wss = 0;
+        }
+        let window = (i / WSS_WINDOW_OPS) as u64;
+        for block in blocks_of(rec) {
+            let seen = blocks.entry(block).or_insert(Block {
+                last_write: NEVER,
+                window: NEVER,
+            });
+            if seen.window != window {
+                seen.window = window;
+                wss += 1;
+            }
+            match rec.op {
+                OpKind::Write => {
+                    if seen.last_write != NEVER {
+                        intervals.push(writes - seen.last_write);
+                    }
+                    seen.last_write = writes;
+                }
+                OpKind::Read => {
+                    read_blocks += 1;
+                    read_after_write_blocks += u64::from(seen.last_write != NEVER);
+                }
+            }
+        }
+        writes += u64::from(rec.op == OpKind::Write);
+    }
+    wss_total += wss;
+    peak_wss_blocks = peak_wss_blocks.max(wss);
+    let windows = records.len().div_ceil(WSS_WINDOW_OPS);
+    let mid = intervals.len() / 2;
+    let median_overwrite_interval =
+        (!intervals.is_empty()).then(|| *intervals.select_nth_unstable(mid).1);
     AnalysisSummary {
         overwrites: intervals.len(),
-        median_overwrite_interval: median,
-        mean_wss_blocks: mean_wss,
-        peak_wss_blocks: wss.iter().copied().max().unwrap_or(0),
-        read_after_write: read_after_write_fraction(records),
+        median_overwrite_interval,
+        mean_wss_blocks: if windows == 0 {
+            0.0
+        } else {
+            wss_total as f64 / windows as f64
+        },
+        peak_wss_blocks,
+        read_after_write: if read_blocks == 0 {
+            0.0
+        } else {
+            read_after_write_blocks as f64 / read_blocks as f64
+        },
     }
 }
 
@@ -150,7 +164,6 @@ mod tests {
     #[test]
     fn no_overwrites_in_append_only_trace() {
         let trace: Vec<_> = (0..10).map(|i| w(i, i * 8, 8)).collect();
-        assert!(overwrite_intervals(&trace).is_empty());
         let s = summarize(&trace);
         assert_eq!(s.overwrites, 0);
         assert_eq!(s.median_overwrite_interval, None);
@@ -164,7 +177,9 @@ mod tests {
             w(2, 160, 8), // unrelated      (write #2)
             w(3, 0, 8),   // overwrite block 0 at write #3: interval 3
         ];
-        assert_eq!(overwrite_intervals(&trace), vec![3]);
+        let s = summarize(&trace);
+        assert_eq!(s.overwrites, 1);
+        assert_eq!(s.median_overwrite_interval, Some(3));
     }
 
     #[test]
@@ -173,31 +188,34 @@ mod tests {
             w(0, 0, 16), // blocks 0 and 1
             w(1, 4, 8),  // straddles blocks 0 and 1: two overwrite events
         ];
-        assert_eq!(overwrite_intervals(&trace), vec![1, 1]);
+        let s = summarize(&trace);
+        assert_eq!(s.overwrites, 2);
+        assert_eq!(s.median_overwrite_interval, Some(1));
     }
 
     #[test]
     fn reads_do_not_advance_write_clock() {
         let trace = vec![w(0, 0, 8), r(1, 0, 8), r(2, 0, 8), w(3, 0, 8)];
-        assert_eq!(overwrite_intervals(&trace), vec![1]);
+        let s = summarize(&trace);
+        assert_eq!(s.overwrites, 1);
+        assert_eq!(s.median_overwrite_interval, Some(1));
     }
 
     #[test]
     fn wss_counts_distinct_blocks_per_window() {
-        let trace = vec![
-            w(0, 0, 8),
-            w(1, 0, 8),   // same block: still 1 distinct
-            r(2, 80, 16), // blocks 10, 11
-            w(3, 800, 8),
+        let tail = [
+            r(1000, 80, 16), // blocks 10, 11
+            w(1001, 800, 8),
         ];
-        assert_eq!(wss_series(&trace, 2), vec![1, 3]);
-        assert_eq!(wss_series(&trace, 10), vec![4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn wss_zero_window_panics() {
-        wss_series(&[], 0);
+        // One window: blocks 0, 10, 11 and 100.
+        let s = summarize(&[w(0, 0, 8), w(1, 0, 8), tail[0], tail[1]]);
+        assert_eq!((s.mean_wss_blocks, s.peak_wss_blocks), (4.0, 4));
+        // Window 0 rewrites block 0 a thousand times (1 distinct block),
+        // window 1 touches 3.
+        let mut trace: Vec<_> = (0..1000).map(|t| w(t, 0, 8)).collect();
+        trace.extend(tail);
+        let s = summarize(&trace);
+        assert_eq!((s.mean_wss_blocks, s.peak_wss_blocks), (2.0, 3));
     }
 
     #[test]
@@ -207,15 +225,15 @@ mod tests {
             r(1, 0, 8),   // read of written data
             r(2, 800, 8), // read of pre-trace data
         ];
-        assert!((read_after_write_fraction(&trace) - 0.5).abs() < 1e-12);
-        assert_eq!(read_after_write_fraction(&[w(0, 0, 8)]), 0.0);
+        assert!((summarize(&trace).read_after_write - 0.5).abs() < 1e-12);
+        assert_eq!(summarize(&[w(0, 0, 8)]).read_after_write, 0.0);
     }
 
     #[test]
     fn order_matters_for_read_after_write() {
         // A read *before* the write targets pre-trace data.
         let trace = vec![r(0, 0, 8), w(1, 0, 8), r(2, 0, 8)];
-        assert!((read_after_write_fraction(&trace) - 0.5).abs() < 1e-12);
+        assert!((summarize(&trace).read_after_write - 0.5).abs() < 1e-12);
     }
 
     #[test]

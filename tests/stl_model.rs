@@ -4,7 +4,8 @@
 //! after arbitrary write/read sequences.
 
 use proptest::prelude::*;
-use smrseek::stl::{LogStructured, LsConfig, TranslationLayer};
+use smrseek::disk::PhysIo;
+use smrseek::stl::{LogStructured, LsConfig};
 use smrseek::trace::{Lba, OpKind, Pba, TraceRecord};
 use std::collections::HashMap;
 
@@ -15,6 +16,13 @@ const FRONTIER: u64 = 1 << 20;
 enum Op {
     Write { lba: u64, len: u64 },
     Read { lba: u64, len: u64 },
+}
+
+/// Lane 0's physical operations for `rec`.
+fn apply(ls: &mut LogStructured, rec: &TraceRecord) -> Vec<PhysIo> {
+    let mut ios = Vec::new();
+    ls.apply_into(rec, &mut |io| ios.push(io));
+    ios
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -66,7 +74,7 @@ proptest! {
             t += 1;
             match *op {
                 Op::Write { lba, len } => {
-                    let ios = ls.apply(&TraceRecord::write(
+                    let ios = apply(&mut ls, &TraceRecord::write(
                         t, Lba::new(lba), u32::try_from(len).unwrap(),
                     ));
                     prop_assert_eq!(ios.len(), 1);
@@ -74,7 +82,7 @@ proptest! {
                     model.write(lba, len);
                 }
                 Op::Read { lba, len } => {
-                    let ios = ls.apply(&TraceRecord::read(
+                    let ios = apply(&mut ls, &TraceRecord::read(
                         t, Lba::new(lba), u32::try_from(len).unwrap(),
                     ));
                     // Walk the returned runs against the model sector by
@@ -108,11 +116,11 @@ proptest! {
             t += 1;
             match *op {
                 Op::Write { lba, len } => {
-                    ls.apply(&TraceRecord::write(t, Lba::new(lba), u32::try_from(len).unwrap()));
+                    apply(&mut ls, &TraceRecord::write(t, Lba::new(lba), u32::try_from(len).unwrap()));
                     written += len;
                 }
                 Op::Read { lba, len } => {
-                    ls.apply(&TraceRecord::read(t, Lba::new(lba), u32::try_from(len).unwrap()));
+                    apply(&mut ls, &TraceRecord::read(t, Lba::new(lba), u32::try_from(len).unwrap()));
                 }
             }
             prop_assert_eq!(ls.frontier(), Pba::new(FRONTIER + written));
@@ -120,7 +128,8 @@ proptest! {
     }
 
     /// Physical runs returned by a read are maximal: no two consecutive
-    /// runs are physically adjacent (they would have been merged).
+    /// runs are physically adjacent (they would have been merged). Plain
+    /// LS reads each run once, in order, and rewrites nothing.
     #[test]
     fn runs_are_maximal(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut ls = LogStructured::new(LsConfig::new(Lba::new(FRONTIER)));
@@ -128,17 +137,18 @@ proptest! {
         for op in &ops {
             t += 1;
             if let Op::Write { lba, len } = *op {
-                ls.apply(&TraceRecord::write(t, Lba::new(lba), u32::try_from(len).unwrap()));
+                apply(&mut ls, &TraceRecord::write(t, Lba::new(lba), u32::try_from(len).unwrap()));
             }
         }
         for &(lba, len) in &[(0u64, 256u64), (SPACE / 2, 512), (SPACE - 64, 64)] {
-            let runs = ls.physical_runs(Lba::new(lba), len);
-            let total: u64 = runs.iter().map(|&(_, l)| l).sum();
+            t += 1;
+            let runs = apply(&mut ls, &TraceRecord::read(t, Lba::new(lba), u32::try_from(len).unwrap()));
+            let total: u64 = runs.iter().map(|io| io.sectors).sum();
             prop_assert_eq!(total, len);
             for pair in runs.windows(2) {
                 prop_assert_ne!(
-                    pair[0].0.sector() + pair[0].1,
-                    pair[1].0.sector(),
+                    pair[0].end(),
+                    pair[1].pba,
                     "adjacent runs must be merged"
                 );
             }
@@ -166,8 +176,8 @@ proptest! {
                     TraceRecord::read(t, Lba::new(lba), u32::try_from(len).unwrap())
                 }
             };
-            let plain_ios = plain.apply(&rec);
-            let cached_ios = cached.apply(&rec);
+            let plain_ios = apply(&mut plain, &rec);
+            let cached_ios = apply(&mut cached, &rec);
             // Cached runs are a subset of plain runs (hits disappear).
             for io in &cached_ios {
                 prop_assert!(
