@@ -1,8 +1,7 @@
-//! Incremental HTTP/1.1 request framing and parsing for nonblocking
-//! reads.
+//! Incremental HTTP/1.1 request framing and parsing.
 //!
-//! The reactor feeds whatever bytes `read(2)` returned into a
-//! [`RequestFramer`]; the framer finds the end of the request head,
+//! A connection thread feeds whatever bytes each `read(2)` returned into
+//! a [`RequestFramer`]; the framer finds the end of the request head,
 //! parses it once — request line, headers, `Content-Length` — enforces
 //! size limits, and hands over the parsed [`Request`] when its body has
 //! arrived. This is the daemon's only HTTP request parser.

@@ -8,6 +8,10 @@
 //! follows an [`EventStream`] as Server-Sent Events, and writes the answer
 //! under a deadline. Above a connection cap the accept thread answers 503.
 //!
+//! The wire format lives here whole: [`Request`] in, [`Response`] out,
+//! and [`fetch`], the one blocking client (connect, write, read to EOF,
+//! [`parse_response`]) that fleet forwards and `smrseek trace` use.
+//!
 //! [`Poller`] wraps `epoll(7)` over the raw syscalls in [`sys`] (the
 //! workspace builds offline, without `libc`); only a nonblocking benchmark
 //! client uses it.
@@ -15,11 +19,13 @@
 pub mod sys;
 
 mod conn;
+mod http;
 mod poller;
 mod server;
 mod stream;
 
 pub use conn::{FrameStatus, FramingLimits, Request, RequestFramer};
+pub use http::{fetch, parse_response, FetchError, Response};
 pub use poller::{Event, Interest, Poller};
 pub use server::{serve, Action, Dispatcher, LoopStats, NetConfig, NetHandle};
 pub use stream::EventStream;

@@ -13,6 +13,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::conn::{FrameStatus, FramingLimits, Request, RequestFramer};
+use crate::http::Response;
 use crate::stream::EventStream;
 
 /// Tuning knobs for [`serve`].
@@ -46,8 +47,8 @@ impl Default for NetConfig {
 
 /// How a dispatched request is answered.
 pub enum Action {
-    /// Write these pre-serialized response bytes, then close.
-    Respond(Vec<u8>),
+    /// Write this response, then close.
+    Respond(Response),
     /// Write `head` (status line + headers), then follow `stream`: every
     /// chunk appended — including those appended before the subscriber
     /// arrived — is written in order, and the connection closes once the
@@ -96,32 +97,6 @@ pub struct LoopStats {
     pub refused: AtomicU64,
     /// Connections currently following an event stream (gauge).
     pub streaming: AtomicU64,
-}
-
-/// A plain-fn accessor for one [`LoopStats`] counter, usable as a
-/// metrics callback without capturing anything.
-pub type StatReader = fn(&LoopStats) -> u64;
-
-impl LoopStats {
-    /// Stable `(name, reader)` pairs for every server counter, in
-    /// exposition order. This is the hook a metrics registry uses to
-    /// surface the server's counters as callback-backed series without
-    /// this crate growing a dependency on any metrics machinery: each
-    /// reader is a plain fn the caller can wrap in a closure over its
-    /// `Arc<LoopStats>`.
-    pub fn readers() -> [(&'static str, StatReader); 6] {
-        fn read(cell: &AtomicU64) -> u64 {
-            cell.load(Ordering::Relaxed)
-        }
-        [
-            ("accepted", |s: &LoopStats| read(&s.accepted)),
-            ("accept_errors", |s: &LoopStats| read(&s.accept_errors)),
-            ("active", |s: &LoopStats| read(&s.active)),
-            ("reaped_idle", |s: &LoopStats| read(&s.reaped_idle)),
-            ("refused", |s: &LoopStats| read(&s.refused)),
-            ("streaming", |s: &LoopStats| read(&s.streaming)),
-        ]
-    }
 }
 
 /// An open connection as the shutdown path sees it: a handle on its
@@ -262,10 +237,10 @@ impl Shared {
                 FrameStatus::Oversized(msg) => (413, msg),
                 FrameStatus::Malformed(msg) => (400, msg),
             };
-            return write_within(socket, &framing_response(status, msg), idle);
+            return write_within(socket, &rejection(status, msg).to_bytes(), idle);
         };
         match self.dispatcher.dispatch(request) {
-            Action::Respond(bytes) => write_within(socket, &bytes, idle),
+            Action::Respond(response) => write_within(socket, &response.to_bytes(), idle),
             Action::Stream { head, stream } => {
                 self.stats.streaming.fetch_add(1, Ordering::Relaxed);
                 let followed = self.follow(id, socket, &head, &stream);
@@ -317,32 +292,16 @@ impl Shared {
         }
         let mut sink = [0u8; 4096];
         while matches!(socket.read(&mut sink), Ok(n) if n > 0) {}
-        let _ = socket.write_all(&framing_response(503, "too many connections"));
+        let refusal = rejection(503, "too many connections").with_header("retry-after", "1");
+        let _ = socket.write_all(&refusal.to_bytes());
         let _ = socket.shutdown(Shutdown::Write);
     }
 }
 
-/// Minimal JSON error response for failures the server answers without
-/// consulting the dispatcher (a rejected request head, or the cap).
-fn framing_response(status: u16, message: &str) -> Vec<u8> {
-    let reason = match status {
-        400 => "Bad Request",
-        413 => "Payload Too Large",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        _ => "Error",
-    };
-    let body = format!("{{\"error\":\"{message}\"}}");
-    let retry = if status == 503 {
-        "retry-after: 1\r\n"
-    } else {
-        ""
-    };
-    format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{retry}connection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+/// The JSON error the server answers without consulting the dispatcher
+/// (a rejected request head, or the cap). `message` is fixed text.
+fn rejection(status: u16, message: &str) -> Response {
+    Response::json(status, format!("{{\"error\":\"{message}\"}}"))
 }
 
 /// Accepts until stopped, then closes every open connection and joins

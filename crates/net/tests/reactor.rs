@@ -6,14 +6,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use smrseek_net::{serve, Action, EventStream, FramingLimits, NetConfig, NetHandle, Request};
+use smrseek_net::{
+    serve, Action, EventStream, FramingLimits, NetConfig, NetHandle, Request, Response,
+};
 
-fn response_bytes(body: &str) -> Vec<u8> {
+/// A 200 text answer carrying `body`.
+fn answer(body: &str) -> Action {
+    Action::Respond(Response::text(200, body))
+}
+
+/// The exact bytes of a rejection the server writes itself.
+fn rejection_bytes(status_line: &str, error: &str, extra: &str) -> String {
+    let body = format!("{{\"error\":\"{error}\"}}");
     format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        "HTTP/1.1 {status_line}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\
+         connection: close\r\n{extra}\r\n{body}",
         body.len()
     )
-    .into_bytes()
 }
 
 fn quick_config() -> NetConfig {
@@ -41,7 +50,7 @@ fn echo_server(config: NetConfig) -> NetHandle {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     serve(
         listener,
-        Arc::new(|request: Request| Action::Respond(response_bytes(&describe(&request)))),
+        Arc::new(|request: Request| answer(&describe(&request))),
         config,
     )
     .expect("serve")
@@ -86,7 +95,7 @@ fn blocking_dispatch_does_not_hold_up_other_connections() {
                     .recv_timeout(Duration::from_secs(10))
                     .expect("released");
             }
-            Action::Respond(response_bytes(&describe(&request)))
+            answer(&describe(&request))
         }),
         quick_config(),
     )
@@ -176,7 +185,7 @@ fn oversized_head_gets_431() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|_request: Request| Action::Respond(response_bytes("unreachable"))),
+        Arc::new(|_request: Request| answer("unreachable")),
         NetConfig {
             limits: FramingLimits {
                 max_head: 256,
@@ -190,7 +199,14 @@ fn oversized_head_gets_431() {
     request.extend(vec![b'a'; 512]);
     request.extend_from_slice(b"\r\n\r\n");
     let resp = roundtrip(&handle, &request);
-    assert!(resp.starts_with("HTTP/1.1 431 "), "got: {resp}");
+    assert_eq!(
+        resp,
+        rejection_bytes(
+            "431 Request Header Fields Too Large",
+            "request head exceeds limit",
+            ""
+        )
+    );
     handle.shutdown();
 }
 
@@ -199,7 +215,7 @@ fn oversized_body_gets_413() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|_request: Request| Action::Respond(response_bytes("unreachable"))),
+        Arc::new(|_request: Request| answer("unreachable")),
         NetConfig {
             limits: FramingLimits {
                 max_head: 1024,
@@ -210,7 +226,10 @@ fn oversized_body_gets_413() {
     )
     .expect("serve");
     let resp = roundtrip(&handle, b"POST / HTTP/1.1\r\ncontent-length: 64\r\n\r\n");
-    assert!(resp.starts_with("HTTP/1.1 413 "), "got: {resp}");
+    assert_eq!(
+        resp,
+        rejection_bytes("413 Payload Too Large", "request body exceeds limit", "")
+    );
     handle.shutdown();
 }
 
@@ -292,15 +311,17 @@ fn bad_request_line_and_version_get_400_without_dispatch() {
         listener,
         Arc::new(move |_request: Request| {
             seen.fetch_add(1, Ordering::Relaxed);
-            Action::Respond(response_bytes("unreachable"))
+            answer("unreachable")
         }),
         quick_config(),
     )
     .expect("serve");
-    for request in [&b"NOT-HTTP\r\n\r\n"[..], b"GET /x HTTP/2.0\r\n\r\n"] {
+    for (request, error) in [
+        (&b"NOT-HTTP\r\n\r\n"[..], "bad request line"),
+        (b"GET /x HTTP/2.0\r\n\r\n", "unsupported HTTP version"),
+    ] {
         let resp = roundtrip(&handle, request);
-        assert!(resp.starts_with("HTTP/1.1 400 "), "got: {resp}");
-        assert!(resp.contains("{\"error\":"), "got: {resp}");
+        assert_eq!(resp, rejection_bytes("400 Bad Request", error, ""));
     }
     assert_eq!(dispatched.load(Ordering::Relaxed), 0);
     handle.shutdown();
@@ -312,34 +333,6 @@ fn malformed_content_length_gets_400() {
     let resp = roundtrip(&handle, b"POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 400 "), "got: {resp}");
     handle.shutdown();
-}
-
-#[test]
-fn loop_stats_readers_cover_every_counter() {
-    use smrseek_net::LoopStats;
-
-    let stats = LoopStats::default();
-    stats.accepted.fetch_add(2, Ordering::Relaxed);
-    stats.accept_errors.fetch_add(3, Ordering::Relaxed);
-    stats.active.fetch_add(5, Ordering::Relaxed);
-    stats.reaped_idle.fetch_add(7, Ordering::Relaxed);
-    stats.refused.fetch_add(11, Ordering::Relaxed);
-    stats.streaming.fetch_add(13, Ordering::Relaxed);
-    let readers = LoopStats::readers();
-    let names: Vec<&str> = readers.iter().map(|(name, _)| *name).collect();
-    assert_eq!(
-        names,
-        [
-            "accepted",
-            "accept_errors",
-            "active",
-            "reaped_idle",
-            "refused",
-            "streaming"
-        ]
-    );
-    let values: Vec<u64> = readers.iter().map(|(_, read)| read(&stats)).collect();
-    assert_eq!(values, [2, 3, 5, 7, 11, 13]);
 }
 
 /// Polls `read` until it returns `want`, for at most five seconds.
@@ -376,8 +369,15 @@ fn connection_over_the_cap_gets_503() {
         .expect("timeout");
     let mut out = String::new();
     third.read_to_string(&mut out).expect("read");
-    assert!(out.starts_with("HTTP/1.1 503 "), "got: {out}");
-    assert!(out.contains("retry-after: 1\r\n"), "got: {out}");
+    // `retry-after` follows `connection: close`, like every other 503.
+    assert_eq!(
+        out,
+        rejection_bytes(
+            "503 Service Unavailable",
+            "too many connections",
+            "retry-after: 1\r\n"
+        )
+    );
     assert_eq!(stats.refused.load(Ordering::Relaxed), 1);
     assert_eq!(stats.active.load(Ordering::Relaxed), 2);
     // Freeing a slot lets the next connection through.

@@ -18,9 +18,10 @@
 //! * plain atomic series behind [`Counter`]/[`Gauge`] handles, including
 //!   gauges recomputed at scrape time (`set` then render);
 //! * **callback** series ([`Registry::callback_counter`]) reading a
-//!   value owned elsewhere — e.g. the net reactor's event-loop atomics —
-//!   so families render zero before the source is wired in and live
-//!   afterwards, without copying counters around;
+//!   value owned elsewhere — e.g. the network core's connection
+//!   counters (`smrseek_net::LoopStats`) — so families render zero before
+//!   the source is wired in and live afterwards, without copying counters
+//!   around;
 //! * log₂ **histograms** ([`Histogram`]): bin *i* counts values in
 //!   `[2^i, 2^(i+1))`, rendered as cumulative Prometheus buckets closing
 //!   at `le = 2^(i+1)`, with zeros folded into every bucket and series

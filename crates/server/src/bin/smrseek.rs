@@ -51,7 +51,7 @@ use smrseek_trace::{characterize, TraceRecord};
 use smrseek_workloads::profiles::MAX_OPS;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Read as _, Write};
+use std::io::{BufWriter, Write};
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
@@ -425,21 +425,22 @@ fn run_serve(args: &Args) -> Result<String, CliError> {
 
 /// One `GET /v1/trace/<id>` against a daemon, relayed as `(status, body)`.
 fn fetch_trace(addr: &str, id: &str) -> Result<(u16, Vec<u8>), CliError> {
-    let timeout = std::time::Duration::from_secs(5);
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| CliError::Io(format!("connect to {addr}: {e}")))?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let head = format!("GET /v1/trace/{id} HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\r\n");
-    stream
-        .write_all(head.as_bytes())
-        .map_err(|e| CliError::Io(format!("send to {addr}: {e}")))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| CliError::Io(format!("read from {addr}: {e}")))?;
-    smrseek_server::http::parse_response(&raw)
-        .map_err(|e| CliError::Parse(format!("bad response from {addr}: {e}")))
+    let target = format!("/v1/trace/{id}");
+    smrseek_net::fetch(
+        addr,
+        "GET",
+        &target,
+        &[],
+        &[],
+        std::time::Duration::from_secs(5),
+    )
+    .map_err(|e| {
+        if e.is_io() {
+            CliError::Io(e.to_string())
+        } else {
+            CliError::Parse(e.to_string())
+        }
+    })
 }
 
 /// `smrseek trace`: fetches `GET /v1/trace/<trace-id>` from a daemon

@@ -13,7 +13,7 @@
 //! exactly once between them, and results stay byte-identical to offline
 //! runs — the fleet only moves *where* a job runs, never *how*.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Header a forwarding daemon stamps on the re-POST so the owner always
@@ -155,9 +155,9 @@ impl Fleet {
 }
 
 /// Re-POSTs a submission body to `peer` and returns the relayed
-/// `(status, body)`. Blocking with `FORWARD_TIMEOUT`s on connect,
-/// read, and write; the caller is the submitting connection's own
-/// thread.
+/// `(status, body)`, through the one blocking client
+/// ([`smrseek_net::fetch`]) with `FORWARD_TIMEOUT` on connect, read and
+/// write; the caller is the submitting connection's own thread.
 ///
 /// `trace` is the [`smrseek_obs::dtrace::TRACE_HEADER`] value for the hop
 /// (the origin's trace id plus its `forward` span id), when the request
@@ -168,34 +168,30 @@ impl Fleet {
 /// # Errors
 ///
 /// Connect/IO failures and malformed relayed responses return a message
-/// the caller wraps in a 502.
+/// naming the peer, which the caller wraps in a 502.
 pub fn forward(
     peer: SocketAddr,
     body: &[u8],
     request_id: &str,
     trace: Option<&str>,
 ) -> Result<(u16, Vec<u8>), String> {
-    use std::io::{Read, Write};
-    let mut stream = TcpStream::connect_timeout(&peer, FORWARD_TIMEOUT)
-        .map_err(|e| format!("connect to peer {peer}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(FORWARD_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(FORWARD_TIMEOUT));
-    let trace_line = trace.map_or(String::new(), |value| {
-        format!("{}: {value}\r\n", smrseek_obs::dtrace::TRACE_HEADER)
-    });
-    let head = format!(
-        "POST /v1/jobs HTTP/1.1\r\nhost: {peer}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{FORWARDED_HEADER}: 1\r\nx-request-id: {request_id}\r\n{trace_line}connection: close\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .map_err(|e| format!("send to peer {peer}: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read from peer {peer}: {e}"))?;
-    crate::http::parse_response(&raw).map_err(|e| format!("bad response from peer {peer}: {e}"))
+    let mut headers = vec![
+        ("content-type", "application/json"),
+        (FORWARDED_HEADER, "1"),
+        ("x-request-id", request_id),
+    ];
+    if let Some(value) = trace {
+        headers.push((smrseek_obs::dtrace::TRACE_HEADER, value));
+    }
+    smrseek_net::fetch(
+        &peer.to_string(),
+        "POST",
+        "/v1/jobs",
+        &headers,
+        body,
+        FORWARD_TIMEOUT,
+    )
+    .map_err(|e| format!("{} peer {}: {}", e.step, e.addr, e.detail))
 }
 
 #[cfg(test)]

@@ -81,8 +81,8 @@ struct Job {
     /// Request id of the submission that created the job, echoed in every
     /// status response so clients and the access log correlate.
     request_id: String,
-    /// Trace linkage from the creating submission, when it was traced.
-    trace: Option<JobTrace>,
+    /// Trace linkage from the creating submission.
+    trace: JobTrace,
     /// The job's progress log as pre-encoded SSE frames; closed after the
     /// terminal `done`/`failed` frame. Late subscribers replay history.
     events: Arc<EventStream>,
@@ -171,22 +171,16 @@ impl JobTable {
 
     /// Submits work under a cache key. See [`Submit`] for the outcomes;
     /// the hit-or-miss decision and the enqueue are one critical section.
-    /// `request_id` is retained on a miss (the id of the request that
-    /// created the job); hits keep the original submission's id.
-    pub fn submit(&self, key: String, work: JobWork, request_id: String) -> Submit {
-        self.submit_traced(key, work, request_id, None)
-    }
-
-    /// [`submit`](Self::submit) plus the distributed-trace linkage the
-    /// worker's spans parent to. Like the request id, the trace is
-    /// retained only on a miss — a cache hit joins the original job and
-    /// its original trace.
-    pub fn submit_traced(
+    /// `request_id` and `trace` (the distributed-trace linkage the
+    /// worker's spans parent to) are retained on a miss, from the request
+    /// that created the job; a cache hit joins the original job with its
+    /// original id and trace.
+    pub fn submit(
         &self,
         key: String,
         work: JobWork,
         request_id: String,
-        trace: Option<JobTrace>,
+        trace: JobTrace,
     ) -> Submit {
         let mut inner = self.lock();
         if let Some(&id) = inner.by_key.get(&key) {
@@ -285,15 +279,15 @@ impl JobTable {
         }
     }
 
-    /// A job's trace linkage and request id, when the creating submission
-    /// was traced. Workers call this once per dequeued job to record the
+    /// A job's trace linkage and creating request id, or `None` for an
+    /// unknown id. Workers call this once per dequeued job to record the
     /// `queue`/`replay` spans.
     pub fn job_trace(&self, id: JobId) -> Option<(JobTrace, String)> {
         let inner = self.lock();
         inner
             .jobs
             .get(&id)
-            .and_then(|job| job.trace.map(|trace| (trace, job.request_id.clone())))
+            .map(|job| (job.trace, job.request_id.clone()))
     }
 
     /// The progress event stream of a job, or `None` for an unknown id —
@@ -365,7 +359,7 @@ impl JobTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::worker::JobKind;
     use smrseek_sim::TraceSource;
@@ -378,16 +372,26 @@ mod tests {
         }
     }
 
+    /// Submits `work` under `key` with a freshly minted trace, as every
+    /// daemon submission carries one.
+    pub(crate) fn submit(table: &JobTable, key: &str, work: JobWork, request_id: &str) -> Submit {
+        let trace = JobTrace {
+            parent: TraceContext::mint(),
+            queued_unix_ns: smrseek_obs::unix_nanos(),
+        };
+        table.submit(key.to_owned(), work, request_id.to_owned(), trace)
+    }
+
     #[test]
     fn dedup_is_first_miss_then_hits() {
         let table = JobTable::new(4);
-        let first = table.submit("k".into(), work(), "rq-test".into());
+        let first = submit(&table, "k", work(), "rq-test");
         let Submit::Queued(id) = first else {
             panic!("first submission queues: {first:?}");
         };
         for _ in 0..3 {
             assert_eq!(
-                table.submit("k".into(), work(), "rq-later".into()),
+                submit(&table, "k", work(), "rq-later"),
                 Submit::Existing(id)
             );
         }
@@ -403,19 +407,16 @@ mod tests {
     fn queue_capacity_rejects_not_blocks() {
         let table = JobTable::new(1);
         assert!(matches!(
-            table.submit("a".into(), work(), "rq-test".into()),
+            submit(&table, "a", work(), "rq-test"),
             Submit::Queued(_)
         ));
-        assert_eq!(
-            table.submit("b".into(), work(), "rq-test".into()),
-            Submit::Full
-        );
+        assert_eq!(submit(&table, "b", work(), "rq-test"), Submit::Full);
         // The rejected key was not retained: submitting it again after
         // space frees up must succeed, not alias a phantom entry.
         let (id, _) = table.next_job().expect("job available");
         table.complete(id, Ok("{}".into()));
         assert!(matches!(
-            table.submit("b".into(), work(), "rq-test".into()),
+            submit(&table, "b", work(), "rq-test"),
             Submit::Queued(_)
         ));
     }
@@ -423,7 +424,7 @@ mod tests {
     #[test]
     fn lifecycle_and_status() {
         let table = JobTable::new(2);
-        let Submit::Queued(id) = table.submit("k".into(), work(), "rq-test".into()) else {
+        let Submit::Queued(id) = submit(&table, "k", work(), "rq-test") else {
             panic!("queues");
         };
         assert_eq!(table.status(id).expect("known").state, JobState::Queued);
@@ -436,20 +437,17 @@ mod tests {
         assert_eq!(status.result.expect("has result").as_str(), "[1]");
         assert!(table.status(999).is_none());
         // A finished job still serves cache hits.
-        assert_eq!(
-            table.submit("k".into(), work(), "rq-test".into()),
-            Submit::Existing(id)
-        );
+        assert_eq!(submit(&table, "k", work(), "rq-test"), Submit::Existing(id));
     }
 
     #[test]
     fn list_is_sorted_and_tracks_states() {
         let table = JobTable::new(4);
         assert!(table.list().is_empty());
-        let Submit::Queued(a) = table.submit("a".into(), work(), "rq-test".into()) else {
+        let Submit::Queued(a) = submit(&table, "a", work(), "rq-test") else {
             panic!("queues");
         };
-        let Submit::Queued(b) = table.submit("b".into(), work(), "rq-test".into()) else {
+        let Submit::Queued(b) = submit(&table, "b", work(), "rq-test") else {
             panic!("queues");
         };
         let (popped, _) = table.next_job().expect("job available");
@@ -464,7 +462,7 @@ mod tests {
     #[test]
     fn failures_keep_their_message() {
         let table = JobTable::new(2);
-        let Submit::Queued(id) = table.submit("k".into(), work(), "rq-test".into()) else {
+        let Submit::Queued(id) = submit(&table, "k", work(), "rq-test") else {
             panic!("queues");
         };
         table.next_job().expect("job available");

@@ -34,13 +34,13 @@
 //! (see [`fleet`]).
 //!
 //! Everything is `std`: `std::net` sockets, `std::thread` workers, the
-//! vendored `serde_json` for JSON. See [`http`] for the wire format,
-//! [`jobs`] for queueing/caching semantics, [`worker`] for execution,
-//! [`metrics`] for observability, [`api`] for request parsing.
+//! vendored `serde_json` for JSON. `smrseek-net` owns the HTTP/1.1 wire
+//! format ([`Request`], [`Response`], the blocking client); see [`route`]
+//! for the API, [`jobs`] for queueing/caching semantics, [`worker`] for
+//! execution, [`metrics`] for observability, [`api`] for request parsing.
 
 pub mod api;
 pub mod fleet;
-pub mod http;
 pub mod jobs;
 pub mod metrics;
 pub mod sse;
@@ -49,12 +49,11 @@ pub mod worker;
 
 use crate::api::{JobRequest, TraceRef};
 use crate::fleet::Fleet;
-use crate::http::{Request, Response};
 use crate::jobs::{JobId, JobState, JobTable, JobTrace, Submit};
 use crate::metrics::{Endpoint, Metrics};
 use crate::worker::{JobKind, JobWork};
 use serde::{Number, Value};
-use smrseek_net::{Action, NetConfig, NetHandle};
+use smrseek_net::{Action, NetConfig, NetHandle, Request, Response};
 use smrseek_obs::dtrace::{self, TRACE_HEADER};
 use smrseek_obs::{DistSpan, SpanStore, TraceContext};
 use smrseek_sim::experiments::ExpOptions;
@@ -245,100 +244,52 @@ pub fn start(config: ServerConfig) -> io::Result<Handle> {
     })
 }
 
-/// Bridges the connection threads to daemon routing:
-/// `GET /v1/jobs/<id>/events` returns the job's live event stream, and
-/// everything else goes through [`route`].
+/// Bridges the connection threads to [`route`], and logs and accounts
+/// every request in one place.
 struct DaemonDispatcher {
     state: Arc<ServerState>,
     fleet: Option<Arc<Fleet>>,
 }
 
-impl DaemonDispatcher {
-    /// Logs and accounts one finished request, returning its wire bytes.
-    fn respond(
-        &self,
-        endpoint: Endpoint,
-        line: &str,
-        request_id: &str,
-        response: Response,
-        started: Instant,
-    ) -> Action {
-        let response = response.with_header("x-request-id", request_id);
-        let elapsed = started.elapsed();
-        smrseek_obs::info!(
-            "request_id={request_id} {line} status={} duration_us={}",
-            response.status,
-            elapsed.as_micros()
-        );
-        self.state.metrics.observe(endpoint, elapsed);
-        Action::Respond(http::response_bytes(&response))
-    }
-
-    /// `GET /v1/jobs/<id>/events`: hand the connection the job's event
-    /// stream. The latency observed is subscription setup, not stream
-    /// lifetime.
-    fn subscribe(&self, raw_id: &str, line: &str, request_id: &str, started: Instant) -> Action {
-        let stream = raw_id
-            .parse::<JobId>()
-            .ok()
-            .and_then(|id| self.state.jobs.events(id));
-        match stream {
-            Some(stream) => {
-                let elapsed = started.elapsed();
-                smrseek_obs::info!(
-                    "request_id={request_id} {line} status=200 duration_us={} stream=open",
-                    elapsed.as_micros()
-                );
-                self.state.metrics.observe(Endpoint::JobEvents, elapsed);
-                Action::Stream {
-                    head: sse::response_head(request_id),
-                    stream,
-                }
-            }
-            None => self.respond(
-                Endpoint::JobEvents,
-                line,
-                request_id,
-                Response::json(404, error_body("no such job")),
-                started,
-            ),
-        }
-    }
-}
-
 impl smrseek_net::Dispatcher for DaemonDispatcher {
     fn dispatch(&self, request: Request) -> Action {
         let started = Instant::now();
-        let request_id = next_request_id();
         // Honor a well-formed client-supplied id (a forwarding peer always
-        // sends the origin's), otherwise keep the minted one.
-        let request_id = client_request_id(&request).unwrap_or(request_id);
-        let line = format!("{} {}", request.method, request.target);
-        let path = request.target.split('?').next().unwrap_or("");
-        if request.method == "GET" && path.starts_with("/v1/jobs/") {
-            if let Some(raw_id) = path["/v1/jobs/".len()..].strip_suffix("/events") {
-                return self.subscribe(raw_id, &line, &request_id, started);
-            }
-        }
-        let (endpoint, response) = route(&self.state, self.fleet.as_deref(), &request, &request_id);
-        self.respond(endpoint, &line, &request_id, response, started)
+        // sends the origin's), otherwise mint one.
+        let request_id = client_request_id(&request).unwrap_or_else(next_request_id);
+        let (endpoint, action) = route(&self.state, self.fleet.as_deref(), &request, &request_id);
+        // A stream's latency is its setup, not its lifetime.
+        let (status, stream) = match &action {
+            Action::Respond(response) => (response.status, ""),
+            Action::Stream { .. } => (200, " stream=open"),
+        };
+        let elapsed = started.elapsed();
+        smrseek_obs::info!(
+            "request_id={request_id} {} {} status={status} duration_us={}{stream}",
+            request.method,
+            request.target,
+            elapsed.as_micros()
+        );
+        self.state.metrics.observe(endpoint, elapsed);
+        action
     }
 }
 
-/// Routes one request against the daemon state. Connection threads call
-/// this; it is public so tests can exercise the full API in-process.
-/// `fleet` (when sharded) routes submissions to their owner and feeds
-/// the `/healthz` fleet view; `request_id`
-/// is echoed in submit/status envelopes and retained on any job this
-/// request creates.
+/// Routes one request against the daemon state and answers it:
+/// `GET /v1/jobs/<id>/events` with the job's live event stream, every
+/// other request with a [`Response`] carrying `x-request-id`. Connection
+/// threads call this; it is public so tests can exercise the full API
+/// in-process. `fleet` (when sharded) routes submissions to their owner
+/// and feeds the `/healthz` fleet view; `request_id` is echoed in
+/// submit/status envelopes and retained on any job this request creates.
 pub fn route(
     state: &ServerState,
     fleet: Option<&Fleet>,
     request: &Request,
     request_id: &str,
-) -> (Endpoint, Response) {
+) -> (Endpoint, Action) {
     let path = request.target.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
+    let (endpoint, response) = match (request.method.as_str(), path) {
         ("GET", "/healthz") => {
             let snap = state.jobs.snapshot();
             let mut body = format!(
@@ -367,7 +318,22 @@ pub fn route(
         ("GET", "/v1/jobs") => (Endpoint::JobsGet, jobs_list(state)),
         ("GET", path) if path.starts_with("/v1/jobs/") => {
             let rest = &path["/v1/jobs/".len()..];
-            if let Some(id) = rest.strip_suffix("/result") {
+            if let Some(id) = rest.strip_suffix("/events") {
+                match id
+                    .parse::<JobId>()
+                    .ok()
+                    .and_then(|id| state.jobs.events(id))
+                {
+                    Some(stream) => {
+                        let head = sse::response_head(request_id);
+                        return (Endpoint::JobEvents, Action::Stream { head, stream });
+                    }
+                    None => (
+                        Endpoint::JobEvents,
+                        Response::json(404, error_body("no such job")),
+                    ),
+                }
+            } else if let Some(id) = rest.strip_suffix("/result") {
                 (Endpoint::JobResult, job_result(state, id))
             } else {
                 (Endpoint::JobsGet, job_status(state, rest))
@@ -385,7 +351,9 @@ pub fn route(
             Endpoint::Other,
             Response::json(404, error_body("not found")),
         ),
-    }
+    };
+    let response = response.with_header("x-request-id", request_id);
+    (endpoint, Action::Respond(response))
 }
 
 /// `GET /v1/trace/<trace-id>`: every distributed span this process
@@ -571,10 +539,7 @@ fn submit_routed(
         parent: ctx,
         queued_unix_ns: dtrace::unix_nanos(),
     };
-    match state
-        .jobs
-        .submit_traced(key, work, request_id.to_owned(), Some(trace))
-    {
+    match state.jobs.submit(key, work, request_id.to_owned(), trace) {
         Submit::Queued(id) => {
             state.metrics.cache_miss();
             Response::json(202, submit_body(id, "queued", "miss", request_id))
@@ -718,6 +683,14 @@ mod tests {
         }
     }
 
+    /// The response `route` answers `request` with (never a stream).
+    fn respond(state: &ServerState, request: &Request, request_id: &str) -> Response {
+        match route(state, None, request, request_id).1 {
+            Action::Respond(response) => response,
+            Action::Stream { .. } => panic!("{} streamed", request.target),
+        }
+    }
+
     fn get(state: &ServerState, target: &str) -> Response {
         let request = Request {
             method: "GET".to_owned(),
@@ -725,7 +698,7 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        route(state, None, &request, "rq-test").1
+        respond(state, &request, "rq-test")
     }
 
     fn post(state: &ServerState, target: &str, body: &str) -> Response {
@@ -735,7 +708,7 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         };
-        route(state, None, &request, "rq-test").1
+        respond(state, &request, "rq-test")
     }
 
     fn body_str(resp: &Response) -> String {
@@ -760,7 +733,50 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        assert_eq!(route(&state, None, &delete, "rq-test").1.status, 405);
+        assert_eq!(respond(&state, &delete, "rq-test").status, 405);
+        stop(&state, handles);
+    }
+
+    #[test]
+    fn events_route_streams_known_jobs_and_labels_its_404() {
+        let (state, handles) = test_state(0, 4);
+        assert_eq!(
+            post(
+                &state,
+                "/v1/jobs",
+                r#"{"trace": {"profile": "hm_1", "ops": 50}}"#
+            )
+            .status,
+            202
+        );
+        let events = |target: &str| Request {
+            method: "GET".to_owned(),
+            target: target.to_owned(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let (endpoint, action) = route(&state, None, &events("/v1/jobs/1/events"), "rq-sse");
+        assert_eq!(endpoint, Endpoint::JobEvents);
+        let Action::Stream { head, stream } = action else {
+            panic!("a known job streams");
+        };
+        assert_eq!(head, sse::response_head("rq-sse"));
+        assert!(String::from_utf8(stream.collected())
+            .expect("UTF-8 frames")
+            .starts_with("event: queued\n"));
+        let (endpoint, _) = route(&state, None, &events("/v1/jobs/9/events"), "rq-sse");
+        assert_eq!(
+            endpoint,
+            Endpoint::JobEvents,
+            "a 404 keeps the job_events label"
+        );
+        let missing = respond(&state, &events("/v1/jobs/9/events"), "rq-sse");
+        assert_eq!(missing.status, 404);
+        assert_eq!(body_str(&missing), r#"{"error":"no such job"}"#);
+        assert_eq!(
+            missing.extra,
+            [("x-request-id".to_owned(), "rq-sse".to_owned())]
+        );
         stop(&state, handles);
     }
 
@@ -861,7 +877,7 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         };
-        let first = route(&state, None, &submit, "rq-creator").1;
+        let first = respond(&state, &submit, "rq-creator");
         assert_eq!(first.status, 202);
         assert!(
             body_str(&first).contains(r#""request_id":"rq-creator""#),
@@ -870,7 +886,7 @@ mod tests {
         );
         // A duplicate submission echoes *its own* request id in the
         // submit response, but the job keeps its creator's id.
-        let second = route(&state, None, &submit, "rq-duplicate").1;
+        let second = respond(&state, &submit, "rq-duplicate");
         assert_eq!(second.status, 200);
         assert!(
             body_str(&second).contains(r#""request_id":"rq-duplicate""#),

@@ -17,6 +17,7 @@ use smrseek_cache::TierStats;
 use smrseek_net::LoopStats;
 use smrseek_obs::{Counter, Gauge, Histogram, Phase, PhaseTotals, Registry, ValueFormat};
 use smrseek_policy::PolicyStats;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -220,48 +221,44 @@ impl Metrics {
         // server's own atomics: zeros until `set_net_stats` wires the
         // source in, live afterwards, no copying either way.
         let net: Arc<OnceLock<Arc<LoopStats>>> = Arc::new(OnceLock::new());
-        for (name, read) in LoopStats::readers() {
-            let (family, help, is_gauge) = match name {
-                "accepted" => (
-                    "smrseekd_connections_accepted_total",
-                    "Connections accepted by the event loop.",
-                    false,
-                ),
-                "accept_errors" => (
-                    "smrseekd_accept_errors_total",
-                    "accept(2) failures (e.g. fd exhaustion).",
-                    false,
-                ),
-                "active" => (
-                    "smrseekd_connections_active",
-                    "Currently open client connections.",
-                    true,
-                ),
-                "reaped_idle" => (
-                    "smrseekd_connections_reaped_total",
-                    "Connections closed by the idle/slow-client timeout.",
-                    false,
-                ),
-                "refused" => (
-                    "smrseekd_connections_refused_total",
-                    "Connections answered 503 because the connection cap was reached.",
-                    false,
-                ),
-                "streaming" => (
-                    "smrseekd_sse_streams_active",
-                    "Connections currently following a job event stream.",
-                    true,
-                ),
-                other => unreachable!("unknown LoopStats reader {other}"),
-            };
+        let read = |field: fn(&LoopStats) -> &AtomicU64| {
             let source = Arc::clone(&net);
-            let value = move || source.get().map_or(0, |stats| read(stats));
-            if is_gauge {
-                registry.callback_gauge(family, help, value);
-            } else {
-                registry.callback_counter(family, help, value);
+            move || {
+                source
+                    .get()
+                    .map_or(0, |stats| field(stats).load(Ordering::Relaxed))
             }
-        }
+        };
+        registry.callback_counter(
+            "smrseekd_connections_accepted_total",
+            "Connections accepted by the event loop.",
+            read(|stats| &stats.accepted),
+        );
+        registry.callback_counter(
+            "smrseekd_accept_errors_total",
+            "accept(2) failures (e.g. fd exhaustion).",
+            read(|stats| &stats.accept_errors),
+        );
+        registry.callback_gauge(
+            "smrseekd_connections_active",
+            "Currently open client connections.",
+            read(|stats| &stats.active),
+        );
+        registry.callback_counter(
+            "smrseekd_connections_reaped_total",
+            "Connections closed by the idle/slow-client timeout.",
+            read(|stats| &stats.reaped_idle),
+        );
+        registry.callback_counter(
+            "smrseekd_connections_refused_total",
+            "Connections answered 503 because the connection cap was reached.",
+            read(|stats| &stats.refused),
+        );
+        registry.callback_gauge(
+            "smrseekd_sse_streams_active",
+            "Connections currently following a job event stream.",
+            read(|stats| &stats.streaming),
+        );
 
         // Per-peer families declare up front so a standalone daemon (no
         // peers) still exposes stable `# HELP`/`# TYPE` headers.
@@ -751,6 +748,34 @@ mod tests {
         assert!(!text.contains("smrseekd_forwarded_total{"));
         assert_eq!(m.forward_counts("anyone"), None);
         assert!(m.peer_counts().is_empty());
+    }
+
+    #[test]
+    fn net_series_read_every_loop_stats_field() {
+        let m = Metrics::new();
+        let stats = Arc::new(LoopStats::default());
+        m.set_net_stats(Arc::clone(&stats));
+        for (cell, value) in [
+            (&stats.accepted, 2),
+            (&stats.accept_errors, 3),
+            (&stats.active, 5),
+            (&stats.reaped_idle, 7),
+            (&stats.refused, 11),
+            (&stats.streaming, 13),
+        ] {
+            cell.store(value, Ordering::Relaxed);
+        }
+        let text = m.render(&JobSnapshot::default(), 0);
+        for sample in [
+            "smrseekd_connections_accepted_total 2\n",
+            "smrseekd_accept_errors_total 3\n",
+            "smrseekd_connections_active 5\n",
+            "smrseekd_connections_reaped_total 7\n",
+            "smrseekd_connections_refused_total 11\n",
+            "smrseekd_sse_streams_active 13\n",
+        ] {
+            assert!(text.contains(sample), "missing {sample:?} in\n{text}");
+        }
     }
 
     #[test]

@@ -144,16 +144,12 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
     }
 }
 
-/// Records the worker-side spans of one traced job: `queue` (submission
-/// to dequeue — jobs that sat behind a deep queue show it here, not as
-/// mysteriously slow replays) and `replay` (the engine run itself), both
-/// children of the owner's `dispatch` span.
-fn record_job_spans(
-    spans: &SpanStore,
-    jobs: &JobTable,
-    id: crate::jobs::JobId,
-) -> Option<DistSpan> {
-    let (trace, request_id) = jobs.job_trace(id)?;
+/// Records the `queue` span of one dequeued job (submission to dequeue —
+/// jobs that sat behind a deep queue show it here, not as mysteriously
+/// slow replays) and returns its open `replay` span (the engine run
+/// itself), both children of the owner's `dispatch` span.
+fn record_job_spans(spans: &SpanStore, jobs: &JobTable, id: crate::jobs::JobId) -> DistSpan {
+    let (trace, request_id) = jobs.job_trace(id).expect("a dequeued job is in the table");
     let dequeued = smrseek_obs::unix_nanos();
     let queue = trace.parent.child();
     spans.record(DistSpan {
@@ -168,7 +164,7 @@ fn record_job_spans(
         tid: smrseek_obs::current_tid(),
     });
     let replay = trace.parent.child();
-    Some(DistSpan {
+    DistSpan {
         trace_id: trace.parent.trace_id,
         span_id: replay.span_id,
         parent_span_id: Some(trace.parent.span_id),
@@ -178,7 +174,7 @@ fn record_job_spans(
         dur_ns: 0,
         pid: std::process::id(),
         tid: smrseek_obs::current_tid(),
-    })
+    }
 }
 
 /// Spawns `count` worker threads draining `jobs` until shutdown.
@@ -198,13 +194,11 @@ pub fn spawn_workers(
                 .name(format!("smrseekd-worker-{i}"))
                 .spawn(move || {
                     while let Some((id, work)) = jobs.next_job() {
-                        let replay_span = record_job_spans(&spans, &jobs, id);
+                        let mut replay = record_job_spans(&spans, &jobs, id);
                         let outcome = run_job_contained(&work, threads);
-                        if let Some(mut span) = replay_span {
-                            span.dur_ns =
-                                smrseek_obs::unix_nanos().saturating_sub(span.start_unix_ns);
-                            spans.record(span);
-                        }
+                        replay.dur_ns =
+                            smrseek_obs::unix_nanos().saturating_sub(replay.start_unix_ns);
+                        spans.record(replay);
                         if let Ok(out) = &outcome {
                             metrics.replayed(out.records);
                             metrics.engine_phases(&out.phases);
@@ -290,14 +284,15 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let ids: Vec<_> = (0..3)
             .map(|i| {
-                match jobs.submit(
-                    format!("k{i}"),
+                match crate::jobs::tests::submit(
+                    &jobs,
+                    &format!("k{i}"),
                     JobWork {
                         source: source(),
                         kind: JobKind::Single(Box::new(SimConfig::no_ls())),
                         digest: None,
                     },
-                    format!("rq-{i}"),
+                    &format!("rq-{i}"),
                 ) {
                     crate::jobs::Submit::Queued(id) => id,
                     other => panic!("expected queue, got {other:?}"),
@@ -363,14 +358,15 @@ mod tests {
             ..smrseek_policy::PolicyConfig::default()
         });
         let jobs = Arc::new(JobTable::new(8));
-        let submit = |key: &str, config: SimConfig| match jobs.submit(
-            key.to_owned(),
+        let submit = |key: &str, config: SimConfig| match crate::jobs::tests::submit(
+            &jobs,
+            key,
             JobWork {
                 source: source(),
                 kind: JobKind::Single(Box::new(config)),
                 digest: None,
             },
-            format!("rq-{key}"),
+            &format!("rq-{key}"),
         ) {
             crate::jobs::Submit::Queued(id) => id,
             other => panic!("expected queue, got {other:?}"),

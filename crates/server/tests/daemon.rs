@@ -1070,7 +1070,7 @@ fn load(
                         let started = Instant::now();
                         let status = exchange(addr, &raw, timeout)
                             .ok()
-                            .and_then(|resp| smrseek_server::http::parse_response(&resp).ok());
+                            .and_then(|resp| smrseek_net::parse_response(&resp).ok());
                         let elapsed = started.elapsed();
                         outcomes.push(
                             status

@@ -10,7 +10,7 @@
 //! `/metrics` route) and against hand-broken expositions to prove it
 //! actually bites.
 
-use smrseek_server::http::Request;
+use smrseek_net::{Action, Request};
 use smrseek_server::metrics::{Endpoint, Metrics};
 use smrseek_server::{route, ServerState};
 use std::collections::{HashMap, HashSet};
@@ -217,7 +217,9 @@ fn metrics_route_is_lint_clean() {
         headers: Vec::new(),
         body: Vec::new(),
     };
-    let response = route(&state, None, &request, "rq-lint").1;
+    let Action::Respond(response) = route(&state, None, &request, "rq-lint").1 else {
+        panic!("/metrics streamed");
+    };
     assert_eq!(response.status, 200);
     let text = String::from_utf8(response.body().to_vec()).expect("utf8 exposition");
     let errors = lint(&text);
