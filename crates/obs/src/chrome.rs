@@ -308,9 +308,9 @@ mod tests {
         // must still render inside it.
         let parent = dist(9, 0, 0x50, None, "cell:NoLS", 0, 1_000);
         let mut totals = PhaseTotals::default();
-        totals.record(Phase::Ingest, Duration::from_nanos(900));
-        totals.record(Phase::Lookup, Duration::from_nanos(5_000));
+        totals.record(Phase::Lookup, Duration::from_nanos(900));
         totals.record(Phase::Seek, Duration::from_nanos(5_000));
+        totals.record(Phase::Classify, Duration::from_nanos(5_000));
         let children = phase_children(&parent, &totals);
         assert_eq!(children.len(), 3);
         for child in &children {

@@ -14,8 +14,8 @@
 //!   output) behind the [`error!`]/[`warn!`]/[`info!`]/[`debug!`] macros.
 //!   Off-level messages cost one relaxed atomic load.
 //! * [`phase`] — the engine's per-record phase accounting
-//!   ([`phase::Phase`]: ingest, extent lookup, seek accounting, host
-//!   cache, policy classification) accumulated into mergeable
+//!   ([`phase::Phase`]: extent lookup, seek accounting, policy
+//!   classification) accumulated into mergeable
 //!   [`phase::PhaseTotals`]. Every replay times the records of a fixed
 //!   sample, one in [`phase::SAMPLE_INTERVAL`], so the hot loop reads no
 //!   clock for the rest.

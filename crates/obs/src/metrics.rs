@@ -24,8 +24,9 @@
 //!   around;
 //! * log₂ **histograms** ([`Histogram`]): bin *i* counts values in
 //!   `[2^i, 2^(i+1))`, rendered as cumulative Prometheus buckets closing
-//!   at `le = 2^(i+1)`, with zeros folded into every bucket and series
-//!   that never observed anything omitted entirely.
+//!   at `le = 2^(i+1)`, with zeros folded into every bucket. Every series
+//!   renders the same fixed bucket set from its first scrape on,
+//!   zero-valued before it observes anything.
 //!
 //! Values are `u64` throughout; families that are semantically seconds
 //! store nanoseconds and pick a [`ValueFormat`] so the renderer divides
@@ -95,6 +96,11 @@ impl Gauge {
         self.0.load(Ordering::Relaxed)
     }
 }
+
+/// Finite buckets every histogram series renders: `le = 2^1` through
+/// `le = 2^25`, then `+Inf`. In microseconds the top bound is 33.6 s,
+/// above the daemon's 10 s request deadline.
+const HISTOGRAM_BUCKETS: usize = 25;
 
 /// Shared state of one histogram series.
 #[derive(Debug)]
@@ -387,9 +393,8 @@ impl Registry {
         );
     }
 
-    /// One series of a labeled log₂-histogram family. Series that never
-    /// observe a value render no samples (the family's `# HELP`/`# TYPE`
-    /// still do).
+    /// One series of a labeled log₂-histogram family. It renders every
+    /// bucket of the fixed set, zero-valued before its first observation.
     pub fn labeled_histogram(
         &self,
         name: &'static str,
@@ -473,10 +478,6 @@ impl Registry {
     }
 
     fn histogram_lines(out: &mut String, family: &Family, series: &Series, state: &HistogramState) {
-        let count = state.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return;
-        }
         // `{label="v"}` → `{label="v",le="..."}`; unlabeled → `{le="..."}`.
         let labels = Self::label_suffix(family, series);
         let inner = labels.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
@@ -485,22 +486,24 @@ impl Registry {
             None => format!("{{le=\"{le}\"}}"),
         };
         // Bin i covers [2^i, 2^(i+1)), closing at le = 2^(i+1); zeros
-        // fall below every bin so they seed the cumulative count.
+        // fall below every bin so they seed the cumulative count. The
+        // bins above the fixed set count only towards `+Inf`, and so does
+        // `_count`: both come from the same loads as the buckets, so the
+        // buckets never exceed them.
         let mut cumulative = state.zeros.load(Ordering::Relaxed);
         for (i, bin) in state.bins.iter().enumerate() {
-            let bin = bin.load(Ordering::Relaxed);
-            if bin == 0 {
-                continue;
+            cumulative += bin.load(Ordering::Relaxed);
+            if i < HISTOGRAM_BUCKETS {
+                let le = 2u64 << i;
+                let _ = writeln!(
+                    out,
+                    "{}_bucket{} {cumulative}",
+                    family.name,
+                    with_le(&le.to_string())
+                );
             }
-            cumulative += bin;
-            let le = (1u64 << i).saturating_mul(2);
-            let _ = writeln!(
-                out,
-                "{}_bucket{} {cumulative}",
-                family.name,
-                with_le(&le.to_string())
-            );
         }
+        let count = cumulative;
         let _ = writeln!(out, "{}_bucket{} {count}", family.name, with_le("+Inf"));
         let _ = writeln!(
             out,
@@ -563,9 +566,13 @@ mod tests {
                 .any(|l| !l.starts_with('#') && l.starts_with("test_d_total")),
             "{text}"
         );
-        // Histograms with no observations render no series at all.
+        // A histogram with no observations renders every bucket at zero.
         assert!(text.contains("# TYPE test_e_us histogram\n"));
-        assert!(!text.contains("test_e_us_bucket"), "{text}");
+        assert!(text.contains("test_e_us_bucket{endpoint=\"x\",le=\"2\"} 0\n"));
+        assert!(text.contains("test_e_us_bucket{endpoint=\"x\",le=\"33554432\"} 0\n"));
+        assert!(text.contains("test_e_us_bucket{endpoint=\"x\",le=\"+Inf\"} 0\n"));
+        assert!(text.contains("test_e_us_sum{endpoint=\"x\"} 0\n"));
+        assert!(text.contains("test_e_us_count{endpoint=\"x\"} 0\n"));
     }
 
     #[test]
@@ -633,8 +640,50 @@ mod tests {
         );
         assert!(text.contains("test_lat_us_sum{endpoint=\"healthz\"} 906\n"));
         assert!(text.contains("test_lat_us_count{endpoint=\"healthz\"} 4\n"));
-        // The untouched series is omitted.
-        assert!(!text.contains("endpoint=\"other\""), "{text}");
+        // The untouched series renders zero-valued.
+        assert!(
+            text.contains("test_lat_us_count{endpoint=\"other\"} 0\n"),
+            "{text}"
+        );
+    }
+
+    /// The `le` values of `name`'s bucket lines, in render order.
+    fn bucket_bounds(text: &str, name: &str) -> Vec<String> {
+        text.lines()
+            .filter(|line| line.starts_with(&format!("{name}_bucket{{")))
+            .filter_map(|line| line.split("le=\"").nth(1))
+            .filter_map(|rest| rest.split('"').next())
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn histogram_bucket_set_is_fixed() {
+        let expected: Vec<String> = (1..=25)
+            .map(|k| (1u64 << k).to_string())
+            .chain(["+Inf".to_owned()])
+            .collect();
+        let fresh = || {
+            let registry = Registry::new();
+            let h = registry.labeled_histogram("test_fix_us", "Fixed.", "k", "v");
+            (registry, h)
+        };
+        let (a, h) = fresh();
+        let (b, _) = fresh();
+        let before = a.render();
+        assert_eq!(before, b.render(), "two fresh registries");
+        assert_eq!(bucket_bounds(&before, "test_fix_us"), expected);
+        // Observations inside, at the edge of and above the fixed set
+        // change counts, never the bounds.
+        for value in [0, 14, 1 << 24, 1 << 25, u64::from(u32::MAX)] {
+            h.observe(value);
+        }
+        let after = a.render();
+        assert_eq!(bucket_bounds(&after, "test_fix_us"), expected);
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"16\"} 2\n"));
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"33554432\"} 3\n"));
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"+Inf\"} 5\n"));
+        assert!(after.contains("test_fix_us_count{k=\"v\"} 5\n"));
     }
 
     #[test]

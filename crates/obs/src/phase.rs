@@ -1,8 +1,8 @@
 //! Engine phase accounting: where simulation time goes, per phase.
 //!
 //! The engine attributes each record's processing to a small fixed set of
-//! [`Phase`]s (trace ingest, extent lookup, seek accounting, host cache,
-//! policy classification) and accumulates durations plus call counts into a
+//! [`Phase`]s (extent lookup, seek accounting, policy classification) and
+//! accumulates durations plus call counts into a
 //! [`PhaseTotals`]. Totals are plain mergeable values — the runner sums
 //! them across matrix cells, the daemon folds them into `/metrics` — and
 //! never enter serialized reports, which must stay byte-deterministic.
@@ -16,8 +16,7 @@
 //! the run finishes ([`PhaseTotals::scaled`]). An `n`-record run times
 //! `⌈n / SAMPLE_INTERVAL⌉` records, so every non-empty run has phases,
 //! and none of them is the run's cold first record. Call counts stay the
-//! intervals kept, so they are deterministic. Ingest is timed once per
-//! block of records, never sampled.
+//! intervals kept, so they are deterministic.
 
 use std::time::{Duration, Instant};
 
@@ -44,14 +43,10 @@ pub fn warms_up(i: u64, n: u64) -> bool {
 /// A stage of per-record simulation work that the engine accounts for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Pulling the next record out of the trace source (parse or decode).
-    Ingest,
     /// Translation-layer work: extent-map lookup and remapping.
     Lookup,
     /// Seek detection and distance/series bookkeeping.
     Seek,
-    /// Host-side RAM cache probe and insertion.
-    HostCache,
     /// Adaptive-policy work: per-region heat classification and gate
     /// derivation.
     Classify,
@@ -59,33 +54,23 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in the order used for indexing and display.
-    pub const ALL: [Phase; 5] = [
-        Phase::Ingest,
-        Phase::Lookup,
-        Phase::Seek,
-        Phase::HostCache,
-        Phase::Classify,
-    ];
+    pub const ALL: [Phase; 3] = [Phase::Lookup, Phase::Seek, Phase::Classify];
 
     /// Stable lower-case label, used as the `phase` metric label and in
     /// profile output.
     pub fn label(self) -> &'static str {
         match self {
-            Phase::Ingest => "ingest",
             Phase::Lookup => "lookup",
             Phase::Seek => "seek",
-            Phase::HostCache => "host_cache",
             Phase::Classify => "classify",
         }
     }
 
     fn index(self) -> usize {
         match self {
-            Phase::Ingest => 0,
-            Phase::Lookup => 1,
-            Phase::Seek => 2,
-            Phase::HostCache => 3,
-            Phase::Classify => 4,
+            Phase::Lookup => 0,
+            Phase::Seek => 1,
+            Phase::Classify => 2,
         }
     }
 }
@@ -96,8 +81,8 @@ impl Phase {
 /// threads sum into matrix totals in any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
-    nanos: [u64; 5],
-    calls: [u64; 5],
+    nanos: [u64; Phase::ALL.len()],
+    calls: [u64; Phase::ALL.len()],
 }
 
 impl PhaseTotals {
@@ -209,7 +194,6 @@ mod tests {
         assert_eq!(a.calls(Phase::Lookup), 3);
         assert_eq!(a.nanos(Phase::Seek), 7);
         assert_eq!(a.nanos(Phase::Classify), 9);
-        assert_eq!(a.nanos(Phase::Ingest), 0);
         assert_eq!(a.total_nanos(), 167);
         assert!(!a.is_zero());
     }
@@ -218,7 +202,7 @@ mod tests {
     fn shares_merge_back_exactly() {
         let mut t = PhaseTotals::default();
         t.record(Phase::Lookup, Duration::from_nanos(100));
-        t.record(Phase::Ingest, Duration::from_nanos(7));
+        t.record(Phase::Seek, Duration::from_nanos(7));
         let mut merged = PhaseTotals::default();
         for k in 0..3 {
             merged.merge(&t.share(k, 3));
@@ -226,17 +210,17 @@ mod tests {
         assert_eq!(merged, t);
         assert_eq!(t.share(0, 3).nanos(Phase::Lookup), 34);
         assert_eq!(t.share(2, 3).nanos(Phase::Lookup), 33);
-        assert_eq!(t.share(0, 3).calls(Phase::Ingest), 1);
-        assert_eq!(t.share(1, 3).calls(Phase::Ingest), 0);
+        assert_eq!(t.share(0, 3).calls(Phase::Seek), 1);
+        assert_eq!(t.share(1, 3).calls(Phase::Seek), 0);
         assert_eq!(t.share(0, 1), t);
     }
 
     #[test]
     fn merge_is_order_independent() {
         let mut x = PhaseTotals::default();
-        x.record(Phase::Ingest, Duration::from_nanos(3));
+        x.record(Phase::Seek, Duration::from_nanos(3));
         let mut y = PhaseTotals::default();
-        y.record(Phase::HostCache, Duration::from_nanos(5));
+        y.record(Phase::Classify, Duration::from_nanos(5));
         let mut xy = x;
         xy.merge(&y);
         let mut yx = y;
@@ -247,10 +231,7 @@ mod tests {
     #[test]
     fn labels_match_all_order() {
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
-        assert_eq!(
-            labels,
-            ["ingest", "lookup", "seek", "host_cache", "classify"]
-        );
+        assert_eq!(labels, ["lookup", "seek", "classify"]);
     }
 
     #[test]
@@ -260,8 +241,8 @@ mod tests {
         t.record(Phase::Lookup, Duration::from_nanos(2));
         let pairs: Vec<(Phase, u64, u64)> = t.iter().collect();
         assert_eq!(pairs.len(), Phase::ALL.len());
-        assert_eq!(pairs[1], (Phase::Lookup, 42, 2));
-        assert_eq!(pairs[0], (Phase::Ingest, 0, 0));
+        assert_eq!(pairs[0], (Phase::Lookup, 42, 2));
+        assert_eq!(pairs[1], (Phase::Seek, 0, 0));
         let order: Vec<Phase> = pairs.iter().map(|&(p, _, _)| p).collect();
         assert_eq!(order, Phase::ALL.to_vec());
     }

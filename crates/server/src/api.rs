@@ -154,7 +154,6 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
                 0 => {}
                 bucket_ops => config.longseek_bucket_ops = bucket_ops,
             },
-            "host_cache_bytes" => config.host_cache_bytes = Some(uint()?),
             "flash_cache_bytes" => config.flash_cache_bytes = Some(uint()?),
             "policy" => config.policy = Some(parse_policy(value)?),
             other => return Err(format!("unknown config field {other:?}")),
@@ -242,7 +241,7 @@ mod tests {
         let req = parse_job_request(
             br#"{"trace": {"profile": "hm_1", "ops": 500, "seed": 7},
                  "config": {"layer": "ls_cache", "record_distances": true,
-                            "host_cache_bytes": 1048576}}"#,
+                            "flash_cache_bytes": 1048576}}"#,
         )
         .expect("parses");
         assert_eq!(
@@ -255,7 +254,7 @@ mod tests {
         );
         let config = req.config.expect("has config");
         assert!(config.record_distances);
-        assert_eq!(config.host_cache_bytes, Some(1048576));
+        assert_eq!(config.flash_cache_bytes, Some(1048576));
         assert!(matches!(
             config.layer,
             LayerChoice::Ls { cache: Some(_), .. }
@@ -353,7 +352,12 @@ mod tests {
             ),
             (
                 br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "host_cache_bytes": 0}}"#,
-                "host cache",
+                "unknown config field \"host_cache_bytes\"",
+            ),
+            (
+                br#"{"trace": {"path": "a"},
+                     "config": {"layer": "ls_cache", "flash_cache_bytes": 0}}"#,
+                "flash tier",
             ),
             (
                 br#"{"trace": {"path": "a"},

@@ -114,7 +114,7 @@ pub struct Metrics {
     jobs_rejected: Counter,
     /// Engine phase time from finished jobs, in nanoseconds, indexed in
     /// [`Phase::ALL`] order (rendered as seconds with 9 decimals).
-    engine_phase_nanos: [Counter; 5],
+    engine_phase_nanos: [Counter; Phase::ALL.len()],
     /// Adaptive-policy gate flips from finished jobs, indexed
     /// defrag / prefetch / cache (the `mechanism` label order).
     policy_gate_flips: [Counter; 3],
@@ -549,7 +549,9 @@ mod tests {
         let text = m.render(&JobSnapshot::default(), 0);
         assert!(text.contains("smrseekd_engine_phase_seconds_total{phase=\"lookup\"} 2.000000000"));
         assert!(text.contains("smrseekd_engine_phase_seconds_total{phase=\"seek\"} 0.000000005"));
-        assert!(text.contains("smrseekd_engine_phase_seconds_total{phase=\"ingest\"} 0.000000000"));
+        assert!(
+            text.contains("smrseekd_engine_phase_seconds_total{phase=\"classify\"} 0.000000000")
+        );
     }
 
     #[test]
@@ -796,8 +798,10 @@ mod tests {
         ));
         assert!(text.contains("smrseekd_http_request_duration_us_sum{endpoint=\"healthz\"} 906"));
         assert!(text.contains("smrseekd_http_request_duration_us_count{endpoint=\"healthz\"} 3"));
-        // Endpoints never hit do not emit empty histogram series.
-        assert!(!text.contains("endpoint=\"jobs_post\",le="));
+        // Endpoints never hit render the same buckets, zero-valued.
+        assert!(text.contains(
+            "smrseekd_http_request_duration_us_bucket{endpoint=\"jobs_post\",le=\"4\"} 0"
+        ));
     }
 
     /// The registry migration must not move, rename, or reformat a single
@@ -854,10 +858,8 @@ mod tests {
              smrseekd_jobs_rejected_total 0\n\
              # HELP smrseekd_engine_phase_seconds_total Simulation engine time by phase, summed over finished jobs.\n\
              # TYPE smrseekd_engine_phase_seconds_total counter\n\
-             smrseekd_engine_phase_seconds_total{{phase=\"ingest\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"lookup\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"seek\"}} 0.000000000\n\
-             smrseekd_engine_phase_seconds_total{{phase=\"host_cache\"}} 0.000000000\n\
              smrseekd_engine_phase_seconds_total{{phase=\"classify\"}} 0.000000000\n\
              # HELP smrseekd_policy_gate_flips_total Adaptive-policy gate transitions, by gated mechanism, summed over finished jobs.\n\
              # TYPE smrseekd_policy_gate_flips_total counter\n\
@@ -907,6 +909,31 @@ mod tests {
              # TYPE smrseekd_http_request_duration_us histogram\n",
             version = env!("CARGO_PKG_VERSION"),
         );
+        // Every endpoint's latency series renders the fixed bucket set,
+        // le = 2^1 … 2^25 then +Inf, at zero.
+        let mut expected = expected;
+        for endpoint in [
+            "healthz",
+            "metrics",
+            "jobs_post",
+            "jobs_get",
+            "job_result",
+            "job_events",
+            "trace",
+            "other",
+        ] {
+            let series = |suffix: &str, le: &str| {
+                format!(
+                    "smrseekd_http_request_duration_us_{suffix}{{endpoint=\"{endpoint}\"{le}}} 0\n"
+                )
+            };
+            for k in 1..=25 {
+                expected += &series("bucket", &format!(",le=\"{}\"", 1u64 << k));
+            }
+            expected += &series("bucket", ",le=\"+Inf\"");
+            expected += &series("sum", "");
+            expected += &series("count", "");
+        }
         assert_eq!(normalized, expected);
     }
 }

@@ -105,14 +105,14 @@ mod tests {
     fn phases_data_keeps_only_recorded_phases() {
         let mut totals = PhaseTotals::default();
         totals.record(Phase::Lookup, Duration::from_millis(250));
-        totals.record(Phase::Ingest, Duration::from_millis(50));
+        totals.record(Phase::Classify, Duration::from_millis(50));
         let data = phases_data(3, &totals);
         assert!(data.starts_with("{\"id\":3,\"phases\":{"), "{data}");
         assert!(
             data.contains("\"lookup\":{\"seconds\":0.25,\"calls\":1}"),
             "{data}"
         );
-        assert!(data.contains("\"ingest\""), "{data}");
+        assert!(data.contains("\"classify\""), "{data}");
         assert!(
             !data.contains("\"seek\""),
             "unrecorded phase leaked: {data}"

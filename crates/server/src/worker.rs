@@ -66,9 +66,8 @@ pub struct JobOutcome {
     pub doc: String,
     /// Logical records the job accounts for (full trace length per cell).
     pub records: u64,
-    /// Engine phase timing merged across the job's cells: ingest per
-    /// block, the other phases estimated from the records of the phase
-    /// sample ([`smrseek_obs::phase`]).
+    /// Engine phase timing merged across the job's cells, estimated from
+    /// the records of the phase sample ([`smrseek_obs::phase`]).
     pub phases: PhaseTotals,
     /// Adaptive-policy decision counters merged across the job's cells
     /// (all zero for jobs without a policy config).

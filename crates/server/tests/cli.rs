@@ -436,12 +436,12 @@ fn all_smoke_test_runs_every_experiment() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = stdout(&out);
-    for heading in ["Table I", "Fig 2a", "Fig 11b", "Extension"] {
+    for heading in ["Table I", "Fig 2a", "Fig 11b", "Adaptive policy"] {
         assert!(text.contains(heading), "missing {heading}");
     }
     // The per-run timing summary goes to stderr, never stdout.
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("15 experiments"), "timing summary on stderr");
+    assert!(err.contains("14 experiments"), "timing summary on stderr");
     assert!(!text.contains("experiments,"), "stdout stays clean");
 }
 
@@ -564,13 +564,13 @@ fn threads_flag_rejects_zero() {
 
 #[test]
 fn extension_commands_run() {
-    let out = smrseek(&["hostcache", "--ops", "1000"]);
+    let out = smrseek(&["ablate", "--ops", "1000"]);
     assert!(
         out.status.success(),
-        "hostcache: {}",
+        "ablate: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout(&out).contains("Extension"));
+    assert!(stdout(&out).contains("Ablation"));
 }
 
 #[test]
@@ -613,7 +613,6 @@ fn every_replaying_experiment_logs_its_matrix_summary() {
         ("analyze", 42),
         ("ablate", 45),
         ("adaptive", 126),
-        ("hostcache", 30),
     ] {
         let out = smrseek(&[name, "--ops", "500", "-v"]);
         assert!(out.status.success(), "{name}");
@@ -745,7 +744,7 @@ fn profile_writes_valid_chrome_trace_with_nested_phases() {
     );
     let text = stdout(&out);
     assert!(text.contains("span(s)"), "{text}");
-    for phase in ["ingest", "lookup", "seek"] {
+    for phase in ["lookup", "seek"] {
         assert!(text.contains(phase), "phase table lists {phase}: {text}");
     }
     let data = std::fs::read_to_string(&json).expect("trace written");
@@ -788,12 +787,10 @@ fn profile_writes_valid_chrome_trace_with_nested_phases() {
             .any(|(name, _, dur, _)| name == "phase:lookup" && *dur > 0.0),
         "non-zero lookup phase: {data}"
     );
-    for phase in ["phase:ingest", "phase:seek"] {
-        assert!(
-            phases.iter().any(|(name, ..)| name == phase),
-            "{phase} present: {data}"
-        );
-    }
+    assert!(
+        phases.iter().any(|(name, ..)| name == "phase:seek"),
+        "phase:seek present: {data}"
+    );
     for (name, ts, dur, tid) in &phases {
         let eps = 1e-6;
         assert!(

@@ -497,7 +497,14 @@ fn degenerate_configs_get_400_and_leave_the_worker_free() {
             r#""layer": "ls", "frontier_hint": 18446744073709551615"#,
             "frontier_hint",
         ),
-        (r#""layer": "ls", "host_cache_bytes": 0"#, "host cache"),
+        (
+            r#""layer": "ls", "host_cache_bytes": 0"#,
+            r#"unknown config field \"host_cache_bytes\""#,
+        ),
+        (
+            r#""layer": "ls_cache", "flash_cache_bytes": 0"#,
+            "flash tier",
+        ),
         (
             r#""layer": "ls_adaptive", "policy": {"score_clamp": -1}"#,
             "score_clamp",
@@ -666,7 +673,7 @@ fn request_ids_propagate_and_phase_metrics_export() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("{prefix} exported:\n{text}"))
     };
-    for phase in ["ingest", "lookup", "seek"] {
+    for phase in ["lookup", "seek"] {
         assert!(
             phase_value(phase) > 0.0,
             "{phase} time accumulated:\n{text}"

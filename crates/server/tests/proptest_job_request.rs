@@ -146,12 +146,6 @@ fn config(layer: u8, mask: u16, kind: u8, k: u64) -> Option<String> {
             uint(kind, k, 1 << 20)
         ));
     }
-    if mask & 16 != 0 {
-        fields.push(format!(
-            r#""host_cache_bytes": {}"#,
-            uint(kind / 2, k, 1 << 30)
-        ));
-    }
     if mask & 32 != 0 {
         fields.push(format!(
             r#""flash_cache_bytes": {}"#,
@@ -328,7 +322,7 @@ proptest! {
 #[test]
 fn every_drawn_knob_is_a_known_one() {
     let knobs = r#""layer": "ls_cache", "record_distances": true, "track_fragments": false,
-        "longseek_bucket_ops": 500, "host_cache_bytes": 1048576, "flash_cache_bytes": 4194304,
+        "longseek_bucket_ops": 500, "flash_cache_bytes": 4194304,
         "policy": {"region_sectors": 8192, "ewma_shift": 3, "frag_weight": 2,
                    "write_weight": 1, "hot_enter": 4, "hot_exit": -4, "score_clamp": 8}"#;
     let trace = trace(0, 500);

@@ -50,14 +50,6 @@ fn layer_strategy() -> impl Strategy<Value = SimConfig> {
     ]
 }
 
-/// `None` one time in three, otherwise a host cache size in bytes.
-fn host_cache_strategy() -> impl Strategy<Value = Option<u64>> {
-    prop_oneof![
-        1 => Just(None),
-        2 => (1u64..1 << 24).prop_map(Some),
-    ]
-}
-
 /// A config with every shared knob randomized.
 fn config_strategy() -> impl Strategy<Value = SimConfig> {
     (
@@ -65,13 +57,11 @@ fn config_strategy() -> impl Strategy<Value = SimConfig> {
         prop::bool::ANY,
         prop::bool::ANY,
         1..10_000u64,
-        host_cache_strategy(),
     )
-        .prop_map(|(mut config, distances, fragments, bucket, cache)| {
+        .prop_map(|(mut config, distances, fragments, bucket)| {
             config.record_distances = distances;
             config.track_fragments = fragments;
             config.longseek_bucket_ops = bucket;
-            config.host_cache_bytes = cache;
             config
         })
 }
@@ -144,10 +134,6 @@ proptest! {
         let mut bucket = base;
         bucket.longseek_bucket_ops += 1;
         prop_assert_ne!(base.cache_key(Some(top)), bucket.cache_key(Some(top)));
-
-        let mut cache = base;
-        cache.host_cache_bytes = Some(cache.host_cache_bytes.map_or(4096, |b| b + 4096));
-        prop_assert_ne!(base.cache_key(Some(top)), cache.cache_key(Some(top)));
     }
 
     /// The key respects the trace: the same config over traces with

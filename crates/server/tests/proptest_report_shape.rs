@@ -20,7 +20,7 @@ fn record_strategy() -> impl Strategy<Value = TraceRecord> {
 }
 
 /// The five standard-sweep configs plus the adaptive policy stack, with
-/// the report-shaping extras (distances, fragment tracking, host cache)
+/// the report-shaping extras (distances, fragment tracking)
 /// toggled at random.
 fn config_strategy() -> impl Strategy<Value = SimConfig> {
     let mut sweep = SimConfig::standard_sweep().to_vec();
@@ -30,22 +30,12 @@ fn config_strategy() -> impl Strategy<Value = SimConfig> {
         region_sectors: 512,
         ..PolicyConfig::default()
     }));
-    (
-        0..sweep.len(),
-        prop::bool::ANY,
-        prop::bool::ANY,
-        prop_oneof![
-            1 => Just(None),
-            2 => (1u64..1 << 20).prop_map(Some),
-        ],
-    )
-        .prop_map(move |(i, distances, fragments, cache)| {
-            let mut config = sweep[i];
-            config.record_distances = distances;
-            config.track_fragments = fragments;
-            config.host_cache_bytes = cache;
-            config
-        })
+    (0..sweep.len(), prop::bool::ANY, prop::bool::ANY).prop_map(move |(i, distances, fragments)| {
+        let mut config = sweep[i];
+        config.record_distances = distances;
+        config.track_fragments = fragments;
+        config
+    })
 }
 
 proptest! {

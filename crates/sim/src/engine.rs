@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use smrseek_cache::{RangeCache, TierStats};
+use smrseek_cache::TierStats;
 use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekStats};
 use smrseek_obs::{phase, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
@@ -56,11 +56,6 @@ pub struct SimConfig {
     pub longseek_bucket_ops: u64,
     /// Track per-fragment access statistics (Fig 5 / Fig 10).
     pub track_fragments: bool,
-    /// Model a host buffer cache of this many bytes in front of the
-    /// translation layer (extension; §IV-C's competition argument): reads
-    /// fully covered by recently-touched LBA ranges never reach the
-    /// device, writes are write-through and populate the cache.
-    pub host_cache_bytes: Option<u64>,
     /// Drive the layer's mechanisms through the adaptive policy engine
     /// (`smrseek-policy`): per-region online heat classification gates
     /// defrag rewrites, scales the prefetch window, and admits or denies
@@ -90,7 +85,6 @@ impl SimConfig {
             record_distances: false,
             longseek_bucket_ops: 0,
             track_fragments: false,
-            host_cache_bytes: None,
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
@@ -108,7 +102,6 @@ impl SimConfig {
             record_distances: false,
             longseek_bucket_ops: 0,
             track_fragments: false,
-            host_cache_bytes: None,
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
@@ -145,7 +138,6 @@ impl SimConfig {
             record_distances: false,
             longseek_bucket_ops: 0,
             track_fragments: false,
-            host_cache_bytes: None,
             policy: None,
             flash_cache_bytes: None,
             frontier_hint: None,
@@ -195,12 +187,6 @@ impl SimConfig {
         self
     }
 
-    /// Interposes a host buffer cache of `bytes` bytes.
-    pub fn with_host_cache(mut self, bytes: u64) -> Self {
-        self.host_cache_bytes = Some(bytes);
-        self
-    }
-
     /// Declares the logical-space bound (`top` = one past the highest
     /// sector the trace touches), letting [`Simulation::run`] place the
     /// write frontier without scanning the trace.
@@ -238,7 +224,7 @@ impl SimConfig {
     ///   ([`effective_defrag`](Self::effective_defrag)).
     ///
     /// Knobs that change report *content* (`record_distances`,
-    /// `longseek_bucket_ops`, `host_cache_bytes`) are kept verbatim.
+    /// `longseek_bucket_ops`) are kept verbatim.
     pub fn canonical(mut self, top: Option<u64>) -> Self {
         let effective = self.effective_defrag();
         match &mut self.layer {
@@ -272,9 +258,9 @@ impl SimConfig {
 
     /// Whether `self` and `other` can replay as lanes of one translation
     /// ([`Simulation::run_group`]): both log-structured, equal in
-    /// everything the extent map, host cache and fragment tracking depend
-    /// on — [effective](Self::effective_defrag) defragmentation,
-    /// frontier hint, host cache, `track_fragments` — and neither driven
+    /// everything the extent map and fragment tracking depend on —
+    /// [effective](Self::effective_defrag) defragmentation, frontier
+    /// hint, `track_fragments` — and neither driven
     /// by a policy that could fire defragmentation (one without a
     /// selective cache, over a configured defrag): that policy's feedback
     /// would reach the translation through the defrag gate. Any other
@@ -290,7 +276,6 @@ impl SimConfig {
                     && policy_cannot_defrag(self)
                     && policy_cannot_defrag(other)
                     && self.frontier_hint == other.frontier_hint
-                    && self.host_cache_bytes == other.host_cache_bytes
                     && self.track_fragments == other.track_fragments
             }
             _ => false,
@@ -336,13 +321,10 @@ impl SimConfig {
     /// use smrseek_sim::{ConfigError, SimConfig};
     ///
     /// assert_eq!(SimConfig::ls_adaptive().validate(), Ok(()));
-    /// let err = SimConfig::no_ls().with_host_cache(0).validate().unwrap_err();
-    /// assert_eq!(err, ConfigError::ZeroHostCache);
+    /// let err = SimConfig::ls_cache().with_flash_cache(0).validate().unwrap_err();
+    /// assert_eq!(err, ConfigError::ZeroFlashCache);
     /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.host_cache_bytes == Some(0) {
-            return Err(ConfigError::ZeroHostCache);
-        }
         if let LayerChoice::Ls { cache, .. } = self.layer {
             if cache.is_some_and(|cc| cc.capacity_bytes == 0) {
                 return Err(ConfigError::ZeroSelectiveCache);
@@ -389,10 +371,6 @@ impl SimConfig {
 /// Why [`SimConfig::validate`] refused a configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A host buffer cache of zero bytes can never hold a range: every
-    /// lookup would miss, which is the same as no cache — almost certainly
-    /// a unit mistake (bytes vs KiB/MiB) at the call site.
-    ZeroHostCache,
     /// The selective cache ([`CacheConfig`]) was given zero capacity.
     ZeroSelectiveCache,
     /// The policy configuration is out of range (zero-sector regions, an
@@ -416,7 +394,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             ConfigError::Policy(e) => return write!(f, "invalid policy: {e}"),
-            ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
             ConfigError::PolicyWithoutLs => "the NoLS baseline has no mechanisms for a policy to gate",
             ConfigError::PolicyWithoutMechanisms => {
@@ -448,8 +425,6 @@ pub struct RunReport {
     pub longseek_series: Option<LongSeekSeries>,
     /// Total sectors moved by physical operations (for time weighting).
     pub phys_sectors: u64,
-    /// Logical reads absorbed by the modeled host buffer cache.
-    pub host_cache_hits: u64,
     /// Layer-internal counters (log-structured layers only).
     pub ls_stats: Option<LsStats>,
     /// Fragment statistics (when tracked; log-structured layers only).
@@ -481,10 +456,6 @@ impl Serialize for RunReport {
                 self.longseek_series.to_value(),
             ),
             (String::from("phys_sectors"), self.phys_sectors.to_value()),
-            (
-                String::from("host_cache_hits"),
-                self.host_cache_hits.to_value(),
-            ),
             (String::from("ls_stats"), self.ls_stats.to_value()),
             (String::from("fragments"), self.fragments.to_value()),
             (
@@ -572,13 +543,11 @@ struct EngineState {
     /// operation (PBA = LBA) itself.
     layer: Option<Box<LogStructured>>,
     lanes: Vec<SeekLane>,
-    host_cache: Option<RangeCache>,
-    host_cache_hits: u64,
     logical_ops: u64,
     peak_extent_segments: u64,
     /// One adaptive policy engine per lane whose configuration has one,
-    /// with the lane's position: consulted before every record that
-    /// reaches the layer for that lane's gates, and fed that lane's own
+    /// with the lane's position: consulted before every record for that
+    /// lane's gates, and fed that lane's own
     /// outcome after. Only lane 0's gates reach defragmentation, and a
     /// group's policies can never open that gate, so each lane replays
     /// exactly as it would alone. Empty lists take a replay loop with no
@@ -587,8 +556,6 @@ struct EngineState {
     /// Per-record phase time of the [sampled](smrseek_obs::phase::sampled)
     /// records, unscaled.
     sampled: PhaseTotals,
-    /// Ingest time, one interval per block.
-    ingest: PhaseTotals,
 }
 
 /// The [`LsConfig`] a fresh run of `config` builds its layer from.
@@ -622,17 +589,11 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
 
 impl EngineState {
     /// State for `configs`, one seek lane each; the first decides the
-    /// layer kind and host cache, and each its own lane's policy.
+    /// layer kind, and each its own lane's policy.
     fn new(configs: &[SimConfig]) -> Self {
-        let config = &configs[0];
         let ls_configs: Vec<LsConfig> = configs.iter().filter_map(ls_config_for).collect();
         let layer =
             (!ls_configs.is_empty()).then(|| Box::new(LogStructured::with_lanes(&ls_configs)));
-        // The host cache is indexed by *logical* sector; `RangeCache` is
-        // address-space agnostic, so LBA sectors are passed as its keys.
-        let host_cache = config
-            .host_cache_bytes
-            .map(smrseek_cache::RangeCache::with_capacity_bytes);
         // Policy without LS is rejected by `validate`; tolerated here by
         // simply never constructing the engine.
         let policies = configs
@@ -646,40 +607,25 @@ impl EngineState {
         EngineState {
             layer,
             lanes: configs.iter().map(SeekLane::new).collect(),
-            host_cache,
-            host_cache_hits: 0,
             logical_ops: 0,
             peak_extent_segments: 0,
             policies,
             sampled: PhaseTotals::default(),
-            ingest: PhaseTotals::default(),
         }
     }
 
-    /// Replays one record; returns whether it reached the layer (a host
-    /// cache hit does not, and leaves every lane's `ios` stale). `POLICY`
-    /// says whether [`policies`](Self::policies) is non-empty, and `TIMED`
-    /// whether the record is in the phase sample: callers decide `POLICY`
-    /// once per replay and `TIMED` per record, so the untimed step of a
-    /// run without a policy compiles to neither policy nor timing code.
-    /// Timing wraps the same statements, it never reorders them.
+    /// Replays one record, leaving each lane's physical operations of it
+    /// in the lane's `ios`. `POLICY` says whether
+    /// [`policies`](Self::policies) is non-empty, and `TIMED` whether the
+    /// record is in the phase sample: callers decide `POLICY` once per
+    /// replay and `TIMED` per record, so the untimed step of a run without
+    /// a policy compiles to neither policy nor timing code. Timing wraps
+    /// the same statements, it never reorders them.
     #[inline]
-    fn step<const POLICY: bool, const TIMED: bool>(&mut self, rec: &TraceRecord) -> bool {
+    fn step<const POLICY: bool, const TIMED: bool>(&mut self, rec: &TraceRecord) {
         let i = self.logical_ops;
         self.logical_ops += 1;
         let mut mark = TIMED.then(Instant::now);
-        if let Some(cache) = &mut self.host_cache {
-            let key = smrseek_trace::Pba::new(rec.lba.sector());
-            let hit = rec.op.is_read() && cache.covers(key, u64::from(rec.sectors));
-            if !hit {
-                cache.insert(key, u64::from(rec.sectors));
-            }
-            self.sampled.lap(Phase::HostCache, &mut mark);
-            if hit {
-                self.host_cache_hits += 1;
-                return false; // served from host RAM: nothing reaches the device
-            }
-        }
         if POLICY {
             if let Some(ls) = &mut self.layer {
                 for (k, policy) in &mut self.policies {
@@ -730,7 +676,6 @@ impl EngineState {
             self.peak_extent_segments = self.peak_extent_segments.max(ls.map().len() as u64);
         }
         self.sampled.lap(Phase::Seek, &mut mark);
-        true
     }
 
     /// [`step`](Self::step) of a record of an `n`-record run, timed when
@@ -738,29 +683,26 @@ impl EngineState {
     /// runs the timed step with its times dropped, so the sampled record
     /// finds that code warm.
     #[inline]
-    fn step_sampled<const POLICY: bool>(&mut self, rec: &TraceRecord, n: u64) -> bool {
+    fn step_sampled<const POLICY: bool>(&mut self, rec: &TraceRecord, n: u64) {
         let i = self.logical_ops;
         if phase::sampled(i, n) {
-            self.step::<POLICY, true>(rec)
+            self.step::<POLICY, true>(rec);
         } else if phase::warms_up(i, n) {
             let kept = self.sampled;
-            let reached = self.step::<POLICY, true>(rec);
+            self.step::<POLICY, true>(rec);
             self.sampled = kept;
-            reached
         } else {
-            self.step::<POLICY, false>(rec)
+            self.step::<POLICY, false>(rec);
         }
     }
 
     /// Replays `trace` in blocks of [`DEFAULT_BLOCK_RECORDS`], timing the
-    /// ingest phase once per block and the other phases of the sampled
-    /// records. With `forward`, a split group's plain
-    /// lane and its queue on `board`, every block also takes an empty
-    /// [`ForwardBlock`](crate::split::ForwardBlock), fills it with the
-    /// plain lane's I/O of each record that reached the layer, and queues
-    /// it. After every block this thread serves the other groups' queued
-    /// blocks; returns the time that took, which no phase of this replay
-    /// counts.
+    /// phases of the sampled records. With `forward`, a split group's
+    /// plain lane and its queue on `board`, every block also takes an
+    /// empty [`ForwardBlock`](crate::split::ForwardBlock), fills it with
+    /// the plain lane's I/O of each of its records, and queues it. After
+    /// every block this thread serves the other groups' queued blocks;
+    /// returns the time that took, which no phase of this replay counts.
     fn replay_blocks(
         &mut self,
         trace: &[TraceRecord],
@@ -783,9 +725,7 @@ impl EngineState {
     ) -> Duration {
         let mut served = Duration::ZERO;
         let n = trace.len() as u64;
-        let mut last = Some(Instant::now());
         for block in trace.chunks(DEFAULT_BLOCK_RECORDS) {
-            self.ingest.lap(Phase::Ingest, &mut last);
             match forward {
                 None => {
                     for rec in block {
@@ -794,17 +734,15 @@ impl EngineState {
                 }
                 Some(Forward { plain, slot }) => {
                     let mut out = board.take_free(slot);
-                    out.clear();
+                    out.start(self.logical_ops);
                     for rec in block {
-                        if self.step_sampled::<POLICY>(rec, n) {
-                            out.push(self.logical_ops - 1, &self.lanes[plain].ios);
-                        }
+                        self.step_sampled::<POLICY>(rec, n);
+                        out.push(&self.lanes[plain].ios);
                     }
                     board.push(slot, out);
                 }
             }
             served += board.serve_others(forward.map(|f| f.slot));
-            last = Some(Instant::now());
         }
         served
     }
@@ -844,7 +782,6 @@ impl EngineState {
             layer_name: layer_name.to_owned(),
             logical_ops: self.logical_ops,
             phys_sectors: lane.phys_sectors,
-            host_cache_hits: self.host_cache_hits,
             seeks: lane.counter.stats(),
             distances: lane.record_distances.then(|| lane.counter.into_distances()),
             longseek_series: lane.series,
@@ -896,11 +833,9 @@ impl EngineState {
             }
             last.fragments = tracker;
         }
-        let mut phases = self.ingest;
-        phases.merge(&sampled.scaled(phase::SAMPLE_INTERVAL));
         GroupReplay {
             reports,
-            phases,
+            phases: sampled.scaled(phase::SAMPLE_INTERVAL),
             served,
         }
     }
@@ -914,9 +849,9 @@ struct Forward {
     slot: usize,
 }
 
-/// Records [`Simulation::run_group`] replays between two ingest-phase
-/// timestamps: 4096 records (96 KiB) amortize the clock reads while the
-/// block stays cache-resident.
+/// Records [`Simulation::run_group`] replays between two visits to the
+/// matrix's [`LaneBoard`]: 4096 records (96 KiB) amortize its lock while
+/// a split group's forwarded block stays cache-resident.
 const DEFAULT_BLOCK_RECORDS: usize = 4096;
 
 /// One configured simulation run: the single entry point of the engine.
@@ -989,14 +924,13 @@ impl Simulation {
 
     /// Replays an in-memory trace once for every configuration in
     /// `configs`, returning their reports in order. The configurations
-    /// keep one translation (extent map, frontier, defragmentation, host
-    /// cache) and one read lane, seek model and, when configured, policy
-    /// engine each, so the reports are
-    /// byte-identical to one [`run_trace`](Self::run_trace) per
-    /// configuration. Derives the LS frontier hint from the records, once,
-    /// when the configs leave it unset (highest touched LBA plus one, via
-    /// [`stream::max_lba`]), and ingests in blocks of 4096 records —
-    /// ingest time is accounted once per block rather than per record.
+    /// keep one translation (extent map, frontier, defragmentation) and
+    /// one read lane, seek model and, when configured, policy engine
+    /// each, so the reports are byte-identical to one
+    /// [`run_trace`](Self::run_trace) per configuration. Derives the LS
+    /// frontier hint from the records, once, when the configs leave it
+    /// unset (highest touched LBA plus one, via [`stream::max_lba`]), and
+    /// replays in blocks of 4096 records.
     ///
     /// `split` lists, in increasing order, the positions of configs whose
     /// read lanes the group splits off; empty replays every lane in the
@@ -1136,11 +1070,11 @@ mod tests {
 
     #[test]
     fn nols_lane_emits_identity_io() {
-        // NoLS has no layer: each record reaching the device is one
-        // operation of its own kind at PBA = LBA.
+        // NoLS has no layer: each record is one operation of its own
+        // kind at PBA = LBA.
         let mut state = EngineState::new(&[SimConfig::no_ls()]);
         for rec in toy_trace() {
-            assert!(state.step::<false, false>(&rec));
+            state.step::<false, false>(&rec);
             let io = PhysIo::new(rec.op, Pba::new(rec.lba.sector()), u64::from(rec.sectors));
             assert_eq!(state.lanes[0].ios, [io]);
         }
@@ -1150,7 +1084,7 @@ mod tests {
     fn nols_lane_preserves_op_kind() {
         let mut state = EngineState::new(&[SimConfig::no_ls()]);
         for op in [OpKind::Read, OpKind::Write] {
-            assert!(state.step::<false, false>(&TraceRecord::new(0, op, Lba::new(5), 1)));
+            state.step::<false, false>(&TraceRecord::new(0, op, Lba::new(5), 1));
             assert_eq!(state.lanes[0].ios.len(), 1);
             assert_eq!(state.lanes[0].ios[0].op, op);
         }
@@ -1304,12 +1238,10 @@ mod tests {
     fn canonical_keeps_report_shaping_knobs() {
         let config = SimConfig::ls_cache()
             .with_distances()
-            .with_longseek_series(64)
-            .with_host_cache(1 << 20);
+            .with_longseek_series(64);
         let canon = config.canonical(Some(100));
         assert!(canon.record_distances);
         assert_eq!(canon.longseek_bucket_ops, 64);
-        assert_eq!(canon.host_cache_bytes, Some(1 << 20));
         assert_ne!(
             config.cache_key(Some(100)),
             SimConfig::ls_cache().cache_key(Some(100))
@@ -1385,12 +1317,6 @@ mod tests {
                 "frontier hints",
                 ls.with_frontier_hint(4096),
                 ls.with_frontier_hint(8192),
-            ),
-            ("host cache", ls.with_host_cache(1 << 20), ls),
-            (
-                "host cache size",
-                ls.with_host_cache(1 << 20),
-                ls.with_host_cache(2 << 20),
             ),
             ("track_fragments", ls.with_fragment_tracking(), ls),
         ];
@@ -1571,10 +1497,6 @@ mod tests {
     #[test]
     fn builder_rejects_degenerate_knobs() {
         let nols = SimConfig::no_ls;
-        assert_eq!(
-            nols().with_host_cache(0).validate(),
-            Err(ConfigError::ZeroHostCache)
-        );
         let empty_cache = CacheConfig { capacity_bytes: 0 };
         assert_eq!(
             SimConfig::ls_with(None, None, Some(empty_cache)).validate(),
@@ -1620,9 +1542,9 @@ mod tests {
             Err(ConfigError::FlashCacheWithoutSelectiveCache)
         );
         // Errors render as actionable prose.
-        assert!(ConfigError::ZeroHostCache
+        assert!(ConfigError::ZeroFlashCache
             .to_string()
-            .contains("host cache"));
+            .contains("flash tier"));
         assert!(ConfigError::PolicyWithoutMechanisms
             .to_string()
             .contains("mechanism"));
@@ -1651,7 +1573,6 @@ mod tests {
             "distances",
             "longseek_series",
             "phys_sectors",
-            "host_cache_hits",
             "ls_stats",
             "fragments",
             "peak_extent_segments",

@@ -23,7 +23,6 @@ pub mod fig5;
 pub mod fig7;
 pub mod fig8;
 pub mod fragmentation;
-pub mod host_cache;
 pub mod table1;
 
 use crate::engine::SimConfig;
@@ -133,7 +132,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the order `smrseek all` prints them.
-pub static ALL: [Experiment; 15] = [
+pub static ALL: [Experiment; 14] = [
     Experiment {
         name: "table1",
         run: |o, t| Output::of(table1::render, &table1::run(o, t)),
@@ -189,10 +188,6 @@ pub static ALL: [Experiment; 15] = [
     Experiment {
         name: "adaptive",
         run: |o, t| Output::replayed(adaptive::render, adaptive::run(o, t)),
-    },
-    Experiment {
-        name: "hostcache",
-        run: |o, t| Output::replayed(host_cache::render, host_cache::run(o, t)),
     },
 ];
 

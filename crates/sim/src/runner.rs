@@ -831,15 +831,13 @@ mod tests {
         let totals = stats.phase_totals();
         for o in &outcomes {
             let phases = o.metrics.phases;
-            // Ingest is timed per block (400 records fit one block), the
-            // other phases on the sampled records only.
-            assert_eq!(phases.calls(Phase::Ingest), 1, "{}", o.label);
+            // The phases are timed on the sampled records only.
             assert_eq!(phases.calls(Phase::Lookup), sampled(400), "{}", o.label);
             assert_eq!(phases.calls(Phase::Seek), sampled(400), "{}", o.label);
         }
         assert!(totals.nanos(Phase::Lookup) > 0);
         assert!(totals.nanos(Phase::Seek) > 0);
-        assert_eq!(totals.calls(Phase::Ingest), 2);
+        assert_eq!(totals.calls(Phase::Lookup), 2 * sampled(400));
         // A replay shorter than the sample interval still times its last
         // record.
         let short = RunMatrix::cross(
@@ -1021,7 +1019,6 @@ mod tests {
 
     #[test]
     fn grouped_phases_count_each_block_once() {
-        // 10,000 records are three 4096-record ingest blocks.
         let source = TraceSource::from_records("mixed", mixed(10_000));
         let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
         let groups = matrix.groups(two());
@@ -1030,7 +1027,13 @@ mod tests {
         let outcomes = matrix.execute(two());
         let elapsed = start.elapsed();
         let totals = MatrixStats::from_outcomes(&outcomes).phase_totals();
-        assert_eq!(totals.calls(smrseek_obs::Phase::Ingest), 3 * 3);
+        // Each of the three groups times its sampled records once, not
+        // once per cell; on two threads LS+cache splits off, and its lanes
+        // time them once more in the LS group.
+        assert_eq!(
+            totals.calls(smrseek_obs::Phase::Lookup),
+            (3 + 1) * sampled(10_000)
+        );
         for group in &groups {
             let first = outcomes[group[0]].metrics;
             let mut end = first.start_unix_ns;
@@ -1068,9 +1071,9 @@ mod tests {
                     .sum()
             };
             // Each group's step times one lookup and one seek interval
-            // per sampled record (none hits a host cache); the split
-            // lanes, whichever worker serves them, time one more of each
-            // per sampled record, and those land in the group's totals.
+            // per sampled record; the split lanes, whichever worker
+            // serves them, time one more of each per sampled record, and
+            // those land in the group's totals.
             let served = u64::from(threads > 1);
             for (cells, intervals) in [(&[0][..], 1), (&[1, 3, 4], 1 + served), (&[2], 1)] {
                 for phase in [Phase::Lookup, Phase::Seek] {
@@ -1080,8 +1083,6 @@ mod tests {
                         "{threads} threads, cells {cells:?}, {phase:?}"
                     );
                 }
-                // Ingest stays once per block, on the group's worker.
-                assert_eq!(calls(cells, Phase::Ingest), 3, "{threads} threads");
             }
         }
     }

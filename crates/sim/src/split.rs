@@ -34,24 +34,28 @@ use std::time::{Duration, Instant};
 const BLOCKS_IN_FLIGHT: usize = 4;
 
 /// One block's forwarded I/O: the plain lane's physical operations of
-/// every record that reached the layer.
+/// consecutive records of the trace.
 #[derive(Debug, Default)]
 pub(crate) struct ForwardBlock {
     ios: Vec<PhysIo>,
-    /// Per record: its index in the trace and the end of its operations
-    /// in `ios`.
-    records: Vec<(u64, usize)>,
+    /// The index in the trace of the block's first record.
+    first: u64,
+    /// Per record, in trace order: the end of its operations in `ios`.
+    ends: Vec<usize>,
 }
 
 impl ForwardBlock {
-    pub(crate) fn clear(&mut self) {
+    /// Empties the block for records from index `first` on.
+    pub(crate) fn start(&mut self, first: u64) {
         self.ios.clear();
-        self.records.clear();
+        self.ends.clear();
+        self.first = first;
     }
 
-    pub(crate) fn push(&mut self, i: u64, ios: &[PhysIo]) {
+    /// Appends the next record's operations.
+    pub(crate) fn push(&mut self, ios: &[PhysIo]) {
         self.ios.extend_from_slice(ios);
-        self.records.push((i, self.ios.len()));
+        self.ends.push(self.ios.len());
     }
 }
 
@@ -86,7 +90,7 @@ impl SplitLanes {
         #[cfg(test)]
         fault::point(self);
         let mut start = 0;
-        for &(i, end) in &block.records {
+        for (i, &end) in (block.first..).zip(&block.ends) {
             let ios = &block.ios[start..end];
             start = end;
             if phase::sampled(i, self.records) {

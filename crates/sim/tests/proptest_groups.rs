@@ -4,8 +4,8 @@
 //! split group (cache lanes on a helper thread) to the same bytes as the
 //! group replayed on one thread.
 //!
-//! A group shares a translation base — defragmentation, host cache,
-//! fragment tracking — and its members vary the read-side
+//! A group shares a translation base — defragmentation and fragment
+//! tracking — and its members vary the read-side
 //! mechanisms (prefetch, selective cache, flash tier) and seek recording
 //! (distances, long-seek series) independently. Over a defrag-free base,
 //! members may also be driven by an adaptive policy that can never fire
@@ -16,12 +16,11 @@
 //! policy's closed defrag gate, not the group, is what makes it inert.
 
 use proptest::prelude::*;
-use smrseek_cache::RangeCache;
 use smrseek_disk::{PhysIo, SeekCounter, SeekStats};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use smrseek_sim::{LayerChoice, RunMatrix, RunReport, SimConfig, Simulation, TraceSource};
 use smrseek_stl::{CacheConfig, DefragConfig, LogStructured, LsConfig, LsStats, PrefetchConfig};
-use smrseek_trace::{stream, Lba, OpKind, Pba, TraceRecord};
+use smrseek_trace::{stream, Lba, OpKind, TraceRecord};
 use smrseek_workloads::profiles;
 use std::num::NonZeroUsize;
 
@@ -80,18 +79,15 @@ fn member(base: SimConfig, mechanisms: u8, recording: u8, bucket_ops: u64) -> Si
     config
 }
 
-/// The shared base: defrag (0 off, 1 immediate, 2 idle), host cache,
-/// fragment tracking.
-fn base(defrag: usize, host_cache: bool, track: bool) -> SimConfig {
+/// The shared base: defrag (0 off, 1 immediate, 2 idle) and fragment
+/// tracking.
+fn base(defrag: usize, track: bool) -> SimConfig {
     let defrag = match defrag {
         0 => None,
         1 => Some(DefragConfig::default()),
         _ => Some(DefragConfig::idle(1_500)),
     };
     let mut config = SimConfig::ls_with(defrag, None, None);
-    if host_cache {
-        config = config.with_host_cache(32 * 512);
-    }
     if track {
         config = config.with_fragment_tracking();
     }
@@ -169,8 +165,8 @@ fn policy_group(
 
 /// A policy-driven `config` replayed without the engine: one single-lane
 /// layer built from every mechanism the config names, its defrag
-/// included, with the policy observing each record that passes the host
-/// cache, gating the layer, and learning from the layer's counters.
+/// included, with the policy observing each record, gating the layer, and
+/// learning from the layer's counters.
 fn reference(config: &SimConfig, trace: &[TraceRecord]) -> (SeekStats, LsStats, PolicyStats) {
     let LayerChoice::Ls {
         defrag,
@@ -190,16 +186,8 @@ fn reference(config: &SimConfig, trace: &[TraceRecord]) -> (SeekStats, LsStats, 
     let mut ls = LogStructured::new(ls_config);
     let mut policy = PolicyEngine::new(config.policy.expect("a policy member"));
     policy.set_cache_present(cache.is_some());
-    let mut host = config.host_cache_bytes.map(RangeCache::with_capacity_bytes);
     let mut seeks = SeekCounter::new();
     for rec in trace {
-        if let Some(host) = &mut host {
-            let key = Pba::new(rec.lba.sector());
-            if rec.op.is_read() && host.covers(key, u64::from(rec.sectors)) {
-                continue;
-            }
-            host.insert(key, u64::from(rec.sectors));
-        }
         let before = ls.stats();
         ls.set_gates(policy.observe(rec.lba.sector(), rec.op.is_read()));
         let mut ios: Vec<PhysIo> = Vec::new();
@@ -255,11 +243,10 @@ proptest! {
     fn group_reports_match_single_runs_byte_for_byte(
         trace in trace(),
         defrag in 0usize..3,
-        host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         members in prop::collection::vec((0u8..8, 0u8..4), 1..6),
     ) {
-        let base = base(defrag, host_cache, track);
+        let base = base(defrag, track);
         let configs: Vec<SimConfig> =
             members.iter().map(|&(m, r)| member(base, m, r, 16)).collect();
         let reports = Simulation::run_group(&configs, &[], &trace);
@@ -277,13 +264,12 @@ proptest! {
     fn split_group_matches_inline_group_on_random_traces(
         trace in trace(),
         defrag in 0usize..3,
-        host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         plain_recording in 0u8..4,
         members in prop::collection::vec((0u8..8, 0u8..4), 0..4),
         flash in prop::bool::ANY,
     ) {
-        let base = base(defrag, host_cache, track);
+        let base = base(defrag, track);
         let (configs, helper) = split_group(base, plain_recording, &members, flash, 16);
         let inline = to_json(&Simulation::run_group(&configs, &[], &trace));
         let split = to_json(&Simulation::run_group(&configs, &helper, &trace));
@@ -303,13 +289,12 @@ proptest! {
         seed in 0u64..1_000,
         ops in 4_000usize..10_000,
         defrag in 0usize..3,
-        host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         members in prop::collection::vec((0u8..8, 0u8..4), 0..3),
         flash in prop::bool::ANY,
     ) {
         let trace = profiles::all()[profile].generate_scaled(seed, ops);
-        let base = base(defrag, host_cache, track);
+        let base = base(defrag, track);
         let (configs, helper) = split_group(base, 3, &members, flash, 1_000);
         let inline = to_json(&Simulation::run_group(&configs, &[], &trace));
         let split = to_json(&Simulation::run_group(&configs, &helper, &trace));
@@ -327,12 +312,11 @@ proptest! {
     #[test]
     fn policy_lanes_match_single_runs_inline_and_split(
         trace in trace(),
-        host_cache in prop::bool::ANY,
         track in prop::bool::ANY,
         fixed in prop::collection::vec((0u8..8, 0u8..4), 0..3),
         driven in prop::collection::vec((0u8..8, 0u8..4, policy()), 1..4),
     ) {
-        let base = base(0, host_cache, track);
+        let base = base(0, track);
         let (configs, helper) = policy_group(base, &fixed, &driven);
         let reports = Simulation::run_group(&configs, &[], &trace);
         let inline = to_json(&reports);
