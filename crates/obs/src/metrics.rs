@@ -9,9 +9,8 @@
 //!
 //! Hot-path cost matches the rest of the crate: a [`Counter`] or
 //! [`Gauge`] update is one relaxed atomic RMW on an `Arc`'d cell, a
-//! [`Histogram`] observation three (bin, count, sum) — no locks, no
-//! allocation. The registry's mutex is touched only at registration and
-//! render time.
+//! [`Histogram`] observation two (bin, sum) — no locks, no allocation.
+//! The registry's mutex is touched only at registration and render time.
 //!
 //! Three storage shapes cover the daemon:
 //!
@@ -23,10 +22,10 @@
 //!   the source is wired in and live afterwards, without copying counters
 //!   around;
 //! * log₂ **histograms** ([`Histogram`]): bin *i* counts values in
-//!   `[2^i, 2^(i+1))`, rendered as cumulative Prometheus buckets closing
-//!   at `le = 2^(i+1)`, with zeros folded into every bucket. Every series
-//!   renders the same fixed bucket set from its first scrape on,
-//!   zero-valued before it observes anything.
+//!   `(2^(i-1), 2^i]` (bin 0 holds 0 and 1), rendered as cumulative
+//!   Prometheus buckets, so the bucket `le = 2^k` counts exactly the
+//!   observations ≤ 2^k. Every series renders the same fixed bucket set
+//!   from its first scrape on, zero-valued before it observes anything.
 //!
 //! Values are `u64` throughout; families that are semantically seconds
 //! store nanoseconds and pick a [`ValueFormat`] so the renderer divides
@@ -105,20 +104,16 @@ const HISTOGRAM_BUCKETS: usize = 25;
 /// Shared state of one histogram series.
 #[derive(Debug)]
 struct HistogramState {
-    /// Observations of exactly zero (below every power-of-two bin).
-    zeros: AtomicU64,
-    /// `bins[i]` counts observations in `[2^i, 2^(i+1))`.
-    bins: [AtomicU64; 64],
-    count: AtomicU64,
+    /// `bins[i]` counts observations `v` with `⌈log₂ v⌉ = i`, that is in
+    /// `(2^(i-1), 2^i]`; `bins[0]` holds 0 and 1.
+    bins: [AtomicU64; 65],
     sum: AtomicU64,
 }
 
 impl HistogramState {
     fn new() -> HistogramState {
         HistogramState {
-            zeros: AtomicU64::new(0),
             bins: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -129,19 +124,12 @@ impl HistogramState {
 pub struct Histogram(Arc<HistogramState>);
 
 impl Histogram {
-    /// Records one observation: three relaxed atomic adds.
+    /// Records one observation: two relaxed atomic adds.
     pub fn observe(&self, value: u64) {
-        match value {
-            0 => self.0.zeros.fetch_add(1, Ordering::Relaxed),
-            v => self.0.bins[63 - v.leading_zeros() as usize].fetch_add(1, Ordering::Relaxed),
-        };
-        self.0.count.fetch_add(1, Ordering::Relaxed);
+        // ⌈log₂ v⌉ = bit length of v - 1; 0 and 1 both land in bin 0.
+        let bin = 64 - value.saturating_sub(1).leading_zeros() as usize;
+        self.0.bins[bin].fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observed values.
@@ -485,16 +473,17 @@ impl Registry {
             Some(inner) => format!("{{{inner},le=\"{le}\"}}"),
             None => format!("{{le=\"{le}\"}}"),
         };
-        // Bin i covers [2^i, 2^(i+1)), closing at le = 2^(i+1); zeros
-        // fall below every bin so they seed the cumulative count. The
+        // Bin i covers (2^(i-1), 2^i], so the cumulative count through
+        // bin i is the number of observations ≤ 2^i: the bucket
+        // le = 2^i. Bin 0 (0 and 1) renders no bucket of its own, and the
         // bins above the fixed set count only towards `+Inf`, and so does
         // `_count`: both come from the same loads as the buckets, so the
         // buckets never exceed them.
-        let mut cumulative = state.zeros.load(Ordering::Relaxed);
+        let mut cumulative = 0;
         for (i, bin) in state.bins.iter().enumerate() {
             cumulative += bin.load(Ordering::Relaxed);
-            if i < HISTOGRAM_BUCKETS {
-                let le = 2u64 << i;
+            if (1..=HISTOGRAM_BUCKETS).contains(&i) {
+                let le = 1u64 << i;
                 let _ = writeln!(
                     out,
                     "{}_bucket{} {cumulative}",
@@ -518,6 +507,11 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total observations of `h`: the sum of its bins.
+    fn count(h: &Histogram) -> u64 {
+        h.0.bins.iter().map(|bin| bin.load(Ordering::Relaxed)).sum()
+    }
 
     #[test]
     fn families_render_in_registration_order_with_one_header() {
@@ -621,11 +615,11 @@ mod tests {
         h.observe(3);
         h.observe(3);
         h.observe(900);
-        assert_eq!(h.count(), 4);
+        assert_eq!(count(&h), 4);
         assert_eq!(h.sum(), 906);
         let text = registry.render();
-        // 0 seeds the cumulative count; 3 lands in [2,4) → le="4";
-        // 900 in [512,1024) → le="1024".
+        // 0 seeds the cumulative count; 3 lands in (2,4] → le="4";
+        // 900 in (512,1024] → le="1024".
         assert!(
             text.contains("test_lat_us_bucket{endpoint=\"healthz\",le=\"4\"} 3\n"),
             "{text}"
@@ -674,16 +668,18 @@ mod tests {
         assert_eq!(before, b.render(), "two fresh registries");
         assert_eq!(bucket_bounds(&before, "test_fix_us"), expected);
         // Observations inside, at the edge of and above the fixed set
-        // change counts, never the bounds.
-        for value in [0, 14, 1 << 24, 1 << 25, u64::from(u32::MAX)] {
+        // change counts, never the bounds; one equal to a bound counts
+        // under it (`le` is ≤).
+        for value in [0, 14, 16, 1 << 24, 1 << 25, u64::from(u32::MAX)] {
             h.observe(value);
         }
         let after = a.render();
         assert_eq!(bucket_bounds(&after, "test_fix_us"), expected);
-        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"16\"} 2\n"));
-        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"33554432\"} 3\n"));
-        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"+Inf\"} 5\n"));
-        assert!(after.contains("test_fix_us_count{k=\"v\"} 5\n"));
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"8\"} 1\n"));
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"16\"} 3\n"));
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"33554432\"} 5\n"));
+        assert!(after.contains("test_fix_us_bucket{k=\"v\",le=\"+Inf\"} 6\n"));
+        assert!(after.contains("test_fix_us_count{k=\"v\"} 6\n"));
     }
 
     #[test]
@@ -709,7 +705,7 @@ mod tests {
         let h2 = h.clone();
         h.observe(1);
         h2.observe(2);
-        assert_eq!(h.count(), 2);
+        assert_eq!(count(&h), 2);
     }
 
     #[test]

@@ -216,11 +216,12 @@ pub fn trace_key(trace: &TraceRef, digest: Option<smrseek_trace::TraceDigest>) -
 
 /// The result-cache key of a job: trace identity plus either the fixed
 /// sweep marker or the canonicalized single config (see
-/// [`SimConfig::cache_key`]).
-pub fn result_key(trace_key: &str, top: Option<u64>, config: Option<&SimConfig>) -> String {
+/// [`SimConfig::cache_key`]). The trace identity fixes the records, and
+/// with them the log frontier every replay derives.
+pub fn result_key(trace_key: &str, config: Option<&SimConfig>) -> String {
     match config {
         None => format!("{trace_key}|sweep"),
-        Some(config) => format!("{trace_key}|{}", config.cache_key(top)),
+        Some(config) => format!("{trace_key}|{}", config.cache_key()),
     }
 }
 
@@ -296,12 +297,9 @@ mod tests {
         assert_eq!(config.flash_cache_bytes, Some(1048576));
         // The adaptive knobs change the cache key: the same trace under a
         // different policy must never share a cached result.
-        let base = result_key("t", Some(100), Some(&SimConfig::ls_adaptive()));
-        assert_ne!(base, result_key("t", Some(100), Some(&config)));
-        assert_ne!(
-            base,
-            result_key("t", Some(100), Some(&SimConfig::ls_cache()))
-        );
+        let base = result_key("t", Some(&SimConfig::ls_adaptive()));
+        assert_ne!(base, result_key("t", Some(&config)));
+        assert_ne!(base, result_key("t", Some(&SimConfig::ls_cache())));
     }
 
     #[test]
@@ -405,17 +403,22 @@ mod tests {
 
     #[test]
     fn keys_separate_traces_and_configs() {
-        let sweep_a = result_key("trace:abc", Some(100), None);
-        let sweep_b = result_key("trace:def", Some(100), None);
+        let sweep_a = result_key("trace:abc", None);
+        let sweep_b = result_key("trace:def", None);
         assert_ne!(sweep_a, sweep_b);
-        let single = result_key("trace:abc", Some(100), Some(&SimConfig::ls_cache()));
+        let single = result_key("trace:abc", Some(&SimConfig::ls_cache()));
         assert_ne!(sweep_a, single);
-        // Derived-vs-explicit frontier hints canonicalize together.
-        let explicit = SimConfig::log_structured().with_frontier_hint(100);
-        assert_eq!(
-            result_key("t", Some(100), Some(&SimConfig::log_structured())),
-            result_key("t", None, Some(&explicit)),
+        assert_ne!(
+            single,
+            result_key("trace:def", Some(&SimConfig::ls_cache()))
         );
+        // The records fix the frontier: no bound reaches the key.
+        let ls = SimConfig::log_structured();
+        assert_eq!(
+            result_key("t", Some(&ls)),
+            result_key("t", Some(&ls.with_frontier_hint(100))),
+        );
+        assert!(result_key("t", Some(&ls)).contains("\"frontier_hint\":null"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   plotdata [--out DIR]   write plot-ready CSV series for every figure
 //!   characterize <file>    Table-I style stats for an external trace
 //!   simulate <file>        NoLS/LS/mechanism SAF for an external trace
-//!   convert <in> <out>     convert any trace to the v2 binary format
+//!   convert <in> <out>     convert any trace to the binary `.smrt` format
 //!   gen <profile>          emit a synthetic trace as CloudPhysics CSV
 //!   list                   list the 21 workload profiles
 //!   serve                  run the smrseekd HTTP daemon (see crate docs)
@@ -44,7 +44,6 @@
 use smrseek_sim::experiments::{self, ExpOptions, Experiment};
 use smrseek_sim::runner::{self, parallel_map, MatrixStats, RunCell, RunMatrix};
 use smrseek_sim::{saf, tracecache, SimConfig, TextTable, TraceSource};
-use smrseek_trace::binary;
 use smrseek_trace::parse::{parse_path, sniff_path, DetectedFormat};
 use smrseek_trace::writer::write_cp_csv;
 use smrseek_trace::{characterize, TraceRecord};
@@ -673,11 +672,7 @@ fn run_command(args: &Args) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::usage("convert needs an output path"))?;
             let records = read_trace(input, args.format)?;
             tracecache::write_smrt(Path::new(out), &records).map_err(CliError::Io)?;
-            format!(
-                "wrote {} records to {out} (binary v2, top sector {})\n",
-                records.len(),
-                binary::top_sector(&records)
-            )
+            format!("wrote {} records to {out} (binary)\n", records.len())
         }
         other => match experiments::find(other) {
             Some(experiment) => run_experiment(args, experiment)?,

@@ -383,7 +383,7 @@ fn error_body(msg: &str) -> String {
 
 /// Resolves a parsed request into runnable work plus its cache key.
 fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork), String> {
-    let (source, trace_key, top) = match &request.trace {
+    let (source, trace_key) = match &request.trace {
         TraceRef::Path(path) => {
             let cannot_load =
                 |e: &dyn std::fmt::Display| format!("cannot load trace {}: {e}", path.display());
@@ -403,7 +403,6 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
             (
                 entry.source.clone(),
                 api::trace_key(&request.trace, Some(entry.digest)),
-                Some(entry.top_sector),
             )
         }
         TraceRef::Profile { name, seed, ops } => {
@@ -416,14 +415,10 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
             (
                 TraceSource::from_profile(&profile, &opts),
                 api::trace_key(&request.trace, None),
-                // A generator's sector bound is unknown without materializing
-                // the records; the engine derives it per-replay exactly like
-                // the CLI does, so the canonical key simply omits it.
-                None,
             )
         }
     };
-    let key = api::result_key(&trace_key, top, request.config.as_ref());
+    let key = api::result_key(&trace_key, request.config.as_ref());
     let kind = match request.config {
         None => JobKind::Sweep,
         Some(config) => JobKind::Single(Box::new(config)),

@@ -786,18 +786,22 @@ mod tests {
         m.observe(Endpoint::Healthz, Duration::from_micros(3));
         m.observe(Endpoint::Healthz, Duration::from_micros(3));
         m.observe(Endpoint::Healthz, Duration::from_micros(900));
+        m.observe(Endpoint::Healthz, Duration::from_micros(4));
         let text = m.render(&JobSnapshot::default(), 0);
-        // 3 µs lands in bin [2,4) → le="4"; 900 µs in [512,1024) → le="1024".
+        // 3 µs lands in bin (2,4] → le="4", and so does 4 µs (`le` is ≤);
+        // 900 µs in (512,1024] → le="1024".
         assert!(text
-            .contains("smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"4\"} 2"));
+            .contains("smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"2\"} 0"));
+        assert!(text
+            .contains("smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"4\"} 3"));
         assert!(text.contains(
-            "smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"1024\"} 3"
+            "smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"1024\"} 4"
         ));
         assert!(text.contains(
-            "smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"+Inf\"} 3"
+            "smrseekd_http_request_duration_us_bucket{endpoint=\"healthz\",le=\"+Inf\"} 4"
         ));
-        assert!(text.contains("smrseekd_http_request_duration_us_sum{endpoint=\"healthz\"} 906"));
-        assert!(text.contains("smrseekd_http_request_duration_us_count{endpoint=\"healthz\"} 3"));
+        assert!(text.contains("smrseekd_http_request_duration_us_sum{endpoint=\"healthz\"} 910"));
+        assert!(text.contains("smrseekd_http_request_duration_us_count{endpoint=\"healthz\"} 4"));
         // Endpoints never hit render the same buckets, zero-valued.
         assert!(text.contains(
             "smrseekd_http_request_duration_us_bucket{endpoint=\"jobs_post\",le=\"4\"} 0"

@@ -188,7 +188,7 @@ fn binary_trace_sniffed_by_magic_not_mistaken_for_csv() {
     // Regression: a binary `.smrt` file fed to simulate/characterize used
     // to fall through to the line-based sniffer and mis-detect as CSV.
     // The magic check must win, for v1 and v2 images alike.
-    use smrseek_trace::binary::{write_binary, write_binary_v2};
+    use smrseek_trace::binary::write_binary;
     use smrseek_trace::{Lba, TraceRecord};
     let records = vec![
         TraceRecord::write(0, Lba::new(0), 8),
@@ -196,8 +196,13 @@ fn binary_trace_sniffed_by_magic_not_mistaken_for_csv() {
     ];
     let mut v1 = Vec::new();
     write_binary(&mut v1, &records).expect("vec write cannot fail");
-    let mut v2 = Vec::new();
-    write_binary_v2(&mut v2, &records).expect("vec write cannot fail");
+    // A v2 image as older writers laid it out: the v2 magic, the count,
+    // one more word (one past the highest touched sector, here 80), then
+    // the same records.
+    let mut v2 = b"SMRT2\0".to_vec();
+    v2.extend_from_slice(&v1[6..14]);
+    v2.extend_from_slice(&80u64.to_le_bytes());
+    v2.extend_from_slice(&v1[14..]);
     for (version, buf) in [("v1", v1), ("v2", v2)] {
         let path = tmp(&format!("magic.{version}.smrt"));
         std::fs::write(&path, &buf).expect("write temp");
@@ -227,15 +232,41 @@ fn convert_then_simulate_matches_csv_run() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout(&out).contains("binary v2"));
-    let from_csv = smrseek(&["simulate", csv.to_str().unwrap()]);
-    let from_bin = smrseek(&["simulate", smrt.to_str().unwrap()]);
-    assert!(from_csv.status.success() && from_bin.status.success());
-    // Same seek table (first stdout line differs only in the path shown).
+    let records = std::fs::read_to_string(&csv)
+        .expect("csv readable")
+        .lines()
+        .count()
+        - 1; // the header line
+    assert_eq!(
+        stdout(&out),
+        format!("wrote {records} records to {} (binary)\n", smrt.display())
+    );
+    let simulate = |trace: &PathBuf, json: &PathBuf| {
+        let out = smrseek(&[
+            "simulate",
+            trace.to_str().unwrap(),
+            "--json",
+            json.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = std::fs::read(json).expect("json written");
+        (out, json)
+    };
+    let (csv_json, smrt_json) = (tmp("convert.csv.json"), tmp("convert.smrt.json"));
+    let (from_csv, csv_doc) = simulate(&csv, &csv_json);
+    let (from_bin, smrt_doc) = simulate(&smrt, &smrt_json);
+    // Same seek table (first stdout line differs only in the path shown)
+    // and the same JSON document, byte for byte.
     let table = |out: &Output| stdout(out).lines().skip(1).collect::<Vec<_>>().join("\n");
     assert_eq!(table(&from_csv), table(&from_bin));
-    std::fs::remove_file(&csv).ok();
-    std::fs::remove_file(&smrt).ok();
+    assert_eq!(csv_doc, smrt_doc);
+    for path in [csv, smrt, csv_json, smrt_json] {
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
@@ -532,6 +563,48 @@ fn usage_names_every_experiment() {
             names.contains(&experiment.name),
             "usage is missing {}: {first}",
             experiment.name
+        );
+    }
+}
+
+#[test]
+fn readme_command_list_names_every_command() {
+    // Every command the usage text lists (`smrseek <a|b> …` lines; flags
+    // like `--version` aside) and every experiment must appear in the
+    // README's "full command set" paragraph.
+    let out = smrseek(&[]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    let mut commands: Vec<String> = Vec::new();
+    for line in err.lines() {
+        let Some((_, rest)) = line.split_once("smrseek ") else {
+            continue;
+        };
+        let word = rest.split_whitespace().next().unwrap_or_default();
+        let word = word.trim_start_matches('<').trim_end_matches('>');
+        commands.extend(
+            word.split('|')
+                .filter(|c| !c.starts_with('-'))
+                .map(str::to_owned),
+        );
+    }
+    assert!(commands.iter().any(|c| c == "serve"), "{err}");
+    commands.extend(
+        smrseek_sim::experiments::ALL
+            .iter()
+            .map(|e| e.name.to_owned()),
+    );
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README readable");
+    let list = readme
+        .split_once("The full command set:")
+        .and_then(|(_, rest)| rest.split_once(" — "))
+        .map(|(list, _)| list)
+        .expect("README has the full command set");
+    let listed: Vec<&str> = list.split('`').skip(1).step_by(2).collect();
+    for command in &commands {
+        assert!(
+            listed.contains(&command.as_str()),
+            "README's command set is missing `{command}`: {listed:?}"
         );
     }
 }

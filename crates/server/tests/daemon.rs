@@ -336,6 +336,50 @@ fn an_overwritten_trace_file_is_reloaded() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_converted_trace_hits_the_result_of_its_csv() {
+    // The records fix the frontier, and the digest fixes the records: a
+    // single-config job on a `.smrt` conversion shares the CSV job's key.
+    let dir = temp_dir("converted");
+    let csv = write_trace(&dir, "t.csv");
+    let smrt = dir.join("t.smrt");
+    let out = Command::new(bin())
+        .arg("convert")
+        .arg(&csv)
+        .arg(&smrt)
+        .output()
+        .expect("run convert");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let handle = smrseek_server::start(smrseek_server::ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        ..smrseek_server::ServerConfig::default()
+    })
+    .expect("start in-process daemon");
+    let addr = handle.addr().to_string();
+    let body = |path: &Path| {
+        format!(
+            r#"{{"trace": {{"path": {:?}}}, "config": {{"layer": "ls", "record_distances": true}}}}"#,
+            path.display()
+        )
+    };
+    let from_csv = job_result(&addr, &body(&csv));
+    let submit = request(&addr, "POST", "/v1/jobs", Some(&body(&smrt)));
+    assert_eq!(submit.status, 200, "{}", submit.body_str());
+    assert!(
+        submit.body_str().contains(r#""cache":"hit""#),
+        "{}",
+        submit.body_str()
+    );
+    assert_eq!(job_result(&addr, &body(&smrt)), from_csv);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A one-worker `smrseek serve` under a 2 GB address-space limit
 /// (`ulimit -v` in the shell that execs it): should a request bring back
 /// an unbounded allocation, the daemon dies alone instead of taking the

@@ -70,27 +70,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Unobservable edits never change the key: a NoLS config keeps its
-    /// key when LS-only knobs are set, an LS config keeps its key when the
-    /// frontier hint it would derive is made explicit, and a cache-backed
-    /// policy config keeps its key whether or not it configures a defrag
-    /// its policy never lets fire. The engine agrees on the last: both
-    /// variants replay to byte-identical reports.
+    /// key when LS-only knobs are set, and a cache-backed policy config
+    /// keeps its key whether or not it configures a defrag its policy
+    /// never lets fire. The engine agrees on the last: both variants
+    /// replay to byte-identical reports.
     #[test]
-    fn neutral_edits_share_a_key(base in config_strategy(), top in 1u64..1 << 20) {
-        let mut edited = base;
-        if matches!(base.layer, smrseek_sim::LayerChoice::NoLs) {
-            // Frontier hints and fragment tracking only exist under a
+    fn neutral_edits_share_a_key(base in config_strategy()) {
+        let key_base = base.cache_key();
+        if matches!(base.layer, LayerChoice::NoLs) {
+            // Fragment tracking and a flash tier only exist under a
             // translation layer; NoLS replays ignore them.
-            edited.frontier_hint = Some(top);
+            let mut edited = base;
             edited.track_fragments = !edited.track_fragments;
-        } else {
-            // An explicit hint equal to the derived top is a no-op.
-            edited.frontier_hint = Some(top);
+            edited.flash_cache_bytes = Some(1 << 20);
+            prop_assert_eq!(&key_base, &edited.cache_key(), "neutral edit changed the key");
         }
-        let key_base = base.cache_key(Some(top));
-        let key_edited = edited.cache_key(Some(top));
-        prop_assert_eq!(&key_base, &key_edited, "neutral edit changed the key");
-
         if base.policy.is_some() {
             let LayerChoice::Ls { defrag: paper, .. } = SimConfig::ls_defrag().layer else {
                 unreachable!("LS+defrag is log-structured")
@@ -99,54 +93,33 @@ proptest! {
             if let LayerChoice::Ls { defrag, .. } = &mut toggled.layer {
                 *defrag = if defrag.is_some() { None } else { paper };
             }
-            prop_assert_eq!(
-                &key_base,
-                &toggled.cache_key(Some(top)),
-                "an inert defrag changed the key"
-            );
+            prop_assert_eq!(&key_base, &toggled.cache_key(), "an inert defrag changed the key");
             prop_assert_eq!(report_bytes(base), report_bytes(toggled));
         }
     }
 
-    /// Key soundness against the engine: whenever two random configs
-    /// collide on a key, their replays must be byte-identical. (Collisions
-    /// are common here because the strategy reuses the five constructors.)
+    /// Keys against the engine: two random configs share a key exactly
+    /// when their replays are byte-identical. A collision would serve one
+    /// request the other's report; a split would never hit the cache.
+    /// (Collisions are common here because the strategy reuses the
+    /// constructors.)
     #[test]
     fn equal_keys_mean_equal_reports(a in config_strategy(), b in config_strategy()) {
-        let top = 2048 * 8;
-        if a.cache_key(Some(top)) == b.cache_key(Some(top)) {
-            prop_assert_eq!(
-                report_bytes(a.canonical(Some(top))),
-                report_bytes(b.canonical(Some(top))),
-                "colliding keys must serve interchangeable reports"
-            );
-        }
+        let same_key = a.cache_key() == b.cache_key();
+        let same_report = report_bytes(a) == report_bytes(b);
+        prop_assert_eq!(same_key, same_report, "keys {} / {}", a.cache_key(), b.cache_key());
     }
 
     /// Every report-shaping knob separates keys: editing it must yield a
     /// different key, because the engine's output observably differs.
     #[test]
-    fn observable_edits_separate_keys(base in config_strategy(), top in 1u64..1 << 20) {
+    fn observable_edits_separate_keys(base in config_strategy()) {
         let mut distances = base;
         distances.record_distances = !distances.record_distances;
-        prop_assert_ne!(base.cache_key(Some(top)), distances.cache_key(Some(top)));
+        prop_assert_ne!(base.cache_key(), distances.cache_key());
 
         let mut bucket = base;
         bucket.longseek_bucket_ops += 1;
-        prop_assert_ne!(base.cache_key(Some(top)), bucket.cache_key(Some(top)));
-    }
-
-    /// The key respects the trace: the same config over traces with
-    /// different derived tops keys differently for LS layers (the frontier
-    /// placement is observable) and identically for NoLS (it is not).
-    #[test]
-    fn derived_top_is_part_of_ls_keys(base in config_strategy(), top in 2u64..1 << 20) {
-        let a = base.cache_key(Some(top));
-        let b = base.cache_key(Some(top - 1));
-        if matches!(base.layer, smrseek_sim::LayerChoice::NoLs) {
-            prop_assert_eq!(a, b, "NoLS cannot observe the frontier");
-        } else if base.frontier_hint.is_none() {
-            prop_assert_ne!(a, b, "LS frontier derives from the top sector");
-        }
+        prop_assert_ne!(base.cache_key(), bucket.cache_key());
     }
 }

@@ -68,12 +68,14 @@ pub struct SimConfig {
     /// ([`validate`](Self::validate) checks); the per-tier counters surface as
     /// [`RunReport::cache_tiers`].
     pub flash_cache_bytes: Option<u64>,
-    /// Logical-space bound for streaming runs: one past the highest sector
-    /// the trace touches. Log-structured layers place their write frontier
-    /// at the first 1 MiB boundary at or above this (§III). Required by
-    /// [`Simulation::run`] for LS layers — an iterator cannot be scanned
-    /// for its maximum LBA up front; [`Simulation::run_trace`] derives it
-    /// from the trace when unset. Ignored for the NoLS baseline.
+    /// Logical-space bound for [`Simulation::run`], the streaming entry
+    /// point: one past the highest sector the records touch. Log-structured
+    /// layers place their write frontier at the first 1 MiB boundary at or
+    /// above it (§III), and an iterator cannot be scanned for its highest
+    /// LBA up front, so `run` requires it for LS layers. Every in-memory
+    /// replay ([`Simulation::run_trace`], [`Simulation::run_group`], the
+    /// [`RunMatrix`](crate::runner::RunMatrix)) derives the bound from the
+    /// records and ignores this field, as does the NoLS baseline.
     pub frontier_hint: Option<u64>,
 }
 
@@ -189,7 +191,8 @@ impl SimConfig {
 
     /// Declares the logical-space bound (`top` = one past the highest
     /// sector the trace touches), letting [`Simulation::run`] place the
-    /// write frontier without scanning the trace.
+    /// write frontier without scanning the trace. In-memory replays ignore
+    /// it ([`frontier_hint`](Self::frontier_hint)).
     pub fn with_frontier_hint(mut self, top: u64) -> Self {
         self.frontier_hint = Some(top);
         self
@@ -214,32 +217,27 @@ impl SimConfig {
     /// canonical value, and any canonical difference is observable in some
     /// report.
     ///
+    /// * `frontier_hint` is cleared: every in-memory replay derives the
+    ///   frontier from the records, so the trace's identity already fixes
+    ///   it.
     /// * The NoLS baseline ignores every log-structured knob
-    ///   (`frontier_hint`, `track_fragments`), so they are cleared.
-    /// * For LS layers an unset frontier hint is resolved against `top`
-    ///   (one past the trace's highest sector) when known: a run that
-    ///   derives the hint from the trace equals one that passes the same
-    ///   bound explicitly.
+    ///   (`track_fragments`, the policy, the flash tier), so they are
+    ///   cleared.
     /// * A defragmentation config the policy never lets fire is cleared
     ///   ([`effective_defrag`](Self::effective_defrag)).
     ///
     /// Knobs that change report *content* (`record_distances`,
     /// `longseek_bucket_ops`) are kept verbatim.
-    pub fn canonical(mut self, top: Option<u64>) -> Self {
+    pub fn canonical(mut self) -> Self {
+        self.frontier_hint = None;
         let effective = self.effective_defrag();
         match &mut self.layer {
             LayerChoice::NoLs => {
-                self.frontier_hint = None;
                 self.track_fragments = false;
                 self.policy = None;
                 self.flash_cache_bytes = None;
             }
-            LayerChoice::Ls { defrag, .. } => {
-                *defrag = effective;
-                if self.frontier_hint.is_none() {
-                    self.frontier_hint = top;
-                }
-            }
+            LayerChoice::Ls { defrag, .. } => *defrag = effective,
         }
         self
     }
@@ -259,8 +257,8 @@ impl SimConfig {
     /// Whether `self` and `other` can replay as lanes of one translation
     /// ([`Simulation::run_group`]): both log-structured, equal in
     /// everything the extent map and fragment tracking depend on —
-    /// [effective](Self::effective_defrag) defragmentation, frontier
-    /// hint, `track_fragments` — and neither driven
+    /// [effective](Self::effective_defrag) defragmentation and
+    /// `track_fragments` — and neither driven
     /// by a policy that could fire defragmentation (one without a
     /// selective cache, over a configured defrag): that policy's feedback
     /// would reach the translation through the defrag gate. Any other
@@ -275,7 +273,6 @@ impl SimConfig {
                 self.effective_defrag() == other.effective_defrag()
                     && policy_cannot_defrag(self)
                     && policy_cannot_defrag(other)
-                    && self.frontier_hint == other.frontier_hint
                     && self.track_fragments == other.track_fragments
             }
             _ => false,
@@ -301,8 +298,8 @@ impl SimConfig {
     /// form serialized as compact JSON. Equal keys imply byte-identical
     /// reports on the same trace; differing keys imply an observable
     /// config difference.
-    pub fn cache_key(&self, top: Option<u64>) -> String {
-        serde_json::to_string(&self.canonical(top)).expect("SimConfig always serializes")
+    pub fn cache_key(&self) -> String {
+        serde_json::to_string(&self.canonical()).expect("SimConfig always serializes")
     }
 
     /// Checks the knobs a run would otherwise panic on or silently ignore:
@@ -558,24 +555,15 @@ struct EngineState {
     sampled: PhaseTotals,
 }
 
-/// The [`LsConfig`] a fresh run of `config` builds its layer from.
-///
-/// # Panics
-///
-/// Panics when `config` is log-structured without a frontier hint (see the
-/// message; [`Simulation::run_trace`] derives the hint before calling).
-fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
+/// The [`LsConfig`] a fresh run of `config` builds its layer from, with
+/// the write frontier above `top`, one past the highest sector the
+/// records touch.
+fn ls_config_for(config: &SimConfig, top: u64) -> Option<LsConfig> {
     match config.layer {
         LayerChoice::NoLs => None,
         LayerChoice::Ls {
             prefetch, cache, ..
         } => {
-            let top = config.frontier_hint.expect(
-                "Simulation::run needs SimConfig::with_frontier_hint for log-structured \
-                 layers: a stream cannot be pre-scanned for its highest LBA (use \
-                 Simulation::run_trace for random-access traces, or pass the bound from a \
-                 header or a first pass)",
-            );
             let mut ls_config = LsConfig::above_sector(top);
             ls_config.defrag = config.effective_defrag();
             ls_config.prefetch = prefetch;
@@ -588,10 +576,14 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
 }
 
 impl EngineState {
-    /// State for `configs`, one seek lane each; the first decides the
+    /// State for `configs`, one seek lane each, with any LS layer's
+    /// frontier above `top` ([`ls_config_for`]); the first decides the
     /// layer kind, and each its own lane's policy.
-    fn new(configs: &[SimConfig]) -> Self {
-        let ls_configs: Vec<LsConfig> = configs.iter().filter_map(ls_config_for).collect();
+    fn new(configs: &[SimConfig], top: u64) -> Self {
+        let ls_configs: Vec<LsConfig> = configs
+            .iter()
+            .filter_map(|c| ls_config_for(c, top))
+            .collect();
         let layer =
             (!ls_configs.is_empty()).then(|| Box::new(LogStructured::with_lanes(&ls_configs)));
         // Policy without LS is rejected by `validate`; tolerated here by
@@ -904,7 +896,16 @@ impl Simulation {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
-        let mut state = EngineState::new(std::slice::from_ref(&self.config));
+        let top = match self.config.layer {
+            LayerChoice::NoLs => 0,
+            LayerChoice::Ls { .. } => self.config.frontier_hint.expect(
+                "Simulation::run needs SimConfig::with_frontier_hint for log-structured \
+                 layers: a stream cannot be pre-scanned for its highest LBA (use \
+                 Simulation::run_trace for random-access traces, or pass the bound from a \
+                 first pass)",
+            ),
+        };
+        let mut state = EngineState::new(std::slice::from_ref(&self.config), top);
         let records = records.into_iter();
         if state.policies.is_empty() {
             state.replay_stream::<false>(records);
@@ -928,8 +929,9 @@ impl Simulation {
     /// one read lane, seek model and, when configured, policy engine
     /// each, so the reports are byte-identical to one
     /// [`run_trace`](Self::run_trace) per configuration. Derives the LS
-    /// frontier hint from the records, once, when the configs leave it
-    /// unset (highest touched LBA plus one, via [`stream::max_lba`]), and
+    /// frontier bound from the records, once (highest touched LBA plus
+    /// one, via [`stream::max_lba`], as [`LsConfig::for_trace`] does),
+    /// ignoring any [`frontier_hint`](SimConfig::frontier_hint), and
     /// replays in blocks of 4096 records.
     ///
     /// `split` lists, in increasing order, the positions of configs whose
@@ -986,15 +988,12 @@ impl Simulation {
             "a policy lane must replay on the group's own thread: its policy observes the \
              records, and a split lane sees only their translated I/O"
         );
-        let mut configs = configs.to_vec();
-        if matches!(first.layer, LayerChoice::Ls { .. }) && first.frontier_hint.is_none() {
-            let top = stream::max_lba(trace).map_or(0, |l| l.sector() + 1);
-            for config in &mut configs {
-                config.frontier_hint = Some(top);
-            }
-        }
+        let top = match first.layer {
+            LayerChoice::NoLs => 0,
+            LayerChoice::Ls { .. } => stream::max_lba(trace).map_or(0, |l| l.sector() + 1),
+        };
         if split.is_empty() {
-            let mut state = EngineState::new(&configs);
+            let mut state = EngineState::new(configs, top);
             let served = state.replay_blocks(trace, None, board);
             return state.finish(None, served);
         }
@@ -1007,11 +1006,11 @@ impl Simulation {
             .position(SimConfig::is_plain_ls)
             .expect("a split group keeps a plain-LS lane on its own thread");
         let slot = slot.expect("a split group has a queue on the board");
-        let mut state = EngineState::new(&own);
+        let mut state = EngineState::new(&own, top);
         let lanes = split
             .iter()
             .map(|&k| {
-                let ls = ls_config_for(&configs[k]).expect("a split group is log-structured");
+                let ls = ls_config_for(&configs[k], top).expect("a split group is log-structured");
                 (k, ReadLane::new(&ls), SeekLane::new(&configs[k]))
             })
             .collect();
@@ -1072,7 +1071,7 @@ mod tests {
     fn nols_lane_emits_identity_io() {
         // NoLS has no layer: each record is one operation of its own
         // kind at PBA = LBA.
-        let mut state = EngineState::new(&[SimConfig::no_ls()]);
+        let mut state = EngineState::new(&[SimConfig::no_ls()], 0);
         for rec in toy_trace() {
             state.step::<false, false>(&rec);
             let io = PhysIo::new(rec.op, Pba::new(rec.lba.sector()), u64::from(rec.sectors));
@@ -1082,7 +1081,7 @@ mod tests {
 
     #[test]
     fn nols_lane_preserves_op_kind() {
-        let mut state = EngineState::new(&[SimConfig::no_ls()]);
+        let mut state = EngineState::new(&[SimConfig::no_ls()], 0);
         for op in [OpKind::Read, OpKind::Write] {
             state.step::<false, false>(&TraceRecord::new(0, op, Lba::new(5), 1));
             assert_eq!(state.lanes[0].ios.len(), 1);
@@ -1187,15 +1186,27 @@ mod tests {
             track_fragments: true,
             ..SimConfig::no_ls()
         };
-        assert_eq!(noisy.canonical(Some(42)), SimConfig::no_ls());
+        assert_eq!(noisy.canonical(), SimConfig::no_ls());
+        assert_eq!(noisy.cache_key(), SimConfig::no_ls().cache_key());
+
+        // LS: in-memory replays derive the frontier from the records, so
+        // no hint reaches the key.
+        let derived = SimConfig::log_structured();
+        for top in [1008, 2048] {
+            let explicit = derived.with_frontier_hint(top);
+            assert_eq!(explicit.canonical(), derived);
+            assert_eq!(explicit.cache_key(), derived.cache_key());
+        }
+        let json = |config: &SimConfig| {
+            let report = Simulation::new(config).run_trace(&toy_trace());
+            serde_json::to_string(&report).expect("report serializes")
+        };
         assert_eq!(
-            noisy.cache_key(Some(42)),
-            SimConfig::no_ls().cache_key(None),
-            "derived-vs-explicit NoLS configs share a cache key"
+            json(&derived.with_frontier_hint(1 << 20)),
+            json(&derived),
+            "run_trace ignores the hint"
         );
 
-        // LS: an unset hint resolves to the trace bound, so deriving the
-        // frontier equals passing it explicitly.
         // A policy with a selective cache never fires its defrag config.
         let adaptive = SimConfig::ls_adaptive();
         let LayerChoice::Ls {
@@ -1212,26 +1223,15 @@ mod tests {
             },
             ..adaptive
         };
-        assert_eq!(adaptive.cache_key(Some(1008)), inert.cache_key(Some(1008)));
+        assert_eq!(adaptive.cache_key(), inert.cache_key());
         let fixed = SimConfig::ls_defrag().with_policy(PolicyConfig::default());
         assert_ne!(
-            fixed.cache_key(Some(1008)),
+            fixed.cache_key(),
             SimConfig::log_structured()
                 .with_policy(PolicyConfig::default())
-                .cache_key(Some(1008)),
+                .cache_key(),
             "a cache-less policy's defrag can fire"
         );
-
-        let derived = SimConfig::log_structured();
-        let explicit = SimConfig::log_structured().with_frontier_hint(1008);
-        assert_eq!(
-            derived.canonical(Some(1008)),
-            explicit.canonical(Some(1008))
-        );
-        assert_eq!(derived.cache_key(Some(1008)), explicit.cache_key(None));
-        // ...but a *different* explicit hint stays a different key.
-        let other = SimConfig::log_structured().with_frontier_hint(2048);
-        assert_ne!(derived.cache_key(Some(1008)), other.cache_key(Some(1008)));
     }
 
     #[test]
@@ -1239,13 +1239,10 @@ mod tests {
         let config = SimConfig::ls_cache()
             .with_distances()
             .with_longseek_series(64);
-        let canon = config.canonical(Some(100));
+        let canon = config.canonical();
         assert!(canon.record_distances);
         assert_eq!(canon.longseek_bucket_ops, 64);
-        assert_ne!(
-            config.cache_key(Some(100)),
-            SimConfig::ls_cache().cache_key(Some(100))
-        );
+        assert_ne!(config.cache_key(), SimConfig::ls_cache().cache_key());
     }
 
     #[test]
@@ -1273,6 +1270,7 @@ mod tests {
             ),
             ls.with_distances(),
             ls.with_longseek_series(64),
+            ls.with_frontier_hint(4096),
         ] {
             assert!(ls.shares_translation(&other), "{other:?}");
             assert!(other.shares_translation(&ls), "{other:?}");
@@ -1311,12 +1309,6 @@ mod tests {
                 "defrag timing",
                 SimConfig::ls_defrag(),
                 SimConfig::ls_with(Some(DefragConfig::idle(1_000)), None, None),
-            ),
-            ("frontier hint", ls.with_frontier_hint(4096), ls),
-            (
-                "frontier hints",
-                ls.with_frontier_hint(4096),
-                ls.with_frontier_hint(8192),
             ),
             ("track_fragments", ls.with_fragment_tracking(), ls),
         ];

@@ -4,11 +4,11 @@
 //!   format, sniffed by [`sniff_path`] and read into memory by
 //!   [`parse_path`]), digests it, and shares the resulting [`TraceSource`]
 //!   with every job that names the same path while the file is unchanged.
-//! * [`write_smrt`] — atomically writes records as a v2 `.smrt` file, so
-//!   a trace converted once skips text parsing on every later load.
+//! * [`write_smrt`] — atomically writes records as a `.smrt` file, so a
+//!   trace converted once skips text parsing on every later load.
 
 use crate::runner::TraceSource;
-use smrseek_trace::binary::{top_sector, write_binary_v2};
+use smrseek_trace::binary::write_binary;
 use smrseek_trace::digest::digest_records;
 use smrseek_trace::parse::{parse_path, sniff_path};
 use smrseek_trace::{TraceDigest, TraceRecord};
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-/// Writes `records` to `path` in the v2 binary format, atomically: the
+/// Writes `records` to `path` in the binary format, atomically: the
 /// bytes land in a same-directory temp file first and are renamed into
 /// place, so a concurrent reader never sees a torn file.
 ///
@@ -40,7 +40,7 @@ pub fn write_smrt(path: &Path, records: &[TraceRecord]) -> Result<(), String> {
         let file = std::fs::File::create(&tmp)
             .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
         let mut writer = BufWriter::new(file);
-        write_binary_v2(&mut writer, records)
+        write_binary(&mut writer, records)
             .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
         writer
             .flush()
@@ -55,18 +55,14 @@ pub fn write_smrt(path: &Path, records: &[TraceRecord]) -> Result<(), String> {
 }
 
 /// One trace held open by a [`TraceRegistry`]: the replayable source plus
-/// its identity, computed once at load time so no job ever re-digests or
-/// re-scans the records.
+/// its identity, computed once at load time so no job ever re-digests the
+/// records.
 #[derive(Debug, Clone)]
 pub struct RegisteredTrace {
     /// The replayable source (one shared in-memory record vector).
     pub source: TraceSource,
     /// Stable content digest — the daemon's result-cache identity.
     pub digest: TraceDigest,
-    /// One past the highest sector touched (the LS frontier hint).
-    pub top_sector: u64,
-    /// Number of records in the trace.
-    pub records: u64,
 }
 
 /// Which version of a file a registry entry was loaded from: a file
@@ -135,8 +131,6 @@ impl TraceRegistry {
         let records = parse_path(path, sniff_path(path)?)?;
         let entry = Arc::new(RegisteredTrace {
             digest: digest_records(&records),
-            top_sector: top_sector(&records),
-            records: records.len() as u64,
             source: TraceSource::from_records(path.display().to_string(), records),
         });
         entries.insert(key, (stamp, Arc::clone(&entry)));
@@ -178,8 +172,7 @@ mod tests {
             smrseek_trace::binary::read_binary(&bytes[..]).expect("binary trace parses"),
             records
         );
-        let iter = smrseek_trace::binary::BinaryRecordIter::new(&bytes[..]).expect("header");
-        assert_eq!(iter.header().top_sector, Some(top_sector(&records)));
+        assert_eq!(smrseek_trace::binary::sniff_magic(&bytes), Some(1));
         assert!(
             std::fs::read_dir(&dir).expect("dir listed").all(|e| !e
                 .expect("entry")
@@ -219,8 +212,7 @@ mod tests {
             via_csv.digest, via_smrt.digest,
             "digest is content-addressed, not format-addressed"
         );
-        assert_eq!(via_csv.top_sector, via_smrt.top_sector);
-        assert_eq!(via_csv.records, records.len() as u64);
+        assert_eq!(via_csv.digest, digest_records(&records));
 
         // A second load of the same file (via a relative-ish alias) hits
         // the existing entry instead of re-parsing.
@@ -235,7 +227,7 @@ mod tests {
         write_cp_csv(&mut f, shorter).expect("csv rewritten");
         let fresh = load(&registry, &csv).expect("rewritten csv loads");
         assert!(!Arc::ptr_eq(&fresh, &via_csv));
-        assert_eq!(fresh.records, shorter.len() as u64);
+        assert_eq!(fresh.digest, digest_records(shorter));
         assert_eq!(registry.len(), 2);
 
         assert!(load(&registry, &dir.join("missing.csv")).is_err());

@@ -5,19 +5,15 @@
 //! command serializes, and a single-config [`RunReport`] with seek
 //! distances recorded, as a daemon single-config job returns it.
 //!
-//! Replay derives the log-structured frontier from the records
-//! (`stream::max_lba + 1`); the v2 header's `top_sector` is one past the
-//! highest touched sector. The two agree for every trace whose records all
-//! have `sectors > 0`, so a `.smrt` file's header hint could never move a
-//! report.
+//! Replay derives the log-structured frontier from the records alone, so
+//! equal records replay to equal reports whatever file they came from.
 
 use proptest::prelude::*;
 use smrseek_sim::runner::RunMatrix;
 use smrseek_sim::{saf, tracecache, RunReport, SimConfig, TraceSource};
-use smrseek_trace::binary::{top_sector, BinaryRecordIter};
 use smrseek_trace::parse::{parse_path, sniff_path, DetectedFormat};
 use smrseek_trace::writer::{write_cp_csv, write_msr_csv};
-use smrseek_trace::{stream, Lba, OpKind, TraceRecord};
+use smrseek_trace::{Lba, OpKind, TraceRecord};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -113,19 +109,10 @@ proptest! {
         prop_assert_ne!(csv_format, DetectedFormat::Binary);
         tracecache::write_smrt(&smrt, &via_csv).expect("smrt written");
         let (smrt_format, via_smrt) = load(&smrt);
-        let header = *BinaryRecordIter::new(std::fs::File::open(&smrt).expect("smrt opens"))
-            .expect("smrt header parses")
-            .header();
         std::fs::remove_file(&csv).ok();
         std::fs::remove_file(&smrt).ok();
         prop_assert_eq!(smrt_format, DetectedFormat::Binary);
         prop_assert_eq!(&via_smrt, &via_csv);
-
-        // The frontier rule: the header hint equals the frontier replay
-        // derives from the records.
-        let derived = stream::max_lba(&via_smrt).map_or(0, |l| l.sector() + 1);
-        prop_assert_eq!(top_sector(&via_smrt), derived);
-        prop_assert_eq!(header.top_sector, Some(derived));
 
         prop_assert_eq!(sweep_json(via_csv.clone()), sweep_json(via_smrt.clone()));
         let config = configs()[config];

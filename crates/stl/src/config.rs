@@ -166,10 +166,10 @@ impl LsConfig {
     /// frontier starts at the first 1 MiB boundary at or above `top`
     /// sectors (`top` = one past the highest sector the workload touches).
     ///
-    /// This is the streaming-friendly alternative to [`LsConfig::for_trace`]:
-    /// when the trace arrives as an iterator the bound comes from a header,
-    /// a prior characterization pass, or the generator — not from scanning
-    /// a materialized slice.
+    /// [`LsConfig::for_trace`] is this over the bound its records fix
+    /// (`stream::max_lba + 1`). Every in-memory replay derives that bound
+    /// from the records; only a streamed run, which cannot scan its
+    /// records first, takes it from the caller.
     pub fn above_sector(top: u64) -> Self {
         let align = MIB / 512;
         let frontier = top.div_ceil(align) * align;

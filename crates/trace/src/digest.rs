@@ -10,24 +10,19 @@
 //! identically.
 //!
 //! The hash is FNV-1a with a 128-bit state: not cryptographic, but stable
-//! across platforms and releases, streamable one record at a time, and
-//! wide enough that accidental collisions in a result cache are not a
-//! practical concern.
+//! across platforms and releases, and wide enough that accidental
+//! collisions in a result cache are not a practical concern.
 //!
 //! # Example
 //!
 //! ```
-//! use smrseek_trace::digest::{digest_records, TraceDigester};
+//! use smrseek_trace::digest::digest_records;
 //! use smrseek_trace::{Lba, TraceRecord};
 //!
 //! let recs = vec![TraceRecord::write(0, Lba::new(8), 16)];
-//! let whole = digest_records(&recs);
-//! let mut streaming = TraceDigester::new();
-//! for rec in &recs {
-//!     streaming.update(rec);
-//! }
-//! assert_eq!(streaming.finish(), whole);
-//! assert_eq!(whole.to_hex().len(), 32);
+//! let digest = digest_records(&recs);
+//! assert_ne!(digest, digest_records(&[]));
+//! assert_eq!(digest.to_hex().len(), 32);
 //! ```
 
 use crate::record::TraceRecord;
@@ -60,76 +55,26 @@ impl fmt::Display for TraceDigest {
     }
 }
 
-/// Streaming digest builder: feed records one at a time (in trace order)
-/// and [`finish`](TraceDigester::finish) to obtain the [`TraceDigest`].
-/// Never materializes the trace, so a streamed source digests in constant
-/// memory.
-#[derive(Debug, Clone)]
-pub struct TraceDigester {
-    state: u128,
-    count: u64,
-}
-
-impl TraceDigester {
-    /// An empty digester.
-    pub fn new() -> Self {
-        TraceDigester {
-            state: FNV_OFFSET,
-            count: 0,
-        }
-    }
-
-    /// Feeds one record (must be called in trace order).
-    pub fn update(&mut self, rec: &TraceRecord) {
-        // The canonical byte layout matches one binary-format record
-        // (crate::binary): timestamp u64 | op u8 | lba u64 | sectors u32,
-        // little-endian throughout.
-        self.bytes(&rec.timestamp_us.to_le_bytes());
-        self.bytes(&[rec.op.is_write() as u8]);
-        self.bytes(&rec.lba.sector().to_le_bytes());
-        self.bytes(&rec.sectors.to_le_bytes());
-        self.count += 1;
-    }
-
-    /// Number of records fed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Finalizes the digest. The record count is folded in last so a
-    /// trace is never digest-equal to a prefix of itself.
-    pub fn finish(mut self) -> TraceDigest {
-        let count = self.count;
-        self.bytes(&count.to_le_bytes());
-        TraceDigest(self.state)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
-impl Default for TraceDigester {
-    fn default() -> Self {
-        TraceDigester::new()
-    }
-}
-
-/// Digests a slice of records.
+/// Digests a slice of records: each record's canonical byte layout
+/// (one binary-format record, [`crate::binary`]: timestamp u64 | op u8 |
+/// lba u64 | sectors u32, little-endian throughout), then the record
+/// count, so a trace is never digest-equal to a prefix of itself.
 pub fn digest_records(records: &[TraceRecord]) -> TraceDigest {
-    digest_iter(records.iter().copied())
-}
-
-/// Digests any stream of records without materializing it.
-pub fn digest_iter(records: impl IntoIterator<Item = TraceRecord>) -> TraceDigest {
-    let mut digester = TraceDigester::new();
+    let mut state = FNV_OFFSET;
+    let mut hash = |bytes: &[u8]| {
+        for &b in bytes {
+            state ^= u128::from(b);
+            state = state.wrapping_mul(FNV_PRIME);
+        }
+    };
     for rec in records {
-        digester.update(&rec);
+        hash(&rec.timestamp_us.to_le_bytes());
+        hash(&[u8::from(rec.op.is_write())]);
+        hash(&rec.lba.sector().to_le_bytes());
+        hash(&rec.sectors.to_le_bytes());
     }
-    digester.finish()
+    hash(&(records.len() as u64).to_le_bytes());
+    TraceDigest(state)
 }
 
 #[cfg(test)]
@@ -182,14 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_slice() {
-        let mut d = TraceDigester::default();
-        for rec in sample() {
-            d.update(&rec);
-        }
-        assert_eq!(d.count(), 3);
-        assert_eq!(d.finish(), digest_records(&sample()));
-        assert_eq!(digest_iter(sample()), digest_records(&sample()));
+    fn digests_are_pinned() {
+        // Result-cache keys embed these hex strings: any change to the
+        // hashed layout or constants must fail here first.
+        assert_eq!(
+            digest_records(&sample()).to_hex(),
+            "ff36b720853155e1029e328145e67fb6"
+        );
+        assert_eq!(
+            digest_records(&[]).to_hex(),
+            "9d30c1f78465995be47dda5e4e4e77ed"
+        );
     }
 
     #[test]
@@ -198,12 +146,5 @@ mod tests {
         assert_eq!(hex.len(), 32);
         assert_eq!(hex, digest_records(&sample()).to_string());
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-        // Pin the empty-trace digest: any accidental change to the hashed
-        // layout or constants must fail loudly, because persisted cache
-        // keys depend on it.
-        assert_eq!(
-            digest_records(&[]).to_hex(),
-            digest_iter(std::iter::empty()).to_hex()
-        );
     }
 }

@@ -12,9 +12,9 @@
 //! * parsers for the on-disk formats the paper's workloads come in
 //!   ([`parse::msr`] for the SNIA MSR Cambridge CSV format and
 //!   [`parse::cloudphysics`] for a CloudPhysics-style CSV), plus a compact
-//!   [`binary`] format that skips text parsing — read whole via
-//!   [`binary::read_binary`] or streamed via [`binary::BinaryRecordIter`],
-//!   and sniffed and loaded like any other format by
+//!   [`binary`] format that skips text parsing — written by
+//!   [`binary::write_binary`], read by [`binary::read_binary`], and
+//!   sniffed and loaded like any other format by
 //!   [`parse::sniff_path`]/[`parse::parse_path`],
 //! * [`stream::max_lba`], the highest LBA a trace touches (where the log
 //!   model starts its write frontier),
@@ -44,7 +44,7 @@ pub mod types;
 pub mod writer;
 
 pub use analysis::{summarize, AnalysisSummary};
-pub use digest::{TraceDigest, TraceDigester};
+pub use digest::TraceDigest;
 pub use error::{Error, Result};
 pub use record::{OpKind, TraceRecord};
 pub use stats::{characterize, TraceStats};

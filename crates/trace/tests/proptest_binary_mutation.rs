@@ -1,24 +1,22 @@
-//! Byte-mutation property tests for the `.smrt` binary trace readers: no
-//! image, however damaged, may panic [`read_binary`] or
-//! [`BinaryRecordIter`]. Images start as valid v1 or v2 files and then get
-//! bit flips, stray bytes, truncation, and header fields (count,
-//! `top_sector`) overwritten with values near `u64::MAX`. Every image must
-//! end in records or a typed [`Error`], the two readers must agree on
-//! whether an image is accepted and on its records, and an accepted
-//! image's frontier (header hint and the bound replay derives from the
-//! records) must stay within [`MAX_END_SECTOR`].
+//! Byte-mutation property tests for the `.smrt` binary trace reader: no
+//! image, however damaged, may panic [`read_binary`]. Images start as
+//! valid v1 files ([`write_binary`]) or v2 files (built here, in the
+//! layout older writers produced) and then get bit flips, stray bytes,
+//! truncation, and header fields (the count, the v2 sector bound)
+//! overwritten with values near `u64::MAX`. Every image must end in a
+//! typed [`smrseek_trace::Error`] or in records whose number is the header's count and
+//! whose ends all lie within [`MAX_END_SECTOR`], so the frontier replay
+//! derives from them does too.
 
 use proptest::prelude::*;
-use smrseek_trace::binary::{
-    read_binary, top_sector, write_binary, write_binary_v2, BinaryRecordIter,
-};
-use smrseek_trace::{Error, Lba, TraceRecord, MAX_END_SECTOR};
+use smrseek_trace::binary::{read_binary, write_binary};
+use smrseek_trace::{Lba, TraceRecord, MAX_END_SECTOR};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Magic (6 bytes) then the little-endian record count.
 const COUNT_AT: usize = 6;
-/// The v2 `top_sector` field follows the count.
-const TOP_AT: usize = 14;
+/// The v2 sector bound follows the count.
+const BOUND_AT: usize = 14;
 
 /// A record with an ordinary LBA or one straddling
 /// [`MAX_END_SECTOR`], and an ordinary or near-`u32::MAX` length.
@@ -59,7 +57,7 @@ enum Mutation {
     Insert(usize, u8),
     Delete(usize),
     Count(u64),
-    Top(u64),
+    Bound(u64),
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
@@ -69,7 +67,7 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         1 => (0usize..256, 0u8..=255).prop_map(|(at, b)| Mutation::Insert(at, b)),
         1 => (0usize..256).prop_map(Mutation::Delete),
         2 => header_value().prop_map(Mutation::Count),
-        1 => header_value().prop_map(Mutation::Top),
+        1 => header_value().prop_map(Mutation::Bound),
     ]
 }
 
@@ -81,14 +79,28 @@ fn put_u64(bytes: &mut [u8], at: usize, value: u64) {
     }
 }
 
+/// A v2 image of `records`: magic `SMRT2\0`, the count, one past the
+/// highest sector any record touches (0 for none), then the v1 records.
+fn v2_image(records: &[TraceRecord]) -> Vec<u8> {
+    let mut v1 = Vec::new();
+    write_binary(&mut v1, records).expect("vec write");
+    let bound = records.iter().map(|r| r.end().sector()).max().unwrap_or(0);
+    let mut v2 = b"SMRT2\0".to_vec();
+    v2.extend_from_slice(&v1[COUNT_AT..BOUND_AT]);
+    v2.extend_from_slice(&bound.to_le_bytes());
+    v2.extend_from_slice(&v1[BOUND_AT..]);
+    v2
+}
+
 /// Writes `records` as a v1 or v2 image and applies `mutations` in order.
 fn mangle(records: &[TraceRecord], v2: bool, mutations: &[Mutation]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    if v2 {
-        write_binary_v2(&mut bytes, records).expect("vec write");
+    let mut bytes = if v2 {
+        v2_image(records)
     } else {
+        let mut bytes = Vec::new();
         write_binary(&mut bytes, records).expect("vec write");
-    }
+        bytes
+    };
     for &m in mutations {
         let len = bytes.len();
         match m {
@@ -99,51 +111,35 @@ fn mangle(records: &[TraceRecord], v2: bool, mutations: &[Mutation]) -> Vec<u8> 
                 bytes.remove(at % len);
             }
             Mutation::Count(v) => put_u64(&mut bytes, COUNT_AT, v),
-            Mutation::Top(v) => put_u64(&mut bytes, TOP_AT, v),
+            Mutation::Bound(v) => put_u64(&mut bytes, BOUND_AT, v),
             Mutation::Flip(..) | Mutation::Delete(_) => {}
         }
     }
     bytes
 }
 
-/// Runs `f`, turning a panic into a test failure that names the reader.
-fn no_panic<T>(reader: &str, bytes: &[u8], f: impl FnOnce() -> T) -> Result<T, TestCaseError> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|_| {
-        TestCaseError::fail(format!("{reader} panicked on a {}-byte image", bytes.len()))
-    })
-}
-
-/// Runs both readers over `bytes` and checks that neither panics (every
-/// outcome is records or an [`Error`]), that they accept and refuse the
-/// same images, and that an accepted image yields the same records and a
-/// frontier within [`MAX_END_SECTOR`].
-fn check_readers(bytes: &[u8]) -> Result<(), TestCaseError> {
-    let whole = no_panic("read_binary", bytes, || read_binary(bytes))?;
-    let streamed = no_panic("BinaryRecordIter", bytes, || {
-        let iter = BinaryRecordIter::new(bytes)?;
-        let header = *iter.header();
-        iter.collect::<Result<Vec<TraceRecord>, Error>>()
-            .map(|records| (header, records))
+/// Runs [`read_binary`] over `bytes` and checks that it does not panic,
+/// and that an accepted image holds exactly its header's count of
+/// records, each ending within [`MAX_END_SECTOR`].
+fn check_reader(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let read = catch_unwind(AssertUnwindSafe(|| read_binary(bytes))).map_err(|_| {
+        TestCaseError::fail(format!(
+            "read_binary panicked on a {}-byte image",
+            bytes.len()
+        ))
     })?;
-    prop_assert_eq!(
-        whole.is_ok(),
-        streamed.is_ok(),
-        "the readers disagree on the image: {:?} vs {:?}",
-        whole.as_ref().err(),
-        streamed.as_ref().err()
-    );
-    if let (Ok(whole), Ok((header, streamed))) = (&whole, &streamed) {
-        prop_assert_eq!(streamed, whole, "streamed records differ");
-        prop_assert_eq!(header.count, whole.len() as u64);
-        prop_assert!(
-            header.top_sector.unwrap_or(0) <= MAX_END_SECTOR,
-            "header frontier hint past the limit"
-        );
-        // Replay places the log frontier above this bound.
-        prop_assert!(
-            top_sector(whole) <= MAX_END_SECTOR,
-            "record frontier past the limit"
-        );
+    if let Ok(records) = read {
+        let count = bytes
+            .get(COUNT_AT..BOUND_AT)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        prop_assert_eq!(count, Some(records.len() as u64), "records vs header count");
+        for rec in &records {
+            prop_assert!(
+                rec.end().sector() <= MAX_END_SECTOR,
+                "record ends past the limit: {:?}",
+                rec
+            );
+        }
     }
     Ok(())
 }
@@ -158,6 +154,6 @@ proptest! {
         mutations in prop::collection::vec(mutation(), 0..4),
     ) {
         let bytes = mangle(&records, v2, &mutations);
-        check_readers(&bytes)?;
+        check_reader(&bytes)?;
     }
 }
